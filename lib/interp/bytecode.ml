@@ -46,6 +46,116 @@
 open Glaf_fortran
 open Glaf_runtime
 
+(* One global mutex guards the digest memos, the program cache and the
+   stats table.  Compiles run outside it (double-checked insert); only
+   Hashtbl lookups and small Marshal digests run under it. *)
+let global_mutex = Mutex.create ()
+
+let locked f =
+  Mutex.lock global_mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock global_mutex) f
+
+(** {1 Bail / coverage statistics}
+
+    One site per compiled construct (loop body or subprogram body),
+    keyed by (unit, site id).  [sk_runs] counts bytecode executions,
+    [sk_bails] counts tree-walk fallbacks (compile bails and bind
+    refusals alike); [sk_reason] names the first construct that made
+    compilation bail, when it did. *)
+module Stats = struct
+  type site = {
+    sk_unit : string;
+    sk_id : string;
+    sk_label : string;
+    mutable sk_reason : string option;
+    sk_runs : int Atomic.t;
+    sk_bails : int Atomic.t;
+    sk_gen : int;  (** [generation] when registered *)
+  }
+
+  (* Bumped by [reset]: a site held past a reset (by a frame plan) is
+     re-registered on its next use. *)
+  let generation = Atomic.make 0
+
+  (* A read-only copy of a site, for reporting. *)
+  type row = {
+    r_unit : string;
+    r_id : string;
+    r_label : string;
+    r_reason : string option;
+    r_runs : int;
+    r_bails : int;
+  }
+
+  let tbl : (string * string, site) Hashtbl.t = Hashtbl.create 64
+
+  let get ~unit_key ~id ~label : site =
+    locked (fun () ->
+        match Hashtbl.find_opt tbl (unit_key, id) with
+        | Some s -> s
+        | None ->
+          let s =
+            {
+              sk_unit = unit_key;
+              sk_id = id;
+              sk_label = label;
+              sk_reason = None;
+              sk_runs = Atomic.make 0;
+              sk_bails = Atomic.make 0;
+              sk_gen = Atomic.get generation;
+            }
+          in
+          Hashtbl.replace tbl (unit_key, id) s;
+          s)
+
+  let run s = Atomic.incr s.sk_runs
+  let bail s = Atomic.incr s.sk_bails
+
+  let set_reason s reason =
+    locked (fun () ->
+        match s.sk_reason with
+        | Some _ -> ()
+        | None -> s.sk_reason <- Some reason)
+
+  let snapshot () : row list =
+    let rows =
+      locked (fun () ->
+          Hashtbl.fold
+            (fun _ s acc ->
+              {
+                r_unit = s.sk_unit;
+                r_id = s.sk_id;
+                r_label = s.sk_label;
+                r_reason = s.sk_reason;
+                r_runs = Atomic.get s.sk_runs;
+                r_bails = Atomic.get s.sk_bails;
+              }
+              :: acc)
+            tbl [])
+    in
+    List.sort
+      (fun a b ->
+        match compare a.r_unit b.r_unit with
+        | 0 -> compare a.r_id b.r_id
+        | c -> c)
+      rows
+
+  let reset () =
+    locked (fun () ->
+        Hashtbl.reset tbl;
+        Atomic.incr generation)
+
+  let purge_unit u =
+    locked (fun () ->
+        let doomed =
+          Hashtbl.fold
+            (fun k s acc -> if s.sk_unit = u then k :: acc else acc)
+            tbl []
+        in
+        List.iter (Hashtbl.remove tbl) doomed)
+end
+
+
 (** Scalar binding descriptor: [spath] is the derived-type component
     chain ([fo%fuir] gives [sname = "fo"], [spath = ["fuir"]]).
     [sbase] is the declared base type seen at compile time; only the
@@ -61,6 +171,13 @@ type array_ref = {
   apath : string list;
   asubs : int;
   aelem : Farray.elem;
+  amaybe : bool;
+      (** may be unallocated while the program runs: the slot was
+          [Unalloc] at compile time or the unit DEALLOCATEs the name.
+          Only these bind while unallocated (see {!Vm.bind}), and a
+          non-trivial subscript of one is preceded by [Icheck_alloc] so
+          the tree-walker's "used before allocation" error fires before
+          the subscripts are evaluated. *)
 }
 
 (** How one actual argument of a compiled call site is passed.  The
@@ -75,30 +192,6 @@ type arg_spec =
   | Arg_elem of { ae_arr : int; ae_idx : int array; ae_val : int }
       (** array id, index registers (already [to_int]ed, the lvalue
           pass), value register (the bounds-checked re-evaluation) *)
-
-(** A compiled call site.  The callee AST rides along so the VM's
-    [callenv] can dispatch it without any name lookup: the same
-    (subprogram, module) pair the compiler resolved. *)
-type call_site = {
-  cs_sub : Ast.subprogram;
-  cs_mod : string option;  (** enclosing module, for the callee scope *)
-  cs_name : string;  (** call-site spelling, for error messages *)
-  cs_args : arg_spec array;
-  cs_dst : int;  (** function-result register; [-1] = statement CALL *)
-}
-
-(** The VM's one hook back into the interpreter: run a callee with
-    pre-marshalled bindings.  [ce_call sub mod_name name bindings]
-    must behave exactly like the tail of the tree-walker's
-    [call_subprogram] (scope setup, body, copy-out, result). *)
-type callenv = {
-  ce_call :
-    Ast.subprogram ->
-    string option ->
-    string ->
-    Storage.arg_binding list ->
-    Value.t option;
-}
 
 (** {1 Typed register files}
 
@@ -189,7 +282,63 @@ type tprogram = {
   t_sty : ty array;  (** per-scalar expected value kind *)
 }
 
-type program = {
+(** A compiled call site.  The callee AST rides along so the VM's
+    [callenv] can dispatch it without any name lookup: the same
+    (subprogram, module) pair the compiler resolved.  [cs_plan] caches
+    the callee's frame plan once the first call has compiled it. *)
+type call_site = {
+  cs_sub : Ast.subprogram;
+  cs_mod : string option;  (** enclosing module, for the callee scope *)
+  cs_name : string;  (** call-site spelling, for error messages *)
+  cs_args : arg_spec array;
+  cs_dst : int;  (** function-result register; [-1] = statement CALL *)
+  mutable cs_plan : plan_state;
+}
+
+and plan_state =
+  | Plan_unknown  (** no call through this site has finished yet *)
+  | Plan_none  (** the callee does not compile, or has no plan *)
+  | Plan of frame_plan
+
+(** Where a name of a compiled callee lives, for frame reuse. *)
+and src =
+  | Src_arg of int  (** dummy argument k: re-bound on every call *)
+  | Src_local of int  (** fresh local k of [fp_locals]: reset per call *)
+  | Src_save  (** per-domain SAVE slot: bound once per frame *)
+  | Src_stable  (** module or COMMON slot: bound once per frame *)
+
+(** The entry a fresh local gets at the start of every call, exactly
+    what [setup_scope]'s [make_slot] (plus a static initializer) would
+    build. *)
+and local_init =
+  | L_scalar of Value.t
+  | L_array of Farray.elem * (int * int) array
+  | L_unalloc of Farray.elem * int
+
+(** A frame plan: how to turn a bound frame of [fp_prog] for one call
+    into a bound frame for the next without rebuilding the scope.
+    Built once per (unit, callee) from the callee's declarations
+    alone; the slots themselves belong to per-state, per-domain frames
+    ({!Vm.cframe}). *)
+and frame_plan = {
+  fp_uid : int;  (** key of the per-domain frame tables *)
+  fp_prog : program;
+  mutable fp_site : Stats.site;  (** read through {!plan_site} *)
+  fp_nargs : int;
+  fp_scalar_src : src array;  (** per [fp_prog.scalars] entry *)
+  fp_array_src : src array;
+  fp_raw_src : src array;
+  fp_locals : (string * local_init) array;
+  fp_real_dummies : int array;
+      (** dummies declared REAL: the redeclaration quirk rewrites an
+          Int actual to Real in place, as [setup_scope] does *)
+  fp_arg_checks : (int * string list * Value.t) array;
+      (** folded PARAMETER values reached through a dummy: dummy
+          index, component path, value; verified on every call *)
+  fp_result : src option;  (** function result slot *)
+}
+
+and program = {
   code : instr array;
   nregs : int;
   scalars : scalar_ref array;
@@ -259,6 +408,24 @@ and instr =
   | Ireturn  (** RETURN: raise Sub_return *)
   | Istop of string option
   | Iexit  (** top-level EXIT: end body, signal loop exit *)
+  | Iallocate of { al_raw : int; al_name : string; al_bounds : (int * int) array }
+      (** ALLOCATE one variable: raw-slot id, name for errors, (lo, hi)
+          registers per dimension (already [to_int]ed) *)
+  | Idealloc of int * string  (** DEALLOCATE: raw-slot id, name *)
+  | Iallocated of int * int * string  (** dst <- allocated(raw slot) *)
+  | Icheck_alloc of int * bool
+      (** array id, is-store: raise the tree-walker's unallocated-array
+          error before the access's subscripts are evaluated *)
+
+(** The VM's hooks back into the interpreter.  [ce_call cs bindings]
+    runs the callee of [cs] with pre-marshalled bindings and must behave
+    exactly like the tail of the tree-walker's [call_subprogram] (scope
+    setup, body, copy-out, result); [ce_allocs] is the state's ALLOCATE
+    counter, which [Iallocate] bumps like the tree-walker does. *)
+type callenv = {
+  ce_call : call_site -> Storage.arg_binding list -> Value.t option;
+  ce_allocs : int Atomic.t;
+}
 
 (** Compilation environment beyond the representative scope: what the
     unit as a whole provides.  [e_unit] namespaces the program cache
@@ -332,6 +499,9 @@ type ctx = {
   mutable crit : int;  (* compile-time CRITICAL nesting depth *)
   mutable end_patches : int list;  (* top-level CYCLE -> end of body *)
   mutable inline : iframe option;  (* set while expanding a leaf callee *)
+  dealloc_names : (string, unit) Hashtbl.t Lazy.t;
+      (* every DEALLOCATE target in the unit: arrays that may be
+         unallocated at run time even when allocated at compile time *)
 }
 
 let reg ctx =
@@ -369,17 +539,22 @@ let scalar_id ctx (slot : Storage.slot) name path =
       :: ctx.scalar_refs;
     id
 
-let array_id ctx elem name path nsubs =
+(* [unalloc]: the compile-time slot holds no array yet. *)
+let array_id ctx ~unalloc elem name path nsubs =
   let key = (name, path, nsubs) in
   match Hashtbl.find_opt ctx.array_ids key with
   | Some id -> id
   | None ->
     let id = Hashtbl.length ctx.array_ids in
     Hashtbl.replace ctx.array_ids key id;
+    let amaybe = unalloc || Hashtbl.mem (Lazy.force ctx.dealloc_names) name in
     ctx.array_refs <-
-      { aname = name; apath = path; asubs = nsubs; aelem = elem }
+      { aname = name; apath = path; asubs = nsubs; aelem = elem; amaybe }
       :: ctx.array_refs;
     id
+
+let array_ref ctx id =
+  List.nth ctx.array_refs (Hashtbl.length ctx.array_ids - 1 - id)
 
 let raw_id ctx name =
   match Hashtbl.find_opt ctx.raw_ids name with
@@ -403,15 +578,6 @@ let note_negative ctx name =
   if not (Hashtbl.mem ctx.negs name) then Hashtbl.replace ctx.negs name ()
 
 (* --- digests and global tables ------------------------------------------- *)
-
-(* One global mutex guards the digest memos, the program cache and the
-   stats table.  Compiles run outside it (double-checked insert); only
-   Hashtbl lookups and small Marshal digests run under it. *)
-let global_mutex = Mutex.create ()
-
-let locked f =
-  Mutex.lock global_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock global_mutex) f
 
 let digest_of x =
   Digest.to_hex (Digest.string (Marshal.to_string x [ Marshal.No_sharing ]))
@@ -468,97 +634,6 @@ let unit_key (cu : Ast.compilation_unit) =
     let k = "u" ^ digest_of cu in
     locked (fun () -> Phys_cu.replace unit_key_tbl cu k);
     k
-
-(** {1 Bail / coverage statistics}
-
-    One site per compiled construct (loop body or subprogram body),
-    keyed by (unit, site id).  [sk_runs] counts bytecode executions,
-    [sk_bails] counts tree-walk fallbacks (compile bails and bind
-    refusals alike); [sk_reason] names the first construct that made
-    compilation bail, when it did. *)
-module Stats = struct
-  type site = {
-    sk_unit : string;
-    sk_id : string;
-    sk_label : string;
-    mutable sk_reason : string option;
-    sk_runs : int Atomic.t;
-    sk_bails : int Atomic.t;
-  }
-
-  (* A read-only copy of a site, for reporting. *)
-  type row = {
-    r_unit : string;
-    r_id : string;
-    r_label : string;
-    r_reason : string option;
-    r_runs : int;
-    r_bails : int;
-  }
-
-  let tbl : (string * string, site) Hashtbl.t = Hashtbl.create 64
-
-  let get ~unit_key ~id ~label : site =
-    locked (fun () ->
-        match Hashtbl.find_opt tbl (unit_key, id) with
-        | Some s -> s
-        | None ->
-          let s =
-            {
-              sk_unit = unit_key;
-              sk_id = id;
-              sk_label = label;
-              sk_reason = None;
-              sk_runs = Atomic.make 0;
-              sk_bails = Atomic.make 0;
-            }
-          in
-          Hashtbl.replace tbl (unit_key, id) s;
-          s)
-
-  let run s = Atomic.incr s.sk_runs
-  let bail s = Atomic.incr s.sk_bails
-
-  let set_reason s reason =
-    locked (fun () ->
-        match s.sk_reason with
-        | Some _ -> ()
-        | None -> s.sk_reason <- Some reason)
-
-  let snapshot () : row list =
-    let rows =
-      locked (fun () ->
-          Hashtbl.fold
-            (fun _ s acc ->
-              {
-                r_unit = s.sk_unit;
-                r_id = s.sk_id;
-                r_label = s.sk_label;
-                r_reason = s.sk_reason;
-                r_runs = Atomic.get s.sk_runs;
-                r_bails = Atomic.get s.sk_bails;
-              }
-              :: acc)
-            tbl [])
-    in
-    List.sort
-      (fun a b ->
-        match compare a.r_unit b.r_unit with
-        | 0 -> compare a.r_id b.r_id
-        | c -> c)
-      rows
-
-  let reset () = locked (fun () -> Hashtbl.reset tbl)
-
-  let purge_unit u =
-    locked (fun () ->
-        let doomed =
-          Hashtbl.fold
-            (fun k s acc -> if s.sk_unit = u then k :: acc else acc)
-            tbl []
-        in
-        List.iter (Hashtbl.remove tbl) doomed)
-end
 
 (* --- constant folding ---------------------------------------------------- *)
 
@@ -715,48 +790,6 @@ let written_dummies (sp : Ast.subprogram) : (string, unit) Hashtbl.t =
     locked (fun () -> Phys_sub.replace written_memo sp w);
     w
 
-(* Transitively: can running [sp] allocate or deallocate?  A bound
-   frame caches Farray buffers and bounds, so a compiled call site
-   must never reach ALLOCATE/DEALLOCATE — the tree-walker re-resolves
-   storage on every access and tolerates it, the VM does not.
-   Recursion is treated as may-allocate (conservative). *)
-let alloc_memo : bool Phys_sub.t = Phys_sub.create 32
-
-let rec may_alloc env (seen : Ast.subprogram list) (sp : Ast.subprogram) : bool
-    =
-  if List.memq sp seen then true
-  else
-    match locked (fun () -> Phys_sub.find_opt alloc_memo sp) with
-    | Some b -> b
-    | None ->
-      let seen = sp :: seen in
-      let found = ref false in
-      let vars = local_var_names sp in
-      let check_callee n =
-        match Hashtbl.find_opt env.e_subs (String.lowercase_ascii n) with
-        | Some (callee, _) -> if may_alloc env seen callee then found := true
-        | None -> ()
-      in
-      let check_expr e =
-        Ast.fold_expr
-          (fun () e ->
-            match e with
-            | Ast.Desig ((h, _) :: _) when not (Hashtbl.mem vars h) ->
-              check_callee h
-            | _ -> ())
-          () e
-      in
-      Ast.fold_stmts
-        (fun () s ->
-          (match s with
-          | Ast.Allocate _ | Ast.Deallocate _ -> found := true
-          | Ast.Call (n, _) -> check_callee n
-          | _ -> ());
-          List.iter check_expr (stmt_exprs s))
-        () sp.Ast.sub_body;
-      locked (fun () -> Phys_sub.replace alloc_memo sp !found);
-      !found
-
 (* --- leaf inlining plan -------------------------------------------------- *)
 
 (* Body size cap for inlining, in statements (nested included). *)
@@ -860,6 +893,13 @@ let inline_shadowed env mod_name (shape : leaf_shape) : bool =
 let has_section args =
   List.exists (function Ast.Section _ -> true | _ -> false) args
 
+(* Element kind of an array slot, and whether it is unallocated now. *)
+let array_elem (slot : Storage.slot) =
+  match slot.Storage.entry with
+  | Storage.Array a -> (a.Farray.elem, false)
+  | Storage.Unalloc (elem, _) -> (elem, true)
+  | _ -> bail "designator-shape"
+
 let rec compile_expr ctx (e : Ast.expr) : int =
   match static_eval e with
   | Some v ->
@@ -914,13 +954,28 @@ let rec compile_expr ctx (e : Ast.expr) : int =
     | Ast.Implied_do _ -> bail "implied-do"
     | Ast.Section _ -> bail "section")
 
-and compile_subscripts ctx args =
+(* Subscripts of an array that may be unallocated: the tree-walker
+   raises before evaluating them, the VM's access instruction only after
+   they ran.  Literals and plain variables cannot raise or call, so the
+   order is only observable for anything else, which gets an explicit
+   check first. *)
+and compile_checked_subscripts ctx aid ~store args =
   if has_section args then bail "section";
+  let trivial = function
+    | Ast.Int_lit _ -> true
+    | Ast.Desig [ (n, []) ] -> (
+      match Storage.lookup ctx.scope n with
+      | Some { Storage.entry = Storage.Scalar _; _ } -> true
+      | _ -> false)
+    | _ -> false
+  in
+  if (array_ref ctx aid).amaybe && not (List.for_all trivial args) then
+    emit ctx (Icheck_alloc (aid, store));
   List.map (compile_expr ctx) args
 
-and compile_elem_load ctx elem name path args =
-  let idx = compile_subscripts ctx args in
-  let aid = array_id ctx elem name path (List.length idx) in
+and compile_elem_load ctx ~unalloc elem name path args =
+  let aid = array_id ctx ~unalloc elem name path (List.length args) in
+  let idx = compile_checked_subscripts ctx aid ~store:false args in
   let d = reg ctx in
   (match idx with
   | [ i ] -> emit ctx (Iload1 (d, aid, i))
@@ -959,13 +1014,15 @@ and compile_slot_load ctx (slot : Storage.slot) name path args rest : int =
       emit ctx (Iload (r, sid));
       r
     end
-  | Storage.Array a, [], [] ->
-    let aid = array_id ctx a.Farray.elem name path 0 in
+  | (Storage.Array _ | Storage.Unalloc _), [], [] ->
+    let elem, unalloc = array_elem slot in
+    let aid = array_id ctx ~unalloc elem name path 0 in
     let r = reg ctx in
     emit ctx (Iload_arr (r, aid));
     r
-  | Storage.Array a, _ :: _, [] ->
-    compile_elem_load ctx a.Farray.elem name path args
+  | (Storage.Array _ | Storage.Unalloc _), _ :: _, [] ->
+    let elem, unalloc = array_elem slot in
+    compile_elem_load ctx ~unalloc elem name path args
   | Storage.Struct obj, [], (fname, fargs) :: frest -> (
     match Hashtbl.find_opt obj fname with
     | Some fslot ->
@@ -1002,7 +1059,7 @@ and compile_desig_load ctx (parts : Ast.designator) : int =
       match Storage.lookup ctx.scope name with
       | Some slot -> compile_slot_load ctx slot name [] args rest
       | None -> (
-        if name = "allocated" then bail "allocated()"
+        if name = "allocated" then compile_allocated ctx args
         else
           match
             Hashtbl.find_opt Intrinsics.tbl (String.lowercase_ascii name)
@@ -1025,6 +1082,17 @@ and compile_desig_load ctx (parts : Ast.designator) : int =
               compile_user_call ctx sp mod_name name args ~is_fn:true
             | None -> bail "unknown-name"))))
 
+(* allocated(v): the tree-walker's eval_desig checks the slot kind at
+   run time (ignoring any component parts after the call). *)
+and compile_allocated ctx args =
+  match args with
+  | [ Ast.Desig [ (vname, []) ] ] when Storage.lookup ctx.scope vname <> None ->
+    note_negative ctx "allocated";
+    let d = reg ctx in
+    emit ctx (Iallocated (d, raw_id ctx vname, vname));
+    d
+  | _ -> bail "allocated()"
+
 (* --- compiled calls ------------------------------------------------------ *)
 
 (* Compile a call to [sp] (statement CALL when [is_fn] is false,
@@ -1043,7 +1111,6 @@ and compile_user_call ctx sp mod_name name actuals ~is_fn : int =
 
 and compile_marshalled_call ctx sp mod_name name actuals ~is_fn : int =
   if ctx.inline <> None then bail "inline-shape";
-  if may_alloc ctx.env [] sp then bail "call-allocates";
   let written = written_dummies sp in
   let specs =
     List.map2
@@ -1066,6 +1133,14 @@ and compile_marshalled_call ctx sp mod_name name actuals ~is_fn : int =
                resolves the lvalue (evaluating and to_int-ing each
                subscript), then re-evaluates the designator for the
                value (bounds-checked) *)
+            let aid =
+              array_id ctx ~unalloc:false arr.Farray.elem n []
+                (List.length args)
+            in
+            (* an unallocated array fails resolve_lvalue and the value
+               re-evaluation both, before any subscript runs *)
+            if (array_ref ctx aid).amaybe then
+              emit ctx (Icheck_alloc (aid, false));
             let idx =
               List.map
                 (fun e ->
@@ -1074,10 +1149,9 @@ and compile_marshalled_call ctx sp mod_name name actuals ~is_fn : int =
                   r)
                 args
             in
-            let aid =
-              array_id ctx arr.Farray.elem n [] (List.length args)
+            let av =
+              compile_elem_load ctx ~unalloc:false arr.Farray.elem n [] args
             in
-            let av = compile_elem_load ctx arr.Farray.elem n [] args in
             Arg_elem { ae_arr = aid; ae_idx = Array.of_list idx; ae_val = av }
           | Some _ -> bail "arg-shape"
           | None ->
@@ -1097,6 +1171,7 @@ and compile_marshalled_call ctx sp mod_name name actuals ~is_fn : int =
          cs_name = name;
          cs_args = Array.of_list specs;
          cs_dst = dst;
+         cs_plan = Plan_unknown;
        });
   if is_fn then dst else 0
 
@@ -1201,12 +1276,14 @@ and compile_slot_store ctx (slot : Storage.slot) name path args rest rv =
     if slot.Storage.is_param then bail "parameter-store";
     let sid = scalar_id ctx slot name path in
     emit ctx (Istore (sid, rv))
-  | Storage.Array a, [], [] ->
-    let aid = array_id ctx a.Farray.elem name path 0 in
+  | (Storage.Array _ | Storage.Unalloc _), [], [] ->
+    let elem, unalloc = array_elem slot in
+    let aid = array_id ctx ~unalloc elem name path 0 in
     emit ctx (Istore_whole (aid, rv))
-  | Storage.Array a, _ :: _, [] -> (
-    let idx = compile_subscripts ctx args in
-    let aid = array_id ctx a.Farray.elem name path (List.length idx) in
+  | (Storage.Array _ | Storage.Unalloc _), _ :: _, [] -> (
+    let elem, unalloc = array_elem slot in
+    let aid = array_id ctx ~unalloc elem name path (List.length args) in
+    let idx = compile_checked_subscripts ctx aid ~store:true args in
     match idx with
     | [ i ] -> emit ctx (Istore1 (aid, i, rv))
     | [ i; j ] -> emit ctx (Istore2 (aid, i, j, rv))
@@ -1349,8 +1426,49 @@ and compile_stmt ctx (s : Ast.stmt) =
     | None -> bail "unknown-call"
     | Some (sp, mod_name) ->
       ignore (compile_user_call ctx sp mod_name name actuals ~is_fn:false))
-  | Ast.Allocate _ -> bail "allocate"
-  | Ast.Deallocate _ -> bail "deallocate"
+  | Ast.Allocate allocs ->
+    (* one variable at a time, each one's bounds evaluated just before
+       it is allocated; a [lo:hi] bound evaluates hi first, like the
+       tree-walker's tuple *)
+    List.iter
+      (fun (d, exprs) ->
+        let name = Ast.desig_name d in
+        if Storage.lookup ctx.scope name = None then bail "allocate";
+        let int_of e =
+          let r = compile_expr ctx e in
+          let d = reg ctx in
+          emit ctx (Ito_int (d, r));
+          d
+        in
+        let bounds =
+          List.map
+            (function
+              | Ast.Section (Some lo, Some hi) ->
+                let rhi = int_of hi in
+                (int_of lo, rhi)
+              | Ast.Section _ -> bail "section"
+              | e ->
+                let rhi = int_of e in
+                let one = reg ctx in
+                emit ctx (Iconst (one, Value.Int 1));
+                (one, rhi))
+            exprs
+        in
+        emit ctx
+          (Iallocate
+             {
+               al_raw = raw_id ctx name;
+               al_name = name;
+               al_bounds = Array.of_list bounds;
+             }))
+      allocs
+  | Ast.Deallocate ds ->
+    List.iter
+      (fun d ->
+        let name = Ast.desig_name d in
+        if Storage.lookup ctx.scope name = None then bail "deallocate";
+        emit ctx (Idealloc (raw_id ctx name, name)))
+      ds
 
 and compile_serial_do ctx (l : Ast.do_loop) =
   let sid =
@@ -1898,6 +2016,11 @@ let specialize (p : program) : tprogram option =
           def d TF;
           tvec_push out (TconstF (bank.(d), epsilon_float))
         | _ -> raise Treject)
+      | Icheck_alloc _ ->
+        (* typed frames bind only allocated arrays and never allocate:
+           the check can never fire *)
+        ()
+      | Iallocate _ | Idealloc _ | Iallocated _ -> raise Treject
       | Icall _ | Iprint _ | Istop _ | Idummy_adjust _ -> (
         match p.code.(i) with
         | Idummy_adjust sid -> (
@@ -1984,6 +2107,20 @@ let make_ctx env scope ~in_sub =
     crit = 0;
     end_patches = [];
     inline = None;
+    dealloc_names =
+      lazy
+        (let tbl = Hashtbl.create 8 in
+         Hashtbl.iter
+           (fun _ ((sp : Ast.subprogram), _) ->
+             Ast.fold_stmts
+               (fun () s ->
+                 match s with
+                 | Ast.Deallocate ds ->
+                   List.iter (fun d -> Hashtbl.replace tbl (Ast.desig_name d) ()) ds
+                 | _ -> ())
+               () sp.Ast.sub_body)
+           env.e_subs;
+         tbl);
   }
 
 let finish ctx : program =
@@ -2080,19 +2217,204 @@ let compile_sub env ~scope (sp : Ast.subprogram) : program option * Stats.site
     Stats.set_reason site reason;
     (None, site)
 
-(** Drop every cached program and stats site belonging to [unit_key]
-    (the listener calls this when it evicts a script from its own
-    cache, so long-lived serve processes don't accumulate programs for
-    dead scripts). *)
+(* --- frame plans --------------------------------------------------------- *)
+
+exception No_plan
+
+let plan_uids = Atomic.make 0
+
+(* The entry [setup_scope]'s make_slot (plus the initializer) gives a
+   plain local on every call.  Only static shapes and initializers are
+   planned; anything evaluated at run time keeps the scope path. *)
+let local_init base attrs (e : Ast.entity) : local_init =
+  let static_int x =
+    match static_eval x with
+    | Some v -> ( try Value.to_int v with Value.Runtime_error _ -> raise No_plan)
+    | None -> raise No_plan
+  in
+  (match base with Ast.Derived _ -> raise No_plan | _ -> ());
+  let dims =
+    match e.Ast.ent_dims with
+    | Some d -> Some d
+    | None -> List.find_map (function Ast.Dimension d -> Some d | _ -> None) attrs
+  in
+  let allocatable = List.mem Ast.Allocatable attrs in
+  let deferred =
+    match e.Ast.ent_deferred with
+    | Some r -> Some r
+    | None -> if allocatable then Option.map List.length dims else None
+  in
+  let elem = Farray.elem_of_base base in
+  let entry =
+    match (deferred, dims) with
+    | Some rank, _ when allocatable || e.Ast.ent_deferred <> None ->
+      L_unalloc (elem, rank)
+    | _, None -> L_scalar (Value.zero_of base)
+    | _, Some ds ->
+      L_array
+        ( elem,
+          Array.of_list
+            (List.map
+               (fun (lo, hi) ->
+                 let lo = match lo with Some l -> static_int l | None -> 1 in
+                 (lo, static_int hi))
+               ds) )
+  in
+  match e.Ast.ent_init with
+  | None -> entry
+  | Some ie -> (
+    match static_eval ie with
+    | Some v -> (
+      try L_scalar (Value.coerce base v) with Value.Runtime_error _ -> raise No_plan)
+    | None -> raise No_plan)
+
+(* Classify every name of [p] the way [setup_scope] would bind it in a
+   scope for [sp]: dummies, fresh locals, SAVE and COMMON members by
+   declaration, everything else through the module scopes. *)
+let build_plan (sp : Ast.subprogram) (p : program) site : frame_plan option =
+  try
+    let arg_idx = Hashtbl.create 8 in
+    List.iteri
+      (fun k n ->
+        if Hashtbl.mem arg_idx n then raise No_plan;
+        Hashtbl.replace arg_idx n k)
+      sp.Ast.sub_args;
+    let commons = Hashtbl.create 8 in
+    List.iter
+      (function
+        | Ast.Common (_, names) -> List.iter (fun n -> Hashtbl.replace commons n ()) names
+        | _ -> ())
+      sp.Ast.sub_decls;
+    let kinds = Hashtbl.create 16 in
+    let locals = ref [] and nlocals = ref 0 and real_dummies = ref [] in
+    let add_local n init =
+      Hashtbl.replace kinds n (Src_local !nlocals);
+      locals := (n, init) :: !locals;
+      incr nlocals
+    in
+    List.iter
+      (function
+        | Ast.Var_decl { base; attrs; entities } ->
+          List.iter
+            (fun (e : Ast.entity) ->
+              let n = e.Ast.ent_name in
+              match Hashtbl.find_opt arg_idx n with
+              | Some k ->
+                if base = Ast.Real || base = Ast.Real8 then
+                  real_dummies := k :: !real_dummies
+              | None ->
+                if Hashtbl.mem kinds n then raise No_plan;
+                if Hashtbl.mem commons n then Hashtbl.replace kinds n Src_stable
+                else if List.mem Ast.Save attrs then Hashtbl.replace kinds n Src_save
+                else add_local n (local_init base attrs e))
+            entities
+        | _ -> ())
+      sp.Ast.sub_decls;
+    let result =
+      match sp.Ast.sub_kind with
+      | `Subroutine -> None
+      | `Function rt -> (
+        let n = sp.Ast.sub_name in
+        match (Hashtbl.find_opt arg_idx n, Hashtbl.find_opt kinds n) with
+        | Some k, _ -> Some (Src_arg k)
+        | None, Some (Src_local _ as s) -> Some s
+        | None, Some _ -> raise No_plan
+        | None, None ->
+          let base = Option.value rt ~default:Ast.Real8 in
+          let zero =
+            try Value.zero_of base with Value.Runtime_error _ -> raise No_plan
+          in
+          add_local n (L_scalar zero);
+          Hashtbl.find_opt kinds n)
+    in
+    let src_of name path =
+      match Hashtbl.find_opt arg_idx name with
+      | Some k -> Src_arg k
+      | None -> (
+        match Hashtbl.find_opt kinds name with
+        | Some (Src_local _) when path <> [] -> raise No_plan
+        | Some s -> s
+        | None -> Src_stable)
+    in
+    Some
+      {
+        fp_uid = Atomic.fetch_and_add plan_uids 1;
+        fp_prog = p;
+        fp_site = site;
+        fp_nargs = List.length sp.Ast.sub_args;
+        fp_scalar_src = Array.map (fun r -> src_of r.sname r.spath) p.scalars;
+        fp_array_src = Array.map (fun r -> src_of r.aname r.apath) p.arrays;
+        fp_raw_src = Array.map (fun n -> src_of n []) p.raws;
+        fp_locals = Array.of_list (List.rev !locals);
+        fp_real_dummies = Array.of_list (List.rev !real_dummies);
+        fp_arg_checks =
+          Array.of_list
+            (List.filter_map
+               (fun ((r : scalar_ref), v) ->
+                 Option.map (fun k -> (k, r.spath, v)) (Hashtbl.find_opt arg_idx r.sname))
+               (Array.to_list p.checks));
+        fp_result = result;
+      }
+  with No_plan -> None
+
+(* Plan registry, keyed like the program cache so [purge_unit] drops a
+   unit's plans with its programs. *)
+let plans : (string, frame_plan option) Hashtbl.t = Hashtbl.create 32
+
+(** The frame plan of [sp] compiled as [p] in [env]'s unit, built on
+    first use.  The registry is only consulted on a call site's first
+    finished call; the site then caches the answer in [cs_plan]. *)
+let frame_plan env (sp : Ast.subprogram) (p : program) site : frame_plan option =
+  let key = env.e_unit ^ "|p|" ^ sub_digest sp in
+  match locked (fun () -> Hashtbl.find_opt plans key) with
+  | Some r -> r
+  | None ->
+    let r = build_plan sp p site in
+    locked (fun () ->
+        match Hashtbl.find_opt plans key with
+        | Some prev -> prev
+        | None ->
+          Hashtbl.replace plans key r;
+          r)
+
+(** The stats site of [p]'s callee, re-registered after a stats reset. *)
+let plan_site p =
+  let s = p.fp_site in
+  if s.Stats.sk_gen = Atomic.get Stats.generation then s
+  else begin
+    let s' = Stats.get ~unit_key:s.Stats.sk_unit ~id:s.Stats.sk_id ~label:s.Stats.sk_label in
+    p.fp_site <- s';
+    s'
+  end
+
+(** The plan a call site can use before any call through it finished:
+    known once some call compiled the callee in this unit,
+    [Plan_unknown] until then. *)
+let known_plan env (sp : Ast.subprogram) : plan_state =
+  let key = cache_key env "s" (sub_digest sp) in
+  match locked (fun () -> Hashtbl.find_opt cache key) with
+  | None -> Plan_unknown
+  | Some (Error _) -> Plan_none
+  | Some (Ok p) -> (
+    let label = "sub " ^ String.lowercase_ascii sp.Ast.sub_name in
+    match frame_plan env sp p (Stats.get ~unit_key:env.e_unit ~id:label ~label) with
+    | Some plan -> Plan plan
+    | None -> Plan_none)
+
+let has_prefix u k =
+  String.length k > String.length u && String.sub k 0 (String.length u) = u
+
+(** Frame plans registered for unit [u] (for tests and diagnostics). *)
+let plan_count u =
+  locked (fun () -> Hashtbl.fold (fun k _ n -> if has_prefix u k then n + 1 else n) plans 0)
+
+(** Drop every cached program, frame plan and stats site belonging to
+    [unit_key] (the listener calls this when it evicts a script from
+    its own cache, so long-lived serve processes don't accumulate them
+    for dead scripts). *)
 let purge_unit u =
   locked (fun () ->
-      let doomed =
-        Hashtbl.fold
-          (fun k _ acc ->
-            if String.length k > String.length u && String.sub k 0 (String.length u) = u
-            then k :: acc
-            else acc)
-          cache []
-      in
-      List.iter (Hashtbl.remove cache) doomed);
+      let doomed tbl = Hashtbl.fold (fun k _ acc -> if has_prefix u k then k :: acc else acc) tbl [] in
+      List.iter (Hashtbl.remove cache) (doomed cache);
+      List.iter (Hashtbl.remove plans) (doomed plans));
   Stats.purge_unit u

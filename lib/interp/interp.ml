@@ -73,6 +73,8 @@ type state = {
           inline expansions (default); [false] reproduces the PR 6
           "mixed" path where every call boundary bails to the
           tree-walker (benchmark baseline, [--no-bytecode-calls]) *)
+  frames : (int * (int, Vm.cframe) Hashtbl.t) list Atomic.t;
+      (** per domain id: reusable callee frames by frame-plan uid *)
 }
 
 let lookup = Storage.lookup
@@ -122,6 +124,7 @@ let make_state ?(printer = print_string) (cu : Ast.compilation_unit) =
     default_sched = Sched.default;
     use_bytecode = true;
     bytecode_calls = true;
+    frames = Atomic.make [];
   }
 
 let set_threads st n = st.default_threads <- max 1 n
@@ -141,6 +144,22 @@ let benv st : Bytecode.env =
     e_calls = st.bytecode_calls;
     e_module_scope = Hashtbl.find_opt st.module_scopes;
   }
+
+(* This domain's reusable callee frames in [st].  Only the owning
+   domain reads or writes its table; the list of tables grows by CAS. *)
+let domain_frames st =
+  let d = (Domain.self () :> int) in
+  match List.assoc_opt d (Atomic.get st.frames) with
+  | Some t -> t
+  | None ->
+    let t = Hashtbl.create 16 in
+    let rec add () =
+      let cur = Atomic.get st.frames in
+      if not (Atomic.compare_and_set st.frames cur ((d, t) :: cur)) then add ()
+    in
+    add ();
+    t
+
 let allocations st = Atomic.get st.alloc_count
 let reset_allocations st = Atomic.set st.alloc_count 0
 
@@ -505,14 +524,15 @@ and call_subprogram st name (actuals : Ast.expr list) ~caller_scope :
 (* The shared call tail: scope setup, body execution, copy-out and
    result extraction.  Reached from the tree-walker (via
    [call_subprogram], which evaluates actuals with [bind_actual]) and
-   from a compiled [Icall] site (via [callenv], which marshals the
-   same bindings out of VM registers) — both paths MUST run this exact
-   sequence or compiled and tree-walked calls diverge. *)
-and call_with_bindings st (sp : Ast.subprogram) mod_name name
+   from a compiled [Icall] site [cs] whose callee has no reusable frame
+   yet or whose frame refused the call (via [call_site_entry]) — both
+   paths MUST run this exact sequence or compiled and tree-walked calls
+   diverge.  A compiled call that finishes here leaves its bound frame
+   behind for the next call through the same plan on this domain. *)
+and call_with_bindings ?cs st (sp : Ast.subprogram) mod_name name
     (bindings : Storage.arg_binding list) : Value.t option =
   let scope = setup_scope st sp mod_name bindings in
-  (* run body *)
-  (try run_sub_body st sp scope with Sub_return -> ());
+  let ran = run_sub_body ?cs st sp scope in
   (* copy-out *)
   List.iter2
     (fun dummy binding ->
@@ -523,45 +543,106 @@ and call_with_bindings st (sp : Ast.subprogram) mod_name name
         | _ -> ())
       | `Copy (_, None) | `Alias _ -> ())
     sp.Ast.sub_args bindings;
-  match sp.Ast.sub_kind with
-  | `Subroutine -> None
-  | `Function _ -> (
-    match Hashtbl.find_opt scope.vars sp.Ast.sub_name with
-    | Some { entry = Scalar v; _ } -> Some v
-    | _ -> error "function %s did not set its result" name)
+  let result =
+    match sp.Ast.sub_kind with
+    | `Subroutine -> None
+    | `Function _ -> (
+      match Hashtbl.find_opt scope.vars sp.Ast.sub_name with
+      | Some { entry = Scalar v; _ } -> Some v
+      | _ -> error "function %s did not set its result" name)
+  in
+  (match (cs, ran) with
+  | Some { Bytecode.cs_plan = Bytecode.Plan plan; _ }, Some (p, b)
+    when p == plan.Bytecode.fp_prog ->
+    let frames = domain_frames st in
+    if not (Hashtbl.mem frames plan.Bytecode.fp_uid) then
+      Option.iter
+        (Hashtbl.replace frames plan.Bytecode.fp_uid)
+        (Vm.make_cframe plan b scope)
+  | _ -> ());
+  result
 
 (* Execute a subprogram body: compiled once per subprogram (digest
    cached) when bytecode is on, re-bound against each call's scope;
-   any compile bail or bind mismatch tree-walks this call only. *)
-and run_sub_body st (sp : Ast.subprogram) scope =
-  if not st.use_bytecode then exec_stmts st scope sp.Ast.sub_body
+   any compile bail or bind mismatch tree-walks this call only.
+   Returns the program and frame it ran compiled in, if it did.  A
+   compiled call site [cs] records its callee's frame plan on its first
+   call and skips the compile lookups after that. *)
+and run_sub_body ?cs st (sp : Ast.subprogram) scope :
+    (Bytecode.program * Vm.bound) option =
+  let tree_walk () =
+    (try exec_stmts st scope sp.Ast.sub_body with Sub_return -> ());
+    None
+  in
+  if not st.use_bytecode then tree_walk ()
   else begin
-    let env = benv st in
-    match Bytecode.compile_sub env ~scope sp with
+    let compiled =
+      match cs with
+      | Some { Bytecode.cs_plan = Bytecode.Plan plan; _ } ->
+        (Some plan.Bytecode.fp_prog, Bytecode.plan_site plan)
+      | _ ->
+        let env = benv st in
+        let p, site = Bytecode.compile_sub env ~scope sp in
+        (match cs with
+        | Some ({ Bytecode.cs_plan = Bytecode.Plan_unknown; _ } as cs) ->
+          cs.Bytecode.cs_plan <-
+            (match Option.bind p (fun p -> Bytecode.frame_plan env sp p site) with
+            | Some plan -> Bytecode.Plan plan
+            | None -> Bytecode.Plan_none)
+        | _ -> ());
+        (p, site)
+    in
+    match compiled with
     | Some p, site -> (
       match
         Vm.bind p scope ~printer:st.printer ~env:(callenv st) ~dovars:[]
       with
       | Some b ->
         Bytecode.Stats.run site;
-        Vm.exec_bound b
+        (try Vm.exec_bound b with Sub_return -> ());
+        Some (p, b)
       | None ->
         Bytecode.Stats.bail site;
-        exec_stmts st scope sp.Ast.sub_body)
+        tree_walk ())
     | None, site ->
       Bytecode.Stats.bail site;
-      exec_stmts st scope sp.Ast.sub_body
+      tree_walk ()
   end
 
 (* The VM's view of the interpreter: a compiled [Icall] hands its
-   pre-marshalled bindings straight to the shared call tail (arity was
-   checked at compile time). *)
+   pre-marshalled bindings to [call_site_entry] (arity was checked at
+   compile time), and [Iallocate] counts into the state's counter. *)
 and callenv st : Bytecode.callenv =
   {
-    Bytecode.ce_call =
-      (fun sp mod_name name bindings ->
-        call_with_bindings st sp mod_name name bindings);
+    Bytecode.ce_call = (fun cs bindings -> call_site_entry st cs bindings);
+    ce_allocs = st.alloc_count;
   }
+
+(* A compiled call: reuse this domain's frame for the callee's plan
+   when there is one and it takes the call; otherwise the scope path,
+   which leaves a frame behind. *)
+and call_site_entry st (cs : Bytecode.call_site) bindings =
+  let scope_path () =
+    call_with_bindings ~cs st cs.Bytecode.cs_sub cs.Bytecode.cs_mod
+      cs.Bytecode.cs_name bindings
+  in
+  let plan =
+    match cs.Bytecode.cs_plan with
+    | Bytecode.Plan_unknown ->
+      let known = Bytecode.known_plan (benv st) cs.Bytecode.cs_sub in
+      cs.Bytecode.cs_plan <- known;
+      known
+    | known -> known
+  in
+  match plan with
+  | Bytecode.Plan plan -> (
+    match Hashtbl.find_opt (domain_frames st) plan.Bytecode.fp_uid with
+    | Some cf -> (
+      match Vm.call_frame cf ~name:cs.Bytecode.cs_name bindings with
+      | Some r -> r
+      | None -> scope_path ())
+    | None -> scope_path ())
+  | Bytecode.Plan_unknown | Bytecode.Plan_none -> scope_path ()
 
 and init_module st mod_name : scope =
   match Hashtbl.find_opt st.module_scopes mod_name with
@@ -655,21 +736,7 @@ and setup_scope st (sp : Ast.subprogram) mod_name bindings : scope =
     (fun dummy binding ->
       match binding with
       | `Alias slot -> Hashtbl.replace scope.vars dummy slot
-      | `Copy (v, _) ->
-        let base =
-          match v with
-          | Value.Int _ -> Ast.Integer
-          | Value.Real _ -> Ast.Real8
-          | Value.Bool _ -> Ast.Logical
-          | Value.Str _ -> Ast.Character None
-          | Value.Arr _ -> Ast.Real8
-        in
-        let entry =
-          match v with
-          | Value.Arr a -> Array (Farray.copy a)
-          | v -> Scalar v
-        in
-        Hashtbl.replace scope.vars dummy { entry; base; is_param = false })
+      | `Copy (v, _) -> Hashtbl.replace scope.vars dummy (Storage.copy_in_slot v))
     sp.Ast.sub_args bindings;
   (* COMMON membership: block per member name *)
   let common_of = Hashtbl.create 8 in

@@ -57,6 +57,17 @@ let rec lookup scope name : slot option =
       | Some p -> lookup p name
       | None -> None))
 
+(** Follow a derived-type component path from [slot]. *)
+let rec walk_path (slot : slot) = function
+  | [] -> Some slot
+  | f :: rest -> (
+    match slot.entry with
+    | Struct obj -> (
+      match Hashtbl.find_opt obj f with
+      | Some s -> walk_path s rest
+      | None -> None)
+    | _ -> None)
+
 (* Fortran implicit typing: I-N integer, else real. *)
 let implicit_base name =
   match name.[0] with
@@ -73,6 +84,20 @@ let implicit_base name =
     writeback. *)
 type arg_binding =
   [ `Alias of slot | `Copy of Value.t * (Value.t -> unit) option ]
+
+(** The callee slot a copied-in actual value gets: its base follows
+    the value's kind, an array value is copied. *)
+let copy_in_slot (v : Value.t) : slot =
+  let base =
+    match v with
+    | Value.Int _ -> Ast.Integer
+    | Value.Real _ -> Ast.Real8
+    | Value.Bool _ -> Ast.Logical
+    | Value.Str _ -> Ast.Character None
+    | Value.Arr _ -> Ast.Real8
+  in
+  let entry = match v with Value.Arr a -> Array (Farray.copy a) | v -> Scalar v in
+  { entry; base; is_param = false }
 
 (** {1 Control-flow exceptions} *)
 

@@ -18,6 +18,10 @@
     results — the typed dispatch loop performs the same primitive
     operations in the same order, minus the [Value] boxing.
 
+    A compiled call keeps its callee's bound frame per domain
+    ({!cframe}) and re-binds only what a {!Bytecode.frame_plan} says can
+    change between calls (DESIGN.md §18).
+
     [exec]/[texec] are the dispatch loops; the [run_*] drivers
     reproduce the tree-walker's loop protocols exactly, including the
     {!Glaf_runtime.Fault.check_current} cancellation poll every 256
@@ -26,9 +30,16 @@
 open Glaf_fortran
 open Glaf_runtime
 
+(** Why an array binding cannot take the fast paths: the slot holds no
+    array (the display name is for the tree-walker's error text), or its
+    rank differs from the subscript count (the generic {!Farray} access
+    then raises the tree-walker's rank error). *)
+type bad = Good | Unallocated of string | Rank_mismatch
+
 (** Array binding: the backing {!Farray.t} plus pre-fetched bounds for
     the rank-1/rank-2 fast paths (column-major: the second subscript
-    strides by the first dimension's size). *)
+    strides by the first dimension's size).  A [bad] binding has empty
+    bounds, so every fast-path access takes the checked slow path. *)
 type abind = {
   ba : Farray.t;
   b_lo1 : int;
@@ -36,6 +47,7 @@ type abind = {
   b_lo2 : int;
   b_hi2 : int;
   b_s1 : int;
+  b_bad : bad;
 }
 
 type frame = {
@@ -43,6 +55,8 @@ type frame = {
   regs : Value.t array;
   scalars : Storage.slot array;
   arrays : abind array;
+  aslots : Storage.slot array;  (** the slot each array binding reads *)
+  arefs : Bytecode.array_ref array;
   raws : Storage.slot array;  (** whole-slot aliases for Icall *)
   env : Bytecode.callenv;
   printer : string -> unit;
@@ -60,6 +74,7 @@ type tabind = {
   c_lo2 : int;
   c_hi2 : int;
   c_s1 : int;
+  c_ba : Farray.t;  (** identity, for frame reuse *)
 }
 
 type tframe = {
@@ -68,6 +83,8 @@ type tframe = {
   iregs : int array;
   tscalars : Storage.slot array;
   tarrays : tabind array;
+  taslots : Storage.slot array;
+  tarefs : Bytecode.array_ref array;
   mutable ttick : int;
   mutable tcrit : int;
 }
@@ -78,76 +95,115 @@ type bound = Bf of frame | Bt of tframe
 let dummy_slot () =
   { Storage.entry = Storage.Scalar (Value.Int 0); base = Ast.Integer; is_param = false }
 
-let dummy_abind =
+let empty_array = Farray.create Farray.Eint [| (1, 0) |]
+
+let bad_abind ba why =
+  { ba; b_lo1 = 1; b_hi1 = 0; b_lo2 = 1; b_hi2 = 0; b_s1 = 0; b_bad = why }
+
+let dummy_abind = bad_abind empty_array Rank_mismatch
+
+let good_abind a =
+  let rank = Farray.rank a in
+  let lo1, hi1 = if rank >= 1 then a.Farray.bounds.(0) else (1, 0) in
+  let lo2, hi2 = if rank >= 2 then a.Farray.bounds.(1) else (1, 0) in
   {
-    ba = Farray.create Farray.Eint [| (1, 0) |];
-    b_lo1 = 1;
-    b_hi1 = 0;
-    b_lo2 = 1;
-    b_hi2 = 0;
-    b_s1 = 0;
+    ba = a;
+    b_lo1 = lo1;
+    b_hi1 = hi1;
+    b_lo2 = lo2;
+    b_hi2 = hi2;
+    b_s1 = Farray.dim_size (lo1, hi1);
+    b_bad = Good;
   }
+
+let display_name (r : Bytecode.array_ref) =
+  String.concat "%" (r.Bytecode.aname :: r.Bytecode.apath)
+
+(* The binding for [r] given its slot's current entry.  At a call or
+   body entry ([~entry:true]) a rank mismatch or an unexpected
+   unallocated array refuses the bind (None), so the tree-walker runs
+   instead; mid-body, after an ALLOCATE, DEALLOCATE or call changed
+   storage, there is no falling back, so the binding turns bad and the
+   access raises exactly what the tree-walker would. *)
+let abind_of ~entry (r : Bytecode.array_ref) (e : Storage.entry) : abind option =
+  match e with
+  | Storage.Array a ->
+    if r.Bytecode.asubs > 0 && r.Bytecode.asubs <> Farray.rank a then
+      if entry then None else Some (bad_abind a Rank_mismatch)
+    else Some (good_abind a)
+  | Storage.Unalloc _ ->
+    if entry && not r.Bytecode.amaybe then None
+    else Some (bad_abind empty_array (Unallocated (display_name r)))
+  | _ -> if entry then None else Some (bad_abind empty_array (Unallocated (display_name r)))
+
+(* Re-read every array slot after storage may have changed under a
+   running frame, rebuilding the bindings whose array is no longer the
+   bound one. *)
+let revalidate fr =
+  let arrays = fr.arrays in
+  for i = 0 to Array.length arrays - 1 do
+    match fr.aslots.(i).Storage.entry with
+    | Storage.Array a when a == arrays.(i).ba && arrays.(i).b_bad = Good -> ()
+    | Storage.Unalloc _ when (match arrays.(i).b_bad with Unallocated _ -> true | _ -> false) -> ()
+    | e -> (
+      match abind_of ~entry:false fr.arefs.(i) e with
+      | Some ab -> arrays.(i) <- ab
+      | None -> assert false)
+  done
 
 let resolve_slot scope name path : Storage.slot option =
   match Storage.lookup scope name with
   | None -> None
-  | Some slot ->
-    let rec walk (slot : Storage.slot) = function
-      | [] -> Some slot
-      | f :: rest -> (
-        match slot.Storage.entry with
-        | Storage.Struct obj -> (
-          match Hashtbl.find_opt obj f with
-          | Some s -> walk s rest
-          | None -> None)
-        | _ -> None)
-    in
-    walk slot path
+  | Some slot -> Storage.walk_path slot path
 
 (* Typed construction aborts back to the boxed frame. *)
 exception Fall
 
+let tabind_of (aref : Bytecode.array_ref) ab =
+  if ab.b_bad <> Good then raise Fall;
+  let tf, ti =
+    match (aref.Bytecode.aelem, ab.ba.Farray.data) with
+    | Farray.Efloat, Farray.F fa when ab.ba.Farray.elem = Farray.Efloat -> (fa, [||])
+    | Farray.Eint, Farray.I ia when ab.ba.Farray.elem = Farray.Eint -> ([||], ia)
+    | _ -> raise Fall
+  in
+  {
+    t_f = tf;
+    t_i = ti;
+    c_lo1 = ab.b_lo1;
+    c_hi1 = ab.b_hi1;
+    c_lo2 = ab.b_lo2;
+    c_hi2 = ab.b_hi2;
+    c_s1 = ab.b_s1;
+    c_ba = ab.ba;
+  }
+
+(* Every scalar holds the value kind the typed code was specialized
+   for, and no DO-variable slot the driver writes raw Ints into is
+   typed otherwise. *)
+let typed_scalars_ok (tp : Bytecode.tprogram) (scalars : Storage.slot array)
+    (dovars : Storage.slot list) =
+  let ok = ref true in
+  Array.iteri
+    (fun i (sl : Storage.slot) ->
+      (match (tp.Bytecode.t_sty.(i), sl.Storage.entry) with
+      | Bytecode.TF, Storage.Scalar (Value.Real _)
+      | Bytecode.TI, Storage.Scalar (Value.Int _)
+      | Bytecode.TB, Storage.Scalar (Value.Bool _) ->
+        ()
+      | _ -> ok := false);
+      List.iter
+        (fun dv -> if dv == sl && tp.Bytecode.t_sty.(i) <> Bytecode.TI then ok := false)
+        dovars)
+    scalars;
+  !ok
+
 let try_typed (p : Bytecode.program) (tp : Bytecode.tprogram)
-    (scalars : Storage.slot array) (arrays : abind array)
+    (scalars : Storage.slot array) (arrays : abind array) aslots
     (dovars : Storage.slot list) : tframe option =
   try
-    Array.iteri
-      (fun i (sl : Storage.slot) ->
-        (match (tp.Bytecode.t_sty.(i), sl.Storage.entry) with
-        | Bytecode.TF, Storage.Scalar (Value.Real _) -> ()
-        | Bytecode.TI, Storage.Scalar (Value.Int _) -> ()
-        | Bytecode.TB, Storage.Scalar (Value.Bool _) -> ()
-        | _ -> raise Fall);
-        (* the loop driver writes raw Ints into its DO-variable slot *)
-        List.iter
-          (fun dv ->
-            if dv == sl && tp.Bytecode.t_sty.(i) <> Bytecode.TI then
-              raise Fall)
-          dovars)
-      scalars;
-    let tarrays =
-      Array.map2
-        (fun (aref : Bytecode.array_ref) ab ->
-          let tf, ti =
-            match (aref.Bytecode.aelem, ab.ba.Farray.data) with
-            | Farray.Efloat, Farray.F fa when ab.ba.Farray.elem = Farray.Efloat
-              ->
-              (fa, [||])
-            | Farray.Eint, Farray.I ia when ab.ba.Farray.elem = Farray.Eint ->
-              ([||], ia)
-            | _ -> raise Fall
-          in
-          {
-            t_f = tf;
-            t_i = ti;
-            c_lo1 = ab.b_lo1;
-            c_hi1 = ab.b_hi1;
-            c_lo2 = ab.b_lo2;
-            c_hi2 = ab.b_hi2;
-            c_s1 = ab.b_s1;
-          })
-        p.Bytecode.arrays arrays
-    in
+    if not (typed_scalars_ok tp scalars dovars) then raise Fall;
+    let tarrays = Array.map2 tabind_of p.Bytecode.arrays arrays in
     Some
       {
         tcode = tp.Bytecode.tcode;
@@ -155,6 +211,8 @@ let try_typed (p : Bytecode.program) (tp : Bytecode.tprogram)
         iregs = Array.make tp.Bytecode.t_ni 0;
         tscalars = scalars;
         tarrays;
+        taslots = aslots;
+        tarefs = p.Bytecode.arrays;
         ttick = 0;
         tcrit = 0;
       }
@@ -175,37 +233,26 @@ let bind (p : Bytecode.program) (scope : Storage.scope) ~printer
           dummy_slot ())
       p.Bytecode.scalars
   in
-  let arrays =
+  let aslots =
     Array.map
       (fun (r : Bytecode.array_ref) ->
         match resolve_slot scope r.Bytecode.aname r.Bytecode.apath with
-        | Some { Storage.entry = Storage.Array a; _ } ->
-          let rank = Farray.rank a in
-          if r.Bytecode.asubs > 0 && r.Bytecode.asubs <> rank then begin
-            (* rank mismatch: let the tree-walker raise its error *)
-            ok := false;
-            dummy_abind
-          end
-          else begin
-            let lo1, hi1 =
-              if rank >= 1 then a.Farray.bounds.(0) else (1, 0)
-            in
-            let lo2, hi2 =
-              if rank >= 2 then a.Farray.bounds.(1) else (1, 0)
-            in
-            {
-              ba = a;
-              b_lo1 = lo1;
-              b_hi1 = hi1;
-              b_lo2 = lo2;
-              b_hi2 = hi2;
-              b_s1 = Farray.dim_size (lo1, hi1);
-            }
-          end
-        | _ ->
+        | Some s -> s
+        | None ->
+          ok := false;
+          dummy_slot ())
+      p.Bytecode.arrays
+  in
+  let arrays =
+    Array.map2
+      (fun r (s : Storage.slot) ->
+        match abind_of ~entry:true r s.Storage.entry with
+        | Some ab -> ab
+        | None ->
+          (* e.g. a rank mismatch: let the tree-walker raise its error *)
           ok := false;
           dummy_abind)
-      p.Bytecode.arrays
+      p.Bytecode.arrays aslots
   in
   let raws =
     Array.map
@@ -234,38 +281,28 @@ let bind (p : Bytecode.program) (scope : Storage.scope) ~printer
     p.Bytecode.negatives;
   if not !ok then None
   else
+    let boxed () =
+      Bf
+        {
+          code = p.Bytecode.code;
+          regs = Array.make (max 1 p.Bytecode.nregs) (Value.Int 0);
+          scalars;
+          arrays;
+          aslots;
+          arefs = p.Bytecode.arrays;
+          raws;
+          env;
+          printer;
+          tick = 0;
+          crit = 0;
+        }
+    in
     match p.Bytecode.typed with
     | Some tp -> (
-      match try_typed p tp scalars arrays dovars with
+      match try_typed p tp scalars arrays aslots dovars with
       | Some tf -> Some (Bt tf)
-      | None ->
-        Some
-          (Bf
-             {
-               code = p.Bytecode.code;
-               regs = Array.make (max 1 p.Bytecode.nregs) (Value.Int 0);
-               scalars;
-               arrays;
-               raws;
-               env;
-               printer;
-               tick = 0;
-               crit = 0;
-             }))
-    | None ->
-      Some
-        (Bf
-           {
-             code = p.Bytecode.code;
-             regs = Array.make (max 1 p.Bytecode.nregs) (Value.Int 0);
-             scalars;
-             arrays;
-             raws;
-             env;
-             printer;
-             tick = 0;
-             crit = 0;
-           })
+      | None -> Some (boxed ()))
+    | None -> Some (boxed ())
 
 (* Whole-array assignment, mirroring the tree-walker's assign_lvalue. *)
 let store_whole a v =
@@ -279,6 +316,25 @@ let store_whole a v =
   | v -> Farray.fill a (Value.to_cell v)
 
 let corrupt () = Storage.error "bytecode: register/slot invariant violated"
+
+(* The checked element access behind the rank-1/rank-2 fast paths (and
+   every rank-N access): a binding with no array raises the
+   tree-walker's unallocated error; otherwise the generic [Farray]
+   access converts the subscripts and raises the tree-walker's bounds
+   or rank error, or succeeds (e.g. real-valued subscripts). *)
+let slow_load ab (idx : Value.t array) =
+  (match ab.b_bad with
+  | Unallocated n -> Storage.error "%s used before allocation" n
+  | _ -> ());
+  let idx = Array.map Value.to_int idx in
+  Value.of_cell (Farray.get ab.ba idx)
+
+let slow_store ab (idx : Value.t array) v =
+  (match ab.b_bad with
+  | Unallocated n -> Storage.error "cannot assign to %s this way" n
+  | _ -> ());
+  let idx = Array.map Value.to_int idx in
+  Farray.set ab.ba idx (Value.to_cell v)
 
 (* Generic binop semantics, shared with the typed fast paths in [exec]:
    exactly the tree-walker's [eval_binop] (Gt/Ge swap operands into
@@ -352,57 +408,98 @@ let exec fr : bool =
          | _ -> ());
          incr pc
        | Bytecode.Iload_arr (d, a) ->
-         regs.(d) <- Value.Arr arrays.(a).ba;
+         let ab = arrays.(a) in
+         (match ab.b_bad with
+         | Unallocated n -> Storage.error "%s used before allocation" n
+         | _ -> regs.(d) <- Value.Arr ab.ba);
          incr pc
        | Bytecode.Istore_whole (a, r) ->
-         store_whole arrays.(a).ba regs.(r);
+         let ab = arrays.(a) in
+         (match ab.b_bad with
+         | Unallocated _ -> Storage.error "assignment to unallocated array"
+         | _ -> store_whole ab.ba regs.(r));
          incr pc
        | Bytecode.Iload1 (d, a, ir) ->
          let ab = arrays.(a) in
-         let i = Value.to_int regs.(ir) in
-         if i < ab.b_lo1 || i > ab.b_hi1 then
-           Farray.subscript_error i ab.b_lo1 ab.b_hi1 1;
-         regs.(d) <- Value.of_cell (Farray.get_linear ab.ba (i - ab.b_lo1));
+         (match regs.(ir) with
+         | Value.Int i when i >= ab.b_lo1 && i <= ab.b_hi1 ->
+           regs.(d) <- Value.of_cell (Farray.get_linear ab.ba (i - ab.b_lo1))
+         | vi -> regs.(d) <- slow_load ab [| vi |]);
          incr pc
        | Bytecode.Iload2 (d, a, ir, jr) ->
          let ab = arrays.(a) in
-         let i = Value.to_int regs.(ir) in
-         if i < ab.b_lo1 || i > ab.b_hi1 then
-           Farray.subscript_error i ab.b_lo1 ab.b_hi1 1;
-         let j = Value.to_int regs.(jr) in
-         if j < ab.b_lo2 || j > ab.b_hi2 then
-           Farray.subscript_error j ab.b_lo2 ab.b_hi2 2;
-         regs.(d) <-
-           Value.of_cell
-             (Farray.get_linear ab.ba
-                (i - ab.b_lo1 + ((j - ab.b_lo2) * ab.b_s1)));
+         (match (regs.(ir), regs.(jr)) with
+         | Value.Int i, Value.Int j
+           when i >= ab.b_lo1 && i <= ab.b_hi1 && j >= ab.b_lo2 && j <= ab.b_hi2 ->
+           regs.(d) <-
+             Value.of_cell
+               (Farray.get_linear ab.ba
+                  (i - ab.b_lo1 + ((j - ab.b_lo2) * ab.b_s1)))
+         | vi, vj -> regs.(d) <- slow_load ab [| vi; vj |]);
          incr pc
        | Bytecode.IloadN (d, a, irs) ->
-         let idx = Array.map (fun r -> Value.to_int regs.(r)) irs in
-         regs.(d) <- Value.of_cell (Farray.get arrays.(a).ba idx);
+         regs.(d) <- slow_load arrays.(a) (Array.map (fun r -> regs.(r)) irs);
          incr pc
        | Bytecode.Istore1 (a, ir, r) ->
          let ab = arrays.(a) in
-         let i = Value.to_int regs.(ir) in
-         if i < ab.b_lo1 || i > ab.b_hi1 then
-           Farray.subscript_error i ab.b_lo1 ab.b_hi1 1;
-         Farray.set_linear ab.ba (i - ab.b_lo1) (Value.to_cell regs.(r));
+         (match regs.(ir) with
+         | Value.Int i when i >= ab.b_lo1 && i <= ab.b_hi1 ->
+           Farray.set_linear ab.ba (i - ab.b_lo1) (Value.to_cell regs.(r))
+         | vi -> slow_store ab [| vi |] regs.(r));
          incr pc
        | Bytecode.Istore2 (a, ir, jr, r) ->
          let ab = arrays.(a) in
-         let i = Value.to_int regs.(ir) in
-         if i < ab.b_lo1 || i > ab.b_hi1 then
-           Farray.subscript_error i ab.b_lo1 ab.b_hi1 1;
-         let j = Value.to_int regs.(jr) in
-         if j < ab.b_lo2 || j > ab.b_hi2 then
-           Farray.subscript_error j ab.b_lo2 ab.b_hi2 2;
-         Farray.set_linear ab.ba
-           (i - ab.b_lo1 + ((j - ab.b_lo2) * ab.b_s1))
-           (Value.to_cell regs.(r));
+         (match (regs.(ir), regs.(jr)) with
+         | Value.Int i, Value.Int j
+           when i >= ab.b_lo1 && i <= ab.b_hi1 && j >= ab.b_lo2 && j <= ab.b_hi2 ->
+           Farray.set_linear ab.ba
+             (i - ab.b_lo1 + ((j - ab.b_lo2) * ab.b_s1))
+             (Value.to_cell regs.(r))
+         | vi, vj -> slow_store ab [| vi; vj |] regs.(r));
          incr pc
        | Bytecode.IstoreN (a, irs, r) ->
-         let idx = Array.map (fun i -> Value.to_int regs.(i)) irs in
-         Farray.set arrays.(a).ba idx (Value.to_cell regs.(r));
+         slow_store arrays.(a) (Array.map (fun i -> regs.(i)) irs) regs.(r);
+         incr pc
+       | Bytecode.Icheck_alloc (a, store) ->
+         (match arrays.(a).b_bad with
+         | Unallocated n ->
+           if store then Storage.error "cannot assign to %s this way" n
+           else Storage.error "%s used before allocation" n
+         | _ -> ());
+         incr pc
+       | Bytecode.Iallocate { al_raw; al_name; al_bounds } ->
+         (* the tree-walker's ALLOCATE, bounds already evaluated *)
+         let int_reg r = match regs.(r) with Value.Int i -> i | _ -> corrupt () in
+         let bounds = Array.map (fun (l, h) -> (int_reg l, int_reg h)) al_bounds in
+         let slot = fr.raws.(al_raw) in
+         let elem =
+           match slot.Storage.entry with
+           | Storage.Unalloc (elem, rank) ->
+             if rank <> Array.length bounds then
+               Storage.error "ALLOCATE rank mismatch for %s" al_name;
+             elem
+           | Storage.Array a -> a.Farray.elem
+           | _ -> Storage.error "%s is not allocatable" al_name
+         in
+         Atomic.incr fr.env.Bytecode.ce_allocs;
+         slot.Storage.entry <- Storage.Array (Farray.create elem bounds);
+         revalidate fr;
+         incr pc
+       | Bytecode.Idealloc (rid, name) ->
+         let slot = fr.raws.(rid) in
+         (match slot.Storage.entry with
+         | Storage.Array a ->
+           slot.Storage.entry <- Storage.Unalloc (a.Farray.elem, Farray.rank a)
+         | Storage.Unalloc _ -> Storage.error "DEALLOCATE of unallocated %s" name
+         | _ -> Storage.error "%s is not allocatable" name);
+         revalidate fr;
+         incr pc
+       | Bytecode.Iallocated (d, rid, name) ->
+         regs.(d) <-
+           (match fr.raws.(rid).Storage.entry with
+           | Storage.Array _ -> Value.Bool true
+           | Storage.Unalloc _ -> Value.Bool false
+           | _ -> Storage.error "allocated() of non-allocatable %s" name);
          incr pc
        | Bytecode.Ibinop (op, d, a, b) ->
          let va = regs.(a) and vb = regs.(b) in
@@ -491,10 +588,10 @@ let exec fr : bool =
                :: acc)
              cs.Bytecode.cs_args []
          in
-         (match
-            fr.env.Bytecode.ce_call cs.Bytecode.cs_sub cs.Bytecode.cs_mod
-              cs.Bytecode.cs_name bindings
-          with
+         let result = fr.env.Bytecode.ce_call cs bindings in
+         (* the callee may have (de)allocated arrays this frame binds *)
+         revalidate fr;
+         (match result with
          | Some v -> if cs.Bytecode.cs_dst >= 0 then regs.(cs.Bytecode.cs_dst) <- v
          | None ->
            if cs.Bytecode.cs_dst >= 0 then
@@ -937,3 +1034,172 @@ let run_collapse (b : bound) ~(oslot : Storage.slot) ~(islot : Storage.slot)
         Storage.Scalar (Value.Int (ilo + ((k - 1) mod isize)));
       if texec tf then raise Storage.Loop_exit
     done
+
+(* --- reusable callee frames ---------------------------------------------- *)
+
+(** A compiled callee's bound frame, kept for reuse by one domain of one
+    interpreter state: the plan, the bound program, the slots of the
+    plan's fresh locals and the current call's dummy slots.  [busy]
+    marks a frame whose call is still running (recursion). *)
+type cframe = {
+  plan : Bytecode.frame_plan;
+  bound : bound;
+  lslots : Storage.slot array;
+  dslots : Storage.slot array;
+  mutable busy : bool;
+}
+
+(** Keep the frame [b] that a finished call of [plan]'s callee ran in,
+    adopting the locals of that call's [scope]. *)
+let make_cframe (plan : Bytecode.frame_plan) (b : bound) (scope : Storage.scope) :
+    cframe option =
+  match
+    Array.map (fun (n, _) -> Hashtbl.find scope.Storage.vars n) plan.Bytecode.fp_locals
+  with
+  | lslots ->
+    Some
+      {
+        plan;
+        bound = b;
+        lslots;
+        dslots = Array.make plan.Bytecode.fp_nargs (dummy_slot ());
+        busy = false;
+      }
+  | exception Not_found -> None
+
+(* Point the arg-sourced bindings at this call's dummies and re-check
+   what can differ from call to call: argument kinds and ranks, folded
+   PARAMETER values reached through a dummy, arrays whose storage was
+   replaced (fresh locals, re-ALLOCATEd module arrays) and, for typed
+   frames, every value kind.  [false] sends this call down the scope
+   path. *)
+let rebind cf =
+  let p = cf.plan in
+  let prog = p.Bytecode.fp_prog in
+  let walk k path = Storage.walk_path cf.dslots.(k) path in
+  let bind_scalars scalars =
+    Array.iteri
+      (fun i src ->
+        match src with
+        | Bytecode.Src_arg k -> (
+          match walk k prog.Bytecode.scalars.(i).Bytecode.spath with
+          | Some ({ Storage.entry = Storage.Scalar _; _ } as s) -> scalars.(i) <- s
+          | _ -> raise Exit)
+        | _ -> ())
+      p.Bytecode.fp_scalar_src
+  in
+  let bind_aslots aslots =
+    Array.iteri
+      (fun i src ->
+        match src with
+        | Bytecode.Src_arg k -> (
+          match walk k prog.Bytecode.arrays.(i).Bytecode.apath with
+          | Some s -> aslots.(i) <- s
+          | None -> raise Exit)
+        | _ -> ())
+      p.Bytecode.fp_array_src
+  in
+  let entry_abind aref e =
+    match abind_of ~entry:true aref e with Some ab -> ab | None -> raise Exit
+  in
+  try
+    Array.iter
+      (fun (k, path, v) ->
+        match walk k path with
+        | Some { Storage.entry = Storage.Scalar v'; _ } when compare v v' = 0 -> ()
+        | _ -> raise Exit)
+      p.Bytecode.fp_arg_checks;
+    (match cf.bound with
+    | Bf fr ->
+      bind_scalars fr.scalars;
+      Array.iteri
+        (fun i src ->
+          match src with Bytecode.Src_arg k -> fr.raws.(i) <- cf.dslots.(k) | _ -> ())
+        p.Bytecode.fp_raw_src;
+      bind_aslots fr.aslots;
+      Array.iteri
+        (fun i (sl : Storage.slot) ->
+          match sl.Storage.entry with
+          | Storage.Array a when a == fr.arrays.(i).ba && fr.arrays.(i).b_bad = Good -> ()
+          | e -> fr.arrays.(i) <- entry_abind fr.arefs.(i) e)
+        fr.aslots;
+      fr.tick <- 0
+    | Bt tf ->
+      bind_scalars tf.tscalars;
+      bind_aslots tf.taslots;
+      Array.iteri
+        (fun i (sl : Storage.slot) ->
+          match sl.Storage.entry with
+          | Storage.Array a when a == tf.tarrays.(i).c_ba -> ()
+          | e -> tf.tarrays.(i) <- tabind_of tf.tarefs.(i) (entry_abind tf.tarefs.(i) e))
+        tf.taslots;
+      (match prog.Bytecode.typed with
+      | Some tp when typed_scalars_ok tp tf.tscalars [] -> ()
+      | _ -> raise Exit);
+      tf.ttick <- 0);
+    true
+  with Exit | Fall -> false
+
+(** Run one call of [cf]'s callee with [bindings], exactly like the
+    interpreter's scope path would: bind the dummies (copy-in, the
+    REAL redeclaration quirk), reset the locals, run, copy out, and
+    return the function result.  [None] means the frame could not take
+    this call (busy, or a per-call check failed); nothing the caller
+    can observe has happened then. *)
+let call_frame cf ~name (bindings : Storage.arg_binding list) : Value.t option option =
+  if cf.busy then None
+  else begin
+    let p = cf.plan in
+    List.iteri
+      (fun k b ->
+        cf.dslots.(k) <-
+          (match b with `Alias s -> s | `Copy (v, _) -> Storage.copy_in_slot v))
+      bindings;
+    Array.iter
+      (fun k ->
+        let s = cf.dslots.(k) in
+        match s.Storage.entry with
+        | Storage.Scalar v when Value.is_int v ->
+          s.Storage.entry <- Storage.Scalar (Value.Real (Value.to_float v))
+        | _ -> ())
+      p.Bytecode.fp_real_dummies;
+    Array.iteri
+      (fun l (_, init) ->
+        cf.lslots.(l).Storage.entry <-
+          (match init with
+          | Bytecode.L_scalar v -> Storage.Scalar v
+          | Bytecode.L_array (e, b) -> Storage.Array (Farray.create e b)
+          | Bytecode.L_unalloc (e, r) -> Storage.Unalloc (e, r)))
+      p.Bytecode.fp_locals;
+    if not (rebind cf) then None
+    else begin
+      cf.busy <- true;
+      Bytecode.Stats.run (Bytecode.plan_site p);
+      (match exec_bound cf.bound with
+      | () | (exception Storage.Sub_return) -> cf.busy <- false
+      | exception e ->
+        cf.busy <- false;
+        raise e);
+      List.iteri
+        (fun k b ->
+          match b with
+          | `Copy (_, Some writeback) -> (
+            match cf.dslots.(k).Storage.entry with
+            | Storage.Scalar v -> writeback v
+            | _ -> ())
+          | `Copy (_, None) | `Alias _ -> ())
+        bindings;
+      match p.Bytecode.fp_result with
+      | None -> Some None
+      | Some src -> (
+        let slot =
+          match src with
+          | Bytecode.Src_arg k -> cf.dslots.(k)
+          | Bytecode.Src_local l -> cf.lslots.(l)
+          | Bytecode.Src_save | Bytecode.Src_stable -> assert false
+        in
+        match slot.Storage.entry with
+        | Storage.Scalar v -> Some (Some v)
+        | _ -> Storage.error "function %s did not set its result" name)
+    end
+  end

@@ -386,7 +386,7 @@ let test_calls_inject_diff () =
 (* White-box coverage: which call sites compiled, inlined, or fell
    back.  Leaves at or under the size cap leave no per-sub site at all
    (no frame is ever built); the boundary +1 function is a marshalled
-   compiled call; recursion and ALLOCATE report bails with a reason. *)
+   compiled call; recursion and ALLOCATE run compiled too. *)
 let test_calls_stats () =
   let cu = Parser.parse_string calls_src in
   Interp.reset_bytecode_stats ();
@@ -408,12 +408,13 @@ let test_calls_stats () =
   check_int "leaf9 never bailed" 0 (bails "sub leaf9");
   check_bool "bump ran compiled with by-ref args" true (runs "sub bump" > 0);
   check_int "bump never bailed" 0 (bails "sub bump");
-  (* recursion: every activation falls back to the tree-walker *)
-  check_bool "rsum bailed" true (bails "sub rsum" > 0);
-  check_bool "rsum bail has a reason" true
-    (List.exists (fun r -> r.Interp.r_reason <> None) (find "sub rsum"));
-  (* the allocating sub bails, but the loops inside it still compile *)
-  check_bool "mixed bailed (allocate)" true (bails "sub mixed" > 0)
+  (* recursion: the busy frame sends each nested activation down the
+     scope path, which still runs it compiled *)
+  check_bool "rsum ran compiled" true (runs "sub rsum" >= 13);
+  check_int "rsum never bailed" 0 (bails "sub rsum");
+  (* ALLOCATE/DEALLOCATE compile: the allocating sub runs on the VM *)
+  check_bool "mixed ran compiled" true (runs "sub mixed" > 0);
+  check_int "mixed never bailed" 0 (bails "sub mixed")
 
 (* The acceptance gate of this PR: the case-study exchange subprograms
    run fully compiled — zero bails — and their factored-out leaf
@@ -438,6 +439,263 @@ let test_workload_bytecode_coverage () =
   check_int "ent_contrib inlined away" 0 (List.length (find "sub ent_contrib"));
   check_int "combine_flux inlined away" 0
     (List.length (find "sub combine_flux"))
+
+(* --- reused callee frames -------------------------------------------------- *)
+
+(* Compiled calls run in a per-domain frame that is reset, not rebuilt,
+   between calls.  Each driver below calls its callees several times so
+   the later calls take the reused frame; every result, printed line
+   and error text must match the tree-walker's fresh scopes. *)
+let frames_src =
+  {|
+module frmod
+  implicit none
+  real*8, allocatable :: marr(:)
+  integer :: ncalls
+end module frmod
+
+real*8 function readfirst(x)
+  implicit none
+  real*8 :: x
+  real*8 :: acc
+  real*8 :: buf(3)
+  integer :: k
+  acc = acc + x
+  buf(2) = buf(2) + x
+  k = k + 1
+  readfirst = acc + buf(2) + k
+end function readfirst
+
+real*8 function drive_fresh(n)
+  implicit none
+  integer :: n, i
+  real*8 :: s
+  s = 0.0d0
+  do i = 1, n
+    s = s + readfirst(i * 1.5d0)
+  end do
+  drive_fresh = s
+end function drive_fresh
+
+real*8 function twice(v)
+  implicit none
+  real*8 :: v
+  integer :: j
+  do j = 1, 2
+    v = v * 1.5d0
+  end do
+  twice = v
+end function twice
+
+real*8 function halfit(m)
+  implicit none
+  integer :: m
+  integer :: j
+  halfit = 0.0d0
+  do j = 1, 2
+    halfit = halfit + m / 2
+  end do
+end function halfit
+
+real*8 function twiceb(v)
+  implicit none
+  real*8 :: v
+  twiceb = v / 2 + halfit(2)
+  v = v * 1.5d0
+end function twiceb
+
+real*8 function drive_kinds(n)
+  implicit none
+  integer :: n, k
+  real*8 :: r, a
+  k = n
+  r = n * 0.25d0
+  a = twice(n + 1) + twice(r) + twice(n * 0.5d0) + twice(n + 3)
+  a = a + halfit(7) + halfit(7.5d0) + halfit(n) + halfit(r)
+  a = a + twice(k) + k
+  a = a + twiceb(n + 1) + twiceb(r) + twiceb(n + 2) + twiceb(k) + k
+  print *, a, k
+  drive_kinds = a
+end function drive_kinds
+
+subroutine setup_marr(n)
+  use frmod
+  implicit none
+  integer :: n, i
+  if (allocated(marr)) then
+    deallocate(marr)
+  end if
+  allocate(marr(0:n))
+  do i = 0, n
+    marr(i) = i * 0.5d0 + n
+  end do
+end subroutine setup_marr
+
+real*8 function sum_marr(n)
+  use frmod
+  implicit none
+  integer :: n, i
+  real*8 :: s
+  s = 0.0d0
+  do i = 0, n
+    s = s + marr(i)
+  end do
+  sum_marr = s
+end function sum_marr
+
+real*8 function sum_marr_boxed(n)
+  use frmod
+  implicit none
+  integer :: n, i
+  real*8 :: s
+  s = 0.0d0
+  do i = 0, n
+    s = s + marr(i)
+  end do
+  sum_marr_boxed = s + twice(0.5d0)
+end function sum_marr_boxed
+
+real*8 function drive_realloc(n)
+  use frmod
+  implicit none
+  integer :: n
+  real*8 :: a, b
+  call setup_marr(n)
+  a = sum_marr(n) + marr(n) + sum_marr_boxed(n)
+  call setup_marr(n + 5)
+  b = sum_marr(n + 5) + marr(n + 5) + sum_marr_boxed(n + 5)
+  drive_realloc = a * 1000.0d0 + b
+end function drive_realloc
+
+real*8 function drive_shrunk(n)
+  implicit none
+  integer :: n
+  real*8 :: a
+  call setup_marr(n)
+  a = sum_marr(n)
+  call setup_marr(n - 3)
+  drive_shrunk = a + sum_marr(n)
+end function drive_shrunk
+
+integer function drive_dealloc(n)
+  use frmod
+  implicit none
+  integer :: n, r
+  r = 0
+  call setup_marr(n)
+  if (allocated(marr)) r = r + 1
+  deallocate(marr)
+  if (.not. allocated(marr)) r = r + 10
+  call setup_marr(n)
+  if (allocated(marr)) r = r + 100
+  drive_dealloc = r
+end function drive_dealloc
+
+real*8 function drive_use_after(n)
+  use frmod
+  implicit none
+  integer :: n
+  call setup_marr(n)
+  deallocate(marr)
+  drive_use_after = marr(2)
+end function drive_use_after
+
+subroutine badrank()
+  use frmod
+  implicit none
+  allocate(marr(3, 4))
+end subroutine badrank
+
+subroutine badtarget()
+  use frmod
+  implicit none
+  allocate(ncalls(3))
+end subroutine badtarget
+
+integer function drive_badrank(n)
+  implicit none
+  integer :: n
+  if (n > 1) then
+    call badrank()
+  end if
+  drive_badrank = n
+end function drive_badrank
+
+integer function drive_badtarget(n)
+  implicit none
+  integer :: n
+  call badtarget()
+  drive_badtarget = n
+end function drive_badtarget
+
+subroutine rfact(n, res)
+  implicit none
+  integer :: n, res
+  integer :: t, sub
+  t = n
+  if (n <= 1) then
+    res = 1
+  else
+    call rfact(n - 1, sub)
+    res = sub * t
+  end if
+end subroutine rfact
+
+integer function drive_rec(n)
+  implicit none
+  integer :: n, a, b, c
+  call rfact(n, a)
+  call rfact(n - 2, b)
+  call rfact(n, c)
+  drive_rec = a + b * 1000 + c
+end function drive_rec
+|}
+
+let test_frames_fresh_locals () =
+  assert_same "fresh locals" (Parser.parse_string frames_src) "drive_fresh"
+    [ Ast.Int_lit 7 ]
+
+let test_frames_arg_kinds () =
+  assert_same "int then real actuals" (Parser.parse_string frames_src)
+    "drive_kinds" [ Ast.Int_lit 9 ]
+
+let test_frames_realloc () =
+  let cu = Parser.parse_string frames_src in
+  assert_same "module array re-allocated" cu "drive_realloc" [ Ast.Int_lit 6 ];
+  assert_same "re-allocated smaller, read past it" cu "drive_shrunk"
+    [ Ast.Int_lit 8 ]
+
+let test_frames_dealloc () =
+  let cu = Parser.parse_string frames_src in
+  assert_same "allocated() after deallocate" cu "drive_dealloc" [ Ast.Int_lit 4 ];
+  assert_same "read after deallocate" cu "drive_use_after" [ Ast.Int_lit 4 ]
+
+let test_frames_alloc_errors () =
+  let cu = Parser.parse_string frames_src in
+  let err fname args =
+    let a = run_engine ~bytecode:true cu fname args in
+    check_bool (fname ^ " raised") true (a.r_error <> None);
+    assert_same fname cu fname args
+  in
+  err "drive_badrank" [ Ast.Int_lit 2 ];
+  err "badrank" [];
+  err "drive_badtarget" [ Ast.Int_lit 2 ]
+
+let test_frames_recursion () =
+  let cu = Parser.parse_string frames_src in
+  assert_same "self-recursive calls" cu "drive_rec" [ Ast.Int_lit 6 ];
+  (* every activation ran compiled: the outer ones in the reused frame,
+     the nested ones (frame busy) in fresh scopes *)
+  Interp.reset_bytecode_stats ();
+  let st = Interp.make_state ~printer:ignore cu in
+  ignore (Interp.call st "drive_rec" [ Ast.Int_lit 6 ]);
+  let rows =
+    List.filter (fun r -> r.Interp.r_label = "sub rfact") (Interp.bytecode_stats_for st)
+  in
+  check_int "rfact activations compiled" 16
+    (List.fold_left (fun a r -> a + r.Interp.r_runs) 0 rows);
+  check_int "rfact never bailed" 0
+    (List.fold_left (fun a r -> a + r.Interp.r_bails) 0 rows)
 
 (* --- example scripts ----------------------------------------------------- *)
 
@@ -703,6 +961,13 @@ let suites =
         Alcotest.test_case "user-call battery" `Quick test_calls_diff;
         Alcotest.test_case "user-call injection" `Quick test_calls_inject_diff;
         Alcotest.test_case "user-call stats" `Quick test_calls_stats;
+        Alcotest.test_case "frame: fresh locals" `Quick test_frames_fresh_locals;
+        Alcotest.test_case "frame: argument kinds" `Quick test_frames_arg_kinds;
+        Alcotest.test_case "frame: re-allocated module array" `Quick
+          test_frames_realloc;
+        Alcotest.test_case "frame: deallocate" `Quick test_frames_dealloc;
+        Alcotest.test_case "frame: allocate errors" `Quick test_frames_alloc_errors;
+        Alcotest.test_case "frame: recursion" `Quick test_frames_recursion;
         Alcotest.test_case "workload coverage" `Quick
           test_workload_bytecode_coverage;
         Alcotest.test_case "saxpy script" `Quick test_saxpy_diff;

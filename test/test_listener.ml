@@ -553,6 +553,51 @@ let test_progcache_lru_eviction () =
   check_bool "evictions counted" true (st.Progcache.cs_evictions >= 2);
   check_int "bounded at capacity" 2 st.Progcache.cs_size
 
+(* A script whose entry function calls a non-inlinable one, so running
+   it registers a frame plan for its unit. *)
+let plan_script k =
+  Printf.sprintf
+    {|program plan_v%d
+module m
+function g returns real8
+  param x real8
+  grid acc real8
+  grid k integer
+  step sum
+    set acc = 0.0
+    set k = 0
+    while k < 3
+      set acc = acc + x
+      set k = k + 1
+    end while
+    return acc
+function f returns real8
+  param x real8
+  step compute
+    return g(x) * %d.0
+end program
+|}
+    k k
+
+(* Evicting a script drops its unit's frame plans with its programs, so
+   a long-lived listener does not accumulate them. *)
+let test_progcache_purges_frame_plans () =
+  let c = Progcache.create ~capacity:1 () in
+  let compiled k =
+    match Progcache.find_or_compile c (plan_script k) with
+    | Ok co, _ -> co
+    | Error f, _ -> Alcotest.failf "compile failed: %s" (Fault.to_string f)
+  in
+  let co = compiled 1 in
+  let st = Glaf_interp.Interp.make_state ~printer:ignore co.Serve.co_unit in
+  (match Glaf_interp.Interp.call st "f" [ Glaf_fortran.Ast.Real_lit (2.0, true) ] with
+  | Some v -> check_bool "f ran" true (Glaf_runtime.Value.to_float v = 6.0)
+  | None -> Alcotest.fail "f returned nothing");
+  let u = Glaf_interp.Bytecode.unit_key co.Serve.co_unit in
+  check_bool "plan registered" true (Glaf_interp.Bytecode.plan_count u > 0);
+  ignore (compiled 2);
+  check_int "evicted unit keeps no plan" 0 (Glaf_interp.Bytecode.plan_count u)
+
 let test_progcache_does_not_cache_failures () =
   let c = Progcache.create ~capacity:4 () in
   let bad = "program nope\nthis is not gpi\n" in
@@ -613,6 +658,8 @@ let suites =
         Alcotest.test_case "hit/miss and content keying" `Quick
           test_progcache_hit_miss;
         Alcotest.test_case "LRU eviction" `Quick test_progcache_lru_eviction;
+        Alcotest.test_case "eviction purges frame plans" `Quick
+          test_progcache_purges_frame_plans;
         Alcotest.test_case "failures not cached" `Quick
           test_progcache_does_not_cache_failures;
       ] );

@@ -148,6 +148,42 @@ let test_fun3d_realloc_counting () =
   check_bool "SAVE leaves only first-call allocations" true
     (without.Fun3d.allocations < 60)
 
+(* The bytecode engine executes ALLOCATE itself: at one thread every
+   Figure 7 variant must count exactly the allocations the tree-walker
+   counts (the NoRealloc study's numbers) and produce the same RMS bit
+   pattern. *)
+let test_fun3d_alloc_parity () =
+  let ncell = 60 in
+  List.iter
+    (fun v ->
+      let run bytecode = Fun3d.run ~threads:1 ~bytecode ~ncell v in
+      let vm = run true and tw = run false in
+      let name = Fun3d.variant_name v in
+      check_int (name ^ " allocations") tw.Fun3d.allocations vm.Fun3d.allocations;
+      Alcotest.(check int64)
+        (name ^ " rms bits")
+        (Int64.bits_of_float tw.Fun3d.rms)
+        (Int64.bits_of_float vm.Fun3d.rms))
+    Fun3d.figure7_variants;
+  (* one state, the mesh re-allocated between fills: reused frames must
+     pick up the new arrays *)
+  let rms_bits bytecode =
+    let v = Fun3d.Glaf Fun3d_glaf.best_options in
+    let st = Glaf_interp.Interp.make_state ~printer:ignore (Fun3d.integrated_cu v) in
+    Glaf_interp.Interp.set_threads st 1;
+    Glaf_interp.Interp.set_bytecode st bytecode;
+    List.map
+      (fun n ->
+        ignore (Glaf_interp.Interp.call st "fun3d_init_mesh" [ Ast.Int_lit n ]);
+        ignore (Glaf_interp.Interp.call st (Fun3d.entry_name v) []);
+        match Glaf_interp.Interp.call st "fun3d_rms" [] with
+        | Some x -> Int64.bits_of_float (Glaf_runtime.Value.to_float x)
+        | None -> Alcotest.fail "fun3d_rms returned nothing")
+      [ 60; 75; 50 ]
+  in
+  Alcotest.(check (list int64)) "re-initialized mesh rms bits" (rms_bits false)
+    (rms_bits true)
+
 let test_fun3d_temp_counts () =
   let counts = Fun3d_glaf.dynamic_temp_counts () in
   check_int "edge_loop temps" 10 (List.assoc "edge_loop" counts);
@@ -203,5 +239,6 @@ let suites =
         Alcotest.test_case "temp counts" `Quick test_fun3d_temp_counts;
         Alcotest.test_case "figure 7 shape" `Quick test_fun3d_figure7_shape;
         Alcotest.test_case "generated code" `Quick test_fun3d_generated_code;
+        Alcotest.test_case "allocation parity" `Quick test_fun3d_alloc_parity;
       ] );
   ]
