@@ -70,7 +70,7 @@ let pipeline ?(serial = false) ?(policy = None) ?(soa = false) program =
   let annotated, report = Glaf_analysis.Autopar.run ~pure program in
   let annotated =
     match policy with
-    | Some p -> Glaf_optimizer.Directive_policy.apply ~pure p annotated
+    | Some p -> Glaf_optimizer.Directive_policy.apply p annotated
     | None -> annotated
   in
   let opts =

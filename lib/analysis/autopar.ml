@@ -20,9 +20,10 @@ type report_entry = {
 
 type report = report_entry list
 
-let annotate_function ?(pure = []) program enclosing (f : Func.t) :
-    Func.t * report =
-  let env = Depend.env_of_program ~pure program enclosing f in
+(** Annotate [f] of module [enclosing]; [ctx] is the pass's
+    {!Depend.context} over the program that holds both. *)
+let annotate_function ctx enclosing (f : Func.t) : Func.t * report =
+  let env = Depend.env ctx enclosing f in
   let report = ref [] in
   let rec annotate_stmts stmts = List.map annotate_stmt stmts
   and annotate_stmt (s : Stmt.t) =
@@ -64,6 +65,7 @@ let annotate_function ?(pure = []) program enclosing (f : Func.t) :
 (** Annotate every function of the program; returns the annotated
     program and the per-loop analysis report. *)
 let run ?(pure = []) (p : Ir_module.program) : Ir_module.program * report =
+  let ctx = Depend.context ~pure p in
   let report = ref [] in
   let modules =
     List.map
@@ -71,7 +73,7 @@ let run ?(pure = []) (p : Ir_module.program) : Ir_module.program * report =
         let functions =
           List.map
             (fun f ->
-              let f', r = annotate_function ~pure p m f in
+              let f', r = annotate_function ctx m f in
               report := !report @ r;
               f')
             m.Ir_module.functions

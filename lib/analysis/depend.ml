@@ -17,25 +17,28 @@
 
 open Glaf_ir
 
-type env = {
+(** What one analysis pass over [program] shares between all its
+    functions and loops: the effect summaries are built once, here. *)
+type context = {
   program : Ir_module.program;
-  enclosing : Ir_module.t;
-  func : Func.t;
-  summaries : (string, Summary.t) Hashtbl.t;
   pure : string list;
+  summaries : (string, Summary.t) Hashtbl.t;
 }
 
-let env_of_program ?(pure = []) program enclosing func =
-  {
-    program;
-    enclosing;
-    func;
-    summaries = Summary.of_program ~pure program;
-    pure;
-  }
+let context ?(pure = []) program =
+  { program; pure; summaries = Summary.of_program ~pure program }
+
+type env = {
+  ctx : context;
+  enclosing : Ir_module.t;
+  func : Func.t;
+}
+
+(** The analysis environment of [func] inside [enclosing]. *)
+let env ctx enclosing func = { ctx; enclosing; func }
 
 let lookup_grid env name =
-  Ir_module.resolve_grid env.program env.enclosing env.func name
+  Ir_module.resolve_grid env.ctx.program env.enclosing env.func name
 
 let is_scalar_name env name =
   match lookup_grid env name with
@@ -151,9 +154,9 @@ let collect env (loop : Stmt.loop) : collected =
     | Expr.Int_lit _ | Expr.Real_lit _ | Expr.Bool_lit _ | Expr.Str_lit _ ->
       ())
   and handle_call callee args =
-    if List.mem callee env.pure then List.iter scan_expr args
+    if List.mem callee env.ctx.pure then List.iter scan_expr args
     else
-      match Hashtbl.find_opt env.summaries callee with
+      match Hashtbl.find_opt env.ctx.summaries callee with
       | None -> obstacles := Loop_info.Unsafe_call callee :: !obstacles
       | Some s ->
         if s.Summary.writes_external <> [] || s.Summary.calls_unknown <> []
@@ -333,11 +336,9 @@ let outer_invariant ~index c e =
    including any control structure".  What survives all removals is
    the class of control-carrying nests (the two large
    longwave_entropy_model loops). *)
-let classify env (loop : Stmt.loop) ~parallel:_ : Loop_info.loop_class =
+let classify program (loop : Stmt.loop) : Loop_info.loop_class =
   let body = loop.Stmt.body in
-  let is_user_fn name =
-    Ir_module.find_program_function env.program name <> None
-  in
+  let is_user_fn name = Ir_module.find_program_function program name <> None in
   let expr_calls_user e =
     Expr.fold
       (fun acc e ->
@@ -475,7 +476,7 @@ let rec analyze env (loop : Stmt.loop) : Loop_info.t =
     obstacles;
     reductions = List.rev !reductions;
     private_vars = !private_vars;
-    classification = classify env loop ~parallel;
+    classification = classify env.ctx.program loop;
     collapsible;
     trip_count = constant_trip loop;
   }

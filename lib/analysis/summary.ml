@@ -56,15 +56,19 @@ let grid_visibility p m f name =
 type env = {
   program : Ir_module.program;
   pure : string list;  (** library functions assumed side-effect free *)
+  mutable cyclic : bool;  (** a call cycle was seeded with [empty] *)
 }
 
 let rec summarize env cache visited fname : t =
   match Hashtbl.find_opt cache fname with
   | Some s -> s
   | None ->
-    if List.mem fname visited then
-      (* recursive cycle: conservative empty fixpoint seed *)
+    if List.mem fname visited then begin
+      (* recursive cycle: seed with [empty]; the summaries on the cycle
+         are then partial, and [of_program] iterates them *)
+      env.cyclic <- true;
       empty
+    end
     else begin
       let result =
         match find_with_module env.program fname with
@@ -150,11 +154,29 @@ and summarize_function env cache visited m f : t =
     () body;
   !acc
 
-(** Summaries for every function of [program]. *)
+(** Summaries for every function of [program]: the least fixpoint of
+    the call graph, whatever order the functions are declared in.  A
+    depth-first pass gives the exact answer when no call cycle is met;
+    otherwise every function is re-summarized against the table until
+    nothing grows (unions over finite sets, so this terminates). *)
 let of_program ?(pure = []) program : (string, t) Hashtbl.t =
-  let env = { program; pure } in
+  let env = { program; pure; cyclic = false } in
   let cache = Hashtbl.create 16 in
-  List.iter
-    (fun (f : Func.t) -> ignore (summarize env cache [] f.Func.name))
-    (Ir_module.all_functions program);
+  let names =
+    List.map (fun (f : Func.t) -> f.Func.name) (Ir_module.all_functions program)
+  in
+  List.iter (fun name -> ignore (summarize env cache [] name)) names;
+  let grows name =
+    match find_with_module program name with
+    | None -> false
+    | Some (m, f) ->
+      let s = summarize_function env cache [ name ] m f in
+      let grew = s <> Hashtbl.find cache name in
+      Hashtbl.replace cache name s;
+      grew
+  in
+  if env.cyclic then
+    while List.fold_left (fun grew name -> grows name || grew) false names do
+      ()
+    done;
   cache

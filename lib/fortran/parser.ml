@@ -13,6 +13,35 @@ exception Parse_error of int * string
 let fail lineno fmt =
   Format.kasprintf (fun msg -> raise (Parse_error (lineno, msg))) fmt
 
+(** {1 Logical lines}
+
+    Each logical line is tokenized once, when it enters the parser; the
+    line classifiers and every cursor read the cached tokens. *)
+
+type line = {
+  lineno : int;
+  text : string;
+  is_directive : bool;  (** an [!$OMP] sentinel line *)
+  tokens : (Lexer.token array, string) result;  (** or the lex error *)
+}
+
+let line_of_scanned (l : Line_scanner.line) =
+  {
+    lineno = l.Line_scanner.lineno;
+    text = l.Line_scanner.text;
+    is_directive = l.Line_scanner.is_directive;
+    tokens =
+      (match Lexer.tokenize l.Line_scanner.text with
+      | toks -> Ok (Array.of_list toks)
+      | exception Lexer.Lex_error msg -> Error msg);
+  }
+
+(* Token [i] of a line: [Eof] past the end and on a lex error. *)
+let token (l : line) i =
+  match l.tokens with
+  | Ok toks when i < Array.length toks -> toks.(i)
+  | Ok _ | Error _ -> Lexer.Eof
+
 (** {1 Token cursor over one line} *)
 
 type cursor = {
@@ -21,10 +50,10 @@ type cursor = {
   lineno : int;
 }
 
-let cursor_of_line (l : Line_scanner.line) =
-  match Lexer.tokenize l.Line_scanner.text with
-  | toks -> { toks = Array.of_list toks; pos = 0; lineno = l.Line_scanner.lineno }
-  | exception Lexer.Lex_error msg -> fail l.Line_scanner.lineno "%s" msg
+let cursor_of_line (l : line) =
+  match l.tokens with
+  | Ok toks -> { toks; pos = 0; lineno = l.lineno }
+  | Error msg -> fail l.lineno "%s" msg
 
 let peek c = c.toks.(c.pos)
 let peek2 c =
@@ -199,7 +228,8 @@ and parse_subscript c =
 
 let parse_expr_string ?(lineno = 0) text =
   let c =
-    cursor_of_line { Line_scanner.lineno; text; is_directive = false }
+    cursor_of_line
+      (line_of_scanned { Line_scanner.lineno; text; is_directive = false })
   in
   let e = parse_expr c in
   expect_end c;
@@ -208,30 +238,26 @@ let parse_expr_string ?(lineno = 0) text =
 (** {1 Line classification} *)
 
 (* First identifier(s) of the line, for dispatch. *)
-let first_word (l : Line_scanner.line) =
-  match Lexer.tokenize l.Line_scanner.text with
-  | Lexer.Ident w :: _ -> Some w
-  | _ -> None
-  | exception Lexer.Lex_error _ -> None
+let first_word (l : line) =
+  match token l 0 with Lexer.Ident w -> Some w | _ -> None
 
 (* Is this line "end <kw>" or "end"? Handles fused forms endif/enddo. *)
-let is_end_of kw (l : Line_scanner.line) =
-  match Lexer.tokenize l.Line_scanner.text with
-  | [ Lexer.Ident "end"; Lexer.Eof ] -> true
-  | Lexer.Ident "end" :: Lexer.Ident w :: _ -> w = kw
-  | [ Lexer.Ident w; Lexer.Eof ] -> w = "end" ^ kw
-  | Lexer.Ident w :: _ -> w = "end" ^ kw
+let is_end_of kw (l : line) =
+  match (token l 0, token l 1) with
+  | Lexer.Ident "end", Lexer.Eof -> true
+  | Lexer.Ident "end", Lexer.Ident w -> w = kw
+  | Lexer.Ident w, _ -> w = "end" ^ kw
   | _ -> false
-  | exception Lexer.Lex_error _ -> false
 
 (** {1 Line stream} *)
 
 type stream = {
-  lines : Line_scanner.line array;
+  lines : line array;
   mutable idx : int;
 }
 
-let stream_of_lines lines = { lines = Array.of_list lines; idx = 0 }
+let stream_of_lines lines =
+  { lines = Array.of_list (List.map line_of_scanned lines); idx = 0 }
 
 let cur s = if s.idx < Array.length s.lines then Some s.lines.(s.idx) else None
 
@@ -359,7 +385,7 @@ type omp_directive =
   | Dir_end_critical
   | Dir_barrier
 
-let parse_omp_line (l : Line_scanner.line) =
+let parse_omp_line (l : line) =
   let c = cursor_of_line l in
   match next c with
   | Lexer.Ident "parallel" -> (
@@ -376,9 +402,9 @@ let parse_omp_line (l : Line_scanner.line) =
     match next c with
     | Lexer.Ident "parallel" -> Dir_end_parallel_do
     | Lexer.Ident "critical" -> Dir_end_critical
-    | t -> fail l.Line_scanner.lineno "unknown OMP end directive %a" Lexer.pp_token t)
+    | t -> fail l.lineno "unknown OMP end directive %a" Lexer.pp_token t)
   | t ->
-    fail l.Line_scanner.lineno "unknown OMP directive starting with %a"
+    fail l.lineno "unknown OMP directive starting with %a"
       Lexer.pp_token t
 
 (** {1 Declarations} *)
@@ -596,8 +622,8 @@ let rec parse_stmt_lines s ~stop =
   loop ();
   List.rev !body
 
-and parse_one_stmt s (l : Line_scanner.line) : stmt option =
-  if l.Line_scanner.is_directive then begin
+and parse_one_stmt s (l : line) : stmt option =
+  if l.is_directive then begin
     match parse_omp_line l with
     | Dir_parallel_do d ->
       bump s;
@@ -605,7 +631,7 @@ and parse_one_stmt s (l : Line_scanner.line) : stmt option =
       (match parse_one_stmt s next_l with
       | Some (Do loop) -> Some (Do { loop with do_omp = Some d })
       | Some _ | None ->
-        fail next_l.Line_scanner.lineno
+        fail next_l.lineno
           "!$OMP PARALLEL DO must be followed by a DO loop")
     | Dir_end_parallel_do ->
       bump s;
@@ -616,19 +642,19 @@ and parse_one_stmt s (l : Line_scanner.line) : stmt option =
       (match parse_one_stmt s next_l with
       | Some (Assign _ as a) -> Some (Omp_atomic a)
       | Some _ | None ->
-        fail next_l.Line_scanner.lineno
+        fail next_l.lineno
           "!$OMP ATOMIC must be followed by an assignment")
     | Dir_critical ->
       bump s;
-      let stop (l : Line_scanner.line) =
-        l.Line_scanner.is_directive && parse_omp_line l = Dir_end_critical
+      let stop (l : line) =
+        l.is_directive && parse_omp_line l = Dir_end_critical
       in
       let body = parse_stmt_lines s ~stop in
       bump s;
       (* consume end critical *)
       Some (Omp_critical body)
     | Dir_end_critical ->
-      fail l.Line_scanner.lineno "unmatched !$OMP END CRITICAL"
+      fail l.lineno "unmatched !$OMP END CRITICAL"
     | Dir_barrier ->
       bump s;
       Some Omp_barrier
@@ -747,7 +773,7 @@ and parse_one_stmt s (l : Line_scanner.line) : stmt option =
           Some (Assign (d, rhs))
         | _ -> assert false)
       | t ->
-        fail l.Line_scanner.lineno "cannot parse statement starting with %a"
+        fail l.lineno "cannot parse statement starting with %a"
           Lexer.pp_token t)
 
 and parse_if s =
@@ -767,8 +793,8 @@ and parse_if s =
     let branches = ref [] in
     let else_body = ref [] in
     let rec collect current_cond =
-      let stop (l : Line_scanner.line) =
-        (not l.Line_scanner.is_directive)
+      let stop (l : line) =
+        (not l.is_directive)
         && (is_end_of "if" l
            ||
            match first_word l with
@@ -806,7 +832,7 @@ and parse_if s =
           expect_end c;
           bump s;
           branches := (current_cond, body) :: !branches;
-          let stop l = (not l.Line_scanner.is_directive) && is_end_of "if" l in
+          let stop l = (not l.is_directive) && is_end_of "if" l in
           else_body := parse_stmt_lines s ~stop;
           bump s (* end if *)
         end
@@ -816,7 +842,7 @@ and parse_if s =
     Some (If_block (List.rev !branches, !else_body))
   | _ ->
     (* logical IF: rest of line is a single simple statement *)
-    let rest = parse_inline_stmt c l.Line_scanner.lineno in
+    let rest = parse_inline_stmt c l.lineno in
     bump s;
     Some (If_arith (cond, rest))
 
@@ -871,7 +897,7 @@ and parse_do s =
     expect c Lexer.Rparen ")";
     expect_end c;
     bump s;
-    let stop l = (not l.Line_scanner.is_directive) && is_end_of "do" l in
+    let stop l = (not l.is_directive) && is_end_of "do" l in
     let body = parse_stmt_lines s ~stop in
     bump s;
     Some (Do_while (cond, body))
@@ -884,38 +910,27 @@ and parse_do s =
     let do_step = if accept c Lexer.Comma then Some (parse_expr c) else None in
     expect_end c;
     bump s;
-    let stop l = (not l.Line_scanner.is_directive) && is_end_of "do" l in
+    let stop l = (not l.is_directive) && is_end_of "do" l in
     let body = parse_stmt_lines s ~stop in
     bump s;
     Some (Do { do_var; do_lo; do_hi; do_step; do_body = body; do_omp = None })
 
 (** {1 Program units} *)
 
-let is_plain_end (l : Line_scanner.line) =
-  match Lexer.tokenize l.Line_scanner.text with
-  | [ Lexer.Ident "end"; Lexer.Eof ] -> true
-  | _ -> false
-  | exception Lexer.Lex_error _ -> false
+let is_plain_end (l : line) =
+  token l 0 = Lexer.Ident "end" && token l 1 = Lexer.Eof
 
 let decl_starters =
   base_type_keywords @ [ "type"; "common"; "use"; "implicit"; "external" ]
 
-let is_decl_line (l : Line_scanner.line) =
-  if l.Line_scanner.is_directive then false
-  else
-    match Lexer.tokenize l.Line_scanner.text with
-    | Lexer.Ident w :: rest -> (
-      if not (List.mem w decl_starters) then false
-      else
-        match (w, rest) with
-        (* "type(t) :: x" is a decl; "type x" could be a TYPE def *)
-        | "integer", Lexer.Ident "function" :: _
-        | "real", Lexer.Ident "function" :: _
-        | "logical", Lexer.Ident "function" :: _ ->
-          false
-        | _ -> true)
-    | _ -> false
-    | exception Lexer.Lex_error _ -> false
+let is_decl_line (l : line) =
+  (not l.is_directive)
+  &&
+  match (token l 0, token l 1) with
+  | Lexer.Ident ("integer" | "real" | "logical"), Lexer.Ident "function" ->
+    false
+  | Lexer.Ident w, _ -> List.mem w decl_starters
+  | _ -> false
 
 let rec parse_decl s : decl =
   let l = cur_exn s "declaration" in
@@ -968,7 +983,7 @@ let rec parse_decl s : decl =
   | Lexer.Ident w when List.mem w base_type_keywords ->
     bump s;
     parse_var_decl c
-  | t -> fail l.Line_scanner.lineno "expected declaration, got %a" Lexer.pp_token t
+  | t -> fail l.lineno "expected declaration, got %a" Lexer.pp_token t
 
 let parse_decls s ~stop =
   let decls = ref [] in
@@ -988,7 +1003,7 @@ let parse_decls s ~stop =
 
 (* Header "subroutine name(args)" or "[type] function name(args)".
    Cursor on first token of the line. *)
-let parse_subprogram_header (l : Line_scanner.line) =
+let parse_subprogram_header (l : line) =
   let c = cursor_of_line l in
   let result_type =
     match peek c with
@@ -1001,10 +1016,10 @@ let parse_subprogram_header (l : Line_scanner.line) =
     match kw with
     | "subroutine" ->
       if result_type <> None then
-        fail l.Line_scanner.lineno "subroutine cannot have a result type";
+        fail l.lineno "subroutine cannot have a result type";
       `Subroutine
     | "function" -> `Function result_type
-    | w -> fail l.Line_scanner.lineno "expected SUBROUTINE or FUNCTION, got %s" w
+    | w -> fail l.lineno "expected SUBROUTINE or FUNCTION, got %s" w
   in
   let name = expect_ident c in
   let args =
@@ -1023,24 +1038,22 @@ let parse_subprogram_header (l : Line_scanner.line) =
   in
   (* optional RESULT(name) — unsupported, flag it *)
   if not (at_eof c) then
-    fail l.Line_scanner.lineno "unsupported tokens after subprogram header";
+    fail l.lineno "unsupported tokens after subprogram header";
   (name, kind, args)
 
-let is_subprogram_start (l : Line_scanner.line) =
-  if l.Line_scanner.is_directive then false
-  else
-    match Lexer.tokenize l.Line_scanner.text with
-    | Lexer.Ident "subroutine" :: _ -> true
-    | Lexer.Ident "function" :: _ -> true
-    | Lexer.Ident w :: Lexer.Ident "function" :: _
-      when List.mem w base_type_keywords ->
-      true
-    | Lexer.Ident "double" :: Lexer.Ident "precision" :: Lexer.Ident "function" :: _ ->
-      true
-    | Lexer.Ident ("real" | "integer") :: Lexer.Star :: Lexer.Int _ :: Lexer.Ident "function" :: _ ->
-      true
-    | _ -> false
-    | exception Lexer.Lex_error _ -> false
+let is_subprogram_start (l : line) =
+  (not l.is_directive)
+  &&
+  match (token l 0, token l 1, token l 2, token l 3) with
+  | Lexer.Ident ("subroutine" | "function"), _, _, _ -> true
+  | Lexer.Ident w, Lexer.Ident "function", _, _
+    when List.mem w base_type_keywords ->
+    true
+  | Lexer.Ident "double", Lexer.Ident "precision", Lexer.Ident "function", _ ->
+    true
+  | Lexer.Ident ("real" | "integer"), Lexer.Star, Lexer.Int _, Lexer.Ident "function" ->
+    true
+  | _ -> false
 
 let parse_subprogram s =
   let l = cur_exn s "subprogram" in
@@ -1051,12 +1064,12 @@ let parse_subprogram s =
     | `Subroutine -> "subroutine"
     | `Function _ -> "function"
   in
-  let stop_decl (l : Line_scanner.line) =
+  let stop_decl (l : line) =
     is_end_of endkw l || is_plain_end l
   in
   let sub_decls = parse_decls s ~stop:stop_decl in
-  let stop (l : Line_scanner.line) =
-    (not l.Line_scanner.is_directive) && (is_end_of endkw l || is_plain_end l)
+  let stop (l : line) =
+    (not l.is_directive) && (is_end_of endkw l || is_plain_end l)
   in
   let sub_body = parse_stmt_lines s ~stop in
   bump s;
@@ -1071,7 +1084,7 @@ let parse_module s =
   let mod_name = expect_ident c in
   expect_end c;
   bump s;
-  let stop (l : Line_scanner.line) =
+  let stop (l : line) =
     is_end_of "module" l
     ||
     match first_word l with
@@ -1091,15 +1104,15 @@ let parse_module s =
         loop ()
       end
       else
-        fail l.Line_scanner.lineno "expected subprogram in CONTAINS section: %s"
-          l.Line_scanner.text
+        fail l.lineno "expected subprogram in CONTAINS section: %s"
+          l.text
     in
     loop ()
   | _ -> ());
   (* consume "end module" *)
   (match cur s with
   | Some l when is_end_of "module" l -> bump s
-  | Some l -> fail l.Line_scanner.lineno "expected END MODULE"
+  | Some l -> fail l.lineno "expected END MODULE"
   | None -> fail 0 "expected END MODULE");
   Module { mod_name; mod_decls; mod_contains = List.rev !mod_contains }
 
@@ -1112,8 +1125,8 @@ let parse_main s =
   bump s;
   let stop l = is_end_of "program" l || is_plain_end l in
   let main_decls = parse_decls s ~stop in
-  let stop (l : Line_scanner.line) =
-    (not l.Line_scanner.is_directive) && (is_end_of "program" l || is_plain_end l)
+  let stop (l : line) =
+    (not l.is_directive) && (is_end_of "program" l || is_plain_end l)
   in
   let main_body = parse_stmt_lines s ~stop in
   bump s;
@@ -1134,8 +1147,8 @@ let parse_string source : compilation_unit =
       | _ when is_subprogram_start l ->
         units := Standalone (parse_subprogram s) :: !units
       | _ ->
-        fail l.Line_scanner.lineno "expected a program unit, got: %s"
-          l.Line_scanner.text);
+        fail l.lineno "expected a program unit, got: %s"
+          l.text);
       loop ()
   in
   loop ();

@@ -50,7 +50,7 @@ let pseudo_sub_of_main (m : Ast.main_unit) : Ast.subprogram =
     sub_body = m.Ast.main_body;
   }
 
-let annotate_subprogram ~pure ~program ~enclosing cu (sp : Ast.subprogram) :
+let annotate_subprogram ~ctx ~enclosing cu (sp : Ast.subprogram) :
     Ast.stmt list * entry list =
   let entries = ref [] in
   let record var status =
@@ -61,10 +61,10 @@ let annotate_subprogram ~pure ~program ~enclosing cu (sp : Ast.subprogram) :
   | exception Lower.Unsupported why ->
     record "-" (Unanalyzable why);
     (sp.Ast.sub_body, List.rev !entries)
-  | ctx ->
+  | lctx ->
     (* force-register every reachable grid (incl. lazy TYPE elements)
        so per-loop analysis sees a complete symbol table *)
-    (try ignore (Lower.lower_body ctx sp.Ast.sub_body)
+    (try ignore (Lower.lower_body lctx sp.Ast.sub_body)
      with Lower.Unsupported _ -> ());
     let rec walk_stmts stmts = List.map walk_stmt stmts
     and walk_stmt (s : Ast.stmt) : Ast.stmt =
@@ -84,7 +84,7 @@ let annotate_subprogram ~pure ~program ~enclosing cu (sp : Ast.subprogram) :
         record l.Ast.do_var Preexisting;
         l
       | None -> (
-        match Lower.lower_loop ctx l with
+        match Lower.lower_loop lctx l with
         | exception Lower.Unsupported why ->
           record l.Ast.do_var (Unanalyzable why);
           { l with Ast.do_body = walk_stmts l.Ast.do_body }
@@ -95,8 +95,7 @@ let annotate_subprogram ~pure ~program ~enclosing cu (sp : Ast.subprogram) :
             { l with Ast.do_body = walk_stmts l.Ast.do_body }
           end
           else begin
-            let func = Lower.func_of_ctx ctx in
-            let env = Depend.env_of_program ~pure program enclosing func in
+            let env = Depend.env ctx enclosing (Lower.func_of_ctx lctx) in
             let info = Depend.analyze env ir_loop in
             if info.Loop_info.parallel then begin
               record l.Ast.do_var (Annotated info);
@@ -120,10 +119,12 @@ let run ?(pure = []) (cu : Ast.compilation_unit) : t =
      so calls to them show up as Unsafe_call — conservative. *)
   let funcs, skipped = Lower.lower_all cu in
   let enclosing = Ir_module.make ~functions:funcs "legacy" in
-  let program = Ir_module.program ~modules:[ enclosing ] "legacy" in
+  let ctx =
+    Depend.context ~pure (Ir_module.program ~modules:[ enclosing ] "legacy")
+  in
   let entries = ref [] in
   let do_sub sp =
-    let body, es = annotate_subprogram ~pure ~program ~enclosing cu sp in
+    let body, es = annotate_subprogram ~ctx ~enclosing cu sp in
     entries := !entries @ es;
     body
   in

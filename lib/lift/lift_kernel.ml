@@ -19,6 +19,7 @@ module Ast = Glaf_fortran.Ast
 module Pp_ast = Glaf_fortran.Pp_ast
 module Parser = Glaf_fortran.Parser
 module Autopar = Glaf_analysis.Autopar
+module Depend = Glaf_analysis.Depend
 module Fortran_gen = Glaf_codegen.Fortran_gen
 
 exception Lift_error of string
@@ -84,14 +85,11 @@ let lift ?(pure = []) (cu : Ast.compilation_unit) (name : string) : t =
         not (String.equal f.Func.name sp.Ast.sub_name))
       others
   in
+  (* annotate only the kernel; the others contribute their summaries *)
   let m = Ir_module.make ~functions:(others @ [ f_target ]) "glaf_lift" in
-  let p = Ir_module.program ~modules:[ m ] "glaf_lift" in
-  let p', report = Autopar.run ~pure p in
-  let f_ann =
-    match Ir_module.find_program_function p' kernel with
-    | Some f -> strip_nonunit_func f
-    | None -> lift_error "lifted function %s vanished" kernel
-  in
+  let ctx = Depend.context ~pure (Ir_module.program ~modules:[ m ] "glaf_lift") in
+  let f_ann, report = Autopar.annotate_function ctx m f_target in
+  let f_ann = strip_nonunit_func f_ann in
   (* generate only the lifted kernel: the original subprograms stay as
      parsed, the kernel arrives via a fresh generated module *)
   let p_gen =
@@ -107,10 +105,5 @@ let lift ?(pure = []) (cu : Ast.compilation_unit) (name : string) : t =
     try Parser.parse_string source
     with Parser.Parse_error (ln, msg) ->
       lift_error "generated source does not re-parse (line %d: %s)" ln msg
-  in
-  let report =
-    List.filter
-      (fun (e : Autopar.report_entry) -> String.equal e.Autopar.re_function kernel)
-      report
   in
   { kernel; func = f_ann; report; combined; source }

@@ -51,20 +51,20 @@ let removed_classes = function
     ]
 
 (** Apply the policy to an annotated program: strip directives from
-    loops whose classification is in the policy's removal set. *)
-let apply ?(pure = []) policy (p : Ir_module.program) : Ir_module.program =
+    loops whose classification is in the policy's removal set.  The
+    classification reads only the loop and the program's function
+    names, so no dependence test or effect summary is needed here.
+    [pure] is unused; it stays only for callers that still pass it. *)
+let apply ?pure:(_ : string list option) policy (p : Ir_module.program) :
+    Ir_module.program =
   let removed = removed_classes policy in
-  let prune_function m (f : Func.t) =
-    let env = Depend.env_of_program ~pure p m f in
-    let prune_loop (l : Stmt.loop) =
-      match l.Stmt.directive with
-      | None -> l
-      | Some _ ->
-        let info = Depend.analyze env l in
-        if List.mem info.Loop_info.classification removed then
-          { l with Stmt.directive = None }
-        else l
-    in
+  let prune_loop (l : Stmt.loop) =
+    match l.Stmt.directive with
+    | Some _ when List.mem (Depend.classify p l) removed ->
+      { l with Stmt.directive = None }
+    | _ -> l
+  in
+  let prune_function (f : Func.t) =
     let steps =
       List.map
         (fun (st : Func.step) ->
@@ -78,10 +78,7 @@ let apply ?(pure = []) policy (p : Ir_module.program) : Ir_module.program =
     Ir_module.modules =
       List.map
         (fun m ->
-          {
-            m with
-            Ir_module.functions = List.map (prune_function m) m.Ir_module.functions;
-          })
+          { m with Ir_module.functions = List.map prune_function m.Ir_module.functions })
         p.Ir_module.modules;
   }
 

@@ -52,7 +52,7 @@ let generated_cu (v : variant) : Ast.compilation_unit =
       p
   | Glaf_parallel policy ->
     let p, _ = annotated_program () in
-    let p = Directive_policy.apply ~pure policy p in
+    let p = Directive_policy.apply policy p in
     Fortran_gen.gen_program p
 
 (** Check the GLAF program against the legacy-code model (§3 features

@@ -12,7 +12,7 @@ let loop_env ?(extra_funcs = []) ~grids body =
   let f = Func.make "kernel" ~grids ~steps:[ Func.step "s" body ] in
   let m = Ir_module.make "module1" ~functions:(f :: extra_funcs) in
   let p = Ir_module.program "p" ~modules:[ m ] in
-  let env = Depend.env_of_program p m f in
+  let env = Depend.env (Depend.context p) m f in
   let loop =
     match body with
     | [ Stmt.For l ] -> l
@@ -495,6 +495,85 @@ let test_summary_params () =
   check_bool "writes param 1" true (List.mem 1 s.Summary.writes_params);
   check_bool "reads param 0" true (List.mem 0 s.Summary.reads_params)
 
+(* f writes module-scope x and calls g, g calls f: g's summary must
+   carry f's write in either declaration order, so k's loop, which
+   calls g, stays serial. *)
+let test_summary_mutual_recursion () =
+  let f =
+    Func.make "f"
+      ~grids:[ Grid.scalar ~storage:Grid.Module_scope Glaf_ir.Types.T_real8 "x" ]
+      ~steps:
+        [ Func.step "s" [ Stmt.assign_var "x" (Expr.real 1.0); Stmt.Call ("g", []) ] ]
+  in
+  let g = Func.make "g" ~grids:[] ~steps:[ Func.step "s" [ Stmt.Call ("f", []) ] ] in
+  let loop =
+    Stmt.for_ "i" ~lo:(Expr.int 1) ~hi:(Expr.var "n")
+      [ Stmt.assign_idx "a" [ Expr.var "i" ] (Expr.real 0.0); Stmt.Call ("g", []) ]
+  in
+  let k = Func.make "k" ~grids:[ iscal "n"; d8 "a" ] ~steps:[ Func.step "s" [ loop ] ] in
+  let l = match loop with Stmt.For l -> l | _ -> assert false in
+  List.iter
+    (fun (order, functions) ->
+      let m = Ir_module.make "m" ~functions in
+      let ctx = Depend.context (Ir_module.program "p" ~modules:[ m ]) in
+      check_slist (order ^ ": g writes x") [ "x" ]
+        (Hashtbl.find ctx.Depend.summaries "g").Summary.writes_external;
+      let info = Depend.analyze (Depend.env ctx m k) l in
+      check_bool (order ^ ": k's loop serial") false info.Loop_info.parallel;
+      Alcotest.(check (list string))
+        (order ^ ": obstacle")
+        [ Loop_info.obstacle_to_string (Loop_info.Unsafe_call "g") ]
+        (List.map Loop_info.obstacle_to_string info.Loop_info.obstacles))
+    [ ("f g k", [ f; g; k ]); ("g f k", [ g; f; k ]) ]
+
+(* Directive_policy.apply classifies loops without re-running the
+   dependence test; it must strip exactly the directives that a full
+   per-loop analysis would. *)
+let test_policy_matches_analysis () =
+  let module Policy = Glaf_optimizer.Directive_policy in
+  let pure = Glaf_runtime.Intrinsics.names () in
+  let annotated, _ = Autopar.run ~pure (Glaf_workloads.Sarb_glaf.program ()) in
+  let ctx = Depend.context ~pure annotated in
+  let reference policy =
+    let removed = Policy.removed_classes policy in
+    let prune m (f : Func.t) =
+      let env = Depend.env ctx m f in
+      let prune_loop (l : Stmt.loop) =
+        match l.Stmt.directive with
+        | Some _
+          when List.mem (Depend.analyze env l).Loop_info.classification removed ->
+          { l with Stmt.directive = None }
+        | _ -> l
+      in
+      {
+        f with
+        Func.steps =
+          List.map
+            (fun (st : Func.step) ->
+              { st with Func.body = Stmt.map_loops prune_loop st.Func.body })
+            f.Func.steps;
+      }
+    in
+    {
+      annotated with
+      Ir_module.modules =
+        List.map
+          (fun m ->
+            { m with Ir_module.functions = List.map (prune m) m.Ir_module.functions })
+          annotated.Ir_module.modules;
+    }
+  in
+  let count = Policy.directive_count in
+  List.iter
+    (fun policy ->
+      let name = Policy.name policy in
+      let got = Policy.apply policy annotated in
+      check_bool (name ^ " = per-loop analysis") true (got = reference policy);
+      check_int (name ^ " directives") (count (reference policy)) (count got))
+    Policy.all;
+  check_bool "policies remove directives" true
+    (count (Policy.apply Policy.V3 annotated) < count annotated)
+
 (* --- autopar pass ---------------------------------------------------------- *)
 
 let test_autopar_annotates () =
@@ -609,10 +688,14 @@ let suites =
         Alcotest.test_case "module write blocks" `Quick test_call_module_write_blocks;
         Alcotest.test_case "summary transitive" `Quick test_summary_transitive;
         Alcotest.test_case "summary params" `Quick test_summary_params;
+        Alcotest.test_case "summary mutual recursion" `Quick
+          test_summary_mutual_recursion;
       ] );
     ( "analysis.autopar",
       [
         Alcotest.test_case "annotates program" `Quick test_autopar_annotates;
         Alcotest.test_case "descends into serial outer" `Quick test_autopar_descends_into_serial_outer;
+        Alcotest.test_case "policy = per-loop analysis" `Quick
+          test_policy_matches_analysis;
       ] );
   ]

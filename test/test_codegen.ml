@@ -757,7 +757,7 @@ let test_loop_interchange () =
   let p = classified_program () in
   let m = List.hd p.Ir_module.modules in
   let f = List.hd m.Ir_module.functions in
-  let env = Depend.env_of_program p m f in
+  let env = Depend.env (Depend.context p) m f in
   let nest =
     Stmt.
       {

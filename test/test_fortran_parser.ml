@@ -429,6 +429,26 @@ let test_parse_error_reports_line () =
   | _ -> Alcotest.fail "expected parse error"
   | exception Parser.Parse_error (line, _) -> check_int "error line" 2 line
 
+(* A lex error is reported at the line that holds it, with the lexer's
+   message, whether it sits in a body, a declaration or an END line. *)
+let test_parse_lex_error_lines () =
+  let expect what src line msg =
+    match parse_units src with
+    | _ -> Alcotest.failf "%s: expected parse error" what
+    | exception Parser.Parse_error (l, m) ->
+      check_int (what ^ " line") line l;
+      check_str (what ^ " message") msg m
+  in
+  expect "body"
+    "subroutine f(x)\n  real :: x\n  x = 1.0 @ 2.0\nend subroutine f"
+    3 "unexpected character '@'";
+  expect "declaration"
+    "subroutine f(x)\n  real :: x\n  integer :: n $\n  x = 1.0\nend subroutine f"
+    3 "unexpected character '$'";
+  expect "end line"
+    "subroutine f(x)\n  real :: x\n  x = 1.0\nend subroutine f .q\n" 4
+    "stray '.'"
+
 (* --- round trips ------------------------------------------------------- *)
 
 let roundtrip src =
@@ -711,6 +731,8 @@ let suites =
         Alcotest.test_case "main program" `Quick test_parse_main_program;
         Alcotest.test_case "use only" `Quick test_parse_use_only;
         Alcotest.test_case "error line number" `Quick test_parse_error_reports_line;
+        Alcotest.test_case "lex error line and message" `Quick
+          test_parse_lex_error_lines;
       ] );
     ( "fortran.roundtrip",
       [

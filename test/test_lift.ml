@@ -226,6 +226,55 @@ let test_lift_fun3d_rms () =
          && i.Glaf_analysis.Loop_info.reductions <> [])
        lifted.Lift_kernel.report)
 
+(* Lift annotates only the kernel; its function and report must equal
+   what whole-program Autopar produces for <name>_lifted. *)
+let test_lift_matches_whole_program () =
+  let module Autopar = Glaf_analysis.Autopar in
+  let check cu name =
+    let lifted = Lift_kernel.lift ~pure cu name in
+    let kernel = name ^ "_lifted" in
+    let sp = Option.get (Ast.find_subprogram cu name) in
+    let others =
+      List.filter
+        (fun (f : Glaf_ir.Func.t) -> f.Glaf_ir.Func.name <> name)
+        (fst (Lower.lower_all cu))
+    in
+    let m =
+      Glaf_ir.Ir_module.make
+        ~functions:(others @ [ Lower.lower_subprogram ~rename:kernel cu sp ])
+        "glaf_lift"
+    in
+    let p, report =
+      Autopar.run ~pure (Glaf_ir.Ir_module.program ~modules:[ m ] "glaf_lift")
+    in
+    let func =
+      Lift_kernel.strip_nonunit_func
+        (Option.get (Glaf_ir.Ir_module.find_program_function p kernel))
+    in
+    let report =
+      List.filter (fun (e : Autopar.report_entry) -> e.Autopar.re_function = kernel) report
+    in
+    check_bool (name ^ " func") true (lifted.Lift_kernel.func = func);
+    check_bool (name ^ " report") true (lifted.Lift_kernel.report = report);
+    check_bool (name ^ " report non-empty") true (report <> [])
+  in
+  check (Lazy.force sarb_cu) "adjust2";
+  check (Lazy.force sarb_cu) "longwave_entropy_model";
+  check (Lazy.force fun3d_cu) "fun3d_rms";
+  (* the fixtures' kernels call nothing inside a loop; here the first
+     loop is parallel only through setv's summary, the second serial
+     only through bump's *)
+  check
+    (Parser.parse_string
+       "module state\n  real*8 :: acc\nend module state\n\n\
+        subroutine setv(x, v)\n  real*8 :: x, v\n  x = v\nend subroutine setv\n\n\
+        subroutine bump(x)\n  use state\n  real*8 :: x\n  acc = acc + x\n\
+        end subroutine bump\n\n\
+        subroutine kern(a, n)\n  integer :: n, i\n  real*8 :: a(100)\n\
+        \  do i = 1, n\n    call setv(a(i), 2.0d0)\n  end do\n\
+        \  do i = 1, n\n    call bump(a(i))\n  end do\nend subroutine kern\n")
+    "kern"
+
 let test_lift_unknown_kernel () =
   match Lift_kernel.lift ~pure (Lazy.force sarb_cu) "nosuch" with
   | _ -> Alcotest.fail "expected Lift_error"
@@ -331,6 +380,8 @@ let suites =
           test_verify_rejects_broken_baseline;
         Alcotest.test_case "bad directive caught" `Quick
           test_verify_catches_bad_directive;
+        Alcotest.test_case "kernel-only = whole-program autopar" `Quick
+          test_lift_matches_whole_program;
       ] );
     ( "lift.fixtures",
       [ Alcotest.test_case "files in sync" `Quick test_fixture_files_in_sync ] );

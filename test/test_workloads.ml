@@ -65,7 +65,7 @@ let test_sarb_generated_code_features () =
 
 let test_sarb_v3_directive_count () =
   let p, _ = Sarb.annotated_program () in
-  let v3 = Directive_policy.apply ~pure:Sarb.pure Directive_policy.V3 p in
+  let v3 = Directive_policy.apply Directive_policy.V3 p in
   (* exactly the two large exchange loops keep directives *)
   check_int "v3 keeps two directives" 2 (Directive_policy.directive_count v3)
 
