@@ -430,14 +430,12 @@ type callenv = {
 (** Compilation environment beyond the representative scope: what the
     unit as a whole provides.  [e_unit] namespaces the program cache
     and the stats sites; [e_subs] is the interpreter's subprogram
-    table (shared, read-only here); [e_calls] gates call compilation
-    so benchmarks can reproduce the PR 6 "mixed" path; and
-    [e_module_scope] peeks at already-initialized module scopes
-    (never forcing initialization) for the inliner's shadowing check. *)
+    table (shared, read-only here); and [e_module_scope] peeks at
+    already-initialized module scopes (never forcing initialization)
+    for the inliner's shadowing check. *)
 type env = {
   e_unit : string;
   e_subs : (string, Ast.subprogram * string option) Hashtbl.t;
-  e_calls : bool;
   e_module_scope : string -> Storage.scope option;
 }
 
@@ -1074,7 +1072,6 @@ and compile_desig_load ctx (parts : Ast.designator) : int =
                re-evaluates them through bind_actual *)
             match Hashtbl.find_opt ctx.env.e_subs name with
             | Some (sp, mod_name) ->
-              if not ctx.env.e_calls then bail "call";
               if has_section args then bail "section";
               note_negative ctx name;
               List.iter (fun a -> ignore (compile_expr ctx a)) args;
@@ -1421,7 +1418,6 @@ and compile_stmt ctx (s : Ast.stmt) =
     ctx.crit <- ctx.crit - 1;
     emit ctx Icrit_exit
   | Ast.Call (name, actuals) -> (
-    if not ctx.env.e_calls then bail "call";
     match Hashtbl.find_opt ctx.env.e_subs (String.lowercase_ascii name) with
     | None -> bail "unknown-call"
     | Some (sp, mod_name) ->
@@ -2148,15 +2144,15 @@ let compile_raw env ~scope ~in_sub (body : Ast.stmt list) :
   | () -> Ok (finish ctx)
   | exception Bail reason -> Error reason
 
-(* Program cache: structural digest key, namespaced by unit and the
-   call-compilation mode, FIFO-bounded.  Compiles run outside the
+(* Program cache: structural digest key, namespaced by unit,
+   FIFO-bounded.  Compiles run outside the
    lock; a racing domain's first insert wins. *)
 let cache : (string, (program, string) result) Hashtbl.t = Hashtbl.create 64
 let cache_order : string Queue.t = Queue.create ()
 let cache_cap = 512
 
 let cache_key env kind digest =
-  env.e_unit ^ (if env.e_calls then "|c|" else "|n|") ^ kind ^ digest
+  env.e_unit ^ "|" ^ kind ^ digest
 
 let cached_compile key (compile : unit -> (program, string) result) :
     (program, string) result =

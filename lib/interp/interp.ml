@@ -68,11 +68,6 @@ type state = {
   mutable use_bytecode : bool;
       (** lower eligible loop bodies to bytecode (default); [false]
           forces the tree-walker everywhere ([--no-bytecode]) *)
-  mutable bytecode_calls : bool;
-      (** compile CALLs and user-function references into [Icall] /
-          inline expansions (default); [false] reproduces the PR 6
-          "mixed" path where every call boundary bails to the
-          tree-walker (benchmark baseline, [--no-bytecode-calls]) *)
   frames : (int * (int, Vm.cframe) Hashtbl.t) list Atomic.t;
       (** per domain id: reusable callee frames by frame-plan uid *)
 }
@@ -123,14 +118,12 @@ let make_state ?(printer = print_string) (cu : Ast.compilation_unit) =
     default_threads = Omp.num_threads ();
     default_sched = Sched.default;
     use_bytecode = true;
-    bytecode_calls = true;
     frames = Atomic.make [];
   }
 
 let set_threads st n = st.default_threads <- max 1 n
 let set_schedule st s = st.default_sched <- s
 let set_bytecode st b = st.use_bytecode <- b
-let set_bytecode_calls st b = st.bytecode_calls <- b
 
 (** The compile-time environment handed to {!Bytecode}: namespaces the
     program cache and stats by compilation unit, exposes the
@@ -141,7 +134,6 @@ let benv st : Bytecode.env =
   {
     Bytecode.e_unit = Bytecode.unit_key st.cu;
     e_subs = st.subs;
-    e_calls = st.bytecode_calls;
     e_module_scope = Hashtbl.find_opt st.module_scopes;
   }
 

@@ -158,11 +158,10 @@ exception Pool_error of string
     e.g. ["deadline of 0.05s exceeded"]. *)
 exception Cancelled of string
 
-(* Monotonic-enough clock for deadlines: OCaml's stdlib exposes no
-   CLOCK_MONOTONIC without an external package, so the watchdog uses
-   gettimeofday; deadlines are short (ms..s) and a wall-clock step
-   merely fires a timeout early or late, never corrupts results. *)
-let now_s = Unix.gettimeofday
+(** Seconds on CLOCK_MONOTONIC (arbitrary origin): deadlines, retry
+    backoff and serving latencies are differences of this clock, so a
+    wall-clock step can neither fire them early nor push them out. *)
+let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 type token = {
   tk_cancelled : bool Atomic.t;

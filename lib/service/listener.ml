@@ -40,12 +40,14 @@
     {2 Lifecycle}
 
     One reader domain per connection parses and {e admits} requests
-    (never compiles or executes them); a fixed team of executor
-    domains pulls admitted jobs from a bounded pending queue, resolves
-    inline scripts through the compile cache, and multiplexes their
-    parallel regions onto the shared worker pool — so both execution
-    {e and} compile work are bounded by admission.  Admission sheds
-    when the queue is at the [--max-pending] high-water mark, and the
+    (never compiles or executes them) into the executor core
+    ({!Serve.Core}, the same scheduler [serve --calls] runs on); its
+    fixed team of executor domains resolves inline scripts through the
+    compile cache and multiplexes their parallel regions onto the
+    shared worker pool — so both execution {e and} compile work are
+    bounded by admission.  Admission sheds when the jobs waiting in
+    the core (ready or in retry backoff) reach the [--max-pending]
+    high-water mark, and the
     accept loop sheds whole {e connections} past the
     [lc_max_conns] cap (one overload fault at [seq] 0, then close) so
     the per-connection reader domains can never exhaust the runtime's
@@ -103,7 +105,8 @@ let unescape_script s =
 
 type config = {
   lc_socket : string;
-  lc_max_pending : int;  (** admission high-water mark (queue length) *)
+  lc_max_pending : int;
+      (** admission high-water mark: jobs waiting to run or to retry *)
   lc_max_conns : int;
       (** concurrent-connection cap: one reader domain per live
           connection, so this also bounds domain usage *)
@@ -141,8 +144,8 @@ let default_config ~socket =
     lc_status_extra = None;
   }
 
-(** Completed-call latencies retained for the rolling percentile
-    window in [--status] output. *)
+(** Request latencies (admission to the response write) retained for
+    the rolling percentile window in [--status] output. *)
 let latency_window = 256
 
 (* --- server state --------------------------------------------------------- *)
@@ -161,11 +164,11 @@ type conn = {
 type wire_job = {
   wj_conn : conn;
   wj_seq : int;
-  wj_call : Serve.call;
   wj_script : string option;
       (** inline script, compiled by the executor {e after} admission
           (through the cache) so [--max-pending] bounds compile work
           too; [None] runs the startup script *)
+  wj_admitted : float;  (** admission time on {!Fault.now_s} *)
 }
 
 type t = {
@@ -174,11 +177,7 @@ type t = {
   cache : Progcache.t;
   default_compiled : Serve.compiled;
   draining : bool Atomic.t;
-  (* bounded pending queue *)
-  qmu : Mutex.t;
-  qcv : Condition.t;
-  queue : wire_job Queue.t;
-  mutable q_closed : bool;
+  core : wire_job Serve.Core.t;
   (* connection registry *)
   cmu : Mutex.t;
   mutable conns : (conn * unit Domain.t) list;
@@ -189,11 +188,11 @@ type t = {
   shed : int Atomic.t;  (** rejected at admission with Overload_fault *)
   rejected : int Atomic.t;  (** malformed / oversized / compile-error *)
   write_errors : int Atomic.t;  (** responses lost to dead peers *)
-  (* rolling window of the last [latency_window] completed-call wall
-     times (ms), written by executors under [lat_mu] *)
+  (* rolling window of the last [latency_window] request latencies
+     (ms), written by executors under [lat_mu] *)
   lat_mu : Mutex.t;
   lat : float array;
-  mutable lat_count : int;  (** total completed calls ever recorded *)
+  mutable lat_count : int;  (** total answered requests ever recorded *)
 }
 
 type stats = {
@@ -209,12 +208,12 @@ type stats = {
   ls_health : Pool.health;
   ls_respawns : int;
   ls_draining : bool;
-  ls_calls : int;  (** completed calls recorded in the latency window *)
+  ls_calls : int;  (** answered requests recorded in the latency window *)
   ls_p50_ms : float;  (** median latency over the window; 0 when empty *)
   ls_p99_ms : float;  (** p99 latency over the window; 0 when empty *)
 }
 
-(* Record one completed call's wall time into the rolling window. *)
+(* Record one answered request's latency into the rolling window. *)
 let record_latency t ms =
   Mutex.lock t.lat_mu;
   t.lat.(t.lat_count mod latency_window) <- ms;
@@ -239,9 +238,7 @@ let latency_percentiles t =
   end
 
 let stats t =
-  Mutex.lock t.qmu;
-  let pending = Queue.length t.queue in
-  Mutex.unlock t.qmu;
+  let pending = Serve.Core.pending t.core in
   Mutex.lock t.cmu;
   let accepted = t.accepted in
   Mutex.unlock t.cmu;
@@ -432,32 +429,32 @@ let parse_request line =
       | Error e -> Rq_bad e
     else Rq_bad "expected 'run <call>[\\t<escaped-script>]' or 'status'"
 
-(* Admission: the only place requests enter the pending queue.  Sheds
-   (with the queue length observed under the lock) when the queue is
-   at the high-water mark or the server is draining — the reader never
-   blocks, so backpressure is immediate and the queue is bounded by
+(* Admission: the only place requests enter the executor core.  Sheds
+   (with the waiting-job count the core observed under its lock) at
+   the high-water mark or while draining — the reader never blocks, so
+   backpressure is immediate and outstanding work is bounded by
    construction. *)
 let admit t conn ~seq call script =
-  Mutex.lock t.qmu;
-  let pending = Queue.length t.queue in
-  if t.q_closed || Atomic.get t.draining || pending >= t.cfg.lc_max_pending
-  then begin
-    Mutex.unlock t.qmu;
+  let shed pending =
     Atomic.incr t.shed;
     write_response t conn
       (fault_response ~seq
-         (Fault.Overload_fault
-            { pending; limit = t.cfg.lc_max_pending }))
-  end
+         (Fault.Overload_fault { pending; limit = t.cfg.lc_max_pending }))
+  in
+  if Atomic.get t.draining then shed (Serve.Core.pending t.core)
   else begin
     (* inflight is raised before the job is visible to executors so
        their decrement can never undershoot *)
     Atomic.incr conn.c_inflight;
-    Queue.push
-      { wj_conn = conn; wj_seq = seq; wj_call = call; wj_script = script }
-      t.queue;
-    Condition.signal t.qcv;
-    Mutex.unlock t.qmu
+    let job =
+      { wj_conn = conn; wj_seq = seq; wj_script = script;
+        wj_admitted = Fault.now_s () }
+    in
+    match Serve.Core.submit ~limit:t.cfg.lc_max_pending t.core call job with
+    | Ok () -> ()
+    | Error pending ->
+      Atomic.decr conn.c_inflight;
+      shed pending
   end
 
 let handle_line t conn line =
@@ -582,62 +579,45 @@ let reader t conn =
   release_conn conn;
   Atomic.set conn.c_done true
 
-(* --- executors ------------------------------------------------------------ *)
+(* --- executor callbacks ---------------------------------------------------- *)
 
-let executor t =
-  let rec loop () =
-    Mutex.lock t.qmu;
-    let rec take () =
-      if not (Queue.is_empty t.queue) then Some (Queue.pop t.queue)
-      else if t.q_closed then None
-      else begin
-        Condition.wait t.qcv t.qmu;
-        take ()
-      end
-    in
-    match take () with
-    | None -> Mutex.unlock t.qmu
-    | Some job ->
-      Mutex.unlock t.qmu;
-      (* inline scripts compile here, post-admission: a shed request
-         never costs a compile, and compile work per executor is
-         serialized with its execution work *)
-      let compiled_r =
-        match job.wj_script with
-        | None -> Ok t.default_compiled
-        | Some script -> fst (Progcache.find_or_compile t.cache script)
-      in
-      let line =
-        match compiled_r with
-        | Error fault ->
-          Atomic.incr t.rejected;
-          fault_response ~seq:job.wj_seq fault
-        | Ok compiled -> (
-          let t0 = Unix.gettimeofday () in
-          let result =
-            Serve.run_call ?threads:t.cfg.lc_threads ?sched:t.cfg.lc_sched
-              ?deadline_s:t.cfg.lc_deadline_s ~bytecode:t.cfg.lc_bytecode
-              ~retries:t.cfg.lc_retries compiled job.wj_call
-          in
-          (* faulted calls count too: a deadline-bound tail is exactly
-             what the p99 is there to expose *)
-          record_latency t ((Unix.gettimeofday () -. t0) *. 1e3);
-          match result with
-          | Ok oc ->
-            Atomic.incr t.ok;
-            outcome_response ~seq:job.wj_seq oc
-          | Error fault ->
-            Atomic.incr t.failed;
-            fault_response ~seq:job.wj_seq fault)
-      in
-      write_response t job.wj_conn line;
-      Atomic.decr job.wj_conn.c_inflight;
-      release_conn job.wj_conn;
-      loop ()
+(* One attempt at a job.  Inline scripts compile here, post-admission:
+   a shed request never costs a compile, and compile work per executor
+   is serialized with its execution work. *)
+let run_job t wj call =
+  Result.bind
+    (match wj.wj_script with
+    | None -> Ok t.default_compiled
+    | Some script -> fst (Progcache.find_or_compile t.cache script))
+    (fun compiled ->
+      Serve.run_call ?threads:t.cfg.lc_threads ?sched:t.cfg.lc_sched
+        ?deadline_s:t.cfg.lc_deadline_s ~bytecode:t.cfg.lc_bytecode compiled
+        call)
+
+(* Answer a job's final result.  The latency sample spans admission to
+   the response write — queue wait, a compile on a cache miss and retry
+   backoff included — and faulted requests count too: a deadline-bound
+   tail is what the p99 is there to expose.  It is recorded before the
+   write, so a client's next [status] counts every answer it has read. *)
+let answer t wj r =
+  let seq = wj.wj_seq in
+  let line =
+    match r with
+    | Ok oc ->
+      Atomic.incr t.ok;
+      outcome_response ~seq oc
+    | Error ((Fault.Parse_fault _ | Fault.Analysis_fault _) as fault) ->
+      (* only an inline script's compile yields these *)
+      Atomic.incr t.rejected;
+      fault_response ~seq fault
+    | Error fault ->
+      Atomic.incr t.failed;
+      fault_response ~seq fault
   in
-  try loop ()
-  with e ->
-    Printf.eprintf "oglaf: executor error: %s\n%!" (Printexc.to_string e)
+  record_latency t ((Fault.now_s () -. wj.wj_admitted) *. 1e3);
+  write_response t wj.wj_conn line;
+  Atomic.decr wj.wj_conn.c_inflight;
+  release_conn wj.wj_conn
 
 (* --- lifecycle ------------------------------------------------------------ *)
 
@@ -699,10 +679,7 @@ let create ~config:cfg script_text =
         cache;
         default_compiled = compiled;
         draining = Atomic.make false;
-        qmu = Mutex.create ();
-        qcv = Condition.create ();
-        queue = Queue.create ();
-        q_closed = false;
+        core = Serve.Core.create ~retries:cfg.lc_retries ();
         cmu = Mutex.create ();
         conns = [];
         accepted = 0;
@@ -759,9 +736,8 @@ let refuse_connection t fd ~live =
     final {!stats} after a full drain (admitted jobs answered,
     connections closed, socket unlinked). *)
 let serve t =
-  let executors =
-    Array.init t.cfg.lc_executors (fun _ -> Domain.spawn (fun () -> executor t))
-  in
+  Serve.Core.start t.core t.cfg.lc_executors ~run:(run_job t)
+    ~on_done:(answer t);
   let rec accept_loop () =
     if Atomic.get t.draining then ()
     else
@@ -828,11 +804,7 @@ let serve t =
   in
   List.iter (fun (_, dom) -> Domain.join dom) conns;
   (* ... then let the executors finish every admitted job. *)
-  Mutex.lock t.qmu;
-  t.q_closed <- true;
-  Condition.broadcast t.qcv;
-  Mutex.unlock t.qmu;
-  Array.iter Domain.join executors;
+  Serve.Core.join t.core;
   (* readers/executors already closed everything they finished with
      ([release_conn]); this sweep only covers a conn whose last answer
      raced the executor join, and [close_conn] is idempotent *)

@@ -18,14 +18,14 @@
     Arguments are integer or real literals.  Blank lines and lines
     starting with [#] are skipped.
 
-    Fault tolerance (PR 3): {!run_call} returns
-    [(outcome, Fault.t) result] instead of raising — one bad call
-    (runtime error, per-call deadline, injected or real worker-pool
-    failure) is classified by the {!Fault} taxonomy and the batch
-    keeps serving.  {!run_calls} collects a per-batch fault summary
-    (counts by class, first few messages) and supports abort-after-K
-    ([max_errors]) and retry-with-backoff for transient faults
-    ([retries]). *)
+    Fault tolerance: {!run_call} returns [(outcome, Fault.t) result]
+    instead of raising — one bad call (runtime error, per-call
+    deadline, injected or real worker-pool failure) is classified by
+    the {!Fault} taxonomy and the batch keeps serving.  {!run_calls}
+    runs the batch on the executor core ({!Core}), collects a
+    per-batch fault summary (counts by class, first few messages) and
+    supports abort-after-K ([max_errors]) and retry-with-backoff for
+    transient faults ([retries]). *)
 
 open Glaf_fortran
 open Glaf_runtime
@@ -149,13 +149,6 @@ let compile_result ?transform gpi_text =
          { reason = Printf.sprintf "generated source line %d: %s" line reason })
   | exception e -> Error (Fault.Analysis_fault { reason = Printexc.to_string e })
 
-(** Non-raising {!parse_calls}. *)
-let parse_calls_result text =
-  match parse_calls text with
-  | calls -> Ok calls
-  | exception Calls_error (line, reason) ->
-    Error (Fault.Parse_fault { line; reason })
-
 (* --- serve -------------------------------------------------------------- *)
 
 (** Result of one served invocation. *)
@@ -163,7 +156,7 @@ type outcome = {
   oc_call : call;
   oc_value : Value.t option;  (** function result; [None] for subroutines *)
   oc_output : string;  (** PRINT output captured during the call *)
-  oc_time_s : float;  (** wall-clock seconds for this invocation *)
+  oc_time_s : float;  (** seconds for this invocation ({!Fault.now_s}) *)
 }
 
 (* Map an exception escaping one interpreted call to the structured
@@ -195,7 +188,17 @@ let classify_exn (call : call) (e : exn) : Fault.t =
   | e ->
     Fault.Runtime_fault { call = name; line; reason = Printexc.to_string e }
 
-let run_call_once ?threads ?sched ?deadline_s ?bytecode compiled call =
+(** Run one call on a {e fresh} interpreter state (per-invocation grid
+    isolation: SAVE variables, module data and allocations of one call
+    are invisible to the next).  Never raises: failures come back as a
+    classified {!Fault.t}.
+
+    [deadline_s] installs a per-call watchdog token polled at pool
+    chunk boundaries and interpreter loop iterations — a runaway
+    kernel returns [Timeout_fault] instead of wedging the batch.  One
+    call is one attempt: retrying transient faults is the executor
+    core's job ({!Core}). *)
+let run_call ?threads ?sched ?deadline_s ?bytecode compiled call =
   let buf = Buffer.create 64 in
   let token = Fault.make_token ?deadline_s () in
   match
@@ -204,18 +207,12 @@ let run_call_once ?threads ?sched ?deadline_s ?bytecode compiled call =
           Glaf_interp.Interp.make_state ~printer:(Buffer.add_string buf)
             compiled.co_unit
         in
-        (match threads with
-        | Some n -> Glaf_interp.Interp.set_threads st n
-        | None -> ());
-        (match sched with
-        | Some s -> Glaf_interp.Interp.set_schedule st s
-        | None -> ());
-        (match bytecode with
-        | Some b -> Glaf_interp.Interp.set_bytecode st b
-        | None -> ());
-        let t0 = Unix.gettimeofday () in
+        Option.iter (Glaf_interp.Interp.set_threads st) threads;
+        Option.iter (Glaf_interp.Interp.set_schedule st) sched;
+        Option.iter (Glaf_interp.Interp.set_bytecode st) bytecode;
+        let t0 = Fault.now_s () in
         let v = Glaf_interp.Interp.call st call.cl_name call.cl_args in
-        let t1 = Unix.gettimeofday () in
+        let t1 = Fault.now_s () in
         {
           oc_call = call;
           oc_value = v;
@@ -225,31 +222,6 @@ let run_call_once ?threads ?sched ?deadline_s ?bytecode compiled call =
   with
   | oc -> Ok oc
   | exception e -> Error (classify_exn call e)
-
-(** Run one call on a {e fresh} interpreter state (per-invocation grid
-    isolation: SAVE variables, module data and allocations of one call
-    are invisible to the next).  Never raises: failures come back as a
-    classified {!Fault.t}.
-
-    [deadline_s] installs a per-call watchdog token polled at pool
-    chunk boundaries and interpreter loop iterations — a runaway
-    kernel returns [Timeout_fault] instead of wedging the batch.
-    [retries] re-runs calls that failed with a {e transient} fault
-    ({!Fault.is_transient}: pool, timeout) up to that many extra
-    times, sleeping [backoff_s * 2^attempt] between tries (the pool
-    heals dead workers at the next region entry, so a post-crash retry
-    normally succeeds). *)
-let run_call ?threads ?sched ?deadline_s ?bytecode ?(retries = 0)
-    ?(backoff_s = 0.05) compiled call =
-  let rec go attempt =
-    match run_call_once ?threads ?sched ?deadline_s ?bytecode compiled call with
-    | Ok _ as ok -> ok
-    | Error f when attempt < retries && Fault.is_transient f ->
-      Unix.sleepf (backoff_s *. (2.0 ** float_of_int attempt));
-      go (attempt + 1)
-    | Error _ as err -> err
-  in
-  go 0
 
 (** Per-batch fault report. *)
 type batch = {
@@ -266,13 +238,9 @@ type batch = {
 let max_reported_faults = 5
 
 let summarize ~results ~skipped ~aborted =
-  let ok =
-    List.length (List.filter (fun (_, r) -> Result.is_ok r) results)
-  in
+  let ok = List.length (List.filter (fun (_, r) -> Result.is_ok r) results) in
   let faults =
-    List.filter_map
-      (function _, Error f -> Some f | _, Ok _ -> None)
-      results
+    List.filter_map (function _, Error f -> Some f | _, Ok _ -> None) results
   in
   let by_class =
     List.filter_map
@@ -293,215 +261,293 @@ let summarize ~results ~skipped ~aborted =
     b_aborted = aborted;
   }
 
-let run_calls_sequential ?threads ?sched ?deadline_s ?bytecode ?retries
-    ?backoff_s ?max_errors ~on_result compiled calls =
-  let results = ref [] and failed = ref 0 in
-  let rec serve = function
-    | [] -> []
-    | call :: rest ->
-      let r =
-        run_call ?threads ?sched ?deadline_s ?bytecode ?retries ?backoff_s
-          compiled call
-      in
-      (match r with Ok _ -> () | Error _ -> incr failed);
-      results := (call, r) :: !results;
-      on_result call r;
-      let aborted =
-        match max_errors with Some k -> !failed >= k | None -> false
-      in
-      if aborted then rest else serve rest
-  in
-  let skipped = serve calls in
-  summarize ~results:(List.rev !results)
-    ~skipped:(List.length skipped) ~aborted:(skipped <> [])
+(* --- the executor core --------------------------------------------------- *)
 
-(* --- concurrent serving -------------------------------------------------- *)
-
-(* One call's slot in the concurrent scheduler.  [j_attempt] counts
-   completed tries; a transient failure with budget left goes back to
-   the delayed list with an absolute [j_not_before] instead of
-   sleeping in the slot (the retry-backoff bug of the sequential
-   path: [Unix.sleepf] there blocks the whole slot, so one flaky call
-   would stall a concurrency-N batch by occupying a slot doing
-   nothing). *)
-type job = {
-  j_call : call;
-  j_index : int;  (** position in the calls file, for ordered results *)
-  mutable j_attempt : int;
-  mutable j_not_before : float;  (** absolute earliest next try *)
-  mutable j_last_fault : Fault.t option;
-}
-
-type slot_result =
-  | Pending
-  | Done of (call * (outcome, Fault.t) result)
-  | Skip  (** never attempted: batch aborted first *)
-
-(* Idle-wakeup gauge: how many times an executor slot went to sleep
-   with only backoff timers outstanding.  The sleep targets the
-   earliest not-before time exactly, so this stays O(retries) per
-   batch rather than O(backoff / poll-interval) —
-   test_serve_concurrent pins the bound. *)
+(* Idle-wakeup gauge: how many times an executor went to sleep with
+   only backoff timers outstanding.  The sleep targets the earliest
+   not-before time exactly, so this stays O(retries) per batch rather
+   than O(backoff / poll-interval) — test_serve_concurrent pins the
+   bound. *)
 let c_idle_wakeups = Atomic.make 0
 let idle_wakeups () = Atomic.get c_idle_wakeups
 let reset_idle_wakeups () = Atomic.set c_idle_wakeups 0
 
-(* Serve the batch on [concurrency] executor domains pulling jobs from
-   a shared queue.  Each in-flight call owns a fresh interpreter state
-   and its own cancellation token (the ambient token is per-domain),
-   and its parallel regions multiplex onto the shared worker pool.
-   [on_result] is still emitted in file order: results are held back
-   until every earlier call has resolved. *)
-let run_calls_concurrent ~concurrency ?threads ?sched ?deadline_s ?bytecode
-    ?(retries = 0) ?(backoff_s = 0.05) ?max_errors ~on_result compiled calls =
-  let n = List.length calls in
-  let results = Array.make n Pending in
-  let mu = Mutex.create () and cv = Condition.create () in
-  let ready : job Queue.t = Queue.create () in
-  let delayed = ref [] in
-  let active = ref 0 and failed = ref 0 in
-  let aborted = ref false in
-  let next_emit = ref 0 in
-  List.iteri
-    (fun i c ->
-      Queue.push
-        { j_call = c; j_index = i; j_attempt = 0; j_not_before = 0.;
-          j_last_fault = None }
-        ready)
-    calls;
-  (* under [mu]: stream every result whose predecessors have resolved *)
-  let emit_in_order () =
-    let continue = ref true in
-    while !continue && !next_emit < n do
-      match results.(!next_emit) with
-      | Pending -> continue := false
-      | Skip -> incr next_emit
-      | Done (c, r) ->
-        on_result c r;
-        incr next_emit
-    done
-  in
-  (* under [mu] *)
-  let record j r =
-    results.(j.j_index) <- Done (j.j_call, r);
-    (match r with Ok _ -> () | Error _ -> incr failed);
-    (match max_errors with
-    | Some k when !failed >= k && not !aborted ->
-      aborted := true;
-      (* the abort cut: never-attempted jobs are skipped (exactly the
-         sequential semantics); jobs mid-backoff have already failed
-         at least once, so they are recorded as their last fault *)
-      let flush j =
-        match j.j_last_fault with
-        | None -> results.(j.j_index) <- Skip
-        | Some f ->
-          results.(j.j_index) <- Done (j.j_call, Error f);
-          incr failed
-      in
-      Queue.iter flush ready;
-      Queue.clear ready;
-      List.iter flush !delayed;
-      delayed := []
-    | _ -> ());
-    emit_in_order ()
-  in
-  let now () = Unix.gettimeofday () in
-  let rec slot_loop () =
-    Mutex.lock mu;
-    (* promote delayed jobs whose backoff has elapsed *)
-    let t = now () in
-    let due, still = List.partition (fun j -> j.j_not_before <= t) !delayed in
-    delayed := still;
-    List.iter (fun j -> Queue.push j ready) due;
-    if not (Queue.is_empty ready) then begin
-      let j = Queue.pop ready in
-      incr active;
-      Mutex.unlock mu;
-      let r =
-        run_call_once ?threads ?sched ?deadline_s ?bytecode compiled j.j_call
-      in
-      Mutex.lock mu;
-      decr active;
-      (match r with
-      | Error f when Fault.is_transient f && j.j_attempt < retries && not !aborted ->
-        (* release the slot for the backoff: requeue with a not-before
-           time instead of sleeping here *)
-        j.j_last_fault <- Some f;
-        j.j_not_before <-
-          now () +. (backoff_s *. (2.0 ** float_of_int j.j_attempt));
-        j.j_attempt <- j.j_attempt + 1;
-        delayed := j :: !delayed
-      | r -> record j r);
-      Condition.broadcast cv;
-      Mutex.unlock mu;
-      slot_loop ()
-    end
-    else if !delayed <> [] then begin
-      (* Only backoffs outstanding: sleep until the earliest one is
-         due (the stdlib has no timed condition wait).  Sleeping the
-         full interval — not a capped poll-sleep — keeps a slot from
-         busy-spinning through a long backoff.  Progress never hangs
-         on this timer: any slot that requeues a job with an earlier
-         not-before re-enters this loop itself and either runs ready
-         work or sleeps until the new minimum, so every delayed job
-         is covered by a slot that is awake, working, or due to wake
-         no later than needed. *)
-      let due_at =
-        List.fold_left (fun a j -> Float.min a j.j_not_before) infinity !delayed
-      in
-      Atomic.incr c_idle_wakeups;
-      Mutex.unlock mu;
-      Unix.sleepf (Float.max 0.0005 (due_at -. now ()));
-      slot_loop ()
-    end
-    else if !active > 0 then begin
-      (* an in-flight call may yet requeue a retry *)
-      Condition.wait cv mu;
-      Mutex.unlock mu;
-      slot_loop ()
-    end
-    else begin
-      (* nothing queued, delayed or running: batch complete *)
-      Condition.broadcast cv;
-      Mutex.unlock mu
-    end
-  in
-  let helpers =
-    Array.init (max 0 (min concurrency n - 1)) (fun _ -> Domain.spawn slot_loop)
-  in
-  slot_loop ();
-  Array.iter Domain.join helpers;
-  let results = Array.to_list results in
-  let ordered =
-    List.filter_map (function Done cr -> Some cr | Pending | Skip -> None) results
-  in
-  let skipped =
-    List.length (List.filter (function Skip | Pending -> true | Done _ -> false) results)
-  in
-  summarize ~results:ordered ~skipped ~aborted:!aborted
+(** The one scheduler that runs calls, for {!run_calls} and the socket
+    server ({!Listener}) alike.  Executors run jobs from a ready queue
+    and hand each final result to [on_done].  A transient fault
+    ({!Fault.is_transient}) with retry budget left is requeued on a
+    delayed list, [backoff_s * 2^attempt] out, and the executor moves
+    on instead of sleeping the backoff away.  Idle executors block on
+    a condition variable, except at most one {e timer} that sleeps
+    until the earliest retry is due on a self-pipe that new work can
+    poke.  An exception escaping a job is answered as that job's
+    [Runtime_fault] and the executor keeps serving. *)
+module Core = struct
+  type 'a job = {
+    j_call : call;
+    j_data : 'a;
+    mutable j_attempt : int;  (** completed tries *)
+    mutable j_not_before : float;  (** earliest next try, on {!Fault.now_s} *)
+    mutable j_last_fault : Fault.t option;
+  }
+
+  type 'a t = {
+    mu : Mutex.t;
+    cv : Condition.t;
+    ready : 'a job Queue.t;
+    mutable delayed : 'a job list;
+    mutable active : int;  (** jobs running now *)
+    mutable waiting : int;  (** executors blocked on [cv] *)
+    mutable timer_due : float;
+        (** when the timer executor wakes; [infinity]: no timer asleep *)
+    mutable closed : bool;
+    mutable aborted : bool;
+    wake_r : Unix.file_descr;
+    wake_w : Unix.file_descr;
+    retries : int;
+    backoff_s : float;
+    mutable domains : unit Domain.t list;
+  }
+
+  let create ?(retries = 0) ?(backoff_s = 0.05) () =
+    let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+    Unix.set_nonblock wake_w;
+    { mu = Mutex.create (); cv = Condition.create (); ready = Queue.create ();
+      delayed = []; active = 0; waiting = 0; timer_due = infinity;
+      closed = false; aborted = false; wake_r; wake_w; retries; backoff_s;
+      domains = [] }
+
+  let earliest t =
+    List.fold_left (fun a j -> Float.min a j.j_not_before) infinity t.delayed
+
+  (* under [mu]: nothing left to run or to retry, and none running *)
+  let finished t =
+    t.closed && Queue.is_empty t.ready && t.delayed = [] && t.active = 0
+
+  (* Under [mu], after any change to the queues.  Only work wakes a
+     blocked executor: one per ready job or untimed backoff, all at
+     abort or the end (a finished job's executor takes the next one
+     itself).  The timer is poked when it would otherwise sleep past
+     work: a ready job no blocked executor can take, or a backoff that
+     is now due sooner (or gone). *)
+  let notify t =
+    if t.aborted || finished t then Condition.broadcast t.cv
+    else if t.waiting > 0
+            && ((not (Queue.is_empty t.ready))
+               || (t.delayed <> [] && t.timer_due = infinity))
+    then Condition.signal t.cv;
+    if t.timer_due < infinity
+       && ((t.waiting = 0 && not (Queue.is_empty t.ready))
+          || earliest t <> t.timer_due)
+    then
+      try ignore (Unix.single_write_substring t.wake_w "!" 0 1)
+      with Unix.Unix_error _ -> ()  (* pipe full: a wakeup is pending *)
+
+  let sleep_until t due =
+    let timeout = Float.max 0.0005 (due -. Fault.now_s ()) in
+    match Unix.select [ t.wake_r ] [] [] timeout with
+    | [], _, _ -> ()
+    | _ -> ignore (Unix.read t.wake_r (Bytes.create 64) 0 64)
+    | exception Unix.Unix_error (EINTR, _, _) -> ()
+
+  (* under [mu]: jobs neither running nor answered *)
+  let backlog t = Queue.length t.ready + List.length t.delayed
+
+  (** Jobs waiting to run: ready plus in retry backoff. *)
+  let pending t = Mutex.protect t.mu (fun () -> backlog t)
+
+  (** Queue a job unless the core is closed or [limit] jobs are
+      already {!pending}; [Error n] reports the [n] seen. *)
+  let submit ?(limit = max_int) t call data =
+    Mutex.protect t.mu (fun () ->
+        let n = backlog t in
+        if t.closed || n >= limit then Error n
+        else begin
+          Queue.push
+            { j_call = call; j_data = data; j_attempt = 0; j_not_before = 0.;
+              j_last_fault = None }
+            t.ready;
+          notify t;
+          Ok ()
+        end)
+
+  (** Stop retrying and drop every job that is not running; returns
+      them with their last fault ([None]: never attempted).  Running
+      jobs still finish and reach [on_done]. *)
+  let abort t =
+    Mutex.protect t.mu (fun () ->
+        t.aborted <- true;
+        let dropped = List.of_seq (Queue.to_seq t.ready) @ t.delayed in
+        Queue.clear t.ready;
+        t.delayed <- [];
+        notify t;
+        List.map (fun j -> (j.j_data, j.j_last_fault)) dropped)
+
+  (** Serve on the calling domain until the core is closed and every
+      job is answered.  [run] makes one attempt; [on_done] receives
+      each final result, outside the core's lock. *)
+  let work t ~run ~on_done =
+    let rec loop () =
+      (* under [mu]: promote delayed jobs whose backoff has elapsed *)
+      if t.delayed <> [] then begin
+        let now = Fault.now_s () in
+        let due, still = List.partition (fun j -> j.j_not_before <= now) t.delayed in
+        t.delayed <- still;
+        (* one wakeup per promoted job *)
+        List.iter (fun j -> Queue.push j t.ready; notify t) due
+      end;
+      if not (Queue.is_empty t.ready) then begin
+        let j = Queue.pop t.ready in
+        t.active <- t.active + 1;
+        Mutex.unlock t.mu;
+        let r =
+          try run j.j_data j.j_call with e -> Error (classify_exn j.j_call e)
+        in
+        let deliver () =
+          try on_done j.j_data r
+          with e -> Printf.eprintf "oglaf: executor error: %s\n%!" (Printexc.to_string e)
+        in
+        let retry =
+          Result.fold r ~ok:(fun _ -> false) ~error:(fun f ->
+              Fault.is_transient f && j.j_attempt < t.retries)
+        in
+        (* a final result is answered before the lock is retaken, and
+           the job counts as running until then *)
+        if not retry then deliver ();
+        Mutex.lock t.mu;
+        (match r with
+        | Error f when retry && not t.aborted ->
+          j.j_last_fault <- Some f;
+          j.j_not_before <-
+            Fault.now_s () +. (t.backoff_s *. (2.0 ** float_of_int j.j_attempt));
+          j.j_attempt <- j.j_attempt + 1;
+          t.delayed <- j :: t.delayed;
+          notify t
+        | _ when retry ->
+          Mutex.unlock t.mu;
+          deliver ();
+          Mutex.lock t.mu
+        | _ -> ());
+        t.active <- t.active - 1;
+        if finished t then notify t;
+        loop ()
+      end
+      else if t.delayed <> [] && t.timer_due = infinity then begin
+        let due = earliest t in
+        t.timer_due <- due;
+        Atomic.incr c_idle_wakeups;
+        Mutex.unlock t.mu;
+        sleep_until t due;
+        Mutex.lock t.mu;
+        t.timer_due <- infinity;
+        loop ()
+      end
+      else if finished t then notify t
+      else begin
+        t.waiting <- t.waiting + 1;
+        Condition.wait t.cv t.mu;
+        t.waiting <- t.waiting - 1;
+        loop ()
+      end
+    in
+    Mutex.lock t.mu;
+    loop ();
+    Mutex.unlock t.mu
+
+  (** Spawn [n] executor domains running {!work}. *)
+  let start t n ~run ~on_done =
+    t.domains <-
+      List.init (max 0 n) (fun _ -> Domain.spawn (fun () -> work t ~run ~on_done))
+
+  (** No more submissions; executors exit once every job is answered. *)
+  let close t =
+    Mutex.protect t.mu (fun () ->
+        t.closed <- true;
+        notify t)
+
+  (** {!close}, wait for the spawned executors, release the pipe. *)
+  let join t =
+    close t;
+    List.iter Domain.join t.domains;
+    Unix.close t.wake_r;
+    Unix.close t.wake_w
+end
+
+type slot_result =
+  | Pending
+  | Done of (outcome, Fault.t) result
+  | Skip  (** never attempted: batch aborted first *)
 
 (** Serve a batch of calls.  A failing call is recorded and serving
     {e continues} with the next call; [max_errors] aborts the
     remainder of the batch once that many calls have failed
     ([b_skipped]/[b_aborted] report the cut).  [on_result] streams
-    each result in file order (the CLI prints from it).
+    each result in file order (the CLI prints from it).  [retries]
+    re-runs a call that failed with a transient fault up to that many
+    extra times, [backoff_s * 2^attempt] apart, without holding an
+    executor during the wait.
 
-    [concurrency] overlaps that many independent calls, each with its
-    own interpreter state and deadline token, multiplexing their
-    parallel regions onto the shared worker pool; results, ordering
-    and fault accounting match sequential serving (and for
-    deterministic schedules the per-call outputs are bit-identical —
-    chunk plans and reduction combining order do not depend on which
-    worker runs a chunk). *)
+    [concurrency] executors run the batch ({!Core}): the calling
+    domain plus [concurrency - 1] helper domains.  Each call has its
+    own interpreter state and deadline token and multiplexes its
+    parallel regions onto the shared worker pool; for deterministic
+    schedules the per-call outputs are bit-identical at any
+    concurrency — chunk plans and reduction combining order do not
+    depend on which worker runs a chunk. *)
 let run_calls ?(concurrency = 1) ?threads ?sched ?deadline_s ?bytecode
     ?retries ?backoff_s ?max_errors ?(on_result = fun _ _ -> ()) compiled
     calls =
-  if concurrency <= 1 then
-    run_calls_sequential ?threads ?sched ?deadline_s ?bytecode ?retries
-      ?backoff_s ?max_errors ~on_result compiled calls
-  else
-    run_calls_concurrent ~concurrency ?threads ?sched ?deadline_s ?bytecode
-      ?retries ?backoff_s ?max_errors ~on_result compiled calls
+  let calls = Array.of_list calls in
+  let n = Array.length calls in
+  let results = Array.make n Pending in
+  let mu = Mutex.create () in
+  let failed = ref 0 and aborted = ref false and next_emit = ref 0 in
+  let core = Core.create ?retries ?backoff_s () in
+  (* under [mu]: stream every result whose predecessors have resolved *)
+  let rec emit_in_order () =
+    if !next_emit < n then
+      match results.(!next_emit) with
+      | Pending -> ()
+      | Skip -> incr next_emit; emit_in_order ()
+      | Done r ->
+        incr next_emit;
+        on_result calls.(!next_emit - 1) r;
+        emit_in_order ()
+  in
+  let record i r =
+    results.(i) <- Done r;
+    match r with Ok _ -> () | Error _ -> incr failed
+  in
+  let on_done i r =
+    Mutex.protect mu (fun () ->
+        record i r;
+        (match max_errors with
+        | Some k when !failed >= k && not !aborted ->
+          aborted := true;
+          (* the abort cut: never-attempted calls are skipped; calls
+             mid-backoff have failed at least once and keep that fault *)
+          List.iter
+            (function
+              | i, None -> results.(i) <- Skip
+              | i, Some f -> record i (Error f))
+            (Core.abort core)
+        | _ -> ());
+        emit_in_order ())
+  in
+  let run _ call = run_call ?threads ?sched ?deadline_s ?bytecode compiled call in
+  Array.iteri (fun i c -> ignore (Core.submit core c i)) calls;
+  Core.close core;
+  Core.start core (min concurrency n - 1) ~run ~on_done;
+  Core.work core ~run ~on_done;
+  Core.join core;
+  let ordered =
+    List.concat
+      (List.mapi
+         (fun i -> function Done r -> [ (calls.(i), r) ] | Pending | Skip -> [])
+         (Array.to_list results))
+  in
+  summarize ~results:ordered ~skipped:(n - List.length ordered)
+    ~aborted:!aborted
 
 let pp_args ppf = function
   | [] -> Format.pp_print_string ppf "()"
@@ -537,15 +583,3 @@ let pp_batch_summary ppf b =
       (fun f -> Format.fprintf ppf "@\n  %s" (Fault.to_string f))
       b.b_first_faults
   end
-
-(** Machine-readable batch summary (same fault shape as
-    {!Fault.to_json}). *)
-let batch_to_json b =
-  Printf.sprintf
-    "{\"ok\":%d,\"failed\":%d,\"skipped\":%d,\"aborted\":%b,\"by_class\":{%s},\"faults\":[%s]}"
-    b.b_ok b.b_failed b.b_skipped b.b_aborted
-    (String.concat ","
-       (List.map
-          (fun (c, n) -> Printf.sprintf "\"%s\":%d" (Fault.cls_name c) n)
-          b.b_by_class))
-    (String.concat "," (List.map Fault.to_json b.b_first_faults))

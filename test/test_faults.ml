@@ -343,14 +343,21 @@ let test_transient_retry_succeeds () =
   Faultinject.clear ();
   Faultinject.set_plan [ Faultinject.Kill_worker { worker = 0; times = 1 } ];
   (* ...with one retry the pool heals between attempts and the call
-     lands (the kill directive fires exactly once) *)
-  match Serve.run_call ~threads:4 ~retries:1 ~backoff_s:0.01 c call with
-  | Ok o ->
+     lands (the kill directive fires exactly once); the retry is a
+     requeue in the executor core, here the caller's domain alone *)
+  let b =
+    Serve.run_calls ~concurrency:1 ~threads:4 ~retries:1 ~backoff_s:0.01 c
+      [ call ]
+  in
+  match b.Serve.b_results with
+  | [ (_, Ok o) ] ->
     check_bool "retried call returns pi" true
       (match o.Serve.oc_value with
       | Some v -> abs_float (Value.to_float v -. Float.pi) < 1e-3
       | None -> false)
-  | Error f -> Alcotest.failf "retry did not recover: %s" (Fault.to_string f)
+  | [ (_, Error f) ] ->
+    Alcotest.failf "retry did not recover: %s" (Fault.to_string f)
+  | _ -> Alcotest.fail "expected one result"
 
 (* --- calls-file hardening ------------------------------------------------- *)
 

@@ -275,6 +275,42 @@ let test_status_latency () =
   check_bool "p50 field" true (contains st "\"p50_ms\":");
   check_bool "p99 field" true (contains st "\"p99_ms\":")
 
+(* The numeric value of ["key":] in a response line. *)
+let json_float key line =
+  let pat = "\"" ^ key ^ "\":" in
+  let lp = String.length pat and n = String.length line in
+  let rec find i =
+    if i + lp > n then Alcotest.failf "no %s in %s" key line
+    else if String.sub line i lp = pat then i + lp
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let stop = ref start in
+  while !stop < n && String.contains "0123456789.-e" line.[!stop] do incr stop done;
+  float_of_string (String.sub line start (!stop - start))
+
+(* Latency spans admission to the response write: with one executor, a
+   fast request pipelined behind a slow one waits out the slow call,
+   so both window samples cover at least the slow call's execution. *)
+let test_latency_counts_queue_wait () =
+  with_server
+    ~config_f:(fun c -> { c with Listener.lc_executors = 1; lc_threads = Some 1 })
+  @@ fun path _srv ->
+  let cl = Listener.Client.connect path in
+  Fun.protect ~finally:(fun () -> Listener.Client.close cl) @@ fun () ->
+  Listener.Client.send_line cl "run pi_mid(500000)";
+  Listener.Client.send_line cl "run pi_mid(10)";
+  let slow = recv_exn cl and fast = recv_exn cl in
+  check_bool "slow answered" true (contains slow "\"seq\":1");
+  check_bool "fast answered" true (contains fast "\"seq\":2");
+  let slow_ms = json_float "ms" slow in
+  let st = request_exn cl "status" in
+  let p50 = json_float "p50_ms" st and p99 = json_float "p99_ms" st in
+  check_bool (Printf.sprintf "p99 %.3f >= slow call %.3f ms" p99 slow_ms) true
+    (p99 >= slow_ms);
+  check_bool (Printf.sprintf "p50 %.3f counts the queue wait" p50) true
+    (p50 >= slow_ms)
+
 (* An oversized request must be rejected whether its newline trails in
    later chunks (discard mode) or arrives inside the same read chunk
    that blew the cap — the second case used to slip through. *)
@@ -635,6 +671,8 @@ let suites =
           test_shed_requests_skip_compile;
         Alcotest.test_case "status endpoint" `Quick test_status_endpoint;
         Alcotest.test_case "status latency window" `Quick test_status_latency;
+        Alcotest.test_case "latency counts queue wait" `Quick
+          test_latency_counts_queue_wait;
       ] );
     ( "listener.resilience",
       [

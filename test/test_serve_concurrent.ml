@@ -133,22 +133,28 @@ let test_fail_region_parity () =
           (Fault.cls_of f = Fault.Runtime))
     conc.Serve.b_results
 
-(* kill-worker under overlap: the dying worker's chunk (and any chunks
-   pinned to its queue) surface as transient pool faults; with retries
-   the batch self-heals and every result still matches the clean
-   sequential run bit-for-bit. *)
+(* kill-worker, alone and under overlap: the dying worker's chunk (and
+   any chunks pinned to its queue) surface as transient pool faults;
+   with retries the batch self-heals and every result still matches
+   the clean sequential run bit-for-bit.  At concurrency 1 the retry
+   is a requeue on the caller's domain, the only executor. *)
 let test_kill_worker_retry_parity () =
   let clean = serve ~concurrency:1 () in
-  let conc = serve ~concurrency:4 ~inject:"kill-worker:1" ~retries:3 () in
-  check_int "no failures after retries" 0 conc.Serve.b_failed;
-  check_int "all calls served" 6 conc.Serve.b_ok;
-  check_bool "bit-identical to clean sequential serving" true
-    (outcome_bits clean = outcome_bits conc);
-  check_bool "pool healed" true (Pool.health () = Pool.Healthy)
+  List.iter
+    (fun concurrency ->
+      let b = serve ~concurrency ~inject:"kill-worker:1" ~retries:3 () in
+      let at what = Printf.sprintf "%s (concurrency %d)" what concurrency in
+      check_int (at "no failures after retries") 0 b.Serve.b_failed;
+      check_int (at "all calls served") 6 b.Serve.b_ok;
+      check_bool (at "bit-identical to clean sequential serving") true
+        (outcome_bits clean = outcome_bits b);
+      check_bool (at "pool healed") true (Pool.health () = Pool.Healthy))
+    [ 1; 4 ]
 
-(* Backoff requeue must not busy-spin idle executor slots: while a
-   retrying call waits out its not-before time, each idle slot sleeps
-   until the earliest deadline in one go.  The old capped poll-sleep
+(* Backoff requeue must not busy-spin idle executors: while a
+   retrying call waits out its not-before time, the one timer executor
+   sleeps until the earliest deadline in one go and the others block
+   on the core's condition variable.  A capped poll-sleep
    woke every 50ms, so a 0.4s backoff with 2 slots burned ~16 wakeups;
    the deadline sleep needs O(retries) wakeups total.  The gauge
    counts every idle sleep, so the bound is deliberately loose — the
@@ -187,6 +193,71 @@ let test_max_errors_aborts_concurrent_batch () =
       check_int "accounting covers every call" 6
         (b.Serve.b_ok + b.Serve.b_failed + b.Serve.b_skipped))
 
+(* --- the executor core, driven through its own API ----------------------- *)
+
+(* A stand-in for a kernel call: no interpreter, no pool. *)
+let fake_outcome call i =
+  Ok
+    { Serve.oc_call = call; oc_value = Some (Value.Int i); oc_output = "";
+      oc_time_s = 0.0 }
+
+let fake_call = List.hd (Serve.parse_calls "job()")
+
+(* Final results in the order [on_done] delivered them. *)
+let collector () =
+  let mu = Mutex.create () and got = ref [] in
+  let on_done i r = Mutex.protect mu (fun () -> got := (i, r) :: !got) in
+  (on_done, fun () -> Mutex.protect mu (fun () -> List.rev !got))
+
+(* An exception escaping a job is that job's runtime fault; the lone
+   executor survives it and answers every later job, in order. *)
+let test_core_executor_survives_exception () =
+  let core = Serve.Core.create () in
+  let on_done, results = collector () in
+  Serve.Core.start core 1 ~on_done ~run:(fun i call ->
+      if i = 0 then failwith "boom" else fake_outcome call i);
+  List.iter (fun i -> ignore (Serve.Core.submit core fake_call i)) [ 0; 1; 2; 3 ];
+  Serve.Core.join core;
+  match results () with
+  | (0, Error (Fault.Runtime_fault f)) :: rest ->
+    check_bool "fault names the exception" true
+      (f.reason = Printexc.to_string (Failure "boom"));
+    Alcotest.(check (list int)) "later jobs answered in order" [ 1; 2; 3 ]
+      (List.map
+         (function
+           | i, Ok _ -> i
+           | _, Error f -> Alcotest.failf "job failed: %s" (Fault.to_string f))
+         rest)
+  | _ -> Alcotest.fail "first job not answered with a runtime fault"
+
+(* A retry waiting out its backoff holds no executor: a job submitted
+   during a 0.5 s backoff is answered well before the backoff ends. *)
+let test_core_backoff_frees_executor () =
+  let core = Serve.Core.create ~retries:1 ~backoff_s:0.5 () in
+  let on_done, results = collector () in
+  let answered = Array.make 2 infinity and first_try_done = Atomic.make false in
+  let on_done i r =
+    answered.(i) <- Fault.now_s ();
+    on_done i r
+  in
+  Serve.Core.start core 2 ~on_done ~run:(fun i call ->
+      if i = 0 && not (Atomic.exchange first_try_done true) then
+        Error (Fault.Pool_fault { call = "job"; line = 1; reason = "flaky" })
+      else fake_outcome call i);
+  ignore (Serve.Core.submit core fake_call 0);
+  while not (Atomic.get first_try_done) do Domain.cpu_relax () done;
+  Unix.sleepf 0.02;  (* let both executors go idle on the backoff *)
+  let t0 = Fault.now_s () in
+  ignore (Serve.Core.submit core fake_call 1);
+  Serve.Core.join core;
+  let waited = answered.(1) -. t0 in
+  check_bool (Printf.sprintf "new job answered in %.3fs (< 0.25s)" waited)
+    true (waited < 0.25);
+  check_bool "retried job answered after its backoff" true
+    (answered.(0) -. t0 > 0.3);
+  check_bool "both ok" true
+    (List.for_all (fun (_, r) -> Result.is_ok r) (results ()))
+
 let suites =
   [
     ( "serve.concurrent",
@@ -202,5 +273,9 @@ let suites =
           test_backoff_requeue_does_not_spin;
         Alcotest.test_case "max-errors abort" `Quick
           test_max_errors_aborts_concurrent_batch;
+        Alcotest.test_case "core: executor survives an exception" `Quick
+          test_core_executor_survives_exception;
+        Alcotest.test_case "core: backoff frees the executor" `Quick
+          test_core_backoff_frees_executor;
       ] );
   ]
