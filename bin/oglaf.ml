@@ -190,14 +190,15 @@ let bytecode_stats_flag =
     & info [ "bytecode-stats" ]
         ~doc:
           "After the call, print one line per compiled construct (loop or \
-           subprogram body) with its run/bail counts and, when it bailed, \
-           the construct that stopped compilation.")
+           subprogram body) with its run counts on the typed and on the \
+           boxed VM, its bail count and, when it bailed, the construct \
+           that stopped compilation.")
 
 let print_bytecode_stats rows =
   List.iter
     (fun (r : Glaf_interp.Interp.bytecode_row) ->
-      Printf.eprintf "bytecode %-24s runs=%-8d bails=%-8d%s\n" r.r_label
-        r.r_runs r.r_bails
+      Printf.eprintf "bytecode %-24s typed=%-8d boxed=%-8d bails=%-8d%s\n" r.r_label
+        r.r_typed r.r_boxed r.r_bails
         (match r.r_reason with Some why -> " bail=" ^ why | None -> ""))
     rows
 

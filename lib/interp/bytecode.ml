@@ -11,8 +11,10 @@
     ({!compile_sub}), call sites marshal arguments with the exact
     by-reference semantics of the tree-walker's [bind_actual]
     ([Icall]), small leaf subprograms are inlined into the caller's
-    instruction stream, and all-real / all-int programs additionally
-    carry an unboxed typed-register variant (see {!specialize}).
+    instruction stream, and programs whose every register is provably
+    a real, an integer or a logical — calls and allocation included —
+    additionally carry an unboxed typed-register variant (see
+    {!specialize}).
 
     Design rules (DESIGN.md sections 13 and 16):
     - {e Compile or fall back, never approximate.}  Compilation raises
@@ -58,17 +60,19 @@ let locked f =
 (** {1 Bail / coverage statistics}
 
     One site per compiled construct (loop body or subprogram body),
-    keyed by (unit, site id).  [sk_runs] counts bytecode executions,
-    [sk_bails] counts tree-walk fallbacks (compile bails and bind
-    refusals alike); [sk_reason] names the first construct that made
-    compilation bail, when it did. *)
+    keyed by (unit, site id).  [sk_typed] and [sk_boxed] count bytecode
+    executions on the typed and on the boxed VM, [sk_bails] counts
+    tree-walk fallbacks (compile bails and bind refusals alike);
+    [sk_reason] names the first construct that made compilation bail,
+    when it did. *)
 module Stats = struct
   type site = {
     sk_unit : string;
     sk_id : string;
     sk_label : string;
     mutable sk_reason : string option;
-    sk_runs : int Atomic.t;
+    sk_typed : int Atomic.t;
+    sk_boxed : int Atomic.t;
     sk_bails : int Atomic.t;
     sk_gen : int;  (** [generation] when registered *)
   }
@@ -83,7 +87,9 @@ module Stats = struct
     r_id : string;
     r_label : string;
     r_reason : string option;
-    r_runs : int;
+    r_runs : int;  (** [r_typed + r_boxed] *)
+    r_typed : int;
+    r_boxed : int;
     r_bails : int;
   }
 
@@ -100,7 +106,8 @@ module Stats = struct
               sk_id = id;
               sk_label = label;
               sk_reason = None;
-              sk_runs = Atomic.make 0;
+              sk_typed = Atomic.make 0;
+              sk_boxed = Atomic.make 0;
               sk_bails = Atomic.make 0;
               sk_gen = Atomic.get generation;
             }
@@ -108,7 +115,7 @@ module Stats = struct
           Hashtbl.replace tbl (unit_key, id) s;
           s)
 
-  let run s = Atomic.incr s.sk_runs
+  let run s ~typed = Atomic.incr (if typed then s.sk_typed else s.sk_boxed)
   let bail s = Atomic.incr s.sk_bails
 
   let set_reason s reason =
@@ -122,12 +129,15 @@ module Stats = struct
       locked (fun () ->
           Hashtbl.fold
             (fun _ s acc ->
+              let typed = Atomic.get s.sk_typed and boxed = Atomic.get s.sk_boxed in
               {
                 r_unit = s.sk_unit;
                 r_id = s.sk_id;
                 r_label = s.sk_label;
                 r_reason = s.sk_reason;
-                r_runs = Atomic.get s.sk_runs;
+                r_runs = typed + boxed;
+                r_typed = typed;
+                r_boxed = boxed;
                 r_bails = Atomic.get s.sk_bails;
               }
               :: acc)
@@ -206,81 +216,9 @@ type arg_spec =
 
 type cmp = Clt | Cle | Cgt | Cge | Ceq | Cne
 
-type tinstr =
-  | TconstF of int * float
-  | TconstI of int * int  (** ints; bools are 0/1 in the int bank *)
-  | TmovF of int * int
-  | TmovI of int * int
-  | TldsF of int * int  (** dst <- slot (must hold Real), scalar id *)
-  | TldsI of int * int
-  | TldsB of int * int  (** dst (int bank, 0/1) <- Bool slot *)
-  | TstsF of int * int  (** slot <- Real dst: declared-real slot *)
-  | TstsF_ofI of int * int  (** declared-real slot <- float_of_int reg *)
-  | TstsI of int * int
-  | TstsI_ofF of int * int  (** declared-int slot <- int_of_float reg *)
-  | TstsB of int * int
-  | TstsI_raw of int * int  (** raw DO-variable store, no coercion *)
-  | Ti2f of int * int  (** float dst <- float_of_int int src *)
-  | Tf2i of int * int  (** int dst <- int_of_float float src *)
-  | Tld1F of int * int * int  (** dst, array id, index reg (rank 1) *)
-  | Tld2F of int * int * int * int
-  | Tld1I of int * int * int
-  | Tld2I of int * int * int * int
-  | Tst1F of int * int * int  (** array id, index reg, src *)
-  | Tst2F of int * int * int * int
-  | Tst1I of int * int * int
-  | Tst2I of int * int * int * int
-  | TaddF of int * int * int
-  | TsubF of int * int * int
-  | TmulF of int * int * int
-  | TdivF of int * int * int
-  | TpowF of int * int * int
-  | TaddI of int * int * int
-  | TsubI of int * int * int
-  | TmulI of int * int * int
-  | TdivI of int * int * int  (** checks the divisor like [Value.div] *)
-  | TmodI of int * int * int  (** MOD intrinsic, int args *)
-  | TcmpF of cmp * int * int * int  (** int dst <- 0/1, [Float.compare] *)
-  | TcmpI of cmp * int * int * int
-  | TnegF of int * int
-  | TnegI of int * int
-  | Tnot of int * int  (** int dst <- 1 - (src <> 0) *)
-  | Tbool of int * int  (** int dst <- src <> 0 (normalize to 0/1) *)
-  | Tcheck_step of int  (** error if int reg is 0 *)
-  | Tin1F of string * (float -> float) * int * int  (** intrinsic f(x) *)
-  | Tin2F of string * (float -> float -> float) * int * int * int
-  | TfniF of string * (float -> int) * int * int  (** nint/floor/... *)
-  | TmaxF of int * int * int  (** IEEE [>] pick, like variadic_minmax *)
-  | TminF of int * int * int
-  | TmaxI of int * int * int  (** compared via float_of_int, like boxed *)
-  | TminI of int * int * int
-  | TabsF of int * int
-  | TabsI of int * int
-  | Tjmp of int
-  | Tjf of int * int  (** jump when int reg = 0 *)
-  | Tjt of int * int
-  | Tloop_test of { t_ireg : int; t_hireg : int; t_stepreg : int; t_target : int }
-  | Tinc of int * int
-  | Tloop_fini of { t_sid : int; t_loreg : int; t_hireg : int; t_stepreg : int }
-  | Tpoll
-  | Tcrit_enter
-  | Tcrit_exit
-  | Treturn
-  | Texit
-
-(** A typed variant of a program: same scalars/arrays tables (ids are
-    shared), registers split across float and int banks.  [t_sty]
-    gives the value kind every scalar slot must hold for the typed
-    code to be exact; the typed bind re-checks it and falls back to
-    the boxed frame on mismatch. *)
+(** The value kind of a typed register or scalar slot: float bank,
+    int bank, or a bool as 0/1 in the int bank. *)
 type ty = TF | TI | TB
-
-type tprogram = {
-  tcode : tinstr array;
-  t_nf : int;  (** float-bank size *)
-  t_ni : int;  (** int-bank size *)
-  t_sty : ty array;  (** per-scalar expected value kind *)
-}
 
 (** A compiled call site.  The callee AST rides along so the VM's
     [callenv] can dispatch it without any name lookup: the same
@@ -416,6 +354,102 @@ and instr =
   | Icheck_alloc of int * bool
       (** array id, is-store: raise the tree-walker's unallocated-array
           error before the access's subscripts are evaluated *)
+
+and tinstr =
+  | TconstF of int * float
+  | TconstI of int * int  (** ints; bools are 0/1 in the int bank *)
+  | TmovF of int * int
+  | TmovI of int * int
+  | TldsF of int * int  (** dst <- slot (must hold Real), scalar id *)
+  | TldsI of int * int
+  | TldsB of int * int  (** dst (int bank, 0/1) <- Bool slot *)
+  | TstsF of int * int  (** slot <- Real dst: declared-real slot *)
+  | TstsF_ofI of int * int  (** declared-real slot <- float_of_int reg *)
+  | TstsI of int * int
+  | TstsI_ofF of int * int  (** declared-int slot <- int_of_float reg *)
+  | TstsB of int * int
+  | TstsI_raw of int * int  (** raw DO-variable store, no coercion *)
+  | Ti2f of int * int  (** float dst <- float_of_int int src *)
+  | Tf2i of int * int  (** int dst <- int_of_float float src *)
+  | Tld1F of int * int * int  (** dst, array id, index reg (rank 1) *)
+  | Tld2F of int * int * int * int
+  | Tld1I of int * int * int
+  | Tld2I of int * int * int * int
+  | Tst1F of int * int * int  (** array id, index reg, src *)
+  | Tst2F of int * int * int * int
+  | Tst1I of int * int * int
+  | Tst2I of int * int * int * int
+  | TaddF of int * int * int
+  | TsubF of int * int * int
+  | TmulF of int * int * int
+  | TdivF of int * int * int
+  | TpowF of int * int * int
+  | TaddI of int * int * int
+  | TsubI of int * int * int
+  | TmulI of int * int * int
+  | TdivI of int * int * int  (** checks the divisor like [Value.div] *)
+  | TmodI of int * int * int  (** MOD intrinsic, int args *)
+  | TcmpF of cmp * int * int * int  (** int dst <- 0/1, [Float.compare] *)
+  | TcmpI of cmp * int * int * int
+  | TnegF of int * int
+  | TnegI of int * int
+  | Tnot of int * int  (** int dst <- 1 - (src <> 0) *)
+  | Tbool of int * int  (** int dst <- src <> 0 (normalize to 0/1) *)
+  | Tcheck_step of int  (** error if int reg is 0 *)
+  | Tin1F of string * (float -> float) * int * int  (** intrinsic f(x) *)
+  | Tin2F of string * (float -> float -> float) * int * int * int
+  | TfniF of string * (float -> int) * int * int  (** nint/floor/... *)
+  | TmaxF of int * int * int  (** IEEE [>] pick, like variadic_minmax *)
+  | TminF of int * int * int
+  | TmaxI of int * int * int  (** compared via float_of_int, like boxed *)
+  | TminI of int * int * int
+  | TabsF of int * int
+  | TabsI of int * int
+  | Tjmp of int
+  | Tjf of int * int  (** jump when int reg = 0 *)
+  | Tjt of int * int
+  | Tloop_test of { t_ireg : int; t_hireg : int; t_stepreg : int; t_target : int }
+  | Tinc of int * int
+  | Tloop_fini of { t_sid : int; t_loreg : int; t_hireg : int; t_stepreg : int }
+  | Tpoll
+  | Tcrit_enter
+  | Tcrit_exit
+  | Treturn
+  | Texit
+  | Tcall of { tc_site : call_site; tc_args : targ array; tc_res : tres }
+      (** [Icall] over the typed banks: actuals are boxed at the call
+          boundary, the result lands in the bank of the callee's
+          declared result kind *)
+  | Tallocate of { ta_raw : int; ta_name : string; ta_bounds : (int * int) array }
+      (** [Iallocate], (lo, hi) int-bank registers per dimension *)
+  | Tdealloc of int * string
+  | Tallocated of int * int * string  (** int dst <- 0/1 *)
+  | Tcheck_alloc of int * bool
+
+(** One actual of a typed call: the caller's slot, or a register value
+    (from the float bank, the int bank, or a 0/1 bool). *)
+and targ = Ta_alias of int | Ta_f of int | Ta_i of int | Ta_b of int
+
+(** Where a typed call's result goes: nowhere (statement CALL) or a
+    register of the float bank, the int bank, or a bool in the int bank. *)
+and tres = Tr_none | Tr_f of int | Tr_i of int | Tr_b of int
+
+(** A typed variant of a program: same scalars/arrays tables (ids are
+    shared), registers split across float and int banks.  [t_sty]
+    gives the value kind every scalar slot must hold for the typed
+    code to be exact; the typed bind re-checks it and falls back to
+    the boxed frame on mismatch. *)
+and tprogram = {
+  tcode : tinstr array;
+  t_nf : int;  (** float-bank size *)
+  t_ni : int;  (** int-bank size *)
+  t_sty : ty array;  (** per-scalar expected value kind *)
+  t_raw_int : (int * bool) array;
+      (** raw ids passed to a callee that may rewrite an Int actual to
+          Real ([false]: the slot must not hold an Int) or store a raw
+          Int into it ([true]: it must hold one); verified at bind, see
+          {!effects} *)
+}
 
 (** The VM's hooks back into the interpreter.  [ce_call cs bindings]
     runs the callee of [cs] with pre-marshalled bindings and must behave
@@ -787,6 +821,160 @@ let written_dummies (sp : Ast.subprogram) : (string, unit) Hashtbl.t =
       () sp.Ast.sub_body;
     locked (fun () -> Phys_sub.replace written_memo sp w);
     w
+
+(* --- value-kind effects of calls ------------------------------------------ *)
+
+(* A typed frame checks once, at bind, that each scalar slot it reads
+   holds the value kind it was specialized for.  Coercing stores keep a
+   slot's kind, so only two things can change it under a running frame:
+   the setup_scope quirk, which rewrites an Int aliased to a dummy
+   declared REAL into a Real, and a DO loop, which stores raw Ints into
+   its variable.  [fx_real.(k)]/[fx_int.(k)] say whether a call of the
+   subprogram may do either to its k-th actual's slot (index [nargs] is
+   a function's result slot); [ue_real]/[ue_int] collect the non-local
+   names some subprogram may do it to.  Dummies passed on to further
+   calls propagate, so the unit is solved to a fixpoint.  Names are
+   matched conservatively: any bare actual, any designator head that
+   names a subprogram. *)
+type effects = { fx_real : bool array; fx_int : bool array }
+
+type unit_effects = {
+  ue_subs : (string, effects) Hashtbl.t;  (** by lowercase subprogram name *)
+  ue_real : (string, unit) Hashtbl.t;
+  ue_int : (string, unit) Hashtbl.t;
+}
+
+let effects_memo : (string, unit_effects) Hashtbl.t = Hashtbl.create 16
+
+let solve_effects (subs : (string, Ast.subprogram * string option) Hashtbl.t) :
+    unit_effects =
+  let ue = { ue_subs = Hashtbl.create 32; ue_real = Hashtbl.create 8; ue_int = Hashtbl.create 8 } in
+  let all = Hashtbl.fold (fun key (sp, _) acc -> (key, sp) :: acc) subs [] in
+  List.iter
+    (fun (key, (sp : Ast.subprogram)) ->
+      let n = List.length sp.Ast.sub_args + 1 in
+      Hashtbl.replace ue.ue_subs key { fx_real = Array.make n false; fx_int = Array.make n false })
+    all;
+  let changed = ref true in
+  let sub_effects (key, (sp : Ast.subprogram)) =
+    let fx = Hashtbl.find ue.ue_subs key in
+    let nargs = List.length sp.Ast.sub_args in
+    let vars = local_var_names sp in
+    let commons = List.concat_map (function Ast.Common (_, ns) -> ns | _ -> []) sp.Ast.sub_decls in
+    let local n =
+      (not (List.mem n commons))
+      && List.exists
+           (function
+             | Ast.Var_decl { entities; _ } ->
+               List.exists (fun e -> e.Ast.ent_name = n) entities
+             | _ -> false)
+           sp.Ast.sub_decls
+    in
+    (* note that a call of [sp] may rewrite name [n] (to Real if [real],
+       else to a raw Int) *)
+    let mark ~real n =
+      let slot =
+        match List.find_index (String.equal n) sp.Ast.sub_args with
+        | Some k -> Some k
+        | None -> if n = sp.Ast.sub_name && sp.Ast.sub_kind <> `Subroutine then Some nargs else None
+      in
+      match slot with
+      | Some k ->
+        let a = if real then fx.fx_real else fx.fx_int in
+        if not a.(k) then begin
+          a.(k) <- true;
+          changed := true
+        end
+      | None ->
+        let names = if real then ue.ue_real else ue.ue_int in
+        if not (Hashtbl.mem names n || local n) then begin
+          Hashtbl.replace names n ();
+          changed := true
+        end
+    in
+    List.iter
+      (function
+        | Ast.Var_decl { base = Ast.Real | Ast.Real8; entities; _ } ->
+          List.iter
+            (fun e ->
+              if List.mem e.Ast.ent_name sp.Ast.sub_args then mark ~real:true e.Ast.ent_name)
+            entities
+        | _ -> ())
+      sp.Ast.sub_decls;
+    let pass callee args =
+      match Hashtbl.find_opt ue.ue_subs (String.lowercase_ascii callee) with
+      | Some cfx when not (Hashtbl.mem vars callee) ->
+        List.iteri
+          (fun j a ->
+            match a with
+            | Ast.Desig [ (n, []) ] when j < Array.length cfx.fx_real - 1 ->
+              if cfx.fx_real.(j) then mark ~real:true n;
+              if cfx.fx_int.(j) then mark ~real:false n
+            | _ -> ())
+          args
+      | _ -> ()
+    in
+    Ast.fold_stmts
+      (fun () s ->
+        (match s with
+        | Ast.Do l -> mark ~real:false l.Ast.do_var
+        | Ast.Call (c, args) -> pass c args
+        | _ -> ());
+        List.iter
+          (Ast.fold_expr
+             (fun () e -> match e with Ast.Desig ((h, args) :: _) -> pass h args | _ -> ())
+             ())
+          (stmt_exprs s))
+      () sp.Ast.sub_body
+  in
+  while !changed do
+    changed := false;
+    List.iter sub_effects all
+  done;
+  ue
+
+let unit_effects env =
+  match locked (fun () -> Hashtbl.find_opt effects_memo env.e_unit) with
+  | Some ue -> ue
+  | None ->
+    let ue = solve_effects env.e_subs in
+    locked (fun () -> Hashtbl.replace effects_memo env.e_unit ue);
+    ue
+
+(* The kind a function's result register gets: the declared kind of its
+   result slot, when nothing in the callee can rewrite that slot. *)
+let result_ty (sp : Ast.subprogram) (fx : effects) : ty option =
+  let of_base = function
+    | Ast.Integer -> Some TI
+    | Ast.Real | Ast.Real8 -> Some TF
+    | Ast.Logical -> Some TB
+    | _ -> None
+  in
+  let n = List.length sp.Ast.sub_args in
+  match sp.Ast.sub_kind with
+  | `Subroutine -> None
+  | `Function _ when List.mem sp.Ast.sub_name sp.Ast.sub_args || fx.fx_real.(n) || fx.fx_int.(n) ->
+    None
+  | `Function rt -> (
+    let name = sp.Ast.sub_name in
+    let declared =
+      List.find_map
+        (function
+          | Ast.Var_decl { base; attrs; entities } ->
+            List.find_map
+              (fun (e : Ast.entity) ->
+                if e.Ast.ent_name <> name then None
+                else if attrs = [] && e.Ast.ent_dims = None && e.Ast.ent_deferred = None then
+                  Some (of_base base)
+                else Some None)
+              entities
+          | Ast.Common (_, names) when List.mem name names -> Some None
+          | _ -> None)
+        sp.Ast.sub_decls
+    in
+    match declared with
+    | Some t -> t
+    | None -> of_base (Option.value rt ~default:Ast.Real8))
 
 (* --- leaf inlining plan -------------------------------------------------- *)
 
@@ -1568,7 +1756,12 @@ let floor_of x = int_of_float (Float.floor x)
 let ceil_of x = int_of_float (Float.ceil x)
 let fmod x y = Float.rem x y
 
-let specialize (p : program) : tprogram option =
+(** The typed variant of [p], or [None] when some register, scalar or
+    instruction has no single provable kind, or when a call could
+    change the kind of a slot the typed code reads (see {!effects}).
+    [env] is the unit [p] was compiled in, whose subprograms' effects
+    the call check consults. *)
+let specialize env (p : program) : tprogram option =
   let nsc = Array.length p.scalars in
   let sty = Array.make nsc TI in
   let sty_ok = Array.make nsc false in
@@ -1647,6 +1840,48 @@ let specialize (p : program) : tprogram option =
   let scalar i =
     if not sty_ok.(i) then raise Treject;
     sty.(i)
+  in
+  (* A typed call may not change the kind of a slot this frame reads
+     (see [effects]).  An alias actual the callee may rewrite Int ->
+     Real must not hold an Int at bind; one it may store a raw Int into
+     must hold one.  Slots the frame reads keep their kind until such a
+     call, so the call then leaves them alone, under any name. *)
+  let effects = lazy (unit_effects env) in
+  let has_call = ref false in
+  let raw_int = ref [] in
+  let typed_call (cs : call_site) =
+    let fx =
+      match
+        Hashtbl.find_opt (Lazy.force effects).ue_subs
+          (String.lowercase_ascii cs.cs_sub.Ast.sub_name)
+      with
+      | Some fx -> fx
+      | None -> raise Treject
+    in
+    let args =
+      Array.mapi
+        (fun k spec ->
+          match spec with
+          | Arg_alias rid ->
+            let real = fx.fx_real.(k) and int = fx.fx_int.(k) in
+            if real && int then raise Treject;
+            if real || int then raw_int := (rid, int) :: !raw_int;
+            Ta_alias rid
+          | Arg_value r -> (
+            match ty_of r with TF -> Ta_f bank.(r) | TI -> Ta_i bank.(r) | TB -> Ta_b bank.(r))
+          | Arg_elem _ -> raise Treject)
+        cs.cs_args
+    in
+    let res =
+      if cs.cs_dst < 0 then Tr_none
+      else
+        let d = cs.cs_dst in
+        let t = match result_ty cs.cs_sub fx with Some t -> t | None -> raise Treject in
+        def d t;
+        match t with TF -> Tr_f bank.(d) | TI -> Tr_i bank.(d) | TB -> Tr_b bank.(d)
+    in
+    has_call := true;
+    Tcall { tc_site = cs; tc_args = args; tc_res = res }
   in
   let cmp_of = function
     | Ast.Lt -> Clt
@@ -2012,21 +2247,28 @@ let specialize (p : program) : tprogram option =
           def d TF;
           tvec_push out (TconstF (bank.(d), epsilon_float))
         | _ -> raise Treject)
-      | Icheck_alloc _ ->
-        (* typed frames bind only allocated arrays and never allocate:
-           the check can never fire *)
-        ()
-      | Iallocate _ | Idealloc _ | Iallocated _ -> raise Treject
-      | Icall _ | Iprint _ | Istop _ | Idummy_adjust _ -> (
-        match p.code.(i) with
-        | Idummy_adjust sid -> (
-          (* the quirk only rewrites an Int value; a slot the typed
-             bind verified as Real or Bool is untouched by it, and
-             typed stores keep it that way: nothing to emit.  An
-             Integer-based dummy would be rewritten to Real -> the
-             program is not typable. *)
-          match scalar sid with TF | TB -> () | TI -> raise Treject)
-        | _ -> raise Treject)
+      | Icheck_alloc (a, store) -> tvec_push out (Tcheck_alloc (a, store))
+      | Iallocate { al_raw; al_name; al_bounds } ->
+        let reg r = if ty_of r <> TI then raise Treject else bank.(r) in
+        tvec_push out
+          (Tallocate
+             {
+               ta_raw = al_raw;
+               ta_name = al_name;
+               ta_bounds = Array.map (fun (l, h) -> (reg l, reg h)) al_bounds;
+             })
+      | Idealloc (rid, name) -> tvec_push out (Tdealloc (rid, name))
+      | Iallocated (d, rid, name) ->
+        def d TB;
+        tvec_push out (Tallocated (bank.(d), rid, name))
+      | Icall cs -> tvec_push out (typed_call cs)
+      | Idummy_adjust sid -> (
+        (* the quirk only rewrites an Int value; a slot the typed bind
+           verified as Real or Bool is untouched by it, and typed stores
+           keep it that way: nothing to emit.  An Integer-based dummy
+           would be rewritten to Real -> the program is not typable. *)
+        match scalar sid with TF | TB -> () | TI -> raise Treject)
+      | Iprint _ | Istop _ -> raise Treject
       | Ijmp t -> tvec_push out (Tjmp t)
       | Ijf (r, t) -> tvec_push out (Tjf (as_cond r, t))
       | Ijt (r, t) -> tvec_push out (Tjt (as_cond r, t))
@@ -2066,6 +2308,18 @@ let specialize (p : program) : tprogram option =
        so untypable bases were already rejected; keep the assertion
        cheap anyway *)
     Array.iteri (fun i ok -> if not ok then ignore (scalar i)) sty_ok;
+    (* a callee, or anything it calls, may rewrite the kind of a
+       module or COMMON scalar this frame reads *)
+    if !has_call then begin
+      let ue = Lazy.force effects in
+      Array.iteri
+        (fun i (r : scalar_ref) ->
+          if r.spath = [] then
+            match sty.(i) with
+            | TI -> if Hashtbl.mem ue.ue_real r.sname then raise Treject
+            | TF | TB -> if Hashtbl.mem ue.ue_int r.sname then raise Treject)
+        p.scalars
+    end;
     (* retarget jumps from boxed pcs to typed pcs *)
     let tcode = Array.sub out.titems 0 out.tlen in
     Array.iteri
@@ -2078,7 +2332,14 @@ let specialize (p : program) : tprogram option =
           tcode.(i) <- Tloop_test { lt with t_target = map.(lt.t_target) }
         | _ -> ())
       tcode;
-    Some { tcode; t_nf = max 1 !nf; t_ni = max 1 !ni; t_sty = sty }
+    Some
+      {
+        tcode;
+        t_nf = max 1 !nf;
+        t_ni = max 1 !ni;
+        t_sty = sty;
+        t_raw_int = Array.of_list (List.rev !raw_int);
+      }
   with Treject -> None
 
 (* --- entry points -------------------------------------------------------- *)
@@ -2134,7 +2395,7 @@ let finish ctx : program =
       typed = None;
     }
   in
-  { p with typed = specialize p }
+  { p with typed = specialize ctx.env p }
 
 (* Compile raw (no cache): Ok program or Error bail-reason. *)
 let compile_raw env ~scope ~in_sub (body : Ast.stmt list) :
@@ -2404,13 +2665,14 @@ let has_prefix u k =
 let plan_count u =
   locked (fun () -> Hashtbl.fold (fun k _ n -> if has_prefix u k then n + 1 else n) plans 0)
 
-(** Drop every cached program, frame plan and stats site belonging to
-    [unit_key] (the listener calls this when it evicts a script from
-    its own cache, so long-lived serve processes don't accumulate them
-    for dead scripts). *)
+(** Drop every cached program, frame plan, call-effects summary and
+    stats site belonging to [unit_key] (the listener calls this when it
+    evicts a script from its own cache, so long-lived serve processes
+    don't accumulate them for dead scripts). *)
 let purge_unit u =
   locked (fun () ->
       let doomed tbl = Hashtbl.fold (fun k _ acc -> if has_prefix u k then k :: acc else acc) tbl [] in
       List.iter (Hashtbl.remove cache) (doomed cache);
-      List.iter (Hashtbl.remove plans) (doomed plans));
+      List.iter (Hashtbl.remove plans) (doomed plans);
+      Hashtbl.remove effects_memo u);
   Stats.purge_unit u

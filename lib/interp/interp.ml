@@ -332,9 +332,7 @@ and eval_desig st scope (parts : Ast.designator) : Value.t =
         match args with
         | [ Ast.Desig [ (vname, []) ] ] -> (
           match lookup scope vname with
-          | Some { entry = Array _; _ } -> Value.Bool true
-          | Some { entry = Unalloc _; _ } -> Value.Bool false
-          | Some _ -> error "allocated() of non-allocatable %s" vname
+          | Some slot -> Value.Bool (Storage.allocated slot vname)
           | None -> error "allocated() of unknown variable %s" vname)
         | _ -> error "allocated() expects one variable"
       else
@@ -590,7 +588,7 @@ and run_sub_body ?cs st (sp : Ast.subprogram) scope :
         Vm.bind p scope ~printer:st.printer ~env:(callenv st) ~dovars:[]
       with
       | Some b ->
-        Bytecode.Stats.run site;
+        Bytecode.Stats.run site ~typed:(Vm.is_typed b);
         (try Vm.exec_bound b with Sub_return -> ());
         Some (p, b)
       | None ->
@@ -892,29 +890,14 @@ and exec_stmt st scope (s : Ast.stmt) =
                    | e -> (1, Value.to_int (eval st scope e)))
                  exprs)
           in
-          let elem =
-            match slot.entry with
-            | Unalloc (elem, rank) ->
-              if rank <> Array.length bounds then
-                error "ALLOCATE rank mismatch for %s" name;
-              elem
-            | Array a -> a.Farray.elem
-            | _ -> error "%s is not allocatable" name
-          in
-          Atomic.incr st.alloc_count;
-          slot.entry <- Array (Farray.create elem bounds))
+          Storage.allocate slot name bounds ~count:st.alloc_count)
       allocs
   | Ast.Deallocate ds ->
     List.iter
       (fun d ->
         let name = Ast.desig_name d in
         match lookup scope name with
-        | Some slot -> (
-          match slot.entry with
-          | Array a ->
-            slot.entry <- Unalloc (a.Farray.elem, Farray.rank a)
-          | Unalloc _ -> error "DEALLOCATE of unallocated %s" name
-          | _ -> error "%s is not allocatable" name)
+        | Some slot -> Storage.deallocate slot name
         | None -> error "DEALLOCATE of unknown variable %s" name)
       ds
   | Ast.Print args ->
@@ -958,7 +941,7 @@ and exec_do_serial st scope (l : Ast.do_loop) =
             ~dovars:[ slot ]
         with
         | Some b ->
-          Bytecode.Stats.run site;
+          Bytecode.Stats.run site ~typed:(Vm.is_typed b);
           Some b
         | None ->
           Bytecode.Stats.bail site;
@@ -1152,7 +1135,7 @@ and exec_do_parallel st scope (l : Ast.do_loop) (d : Ast.omp_do) =
               ~dovars:[ slot ]
           with
           | Some b ->
-            Bytecode.Stats.run site;
+            Bytecode.Stats.run site ~typed:(Vm.is_typed b);
             Some b
           | None ->
             Bytecode.Stats.bail site;
@@ -1191,7 +1174,7 @@ and exec_do_parallel st scope (l : Ast.do_loop) (d : Ast.omp_do) =
                 ~dovars:[ oslot; islot ]
             with
             | Some b ->
-              Bytecode.Stats.run site;
+              Bytecode.Stats.run site ~typed:(Vm.is_typed b);
               Some b
             | None ->
               Bytecode.Stats.bail site;
@@ -1331,7 +1314,9 @@ type bytecode_row = Bytecode.Stats.row = {
   r_id : string;
   r_label : string;
   r_reason : string option;  (** first bailing construct, if any *)
-  r_runs : int;  (** executions that ran compiled *)
+  r_runs : int;  (** executions that ran compiled: [r_typed + r_boxed] *)
+  r_typed : int;  (** ...on the typed (unboxed) VM *)
+  r_boxed : int;  (** ...on the boxed VM *)
   r_bails : int;  (** executions that fell back to the tree-walker *)
 }
 

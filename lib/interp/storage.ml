@@ -74,6 +74,42 @@ let implicit_base name =
   | 'i' .. 'n' -> Ast.Integer
   | _ -> Ast.Real8
 
+(** {1 Allocation}
+
+    ALLOCATE, DEALLOCATE and [allocated()] on one resolved slot.  The
+    tree-walker and both VM dispatch loops go through these, so the
+    checks, the error texts and the ALLOCATE counter are one
+    implementation. *)
+
+let allocate (slot : slot) name bounds ~(count : int Atomic.t) =
+  let elem =
+    match slot.entry with
+    | Unalloc (elem, rank) ->
+      if rank <> Array.length bounds then error "ALLOCATE rank mismatch for %s" name;
+      elem
+    | Array a -> a.Farray.elem
+    | _ -> error "%s is not allocatable" name
+  in
+  Atomic.incr count;
+  slot.entry <- Array (Farray.create elem bounds)
+
+let deallocate (slot : slot) name =
+  match slot.entry with
+  | Array a -> slot.entry <- Unalloc (a.Farray.elem, Farray.rank a)
+  | Unalloc _ -> error "DEALLOCATE of unallocated %s" name
+  | _ -> error "%s is not allocatable" name
+
+let allocated (slot : slot) name =
+  match slot.entry with
+  | Array _ -> true
+  | Unalloc _ -> false
+  | _ -> error "allocated() of non-allocatable %s" name
+
+(** The error of an element access to the unallocated array [name]. *)
+let unallocated_error name ~store =
+  if store then error "cannot assign to %s this way" name
+  else error "%s used before allocation" name
+
 (** {1 Argument bindings}
 
     The evaluated form of one actual argument, shared between the

@@ -12,11 +12,18 @@
     to the tree-walker.
 
     When the program carries a typed variant (see
-    {!Bytecode.specialize}) and the executing scope's current values
-    match the inferred kinds, [bind] returns an unboxed typed frame
-    instead; otherwise the boxed frame.  Both produce bit-identical
-    results — the typed dispatch loop performs the same primitive
-    operations in the same order, minus the [Value] boxing.
+    {!Bytecode.specialize}) and the executing scope's scalar slots are
+    declared with, and hold, the inferred kinds, [bind] returns an
+    unboxed typed frame instead; otherwise the boxed frame.  Both
+    produce bit-identical results — the typed dispatch loop performs
+    the same primitive operations in the same order, minus the [Value]
+    boxing.  Both frames run compiled calls (through the interpreter's
+    [call_site_entry]), ALLOCATE, DEALLOCATE and [allocated()] (through
+    the {!Storage} helpers the tree-walker uses), and bind arrays that
+    may be unallocated: such a binding has empty bounds, so only the
+    checked out-of-range path ever sees it, and it raises the
+    tree-walker's error there.  After a call or an (de)allocation the
+    frame re-reads its array slots (DESIGN.md §19).
 
     A compiled call keeps its callee's bound frame per domain
     ({!cframe}) and re-binds only what a {!Bytecode.frame_plan} says can
@@ -65,7 +72,9 @@ type frame = {
 }
 
 (** Typed array binding: the raw element bank (one of the two arrays
-    is empty) plus the same pre-fetched bounds. *)
+    is empty) plus the same pre-fetched bounds.  A bad binding has
+    empty bounds and banks, like the boxed one, so its accesses all take
+    the out-of-range branch. *)
 type tabind = {
   t_f : float array;
   t_i : int array;
@@ -74,7 +83,8 @@ type tabind = {
   c_lo2 : int;
   c_hi2 : int;
   c_s1 : int;
-  c_ba : Farray.t;  (** identity, for frame reuse *)
+  c_ba : Farray.t;  (** identity, for frame reuse; the array itself for a rank mismatch *)
+  c_bad : bad;
 }
 
 type tframe = {
@@ -85,6 +95,8 @@ type tframe = {
   tarrays : tabind array;
   taslots : Storage.slot array;
   tarefs : Bytecode.array_ref array;
+  traws : Storage.slot array;
+  tenv : Bytecode.callenv;
   mutable ttick : int;
   mutable tcrit : int;
 }
@@ -159,13 +171,19 @@ let resolve_slot scope name path : Storage.slot option =
 (* Typed construction aborts back to the boxed frame. *)
 exception Fall
 
-let tabind_of (aref : Bytecode.array_ref) ab =
-  if ab.b_bad <> Good then raise Fall;
+(* The typed binding for [r] given its slot's entry, after the same
+   checks as [abind_of].  [Fall] when the element kind is not the one
+   the typed code was specialized for — for an unallocated array too,
+   whose kind an ALLOCATE under the running frame would bring in. *)
+let tabind_of ~entry (r : Bytecode.array_ref) (e : Storage.entry) =
+  let ab = match abind_of ~entry r e with Some ab -> ab | None -> raise Fall in
   let tf, ti =
-    match (aref.Bytecode.aelem, ab.ba.Farray.data) with
-    | Farray.Efloat, Farray.F fa when ab.ba.Farray.elem = Farray.Efloat -> (fa, [||])
-    | Farray.Eint, Farray.I ia when ab.ba.Farray.elem = Farray.Eint -> ([||], ia)
-    | _ -> raise Fall
+    match (ab.b_bad, r.Bytecode.aelem, ab.ba.Farray.data, e) with
+    | Good, Farray.Efloat, Farray.F fa, _ when ab.ba.Farray.elem = Farray.Efloat -> (fa, [||])
+    | Good, Farray.Eint, Farray.I ia, _ when ab.ba.Farray.elem = Farray.Eint -> ([||], ia)
+    | Good, _, _, _ -> raise Fall
+    | _, elem, _, Storage.Unalloc (elem', _) when elem <> elem' -> raise Fall
+    | _ -> ([||], [||])
   in
   {
     t_f = tf;
@@ -176,20 +194,22 @@ let tabind_of (aref : Bytecode.array_ref) ab =
     c_hi2 = ab.b_hi2;
     c_s1 = ab.b_s1;
     c_ba = ab.ba;
+    c_bad = ab.b_bad;
   }
 
 (* Every scalar holds the value kind the typed code was specialized
-   for, and no DO-variable slot the driver writes raw Ints into is
-   typed otherwise. *)
+   for, in a slot declared with that kind (so the coercing stores of
+   a callee or of the boxed engine keep it), and no DO-variable slot
+   the driver writes raw Ints into is typed otherwise. *)
 let typed_scalars_ok (tp : Bytecode.tprogram) (scalars : Storage.slot array)
     (dovars : Storage.slot list) =
   let ok = ref true in
   Array.iteri
     (fun i (sl : Storage.slot) ->
-      (match (tp.Bytecode.t_sty.(i), sl.Storage.entry) with
-      | Bytecode.TF, Storage.Scalar (Value.Real _)
-      | Bytecode.TI, Storage.Scalar (Value.Int _)
-      | Bytecode.TB, Storage.Scalar (Value.Bool _) ->
+      (match (tp.Bytecode.t_sty.(i), sl.Storage.base, sl.Storage.entry) with
+      | Bytecode.TF, (Ast.Real | Ast.Real8), Storage.Scalar (Value.Real _)
+      | Bytecode.TI, Ast.Integer, Storage.Scalar (Value.Int _)
+      | Bytecode.TB, Ast.Logical, Storage.Scalar (Value.Bool _) ->
         ()
       | _ -> ok := false);
       List.iter
@@ -198,12 +218,26 @@ let typed_scalars_ok (tp : Bytecode.tprogram) (scalars : Storage.slot array)
     scalars;
   !ok
 
+(* The raw slots a typed call passes to a callee that may change their
+   kind hold the kind that call leaves alone. *)
+let typed_raws_ok (tp : Bytecode.tprogram) (raws : Storage.slot array) =
+  Array.for_all
+    (fun (rid, int) ->
+      match raws.(rid).Storage.entry with
+      | Storage.Scalar (Value.Int _) -> int
+      | _ -> not int)
+    tp.Bytecode.t_raw_int
+
 let try_typed (p : Bytecode.program) (tp : Bytecode.tprogram)
-    (scalars : Storage.slot array) (arrays : abind array) aslots
-    (dovars : Storage.slot list) : tframe option =
+    (scalars : Storage.slot array) aslots raws env (dovars : Storage.slot list) :
+    tframe option =
   try
-    if not (typed_scalars_ok tp scalars dovars) then raise Fall;
-    let tarrays = Array.map2 tabind_of p.Bytecode.arrays arrays in
+    if not (typed_scalars_ok tp scalars dovars && typed_raws_ok tp raws) then raise Fall;
+    let tarrays =
+      Array.map2
+        (fun r (sl : Storage.slot) -> tabind_of ~entry:true r sl.Storage.entry)
+        p.Bytecode.arrays aslots
+    in
     Some
       {
         tcode = tp.Bytecode.tcode;
@@ -213,6 +247,8 @@ let try_typed (p : Bytecode.program) (tp : Bytecode.tprogram)
         tarrays;
         taslots = aslots;
         tarefs = p.Bytecode.arrays;
+        traws = raws;
+        tenv = env;
         ttick = 0;
         tcrit = 0;
       }
@@ -299,7 +335,7 @@ let bind (p : Bytecode.program) (scope : Storage.scope) ~printer
     in
     match p.Bytecode.typed with
     | Some tp -> (
-      match try_typed p tp scalars arrays aslots dovars with
+      match try_typed p tp scalars aslots raws env dovars with
       | Some tf -> Some (Bt tf)
       | None -> Some (boxed ()))
     | None -> Some (boxed ())
@@ -317,24 +353,47 @@ let store_whole a v =
 
 let corrupt () = Storage.error "bytecode: register/slot invariant violated"
 
+let check_alloc bad ~store =
+  match bad with Unallocated n -> Storage.unallocated_error n ~store | Good | Rank_mismatch -> ()
+
 (* The checked element access behind the rank-1/rank-2 fast paths (and
    every rank-N access): a binding with no array raises the
    tree-walker's unallocated error; otherwise the generic [Farray]
    access converts the subscripts and raises the tree-walker's bounds
    or rank error, or succeeds (e.g. real-valued subscripts). *)
 let slow_load ab (idx : Value.t array) =
-  (match ab.b_bad with
-  | Unallocated n -> Storage.error "%s used before allocation" n
-  | _ -> ());
+  check_alloc ab.b_bad ~store:false;
   let idx = Array.map Value.to_int idx in
   Value.of_cell (Farray.get ab.ba idx)
 
 let slow_store ab (idx : Value.t array) v =
-  (match ab.b_bad with
-  | Unallocated n -> Storage.error "cannot assign to %s this way" n
-  | _ -> ());
+  check_alloc ab.b_bad ~store:true;
   let idx = Array.map Value.to_int idx in
   Farray.set ab.ba idx (Value.to_cell v)
+
+(* The typed fast paths' out-of-range branch, which every access through
+   a bad binding takes (its bounds are empty): raise what the boxed slow
+   path raises for the same subscripts — the unallocated error, or
+   [Farray]'s rank or bounds error. *)
+let oob ab ~store (idx : int array) =
+  check_alloc ab.c_bad ~store;
+  ignore (Farray.offset ab.c_ba idx);
+  corrupt ()
+
+(* [revalidate] for typed frames. *)
+let trevalidate fr =
+  let arrays = fr.tarrays in
+  for i = 0 to Array.length arrays - 1 do
+    let ab = arrays.(i) in
+    match fr.taslots.(i).Storage.entry with
+    | Storage.Array a when a == ab.c_ba && ab.c_bad = Good -> ()
+    | Storage.Unalloc _ when (match ab.c_bad with Unallocated _ -> true | _ -> false) -> ()
+    | e -> (
+      (* a slot's element kind never changes, so this cannot fall *)
+      match tabind_of ~entry:false fr.tarefs.(i) e with
+      | tb -> arrays.(i) <- tb
+      | exception Fall -> corrupt ())
+  done
 
 (* Generic binop semantics, shared with the typed fast paths in [exec]:
    exactly the tree-walker's [eval_binop] (Gt/Ge swap operands into
@@ -461,45 +520,21 @@ let exec fr : bool =
          slow_store arrays.(a) (Array.map (fun i -> regs.(i)) irs) regs.(r);
          incr pc
        | Bytecode.Icheck_alloc (a, store) ->
-         (match arrays.(a).b_bad with
-         | Unallocated n ->
-           if store then Storage.error "cannot assign to %s this way" n
-           else Storage.error "%s used before allocation" n
-         | _ -> ());
+         check_alloc arrays.(a).b_bad ~store;
          incr pc
        | Bytecode.Iallocate { al_raw; al_name; al_bounds } ->
          (* the tree-walker's ALLOCATE, bounds already evaluated *)
          let int_reg r = match regs.(r) with Value.Int i -> i | _ -> corrupt () in
          let bounds = Array.map (fun (l, h) -> (int_reg l, int_reg h)) al_bounds in
-         let slot = fr.raws.(al_raw) in
-         let elem =
-           match slot.Storage.entry with
-           | Storage.Unalloc (elem, rank) ->
-             if rank <> Array.length bounds then
-               Storage.error "ALLOCATE rank mismatch for %s" al_name;
-             elem
-           | Storage.Array a -> a.Farray.elem
-           | _ -> Storage.error "%s is not allocatable" al_name
-         in
-         Atomic.incr fr.env.Bytecode.ce_allocs;
-         slot.Storage.entry <- Storage.Array (Farray.create elem bounds);
+         Storage.allocate fr.raws.(al_raw) al_name bounds ~count:fr.env.Bytecode.ce_allocs;
          revalidate fr;
          incr pc
        | Bytecode.Idealloc (rid, name) ->
-         let slot = fr.raws.(rid) in
-         (match slot.Storage.entry with
-         | Storage.Array a ->
-           slot.Storage.entry <- Storage.Unalloc (a.Farray.elem, Farray.rank a)
-         | Storage.Unalloc _ -> Storage.error "DEALLOCATE of unallocated %s" name
-         | _ -> Storage.error "%s is not allocatable" name);
+         Storage.deallocate fr.raws.(rid) name;
          revalidate fr;
          incr pc
        | Bytecode.Iallocated (d, rid, name) ->
-         regs.(d) <-
-           (match fr.raws.(rid).Storage.entry with
-           | Storage.Array _ -> Value.Bool true
-           | Storage.Unalloc _ -> Value.Bool false
-           | _ -> Storage.error "allocated() of non-allocatable %s" name);
+         regs.(d) <- Value.Bool (Storage.allocated fr.raws.(rid) name);
          incr pc
        | Bytecode.Ibinop (op, d, a, b) ->
          let va = regs.(a) and vb = regs.(b) in
@@ -726,18 +761,14 @@ let texec (fr : tframe) : bool =
        | Bytecode.Tld1F (d, a, ir) ->
          let ab = arrays.(a) in
          let i = iregs.(ir) in
-         if i < ab.c_lo1 || i > ab.c_hi1 then
-           Farray.subscript_error i ab.c_lo1 ab.c_hi1 1;
+         if i < ab.c_lo1 || i > ab.c_hi1 then oob ab ~store:false [| i |];
          fregs.(d) <- Array.unsafe_get ab.t_f (i - ab.c_lo1);
          incr pc
        | Bytecode.Tld2F (d, a, ir, jr) ->
          let ab = arrays.(a) in
-         let i = iregs.(ir) in
-         if i < ab.c_lo1 || i > ab.c_hi1 then
-           Farray.subscript_error i ab.c_lo1 ab.c_hi1 1;
-         let j = iregs.(jr) in
-         if j < ab.c_lo2 || j > ab.c_hi2 then
-           Farray.subscript_error j ab.c_lo2 ab.c_hi2 2;
+         let i = iregs.(ir) and j = iregs.(jr) in
+         if i < ab.c_lo1 || i > ab.c_hi1 || j < ab.c_lo2 || j > ab.c_hi2 then
+           oob ab ~store:false [| i; j |];
          fregs.(d) <-
            Array.unsafe_get ab.t_f
              (i - ab.c_lo1 + ((j - ab.c_lo2) * ab.c_s1));
@@ -745,18 +776,14 @@ let texec (fr : tframe) : bool =
        | Bytecode.Tld1I (d, a, ir) ->
          let ab = arrays.(a) in
          let i = iregs.(ir) in
-         if i < ab.c_lo1 || i > ab.c_hi1 then
-           Farray.subscript_error i ab.c_lo1 ab.c_hi1 1;
+         if i < ab.c_lo1 || i > ab.c_hi1 then oob ab ~store:false [| i |];
          iregs.(d) <- Array.unsafe_get ab.t_i (i - ab.c_lo1);
          incr pc
        | Bytecode.Tld2I (d, a, ir, jr) ->
          let ab = arrays.(a) in
-         let i = iregs.(ir) in
-         if i < ab.c_lo1 || i > ab.c_hi1 then
-           Farray.subscript_error i ab.c_lo1 ab.c_hi1 1;
-         let j = iregs.(jr) in
-         if j < ab.c_lo2 || j > ab.c_hi2 then
-           Farray.subscript_error j ab.c_lo2 ab.c_hi2 2;
+         let i = iregs.(ir) and j = iregs.(jr) in
+         if i < ab.c_lo1 || i > ab.c_hi1 || j < ab.c_lo2 || j > ab.c_hi2 then
+           oob ab ~store:false [| i; j |];
          iregs.(d) <-
            Array.unsafe_get ab.t_i
              (i - ab.c_lo1 + ((j - ab.c_lo2) * ab.c_s1));
@@ -764,18 +791,14 @@ let texec (fr : tframe) : bool =
        | Bytecode.Tst1F (a, ir, r) ->
          let ab = arrays.(a) in
          let i = iregs.(ir) in
-         if i < ab.c_lo1 || i > ab.c_hi1 then
-           Farray.subscript_error i ab.c_lo1 ab.c_hi1 1;
+         if i < ab.c_lo1 || i > ab.c_hi1 then oob ab ~store:true [| i |];
          Array.unsafe_set ab.t_f (i - ab.c_lo1) fregs.(r);
          incr pc
        | Bytecode.Tst2F (a, ir, jr, r) ->
          let ab = arrays.(a) in
-         let i = iregs.(ir) in
-         if i < ab.c_lo1 || i > ab.c_hi1 then
-           Farray.subscript_error i ab.c_lo1 ab.c_hi1 1;
-         let j = iregs.(jr) in
-         if j < ab.c_lo2 || j > ab.c_hi2 then
-           Farray.subscript_error j ab.c_lo2 ab.c_hi2 2;
+         let i = iregs.(ir) and j = iregs.(jr) in
+         if i < ab.c_lo1 || i > ab.c_hi1 || j < ab.c_lo2 || j > ab.c_hi2 then
+           oob ab ~store:true [| i; j |];
          Array.unsafe_set ab.t_f
            (i - ab.c_lo1 + ((j - ab.c_lo2) * ab.c_s1))
            fregs.(r);
@@ -783,18 +806,14 @@ let texec (fr : tframe) : bool =
        | Bytecode.Tst1I (a, ir, r) ->
          let ab = arrays.(a) in
          let i = iregs.(ir) in
-         if i < ab.c_lo1 || i > ab.c_hi1 then
-           Farray.subscript_error i ab.c_lo1 ab.c_hi1 1;
+         if i < ab.c_lo1 || i > ab.c_hi1 then oob ab ~store:true [| i |];
          Array.unsafe_set ab.t_i (i - ab.c_lo1) iregs.(r);
          incr pc
        | Bytecode.Tst2I (a, ir, jr, r) ->
          let ab = arrays.(a) in
-         let i = iregs.(ir) in
-         if i < ab.c_lo1 || i > ab.c_hi1 then
-           Farray.subscript_error i ab.c_lo1 ab.c_hi1 1;
-         let j = iregs.(jr) in
-         if j < ab.c_lo2 || j > ab.c_hi2 then
-           Farray.subscript_error j ab.c_lo2 ab.c_hi2 2;
+         let i = iregs.(ir) and j = iregs.(jr) in
+         if i < ab.c_lo1 || i > ab.c_hi1 || j < ab.c_lo2 || j > ab.c_hi2 then
+           oob ab ~store:true [| i; j |];
          Array.unsafe_set ab.t_i
            (i - ab.c_lo1 + ((j - ab.c_lo2) * ab.c_s1))
            iregs.(r);
@@ -947,6 +966,42 @@ let texec (fr : tframe) : bool =
          fr.tcrit <- fr.tcrit - 1;
          Mutex.unlock Omp.critical_mutex;
          incr pc
+       | Bytecode.Tcall { tc_site; tc_args; tc_res } ->
+         let bindings =
+           Array.fold_right
+             (fun a acc ->
+               (match a with
+               | Bytecode.Ta_alias rid -> `Alias fr.traws.(rid)
+               | Bytecode.Ta_f r -> `Copy (Value.Real fregs.(r), None)
+               | Bytecode.Ta_i r -> `Copy (Value.Int iregs.(r), None)
+               | Bytecode.Ta_b r -> `Copy (Value.Bool (iregs.(r) <> 0), None))
+               :: acc)
+             tc_args []
+         in
+         let result = fr.tenv.Bytecode.ce_call tc_site bindings in
+         trevalidate fr;
+         (match (tc_res, result) with
+         | Bytecode.Tr_none, _ -> ()
+         | Bytecode.Tr_f d, Some (Value.Real x) -> fregs.(d) <- x
+         | Bytecode.Tr_i d, Some (Value.Int x) -> iregs.(d) <- x
+         | Bytecode.Tr_b d, Some (Value.Bool b) -> iregs.(d) <- (if b then 1 else 0)
+         | _ -> corrupt ());
+         incr pc
+       | Bytecode.Tallocate { ta_raw; ta_name; ta_bounds } ->
+         let bounds = Array.map (fun (l, h) -> (iregs.(l), iregs.(h))) ta_bounds in
+         Storage.allocate fr.traws.(ta_raw) ta_name bounds ~count:fr.tenv.Bytecode.ce_allocs;
+         trevalidate fr;
+         incr pc
+       | Bytecode.Tdealloc (rid, name) ->
+         Storage.deallocate fr.traws.(rid) name;
+         trevalidate fr;
+         incr pc
+       | Bytecode.Tallocated (d, rid, name) ->
+         iregs.(d) <- (if Storage.allocated fr.traws.(rid) name then 1 else 0);
+         incr pc
+       | Bytecode.Tcheck_alloc (a, store) ->
+         check_alloc arrays.(a).c_bad ~store;
+         incr pc
        | Bytecode.Treturn -> raise Storage.Sub_return
        | Bytecode.Texit ->
          exited := true;
@@ -961,6 +1016,8 @@ let texec (fr : tframe) : bool =
   !exited
 
 (* --- loop drivers -------------------------------------------------------- *)
+
+let is_typed = function Bt _ -> true | Bf _ -> false
 
 (** Run a bound subprogram body once (RETURN raises [Sub_return],
     which the interpreter's call protocol catches). *)
@@ -1102,6 +1159,11 @@ let rebind cf =
   let entry_abind aref e =
     match abind_of ~entry:true aref e with Some ab -> ab | None -> raise Exit
   in
+  let bind_raws raws =
+    Array.iteri
+      (fun i src -> match src with Bytecode.Src_arg k -> raws.(i) <- cf.dslots.(k) | _ -> ())
+      p.Bytecode.fp_raw_src
+  in
   try
     Array.iter
       (fun (k, path, v) ->
@@ -1112,10 +1174,7 @@ let rebind cf =
     (match cf.bound with
     | Bf fr ->
       bind_scalars fr.scalars;
-      Array.iteri
-        (fun i src ->
-          match src with Bytecode.Src_arg k -> fr.raws.(i) <- cf.dslots.(k) | _ -> ())
-        p.Bytecode.fp_raw_src;
+      bind_raws fr.raws;
       bind_aslots fr.aslots;
       Array.iteri
         (fun i (sl : Storage.slot) ->
@@ -1126,15 +1185,16 @@ let rebind cf =
       fr.tick <- 0
     | Bt tf ->
       bind_scalars tf.tscalars;
+      bind_raws tf.traws;
       bind_aslots tf.taslots;
       Array.iteri
         (fun i (sl : Storage.slot) ->
           match sl.Storage.entry with
-          | Storage.Array a when a == tf.tarrays.(i).c_ba -> ()
-          | e -> tf.tarrays.(i) <- tabind_of tf.tarefs.(i) (entry_abind tf.tarefs.(i) e))
+          | Storage.Array a when a == tf.tarrays.(i).c_ba && tf.tarrays.(i).c_bad = Good -> ()
+          | e -> tf.tarrays.(i) <- tabind_of ~entry:true tf.tarefs.(i) e)
         tf.taslots;
       (match prog.Bytecode.typed with
-      | Some tp when typed_scalars_ok tp tf.tscalars [] -> ()
+      | Some tp when typed_scalars_ok tp tf.tscalars [] && typed_raws_ok tp tf.traws -> ()
       | _ -> raise Exit);
       tf.ttick <- 0);
     true
@@ -1174,7 +1234,7 @@ let call_frame cf ~name (bindings : Storage.arg_binding list) : Value.t option o
     if not (rebind cf) then None
     else begin
       cf.busy <- true;
-      Bytecode.Stats.run (Bytecode.plan_site p);
+      Bytecode.Stats.run (Bytecode.plan_site p) ~typed:(is_typed cf.bound);
       (match exec_bound cf.bound with
       | () | (exception Storage.Sub_return) -> cf.busy <- false
       | exception e ->

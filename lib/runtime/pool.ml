@@ -83,7 +83,8 @@ let max_pool_size = 64
 
 (* --- stats -------------------------------------------------------------- *)
 
-let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
+(* Nanoseconds on the monotonic clock {!Fault.now_s} reads. *)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 (** Region wall-time histogram buckets: [< 1us, < 10us, ..., < 1s, >= 1s]. *)
 let hist_buckets = 8

@@ -848,12 +848,12 @@ module Client = struct
 
   (** Next response line, or [None] on EOF / timeout. *)
   let recv_line ?(timeout_s = 30.0) c =
-    let deadline = Unix.gettimeofday () +. timeout_s in
+    let deadline = Fault.now_s () +. timeout_s in
     let rec go () =
       match take_line c with
       | Some _ as r -> r
       | None ->
-        let left = deadline -. Unix.gettimeofday () in
+        let left = deadline -. Fault.now_s () in
         if left <= 0.0 then None
         else
           (match Unix.select [ c.fd ] [] [] (Float.min 0.1 left) with

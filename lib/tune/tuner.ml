@@ -182,9 +182,9 @@ let measure ?deadline_s ~threads ~repeats ~setup ~calls cu :
     Interp.set_bytecode st true;
     Interp.set_threads st threads;
     List.iter (fun (f, a) -> ignore (Interp.call st f a)) setup;
-    let t0 = Unix.gettimeofday () in
+    let t0 = Fault.now_s () in
     List.iter (fun (f, a) -> ignore (Interp.call st f a)) calls;
-    (Unix.gettimeofday () -. t0) *. 1000.
+    (Fault.now_s () -. t0) *. 1000.
   in
   try
     let tk = Fault.make_token ?deadline_s () in

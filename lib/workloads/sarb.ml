@@ -157,9 +157,9 @@ let measure ?(threads = 4) ?(bytecode = true) ?(repeats = 3) (v : variant) :
   ignore (Interp.call st "entropy_interface" args);
   let samples =
     List.init repeats (fun _ ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = Fault.now_s () in
         ignore (Interp.call st "entropy_interface" args);
-        Unix.gettimeofday () -. t0)
+        Fault.now_s () -. t0)
   in
   match List.sort compare samples with
   | [] -> 0.0

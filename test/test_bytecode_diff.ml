@@ -697,6 +697,436 @@ let test_frames_recursion () =
   check_int "rfact never bailed" 0
     (List.fold_left (fun a r -> a + r.Interp.r_bails) 0 rows)
 
+(* --- typed calls and allocation -------------------------------------------- *)
+
+(* Typed frames run compiled calls, ALLOCATE/DEALLOCATE/allocated() and
+   arrays that may be unallocated.  Each driver is compared against the
+   tree-walker (values on bit patterns, errors as exact text, ALLOCATE
+   counts), and the per-site counters say which VM ran it. *)
+let typed_src =
+  {|
+module tcmod
+  implicit none
+  real*8, allocatable :: buf(:)
+  real*8 :: gx
+end module tcmod
+
+integer function icount(n)
+  implicit none
+  integer :: n
+  integer :: k
+  icount = 0
+  do k = 1, n
+    icount = icount + k
+  end do
+end function icount
+
+real*8 function rhalf(x)
+  implicit none
+  real*8 :: x
+  integer :: k
+  rhalf = 0.0d0
+  do k = 1, 2
+    rhalf = rhalf + x * 0.25d0
+  end do
+end function rhalf
+
+logical function isodd(n)
+  implicit none
+  integer :: n
+  integer :: k
+  isodd = .false.
+  do k = 1, n
+    isodd = .not. isodd
+  end do
+end function isodd
+
+real*8 function drive_fns(n)
+  implicit none
+  integer :: n, i, c
+  real*8 :: s
+  logical :: odd
+  s = 0.0d0
+  c = 0
+  do i = 1, n
+    c = c + icount(i)
+    s = s + rhalf(s + i) + icount(i) / 2
+    odd = isodd(i)
+    if (odd) c = c + 1
+    if (isodd(i + 1) .and. c > 3) s = s - 0.5d0
+  end do
+  drive_fns = s + c
+end function drive_fns
+
+integer function pass_on(c)
+  implicit none
+  integer :: c
+  integer :: k
+  pass_on = 0
+  do k = 1, 2
+    pass_on = pass_on + icount(c)
+  end do
+end function pass_on
+
+integer function drive_pass_on(n)
+  implicit none
+  integer :: n, a, b
+  a = n
+  b = n + 3
+  drive_pass_on = pass_on(a) * 1000 + pass_on(b) * 10 + pass_on(a)
+end function drive_pass_on
+
+subroutine fill_buf(n)
+  use tcmod
+  implicit none
+  integer :: n, k
+  allocate(buf(n))
+  do k = 1, n
+    buf(k) = k * 0.5d0
+  end do
+end subroutine fill_buf
+
+subroutine drop_buf()
+  use tcmod
+  implicit none
+  deallocate(buf)
+end subroutine drop_buf
+
+subroutine regrow(m)
+  use tcmod
+  implicit none
+  integer :: m
+  integer :: k
+  deallocate(buf)
+  allocate(buf(0:m))
+  do k = 0, m
+    buf(k) = k * 1.5d0
+  end do
+end subroutine regrow
+
+subroutine rerank()
+  use tcmod
+  implicit none
+  allocate(buf(2, 3))
+end subroutine rerank
+
+real*8 function drive_drop_read(n)
+  use tcmod
+  implicit none
+  integer :: n
+  real*8 :: s
+  call fill_buf(n)
+  s = buf(n)
+  call drop_buf()
+  drive_drop_read = s + buf(n)
+end function drive_drop_read
+
+real*8 function drive_drop_checked(n)
+  use tcmod
+  implicit none
+  integer :: n
+  real*8 :: s
+  call fill_buf(n)
+  s = buf(icount(2))
+  call drop_buf()
+  drive_drop_checked = s + buf(icount(2))
+end function drive_drop_checked
+
+real*8 function drive_drop_write(n)
+  use tcmod
+  implicit none
+  integer :: n
+  call fill_buf(n)
+  buf(1) = 2.0d0
+  call drop_buf()
+  buf(1) = 3.0d0
+  drive_drop_write = 1.0d0
+end function drive_drop_write
+
+real*8 function drive_regrow(n)
+  use tcmod
+  implicit none
+  integer :: n, i
+  real*8 :: s
+  call fill_buf(n)
+  s = buf(n)
+  call regrow(n + 3)
+  s = s + buf(0) + buf(n + 3)
+  call regrow(2)
+  do i = 0, 2
+    s = s + buf(i)
+  end do
+  if (allocated(buf)) s = s + 100.0d0
+  deallocate(buf)
+  if (.not. allocated(buf)) s = s + 1000.0d0
+  allocate(buf(n))
+  buf(n) = 7.0d0
+  drive_regrow = s + buf(n)
+end function drive_regrow
+
+real*8 function drive_regrow_past(n)
+  use tcmod
+  implicit none
+  integer :: n
+  real*8 :: s
+  call fill_buf(n)
+  s = buf(n)
+  call regrow(2)
+  drive_regrow_past = s + buf(n)
+end function drive_regrow_past
+
+real*8 function drive_rerank(n)
+  use tcmod
+  implicit none
+  integer :: n
+  real*8 :: s
+  call fill_buf(n)
+  s = buf(n)
+  call rerank()
+  drive_rerank = s + buf(1)
+end function drive_rerank
+
+real*8 function saved_sum(n)
+  implicit none
+  integer :: n
+  real*8, allocatable, save :: w(:)
+  integer :: k
+  if (.not. allocated(w)) then
+    allocate(w(4))
+  end if
+  do k = 1, 4
+    w(k) = w(k) + n
+  end do
+  saved_sum = w(1) + w(4)
+end function saved_sum
+
+real*8 function drive_saved(n)
+  implicit none
+  integer :: n, i
+  real*8 :: s
+  s = 0
+  do i = 1, n
+    s = s + saved_sum(i)
+  end do
+  drive_saved = s
+end function drive_saved
+
+real*8 function rpeek(v)
+  implicit none
+  real*8 :: v
+  integer :: j
+  rpeek = 0.0d0
+  do j = 1, 2
+    rpeek = rpeek + v * 0.5d0
+  end do
+end function rpeek
+
+real*8 function drive_quirk(n)
+  implicit none
+  integer :: n, k
+  real*8 :: a
+  k = n
+  a = rpeek(k)
+  a = a + k
+  drive_quirk = a + k / 2
+end function drive_quirk
+
+subroutine count_into(j)
+  implicit none
+  integer :: j
+  integer :: t
+  t = 0
+  do j = 1, 3
+    t = t + j
+  end do
+end subroutine count_into
+
+real*8 function drive_do_alias(n)
+  implicit none
+  integer :: n
+  real*8 :: x
+  x = n * 0.5d0
+  call count_into(x)
+  drive_do_alias = x / 2
+end function drive_do_alias
+
+subroutine spin_gx()
+  use tcmod
+  implicit none
+  integer :: t
+  t = 0
+  do gx = 1, 3
+    t = t + 1
+  end do
+end subroutine spin_gx
+
+real*8 function drive_global_do(n)
+  use tcmod
+  implicit none
+  integer :: n
+  gx = n * 0.5d0
+  call spin_gx()
+  drive_global_do = gx / 2
+end function drive_global_do
+
+subroutine spin_cv()
+  implicit none
+  common /tcblk/ cv
+  real*8 :: cv
+  integer :: t
+  t = 0
+  do cv = 1, 3
+    t = t + 1
+  end do
+end subroutine spin_cv
+
+real*8 function drive_common_do(n)
+  implicit none
+  integer :: n
+  common /tcblk/ cv
+  real*8 :: cv
+  cv = n * 0.5d0
+  call spin_cv()
+  drive_common_do = cv / 2
+end function drive_common_do
+
+real*8 function rthrice(v)
+  implicit none
+  real*8 :: v
+  integer :: j
+  do j = 1, 3
+    v = v * 1.5d0
+  end do
+  rthrice = v
+end function rthrice
+
+real*8 function drive_copy_kinds(n)
+  implicit none
+  integer :: n
+  real*8 :: r, a
+  r = n * 0.25d0
+  a = rthrice(r) + rthrice(n + 1) + rthrice(r) + rthrice(n + 1)
+  drive_copy_kinds = a
+end function drive_copy_kinds
+
+subroutine rsumarr(n, res)
+  implicit none
+  integer :: n
+  real*8 :: res
+  real*8, allocatable :: tmp(:)
+  real*8 :: sub
+  integer :: k
+  allocate(tmp(n))
+  do k = 1, n
+    tmp(k) = k * 0.5d0
+  end do
+  res = 0.0d0
+  do k = 1, n
+    res = res + tmp(k)
+  end do
+  if (n > 1) then
+    call rsumarr(n - 1, sub)
+    res = res + sub
+  end if
+  deallocate(tmp)
+end subroutine rsumarr
+
+real*8 function drive_rsumarr(n)
+  implicit none
+  integer :: n
+  real*8 :: a, b
+  call rsumarr(n, a)
+  call rsumarr(n - 2, b)
+  drive_rsumarr = a * 1000.0d0 + b
+end function drive_rsumarr
+|}
+
+(* Run [fname] on the VM with fresh counters: the unit's stats rows and
+   the state's ALLOCATE count. *)
+let vm_run cu fname args =
+  Interp.reset_bytecode_stats ();
+  let st = Interp.make_state ~printer:ignore cu in
+  (try ignore (Interp.call st fname args) with Interp.Fortran_error _ | Farray.Bounds_error _ -> ());
+  (Interp.bytecode_stats_for st, Interp.allocations st)
+
+let site_count field rows lbl =
+  List.fold_left (fun a r -> if r.Interp.r_label = lbl then a + field r else a) 0 rows
+
+(* Same result (or error) and ALLOCATE count on both engines, and the
+   driver's own body ran on the VM named by [typed]. *)
+let assert_typed_same ?(typed = true) name cu fname args =
+  assert_same name cu fname args;
+  let rows, allocs = vm_run cu fname args in
+  let st = Interp.make_state ~printer:ignore cu in
+  Interp.set_bytecode st false;
+  (try ignore (Interp.call st fname args) with Interp.Fortran_error _ | Farray.Bounds_error _ -> ());
+  check_int (name ^ ": ALLOCATE count") (Interp.allocations st) allocs;
+  let lbl = "sub " ^ fname in
+  check_int (name ^ ": typed runs") (if typed then 1 else 0) (site_count (fun r -> r.Interp.r_typed) rows lbl);
+  check_int (name ^ ": boxed runs") (if typed then 0 else 1) (site_count (fun r -> r.Interp.r_boxed) rows lbl);
+  rows
+
+let typed_cu () = Parser.parse_string typed_src
+
+let test_typed_fn_results () =
+  let rows = assert_typed_same "int/real/logical results" (typed_cu ()) "drive_fns" [ Ast.Int_lit 9 ] in
+  List.iter
+    (fun callee ->
+      check_int (callee ^ " never boxed") 0 (site_count (fun r -> r.Interp.r_boxed) rows ("sub " ^ callee));
+      check_bool (callee ^ " ran typed") true (site_count (fun r -> r.Interp.r_typed) rows ("sub " ^ callee) > 0))
+    [ "icount"; "rhalf"; "isodd" ];
+  (* a reused typed frame passes its own dummy on: the alias must follow
+     each call's actual *)
+  ignore (assert_typed_same "dummy passed on" (typed_cu ()) "drive_pass_on" [ Ast.Int_lit 4 ])
+
+let test_typed_dealloc () =
+  let cu = typed_cu () in
+  ignore (assert_typed_same "read after callee DEALLOCATE" cu "drive_drop_read" [ Ast.Int_lit 5 ]);
+  ignore (assert_typed_same "checked read after DEALLOCATE" cu "drive_drop_checked" [ Ast.Int_lit 5 ]);
+  ignore (assert_typed_same "store after callee DEALLOCATE" cu "drive_drop_write" [ Ast.Int_lit 5 ]);
+  let err = (run_engine ~bytecode:true cu "drive_drop_write" [ Ast.Int_lit 5 ]).r_error in
+  check_bool "store raised the tree-walker's text" true
+    (err = Some "fortran: cannot assign to buf this way")
+
+let test_typed_realloc () =
+  let cu = typed_cu () in
+  ignore (assert_typed_same "callee re-ALLOCATEs new bounds" cu "drive_regrow" [ Ast.Int_lit 6 ]);
+  ignore (assert_typed_same "read past the shrunk array" cu "drive_regrow_past" [ Ast.Int_lit 6 ]);
+  ignore (assert_typed_same "callee re-ALLOCATEs another rank" cu "drive_rerank" [ Ast.Int_lit 6 ]);
+  let err = (run_engine ~bytecode:true cu "drive_rerank" [ Ast.Int_lit 6 ]).r_error in
+  check_bool "rank error raised" true
+    (match err with Some e -> String.length e > 7 && String.sub e 0 7 = "bounds:" | None -> false)
+
+let test_typed_save_guard () =
+  let cu = typed_cu () in
+  let rows = assert_typed_same "SAVE + allocated() guard" cu "drive_saved" [ Ast.Int_lit 5 ] in
+  check_int "saved_sum typed from the first call" 5 (site_count (fun r -> r.Interp.r_typed) rows "sub saved_sum");
+  check_int "saved_sum never boxed" 0 (site_count (fun r -> r.Interp.r_boxed) rows "sub saved_sum")
+
+let test_typed_kind_rule () =
+  let cu = typed_cu () in
+  (* the REAL dummy rewrites the caller's INTEGER k in place: typing
+     the caller would leave it reading an Int slot that holds a Real *)
+  ignore (assert_typed_same ~typed:false "INTEGER actual to REAL dummy" cu "drive_quirk" [ Ast.Int_lit 7 ]);
+  (* a DO loop stores raw Ints into its variable: a REAL actual aliased
+     to it, or a module REAL some callee loops over, ends up an Int *)
+  ignore (assert_typed_same ~typed:false "REAL actual as callee DO variable" cu "drive_do_alias" [ Ast.Int_lit 7 ]);
+  ignore (assert_typed_same ~typed:false "module REAL as callee DO variable" cu "drive_global_do" [ Ast.Int_lit 7 ]);
+  ignore (assert_typed_same ~typed:false "COMMON REAL as callee DO variable" cu "drive_common_do" [ Ast.Int_lit 7 ]);
+  (* a copied-in Int gets an Integer-based slot the quirk turns Real:
+     rthrice's typed frame, specialized for a REAL slot, must not take
+     it, or its stores would skip the slot's INTEGER coercion *)
+  assert_same "copied Int to REAL dummy after a Real" cu "drive_copy_kinds" [ Ast.Int_lit 9 ]
+
+let test_typed_recursion () =
+  let cu = typed_cu () in
+  let rows = assert_typed_same "recursion with local ALLOCATE" cu "drive_rsumarr" [ Ast.Int_lit 6 ] in
+  (* 6 + 4 activations: the second chain's outer call reuses the frame
+     the first left behind, nested calls (frame busy) take the scope
+     path — all typed *)
+  check_int "rsumarr activations typed" 10 (site_count (fun r -> r.Interp.r_typed) rows "sub rsumarr");
+  check_int "rsumarr never boxed" 0 (site_count (fun r -> r.Interp.r_boxed) rows "sub rsumarr")
+
 (* --- example scripts ----------------------------------------------------- *)
 
 (* The script functions take array parameters the calls-file syntax
@@ -968,6 +1398,12 @@ let suites =
         Alcotest.test_case "frame: deallocate" `Quick test_frames_dealloc;
         Alcotest.test_case "frame: allocate errors" `Quick test_frames_alloc_errors;
         Alcotest.test_case "frame: recursion" `Quick test_frames_recursion;
+        Alcotest.test_case "typed: int/real/logical calls" `Quick test_typed_fn_results;
+        Alcotest.test_case "typed: callee deallocates" `Quick test_typed_dealloc;
+        Alcotest.test_case "typed: callee re-allocates" `Quick test_typed_realloc;
+        Alcotest.test_case "typed: SAVE allocate guard" `Quick test_typed_save_guard;
+        Alcotest.test_case "typed: kind rule" `Quick test_typed_kind_rule;
+        Alcotest.test_case "typed: recursion" `Quick test_typed_recursion;
         Alcotest.test_case "workload coverage" `Quick
           test_workload_bytecode_coverage;
         Alcotest.test_case "saxpy script" `Quick test_saxpy_diff;
