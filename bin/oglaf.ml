@@ -192,14 +192,16 @@ let bytecode_stats_flag =
           "After the call, print one line per compiled construct (loop or \
            subprogram body) with its run counts on the typed and on the \
            boxed VM, its bail count and, when it bailed, the construct \
-           that stopped compilation.")
+           that stopped compilation; when it ran boxed, [boxed_reason] \
+           names what kept it off the typed VM.")
 
 let print_bytecode_stats rows =
   List.iter
     (fun (r : Glaf_interp.Interp.bytecode_row) ->
-      Printf.eprintf "bytecode %-24s typed=%-8d boxed=%-8d bails=%-8d%s\n" r.r_label
+      Printf.eprintf "bytecode %-24s typed=%-8d boxed=%-8d bails=%-8d%s%s\n" r.r_label
         r.r_typed r.r_boxed r.r_bails
-        (match r.r_reason with Some why -> " bail=" ^ why | None -> ""))
+        (match r.r_reason with Some why -> " bail=" ^ why | None -> "")
+        (match r.r_boxed_reason with Some why -> " boxed_reason=" ^ why | None -> ""))
     rows
 
 let run_cmd =

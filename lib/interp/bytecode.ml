@@ -14,7 +14,11 @@
     instruction stream, and programs whose every register is provably
     a real, an integer or a logical — calls and allocation included —
     additionally carry an unboxed typed-register variant (see
-    {!specialize}).
+    {!specialize}).  A subprogram body keeps its private scalars — the
+    locals nothing outside the running call can observe — in registers
+    of their own instead of scope slots ({!private_scalars}, DESIGN.md
+    section 20); when {!specialize} rejects a program, the reason rides
+    along for the stats.
 
     Design rules (DESIGN.md sections 13 and 16):
     - {e Compile or fall back, never approximate.}  Compilation raises
@@ -64,13 +68,16 @@ let locked f =
     executions on the typed and on the boxed VM, [sk_bails] counts
     tree-walk fallbacks (compile bails and bind refusals alike);
     [sk_reason] names the first construct that made compilation bail,
-    when it did. *)
+    when it did, and [sk_boxed_reason] the first reason a run took the
+    boxed VM (the construct {!specialize} rejected, or the binding
+    that refused the typed frame). *)
 module Stats = struct
   type site = {
     sk_unit : string;
     sk_id : string;
     sk_label : string;
     mutable sk_reason : string option;
+    mutable sk_boxed_reason : string option;
     sk_typed : int Atomic.t;
     sk_boxed : int Atomic.t;
     sk_bails : int Atomic.t;
@@ -87,6 +94,7 @@ module Stats = struct
     r_id : string;
     r_label : string;
     r_reason : string option;
+    r_boxed_reason : string option;
     r_runs : int;  (** [r_typed + r_boxed] *)
     r_typed : int;
     r_boxed : int;
@@ -106,6 +114,7 @@ module Stats = struct
               sk_id = id;
               sk_label = label;
               sk_reason = None;
+              sk_boxed_reason = None;
               sk_typed = Atomic.make 0;
               sk_boxed = Atomic.make 0;
               sk_bails = Atomic.make 0;
@@ -124,6 +133,14 @@ module Stats = struct
         | Some _ -> ()
         | None -> s.sk_reason <- Some reason)
 
+  (* Unlocked test first: every boxed run of a site calls this. *)
+  let set_boxed_reason s reason =
+    if s.sk_boxed_reason = None then
+      locked (fun () ->
+          match s.sk_boxed_reason with
+          | Some _ -> ()
+          | None -> s.sk_boxed_reason <- Some reason)
+
   let snapshot () : row list =
     let rows =
       locked (fun () ->
@@ -135,6 +152,7 @@ module Stats = struct
                 r_id = s.sk_id;
                 r_label = s.sk_label;
                 r_reason = s.sk_reason;
+                r_boxed_reason = s.sk_boxed_reason;
                 r_runs = typed + boxed;
                 r_typed = typed;
                 r_boxed = boxed;
@@ -230,6 +248,13 @@ type call_site = {
   cs_name : string;  (** call-site spelling, for error messages *)
   cs_args : arg_spec array;
   cs_dst : int;  (** function-result register; [-1] = statement CALL *)
+  cs_idx : int;
+      (** index among the program's call sites: the slot of the calling
+          frame's per-site callee-frame cache *)
+  cs_reval : bool;
+      (** the callee may (de)allocate an array the caller can bind, so
+          the caller re-reads its array slots after the call (see
+          {!effects}) *)
   mutable cs_plan : plan_state;
 }
 
@@ -247,9 +272,10 @@ and src =
 
 (** The entry a fresh local gets at the start of every call, exactly
     what [setup_scope]'s [make_slot] (plus a static initializer) would
-    build. *)
+    build.  A scalar's entry is immutable, so one is shared by every
+    call. *)
 and local_init =
-  | L_scalar of Value.t
+  | L_scalar of Storage.entry
   | L_array of Farray.elem * (int * int) array
   | L_unalloc of Farray.elem * int
 
@@ -263,9 +289,15 @@ and frame_plan = {
   fp_prog : program;
   mutable fp_site : Stats.site;  (** read through {!plan_site} *)
   fp_nargs : int;
-  fp_scalar_src : src array;  (** per [fp_prog.scalars] entry *)
-  fp_array_src : src array;
-  fp_raw_src : src array;
+  fp_arg_scalars : (int * int) array;
+      (** (index in [fp_prog.scalars], dummy index) of each scalar taken
+          from a dummy: the only scalar bindings a call re-points *)
+  fp_arg_arrays : (int * int) array;  (** likewise for [fp_prog.arrays] *)
+  fp_arg_raws : (int * int) array;  (** likewise for [fp_prog.raws] *)
+  fp_kind_scalars : int array;
+      (** scalars whose value kind a typed frame re-checks on every
+          call: all but the fresh locals, whose reset entry has the
+          declared kind *)
   fp_locals : (string * local_init) array;
   fp_real_dummies : int array;
       (** dummies declared REAL: the redeclaration quirk rewrites an
@@ -290,7 +322,13 @@ and program = {
   negatives : string array;
       (** names compilation resolved as not-in-scope (intrinsics, user
           functions); bind verifies they are still not variables *)
+  ncalls : int;  (** call sites ([cs_idx] ranges over [0, ncalls)) *)
+  promoted : string array;
+      (** a subprogram's private scalars, kept in registers: no slot of
+          the executing scope is read or written for them *)
   typed : tprogram option;
+  untyped_why : string option;
+      (** when [typed] is [None]: the construct {!specialize} rejected *)
 }
 
 (** Register-style instructions.  [int] operands are register indices
@@ -339,6 +377,8 @@ and instr =
       (** normal nested-DO completion: store the loop-completed value
           [lo + step * max 0 ((hi-lo+step)/step)]; an EXIT jumps past
           this, so the DO variable keeps its value at the EXIT *)
+  | Iloop_fini_reg of { dst : int; loreg : int; hireg : int; stepreg : int }
+      (** [Iloop_fini] for a DO variable promoted to register [dst] *)
   | Ipoll  (** cancellation poll (every 256 ticks) *)
   | Iprint of int array
   | Icrit_enter  (** lock the global CRITICAL/ATOMIC mutex *)
@@ -411,6 +451,7 @@ and tinstr =
   | Tloop_test of { t_ireg : int; t_hireg : int; t_stepreg : int; t_target : int }
   | Tinc of int * int
   | Tloop_fini of { t_sid : int; t_loreg : int; t_hireg : int; t_stepreg : int }
+  | Tloop_fini_reg of { t_dst : int; t_loreg : int; t_hireg : int; t_stepreg : int }
   | Tpoll
   | Tcrit_enter
   | Tcrit_exit
@@ -449,16 +490,6 @@ and tprogram = {
           Real ([false]: the slot must not hold an Int) or store a raw
           Int into it ([true]: it must hold one); verified at bind, see
           {!effects} *)
-}
-
-(** The VM's hooks back into the interpreter.  [ce_call cs bindings]
-    runs the callee of [cs] with pre-marshalled bindings and must behave
-    exactly like the tail of the tree-walker's [call_subprogram] (scope
-    setup, body, copy-out, result); [ce_allocs] is the state's ALLOCATE
-    counter, which [Iallocate] bumps like the tree-walker does. *)
-type callenv = {
-  ce_call : call_site -> Storage.arg_binding list -> Value.t option;
-  ce_allocs : int Atomic.t;
 }
 
 (** Compilation environment beyond the representative scope: what the
@@ -531,6 +562,11 @@ type ctx = {
   mutable crit : int;  (* compile-time CRITICAL nesting depth *)
   mutable end_patches : int list;  (* top-level CYCLE -> end of body *)
   mutable inline : iframe option;  (* set while expanding a leaf callee *)
+  sub : Ast.subprogram option;  (* the subprogram whose body this is *)
+  homes : (string, int * Ast.base_type) Hashtbl.t;
+      (* promoted private scalars: home register, declared base *)
+  mutable nhomes : int;  (* homes are registers [0, nhomes) *)
+  mutable ncalls : int;
   dealloc_names : (string, unit) Hashtbl.t Lazy.t;
       (* every DEALLOCATE target in the unit: arrays that may be
          unallocated at run time even when allocated at compile time *)
@@ -741,6 +777,21 @@ let stmt_exprs (s : Ast.stmt) : Ast.expr list =
     []
   | Ast.Omp_atomic _ | Ast.Omp_critical _ -> []
 
+(* The expressions [setup_scope] evaluates on every call of [sp]:
+   declared bounds and initializers. *)
+let decl_exprs (sp : Ast.subprogram) : Ast.expr list =
+  let dims ds = List.concat_map (fun (lo, hi) -> Option.to_list lo @ [ hi ]) ds in
+  List.concat_map
+    (function
+      | Ast.Var_decl { attrs; entities; _ } ->
+        List.concat_map (function Ast.Dimension ds -> dims ds | _ -> []) attrs
+        @ List.concat_map
+            (fun (e : Ast.entity) ->
+              Option.fold ~none:[] ~some:dims e.Ast.ent_dims @ Option.to_list e.Ast.ent_init)
+            entities
+      | _ -> [])
+    sp.Ast.sub_decls
+
 (* Names [sp] binds as variables: dummies, declared entities, COMMON
    members.  A designator head outside this set is an intrinsic or a
    function reference. *)
@@ -835,8 +886,20 @@ let written_dummies (sp : Ast.subprogram) : (string, unit) Hashtbl.t =
    names some subprogram may do it to.  Dummies passed on to further
    calls propagate, so the unit is solved to a fixpoint.  Names are
    matched conservatively: any bare actual, any designator head that
-   names a subprogram. *)
-type effects = { fx_real : bool array; fx_int : bool array }
+   names a subprogram.
+
+   The same pass collects what a call may (de)allocate, for the
+   caller's decision to re-read its array slots afterwards:
+   [fx_alloc_out] when the callee, or anything it calls, ALLOCATEs or
+   DEALLOCATEs a dummy, a module or a COMMON name; [fx_alloc_saves] the
+   (lowercase) subprograms whose SAVE locals it may (de)allocate.  A
+   fresh local of any activation is invisible to every caller. *)
+type effects = {
+  fx_real : bool array;
+  fx_int : bool array;
+  mutable fx_alloc_out : bool;
+  fx_alloc_saves : (string, unit) Hashtbl.t;
+}
 
 type unit_effects = {
   ue_subs : (string, effects) Hashtbl.t;  (** by lowercase subprogram name *)
@@ -853,7 +916,13 @@ let solve_effects (subs : (string, Ast.subprogram * string option) Hashtbl.t) :
   List.iter
     (fun (key, (sp : Ast.subprogram)) ->
       let n = List.length sp.Ast.sub_args + 1 in
-      Hashtbl.replace ue.ue_subs key { fx_real = Array.make n false; fx_int = Array.make n false })
+      Hashtbl.replace ue.ue_subs key
+        {
+          fx_real = Array.make n false;
+          fx_int = Array.make n false;
+          fx_alloc_out = false;
+          fx_alloc_saves = Hashtbl.create 2;
+        })
     all;
   let changed = ref true in
   let sub_effects (key, (sp : Ast.subprogram)) =
@@ -861,14 +930,31 @@ let solve_effects (subs : (string, Ast.subprogram * string option) Hashtbl.t) :
     let nargs = List.length sp.Ast.sub_args in
     let vars = local_var_names sp in
     let commons = List.concat_map (function Ast.Common (_, ns) -> ns | _ -> []) sp.Ast.sub_decls in
-    let local n =
-      (not (List.mem n commons))
-      && List.exists
-           (function
-             | Ast.Var_decl { entities; _ } ->
-               List.exists (fun e -> e.Ast.ent_name = n) entities
-             | _ -> false)
-           sp.Ast.sub_decls
+    let declared n =
+      List.find_map
+        (function
+          | Ast.Var_decl { attrs; entities; _ } ->
+            if List.exists (fun e -> e.Ast.ent_name = n) entities then Some attrs else None
+          | _ -> None)
+        sp.Ast.sub_decls
+    in
+    let local n = (not (List.mem n commons)) && declared n <> None in
+    let add_save s =
+      if not (Hashtbl.mem fx.fx_alloc_saves s) then begin
+        Hashtbl.replace fx.fx_alloc_saves s ();
+        changed := true
+      end
+    in
+    let alloc_out () =
+      if not fx.fx_alloc_out then begin
+        fx.fx_alloc_out <- true;
+        changed := true
+      end
+    in
+    let note_alloc d =
+      let n = Ast.desig_name d in
+      if List.mem n sp.Ast.sub_args || not (local n) then alloc_out ()
+      else if List.mem Ast.Save (Option.value (declared n) ~default:[]) then add_save key
     in
     (* note that a call of [sp] may rewrite name [n] (to Real if [real],
        else to a raw Int) *)
@@ -904,6 +990,8 @@ let solve_effects (subs : (string, Ast.subprogram * string option) Hashtbl.t) :
     let pass callee args =
       match Hashtbl.find_opt ue.ue_subs (String.lowercase_ascii callee) with
       | Some cfx when not (Hashtbl.mem vars callee) ->
+        if cfx.fx_alloc_out then alloc_out ();
+        Hashtbl.iter (fun s () -> add_save s) cfx.fx_alloc_saves;
         List.iteri
           (fun j a ->
             match a with
@@ -914,17 +1002,19 @@ let solve_effects (subs : (string, Ast.subprogram * string option) Hashtbl.t) :
           args
       | _ -> ()
     in
+    let visit =
+      Ast.fold_expr (fun () e -> match e with Ast.Desig ((h, args) :: _) -> pass h args | _ -> ()) ()
+    in
+    List.iter visit (decl_exprs sp);
     Ast.fold_stmts
       (fun () s ->
         (match s with
         | Ast.Do l -> mark ~real:false l.Ast.do_var
         | Ast.Call (c, args) -> pass c args
+        | Ast.Allocate allocs -> List.iter (fun (d, _) -> note_alloc d) allocs
+        | Ast.Deallocate ds -> List.iter note_alloc ds
         | _ -> ());
-        List.iter
-          (Ast.fold_expr
-             (fun () e -> match e with Ast.Desig ((h, args) :: _) -> pass h args | _ -> ())
-             ())
-          (stmt_exprs s))
+        List.iter visit (stmt_exprs s))
       () sp.Ast.sub_body
   in
   while !changed do
@@ -940,6 +1030,35 @@ let unit_effects env =
     let ue = solve_effects env.e_subs in
     locked (fun () -> Hashtbl.replace effects_memo env.e_unit ue);
     ue
+
+(* Whether a call of [sp] compiled in [ctx] may (de)allocate an array
+   the calling frame binds.  The frame binds dummies, module and COMMON
+   names — [fx_alloc_out] — and SAVE locals: its own subprogram's, and,
+   through an array dummy or from a loop body, anyone's. *)
+let may_realloc_for ctx (sp : Ast.subprogram) =
+  let scalar_dummy (f : Ast.subprogram) n =
+    List.exists
+      (function
+        | Ast.Var_decl { attrs; entities; _ } ->
+          (not (List.exists (function Ast.Dimension _ -> true | _ -> false) attrs))
+          && List.exists
+               (fun (e : Ast.entity) ->
+                 e.Ast.ent_name = n && e.Ast.ent_dims = None && e.Ast.ent_deferred = None)
+               entities
+        | _ -> false)
+      f.Ast.sub_decls
+  in
+  match Hashtbl.find_opt (unit_effects ctx.env).ue_subs (String.lowercase_ascii sp.Ast.sub_name) with
+  | None -> true
+  | Some fx -> (
+    fx.fx_alloc_out
+    || Hashtbl.length fx.fx_alloc_saves > 0
+       &&
+       match ctx.sub with
+       | Some f when ctx.in_sub ->
+         Hashtbl.mem fx.fx_alloc_saves (String.lowercase_ascii f.Ast.sub_name)
+         || not (List.for_all (scalar_dummy f) f.Ast.sub_args)
+       | _ -> true)
 
 (* The kind a function's result register gets: the declared kind of its
    result slot, when nothing in the callee can rewrite that slot. *)
@@ -1073,6 +1192,89 @@ let inline_shadowed env mod_name (shape : leaf_shape) : bool =
     | None -> shape.lf_heads <> []
     | Some msc ->
       List.exists (fun h -> Storage.lookup msc h <> None) shape.lf_heads)
+
+(* --- private scalars ------------------------------------------------------ *)
+
+(* The scalars of [sp] nothing outside the running call can observe:
+   declared once, INTEGER, REAL, REAL*8 or LOGICAL, with no attribute,
+   dimension or initializer; not a dummy, the function result, a COMMON
+   member or an EXTERNAL; and never bound by reference — not a bare
+   actual of a call or function reference (inlined or not, in the body
+   or a declaration), not named by ALLOCATE, DEALLOCATE or allocated().
+   Every read and write of such a name is then a statement of this
+   body, so a register holds it exactly (DESIGN.md section 20).  Names
+   resolve as [compile_desig_load] resolves them: a head the scope
+   binds is a variable, then allocated(), intrinsics, user functions. *)
+let private_scalars ctx (sp : Ast.subprogram) : (string * Ast.base_type) list =
+  let excluded = Hashtbl.create 16 and seen = Hashtbl.create 16 in
+  let exclude n = Hashtbl.replace excluded n () in
+  let cands = ref [] in
+  List.iter exclude sp.Ast.sub_args;
+  exclude sp.Ast.sub_name;
+  exclude (String.lowercase_ascii sp.Ast.sub_name);
+  let bare = function Ast.Desig [ (n, []) ] -> exclude n | _ -> () in
+  let visit =
+    Ast.fold_expr
+      (fun () e ->
+        match e with
+        | Ast.Desig ((h, args) :: _)
+          when Storage.lookup ctx.scope h = None
+               && not (Hashtbl.mem Intrinsics.tbl (String.lowercase_ascii h)) ->
+          (* a user function, or allocated() *)
+          List.iter bare args
+        | _ -> ())
+      ()
+  in
+  List.iter
+    (function
+      | Ast.Var_decl { base; attrs; entities } ->
+        List.iter
+          (fun (e : Ast.entity) ->
+            let n = e.Ast.ent_name in
+            if Hashtbl.mem seen n then exclude n;
+            Hashtbl.replace seen n ();
+            match base with
+            | (Ast.Integer | Ast.Real | Ast.Real8 | Ast.Logical)
+              when attrs = [] && e.Ast.ent_dims = None && e.Ast.ent_deferred = None
+                   && e.Ast.ent_init = None ->
+              cands := (n, base) :: !cands
+            | _ -> exclude n)
+          entities
+      | Ast.Common (_, names) | Ast.External names -> List.iter exclude names
+      | _ -> ())
+    sp.Ast.sub_decls;
+  List.iter visit (decl_exprs sp);
+  Ast.fold_stmts
+    (fun () s ->
+      (match s with
+      | Ast.Call (_, args) -> List.iter bare args
+      | Ast.Allocate allocs -> List.iter (fun (d, _) -> exclude (Ast.desig_name d)) allocs
+      | Ast.Deallocate ds -> List.iter (fun d -> exclude (Ast.desig_name d)) ds
+      | _ -> ());
+      List.iter visit (stmt_exprs s))
+    () sp.Ast.sub_body;
+  List.filter
+    (fun (n, base) ->
+      (not (Hashtbl.mem excluded n))
+      &&
+      match Hashtbl.find_opt ctx.scope.Storage.vars n with
+      | Some { Storage.entry = Storage.Scalar _; base = b; is_param = false } -> b = base
+      | _ -> false)
+    (List.rev !cands)
+
+(* Give each private scalar of [sp] a home register, set to what
+   [setup_scope] gives a fresh local.  Homes are registers
+   [0, nhomes). *)
+let promote_privates ctx sp =
+  List.iter
+    (fun (n, base) ->
+      let h = reg ctx in
+      Hashtbl.replace ctx.homes n (h, base);
+      emit ctx (Iconst (h, Value.zero_of base)))
+    (private_scalars ctx sp);
+  ctx.nhomes <- ctx.nregs
+
+let is_home ctx r = r < ctx.nhomes
 
 (* --- expressions --------------------------------------------------------- *)
 
@@ -1241,6 +1443,9 @@ and compile_desig_load ctx (parts : Ast.designator) : int =
   | None -> (
     match parts with
     | [] -> bail "designator-shape"
+    | (name, args) :: rest when Hashtbl.mem ctx.homes name ->
+      if args <> [] || rest <> [] then bail "designator-shape";
+      fst (Hashtbl.find ctx.homes name)
     | (name, args) :: rest -> (
       match Storage.lookup ctx.scope name with
       | Some slot -> compile_slot_load ctx slot name [] args rest
@@ -1326,14 +1531,7 @@ and compile_marshalled_call ctx sp mod_name name actuals ~is_fn : int =
                re-evaluation both, before any subscript runs *)
             if (array_ref ctx aid).amaybe then
               emit ctx (Icheck_alloc (aid, false));
-            let idx =
-              List.map
-                (fun e ->
-                  let r = compile_expr ctx e in
-                  emit ctx (Ito_int (r, r));
-                  r)
-                args
-            in
+            let idx = List.map (compile_int ctx) args in
             let av =
               compile_elem_load ctx ~unalloc:false arr.Farray.elem n [] args
             in
@@ -1348,6 +1546,8 @@ and compile_marshalled_call ctx sp mod_name name actuals ~is_fn : int =
       sp.Ast.sub_args actuals
   in
   let dst = if is_fn then reg ctx else -1 in
+  let idx = ctx.ncalls in
+  ctx.ncalls <- idx + 1;
   emit ctx
     (Icall
        {
@@ -1356,6 +1556,8 @@ and compile_marshalled_call ctx sp mod_name name actuals ~is_fn : int =
          cs_name = name;
          cs_args = Array.of_list specs;
          cs_dst = dst;
+         cs_idx = idx;
+         cs_reval = may_realloc_for ctx sp;
          cs_plan = Plan_unknown;
        });
   if is_fn then dst else 0
@@ -1493,6 +1695,10 @@ and compile_desig_store ctx (parts : Ast.designator) rv =
   | None -> (
     match parts with
     | [] -> bail "designator-shape"
+    | (name, args) :: rest when Hashtbl.mem ctx.homes name ->
+      if args <> [] || rest <> [] then bail "designator-shape";
+      let h, base = Hashtbl.find ctx.homes name in
+      emit ctx (Icoerce (base, h, rv))
     | (name, args) :: rest -> (
       match Storage.lookup ctx.scope name with
       | Some slot -> compile_slot_store ctx slot name [] args rest rv
@@ -1654,36 +1860,69 @@ and compile_stmt ctx (s : Ast.stmt) =
         emit ctx (Idealloc (raw_id ctx name, name)))
       ds
 
+(* [Ito_int] of an expression into a register of its own: an in-place
+   conversion would rewrite a promoted variable's home, and a loop
+   bound must not move when the body assigns the variable it came
+   from. *)
+and compile_int ctx e =
+  let r = compile_expr ctx e in
+  if is_home ctx r then begin
+    let d = reg ctx in
+    emit ctx (Ito_int (d, r));
+    d
+  end
+  else begin
+    emit ctx (Ito_int (r, r));
+    r
+  end
+
 and compile_serial_do ctx (l : Ast.do_loop) =
-  let sid =
+  (* the DO variable: a scalar slot, or a promoted variable's home *)
+  let var =
     match ctx.inline with
     | Some _ -> bail "inline-shape" (* leaves contain no DO loops *)
     | None -> (
-      match Storage.lookup ctx.scope l.Ast.do_var with
-      | Some slot ->
-        if slot.Storage.is_param then bail "parameter-store";
-        scalar_id ctx slot l.Ast.do_var []
-      | None -> bail "implicit-decl" (* implicit DO-variable declaration *))
+      match Hashtbl.find_opt ctx.homes l.Ast.do_var with
+      | Some (h, _) -> `Home h
+      | None -> (
+        match Storage.lookup ctx.scope l.Ast.do_var with
+        | Some slot ->
+          if slot.Storage.is_param then bail "parameter-store";
+          `Slot (scalar_id ctx slot l.Ast.do_var [])
+        | None -> bail "implicit-decl" (* implicit DO-variable declaration *)))
   in
   (* Bounds evaluate once, in the tree-walker's order (lo, hi, step),
      then the zero-step check fires before any iteration. *)
-  let rlo = compile_expr ctx l.Ast.do_lo in
-  emit ctx (Ito_int (rlo, rlo));
-  let rhi = compile_expr ctx l.Ast.do_hi in
-  emit ctx (Ito_int (rhi, rhi));
+  let rlo = compile_int ctx l.Ast.do_lo in
+  let rhi = compile_int ctx l.Ast.do_hi in
   let rstep =
     match l.Ast.do_step with
-    | Some e ->
-      let r = compile_expr ctx e in
-      emit ctx (Ito_int (r, r));
-      r
+    | Some e -> compile_int ctx e
     | None ->
       let r = reg ctx in
       emit ctx (Iconst (r, Value.Int 1));
       r
   in
   emit ctx (Icheck_step rstep);
-  let ri = reg ctx in
+  (* A home the body never assigns is the counter itself; otherwise the
+     counter is private and each iteration stores it raw, like the
+     tree-walker's per-iteration slot write. *)
+  let body_writes v =
+    Ast.fold_stmts
+      (fun w s ->
+        w
+        ||
+        match s with
+        | Ast.Assign ((h, _) :: _, _) -> h = v
+        | Ast.Do l' -> l'.Ast.do_var = v
+        | _ -> false)
+      false l.Ast.do_body
+  in
+  let ri =
+    match var with
+    | `Home h when not (body_writes l.Ast.do_var) -> h
+    | _ -> reg ctx
+  in
   emit ctx (Icopy (ri, rlo));
   let head = here ctx in
   let jfini =
@@ -1691,7 +1930,9 @@ and compile_serial_do ctx (l : Ast.do_loop) =
       (Iloop_test { ireg = ri; hireg = rhi; stepreg = rstep; target = 0 })
   in
   emit ctx Ipoll;
-  emit ctx (Istore_raw (sid, ri));
+  (match var with
+  | `Slot sid -> emit ctx (Istore_raw (sid, ri))
+  | `Home h -> if h <> ri then emit ctx (Icopy (h, ri)));
   let lctx =
     {
       exit_patches = [];
@@ -1709,7 +1950,10 @@ and compile_serial_do ctx (l : Ast.do_loop) =
   emit ctx (Iinc (ri, rstep));
   emit ctx (Ijmp head);
   patch ctx jfini (here ctx);
-  emit ctx (Iloop_fini { sid; loreg = rlo; hireg = rhi; stepreg = rstep });
+  emit ctx
+    (match var with
+    | `Slot sid -> Iloop_fini { sid; loreg = rlo; hireg = rhi; stepreg = rstep }
+    | `Home dst -> Iloop_fini_reg { dst; loreg = rlo; hireg = rhi; stepreg = rstep });
   (* EXIT jumps here, past Iloop_fini: the DO variable retains its
      value at the point of EXIT (the satellite DO/EXIT fix, native to
      the bytecode path) *)
@@ -1738,7 +1982,7 @@ and compile_serial_do ctx (l : Ast.do_loop) =
    Float.compare too.  Int min/max comparisons go through float_of_int
    first, exactly like variadic_minmax's to_float. *)
 
-exception Treject
+exception Treject of string
 
 type tvec = { mutable titems : tinstr array; mutable tlen : int }
 
@@ -1756,12 +2000,12 @@ let floor_of x = int_of_float (Float.floor x)
 let ceil_of x = int_of_float (Float.ceil x)
 let fmod x y = Float.rem x y
 
-(** The typed variant of [p], or [None] when some register, scalar or
-    instruction has no single provable kind, or when a call could
-    change the kind of a slot the typed code reads (see {!effects}).
-    [env] is the unit [p] was compiled in, whose subprograms' effects
-    the call check consults. *)
-let specialize env (p : program) : tprogram option =
+(** The typed variant of [p], or [Error why] when some register, scalar
+    or instruction has no single provable kind, or when a call could
+    change the kind of a slot the typed code reads (see {!effects});
+    [why] names the first such construct.  [env] is the unit [p] was
+    compiled in, whose subprograms' effects the call check consults. *)
+let specialize env (p : program) : (tprogram, string) result =
   let nsc = Array.length p.scalars in
   let sty = Array.make nsc TI in
   let sty_ok = Array.make nsc false in
@@ -1800,9 +2044,9 @@ let specialize env (p : program) : tprogram option =
     | None ->
       rty.(r) <- Some t;
       bank.(r) <- (match t with TF -> fresh_f () | TI | TB -> fresh_i ())
-    | Some t' -> if t <> t' then raise Treject
+    | Some t' -> if t <> t' then raise (Treject "register kind conflict")
   in
-  let ty_of r = match rty.(r) with Some t -> t | None -> raise Treject in
+  let ty_of r = match rty.(r) with Some t -> t | None -> raise (Treject "register of unknown kind") in
   (* operand access with on-the-fly conversion into a fresh temp; the
      conversions are total (float_of_int / int_of_float never raise),
      exactly like to_float / to_int on numeric Values *)
@@ -1813,7 +2057,7 @@ let specialize env (p : program) : tprogram option =
       let t = fresh_f () in
       tvec_push out (Ti2f (t, bank.(r)));
       t
-    | TB -> raise Treject
+    | TB -> raise (Treject "logical used as a number")
   in
   let as_i_trunc r =
     match ty_of r with
@@ -1822,10 +2066,10 @@ let specialize env (p : program) : tprogram option =
       let t = fresh_i () in
       tvec_push out (Tf2i (t, bank.(r)));
       t
-    | TB -> raise Treject
+    | TB -> raise (Treject "logical used as a number")
   in
   let as_cond r =
-    match ty_of r with TI | TB -> bank.(r) | TF -> raise Treject
+    match ty_of r with TI | TB -> bank.(r) | TF -> raise (Treject "real used as a condition")
   in
   (* to_bool-normalized 0/1 operand, for Eqv/Neqv *)
   let as_bool r =
@@ -1835,10 +2079,10 @@ let specialize env (p : program) : tprogram option =
       let t = fresh_i () in
       tvec_push out (Tbool (t, bank.(r)));
       t
-    | TF -> raise Treject
+    | TF -> raise (Treject "real used as a logical")
   in
   let scalar i =
-    if not sty_ok.(i) then raise Treject;
+    if not sty_ok.(i) then raise (Treject ("scalar " ^ p.scalars.(i).sname ^ " is not integer, real or logical"));
     sty.(i)
   in
   (* A typed call may not change the kind of a slot this frame reads
@@ -1856,7 +2100,7 @@ let specialize env (p : program) : tprogram option =
           (String.lowercase_ascii cs.cs_sub.Ast.sub_name)
       with
       | Some fx -> fx
-      | None -> raise Treject
+      | None -> raise (Treject ("call of " ^ cs.cs_sub.Ast.sub_name ^ " has no effects summary"))
     in
     let args =
       Array.mapi
@@ -1864,19 +2108,19 @@ let specialize env (p : program) : tprogram option =
           match spec with
           | Arg_alias rid ->
             let real = fx.fx_real.(k) and int = fx.fx_int.(k) in
-            if real && int then raise Treject;
+            if real && int then raise (Treject ("call of " ^ cs.cs_sub.Ast.sub_name ^ " may make an actual real or integer"));
             if real || int then raw_int := (rid, int) :: !raw_int;
             Ta_alias rid
           | Arg_value r -> (
             match ty_of r with TF -> Ta_f bank.(r) | TI -> Ta_i bank.(r) | TB -> Ta_b bank.(r))
-          | Arg_elem _ -> raise Treject)
+          | Arg_elem _ -> raise (Treject "array-element actual"))
         cs.cs_args
     in
     let res =
       if cs.cs_dst < 0 then Tr_none
       else
         let d = cs.cs_dst in
-        let t = match result_ty cs.cs_sub fx with Some t -> t | None -> raise Treject in
+        let t = match result_ty cs.cs_sub fx with Some t -> t | None -> raise (Treject ("result of " ^ cs.cs_sub.Ast.sub_name ^ " has no fixed kind")) in
         def d t;
         match t with TF -> Tr_f bank.(d) | TI -> Tr_i bank.(d) | TB -> Tr_b bank.(d)
     in
@@ -1890,7 +2134,7 @@ let specialize env (p : program) : tprogram option =
     | Ast.Ge -> Cge
     | Ast.Eq -> Ceq
     | Ast.Ne -> Cne
-    | _ -> raise Treject
+    | _ -> raise (Treject "non-comparison operator")
   in
   try
     (* slots written raw (DO variables) hold Ints mid-loop regardless
@@ -1898,7 +2142,7 @@ let specialize env (p : program) : tprogram option =
     Array.iter
       (function
         | Istore_raw (sid, _) | Iloop_fini { sid; _ } ->
-          if scalar sid <> TI then raise Treject
+          if scalar sid <> TI then raise (Treject ("DO variable " ^ p.scalars.(sid).sname ^ " is not integer"))
         | _ -> ())
       p.code;
     for i = 0 to n - 1 do
@@ -1913,7 +2157,7 @@ let specialize env (p : program) : tprogram option =
       | Iconst (d, Value.Bool b) ->
         def d TB;
         tvec_push out (TconstI (bank.(d), if b then 1 else 0))
-      | Iconst (_, (Value.Str _ | Value.Arr _)) -> raise Treject
+      | Iconst (_, (Value.Str _ | Value.Arr _)) -> raise (Treject "character or array constant")
       | Icopy (d, s) -> (
         match ty_of s with
         | TF ->
@@ -1943,9 +2187,9 @@ let specialize env (p : program) : tprogram option =
         | TI, TI -> tvec_push out (TstsI (sid, bank.(r)))
         | TI, TF -> tvec_push out (TstsI_ofF (sid, bank.(r)))
         | TB, TB -> tvec_push out (TstsB (sid, bank.(r)))
-        | _ -> raise Treject)
+        | _ -> raise (Treject "assignment of another kind"))
       | Istore_raw (sid, r) ->
-        if ty_of r <> TI then raise Treject;
+        if ty_of r <> TI then raise (Treject "raw store of a non-integer");
         tvec_push out (TstsI_raw (sid, bank.(r)))
       | Icoerce (base, d, s) -> (
         match (base, ty_of s) with
@@ -1964,8 +2208,8 @@ let specialize env (p : program) : tprogram option =
         | Ast.Logical, TB ->
           def d TB;
           tvec_push out (TmovI (bank.(d), bank.(s)))
-        | _ -> raise Treject)
-      | Iload_arr _ | Istore_whole _ | IloadN _ | IstoreN _ -> raise Treject
+        | _ -> raise (Treject "assignment of another kind"))
+      | Iload_arr _ | Istore_whole _ | IloadN _ | IstoreN _ -> raise (Treject "whole-array or rank>2 access")
       | Iload1 (d, a, ir) -> (
         match p.arrays.(a).aelem with
         | Farray.Efloat ->
@@ -1976,7 +2220,7 @@ let specialize env (p : program) : tprogram option =
           let iv = as_i_trunc ir in
           def d TI;
           tvec_push out (Tld1I (bank.(d), a, iv))
-        | _ -> raise Treject)
+        | _ -> raise (Treject "array of another element kind"))
       | Iload2 (d, a, ir, jr) -> (
         match p.arrays.(a).aelem with
         | Farray.Efloat ->
@@ -1989,7 +2233,7 @@ let specialize env (p : program) : tprogram option =
           let jv = as_i_trunc jr in
           def d TI;
           tvec_push out (Tld2I (bank.(d), a, iv, jv))
-        | _ -> raise Treject)
+        | _ -> raise (Treject "array of another element kind"))
       | Istore1 (a, ir, r) -> (
         match p.arrays.(a).aelem with
         | Farray.Efloat ->
@@ -2001,7 +2245,7 @@ let specialize env (p : program) : tprogram option =
           let iv = as_i_trunc ir in
           let rv = as_i_trunc r in
           tvec_push out (Tst1I (a, iv, rv))
-        | _ -> raise Treject)
+        | _ -> raise (Treject "array of another element kind"))
       | Istore2 (a, ir, jr, r) -> (
         match p.arrays.(a).aelem with
         | Farray.Efloat ->
@@ -2014,7 +2258,7 @@ let specialize env (p : program) : tprogram option =
           let jv = as_i_trunc jr in
           let rv = as_i_trunc r in
           tvec_push out (Tst2I (a, iv, jv, rv))
-        | _ -> raise Treject)
+        | _ -> raise (Treject "array of another element kind"))
       | Ibinop (op, d, a, b) -> (
         let ta = ty_of a and tb = ty_of b in
         match op with
@@ -2038,16 +2282,16 @@ let specialize env (p : program) : tprogram option =
                | Ast.Sub -> TsubF (bank.(d), av, bv)
                | Ast.Mul -> TmulF (bank.(d), av, bv)
                | _ -> TdivF (bank.(d), av, bv)))
-          | _ -> raise Treject)
+          | _ -> raise (Treject "logical arithmetic"))
         | Ast.Pow -> (
           match (ta, tb) with
-          | TI, TI -> raise Treject (* integer ** is an int loop *)
+          | TI, TI -> raise (Treject "integer **") (* integer ** is an int loop *)
           | (TF | TI), (TF | TI) ->
             let av = as_f a in
             let bv = as_f b in
             def d TF;
             tvec_push out (TpowF (bank.(d), av, bv))
-          | _ -> raise Treject)
+          | _ -> raise (Treject "logical arithmetic"))
         | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne -> (
           match (ta, tb) with
           | TI, TI ->
@@ -2063,7 +2307,7 @@ let specialize env (p : program) : tprogram option =
           | TB, TB when op = Ast.Eq || op = Ast.Ne ->
             def d TB;
             tvec_push out (TcmpI (cmp_of op, bank.(d), bank.(a), bank.(b)))
-          | _ -> raise Treject)
+          | _ -> raise (Treject "comparison of mixed kinds"))
         | Ast.Eqv | Ast.Neqv ->
           let av = as_bool a in
           let bv = as_bool b in
@@ -2071,7 +2315,7 @@ let specialize env (p : program) : tprogram option =
           tvec_push out
             (TcmpI
                ((if op = Ast.Eqv then Ceq else Cne), bank.(d), av, bv))
-        | Ast.Concat | Ast.And | Ast.Or -> raise Treject)
+        | Ast.Concat | Ast.And | Ast.Or -> raise (Treject "character or unshortened logical operator"))
       | Ineg (d, s) -> (
         match ty_of s with
         | TF ->
@@ -2080,7 +2324,7 @@ let specialize env (p : program) : tprogram option =
         | TI ->
           def d TI;
           tvec_push out (TnegI (bank.(d), bank.(s)))
-        | TB -> raise Treject)
+        | TB -> raise (Treject "negated logical"))
       | Inot (d, s) ->
         let sv = as_cond s in
         def d TB;
@@ -2093,7 +2337,7 @@ let specialize env (p : program) : tprogram option =
         if d = s then begin
           (* in-place narrowing can't retype a register; Int -> Int is
              the identity and needs no code *)
-          match ty_of s with TI -> () | _ -> raise Treject
+          match ty_of s with TI -> () | _ -> raise (Treject "in-place int() of a non-integer")
         end
         else begin
           match ty_of s with
@@ -2103,17 +2347,17 @@ let specialize env (p : program) : tprogram option =
           | TF ->
             def d TI;
             tvec_push out (Tf2i (bank.(d), bank.(s)))
-          | TB -> raise Treject
+          | TB -> raise (Treject "int() of a logical")
         end
       | Icheck_step r ->
-        if ty_of r <> TI then raise Treject;
+        if ty_of r <> TI then raise (Treject "non-integer DO step");
         tvec_push out (Tcheck_step bank.(r))
       | Iintr (name, _, d, args) -> (
         let arg1 () =
-          match args with [| a |] -> a | _ -> raise Treject
+          match args with [| a |] -> a | _ -> raise (Treject ("arity of intrinsic " ^ name))
         in
         let arg2 () =
-          match args with [| a; b |] -> (a, b) | _ -> raise Treject
+          match args with [| a; b |] -> (a, b) | _ -> raise (Treject ("arity of intrinsic " ^ name))
         in
         let un1 f =
           let av = as_f (arg1 ()) in
@@ -2155,7 +2399,7 @@ let specialize env (p : program) : tprogram option =
           | TF ->
             def d TF;
             tvec_push out (TabsF (bank.(d), bank.(arg1 ())))
-          | TB -> raise Treject)
+          | TB -> raise (Treject "abs of a logical"))
         | "iabs" ->
           let av = as_i_trunc (arg1 ()) in
           def d TI;
@@ -2171,7 +2415,7 @@ let specialize env (p : program) : tprogram option =
             let bv = as_f y in
             def d TF;
             tvec_push out (Tin2F (name, fmod, bank.(d), av, bv))
-          | _ -> raise Treject)
+          | _ -> raise (Treject "mod of a logical"))
         | "int" | "ifix" -> (
           match ty_of (arg1 ()) with
           | TI ->
@@ -2180,7 +2424,7 @@ let specialize env (p : program) : tprogram option =
           | TF ->
             def d TI;
             tvec_push out (Tf2i (bank.(d), bank.(arg1 ())))
-          | TB -> raise Treject)
+          | TB -> raise (Treject "int() of a logical"))
         | "nint" ->
           let av = as_f (arg1 ()) in
           def d TI;
@@ -2201,7 +2445,7 @@ let specialize env (p : program) : tprogram option =
           | TI ->
             def d TF;
             tvec_push out (Ti2f (bank.(d), bank.(arg1 ())))
-          | TB -> raise Treject)
+          | TB -> raise (Treject "real() of a logical"))
         | "max" | "amax1" | "dmax1" | "max0" -> (
           let x, y = arg2 () in
           match (ty_of x, ty_of y) with
@@ -2216,7 +2460,7 @@ let specialize env (p : program) : tprogram option =
             let bv = as_f y in
             def d TF;
             tvec_push out (TmaxF (bank.(d), av, bv))
-          | _ -> raise Treject)
+          | _ -> raise (Treject "max of a logical"))
         | "min" | "amin1" | "dmin1" | "min0" -> (
           let x, y = arg2 () in
           match (ty_of x, ty_of y) with
@@ -2228,7 +2472,7 @@ let specialize env (p : program) : tprogram option =
             let bv = as_f y in
             def d TF;
             tvec_push out (TminF (bank.(d), av, bv))
-          | _ -> raise Treject)
+          | _ -> raise (Treject "min of a logical"))
         | "huge" -> (
           match ty_of (arg1 ()) with
           | TI ->
@@ -2237,19 +2481,19 @@ let specialize env (p : program) : tprogram option =
           | TF ->
             def d TF;
             tvec_push out (TconstF (bank.(d), Float.max_float))
-          | TB -> raise Treject)
+          | TB -> raise (Treject "huge of a logical"))
         | "tiny" ->
-          if ty_of (arg1 ()) <> TF then raise Treject;
+          if ty_of (arg1 ()) <> TF then raise (Treject "tiny of a non-real");
           def d TF;
           tvec_push out (TconstF (bank.(d), Float.min_float))
         | "epsilon" ->
-          if ty_of (arg1 ()) <> TF then raise Treject;
+          if ty_of (arg1 ()) <> TF then raise (Treject "epsilon of a non-real");
           def d TF;
           tvec_push out (TconstF (bank.(d), epsilon_float))
-        | _ -> raise Treject)
+        | _ -> raise (Treject ("intrinsic " ^ name)))
       | Icheck_alloc (a, store) -> tvec_push out (Tcheck_alloc (a, store))
       | Iallocate { al_raw; al_name; al_bounds } ->
-        let reg r = if ty_of r <> TI then raise Treject else bank.(r) in
+        let reg r = if ty_of r <> TI then raise (Treject "non-integer ALLOCATE bound") else bank.(r) in
         tvec_push out
           (Tallocate
              {
@@ -2267,14 +2511,14 @@ let specialize env (p : program) : tprogram option =
            verified as Real or Bool is untouched by it, and typed stores
            keep it that way: nothing to emit.  An Integer-based dummy
            would be rewritten to Real -> the program is not typable. *)
-        match scalar sid with TF | TB -> () | TI -> raise Treject)
-      | Iprint _ | Istop _ -> raise Treject
+        match scalar sid with TF | TB -> () | TI -> raise (Treject "INTEGER dummy redeclared REAL"))
+      | Iprint _ | Istop _ -> raise (Treject "PRINT or STOP")
       | Ijmp t -> tvec_push out (Tjmp t)
       | Ijf (r, t) -> tvec_push out (Tjf (as_cond r, t))
       | Ijt (r, t) -> tvec_push out (Tjt (as_cond r, t))
       | Iloop_test { ireg; hireg; stepreg; target } ->
         if ty_of ireg <> TI || ty_of hireg <> TI || ty_of stepreg <> TI then
-          raise Treject;
+          raise (Treject "non-integer DO bounds");
         tvec_push out
           (Tloop_test
              {
@@ -2284,15 +2528,27 @@ let specialize env (p : program) : tprogram option =
                t_target = target;
              })
       | Iinc (ir, sr) ->
-        if ty_of ir <> TI || ty_of sr <> TI then raise Treject;
+        if ty_of ir <> TI || ty_of sr <> TI then raise (Treject "non-integer DO counter");
         tvec_push out (Tinc (bank.(ir), bank.(sr)))
       | Iloop_fini { sid; loreg; hireg; stepreg } ->
         if ty_of loreg <> TI || ty_of hireg <> TI || ty_of stepreg <> TI then
-          raise Treject;
+          raise (Treject "non-integer DO bounds");
         tvec_push out
           (Tloop_fini
              {
                t_sid = sid;
+               t_loreg = bank.(loreg);
+               t_hireg = bank.(hireg);
+               t_stepreg = bank.(stepreg);
+             })
+      | Iloop_fini_reg { dst; loreg; hireg; stepreg } ->
+        if ty_of loreg <> TI || ty_of hireg <> TI || ty_of stepreg <> TI then
+          raise (Treject "non-integer DO bounds");
+        def dst TI;
+        tvec_push out
+          (Tloop_fini_reg
+             {
+               t_dst = bank.(dst);
                t_loreg = bank.(loreg);
                t_hireg = bank.(hireg);
                t_stepreg = bank.(stepreg);
@@ -2316,8 +2572,8 @@ let specialize env (p : program) : tprogram option =
         (fun i (r : scalar_ref) ->
           if r.spath = [] then
             match sty.(i) with
-            | TI -> if Hashtbl.mem ue.ue_real r.sname then raise Treject
-            | TF | TB -> if Hashtbl.mem ue.ue_int r.sname then raise Treject)
+            | TI -> if Hashtbl.mem ue.ue_real r.sname then raise (Treject ("integer " ^ r.sname ^ " may be made real by a call"))
+            | TF | TB -> if Hashtbl.mem ue.ue_int r.sname then raise (Treject ("real or logical " ^ r.sname ^ " may be made integer by a call")))
         p.scalars
     end;
     (* retarget jumps from boxed pcs to typed pcs *)
@@ -2332,7 +2588,7 @@ let specialize env (p : program) : tprogram option =
           tcode.(i) <- Tloop_test { lt with t_target = map.(lt.t_target) }
         | _ -> ())
       tcode;
-    Some
+    Ok
       {
         tcode;
         t_nf = max 1 !nf;
@@ -2340,15 +2596,19 @@ let specialize env (p : program) : tprogram option =
         t_sty = sty;
         t_raw_int = Array.of_list (List.rev !raw_int);
       }
-  with Treject -> None
+  with Treject why -> Error why
 
 (* --- entry points -------------------------------------------------------- *)
 
-let make_ctx env scope ~in_sub =
+let make_ctx env scope ?sub ~in_sub () =
   {
     env;
     scope;
     in_sub;
+    sub;
+    homes = Hashtbl.create 8;
+    nhomes = 0;
+    ncalls = 0;
     code = vec_create ();
     nregs = 0;
     scalar_ids = Hashtbl.create 16;
@@ -2392,16 +2652,26 @@ let finish ctx : program =
       checks = Array.of_list (List.rev ctx.checks);
       negatives =
         Array.of_list (Hashtbl.fold (fun n () acc -> n :: acc) ctx.negs []);
+      ncalls = ctx.ncalls;
+      promoted =
+        Array.of_list (Hashtbl.fold (fun n _ acc -> n :: acc) ctx.homes [] |> List.sort compare);
       typed = None;
+      untyped_why = None;
     }
   in
-  { p with typed = specialize ctx.env p }
+  match specialize ctx.env p with
+  | Ok tp -> { p with typed = Some tp }
+  | Error why -> { p with untyped_why = Some why }
 
-(* Compile raw (no cache): Ok program or Error bail-reason. *)
-let compile_raw env ~scope ~in_sub (body : Ast.stmt list) :
+(* Compile raw (no cache): Ok program or Error bail-reason.  A
+   subprogram body ([sub]) first gets its private scalars promoted. *)
+let compile_raw env ~scope ?sub ~in_sub (body : Ast.stmt list) :
     (program, string) result =
-  let ctx = make_ctx env scope ~in_sub in
-  match List.iter (compile_stmt ctx) body with
+  let ctx = make_ctx env scope ?sub ~in_sub () in
+  match
+    Option.iter (promote_privates ctx) sub;
+    List.iter (compile_stmt ctx) body
+  with
   | () -> Ok (finish ctx)
   | exception Bail reason -> Error reason
 
@@ -2466,7 +2736,7 @@ let compile_sub env ~scope (sp : Ast.subprogram) : program option * Stats.site
   let site = Stats.get ~unit_key:env.e_unit ~id:label ~label in
   let r =
     cached_compile (cache_key env "s" dg) (fun () ->
-        compile_raw env ~scope ~in_sub:true sp.Ast.sub_body)
+        compile_raw env ~scope ~sub:sp ~in_sub:true sp.Ast.sub_body)
   in
   match r with
   | Ok p -> (Some p, site)
@@ -2506,7 +2776,7 @@ let local_init base attrs (e : Ast.entity) : local_init =
     match (deferred, dims) with
     | Some rank, _ when allocatable || e.Ast.ent_deferred <> None ->
       L_unalloc (elem, rank)
-    | _, None -> L_scalar (Value.zero_of base)
+    | _, None -> L_scalar (Storage.Scalar (Value.zero_of base))
     | _, Some ds ->
       L_array
         ( elem,
@@ -2522,7 +2792,7 @@ let local_init base attrs (e : Ast.entity) : local_init =
   | Some ie -> (
     match static_eval ie with
     | Some v -> (
-      try L_scalar (Value.coerce base v) with Value.Runtime_error _ -> raise No_plan)
+      try L_scalar (Storage.Scalar (Value.coerce base v)) with Value.Runtime_error _ -> raise No_plan)
     | None -> raise No_plan)
 
 (* Classify every name of [p] the way [setup_scope] would bind it in a
@@ -2563,6 +2833,8 @@ let build_plan (sp : Ast.subprogram) (p : program) site : frame_plan option =
                 if Hashtbl.mem kinds n then raise No_plan;
                 if Hashtbl.mem commons n then Hashtbl.replace kinds n Src_stable
                 else if List.mem Ast.Save attrs then Hashtbl.replace kinds n Src_save
+                else if Array.mem n p.promoted then
+                  () (* a register of the program: nothing to reset *)
                 else add_local n (local_init base attrs e))
             entities
         | _ -> ())
@@ -2581,7 +2853,7 @@ let build_plan (sp : Ast.subprogram) (p : program) site : frame_plan option =
           let zero =
             try Value.zero_of base with Value.Runtime_error _ -> raise No_plan
           in
-          add_local n (L_scalar zero);
+          add_local n (L_scalar (Storage.Scalar zero));
           Hashtbl.find_opt kinds n)
     in
     let src_of name path =
@@ -2593,15 +2865,26 @@ let build_plan (sp : Ast.subprogram) (p : program) site : frame_plan option =
         | Some s -> s
         | None -> Src_stable)
     in
+    let scalar_src = Array.map (fun r -> src_of r.sname r.spath) p.scalars in
+    let from_args srcs =
+      Array.of_list
+        (List.concat
+           (List.mapi (fun i -> function Src_arg k -> [ (i, k) ] | _ -> []) (Array.to_list srcs)))
+    in
     Some
       {
         fp_uid = Atomic.fetch_and_add plan_uids 1;
         fp_prog = p;
         fp_site = site;
         fp_nargs = List.length sp.Ast.sub_args;
-        fp_scalar_src = Array.map (fun r -> src_of r.sname r.spath) p.scalars;
-        fp_array_src = Array.map (fun r -> src_of r.aname r.apath) p.arrays;
-        fp_raw_src = Array.map (fun n -> src_of n []) p.raws;
+        fp_arg_scalars = from_args scalar_src;
+        fp_arg_arrays = from_args (Array.map (fun r -> src_of r.aname r.apath) p.arrays);
+        fp_arg_raws = from_args (Array.map (fun n -> src_of n []) p.raws);
+        fp_kind_scalars =
+          Array.of_list
+            (List.filter
+               (fun i -> match scalar_src.(i) with Src_local _ -> false | _ -> true)
+               (List.init (Array.length scalar_src) Fun.id));
         fp_locals = Array.of_list (List.rev !locals);
         fp_real_dummies = Array.of_list (List.rev !real_dummies);
         fp_arg_checks =

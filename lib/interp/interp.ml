@@ -514,8 +514,8 @@ and call_subprogram st name (actuals : Ast.expr list) ~caller_scope :
 (* The shared call tail: scope setup, body execution, copy-out and
    result extraction.  Reached from the tree-walker (via
    [call_subprogram], which evaluates actuals with [bind_actual]) and
-   from a compiled [Icall] site [cs] whose callee has no reusable frame
-   yet or whose frame refused the call (via [call_site_entry]) — both
+   from a compiled call site [cs] whose callee has no reusable frame
+   yet or whose frame refused the call (via [callenv]'s [ce_call]) — both
    paths MUST run this exact sequence or compiled and tree-walked calls
    diverge.  A compiled call that finishes here leaves its bound frame
    behind for the next call through the same plan on this domain. *)
@@ -588,7 +588,7 @@ and run_sub_body ?cs st (sp : Ast.subprogram) scope :
         Vm.bind p scope ~printer:st.printer ~env:(callenv st) ~dovars:[]
       with
       | Some b ->
-        Bytecode.Stats.run site ~typed:(Vm.is_typed b);
+        Vm.count_run site b;
         (try Vm.exec_bound b with Sub_return -> ());
         Some (p, b)
       | None ->
@@ -599,23 +599,25 @@ and run_sub_body ?cs st (sp : Ast.subprogram) scope :
       tree_walk ()
   end
 
-(* The VM's view of the interpreter: a compiled [Icall] hands its
-   pre-marshalled bindings to [call_site_entry] (arity was checked at
-   compile time), and [Iallocate] counts into the state's counter. *)
-and callenv st : Bytecode.callenv =
+(* The VM's view of the interpreter: a compiled call runs in this
+   domain's reusable frame for the callee ([call_site_frame]) when it
+   takes the call, otherwise down the scope path with marshalled
+   bindings (arity was checked at compile time), which leaves a frame
+   behind; [Iallocate] counts into the state's counter. *)
+and callenv st : Vm.callenv =
   {
-    Bytecode.ce_call = (fun cs bindings -> call_site_entry st cs bindings);
+    Vm.ce_call =
+      (fun cs bindings ->
+        call_with_bindings ~cs st cs.Bytecode.cs_sub cs.Bytecode.cs_mod cs.Bytecode.cs_name
+          bindings);
+    ce_frame = call_site_frame st;
     ce_allocs = st.alloc_count;
   }
 
-(* A compiled call: reuse this domain's frame for the callee's plan
-   when there is one and it takes the call; otherwise the scope path,
-   which leaves a frame behind. *)
-and call_site_entry st (cs : Bytecode.call_site) bindings =
-  let scope_path () =
-    call_with_bindings ~cs st cs.Bytecode.cs_sub cs.Bytecode.cs_mod
-      cs.Bytecode.cs_name bindings
-  in
+(* This domain's reusable frame for the callee of [cs], if a call left
+   one behind.  The VM caches the answer per call site in the calling
+   frame, so this runs once per site and frame, not once per call. *)
+and call_site_frame st (cs : Bytecode.call_site) =
   let plan =
     match cs.Bytecode.cs_plan with
     | Bytecode.Plan_unknown ->
@@ -625,14 +627,8 @@ and call_site_entry st (cs : Bytecode.call_site) bindings =
     | known -> known
   in
   match plan with
-  | Bytecode.Plan plan -> (
-    match Hashtbl.find_opt (domain_frames st) plan.Bytecode.fp_uid with
-    | Some cf -> (
-      match Vm.call_frame cf ~name:cs.Bytecode.cs_name bindings with
-      | Some r -> r
-      | None -> scope_path ())
-    | None -> scope_path ())
-  | Bytecode.Plan_unknown | Bytecode.Plan_none -> scope_path ()
+  | Bytecode.Plan plan -> Hashtbl.find_opt (domain_frames st) plan.Bytecode.fp_uid
+  | Bytecode.Plan_unknown | Bytecode.Plan_none -> None
 
 and init_module st mod_name : scope =
   match Hashtbl.find_opt st.module_scopes mod_name with
@@ -941,7 +937,7 @@ and exec_do_serial st scope (l : Ast.do_loop) =
             ~dovars:[ slot ]
         with
         | Some b ->
-          Bytecode.Stats.run site ~typed:(Vm.is_typed b);
+          Vm.count_run site b;
           Some b
         | None ->
           Bytecode.Stats.bail site;
@@ -1135,7 +1131,7 @@ and exec_do_parallel st scope (l : Ast.do_loop) (d : Ast.omp_do) =
               ~dovars:[ slot ]
           with
           | Some b ->
-            Bytecode.Stats.run site ~typed:(Vm.is_typed b);
+            Vm.count_run site b;
             Some b
           | None ->
             Bytecode.Stats.bail site;
@@ -1174,7 +1170,7 @@ and exec_do_parallel st scope (l : Ast.do_loop) (d : Ast.omp_do) =
                 ~dovars:[ oslot; islot ]
             with
             | Some b ->
-              Bytecode.Stats.run site ~typed:(Vm.is_typed b);
+              Vm.count_run site b;
               Some b
             | None ->
               Bytecode.Stats.bail site;
@@ -1314,6 +1310,8 @@ type bytecode_row = Bytecode.Stats.row = {
   r_id : string;
   r_label : string;
   r_reason : string option;  (** first bailing construct, if any *)
+  r_boxed_reason : string option;
+      (** first reason a compiled run took the boxed VM, if any *)
   r_runs : int;  (** executions that ran compiled: [r_typed + r_boxed] *)
   r_typed : int;  (** ...on the typed (unboxed) VM *)
   r_boxed : int;  (** ...on the boxed VM *)

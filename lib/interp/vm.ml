@@ -17,17 +17,22 @@
     unboxed typed frame instead; otherwise the boxed frame.  Both
     produce bit-identical results — the typed dispatch loop performs
     the same primitive operations in the same order, minus the [Value]
-    boxing.  Both frames run compiled calls (through the interpreter's
-    [call_site_entry]), ALLOCATE, DEALLOCATE and [allocated()] (through
-    the {!Storage} helpers the tree-walker uses), and bind arrays that
-    may be unallocated: such a binding has empty bounds, so only the
-    checked out-of-range path ever sees it, and it raises the
-    tree-walker's error there.  After a call or an (de)allocation the
-    frame re-reads its array slots (DESIGN.md §19).
+    boxing.  Both frames run compiled calls, ALLOCATE, DEALLOCATE and
+    [allocated()] (through the {!Storage} helpers the tree-walker uses),
+    and bind arrays that may be unallocated: such a binding has empty
+    bounds, so only the checked out-of-range path ever sees it, and it
+    raises the tree-walker's error there.  After an (de)allocation, and
+    after a call whose callee may (de)allocate something the frame can
+    bind, the frame re-reads its array slots (DESIGN.md §19, §20).
 
     A compiled call keeps its callee's bound frame per domain
     ({!cframe}) and re-binds only what a {!Bytecode.frame_plan} says can
-    change between calls (DESIGN.md §18).
+    change between calls (DESIGN.md §18).  Both dispatch loops share one
+    call path ({!call_frame}): the calling frame caches the callee's
+    frame per call site, the calling instruction stages the actuals
+    straight into its dummy slots, and nothing is allocated for an
+    aliased actual; the interpreter's scope path ([callenv.ce_call])
+    takes every call the frame cannot (DESIGN.md §20).
 
     [exec]/[texec] are the dispatch loops; the [run_*] drivers
     reproduce the tree-walker's loop protocols exactly, including the
@@ -57,20 +62,6 @@ type abind = {
   b_bad : bad;
 }
 
-type frame = {
-  code : Bytecode.instr array;
-  regs : Value.t array;
-  scalars : Storage.slot array;
-  arrays : abind array;
-  aslots : Storage.slot array;  (** the slot each array binding reads *)
-  arefs : Bytecode.array_ref array;
-  raws : Storage.slot array;  (** whole-slot aliases for Icall *)
-  env : Bytecode.callenv;
-  printer : string -> unit;
-  mutable tick : int;
-  mutable crit : int;  (* CRITICAL locks held (0 or 1) *)
-}
-
 (** Typed array binding: the raw element bank (one of the two arrays
     is empty) plus the same pre-fetched bounds.  A bad binding has
     empty bounds and banks, like the boxed one, so its accesses all take
@@ -87,7 +78,36 @@ type tabind = {
   c_bad : bad;
 }
 
-type tframe = {
+(** The VM's hooks back into the interpreter.  [ce_call cs bindings]
+    runs the callee of [cs] with marshalled bindings exactly like the
+    tail of the tree-walker's [call_subprogram] (scope setup, body,
+    copy-out, result): the scope path.  [ce_frame cs] is this domain's
+    reusable frame for the callee of [cs], once a call left one behind.
+    [ce_allocs] is the state's ALLOCATE counter, which [Iallocate] bumps
+    like the tree-walker does. *)
+type callenv = {
+  ce_call : Bytecode.call_site -> Storage.arg_binding list -> Value.t option;
+  ce_frame : Bytecode.call_site -> cframe option;
+  ce_allocs : int Atomic.t;
+}
+
+and frame = {
+  code : Bytecode.instr array;
+  regs : Value.t array;
+  scalars : Storage.slot array;
+  arrays : abind array;
+  aslots : Storage.slot array;  (** the slot each array binding reads *)
+  arefs : Bytecode.array_ref array;
+  raws : Storage.slot array;  (** whole-slot aliases for Icall *)
+  env : callenv;
+  callees : cframe option array;  (** per call site: the callee's frame *)
+  why : string;  (** why this program runs boxed, for the stats *)
+  printer : string -> unit;
+  mutable tick : int;
+  mutable crit : int;  (* CRITICAL locks held (0 or 1) *)
+}
+
+and tframe = {
   tcode : Bytecode.tinstr array;
   fregs : float array;
   iregs : int array;
@@ -96,13 +116,30 @@ type tframe = {
   taslots : Storage.slot array;
   tarefs : Bytecode.array_ref array;
   traws : Storage.slot array;
-  tenv : Bytecode.callenv;
+  tenv : callenv;
+  tcallees : cframe option array;
   mutable ttick : int;
   mutable tcrit : int;
 }
 
 (** A bound program, ready to run: boxed or typed. *)
-type bound = Bf of frame | Bt of tframe
+and bound = Bf of frame | Bt of tframe
+
+(** A compiled callee's bound frame, kept for reuse by one domain of one
+    interpreter state: the plan, the bound program, the slots of the
+    plan's fresh locals and the current call's dummy slots, which the
+    calling instruction stages.  [busy] marks a frame whose call is
+    still running (recursion).  A calling frame caches the callee frame
+    of each of its call sites (in [callees]), so after the first call
+    it is found without any lookup: the calling frame runs on one
+    domain of one state too. *)
+and cframe = {
+  plan : Bytecode.frame_plan;
+  bound : bound;
+  lslots : Storage.slot array;
+  dslots : Storage.slot array;
+  mutable busy : bool;
+}
 
 let dummy_slot () =
   { Storage.entry = Storage.Scalar (Value.Int 0); base = Ast.Integer; is_param = false }
@@ -197,67 +234,81 @@ let tabind_of ~entry (r : Bytecode.array_ref) (e : Storage.entry) =
     c_bad = ab.b_bad;
   }
 
-(* Every scalar holds the value kind the typed code was specialized
-   for, in a slot declared with that kind (so the coercing stores of
-   a callee or of the boxed engine keep it), and no DO-variable slot
-   the driver writes raw Ints into is typed otherwise. *)
-let typed_scalars_ok (tp : Bytecode.tprogram) (scalars : Storage.slot array)
-    (dovars : Storage.slot list) =
-  let ok = ref true in
+(* The slot is declared with the value kind the typed code was
+   specialized for (so the coercing stores of a callee or of the boxed
+   engine keep it) and holds it. *)
+let typed_slot_ok (ty : Bytecode.ty) (sl : Storage.slot) =
+  match (ty, sl.Storage.base, sl.Storage.entry) with
+  | Bytecode.TF, (Ast.Real | Ast.Real8), Storage.Scalar (Value.Real _)
+  | Bytecode.TI, Ast.Integer, Storage.Scalar (Value.Int _)
+  | Bytecode.TB, Ast.Logical, Storage.Scalar (Value.Bool _) ->
+    true
+  | _ -> false
+
+(* Every scalar slot is [typed_slot_ok], and no DO-variable slot the
+   driver writes raw Ints into is typed otherwise.  The first failing
+   scalar's name, if any. *)
+let typed_scalars_bad (p : Bytecode.program) (tp : Bytecode.tprogram)
+    (scalars : Storage.slot array) (dovars : Storage.slot list) : string option =
+  let bad = ref None in
   Array.iteri
     (fun i (sl : Storage.slot) ->
-      (match (tp.Bytecode.t_sty.(i), sl.Storage.base, sl.Storage.entry) with
-      | Bytecode.TF, (Ast.Real | Ast.Real8), Storage.Scalar (Value.Real _)
-      | Bytecode.TI, Ast.Integer, Storage.Scalar (Value.Int _)
-      | Bytecode.TB, Ast.Logical, Storage.Scalar (Value.Bool _) ->
-        ()
-      | _ -> ok := false);
-      List.iter
-        (fun dv -> if dv == sl && tp.Bytecode.t_sty.(i) <> Bytecode.TI then ok := false)
-        dovars)
+      let ty = tp.Bytecode.t_sty.(i) in
+      if
+        !bad = None
+        && ((not (typed_slot_ok ty sl))
+           || (ty <> Bytecode.TI && List.exists (fun dv -> dv == sl) dovars))
+      then bad := Some p.Bytecode.scalars.(i).Bytecode.sname)
     scalars;
-  !ok
+  !bad
 
 (* The raw slots a typed call passes to a callee that may change their
    kind hold the kind that call leaves alone. *)
 let typed_raws_ok (tp : Bytecode.tprogram) (raws : Storage.slot array) =
-  Array.for_all
-    (fun (rid, int) ->
-      match raws.(rid).Storage.entry with
-      | Storage.Scalar (Value.Int _) -> int
-      | _ -> not int)
-    tp.Bytecode.t_raw_int
+  let rk = tp.Bytecode.t_raw_int in
+  let ok = ref true in
+  for j = 0 to Array.length rk - 1 do
+    let rid, int = rk.(j) in
+    let holds_int = match raws.(rid).Storage.entry with Storage.Scalar (Value.Int _) -> true | _ -> false in
+    if holds_int <> int then ok := false
+  done;
+  !ok
 
+(* The typed frame, or why the executing scope refuses it. *)
 let try_typed (p : Bytecode.program) (tp : Bytecode.tprogram)
     (scalars : Storage.slot array) aslots raws env (dovars : Storage.slot list) :
-    tframe option =
-  try
-    if not (typed_scalars_ok tp scalars dovars && typed_raws_ok tp raws) then raise Fall;
-    let tarrays =
+    (tframe, string) result =
+  match typed_scalars_bad p tp scalars dovars with
+  | Some n -> Error ("bind: scalar " ^ n ^ " has another kind")
+  | None when not (typed_raws_ok tp raws) -> Error "bind: alias actual has another kind"
+  | None -> (
+    match
       Array.map2
         (fun r (sl : Storage.slot) -> tabind_of ~entry:true r sl.Storage.entry)
         p.Bytecode.arrays aslots
-    in
-    Some
-      {
-        tcode = tp.Bytecode.tcode;
-        fregs = Array.make tp.Bytecode.t_nf 0.0;
-        iregs = Array.make tp.Bytecode.t_ni 0;
-        tscalars = scalars;
-        tarrays;
-        taslots = aslots;
-        tarefs = p.Bytecode.arrays;
-        traws = raws;
-        tenv = env;
-        ttick = 0;
-        tcrit = 0;
-      }
-  with Fall -> None
+    with
+    | exception Fall -> Error "bind: array has another element kind"
+    | tarrays ->
+      Ok
+        {
+          tcode = tp.Bytecode.tcode;
+          fregs = Array.make tp.Bytecode.t_nf 0.0;
+          iregs = Array.make tp.Bytecode.t_ni 0;
+          tscalars = scalars;
+          tarrays;
+          taslots = aslots;
+          tarefs = p.Bytecode.arrays;
+          traws = raws;
+          tenv = env;
+          tcallees = Array.make p.Bytecode.ncalls None;
+          ttick = 0;
+          tcrit = 0;
+        })
 
 (** [dovars] lists the slots a loop driver will write raw Int values
     into (the DO variables); they gate the typed variant only. *)
 let bind (p : Bytecode.program) (scope : Storage.scope) ~printer
-    ~(env : Bytecode.callenv) ~(dovars : Storage.slot list) : bound option =
+    ~(env : callenv) ~(dovars : Storage.slot list) : bound option =
   let ok = ref true in
   let scalars =
     Array.map
@@ -317,7 +368,7 @@ let bind (p : Bytecode.program) (scope : Storage.scope) ~printer
     p.Bytecode.negatives;
   if not !ok then None
   else
-    let boxed () =
+    let boxed why =
       Bf
         {
           code = p.Bytecode.code;
@@ -328,6 +379,8 @@ let bind (p : Bytecode.program) (scope : Storage.scope) ~printer
           arefs = p.Bytecode.arrays;
           raws;
           env;
+          callees = Array.make p.Bytecode.ncalls None;
+          why;
           printer;
           tick = 0;
           crit = 0;
@@ -336,9 +389,9 @@ let bind (p : Bytecode.program) (scope : Storage.scope) ~printer
     match p.Bytecode.typed with
     | Some tp -> (
       match try_typed p tp scalars aslots raws env dovars with
-      | Some tf -> Some (Bt tf)
-      | None -> Some (boxed ()))
-    | None -> Some (boxed ())
+      | Ok tf -> Some (Bt tf)
+      | Error why -> Some (boxed why))
+    | None -> Some (boxed (Option.value p.Bytecode.untyped_why ~default:"untyped"))
 
 (* Whole-array assignment, mirroring the tree-walker's assign_lvalue. *)
 let store_whole a v =
@@ -419,11 +472,192 @@ let binop_slow op va vb =
     | _ -> Storage.error "// expects character operands")
   | Ast.And | Ast.Or -> corrupt () (* compiled to jumps *)
 
+(* --- reusable callee frames ---------------------------------------------- *)
+
+(** Count one run of [b] on [site], and the first reason it ran boxed. *)
+let count_run site = function
+  | Bt _ -> Bytecode.Stats.run site ~typed:true
+  | Bf fr ->
+    Bytecode.Stats.run site ~typed:false;
+    Bytecode.Stats.set_boxed_reason site fr.why
+
+(** Keep the frame [b] that a finished call of [plan]'s callee ran in,
+    adopting the locals of that call's [scope]. *)
+let make_cframe (plan : Bytecode.frame_plan) (b : bound) (scope : Storage.scope) :
+    cframe option =
+  match
+    Array.map (fun (n, _) -> Hashtbl.find scope.Storage.vars n) plan.Bytecode.fp_locals
+  with
+  | lslots ->
+    Some
+      {
+        plan;
+        bound = b;
+        lslots;
+        dslots = Array.make plan.Bytecode.fp_nargs (dummy_slot ());
+        busy = false;
+      }
+  | exception Not_found -> None
+
+(* The slot dummy [k]'s component [path] names this call, or [Exit]. *)
+let arg_slot cf k path =
+  let s = cf.dslots.(k) in
+  if path = [] then s
+  else match Storage.walk_path s path with Some s -> s | None -> raise Exit
+
+(* Point the arg-sourced slot bindings at this call's dummies: only the
+   entries the plan lists, by index. *)
+let rebind_slots cf (scalars : Storage.slot array) (raws : Storage.slot array)
+    (aslots : Storage.slot array) =
+  let p = cf.plan in
+  let prog = p.Bytecode.fp_prog in
+  let ix = p.Bytecode.fp_arg_scalars in
+  for j = 0 to Array.length ix - 1 do
+    let i, k = ix.(j) in
+    let s = arg_slot cf k prog.Bytecode.scalars.(i).Bytecode.spath in
+    match s.Storage.entry with Storage.Scalar _ -> scalars.(i) <- s | _ -> raise Exit
+  done;
+  let ix = p.Bytecode.fp_arg_raws in
+  for j = 0 to Array.length ix - 1 do
+    let i, k = ix.(j) in
+    raws.(i) <- cf.dslots.(k)
+  done;
+  let ix = p.Bytecode.fp_arg_arrays in
+  for j = 0 to Array.length ix - 1 do
+    let i, k = ix.(j) in
+    aslots.(i) <- arg_slot cf k prog.Bytecode.arrays.(i).Bytecode.apath
+  done
+
+(* Point the arg-sourced bindings at this call's dummies and re-check
+   what can differ from call to call: argument kinds and ranks, folded
+   PARAMETER values reached through a dummy, arrays whose storage was
+   replaced (fresh locals, re-ALLOCATEd module arrays) and, for typed
+   frames, the value kind of every scalar but the fresh locals.
+   [false] sends this call down the scope path. *)
+let rebind cf =
+  let p = cf.plan in
+  try
+    let checks = p.Bytecode.fp_arg_checks in
+    for j = 0 to Array.length checks - 1 do
+      let k, path, v = checks.(j) in
+      match (arg_slot cf k path).Storage.entry with
+      | Storage.Scalar v' when compare v v' = 0 -> ()
+      | _ -> raise Exit
+    done;
+    (match cf.bound with
+    | Bf fr ->
+      rebind_slots cf fr.scalars fr.raws fr.aslots;
+      let arrays = fr.arrays in
+      for i = 0 to Array.length arrays - 1 do
+        match fr.aslots.(i).Storage.entry with
+        | Storage.Array a when a == arrays.(i).ba && arrays.(i).b_bad = Good -> ()
+        | e -> (
+          match abind_of ~entry:true fr.arefs.(i) e with
+          | Some ab -> arrays.(i) <- ab
+          | None -> raise Exit)
+      done;
+      fr.tick <- 0
+    | Bt tf ->
+      rebind_slots cf tf.tscalars tf.traws tf.taslots;
+      let arrays = tf.tarrays in
+      for i = 0 to Array.length arrays - 1 do
+        match tf.taslots.(i).Storage.entry with
+        | Storage.Array a when a == arrays.(i).c_ba && arrays.(i).c_bad = Good -> ()
+        | e -> arrays.(i) <- tabind_of ~entry:true tf.tarefs.(i) e
+      done;
+      (match p.Bytecode.fp_prog.Bytecode.typed with
+      | Some tp ->
+        let ix = p.Bytecode.fp_kind_scalars in
+        for j = 0 to Array.length ix - 1 do
+          let i = ix.(j) in
+          if not (typed_slot_ok tp.Bytecode.t_sty.(i) tf.tscalars.(i)) then raise Exit
+        done;
+        if not (typed_raws_ok tp tf.traws) then raise Exit
+      | None -> raise Exit);
+      tf.ttick <- 0);
+    true
+  with Exit | Fall -> false
+
+(* Start a call of [cf]'s callee, whose dummies the calling instruction
+   has staged in [dslots], exactly like the interpreter's scope path
+   would: the REAL redeclaration quirk, fresh locals, then [rebind].
+   [false] means the frame cannot take this call; nothing the caller
+   can observe has happened then, beyond the quirk the scope path
+   repeats. *)
+let enter cf =
+  let p = cf.plan in
+  let rd = p.Bytecode.fp_real_dummies in
+  for j = 0 to Array.length rd - 1 do
+    let s = cf.dslots.(rd.(j)) in
+    match s.Storage.entry with
+    | Storage.Scalar v when Value.is_int v ->
+      s.Storage.entry <- Storage.Scalar (Value.Real (Value.to_float v))
+    | _ -> ()
+  done;
+  let locals = p.Bytecode.fp_locals in
+  for l = 0 to Array.length locals - 1 do
+    cf.lslots.(l).Storage.entry <-
+      (match snd locals.(l) with
+      | Bytecode.L_scalar e -> e
+      | Bytecode.L_array (e, b) -> Storage.Array (Farray.create e b)
+      | Bytecode.L_unalloc (e, r) -> Storage.Unalloc (e, r))
+  done;
+  rebind cf
+
+(* Stands in for a subroutine's (absent) result. *)
+let no_result = Value.Str "(no result)"
+
+(* The function result of the call [cf] just ran, read like the
+   tree-walker reads it; [no_result] for a subroutine. *)
+let result_of cf name =
+  match cf.plan.Bytecode.fp_result with
+  | None -> no_result
+  | Some src -> (
+    let slot =
+      match src with
+      | Bytecode.Src_arg k -> cf.dslots.(k)
+      | Bytecode.Src_local l -> cf.lslots.(l)
+      | Bytecode.Src_save | Bytecode.Src_stable -> assert false
+    in
+    match slot.Storage.entry with
+    | Storage.Scalar v -> v
+    | _ -> Storage.error "function %s did not set its result" name)
+
+(* The calling frame's cached callee frame for [cs], looked up (and
+   cached) on a miss. *)
+let callee (cache : cframe option array) env (cs : Bytecode.call_site) =
+  match Array.unsafe_get cache cs.Bytecode.cs_idx with
+  | Some _ as c -> c
+  | None -> (
+    match env.ce_frame cs with
+    | Some _ as c ->
+      cache.(cs.Bytecode.cs_idx) <- c;
+      c
+    | None -> None)
+
+let is_elem = function Bytecode.Arg_elem _ -> true | _ -> false
+
+(* A typed actual copied in: boxed at the call boundary. *)
+let targ_value fr = function
+  | Bytecode.Ta_alias _ -> corrupt ()
+  | Bytecode.Ta_f r -> Value.Real fr.fregs.(r)
+  | Bytecode.Ta_i r -> Value.Int fr.iregs.(r)
+  | Bytecode.Ta_b r -> Value.Bool (fr.iregs.(r) <> 0)
+
+(* A typed call's result into its bank. *)
+let tstore fr (res : Bytecode.tres) v =
+  match (res, v) with
+  | Bytecode.Tr_none, _ -> ()
+  | Bytecode.Tr_f d, Value.Real x -> fr.fregs.(d) <- x
+  | Bytecode.Tr_i d, Value.Int x -> fr.iregs.(d) <- x
+  | Bytecode.Tr_b d, Value.Bool b -> fr.iregs.(d) <- (if b then 1 else 0)
+  | _ -> corrupt ()
+
 (* One pass over the body.  Returns [true] when a top-level EXIT ended
    the pass (the caller translates that into its loop's exit
    protocol).  On any exception, CRITICAL locks still held are
    released before re-raising, like Fun.protect in the tree-walker. *)
-let exec fr : bool =
+let rec exec fr : bool =
   let code = fr.code in
   let regs = fr.regs in
   let scalars = fr.scalars in
@@ -526,7 +760,7 @@ let exec fr : bool =
          (* the tree-walker's ALLOCATE, bounds already evaluated *)
          let int_reg r = match regs.(r) with Value.Int i -> i | _ -> corrupt () in
          let bounds = Array.map (fun (l, h) -> (int_reg l, int_reg h)) al_bounds in
-         Storage.allocate fr.raws.(al_raw) al_name bounds ~count:fr.env.Bytecode.ce_allocs;
+         Storage.allocate fr.raws.(al_raw) al_name bounds ~count:fr.env.ce_allocs;
          revalidate fr;
          incr pc
        | Bytecode.Idealloc (rid, name) ->
@@ -600,38 +834,9 @@ let exec fr : bool =
          regs.(d) <- f vals;
          incr pc
        | Bytecode.Icall cs ->
-         let bindings =
-           Array.fold_right
-             (fun spec acc ->
-               (match spec with
-               | Bytecode.Arg_alias rid -> `Alias fr.raws.(rid)
-               | Bytecode.Arg_value r -> `Copy (regs.(r), None)
-               | Bytecode.Arg_elem { ae_arr; ae_idx; ae_val } ->
-                 let ab = arrays.(ae_arr) in
-                 let idx =
-                   Array.map
-                     (fun r ->
-                       match regs.(r) with
-                       | Value.Int i -> i
-                       | _ -> corrupt ())
-                     ae_idx
-                 in
-                 (* copy-out through the resolved lvalue, exactly the
-                    tree-walker's writeback: bounds-checked Farray.set *)
-                 let wb v = Farray.set ab.ba idx (Value.to_cell v) in
-                 `Copy (regs.(ae_val), Some wb))
-               :: acc)
-             cs.Bytecode.cs_args []
-         in
-         let result = fr.env.Bytecode.ce_call cs bindings in
+         call_boxed fr cs;
          (* the callee may have (de)allocated arrays this frame binds *)
-         revalidate fr;
-         (match result with
-         | Some v -> if cs.Bytecode.cs_dst >= 0 then regs.(cs.Bytecode.cs_dst) <- v
-         | None ->
-           if cs.Bytecode.cs_dst >= 0 then
-             Storage.error "subroutine %s used as a function"
-               cs.Bytecode.cs_name);
+         if cs.Bytecode.cs_reval then revalidate fr;
          incr pc
        | Bytecode.Ijmp t -> pc := t
        | Bytecode.Ijf (r, t) ->
@@ -655,6 +860,12 @@ let exec fr : bool =
            scalars.(sid).Storage.entry <-
              Storage.Scalar
                (Value.Int (lo + (step * max 0 ((hi - lo + step) / step))))
+         | _ -> corrupt ());
+         incr pc
+       | Bytecode.Iloop_fini_reg { dst; loreg; hireg; stepreg } ->
+         (match (regs.(loreg), regs.(hireg), regs.(stepreg)) with
+         | Value.Int lo, Value.Int hi, Value.Int step ->
+           regs.(dst) <- Value.Int (lo + (step * max 0 ((hi - lo + step) / step)))
          | _ -> corrupt ());
          incr pc
        | Bytecode.Ipoll ->
@@ -695,7 +906,7 @@ let exec fr : bool =
    is the primitive operation its boxed counterpart performs on the
    value kinds the binder verified, so the float/int results are
    bit-identical (DESIGN.md §16). *)
-let texec (fr : tframe) : bool =
+and texec (fr : tframe) : bool =
   let code = fr.tcode in
   let fregs = fr.fregs in
   let iregs = fr.iregs in
@@ -954,6 +1165,12 @@ let texec (fr : tframe) : bool =
            Storage.Scalar
              (Value.Int (lo + (step * max 0 ((hi - lo + step) / step))));
          incr pc
+       | Bytecode.Tloop_fini_reg { t_dst; t_loreg; t_hireg; t_stepreg } ->
+         let lo = iregs.(t_loreg)
+         and hi = iregs.(t_hireg)
+         and step = iregs.(t_stepreg) in
+         iregs.(t_dst) <- lo + (step * max 0 ((hi - lo + step) / step));
+         incr pc
        | Bytecode.Tpoll ->
          fr.ttick <- fr.ttick + 1;
          if fr.ttick land 255 = 0 then Fault.check_current ();
@@ -967,29 +1184,12 @@ let texec (fr : tframe) : bool =
          Mutex.unlock Omp.critical_mutex;
          incr pc
        | Bytecode.Tcall { tc_site; tc_args; tc_res } ->
-         let bindings =
-           Array.fold_right
-             (fun a acc ->
-               (match a with
-               | Bytecode.Ta_alias rid -> `Alias fr.traws.(rid)
-               | Bytecode.Ta_f r -> `Copy (Value.Real fregs.(r), None)
-               | Bytecode.Ta_i r -> `Copy (Value.Int iregs.(r), None)
-               | Bytecode.Ta_b r -> `Copy (Value.Bool (iregs.(r) <> 0), None))
-               :: acc)
-             tc_args []
-         in
-         let result = fr.tenv.Bytecode.ce_call tc_site bindings in
-         trevalidate fr;
-         (match (tc_res, result) with
-         | Bytecode.Tr_none, _ -> ()
-         | Bytecode.Tr_f d, Some (Value.Real x) -> fregs.(d) <- x
-         | Bytecode.Tr_i d, Some (Value.Int x) -> iregs.(d) <- x
-         | Bytecode.Tr_b d, Some (Value.Bool b) -> iregs.(d) <- (if b then 1 else 0)
-         | _ -> corrupt ());
+         call_typed fr tc_site tc_args tc_res;
+         if tc_site.Bytecode.cs_reval then trevalidate fr;
          incr pc
        | Bytecode.Tallocate { ta_raw; ta_name; ta_bounds } ->
          let bounds = Array.map (fun (l, h) -> (iregs.(l), iregs.(h))) ta_bounds in
-         Storage.allocate fr.traws.(ta_raw) ta_name bounds ~count:fr.tenv.Bytecode.ce_allocs;
+         Storage.allocate fr.traws.(ta_raw) ta_name bounds ~count:fr.tenv.ce_allocs;
          trevalidate fr;
          incr pc
        | Bytecode.Tdealloc (rid, name) ->
@@ -1015,14 +1215,116 @@ let texec (fr : tframe) : bool =
      raise e);
   !exited
 
-(* --- loop drivers -------------------------------------------------------- *)
-
-let is_typed = function Bt _ -> true | Bf _ -> false
-
 (** Run a bound subprogram body once (RETURN raises [Sub_return],
     which the interpreter's call protocol catches). *)
-let exec_bound (b : bound) : unit =
+and exec_bound (b : bound) : unit =
   match b with Bf fr -> ignore (exec fr) | Bt tf -> ignore (texec tf)
+
+(* Run one call of [cf]'s callee, whose dummies are staged; [false]
+   when [enter] refused it. *)
+and call_frame cf =
+  if not (enter cf) then false
+  else begin
+    cf.busy <- true;
+    count_run (Bytecode.plan_site cf.plan) cf.bound;
+    (match exec_bound cf.bound with
+    | () | (exception Storage.Sub_return) -> cf.busy <- false
+    | exception e ->
+      cf.busy <- false;
+      raise e);
+    true
+  end
+
+(* A compiled call from the boxed VM.  Through the callee's reusable
+   frame when there is one and it takes the call: the actuals go
+   straight into its dummy slots.  Otherwise — and always for
+   array-element actuals, whose copy-out targets the array resolved
+   before the call — the scope path, with the tree-walker's bindings. *)
+and call_boxed fr (cs : Bytecode.call_site) =
+  let regs = fr.regs in
+  let args = cs.Bytecode.cs_args in
+  let dst = cs.Bytecode.cs_dst in
+  let frame_ran =
+    match callee fr.callees fr.env cs with
+    | Some cf when (not cf.busy) && not (Array.exists is_elem args) ->
+      for k = 0 to Array.length args - 1 do
+        cf.dslots.(k) <-
+          (match args.(k) with
+          | Bytecode.Arg_alias rid -> fr.raws.(rid)
+          | Bytecode.Arg_value r -> Storage.copy_in_slot regs.(r)
+          | Bytecode.Arg_elem _ -> corrupt ())
+      done;
+      call_frame cf
+      && begin
+           let v = result_of cf cs.Bytecode.cs_name in
+           if dst >= 0 then begin
+             if v == no_result then
+               Storage.error "subroutine %s used as a function" cs.Bytecode.cs_name;
+             regs.(dst) <- v
+           end;
+           true
+         end
+    | _ -> false
+  in
+  if not frame_ran then begin
+    let bindings =
+      Array.fold_right
+        (fun spec acc ->
+          (match spec with
+          | Bytecode.Arg_alias rid -> `Alias fr.raws.(rid)
+          | Bytecode.Arg_value r -> `Copy (regs.(r), None)
+          | Bytecode.Arg_elem { ae_arr; ae_idx; ae_val } ->
+            let ab = fr.arrays.(ae_arr) in
+            let idx =
+              Array.map (fun r -> match regs.(r) with Value.Int i -> i | _ -> corrupt ()) ae_idx
+            in
+            (* copy-out through the resolved lvalue, exactly the
+               tree-walker's writeback: bounds-checked Farray.set *)
+            let wb v = Farray.set ab.ba idx (Value.to_cell v) in
+            `Copy (regs.(ae_val), Some wb))
+          :: acc)
+        args []
+    in
+    match fr.env.ce_call cs bindings with
+    | Some v -> if dst >= 0 then regs.(dst) <- v
+    | None -> if dst >= 0 then Storage.error "subroutine %s used as a function" cs.Bytecode.cs_name
+  end
+
+(* [call_boxed] for the typed VM: actuals are boxed only as copied
+   dummies, the result lands in its bank. *)
+and call_typed fr (cs : Bytecode.call_site) (args : Bytecode.targ array) (res : Bytecode.tres) =
+  let frame_ran =
+    match callee fr.tcallees fr.tenv cs with
+    | Some cf when not cf.busy ->
+      for k = 0 to Array.length args - 1 do
+        cf.dslots.(k) <-
+          (match args.(k) with
+          | Bytecode.Ta_alias rid -> fr.traws.(rid)
+          | a -> Storage.copy_in_slot (targ_value fr a))
+      done;
+      call_frame cf
+      && begin
+           tstore fr res (result_of cf cs.Bytecode.cs_name);
+           true
+         end
+    | _ -> false
+  in
+  if not frame_ran then begin
+    let bindings =
+      Array.fold_right
+        (fun a acc ->
+          (match a with
+          | Bytecode.Ta_alias rid -> `Alias fr.traws.(rid)
+          | a -> `Copy (targ_value fr a, None))
+          :: acc)
+        args []
+    in
+    match fr.tenv.ce_call cs bindings with
+    | Some v -> tstore fr res v
+    | None -> tstore fr res no_result
+  end
+
+(* --- loop drivers -------------------------------------------------------- *)
 
 (** Serial DO: bounds were already evaluated by the interpreter.
     After normal completion the DO variable holds the loop-completed
@@ -1091,175 +1393,3 @@ let run_collapse (b : bound) ~(oslot : Storage.slot) ~(islot : Storage.slot)
         Storage.Scalar (Value.Int (ilo + ((k - 1) mod isize)));
       if texec tf then raise Storage.Loop_exit
     done
-
-(* --- reusable callee frames ---------------------------------------------- *)
-
-(** A compiled callee's bound frame, kept for reuse by one domain of one
-    interpreter state: the plan, the bound program, the slots of the
-    plan's fresh locals and the current call's dummy slots.  [busy]
-    marks a frame whose call is still running (recursion). *)
-type cframe = {
-  plan : Bytecode.frame_plan;
-  bound : bound;
-  lslots : Storage.slot array;
-  dslots : Storage.slot array;
-  mutable busy : bool;
-}
-
-(** Keep the frame [b] that a finished call of [plan]'s callee ran in,
-    adopting the locals of that call's [scope]. *)
-let make_cframe (plan : Bytecode.frame_plan) (b : bound) (scope : Storage.scope) :
-    cframe option =
-  match
-    Array.map (fun (n, _) -> Hashtbl.find scope.Storage.vars n) plan.Bytecode.fp_locals
-  with
-  | lslots ->
-    Some
-      {
-        plan;
-        bound = b;
-        lslots;
-        dslots = Array.make plan.Bytecode.fp_nargs (dummy_slot ());
-        busy = false;
-      }
-  | exception Not_found -> None
-
-(* Point the arg-sourced bindings at this call's dummies and re-check
-   what can differ from call to call: argument kinds and ranks, folded
-   PARAMETER values reached through a dummy, arrays whose storage was
-   replaced (fresh locals, re-ALLOCATEd module arrays) and, for typed
-   frames, every value kind.  [false] sends this call down the scope
-   path. *)
-let rebind cf =
-  let p = cf.plan in
-  let prog = p.Bytecode.fp_prog in
-  let walk k path = Storage.walk_path cf.dslots.(k) path in
-  let bind_scalars scalars =
-    Array.iteri
-      (fun i src ->
-        match src with
-        | Bytecode.Src_arg k -> (
-          match walk k prog.Bytecode.scalars.(i).Bytecode.spath with
-          | Some ({ Storage.entry = Storage.Scalar _; _ } as s) -> scalars.(i) <- s
-          | _ -> raise Exit)
-        | _ -> ())
-      p.Bytecode.fp_scalar_src
-  in
-  let bind_aslots aslots =
-    Array.iteri
-      (fun i src ->
-        match src with
-        | Bytecode.Src_arg k -> (
-          match walk k prog.Bytecode.arrays.(i).Bytecode.apath with
-          | Some s -> aslots.(i) <- s
-          | None -> raise Exit)
-        | _ -> ())
-      p.Bytecode.fp_array_src
-  in
-  let entry_abind aref e =
-    match abind_of ~entry:true aref e with Some ab -> ab | None -> raise Exit
-  in
-  let bind_raws raws =
-    Array.iteri
-      (fun i src -> match src with Bytecode.Src_arg k -> raws.(i) <- cf.dslots.(k) | _ -> ())
-      p.Bytecode.fp_raw_src
-  in
-  try
-    Array.iter
-      (fun (k, path, v) ->
-        match walk k path with
-        | Some { Storage.entry = Storage.Scalar v'; _ } when compare v v' = 0 -> ()
-        | _ -> raise Exit)
-      p.Bytecode.fp_arg_checks;
-    (match cf.bound with
-    | Bf fr ->
-      bind_scalars fr.scalars;
-      bind_raws fr.raws;
-      bind_aslots fr.aslots;
-      Array.iteri
-        (fun i (sl : Storage.slot) ->
-          match sl.Storage.entry with
-          | Storage.Array a when a == fr.arrays.(i).ba && fr.arrays.(i).b_bad = Good -> ()
-          | e -> fr.arrays.(i) <- entry_abind fr.arefs.(i) e)
-        fr.aslots;
-      fr.tick <- 0
-    | Bt tf ->
-      bind_scalars tf.tscalars;
-      bind_raws tf.traws;
-      bind_aslots tf.taslots;
-      Array.iteri
-        (fun i (sl : Storage.slot) ->
-          match sl.Storage.entry with
-          | Storage.Array a when a == tf.tarrays.(i).c_ba && tf.tarrays.(i).c_bad = Good -> ()
-          | e -> tf.tarrays.(i) <- tabind_of ~entry:true tf.tarefs.(i) e)
-        tf.taslots;
-      (match prog.Bytecode.typed with
-      | Some tp when typed_scalars_ok tp tf.tscalars [] && typed_raws_ok tp tf.traws -> ()
-      | _ -> raise Exit);
-      tf.ttick <- 0);
-    true
-  with Exit | Fall -> false
-
-(** Run one call of [cf]'s callee with [bindings], exactly like the
-    interpreter's scope path would: bind the dummies (copy-in, the
-    REAL redeclaration quirk), reset the locals, run, copy out, and
-    return the function result.  [None] means the frame could not take
-    this call (busy, or a per-call check failed); nothing the caller
-    can observe has happened then. *)
-let call_frame cf ~name (bindings : Storage.arg_binding list) : Value.t option option =
-  if cf.busy then None
-  else begin
-    let p = cf.plan in
-    List.iteri
-      (fun k b ->
-        cf.dslots.(k) <-
-          (match b with `Alias s -> s | `Copy (v, _) -> Storage.copy_in_slot v))
-      bindings;
-    Array.iter
-      (fun k ->
-        let s = cf.dslots.(k) in
-        match s.Storage.entry with
-        | Storage.Scalar v when Value.is_int v ->
-          s.Storage.entry <- Storage.Scalar (Value.Real (Value.to_float v))
-        | _ -> ())
-      p.Bytecode.fp_real_dummies;
-    Array.iteri
-      (fun l (_, init) ->
-        cf.lslots.(l).Storage.entry <-
-          (match init with
-          | Bytecode.L_scalar v -> Storage.Scalar v
-          | Bytecode.L_array (e, b) -> Storage.Array (Farray.create e b)
-          | Bytecode.L_unalloc (e, r) -> Storage.Unalloc (e, r)))
-      p.Bytecode.fp_locals;
-    if not (rebind cf) then None
-    else begin
-      cf.busy <- true;
-      Bytecode.Stats.run (Bytecode.plan_site p) ~typed:(is_typed cf.bound);
-      (match exec_bound cf.bound with
-      | () | (exception Storage.Sub_return) -> cf.busy <- false
-      | exception e ->
-        cf.busy <- false;
-        raise e);
-      List.iteri
-        (fun k b ->
-          match b with
-          | `Copy (_, Some writeback) -> (
-            match cf.dslots.(k).Storage.entry with
-            | Storage.Scalar v -> writeback v
-            | _ -> ())
-          | `Copy (_, None) | `Alias _ -> ())
-        bindings;
-      match p.Bytecode.fp_result with
-      | None -> Some None
-      | Some src -> (
-        let slot =
-          match src with
-          | Bytecode.Src_arg k -> cf.dslots.(k)
-          | Bytecode.Src_local l -> cf.lslots.(l)
-          | Bytecode.Src_save | Bytecode.Src_stable -> assert false
-        in
-        match slot.Storage.entry with
-        | Storage.Scalar v -> Some (Some v)
-        | _ -> Storage.error "function %s did not set its result" name)
-    end
-  end

@@ -168,7 +168,9 @@ type wire_job = {
       (** inline script, compiled by the executor {e after} admission
           (through the cache) so [--max-pending] bounds compile work
           too; [None] runs the startup script *)
-  wj_admitted : float;  (** admission time on {!Fault.now_s} *)
+  wj_read : float;
+      (** when the reader read the bytes that completed this request,
+          on {!Fault.now_s}: the start of its latency sample *)
 }
 
 type t = {
@@ -434,7 +436,7 @@ let parse_request line =
    the high-water mark or while draining — the reader never blocks, so
    backpressure is immediate and outstanding work is bounded by
    construction. *)
-let admit t conn ~seq call script =
+let admit t conn ~seq ~read_at call script =
   let shed pending =
     Atomic.incr t.shed;
     write_response t conn
@@ -448,7 +450,7 @@ let admit t conn ~seq call script =
     Atomic.incr conn.c_inflight;
     let job =
       { wj_conn = conn; wj_seq = seq; wj_script = script;
-        wj_admitted = Fault.now_s () }
+        wj_read = read_at }
     in
     match Serve.Core.submit ~limit:t.cfg.lc_max_pending t.core call job with
     | Ok () -> ()
@@ -457,7 +459,7 @@ let admit t conn ~seq call script =
       shed pending
   end
 
-let handle_line t conn line =
+let handle_line t conn ~read_at line =
   let line =
     let n = String.length line in
     if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
@@ -477,7 +479,7 @@ let handle_line t conn line =
          script — a full compile pipeline on a cache miss — is passed
          through admission untouched and compiled by an executor *)
       match Serve.parse_call seq call_text with
-      | call -> admit t conn ~seq call script_opt
+      | call -> admit t conn ~seq ~read_at call script_opt
       | exception Serve.Calls_error (_, reason) ->
         Atomic.incr t.rejected;
         write_response t conn
@@ -514,7 +516,7 @@ let reader t conn =
     Buffer.clear buf;
     discarding := true
   in
-  let consume_lines data =
+  let consume_lines ~read_at data =
     (* [data] is the newly read chunk; only scan the whole buffer when
        the chunk actually completed a line *)
     Buffer.add_string buf data;
@@ -529,7 +531,7 @@ let reader t conn =
           | None -> Buffer.add_substring buf text start (n - start)
           | Some nl ->
             if nl - start > Serve.max_call_line_bytes then oversize_response ()
-            else handle_line t conn (String.sub text start (nl - start));
+            else handle_line t conn ~read_at (String.sub text start (nl - start));
             go (nl + 1)
       in
       go 0
@@ -545,6 +547,7 @@ let reader t conn =
         match Unix.read conn.c_fd chunk 0 (Bytes.length chunk) with
         | 0 -> ()  (* EOF: client closed its sending side *)
         | n ->
+          let read_at = Fault.now_s () in
           let data = Bytes.sub_string chunk 0 n in
           let data =
             if not !discarding then data
@@ -555,7 +558,7 @@ let reader t conn =
                 discarding := false;
                 String.sub data (i + 1) (String.length data - i - 1)
           in
-          if data <> "" then consume_lines data;
+          if data <> "" then consume_lines ~read_at data;
           loop ()
         | exception Unix.Unix_error ((ECONNRESET | EPIPE), _, _) -> ()
         | exception Unix.Unix_error (EINTR, _, _) -> loop ())
@@ -594,11 +597,15 @@ let run_job t wj call =
         ?deadline_s:t.cfg.lc_deadline_s ~bytecode:t.cfg.lc_bytecode compiled
         call)
 
-(* Answer a job's final result.  The latency sample spans admission to
-   the response write — queue wait, a compile on a cache miss and retry
-   backoff included — and faulted requests count too: a deadline-bound
-   tail is what the p99 is there to expose.  It is recorded before the
-   write, so a client's next [status] counts every answer it has read. *)
+(* Answer a job's final result.  The latency sample spans the read of
+   the request's bytes to the response write — admission, queue wait, a
+   compile on a cache miss and retry backoff included.  It starts at
+   the read, not at admission, so requests that arrived together start
+   together: one admitted after an executor already took its neighbour
+   still counts the wait behind it.  Faulted requests count too: a
+   deadline-bound tail is what the p99 is there to expose.  It is
+   recorded before the write, so a client's next [status] counts every
+   answer it has read. *)
 let answer t wj r =
   let seq = wj.wj_seq in
   let line =
@@ -614,7 +621,7 @@ let answer t wj r =
       Atomic.incr t.failed;
       fault_response ~seq fault
   in
-  record_latency t ((Fault.now_s () -. wj.wj_admitted) *. 1e3);
+  record_latency t ((Fault.now_s () -. wj.wj_read) *. 1e3);
   write_response t wj.wj_conn line;
   Atomic.decr wj.wj_conn.c_inflight;
   release_conn wj.wj_conn

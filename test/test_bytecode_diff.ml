@@ -1127,6 +1127,505 @@ let test_typed_recursion () =
   check_int "rsumarr activations typed" 10 (site_count (fun r -> r.Interp.r_typed) rows "sub rsumarr");
   check_int "rsumarr never boxed" 0 (site_count (fun r -> r.Interp.r_boxed) rows "sub rsumarr")
 
+(* --- private scalars in registers ------------------------------------------ *)
+
+(* A compiled subprogram keeps its private scalars (declared INTEGER,
+   REAL or LOGICAL, no attribute, not a dummy, COMMON member or result,
+   never bound by reference) in registers.  Each case is a function
+   called three times from a typed driver — the second and third calls
+   run in the reused frame, with an aliased and a copied actual — and
+   compared against the tree-walker. *)
+let promo_src =
+  {|
+subroutine bump(k)
+  implicit none
+  integer :: k
+  integer :: j
+  do j = 1, 2
+    k = k + j
+  end do
+end subroutine bump
+
+integer function incf(k)
+  implicit none
+  integer :: k
+  integer :: j
+  do j = 1, 1
+    k = k + 5
+  end do
+  incf = k
+end function incf
+
+subroutine halve_add(x)
+  implicit none
+  real*8 :: x
+  x = x * 0.5d0 + 2.5d0
+end subroutine halve_add
+
+real*8 function bumpf(x)
+  implicit none
+  real*8 :: x
+  x = x + 1.0d0
+  bumpf = x * 2.0d0
+end function bumpf
+
+integer function p_actual(n)
+  implicit none
+  integer :: n
+  integer :: k, i, k2
+  k = n
+  k2 = 1
+  do i = 1, 3
+    call bump(k)
+    k = k + incf(k2)
+  end do
+  p_actual = k * 100 + k2 * 10 + i
+end function p_actual
+
+real*8 function p_leaf(n)
+  implicit none
+  integer :: n
+  real*8 :: t, u
+  integer :: i
+  t = n * 1.5d0
+  u = n * 0.25d0
+  do i = 1, n
+    call halve_add(t)
+    t = t + bumpf(u)
+  end do
+  p_leaf = t + u * 1000.0d0 + i
+end function p_leaf
+
+integer function p_dovar(n)
+  implicit none
+  integer :: n
+  integer :: i, s
+  s = 0
+  do i = 1, n
+    s = s + i
+    i = i * 2
+    s = s * 3 + i
+  end do
+  p_dovar = s * 100 + i
+end function p_dovar
+
+real*8 function p_bound(n)
+  implicit none
+  integer :: n
+  integer :: m, i, s
+  real*8 :: hb
+  m = n
+  hb = n + 0.75d0
+  s = 0
+  do i = 1, m
+    m = m - 1
+    s = s + i * m
+  end do
+  do i = 1, hb, 2
+    hb = hb * 0.5d0
+    s = s + i
+  end do
+  p_bound = s * 1000 + m * 10 + i + hb
+end function p_bound
+
+integer function p_exit(n)
+  implicit none
+  integer :: n
+  integer :: i, j, s
+  s = 0
+  do i = 1, 100
+    if (i > n) exit
+    do j = 1, i
+      if (j == 3) exit
+      s = s + j
+    end do
+    s = s + j
+  end do
+  p_exit = s * 1000 + i * 10 + j
+end function p_exit
+
+real*8 function p_uninit(n)
+  implicit none
+  integer :: n
+  integer :: iu, k
+  real*8 :: ru, r
+  logical :: lu
+  r = iu + ru
+  if (lu) r = r + 1000.0d0
+  do k = 1, 2
+    iu = n + k
+    ru = n * 2.5d0
+    lu = .true.
+  end do
+  p_uninit = r + iu + ru
+end function p_uninit
+
+integer function p_init(n)
+  implicit none
+  integer :: n
+  integer :: cnt = 5
+  integer :: k
+  do k = 1, n
+    cnt = cnt + 1
+  end do
+  p_init = cnt
+end function p_init
+
+function p_result(n)
+  implicit none
+  integer :: n
+  real*8 :: p_result
+  integer :: k
+  p_result = 0.5d0
+  do k = 1, n
+    p_result = p_result * 1.5d0 + k
+  end do
+end function p_result
+
+integer function p_logical(n)
+  implicit none
+  integer :: n
+  integer :: k, c
+  logical :: odd, seen
+  c = 0
+  seen = .false.
+  do k = 1, n
+    odd = mod(k, 2) == 1
+    if (odd .and. .not. seen) c = c + 100
+    if (odd) seen = .true.
+    if (.not. odd) c = c + k
+  end do
+  if (seen) c = c + 1
+  p_logical = c
+end function p_logical
+
+real*8 function p_realdo(n)
+  implicit none
+  integer :: n
+  real*8 :: x, s
+  s = 0.0d0
+  do x = 1, n
+    s = s + x * 0.5d0
+  end do
+  p_realdo = s + x
+end function p_realdo
+
+subroutine rtri(n, res)
+  implicit none
+  integer :: n, res
+  integer :: k, acc, sub
+  acc = 0
+  do k = 1, n
+    acc = acc + k
+  end do
+  if (n > 1) then
+    call rtri(n - 1, sub)
+    acc = acc * 2 + sub
+  end if
+  res = acc + k
+end subroutine rtri
+
+subroutine sgrow(n, depth, res)
+  implicit none
+  integer :: n, depth
+  real*8 :: res
+  real*8, allocatable, save :: buf(:)
+  integer :: k
+  real*8 :: sub
+  if (allocated(buf)) then
+    deallocate(buf)
+  end if
+  allocate(buf(n))
+  do k = 1, n
+    buf(k) = k * 1.5d0 + depth
+  end do
+  sub = 0.0d0
+  if (depth > 0) then
+    call sgrow_via(n + 3, depth - 1, sub)
+  end if
+  res = sub + buf(n) * 100.0d0
+end subroutine sgrow
+
+subroutine sgrow_via(n, depth, res)
+  implicit none
+  integer :: n, depth
+  real*8 :: res
+  integer :: j
+  do j = 1, 1
+    call sgrow(n, depth, res)
+  end do
+end subroutine sgrow_via
+
+subroutine hsave(n, depth, res)
+  implicit none
+  integer :: n, depth
+  real*8 :: res
+  real*8, allocatable, save :: hb(:)
+  integer :: k
+  if (allocated(hb)) then
+    deallocate(hb)
+  end if
+  allocate(hb(n))
+  do k = 1, n
+    hb(k) = k * 0.5d0 + depth
+  end do
+  res = hb(1)
+  if (depth > 0) then
+    call fdum(hb, n, depth, res)
+  end if
+end subroutine hsave
+
+subroutine fdum(a, n, depth, res)
+  implicit none
+  integer :: n, depth
+  real*8 :: a(n)
+  real*8 :: res
+  real*8 :: sub
+  sub = 0.0d0
+  call hsave(n + 2, depth - 1, sub)
+  res = sub + a(1) * 1000.0d0
+end subroutine fdum
+
+real*8 function drive_sgrow(n)
+  implicit none
+  integer :: n
+  real*8 :: a, b
+  call sgrow(n, 2, a)
+  call hsave(n, 2, b)
+  drive_sgrow = a + b * 1.0d6
+end function drive_sgrow
+
+real*8 function drive_actual(n)
+  implicit none
+  integer :: n
+  drive_actual = p_actual(n) + p_actual(n + 1) * 1000.0d0 + p_actual(n) * 1.0d6
+end function drive_actual
+
+real*8 function drive_leaf(n)
+  implicit none
+  integer :: n
+  drive_leaf = p_leaf(n) + p_leaf(n + 1) * 1000.0d0 + p_leaf(n) * 1.0d6
+end function drive_leaf
+
+real*8 function drive_dovar(n)
+  implicit none
+  integer :: n
+  drive_dovar = p_dovar(n) + p_dovar(n + 1) * 1000.0d0 + p_dovar(n) * 1.0d6
+end function drive_dovar
+
+real*8 function drive_bound(n)
+  implicit none
+  integer :: n
+  drive_bound = p_bound(n) + p_bound(n + 1) * 1000.0d0 + p_bound(n) * 1.0d6
+end function drive_bound
+
+real*8 function drive_exit(n)
+  implicit none
+  integer :: n
+  drive_exit = p_exit(n) + p_exit(n + 1) * 1000.0d0 + p_exit(n) * 1.0d6
+end function drive_exit
+
+real*8 function drive_uninit(n)
+  implicit none
+  integer :: n
+  drive_uninit = p_uninit(n) + p_uninit(n + 1) * 1000.0d0 + p_uninit(n) * 1.0d6
+end function drive_uninit
+
+real*8 function drive_init(n)
+  implicit none
+  integer :: n
+  drive_init = p_init(n) + p_init(n + 1) * 1000.0d0 + p_init(n) * 1.0d6
+end function drive_init
+
+real*8 function drive_result(n)
+  implicit none
+  integer :: n
+  drive_result = p_result(n) + p_result(n + 1) * 1000.0d0 + p_result(n) * 1.0d6
+end function drive_result
+
+real*8 function drive_logical(n)
+  implicit none
+  integer :: n
+  drive_logical = p_logical(n) + p_logical(n + 1) * 1000.0d0 + p_logical(n) * 1.0d6
+end function drive_logical
+
+real*8 function drive_realdo(n)
+  implicit none
+  integer :: n
+  drive_realdo = p_realdo(n) + p_realdo(n + 1) * 1000.0d0 + p_realdo(n) * 1.0d6
+end function drive_realdo
+
+real*8 function drive_rtri(n)
+  implicit none
+  integer :: n
+  integer :: a, b
+  call rtri(n, a)
+  call rtri(n - 1, b)
+  drive_rtri = a * 1000.0d0 + b
+end function drive_rtri
+|}
+
+(* Same results as the tree-walker, the driver ran typed, and [callee]
+   ran [runs] times on the VM named by [typed], never tree-walked. *)
+let assert_promo ?(typed = true) ?(runs = 3) name callee =
+  let cu = Parser.parse_string promo_src in
+  let rows = assert_typed_same name cu ("drive_" ^ name) [ Ast.Int_lit 5 ] in
+  let out = run_engine ~bytecode:true cu ("drive_" ^ name) [ Ast.Int_lit 5 ] in
+  check_bool (name ^ ": ran without error") true (out.r_error = None);
+  let lbl = "sub " ^ callee in
+  let on_vm = site_count (fun r -> if typed then r.Interp.r_typed else r.Interp.r_boxed) rows lbl in
+  check_int (name ^ ": " ^ callee ^ " runs") runs on_vm;
+  check_int (name ^ ": " ^ callee ^ " bails") 0 (site_count (fun r -> r.Interp.r_bails) rows lbl);
+  rows
+
+let test_promo_by_reference () =
+  (* a local passed as an actual stays a slot, so the callee's writes
+     reach it; likewise an inlined leaf writing its dummy *)
+  ignore (assert_promo "actual" "p_actual");
+  ignore (assert_promo "leaf" "p_leaf")
+
+let test_promo_do () =
+  (* the body assigns its own DO variable: the count is unaffected, the
+     variable holds what the body wrote until the next iteration *)
+  ignore (assert_promo "dovar" "p_dovar");
+  (* bounds read from variables the body assigns (an INTEGER one and a
+     REAL one converted to an integer bound) are fixed at entry *)
+  ignore (assert_promo "bound" "p_bound");
+  (* EXIT keeps the variable's value at the EXIT, a completed loop
+     leaves the loop-completed value *)
+  ignore (assert_promo "exit" "p_exit");
+  (* a REAL DO variable holds raw integers mid-loop: boxed, and exact *)
+  let rows = assert_promo ~typed:false "realdo" "p_realdo" in
+  check_bool "p_realdo says why it ran boxed" true
+    (List.exists (fun r -> r.Interp.r_label = "sub p_realdo" && r.Interp.r_boxed_reason <> None) rows)
+
+let test_promo_locals () =
+  (* every call starts from setup_scope's zero, also in a reused frame *)
+  ignore (assert_promo "uninit" "p_uninit");
+  (* an initialized local and the function result keep their slots *)
+  ignore (assert_promo "init" "p_init");
+  ignore (assert_promo "result" "p_result");
+  ignore (assert_promo "logical" "p_logical")
+
+let test_call_reval () =
+  (* a nested activation re-allocates a SAVE array the outer frame
+     binds — its own (sgrow through sgrow_via) or, through an array
+     dummy, its caller's (fdum's [a] is hsave's [hb]): the frame must
+     re-read it after the call *)
+  ignore (assert_promo ~runs:3 "sgrow" "sgrow")
+
+let test_promo_recursion () =
+  (* nested activations (frame busy) run in fresh scope-path frames with
+     registers of their own: 5 + 4 activations, all typed *)
+  ignore (assert_promo ~runs:9 "rtri" "rtri")
+
+(* --- allocation per compiled call ------------------------------------------ *)
+
+(* A FUN3D-shaped callee (cf. edge_loop): two array dummies, two
+   INTEGER actuals aliased from the caller, a dozen private scalars and
+   SAVE allocatables behind an allocated() guard, called from a compiled
+   loop.  Once its frame exists, a call stages the aliases into the
+   frame's dummy slots, runs the typed body and leaves nothing behind
+   on the heap. *)
+let edge_src =
+  {|
+module edge_mesh
+  implicit none
+  integer, parameter :: nq = 5
+  real*8, allocatable :: qsum(:)
+end module edge_mesh
+
+subroutine edge_like(c, e, qn, grad)
+  use edge_mesh
+  implicit none
+  integer :: c
+  integer :: e
+  real*8 :: qn(nq, 4)
+  real*8 :: grad(3, nq)
+  real*8, allocatable, save :: fl(:)
+  real*8, allocatable, save :: df(:)
+  integer :: p1, p2, n1, n2, i, k
+  real*8 :: w, a, b, t, u, v
+  if (.not. allocated(fl)) then
+    allocate(fl(nq))
+  end if
+  if (.not. allocated(df)) then
+    allocate(df(nq))
+  end if
+  p1 = mod(e, 4) + 1
+  p2 = mod(e + 1, 4) + 1
+  n1 = c + p1
+  n2 = c + p2
+  w = 0.5d0 * p1 + 0.25d0 * p2
+  k = 0
+  do i = 1, nq
+    a = qn(i, p1)
+    b = qn(i, p2)
+    t = 0.5d0 * (a + b)
+    u = b - a
+    v = grad(1, i) * 0.31d0 + grad(2, i) * 0.21d0 - grad(3, i) * 0.11d0
+    fl(i) = t * w + v
+    df(i) = u * 0.05d0 + fl(i)
+    k = k + n1 - n2
+    qn(i, p1) = qn(i, p1) + df(i) * 1.0d-6 + k * 1.0d-9
+  end do
+end subroutine edge_like
+
+real*8 function drive_edges(n)
+  use edge_mesh
+  implicit none
+  integer :: n
+  real*8 :: qn(nq, 4)
+  real*8 :: grad(3, nq)
+  integer :: c, e, i, p
+  real*8 :: s
+  do p = 1, 4
+    do i = 1, nq
+      qn(i, p) = i * 0.5d0 + p
+    end do
+  end do
+  do i = 1, nq
+    grad(1, i) = i * 0.1d0
+    grad(2, i) = i * 0.2d0
+    grad(3, i) = i * 0.3d0
+  end do
+  do c = 1, n
+    e = mod(c, 6) + 1
+    call edge_like(c, e, qn, grad)
+  end do
+  s = 0.0d0
+  do p = 1, 4
+    do i = 1, nq
+      s = s + qn(i, p)
+    end do
+  end do
+  drive_edges = s
+end function drive_edges
+|}
+
+(* Minor-heap words per compiled call the call path must stay under.
+   About 8 are measured, all of them the caller's stores of its two
+   actuals; marshalling each call through binding lists and slot
+   stores cost about 480. *)
+let words_per_call_bound = 16.0
+
+let test_call_allocation () =
+  let cu = Parser.parse_string edge_src in
+  let rows = assert_typed_same "FUN3D-shaped calls" cu "drive_edges" [ Ast.Int_lit 40 ] in
+  check_int "edge_like never boxed" 0 (site_count (fun r -> r.Interp.r_boxed) rows "sub edge_like");
+  let st = Interp.make_state ~printer:ignore cu in
+  Interp.set_threads st 1;
+  (* the first call compiles, plans and leaves the callee's frame *)
+  ignore (Interp.call st "drive_edges" [ Ast.Int_lit 2 ]);
+  let calls = 10_000 in
+  let w0 = Gc.minor_words () in
+  ignore (Interp.call st "drive_edges" [ Ast.Int_lit calls ]);
+  let per_call = (Gc.minor_words () -. w0) /. float_of_int calls in
+  check_bool
+    (Printf.sprintf "%.1f minor words per call <= %.0f" per_call words_per_call_bound)
+    true
+    (per_call <= words_per_call_bound)
+
 (* --- example scripts ----------------------------------------------------- *)
 
 (* The script functions take array parameters the calls-file syntax
@@ -1404,6 +1903,13 @@ let suites =
         Alcotest.test_case "typed: SAVE allocate guard" `Quick test_typed_save_guard;
         Alcotest.test_case "typed: kind rule" `Quick test_typed_kind_rule;
         Alcotest.test_case "typed: recursion" `Quick test_typed_recursion;
+        Alcotest.test_case "registers: by-reference locals" `Quick test_promo_by_reference;
+        Alcotest.test_case "registers: DO variables and bounds" `Quick test_promo_do;
+        Alcotest.test_case "registers: fresh, initialized, result, logical" `Quick
+          test_promo_locals;
+        Alcotest.test_case "registers: recursion" `Quick test_promo_recursion;
+        Alcotest.test_case "call path: re-read after re-ALLOCATE" `Quick test_call_reval;
+        Alcotest.test_case "call path: minor words per call" `Quick test_call_allocation;
         Alcotest.test_case "workload coverage" `Quick
           test_workload_bytecode_coverage;
         Alcotest.test_case "saxpy script" `Quick test_saxpy_diff;

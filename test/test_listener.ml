@@ -298,8 +298,10 @@ let test_latency_counts_queue_wait () =
   @@ fun path _srv ->
   let cl = Listener.Client.connect path in
   Fun.protect ~finally:(fun () -> Listener.Client.close cl) @@ fun () ->
-  Listener.Client.send_line cl "run pi_mid(500000)";
-  Listener.Client.send_line cl "run pi_mid(10)";
+  (* one write, so one read delivers both requests: their latency
+     samples start together, before the single executor takes the slow
+     one, however late the reader admits the fast one *)
+  Listener.Client.send_line cl "run pi_mid(500000)\nrun pi_mid(10)";
   let slow = recv_exn cl and fast = recv_exn cl in
   check_bool "slow answered" true (contains slow "\"seq\":1");
   check_bool "fast answered" true (contains fast "\"seq\":2");
