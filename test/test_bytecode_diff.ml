@@ -1519,6 +1519,237 @@ let test_promo_recursion () =
      registers of their own: 5 + 4 activations, all typed *)
   ignore (assert_promo ~runs:9 "rtri" "rtri")
 
+(* --- constructs the typed specializer rejects -------------------------------- *)
+
+(* One unit per construct {!Bytecode.specialize} rejects.  Each driver
+   runs its compiled sites on the boxed register bank: never a bail,
+   the rejected construct named as the boxed reason, and results and
+   PRINT text bit-identical to the tree-walker at 1 and 4 threads. *)
+
+(* the rank-3 store runs in a parallel chunk body, the read in the
+   driver's own compiled body *)
+let rank3_src =
+  {|
+module r3mod
+  implicit none
+  real*8 :: cube(5, 4, 3)
+end module r3mod
+
+subroutine fill_cube(n)
+  use r3mod
+  implicit none
+  integer :: n, i, j, k
+!$omp parallel do private(j, k)
+  do i = 1, 5
+    do j = 1, 4
+      do k = 1, 3
+        cube(i, j, k) = i * 100.0d0 + j * 10.0d0 + k + n * 0.125d0
+      end do
+    end do
+  end do
+!$omp end parallel do
+end subroutine fill_cube
+
+real*8 function rank3(n)
+  use r3mod
+  implicit none
+  integer :: n, i, j, k
+  real*8 :: s
+  call fill_cube(n)
+  s = 0.0d0
+  do k = 1, 3
+    do j = 1, 4
+      do i = 1, 5
+        s = s + cube(i, j, k) * (i + n) * 1.0d-2
+      end do
+    end do
+  end do
+  rank3 = s
+end function rank3
+|}
+
+let whole_src =
+  {|
+real*8 function wholearr(n)
+  implicit none
+  integer :: n, i
+  real*8 :: a(6), b(6), s
+  do i = 1, 6
+    b(i) = i * 0.5d0 + n
+  end do
+  a = b
+  b = 2.5d0
+  s = 0.0d0
+  do i = 1, 6
+    s = s + a(i) * 10.0d0 + b(i)
+  end do
+  wholearr = s
+end function wholearr
+|}
+
+let ipow_src =
+  {|
+integer function ipow(n)
+  implicit none
+  integer :: n, i, s
+  s = 0
+  do i = 1, n
+    s = s + i ** 2 + 2 ** (i - 1)
+  end do
+  ipow = s
+end function ipow
+|}
+
+let elem_src =
+  {|
+subroutine addto(x, y)
+  implicit none
+  real*8 :: x, y
+  x = x + y
+end subroutine addto
+
+real*8 function elemact(n)
+  implicit none
+  integer :: n, i
+  real*8 :: a(8), s
+  do i = 1, 8
+    a(i) = i * 1.5d0
+  end do
+  do i = 1, 8
+    call addto(a(i), i * 0.25d0 + n)
+  end do
+  s = 0.0d0
+  do i = 1, 8
+    s = s + a(i)
+  end do
+  elemact = s
+end function elemact
+|}
+
+let charcat_src =
+  {|
+real*8 function charcat(n)
+  implicit none
+  integer :: n, i
+  real*8 :: s
+  s = 0.0d0
+  do i = 1, n
+    s = s + i * 0.5d0
+    print *, 'step' // ' no', i, s
+  end do
+  charcat = s
+end function charcat
+|}
+
+let realdo_src =
+  {|
+real*8 function realdo(n)
+  implicit none
+  integer :: n
+  real*8 :: x, s
+  s = 0.0d0
+  do x = 1, n
+    s = s + x * 0.5d0
+  end do
+  realdo = s + x
+end function realdo
+|}
+
+(* Both engines agree on [fname] at 1 and 4 threads, then every site
+   labelled in [sites] ran boxed for [reason] and never bailed. *)
+let assert_boxed name src fname sites reason =
+  let cu = Parser.parse_string src in
+  List.iter
+    (fun t -> assert_same (Printf.sprintf "%s, %d threads" name t) ~threads:t cu fname [ Ast.Int_lit 6 ])
+    [ 1; 4 ];
+  Interp.reset_bytecode_stats ();
+  let st = Interp.make_state ~printer:ignore cu in
+  Interp.set_threads st 4;
+  ignore (Interp.call st fname [ Ast.Int_lit 6 ]);
+  let rows = Interp.bytecode_stats_for st in
+  List.iter
+    (fun lbl ->
+      check_bool (name ^ ": " ^ lbl ^ " ran boxed") true (site_count (fun r -> r.Interp.r_boxed) rows lbl >= 1);
+      check_int (name ^ ": " ^ lbl ^ " bails") 0 (site_count (fun r -> r.Interp.r_bails) rows lbl);
+      List.iter
+        (fun r ->
+          if r.Interp.r_label = lbl then
+            Alcotest.(check (option string)) (name ^ ": " ^ lbl ^ " boxed_reason") (Some reason)
+              r.Interp.r_boxed_reason)
+        rows)
+    sites
+
+let rank3_reason = "whole-array or rank>2 access"
+
+let test_boxed_rank3 () = assert_boxed "rank-3 access" rank3_src "rank3" [ "sub rank3"; "omp-do" ] rank3_reason
+let test_boxed_whole () = assert_boxed "whole-array copy and fill" whole_src "wholearr" [ "sub wholearr" ] rank3_reason
+let test_boxed_ipow () = assert_boxed "integer **" ipow_src "ipow" [ "sub ipow" ] "integer **"
+
+let test_boxed_elem () =
+  assert_boxed "array-element actual" elem_src "elemact" [ "sub elemact" ] "array-element actual"
+
+let test_boxed_charcat () =
+  assert_boxed "character constant" charcat_src "charcat" [ "sub charcat" ] "character or array constant"
+
+let test_boxed_realdo () = assert_boxed "REAL DO variable" realdo_src "realdo" [ "sub realdo" ] "register kind conflict"
+
+(* One compiled subprogram, bound in two scopes: a REAL actual gives
+   its slot the kind the typed code was specialized for, an INTEGER one
+   (rewritten to Real in place by the REAL redeclaration quirk) keeps an
+   INTEGER slot, which the bind refuses for the typed variant; the
+   caller passing it is refused too, for its alias actual. *)
+let variants_src =
+  {|
+subroutine scale2(x, n)
+  implicit none
+  real*8 :: x
+  integer :: n
+  integer :: i
+  do i = 1, n
+    x = x * 1.5d0 + i
+  end do
+end subroutine scale2
+
+real*8 function both_real(n)
+  implicit none
+  integer :: n
+  real*8 :: r
+  r = 0.25d0
+  call scale2(r, n)
+  both_real = r
+end function both_real
+
+real*8 function both_int(n)
+  implicit none
+  integer :: n
+  integer :: k
+  k = 3
+  call scale2(k, n)
+  both_int = k
+end function both_int
+
+real*8 function both(n)
+  implicit none
+  integer :: n
+  both = both_real(n) + both_int(n) * 1000.0d0 + both_real(n + 1) * 1.0d6
+end function both
+|}
+
+let test_one_program_both_variants () =
+  let cu = Parser.parse_string variants_src in
+  List.iter (fun t -> assert_same (Printf.sprintf "both variants, %d threads" t) ~threads:t cu "both" [ Ast.Int_lit 5 ]) [ 1; 4 ];
+  let rows, _ = vm_run cu "both" [ Ast.Int_lit 5 ] in
+  let reason lbl =
+    List.fold_left (fun a r -> if r.Interp.r_label = lbl then r.Interp.r_boxed_reason else a) None rows
+  in
+  check_int "scale2 typed runs" 2 (site_count (fun r -> r.Interp.r_typed) rows "sub scale2");
+  check_int "scale2 boxed runs" 1 (site_count (fun r -> r.Interp.r_boxed) rows "sub scale2");
+  check_int "scale2 bails" 0 (site_count (fun r -> r.Interp.r_bails) rows "sub scale2");
+  Alcotest.(check (option string)) "scale2 boxed_reason" (Some "bind: scalar x has another kind") (reason "sub scale2");
+  check_int "both_int boxed runs" 1 (site_count (fun r -> r.Interp.r_boxed) rows "sub both_int");
+  Alcotest.(check (option string))
+    "both_int boxed_reason" (Some "bind: alias actual has another kind") (reason "sub both_int")
+
 (* --- allocation per compiled call ------------------------------------------ *)
 
 (* A FUN3D-shaped callee (cf. edge_loop): two array dummies, two
@@ -1910,6 +2141,13 @@ let suites =
         Alcotest.test_case "registers: recursion" `Quick test_promo_recursion;
         Alcotest.test_case "call path: re-read after re-ALLOCATE" `Quick test_call_reval;
         Alcotest.test_case "call path: minor words per call" `Quick test_call_allocation;
+        Alcotest.test_case "boxed: rank-3 access" `Quick test_boxed_rank3;
+        Alcotest.test_case "boxed: whole-array copy and fill" `Quick test_boxed_whole;
+        Alcotest.test_case "boxed: integer **" `Quick test_boxed_ipow;
+        Alcotest.test_case "boxed: array-element actual" `Quick test_boxed_elem;
+        Alcotest.test_case "boxed: character constant and PRINT" `Quick test_boxed_charcat;
+        Alcotest.test_case "boxed: REAL DO variable" `Quick test_boxed_realdo;
+        Alcotest.test_case "one program, typed and boxed binds" `Quick test_one_program_both_variants;
         Alcotest.test_case "workload coverage" `Quick
           test_workload_bytecode_coverage;
         Alcotest.test_case "saxpy script" `Quick test_saxpy_diff;
