@@ -190,10 +190,10 @@ let bytecode_stats_flag =
     & info [ "bytecode-stats" ]
         ~doc:
           "After the call, print one line per compiled construct (loop or \
-           subprogram body) with its run counts on the typed and on the \
-           boxed VM, its bail count and, when it bailed, the construct \
+           subprogram body) with its run counts on typed and on boxed \
+           registers, its bail count and, when it bailed, the construct \
            that stopped compilation; when it ran boxed, [boxed_reason] \
-           names what kept it off the typed VM.")
+           names what kept it off the typed registers.")
 
 let print_bytecode_stats rows =
   List.iter

@@ -13,10 +13,11 @@
     ([Icall]), small leaf subprograms are inlined into the caller's
     instruction stream, and programs whose every register is provably
     a real, an integer or a logical — calls and allocation included —
-    additionally carry an unboxed typed-register variant (see
-    {!specialize}).  A subprogram body keeps its private scalars — the
-    locals nothing outside the running call can observe — in registers
-    of their own instead of scope slots ({!private_scalars}, DESIGN.md
+    run an unboxed typed-register variant (see {!specialize}), the
+    others their boxed variant ({!boxed}), on the same dispatch loop.
+    A subprogram body keeps its private scalars — the locals nothing
+    outside the running call can observe — in registers of their own
+    instead of scope slots ({!private_scalars}, DESIGN.md
     section 20); when {!specialize} rejects a program, the reason rides
     along for the stats.
 
@@ -65,12 +66,12 @@ let locked f =
 
     One site per compiled construct (loop body or subprogram body),
     keyed by (unit, site id).  [sk_typed] and [sk_boxed] count bytecode
-    executions on the typed and on the boxed VM, [sk_bails] counts
+    executions of the typed and of the boxed variant, [sk_bails] counts
     tree-walk fallbacks (compile bails and bind refusals alike);
     [sk_reason] names the first construct that made compilation bail,
     when it did, and [sk_boxed_reason] the first reason a run took the
-    boxed VM (the construct {!specialize} rejected, or the binding
-    that refused the typed frame). *)
+    boxed variant (the construct {!specialize} rejected, or the binding
+    that refused the typed variant). *)
 module Stats = struct
   type site = {
     sk_unit : string;
@@ -208,29 +209,18 @@ type array_ref = {
           the subscripts are evaluated. *)
 }
 
-(** How one actual argument of a compiled call site is passed.  The
-    three shapes mirror the tree-walker's [bind_actual] exactly:
-    whole-variable designators alias the slot, array elements are
-    copy-in/copy-out against indices evaluated {e before} the value
-    (the tree-walker resolves the lvalue first), everything else is a
-    plain copied value. *)
-type arg_spec =
-  | Arg_alias of int  (** raw-slot id: pass the caller's slot itself *)
-  | Arg_value of int  (** register holding the evaluated value *)
-  | Arg_elem of { ae_arr : int; ae_idx : int array; ae_val : int }
-      (** array id, index registers (already [to_int]ed, the lvalue
-          pass), value register (the bounds-checked re-evaluation) *)
+(** {1 Register files}
 
-(** {1 Typed register files}
-
-    When every register of a program is provably a float, an int or a
-    bool, {!specialize} re-emits it over split unboxed register banks
-    (a [float array] and an [int array]; bools live in the int bank as
-    0/1).  Every typed opcode performs the same primitive float/int
-    operation, in the same order, as its boxed counterpart — unboxing
-    removes allocation and dispatch cost, never changes an IEEE-754
-    bit (DESIGN.md section 16 has the instruction-by-instruction
-    argument). *)
+    A frame runs one [tinstr] stream over three register banks: a
+    [float array], an [int array] (bools live in it as 0/1) and a
+    [Value.t array].  When every register of a program is provably a
+    float, an int or a bool, {!specialize} re-emits it over the two
+    unboxed banks; any other program runs its boxed variant ({!boxed})
+    over the [Value] bank.  Every typed opcode performs the same
+    primitive float/int operation, in the same order, as its boxed
+    counterpart — unboxing removes allocation and dispatch cost, never
+    changes an IEEE-754 bit (DESIGN.md section 16 has the
+    instruction-by-instruction argument). *)
 
 type cmp = Clt | Cle | Cgt | Cge | Ceq | Cne
 
@@ -246,8 +236,6 @@ type call_site = {
   cs_sub : Ast.subprogram;
   cs_mod : string option;  (** enclosing module, for the callee scope *)
   cs_name : string;  (** call-site spelling, for error messages *)
-  cs_args : arg_spec array;
-  cs_dst : int;  (** function-result register; [-1] = statement CALL *)
   cs_idx : int;
       (** index among the program's call sites: the slot of the calling
           frame's per-site callee-frame cache *)
@@ -326,9 +314,10 @@ and program = {
   promoted : string array;
       (** a subprogram's private scalars, kept in registers: no slot of
           the executing scope is read or written for them *)
-  typed : tprogram option;
-  untyped_why : string option;
-      (** when [typed] is [None]: the construct {!specialize} rejected *)
+  boxed_memo : tinstr array Atomic.t;
+      (** the boxed variant, once a bind has needed it ({!boxed}) *)
+  typed : (tprogram, string) result;
+      (** the typed variant, or the construct {!specialize} rejected *)
 }
 
 (** Register-style instructions.  [int] operands are register indices
@@ -361,7 +350,7 @@ and instr =
   | Iintr of string * (Value.t list -> Value.t) * int * int array
       (** pre-resolved intrinsic: lowercase name (for the typed
           specializer), fn, dst, arg regs *)
-  | Icall of call_site  (** marshal arguments, run the callee *)
+  | Icall of call  (** marshal arguments, run the callee *)
   | Idummy_adjust of int
       (** scalar id; the [setup_scope] dummy-redeclaration quirk for a
           dummy declared REAL: an aliased slot holding an Int is
@@ -457,29 +446,51 @@ and tinstr =
   | Tcrit_exit
   | Treturn
   | Texit
-  | Tcall of { tc_site : call_site; tc_args : targ array; tc_res : tres }
-      (** [Icall] over the typed banks: actuals are boxed at the call
-          boundary, the result lands in the bank of the callee's
-          declared result kind *)
+  | Tcall of call
+      (** [Icall] over the register banks: typed actuals are boxed at
+          the call boundary, the result lands in the bank of the
+          callee's declared result kind *)
   | Tallocate of { ta_raw : int; ta_name : string; ta_bounds : (int * int) array }
       (** [Iallocate], (lo, hi) int-bank registers per dimension *)
   | Tdealloc of int * string
   | Tallocated of int * int * string  (** int dst <- 0/1 *)
   | Tcheck_alloc of int * bool
+  | Tv of instr
+      (** a boxed variant's instruction, over the [Value] register bank *)
 
-(** One actual of a typed call: the caller's slot, or a register value
-    (from the float bank, the int bank, or a 0/1 bool). *)
-and targ = Ta_alias of int | Ta_f of int | Ta_i of int | Ta_b of int
+(** A compiled call: the site, how each actual is passed, and where the
+    result goes.  The compiler emits [Ta_alias], [Ta_v], [Ta_elem] and
+    [Tr_v] ([Icall]); {!specialize} moves the registers to the typed
+    banks. *)
+and call = { tc_site : call_site; tc_args : targ array; tc_res : tres }
 
-(** Where a typed call's result goes: nowhere (statement CALL) or a
-    register of the float bank, the int bank, or a bool in the int bank. *)
-and tres = Tr_none | Tr_f of int | Tr_i of int | Tr_b of int
+(** How one actual is passed.  The shapes mirror the tree-walker's
+    [bind_actual] exactly: whole-variable designators alias the slot,
+    array elements are copy-in/copy-out against indices evaluated
+    {e before} the value (the tree-walker resolves the lvalue first),
+    everything else is a plain copied value, from the float bank, the
+    int bank, a 0/1 bool or the [Value] bank. *)
+and targ =
+  | Ta_alias of int  (** raw-slot id: pass the caller's slot itself *)
+  | Ta_f of int
+  | Ta_i of int
+  | Ta_b of int
+  | Ta_v of int
+  | Ta_elem of { ae_arr : int; ae_idx : int array; ae_val : int }
+      (** array id, index registers (already [to_int]ed, the lvalue
+          pass), value register (the bounds-checked re-evaluation), all
+          in the [Value] bank *)
+
+(** Where a call's result goes: nowhere (statement CALL) or a register
+    of the float bank, the int bank, a bool in the int bank, or the
+    [Value] bank. *)
+and tres = Tr_none | Tr_f of int | Tr_i of int | Tr_b of int | Tr_v of int
 
 (** A typed variant of a program: same scalars/arrays tables (ids are
     shared), registers split across float and int banks.  [t_sty]
     gives the value kind every scalar slot must hold for the typed
-    code to be exact; the typed bind re-checks it and falls back to
-    the boxed frame on mismatch. *)
+    code to be exact; the bind re-checks it and runs the boxed variant
+    on mismatch. *)
 and tprogram = {
   tcode : tinstr array;
   t_nf : int;  (** float-bank size *)
@@ -1513,7 +1524,7 @@ and compile_marshalled_call ctx sp mod_name name actuals ~is_fn : int =
               (* the callee may write through the alias; our folded
                  PARAMETER constants would go stale *)
               bail "writes-parameter-arg"
-            else Arg_alias (raw_id ctx n)
+            else Ta_alias (raw_id ctx n)
           | None -> bail "implicit-arg")
         | Ast.Desig ((n, args) :: rest) -> (
           match Storage.lookup ctx.scope n with
@@ -1535,32 +1546,35 @@ and compile_marshalled_call ctx sp mod_name name actuals ~is_fn : int =
             let av =
               compile_elem_load ctx ~unalloc:false arr.Farray.elem n [] args
             in
-            Arg_elem { ae_arr = aid; ae_idx = Array.of_list idx; ae_val = av }
+            Ta_elem { ae_arr = aid; ae_idx = Array.of_list idx; ae_val = av }
           | Some _ -> bail "arg-shape"
           | None ->
             (* head not in scope: bind_actual's resolve_lvalue fails
                and it falls back to a plain evaluated copy (which may
                itself be a function call) *)
-            Arg_value (compile_expr ctx a))
-        | a -> Arg_value (compile_expr ctx a))
+            Ta_v (compile_expr ctx a))
+        | a -> Ta_v (compile_expr ctx a))
       sp.Ast.sub_args actuals
   in
-  let dst = if is_fn then reg ctx else -1 in
+  let dst = if is_fn then reg ctx else 0 in
   let idx = ctx.ncalls in
   ctx.ncalls <- idx + 1;
   emit ctx
     (Icall
        {
-         cs_sub = sp;
-         cs_mod = mod_name;
-         cs_name = name;
-         cs_args = Array.of_list specs;
-         cs_dst = dst;
-         cs_idx = idx;
-         cs_reval = may_realloc_for ctx sp;
-         cs_plan = Plan_unknown;
+         tc_site =
+           {
+             cs_sub = sp;
+             cs_mod = mod_name;
+             cs_name = name;
+             cs_idx = idx;
+             cs_reval = may_realloc_for ctx sp;
+             cs_plan = Plan_unknown;
+           };
+         tc_args = Array.of_list specs;
+         tc_res = (if is_fn then Tr_v dst else Tr_none);
        });
-  if is_fn then dst else 0
+  dst
 
 (* Expand a leaf callee into the caller's instruction stream.  Every
    actual must be a whole scalar variable, so dummies alias caller
@@ -2093,7 +2107,7 @@ let specialize env (p : program) : (tprogram, string) result =
   let effects = lazy (unit_effects env) in
   let has_call = ref false in
   let raw_int = ref [] in
-  let typed_call (cs : call_site) =
+  let typed_call { tc_site = cs; tc_args; tc_res } =
     let fx =
       match
         Hashtbl.find_opt (Lazy.force effects).ue_subs
@@ -2104,25 +2118,27 @@ let specialize env (p : program) : (tprogram, string) result =
     in
     let args =
       Array.mapi
-        (fun k spec ->
-          match spec with
-          | Arg_alias rid ->
+        (fun k arg ->
+          match arg with
+          | Ta_alias rid ->
             let real = fx.fx_real.(k) and int = fx.fx_int.(k) in
             if real && int then raise (Treject ("call of " ^ cs.cs_sub.Ast.sub_name ^ " may make an actual real or integer"));
             if real || int then raw_int := (rid, int) :: !raw_int;
             Ta_alias rid
-          | Arg_value r -> (
+          | Ta_v r -> (
             match ty_of r with TF -> Ta_f bank.(r) | TI -> Ta_i bank.(r) | TB -> Ta_b bank.(r))
-          | Arg_elem _ -> raise (Treject "array-element actual"))
-        cs.cs_args
+          | Ta_elem _ -> raise (Treject "array-element actual")
+          | Ta_f _ | Ta_i _ | Ta_b _ -> raise (Treject "typed actual"))
+        tc_args
     in
     let res =
-      if cs.cs_dst < 0 then Tr_none
-      else
-        let d = cs.cs_dst in
+      match tc_res with
+      | Tr_none -> Tr_none
+      | Tr_v d -> (
         let t = match result_ty cs.cs_sub fx with Some t -> t | None -> raise (Treject ("result of " ^ cs.cs_sub.Ast.sub_name ^ " has no fixed kind")) in
         def d t;
-        match t with TF -> Tr_f bank.(d) | TI -> Tr_i bank.(d) | TB -> Tr_b bank.(d)
+        match t with TF -> Tr_f bank.(d) | TI -> Tr_i bank.(d) | TB -> Tr_b bank.(d))
+      | Tr_f _ | Tr_i _ | Tr_b _ -> raise (Treject "typed result")
     in
     has_call := true;
     Tcall { tc_site = cs; tc_args = args; tc_res = res }
@@ -2505,7 +2521,7 @@ let specialize env (p : program) : (tprogram, string) result =
       | Iallocated (d, rid, name) ->
         def d TB;
         tvec_push out (Tallocated (bank.(d), rid, name))
-      | Icall cs -> tvec_push out (typed_call cs)
+      | Icall c -> tvec_push out (typed_call c)
       | Idummy_adjust sid -> (
         (* the quirk only rewrites an Int value; a slot the typed bind
            verified as Real or Bool is untouched by it, and typed stores
@@ -2598,6 +2614,37 @@ let specialize env (p : program) : (tprogram, string) result =
       }
   with Treject why -> Error why
 
+(** The boxed variant of [code]: one [tinstr] per instruction, so jump
+    targets carry over unchanged.  Calls and the opcodes that touch no
+    register take their shared form; every other instruction runs as
+    [Tv] over the [Value] bank. *)
+let boxed_code (code : instr array) : tinstr array =
+  Array.map
+    (function
+      | Icall c -> Tcall c
+      | Ijmp t -> Tjmp t
+      | Ipoll -> Tpoll
+      | Icrit_enter -> Tcrit_enter
+      | Icrit_exit -> Tcrit_exit
+      | Ireturn -> Treturn
+      | Iexit -> Texit
+      | Idealloc (rid, name) -> Tdealloc (rid, name)
+      | Icheck_alloc (a, store) -> Tcheck_alloc (a, store)
+      | i -> Tv i)
+    code
+
+(** The boxed variant of [p]: what a frame runs when the typed variant
+    does not apply.  Built on the first bind that needs it, so typed
+    programs never hold one; domains racing on that first bind build
+    equal arrays. *)
+let boxed p =
+  match Atomic.get p.boxed_memo with
+  | [||] when Array.length p.code > 0 ->
+    let b = boxed_code p.code in
+    Atomic.set p.boxed_memo b;
+    b
+  | b -> b
+
 (* --- entry points -------------------------------------------------------- *)
 
 let make_ctx env scope ?sub ~in_sub () =
@@ -2655,13 +2702,11 @@ let finish ctx : program =
       ncalls = ctx.ncalls;
       promoted =
         Array.of_list (Hashtbl.fold (fun n _ acc -> n :: acc) ctx.homes [] |> List.sort compare);
-      typed = None;
-      untyped_why = None;
+      boxed_memo = Atomic.make [||];
+      typed = Error "";
     }
   in
-  match specialize ctx.env p with
-  | Ok tp -> { p with typed = Some tp }
-  | Error why -> { p with untyped_why = Some why }
+  { p with typed = specialize ctx.env p }
 
 (* Compile raw (no cache): Ok program or Error bail-reason.  A
    subprogram body ([sub]) first gets its private scalars promoted. *)

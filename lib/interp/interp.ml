@@ -542,13 +542,13 @@ and call_with_bindings ?cs st (sp : Ast.subprogram) mod_name name
       | _ -> error "function %s did not set its result" name)
   in
   (match (cs, ran) with
-  | Some { Bytecode.cs_plan = Bytecode.Plan plan; _ }, Some (p, b)
+  | Some { Bytecode.cs_plan = Bytecode.Plan plan; _ }, Some (p, fr)
     when p == plan.Bytecode.fp_prog ->
     let frames = domain_frames st in
     if not (Hashtbl.mem frames plan.Bytecode.fp_uid) then
       Option.iter
         (Hashtbl.replace frames plan.Bytecode.fp_uid)
-        (Vm.make_cframe plan b scope)
+        (Vm.make_cframe plan fr scope)
   | _ -> ());
   result
 
@@ -559,7 +559,7 @@ and call_with_bindings ?cs st (sp : Ast.subprogram) mod_name name
    compiled call site [cs] records its callee's frame plan on its first
    call and skips the compile lookups after that. *)
 and run_sub_body ?cs st (sp : Ast.subprogram) scope :
-    (Bytecode.program * Vm.bound) option =
+    (Bytecode.program * Vm.frame) option =
   let tree_walk () =
     (try exec_stmts st scope sp.Ast.sub_body with Sub_return -> ());
     None
@@ -582,22 +582,24 @@ and run_sub_body ?cs st (sp : Ast.subprogram) scope :
         | _ -> ());
         (p, site)
     in
-    match compiled with
-    | Some p, site -> (
-      match
-        Vm.bind p scope ~printer:st.printer ~env:(callenv st) ~dovars:[]
-      with
-      | Some b ->
-        Vm.count_run site b;
-        (try Vm.exec_bound b with Sub_return -> ());
-        Some (p, b)
-      | None ->
-        Bytecode.Stats.bail site;
-        tree_walk ())
-    | None, site ->
-      Bytecode.Stats.bail site;
-      tree_walk ()
+    match bind_compiled st compiled scope ~dovars:[] with
+    | Some fr ->
+      (try ignore (Vm.texec fr) with Sub_return -> ());
+      Option.map (fun p -> (p, fr)) (fst compiled)
+    | None -> tree_walk ()
   end
+
+(* Bind a compiled program (or a compile bail) to [scope], counting
+   the run, typed or boxed, or the bail against its stats site; [None]
+   tree-walks. *)
+and bind_compiled st ((p, site) : Bytecode.program option * Bytecode.Stats.site) scope ~dovars =
+  match Option.bind p (fun p -> Vm.bind p scope ~printer:st.printer ~env:(callenv st) ~dovars) with
+  | Some fr ->
+    Vm.count_run site fr;
+    Some fr
+  | None ->
+    Bytecode.Stats.bail site;
+    None
 
 (* The VM's view of the interpreter: a compiled call runs in this
    domain's reusable frame for the callee ([call_site_frame]) when it
@@ -929,27 +931,13 @@ and exec_do_serial st scope (l : Ast.do_loop) =
      construct or binding mismatch falls back to the tree-walk below,
      counted against the loop's stats site. *)
   let compiled =
-    if st.use_bytecode then begin
-      match Bytecode.compile_body (benv st) ~scope ~what:"do" l.Ast.do_body with
-      | Some p, site -> (
-        match
-          Vm.bind p scope ~printer:st.printer ~env:(callenv st)
-            ~dovars:[ slot ]
-        with
-        | Some b ->
-          Vm.count_run site b;
-          Some b
-        | None ->
-          Bytecode.Stats.bail site;
-          None)
-      | None, site ->
-        Bytecode.Stats.bail site;
-        None
-    end
+    if st.use_bytecode then
+      bind_compiled st (Bytecode.compile_body (benv st) ~scope ~what:"do" l.Ast.do_body) scope
+        ~dovars:[ slot ]
     else None
   in
   match compiled with
-  | Some b -> Vm.run_do b ~slot ~lo ~hi ~step
+  | Some fr -> Vm.run_do fr ~slot ~lo ~hi ~step
   | None ->
     let continue_ i = if step > 0 then i <= hi else i >= hi in
     (* Cooperative cancellation: poll the ambient deadline token every
@@ -1123,26 +1111,8 @@ and exec_do_parallel st scope (l : Ast.do_loop) (d : Ast.omp_do) =
     let prog = compile_chunk_body l.Ast.do_body in
     let body tscope clo chi =
       let slot = Hashtbl.find tscope.vars l.Ast.do_var in
-      let fr =
-        match prog with
-        | Some (Some p, site) -> (
-          match
-            Vm.bind p tscope ~printer:st.printer ~env:(callenv st)
-              ~dovars:[ slot ]
-          with
-          | Some b ->
-            Vm.count_run site b;
-            Some b
-          | None ->
-            Bytecode.Stats.bail site;
-            None)
-        | Some (None, site) ->
-          Bytecode.Stats.bail site;
-          None
-        | None -> None
-      in
-      match fr with
-      | Some b -> Vm.run_chunk b ~slot ~clo ~chi
+      match Option.bind prog (fun c -> bind_compiled st c tscope ~dovars:[ slot ]) with
+      | Some fr -> Vm.run_chunk fr ~slot ~clo ~chi
       | None ->
         for i = clo to chi do
           if (i - clo) land 255 = 255 then Fault.check_current ();
@@ -1162,26 +1132,8 @@ and exec_do_parallel st scope (l : Ast.do_loop) (d : Ast.omp_do) =
       let body tscope clo chi =
         let oslot = Hashtbl.find tscope.vars l.Ast.do_var in
         let islot = Hashtbl.find tscope.vars inner.Ast.do_var in
-        let fr =
-          match prog with
-          | Some (Some p, site) -> (
-            match
-              Vm.bind p tscope ~printer:st.printer ~env:(callenv st)
-                ~dovars:[ oslot; islot ]
-            with
-            | Some b ->
-              Vm.count_run site b;
-              Some b
-            | None ->
-              Bytecode.Stats.bail site;
-              None)
-          | Some (None, site) ->
-            Bytecode.Stats.bail site;
-            None
-          | None -> None
-        in
-        match fr with
-        | Some b -> Vm.run_collapse b ~oslot ~islot ~lo ~ilo ~isize ~clo ~chi
+        match Option.bind prog (fun c -> bind_compiled st c tscope ~dovars:[ oslot; islot ]) with
+        | Some fr -> Vm.run_collapse fr ~oslot ~islot ~lo ~ilo ~isize ~clo ~chi
         | None ->
           for k = clo to chi do
             if (k - clo) land 255 = 255 then Fault.check_current ();
@@ -1311,10 +1263,10 @@ type bytecode_row = Bytecode.Stats.row = {
   r_label : string;
   r_reason : string option;  (** first bailing construct, if any *)
   r_boxed_reason : string option;
-      (** first reason a compiled run took the boxed VM, if any *)
+      (** first reason a compiled run took the boxed variant, if any *)
   r_runs : int;  (** executions that ran compiled: [r_typed + r_boxed] *)
   r_typed : int;  (** ...on the typed (unboxed) VM *)
-  r_boxed : int;  (** ...on the boxed VM *)
+  r_boxed : int;  (** ...of the boxed variant (the [Value] registers) *)
   r_bails : int;  (** executions that fell back to the tree-walker *)
 }
 

@@ -77,7 +77,7 @@ let implicit_base name =
 (** {1 Allocation}
 
     ALLOCATE, DEALLOCATE and [allocated()] on one resolved slot.  The
-    tree-walker and both VM dispatch loops go through these, so the
+    tree-walker and the VM's dispatch loop go through these, so the
     checks, the error texts and the ALLOCATE counter are one
     implementation. *)
 

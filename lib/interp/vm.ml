@@ -11,33 +11,37 @@
     variables.  Any mismatch returns [None] and the caller falls back
     to the tree-walker.
 
-    When the program carries a typed variant (see
-    {!Bytecode.specialize}) and the executing scope's scalar slots are
-    declared with, and hold, the inferred kinds, [bind] returns an
-    unboxed typed frame instead; otherwise the boxed frame.  Both
-    produce bit-identical results — the typed dispatch loop performs
-    the same primitive operations in the same order, minus the [Value]
-    boxing.  Both frames run compiled calls, ALLOCATE, DEALLOCATE and
-    [allocated()] (through the {!Storage} helpers the tree-walker uses),
-    and bind arrays that may be unallocated: such a binding has empty
-    bounds, so only the checked out-of-range path ever sees it, and it
-    raises the tree-walker's error there.  After an (de)allocation, and
-    after a call whose callee may (de)allocate something the frame can
-    bind, the frame re-reads its array slots (DESIGN.md §19, §20).
+    A bound program is one {!frame} running one dispatch loop
+    ([texec]) over three register banks.  When the program carries a
+    typed variant (see {!Bytecode.specialize}) and the executing
+    scope's scalar slots are declared with, and hold, the inferred
+    kinds, the frame runs that variant over the unboxed float and int
+    banks; otherwise it runs the program's boxed variant, whose [Tv]
+    instructions step over the [Value] bank.  Both produce
+    bit-identical results — the typed opcodes perform the same
+    primitive operations in the same order, minus the [Value] boxing
+    (DESIGN.md §16, §21).  Frames run compiled calls, ALLOCATE,
+    DEALLOCATE and [allocated()] (through the {!Storage} helpers the
+    tree-walker uses), and bind arrays that may be unallocated: such a
+    binding has empty bounds, so only the checked out-of-range path
+    ever sees it, and it raises the tree-walker's error there.  After
+    an (de)allocation, and after a call whose callee may (de)allocate
+    something the frame can bind, the frame re-reads its array slots
+    (DESIGN.md §19, §20).
 
     A compiled call keeps its callee's bound frame per domain
     ({!cframe}) and re-binds only what a {!Bytecode.frame_plan} says can
-    change between calls (DESIGN.md §18).  Both dispatch loops share one
-    call path ({!call_frame}): the calling frame caches the callee's
+    change between calls (DESIGN.md §18).  One function stages every
+    compiled call ({!call}): the calling frame caches the callee's
     frame per call site, the calling instruction stages the actuals
     straight into its dummy slots, and nothing is allocated for an
     aliased actual; the interpreter's scope path ([callenv.ce_call])
     takes every call the frame cannot (DESIGN.md §20).
 
-    [exec]/[texec] are the dispatch loops; the [run_*] drivers
-    reproduce the tree-walker's loop protocols exactly, including the
-    {!Glaf_runtime.Fault.check_current} cancellation poll every 256
-    iterations and the Fortran DO-variable completion/EXIT rules. *)
+    The [run_*] drivers reproduce the tree-walker's loop protocols
+    exactly, including the {!Glaf_runtime.Fault.check_current}
+    cancellation poll every 256 iterations and the Fortran DO-variable
+    completion/EXIT rules. *)
 
 open Glaf_fortran
 open Glaf_runtime
@@ -48,24 +52,13 @@ open Glaf_runtime
     then raises the tree-walker's rank error). *)
 type bad = Good | Unallocated of string | Rank_mismatch
 
-(** Array binding: the backing {!Farray.t} plus pre-fetched bounds for
-    the rank-1/rank-2 fast paths (column-major: the second subscript
-    strides by the first dimension's size).  A [bad] binding has empty
-    bounds, so every fast-path access takes the checked slow path. *)
-type abind = {
-  ba : Farray.t;
-  b_lo1 : int;
-  b_hi1 : int;
-  b_lo2 : int;
-  b_hi2 : int;
-  b_s1 : int;
-  b_bad : bad;
-}
-
-(** Typed array binding: the raw element bank (one of the two arrays
-    is empty) plus the same pre-fetched bounds.  A bad binding has
-    empty bounds and banks, like the boxed one, so its accesses all take
-    the out-of-range branch. *)
+(** Array binding: the backing {!Farray.t}, its raw element bank (a
+    float or an int array, the other empty; both empty for the other
+    element kinds) and pre-fetched bounds for the rank-1/rank-2 fast
+    paths (column-major: the second subscript strides by the first
+    dimension's size).  Typed code reads the bank, boxed code the
+    array.  A [bad] binding has empty bounds and banks, so every
+    fast-path access takes the checked out-of-range path. *)
 type tabind = {
   t_f : float array;
   t_i : int array;
@@ -83,7 +76,7 @@ type tabind = {
     tail of the tree-walker's [call_subprogram] (scope setup, body,
     copy-out, result): the scope path.  [ce_frame cs] is this domain's
     reusable frame for the callee of [cs], once a call left one behind.
-    [ce_allocs] is the state's ALLOCATE counter, which [Iallocate] bumps
+    [ce_allocs] is the state's ALLOCATE counter, which ALLOCATE bumps
     like the tree-walker does. *)
 type callenv = {
   ce_call : Bytecode.call_site -> Storage.arg_binding list -> Value.t option;
@@ -91,42 +84,29 @@ type callenv = {
   ce_allocs : int Atomic.t;
 }
 
+(** A bound program, ready to run: the typed variant (with sized float
+    and int banks and the shared empty [vregs]) or the boxed variant
+    (with a sized [vregs] and the shared empty float and int banks). *)
 and frame = {
-  code : Bytecode.instr array;
-  regs : Value.t array;
+  code : Bytecode.tinstr array;
+  fregs : float array;
+  iregs : int array;
+  vregs : Value.t array;
   scalars : Storage.slot array;
-  arrays : abind array;
+  arrays : tabind array;
   aslots : Storage.slot array;  (** the slot each array binding reads *)
   arefs : Bytecode.array_ref array;
-  raws : Storage.slot array;  (** whole-slot aliases for Icall *)
+  raws : Storage.slot array;  (** whole-slot aliases for calls and ALLOCATE *)
   env : callenv;
   callees : cframe option array;  (** per call site: the callee's frame *)
-  why : string;  (** why this program runs boxed, for the stats *)
+  why : string option;  (** why this frame runs the boxed variant; [None]: typed *)
   printer : string -> unit;
   mutable tick : int;
   mutable crit : int;  (* CRITICAL locks held (0 or 1) *)
 }
 
-and tframe = {
-  tcode : Bytecode.tinstr array;
-  fregs : float array;
-  iregs : int array;
-  tscalars : Storage.slot array;
-  tarrays : tabind array;
-  taslots : Storage.slot array;
-  tarefs : Bytecode.array_ref array;
-  traws : Storage.slot array;
-  tenv : callenv;
-  tcallees : cframe option array;
-  mutable ttick : int;
-  mutable tcrit : int;
-}
-
-(** A bound program, ready to run: boxed or typed. *)
-and bound = Bf of frame | Bt of tframe
-
 (** A compiled callee's bound frame, kept for reuse by one domain of one
-    interpreter state: the plan, the bound program, the slots of the
+    interpreter state: the plan, the bound frame, the slots of the
     plan's fresh locals and the current call's dummy slots, which the
     calling instruction stages.  [busy] marks a frame whose call is
     still running (recursion).  A calling frame caches the callee frame
@@ -135,7 +115,7 @@ and bound = Bf of frame | Bt of tframe
     domain of one state too. *)
 and cframe = {
   plan : Bytecode.frame_plan;
-  bound : bound;
+  frame : frame;
   lslots : Storage.slot array;
   dslots : Storage.slot array;
   mutable busy : bool;
@@ -146,23 +126,40 @@ let dummy_slot () =
 
 let empty_array = Farray.create Farray.Eint [| (1, 0) |]
 
-let bad_abind ba why =
-  { ba; b_lo1 = 1; b_hi1 = 0; b_lo2 = 1; b_hi2 = 0; b_s1 = 0; b_bad = why }
+(* The banks a frame does not use. *)
+let no_fregs : float array = [||]
+let no_iregs : int array = [||]
+let no_vregs : Value.t array = [||]
 
-let dummy_abind = bad_abind empty_array Rank_mismatch
+let bad_binding ba why =
+  {
+    t_f = no_fregs;
+    t_i = no_iregs;
+    c_lo1 = 1;
+    c_hi1 = 0;
+    c_lo2 = 1;
+    c_hi2 = 0;
+    c_s1 = 0;
+    c_ba = ba;
+    c_bad = why;
+  }
 
-let good_abind a =
+let dummy_binding = bad_binding empty_array Rank_mismatch
+
+let good_binding a =
   let rank = Farray.rank a in
   let lo1, hi1 = if rank >= 1 then a.Farray.bounds.(0) else (1, 0) in
   let lo2, hi2 = if rank >= 2 then a.Farray.bounds.(1) else (1, 0) in
   {
-    ba = a;
-    b_lo1 = lo1;
-    b_hi1 = hi1;
-    b_lo2 = lo2;
-    b_hi2 = hi2;
-    b_s1 = Farray.dim_size (lo1, hi1);
-    b_bad = Good;
+    t_f = (match a.Farray.data with Farray.F fa -> fa | _ -> no_fregs);
+    t_i = (match a.Farray.data with Farray.I ia -> ia | _ -> no_iregs);
+    c_lo1 = lo1;
+    c_hi1 = hi1;
+    c_lo2 = lo2;
+    c_hi2 = hi2;
+    c_s1 = Farray.dim_size (lo1, hi1);
+    c_ba = a;
+    c_bad = Good;
   }
 
 let display_name (r : Bytecode.array_ref) =
@@ -174,30 +171,44 @@ let display_name (r : Bytecode.array_ref) =
    instead; mid-body, after an ALLOCATE, DEALLOCATE or call changed
    storage, there is no falling back, so the binding turns bad and the
    access raises exactly what the tree-walker would. *)
-let abind_of ~entry (r : Bytecode.array_ref) (e : Storage.entry) : abind option =
+let binding_of ~entry (r : Bytecode.array_ref) (e : Storage.entry) : tabind option =
   match e with
   | Storage.Array a ->
     if r.Bytecode.asubs > 0 && r.Bytecode.asubs <> Farray.rank a then
-      if entry then None else Some (bad_abind a Rank_mismatch)
-    else Some (good_abind a)
+      if entry then None else Some (bad_binding a Rank_mismatch)
+    else Some (good_binding a)
   | Storage.Unalloc _ ->
     if entry && not r.Bytecode.amaybe then None
-    else Some (bad_abind empty_array (Unallocated (display_name r)))
-  | _ -> if entry then None else Some (bad_abind empty_array (Unallocated (display_name r)))
+    else Some (bad_binding empty_array (Unallocated (display_name r)))
+  | _ -> if entry then None else Some (bad_binding empty_array (Unallocated (display_name r)))
+
+(* The slot's element kind is the one the typed code was specialized
+   for — an unallocated slot's too, whose kind an ALLOCATE under the
+   running frame brings in. *)
+let elem_ok (r : Bytecode.array_ref) (e : Storage.entry) =
+  match e with
+  | Storage.Array a -> a.Farray.elem = r.Bytecode.aelem
+  | Storage.Unalloc (elem, _) -> elem = r.Bytecode.aelem
+  | _ -> true
+
+let corrupt () = Storage.error "bytecode: register/slot invariant violated"
 
 (* Re-read every array slot after storage may have changed under a
    running frame, rebuilding the bindings whose array is no longer the
-   bound one. *)
+   bound one.  A slot's element kind never changes, so typed code keeps
+   the bank it was specialized for. *)
 let revalidate fr =
   let arrays = fr.arrays in
   for i = 0 to Array.length arrays - 1 do
+    let ab = arrays.(i) in
     match fr.aslots.(i).Storage.entry with
-    | Storage.Array a when a == arrays.(i).ba && arrays.(i).b_bad = Good -> ()
-    | Storage.Unalloc _ when (match arrays.(i).b_bad with Unallocated _ -> true | _ -> false) -> ()
+    | Storage.Array a when a == ab.c_ba && ab.c_bad = Good -> ()
+    | Storage.Unalloc _ when (match ab.c_bad with Unallocated _ -> true | _ -> false) -> ()
     | e -> (
-      match abind_of ~entry:false fr.arefs.(i) e with
-      | Some ab -> arrays.(i) <- ab
-      | None -> assert false)
+      let r = fr.arefs.(i) in
+      match binding_of ~entry:false r e with
+      | Some ab when fr.why <> None || elem_ok r e -> arrays.(i) <- ab
+      | _ -> corrupt ())
   done
 
 let resolve_slot scope name path : Storage.slot option =
@@ -205,38 +216,9 @@ let resolve_slot scope name path : Storage.slot option =
   | None -> None
   | Some slot -> Storage.walk_path slot path
 
-(* Typed construction aborts back to the boxed frame. *)
-exception Fall
-
-(* The typed binding for [r] given its slot's entry, after the same
-   checks as [abind_of].  [Fall] when the element kind is not the one
-   the typed code was specialized for — for an unallocated array too,
-   whose kind an ALLOCATE under the running frame would bring in. *)
-let tabind_of ~entry (r : Bytecode.array_ref) (e : Storage.entry) =
-  let ab = match abind_of ~entry r e with Some ab -> ab | None -> raise Fall in
-  let tf, ti =
-    match (ab.b_bad, r.Bytecode.aelem, ab.ba.Farray.data, e) with
-    | Good, Farray.Efloat, Farray.F fa, _ when ab.ba.Farray.elem = Farray.Efloat -> (fa, [||])
-    | Good, Farray.Eint, Farray.I ia, _ when ab.ba.Farray.elem = Farray.Eint -> ([||], ia)
-    | Good, _, _, _ -> raise Fall
-    | _, elem, _, Storage.Unalloc (elem', _) when elem <> elem' -> raise Fall
-    | _ -> ([||], [||])
-  in
-  {
-    t_f = tf;
-    t_i = ti;
-    c_lo1 = ab.b_lo1;
-    c_hi1 = ab.b_hi1;
-    c_lo2 = ab.b_lo2;
-    c_hi2 = ab.b_hi2;
-    c_s1 = ab.b_s1;
-    c_ba = ab.ba;
-    c_bad = ab.b_bad;
-  }
-
 (* The slot is declared with the value kind the typed code was
-   specialized for (so the coercing stores of a callee or of the boxed
-   engine keep it) and holds it. *)
+   specialized for (so the coercing stores of a callee or of boxed
+   code keep it) and holds it. *)
 let typed_slot_ok (ty : Bytecode.ty) (sl : Storage.slot) =
   match (ty, sl.Storage.base, sl.Storage.entry) with
   | Bytecode.TF, (Ast.Real | Ast.Real8), Storage.Scalar (Value.Real _)
@@ -274,41 +256,22 @@ let typed_raws_ok (tp : Bytecode.tprogram) (raws : Storage.slot array) =
   done;
   !ok
 
-(* The typed frame, or why the executing scope refuses it. *)
-let try_typed (p : Bytecode.program) (tp : Bytecode.tprogram)
-    (scalars : Storage.slot array) aslots raws env (dovars : Storage.slot list) :
-    (tframe, string) result =
+(* Why the executing scope refuses the typed variant, if it does. *)
+let typed_refusal (p : Bytecode.program) (tp : Bytecode.tprogram)
+    (scalars : Storage.slot array) (aslots : Storage.slot array) raws
+    (dovars : Storage.slot list) : string option =
   match typed_scalars_bad p tp scalars dovars with
-  | Some n -> Error ("bind: scalar " ^ n ^ " has another kind")
-  | None when not (typed_raws_ok tp raws) -> Error "bind: alias actual has another kind"
-  | None -> (
-    match
-      Array.map2
-        (fun r (sl : Storage.slot) -> tabind_of ~entry:true r sl.Storage.entry)
-        p.Bytecode.arrays aslots
-    with
-    | exception Fall -> Error "bind: array has another element kind"
-    | tarrays ->
-      Ok
-        {
-          tcode = tp.Bytecode.tcode;
-          fregs = Array.make tp.Bytecode.t_nf 0.0;
-          iregs = Array.make tp.Bytecode.t_ni 0;
-          tscalars = scalars;
-          tarrays;
-          taslots = aslots;
-          tarefs = p.Bytecode.arrays;
-          traws = raws;
-          tenv = env;
-          tcallees = Array.make p.Bytecode.ncalls None;
-          ttick = 0;
-          tcrit = 0;
-        })
+  | Some n -> Some ("bind: scalar " ^ n ^ " has another kind")
+  | None when not (typed_raws_ok tp raws) -> Some "bind: alias actual has another kind"
+  | None ->
+    let ok = ref true in
+    Array.iteri (fun i r -> if not (elem_ok r aslots.(i).Storage.entry) then ok := false) p.Bytecode.arrays;
+    if !ok then None else Some "bind: array has another element kind"
 
 (** [dovars] lists the slots a loop driver will write raw Int values
     into (the DO variables); they gate the typed variant only. *)
 let bind (p : Bytecode.program) (scope : Storage.scope) ~printer
-    ~(env : callenv) ~(dovars : Storage.slot list) : bound option =
+    ~(env : callenv) ~(dovars : Storage.slot list) : frame option =
   let ok = ref true in
   let scalars =
     Array.map
@@ -333,12 +296,12 @@ let bind (p : Bytecode.program) (scope : Storage.scope) ~printer
   let arrays =
     Array.map2
       (fun r (s : Storage.slot) ->
-        match abind_of ~entry:true r s.Storage.entry with
+        match binding_of ~entry:true r s.Storage.entry with
         | Some ab -> ab
         | None ->
           (* e.g. a rank mismatch: let the tree-walker raise its error *)
           ok := false;
-          dummy_abind)
+          dummy_binding)
       p.Bytecode.arrays aslots
   in
   let raws =
@@ -368,11 +331,13 @@ let bind (p : Bytecode.program) (scope : Storage.scope) ~printer
     p.Bytecode.negatives;
   if not !ok then None
   else
-    let boxed why =
-      Bf
+    let frame code ~fregs ~iregs ~vregs why =
+      Some
         {
-          code = p.Bytecode.code;
-          regs = Array.make (max 1 p.Bytecode.nregs) (Value.Int 0);
+          code;
+          fregs;
+          iregs;
+          vregs;
           scalars;
           arrays;
           aslots;
@@ -386,12 +351,21 @@ let bind (p : Bytecode.program) (scope : Storage.scope) ~printer
           crit = 0;
         }
     in
+    let boxed why =
+      frame (Bytecode.boxed p) ~fregs:no_fregs ~iregs:no_iregs
+        ~vregs:(Array.make (max 1 p.Bytecode.nregs) (Value.Int 0))
+        (Some why)
+    in
     match p.Bytecode.typed with
-    | Some tp -> (
-      match try_typed p tp scalars aslots raws env dovars with
-      | Ok tf -> Some (Bt tf)
-      | Error why -> Some (boxed why))
-    | None -> Some (boxed (Option.value p.Bytecode.untyped_why ~default:"untyped"))
+    | Error why -> boxed why
+    | Ok tp -> (
+      match typed_refusal p tp scalars aslots raws dovars with
+      | Some why -> boxed why
+      | None ->
+        frame tp.Bytecode.tcode
+          ~fregs:(Array.make tp.Bytecode.t_nf 0.0)
+          ~iregs:(Array.make tp.Bytecode.t_ni 0)
+          ~vregs:no_vregs None)
 
 (* Whole-array assignment, mirroring the tree-walker's assign_lvalue. *)
 let store_whole a v =
@@ -404,51 +378,34 @@ let store_whole a v =
   | Value.Arr _ -> Storage.error "shape mismatch in whole-array assignment"
   | v -> Farray.fill a (Value.to_cell v)
 
-let corrupt () = Storage.error "bytecode: register/slot invariant violated"
-
 let check_alloc bad ~store =
   match bad with Unallocated n -> Storage.unallocated_error n ~store | Good | Rank_mismatch -> ()
 
-(* The checked element access behind the rank-1/rank-2 fast paths (and
-   every rank-N access): a binding with no array raises the
+(* The checked element access behind boxed code's rank-1/rank-2 fast
+   paths (and every rank-N access): a binding with no array raises the
    tree-walker's unallocated error; otherwise the generic [Farray]
    access converts the subscripts and raises the tree-walker's bounds
    or rank error, or succeeds (e.g. real-valued subscripts). *)
 let slow_load ab (idx : Value.t array) =
-  check_alloc ab.b_bad ~store:false;
+  check_alloc ab.c_bad ~store:false;
   let idx = Array.map Value.to_int idx in
-  Value.of_cell (Farray.get ab.ba idx)
+  Value.of_cell (Farray.get ab.c_ba idx)
 
 let slow_store ab (idx : Value.t array) v =
-  check_alloc ab.b_bad ~store:true;
+  check_alloc ab.c_bad ~store:true;
   let idx = Array.map Value.to_int idx in
-  Farray.set ab.ba idx (Value.to_cell v)
+  Farray.set ab.c_ba idx (Value.to_cell v)
 
-(* The typed fast paths' out-of-range branch, which every access through
-   a bad binding takes (its bounds are empty): raise what the boxed slow
-   path raises for the same subscripts — the unallocated error, or
+(* Typed code's out-of-range branch, which every access through a bad
+   binding takes (its bounds are empty): raise what the boxed slow path
+   raises for the same subscripts — the unallocated error, or
    [Farray]'s rank or bounds error. *)
 let oob ab ~store (idx : int array) =
   check_alloc ab.c_bad ~store;
   ignore (Farray.offset ab.c_ba idx);
   corrupt ()
 
-(* [revalidate] for typed frames. *)
-let trevalidate fr =
-  let arrays = fr.tarrays in
-  for i = 0 to Array.length arrays - 1 do
-    let ab = arrays.(i) in
-    match fr.taslots.(i).Storage.entry with
-    | Storage.Array a when a == ab.c_ba && ab.c_bad = Good -> ()
-    | Storage.Unalloc _ when (match ab.c_bad with Unallocated _ -> true | _ -> false) -> ()
-    | e -> (
-      (* a slot's element kind never changes, so this cannot fall *)
-      match tabind_of ~entry:false fr.tarefs.(i) e with
-      | tb -> arrays.(i) <- tb
-      | exception Fall -> corrupt ())
-  done
-
-(* Generic binop semantics, shared with the typed fast paths in [exec]:
+(* Generic binop semantics, shared with boxed code's fast paths:
    exactly the tree-walker's [eval_binop] (Gt/Ge swap operands into
    lt/le, comparisons go through [Value.compare_values]' total order). *)
 let binop_slow op va vb =
@@ -472,18 +429,207 @@ let binop_slow op va vb =
     | _ -> Storage.error "// expects character operands")
   | Ast.And | Ast.Or -> corrupt () (* compiled to jumps *)
 
+(* Boxed code's binop: typed fast paths skipping the [Value] dispatch
+   layers; the results are bit-identical to [binop_slow] — [num2]/[div]
+   reduce to the raw float/int op on same-typed operands, and
+   comparisons use the same [compare]-based total order (so NaN
+   ordering matches the tree-walker exactly). *)
+let binop op va vb =
+  match (va, vb) with
+  | Value.Real x, Value.Real y -> (
+    match op with
+    | Ast.Add -> Value.Real (x +. y)
+    | Ast.Sub -> Value.Real (x -. y)
+    | Ast.Mul -> Value.Real (x *. y)
+    | Ast.Div -> Value.Real (x /. y)
+    | Ast.Pow -> Value.Real (x ** y)
+    | Ast.Lt -> Value.Bool (Float.compare x y < 0)
+    | Ast.Le -> Value.Bool (Float.compare x y <= 0)
+    | Ast.Gt -> Value.Bool (Float.compare y x < 0)
+    | Ast.Ge -> Value.Bool (Float.compare y x <= 0)
+    | Ast.Eq -> Value.Bool (Float.compare x y = 0)
+    | Ast.Ne -> Value.Bool (Float.compare x y <> 0)
+    | _ -> binop_slow op va vb)
+  | Value.Int x, Value.Int y -> (
+    match op with
+    | Ast.Add -> Value.Int (x + y)
+    | Ast.Sub -> Value.Int (x - y)
+    | Ast.Mul -> Value.Int (x * y)
+    | Ast.Lt -> Value.Bool (x < y)
+    | Ast.Le -> Value.Bool (x <= y)
+    | Ast.Gt -> Value.Bool (y < x)
+    | Ast.Ge -> Value.Bool (y <= x)
+    | Ast.Eq -> Value.Bool (x = y)
+    | Ast.Ne -> Value.Bool (x <> y)
+    | _ -> binop_slow op va vb)
+  | _ -> binop_slow op va vb
+
+let loop_completed lo hi step = lo + (step * max 0 ((hi - lo + step) / step))
+
+let int_reg (regs : Value.t array) r = match regs.(r) with Value.Int i -> i | _ -> corrupt ()
+
+(* One instruction of a boxed variant at [pc], over the [Value] bank:
+   the tree-walker's operations on boxed values.  Returns the next pc. *)
+let vstep fr pc (ins : Bytecode.instr) : int =
+  let regs = fr.vregs in
+  match ins with
+  | Bytecode.Iconst (d, v) ->
+    regs.(d) <- v;
+    pc + 1
+  | Bytecode.Icopy (d, s) ->
+    regs.(d) <- regs.(s);
+    pc + 1
+  | Bytecode.Iload (d, s) ->
+    (match fr.scalars.(s).Storage.entry with
+    | Storage.Scalar v -> regs.(d) <- v
+    | _ -> corrupt ());
+    pc + 1
+  | Bytecode.Istore (s, r) ->
+    let sl = fr.scalars.(s) in
+    sl.Storage.entry <- Storage.Scalar (Value.coerce sl.Storage.base regs.(r));
+    pc + 1
+  | Bytecode.Istore_raw (s, r) ->
+    fr.scalars.(s).Storage.entry <- Storage.Scalar regs.(r);
+    pc + 1
+  | Bytecode.Icoerce (base, d, s) ->
+    regs.(d) <- Value.coerce base regs.(s);
+    pc + 1
+  | Bytecode.Idummy_adjust s ->
+    (* setup_scope's dummy-redeclaration quirk: declaring an aliased
+       dummy REAL rewrites an Int value in place *)
+    let sl = fr.scalars.(s) in
+    (match sl.Storage.entry with
+    | Storage.Scalar v when Value.is_int v ->
+      sl.Storage.entry <- Storage.Scalar (Value.Real (Value.to_float v))
+    | _ -> ());
+    pc + 1
+  | Bytecode.Iload_arr (d, a) ->
+    let ab = fr.arrays.(a) in
+    (match ab.c_bad with
+    | Unallocated n -> Storage.error "%s used before allocation" n
+    | _ -> regs.(d) <- Value.Arr ab.c_ba);
+    pc + 1
+  | Bytecode.Istore_whole (a, r) ->
+    let ab = fr.arrays.(a) in
+    (match ab.c_bad with
+    | Unallocated _ -> Storage.error "assignment to unallocated array"
+    | _ -> store_whole ab.c_ba regs.(r));
+    pc + 1
+  | Bytecode.Iload1 (d, a, ir) ->
+    let ab = fr.arrays.(a) in
+    (match regs.(ir) with
+    | Value.Int i when i >= ab.c_lo1 && i <= ab.c_hi1 ->
+      regs.(d) <- Value.of_cell (Farray.get_linear ab.c_ba (i - ab.c_lo1))
+    | vi -> regs.(d) <- slow_load ab [| vi |]);
+    pc + 1
+  | Bytecode.Iload2 (d, a, ir, jr) ->
+    let ab = fr.arrays.(a) in
+    (match (regs.(ir), regs.(jr)) with
+    | Value.Int i, Value.Int j
+      when i >= ab.c_lo1 && i <= ab.c_hi1 && j >= ab.c_lo2 && j <= ab.c_hi2 ->
+      regs.(d) <-
+        Value.of_cell (Farray.get_linear ab.c_ba (i - ab.c_lo1 + ((j - ab.c_lo2) * ab.c_s1)))
+    | vi, vj -> regs.(d) <- slow_load ab [| vi; vj |]);
+    pc + 1
+  | Bytecode.IloadN (d, a, irs) ->
+    regs.(d) <- slow_load fr.arrays.(a) (Array.map (fun r -> regs.(r)) irs);
+    pc + 1
+  | Bytecode.Istore1 (a, ir, r) ->
+    let ab = fr.arrays.(a) in
+    (match regs.(ir) with
+    | Value.Int i when i >= ab.c_lo1 && i <= ab.c_hi1 ->
+      Farray.set_linear ab.c_ba (i - ab.c_lo1) (Value.to_cell regs.(r))
+    | vi -> slow_store ab [| vi |] regs.(r));
+    pc + 1
+  | Bytecode.Istore2 (a, ir, jr, r) ->
+    let ab = fr.arrays.(a) in
+    (match (regs.(ir), regs.(jr)) with
+    | Value.Int i, Value.Int j
+      when i >= ab.c_lo1 && i <= ab.c_hi1 && j >= ab.c_lo2 && j <= ab.c_hi2 ->
+      Farray.set_linear ab.c_ba
+        (i - ab.c_lo1 + ((j - ab.c_lo2) * ab.c_s1))
+        (Value.to_cell regs.(r))
+    | vi, vj -> slow_store ab [| vi; vj |] regs.(r));
+    pc + 1
+  | Bytecode.IstoreN (a, irs, r) ->
+    slow_store fr.arrays.(a) (Array.map (fun i -> regs.(i)) irs) regs.(r);
+    pc + 1
+  | Bytecode.Iallocate { al_raw; al_name; al_bounds } ->
+    (* the tree-walker's ALLOCATE, bounds already evaluated *)
+    let bounds = Array.map (fun (l, h) -> (int_reg regs l, int_reg regs h)) al_bounds in
+    Storage.allocate fr.raws.(al_raw) al_name bounds ~count:fr.env.ce_allocs;
+    revalidate fr;
+    pc + 1
+  | Bytecode.Iallocated (d, rid, name) ->
+    regs.(d) <- Value.Bool (Storage.allocated fr.raws.(rid) name);
+    pc + 1
+  | Bytecode.Ibinop (op, d, a, b) ->
+    regs.(d) <- binop op regs.(a) regs.(b);
+    pc + 1
+  | Bytecode.Ineg (d, s) ->
+    regs.(d) <- Value.neg regs.(s);
+    pc + 1
+  | Bytecode.Inot (d, s) ->
+    regs.(d) <- Value.Bool (not (Value.to_bool regs.(s)));
+    pc + 1
+  | Bytecode.Ibool (d, s) ->
+    regs.(d) <- Value.Bool (Value.to_bool regs.(s));
+    pc + 1
+  | Bytecode.Ito_int (d, s) ->
+    regs.(d) <- Value.Int (Value.to_int regs.(s));
+    pc + 1
+  | Bytecode.Icheck_step r ->
+    (match regs.(r) with Value.Int 0 -> Storage.error "DO loop with zero step" | _ -> ());
+    pc + 1
+  | Bytecode.Iintr (_, f, d, args) ->
+    let vals =
+      match Array.length args with
+      | 1 -> [ regs.(args.(0)) ]
+      | 2 -> [ regs.(args.(0)); regs.(args.(1)) ]
+      | _ -> Array.fold_right (fun r acc -> regs.(r) :: acc) args []
+    in
+    regs.(d) <- f vals;
+    pc + 1
+  | Bytecode.Ijf (r, t) -> if Value.to_bool regs.(r) then pc + 1 else t
+  | Bytecode.Ijt (r, t) -> if Value.to_bool regs.(r) then t else pc + 1
+  | Bytecode.Iloop_test { ireg; hireg; stepreg; target } ->
+    let i = int_reg regs ireg and hi = int_reg regs hireg and step = int_reg regs stepreg in
+    if if step > 0 then i <= hi else i >= hi then pc + 1 else target
+  | Bytecode.Iinc (ir, sr) ->
+    regs.(ir) <- Value.Int (int_reg regs ir + int_reg regs sr);
+    pc + 1
+  | Bytecode.Iloop_fini { sid; loreg; hireg; stepreg } ->
+    fr.scalars.(sid).Storage.entry <-
+      Storage.Scalar (Value.Int (loop_completed (int_reg regs loreg) (int_reg regs hireg) (int_reg regs stepreg)));
+    pc + 1
+  | Bytecode.Iloop_fini_reg { dst; loreg; hireg; stepreg } ->
+    regs.(dst) <- Value.Int (loop_completed (int_reg regs loreg) (int_reg regs hireg) (int_reg regs stepreg));
+    pc + 1
+  | Bytecode.Iprint rs ->
+    let parts = Array.fold_right (fun r acc -> Value.to_string regs.(r) :: acc) rs [] in
+    fr.printer (String.concat " " parts ^ "\n");
+    pc + 1
+  | Bytecode.Istop msg -> raise (Storage.Stop_program msg)
+  (* the register-free opcodes and calls run in their shared form
+     ({!Bytecode.boxed_code}) *)
+  | Bytecode.Icall _ | Bytecode.Ijmp _ | Bytecode.Ipoll | Bytecode.Icrit_enter
+  | Bytecode.Icrit_exit | Bytecode.Ireturn | Bytecode.Iexit | Bytecode.Idealloc _
+  | Bytecode.Icheck_alloc _ ->
+    corrupt ()
+
 (* --- reusable callee frames ---------------------------------------------- *)
 
-(** Count one run of [b] on [site], and the first reason it ran boxed. *)
-let count_run site = function
-  | Bt _ -> Bytecode.Stats.run site ~typed:true
-  | Bf fr ->
+(** Count one run of [fr] on [site], and the first reason it ran boxed. *)
+let count_run site fr =
+  match fr.why with
+  | None -> Bytecode.Stats.run site ~typed:true
+  | Some why ->
     Bytecode.Stats.run site ~typed:false;
-    Bytecode.Stats.set_boxed_reason site fr.why
+    Bytecode.Stats.set_boxed_reason site why
 
-(** Keep the frame [b] that a finished call of [plan]'s callee ran in,
+(** Keep the frame [fr] that a finished call of [plan]'s callee ran in,
     adopting the locals of that call's [scope]. *)
-let make_cframe (plan : Bytecode.frame_plan) (b : bound) (scope : Storage.scope) :
+let make_cframe (plan : Bytecode.frame_plan) (fr : frame) (scope : Storage.scope) :
     cframe option =
   match
     Array.map (fun (n, _) -> Hashtbl.find scope.Storage.vars n) plan.Bytecode.fp_locals
@@ -492,7 +638,7 @@ let make_cframe (plan : Bytecode.frame_plan) (b : bound) (scope : Storage.scope)
     Some
       {
         plan;
-        bound = b;
+        frame = fr;
         lslots;
         dslots = Array.make plan.Bytecode.fp_nargs (dummy_slot ());
         busy = false;
@@ -507,35 +653,36 @@ let arg_slot cf k path =
 
 (* Point the arg-sourced slot bindings at this call's dummies: only the
    entries the plan lists, by index. *)
-let rebind_slots cf (scalars : Storage.slot array) (raws : Storage.slot array)
-    (aslots : Storage.slot array) =
+let rebind_slots cf =
+  let fr = cf.frame in
   let p = cf.plan in
   let prog = p.Bytecode.fp_prog in
   let ix = p.Bytecode.fp_arg_scalars in
   for j = 0 to Array.length ix - 1 do
     let i, k = ix.(j) in
     let s = arg_slot cf k prog.Bytecode.scalars.(i).Bytecode.spath in
-    match s.Storage.entry with Storage.Scalar _ -> scalars.(i) <- s | _ -> raise Exit
+    match s.Storage.entry with Storage.Scalar _ -> fr.scalars.(i) <- s | _ -> raise Exit
   done;
   let ix = p.Bytecode.fp_arg_raws in
   for j = 0 to Array.length ix - 1 do
     let i, k = ix.(j) in
-    raws.(i) <- cf.dslots.(k)
+    fr.raws.(i) <- cf.dslots.(k)
   done;
   let ix = p.Bytecode.fp_arg_arrays in
   for j = 0 to Array.length ix - 1 do
     let i, k = ix.(j) in
-    aslots.(i) <- arg_slot cf k prog.Bytecode.arrays.(i).Bytecode.apath
+    fr.aslots.(i) <- arg_slot cf k prog.Bytecode.arrays.(i).Bytecode.apath
   done
 
 (* Point the arg-sourced bindings at this call's dummies and re-check
    what can differ from call to call: argument kinds and ranks, folded
    PARAMETER values reached through a dummy, arrays whose storage was
    replaced (fresh locals, re-ALLOCATEd module arrays) and, for typed
-   frames, the value kind of every scalar but the fresh locals.
-   [false] sends this call down the scope path. *)
+   frames, the element kinds and the value kind of every scalar but
+   the fresh locals.  [false] sends this call down the scope path. *)
 let rebind cf =
   let p = cf.plan in
+  let fr = cf.frame in
   try
     let checks = p.Bytecode.fp_arg_checks in
     for j = 0 to Array.length checks - 1 do
@@ -544,39 +691,30 @@ let rebind cf =
       | Storage.Scalar v' when compare v v' = 0 -> ()
       | _ -> raise Exit
     done;
-    (match cf.bound with
-    | Bf fr ->
-      rebind_slots cf fr.scalars fr.raws fr.aslots;
-      let arrays = fr.arrays in
-      for i = 0 to Array.length arrays - 1 do
-        match fr.aslots.(i).Storage.entry with
-        | Storage.Array a when a == arrays.(i).ba && arrays.(i).b_bad = Good -> ()
-        | e -> (
-          match abind_of ~entry:true fr.arefs.(i) e with
-          | Some ab -> arrays.(i) <- ab
-          | None -> raise Exit)
+    rebind_slots cf;
+    let arrays = fr.arrays in
+    for i = 0 to Array.length arrays - 1 do
+      match fr.aslots.(i).Storage.entry with
+      | Storage.Array a when a == arrays.(i).c_ba && arrays.(i).c_bad = Good -> ()
+      | e -> (
+        let r = fr.arefs.(i) in
+        match binding_of ~entry:true r e with
+        | Some ab when fr.why <> None || elem_ok r e -> arrays.(i) <- ab
+        | _ -> raise Exit)
+    done;
+    (match (fr.why, p.Bytecode.fp_prog.Bytecode.typed) with
+    | Some _, _ -> ()
+    | None, Ok tp ->
+      let ix = p.Bytecode.fp_kind_scalars in
+      for j = 0 to Array.length ix - 1 do
+        let i = ix.(j) in
+        if not (typed_slot_ok tp.Bytecode.t_sty.(i) fr.scalars.(i)) then raise Exit
       done;
-      fr.tick <- 0
-    | Bt tf ->
-      rebind_slots cf tf.tscalars tf.traws tf.taslots;
-      let arrays = tf.tarrays in
-      for i = 0 to Array.length arrays - 1 do
-        match tf.taslots.(i).Storage.entry with
-        | Storage.Array a when a == arrays.(i).c_ba && arrays.(i).c_bad = Good -> ()
-        | e -> arrays.(i) <- tabind_of ~entry:true tf.tarefs.(i) e
-      done;
-      (match p.Bytecode.fp_prog.Bytecode.typed with
-      | Some tp ->
-        let ix = p.Bytecode.fp_kind_scalars in
-        for j = 0 to Array.length ix - 1 do
-          let i = ix.(j) in
-          if not (typed_slot_ok tp.Bytecode.t_sty.(i) tf.tscalars.(i)) then raise Exit
-        done;
-        if not (typed_raws_ok tp tf.traws) then raise Exit
-      | None -> raise Exit);
-      tf.ttick <- 0);
+      if not (typed_raws_ok tp fr.raws) then raise Exit
+    | None, Error _ -> raise Exit);
+    fr.tick <- 0;
     true
-  with Exit | Fall -> false
+  with Exit -> false
 
 (* Start a call of [cf]'s callee, whose dummies the calling instruction
    has staged in [dslots], exactly like the interpreter's scope path
@@ -635,283 +773,44 @@ let callee (cache : cframe option array) env (cs : Bytecode.call_site) =
       c
     | None -> None)
 
-let is_elem = function Bytecode.Arg_elem _ -> true | _ -> false
+let is_elem = function Bytecode.Ta_elem _ -> true | _ -> false
 
-(* A typed actual copied in: boxed at the call boundary. *)
+(* An actual copied in from a register: typed ones are boxed at the
+   call boundary. *)
 let targ_value fr = function
-  | Bytecode.Ta_alias _ -> corrupt ()
   | Bytecode.Ta_f r -> Value.Real fr.fregs.(r)
   | Bytecode.Ta_i r -> Value.Int fr.iregs.(r)
   | Bytecode.Ta_b r -> Value.Bool (fr.iregs.(r) <> 0)
+  | Bytecode.Ta_v r -> fr.vregs.(r)
+  | Bytecode.Ta_alias _ | Bytecode.Ta_elem _ -> corrupt ()
 
-(* A typed call's result into its bank. *)
-let tstore fr (res : Bytecode.tres) v =
+(* A call's result into its bank; [no_result] from a subroutine called
+   as a function is the tree-walker's error. *)
+let store_result fr (cs : Bytecode.call_site) (res : Bytecode.tres) v =
   match (res, v) with
   | Bytecode.Tr_none, _ -> ()
+  | _ when v == no_result -> Storage.error "subroutine %s used as a function" cs.Bytecode.cs_name
+  | Bytecode.Tr_v d, v -> fr.vregs.(d) <- v
   | Bytecode.Tr_f d, Value.Real x -> fr.fregs.(d) <- x
   | Bytecode.Tr_i d, Value.Int x -> fr.iregs.(d) <- x
   | Bytecode.Tr_b d, Value.Bool b -> fr.iregs.(d) <- (if b then 1 else 0)
   | _ -> corrupt ()
 
-(* One pass over the body.  Returns [true] when a top-level EXIT ended
-   the pass (the caller translates that into its loop's exit
-   protocol).  On any exception, CRITICAL locks still held are
-   released before re-raising, like Fun.protect in the tree-walker. *)
-let rec exec fr : bool =
+(* The dispatch loop: one pass over the body.  Returns [true] when a
+   top-level EXIT ended the pass (the caller translates that into its
+   loop's exit protocol).  Typed opcodes work on the float and int
+   banks, each the primitive operation its boxed counterpart performs
+   on the value kinds the binder verified, so the float/int results are
+   bit-identical (DESIGN.md §16); a boxed variant's [Tv] instructions
+   step over the [Value] bank.  On any exception, CRITICAL locks still
+   held are released before re-raising, like Fun.protect in the
+   tree-walker. *)
+let rec texec (fr : frame) : bool =
   let code = fr.code in
-  let regs = fr.regs in
-  let scalars = fr.scalars in
-  let arrays = fr.arrays in
-  let n = Array.length code in
-  let pc = ref 0 in
-  let exited = ref false in
-  (try
-     while !pc < n do
-       match Array.unsafe_get code !pc with
-       | Bytecode.Iconst (d, v) ->
-         regs.(d) <- v;
-         incr pc
-       | Bytecode.Icopy (d, s) ->
-         regs.(d) <- regs.(s);
-         incr pc
-       | Bytecode.Iload (d, s) ->
-         (match scalars.(s).Storage.entry with
-         | Storage.Scalar v -> regs.(d) <- v
-         | _ -> corrupt ());
-         incr pc
-       | Bytecode.Istore (s, r) ->
-         let sl = scalars.(s) in
-         sl.Storage.entry <-
-           Storage.Scalar (Value.coerce sl.Storage.base regs.(r));
-         incr pc
-       | Bytecode.Istore_raw (s, r) ->
-         scalars.(s).Storage.entry <- Storage.Scalar regs.(r);
-         incr pc
-       | Bytecode.Icoerce (base, d, s) ->
-         regs.(d) <- Value.coerce base regs.(s);
-         incr pc
-       | Bytecode.Idummy_adjust s ->
-         (* setup_scope's dummy-redeclaration quirk: declaring an
-            aliased dummy REAL rewrites an Int value in place *)
-         let sl = scalars.(s) in
-         (match sl.Storage.entry with
-         | Storage.Scalar v when Value.is_int v ->
-           sl.Storage.entry <-
-             Storage.Scalar (Value.Real (Value.to_float v))
-         | _ -> ());
-         incr pc
-       | Bytecode.Iload_arr (d, a) ->
-         let ab = arrays.(a) in
-         (match ab.b_bad with
-         | Unallocated n -> Storage.error "%s used before allocation" n
-         | _ -> regs.(d) <- Value.Arr ab.ba);
-         incr pc
-       | Bytecode.Istore_whole (a, r) ->
-         let ab = arrays.(a) in
-         (match ab.b_bad with
-         | Unallocated _ -> Storage.error "assignment to unallocated array"
-         | _ -> store_whole ab.ba regs.(r));
-         incr pc
-       | Bytecode.Iload1 (d, a, ir) ->
-         let ab = arrays.(a) in
-         (match regs.(ir) with
-         | Value.Int i when i >= ab.b_lo1 && i <= ab.b_hi1 ->
-           regs.(d) <- Value.of_cell (Farray.get_linear ab.ba (i - ab.b_lo1))
-         | vi -> regs.(d) <- slow_load ab [| vi |]);
-         incr pc
-       | Bytecode.Iload2 (d, a, ir, jr) ->
-         let ab = arrays.(a) in
-         (match (regs.(ir), regs.(jr)) with
-         | Value.Int i, Value.Int j
-           when i >= ab.b_lo1 && i <= ab.b_hi1 && j >= ab.b_lo2 && j <= ab.b_hi2 ->
-           regs.(d) <-
-             Value.of_cell
-               (Farray.get_linear ab.ba
-                  (i - ab.b_lo1 + ((j - ab.b_lo2) * ab.b_s1)))
-         | vi, vj -> regs.(d) <- slow_load ab [| vi; vj |]);
-         incr pc
-       | Bytecode.IloadN (d, a, irs) ->
-         regs.(d) <- slow_load arrays.(a) (Array.map (fun r -> regs.(r)) irs);
-         incr pc
-       | Bytecode.Istore1 (a, ir, r) ->
-         let ab = arrays.(a) in
-         (match regs.(ir) with
-         | Value.Int i when i >= ab.b_lo1 && i <= ab.b_hi1 ->
-           Farray.set_linear ab.ba (i - ab.b_lo1) (Value.to_cell regs.(r))
-         | vi -> slow_store ab [| vi |] regs.(r));
-         incr pc
-       | Bytecode.Istore2 (a, ir, jr, r) ->
-         let ab = arrays.(a) in
-         (match (regs.(ir), regs.(jr)) with
-         | Value.Int i, Value.Int j
-           when i >= ab.b_lo1 && i <= ab.b_hi1 && j >= ab.b_lo2 && j <= ab.b_hi2 ->
-           Farray.set_linear ab.ba
-             (i - ab.b_lo1 + ((j - ab.b_lo2) * ab.b_s1))
-             (Value.to_cell regs.(r))
-         | vi, vj -> slow_store ab [| vi; vj |] regs.(r));
-         incr pc
-       | Bytecode.IstoreN (a, irs, r) ->
-         slow_store arrays.(a) (Array.map (fun i -> regs.(i)) irs) regs.(r);
-         incr pc
-       | Bytecode.Icheck_alloc (a, store) ->
-         check_alloc arrays.(a).b_bad ~store;
-         incr pc
-       | Bytecode.Iallocate { al_raw; al_name; al_bounds } ->
-         (* the tree-walker's ALLOCATE, bounds already evaluated *)
-         let int_reg r = match regs.(r) with Value.Int i -> i | _ -> corrupt () in
-         let bounds = Array.map (fun (l, h) -> (int_reg l, int_reg h)) al_bounds in
-         Storage.allocate fr.raws.(al_raw) al_name bounds ~count:fr.env.ce_allocs;
-         revalidate fr;
-         incr pc
-       | Bytecode.Idealloc (rid, name) ->
-         Storage.deallocate fr.raws.(rid) name;
-         revalidate fr;
-         incr pc
-       | Bytecode.Iallocated (d, rid, name) ->
-         regs.(d) <- Value.Bool (Storage.allocated fr.raws.(rid) name);
-         incr pc
-       | Bytecode.Ibinop (op, d, a, b) ->
-         let va = regs.(a) and vb = regs.(b) in
-         (* Typed fast paths skipping the [Value] dispatch layers; the
-            results are bit-identical to [binop_slow] — [num2]/[div]
-            reduce to the raw float/int op on same-typed operands, and
-            comparisons use the same [compare]-based total order (so
-            NaN ordering matches the tree-walker exactly). *)
-         regs.(d) <-
-           (match (va, vb) with
-           | Value.Real x, Value.Real y -> (
-             match op with
-             | Ast.Add -> Value.Real (x +. y)
-             | Ast.Sub -> Value.Real (x -. y)
-             | Ast.Mul -> Value.Real (x *. y)
-             | Ast.Div -> Value.Real (x /. y)
-             | Ast.Pow -> Value.Real (x ** y)
-             | Ast.Lt -> Value.Bool (Float.compare x y < 0)
-             | Ast.Le -> Value.Bool (Float.compare x y <= 0)
-             | Ast.Gt -> Value.Bool (Float.compare y x < 0)
-             | Ast.Ge -> Value.Bool (Float.compare y x <= 0)
-             | Ast.Eq -> Value.Bool (Float.compare x y = 0)
-             | Ast.Ne -> Value.Bool (Float.compare x y <> 0)
-             | _ -> binop_slow op va vb)
-           | Value.Int x, Value.Int y -> (
-             match op with
-             | Ast.Add -> Value.Int (x + y)
-             | Ast.Sub -> Value.Int (x - y)
-             | Ast.Mul -> Value.Int (x * y)
-             | Ast.Lt -> Value.Bool (x < y)
-             | Ast.Le -> Value.Bool (x <= y)
-             | Ast.Gt -> Value.Bool (y < x)
-             | Ast.Ge -> Value.Bool (y <= x)
-             | Ast.Eq -> Value.Bool (x = y)
-             | Ast.Ne -> Value.Bool (x <> y)
-             | _ -> binop_slow op va vb)
-           | _ -> binop_slow op va vb);
-         incr pc
-       | Bytecode.Ineg (d, s) ->
-         regs.(d) <- Value.neg regs.(s);
-         incr pc
-       | Bytecode.Inot (d, s) ->
-         regs.(d) <- Value.Bool (not (Value.to_bool regs.(s)));
-         incr pc
-       | Bytecode.Ibool (d, s) ->
-         regs.(d) <- Value.Bool (Value.to_bool regs.(s));
-         incr pc
-       | Bytecode.Ito_int (d, s) ->
-         regs.(d) <- Value.Int (Value.to_int regs.(s));
-         incr pc
-       | Bytecode.Icheck_step r ->
-         (match regs.(r) with
-         | Value.Int 0 -> Storage.error "DO loop with zero step"
-         | _ -> ());
-         incr pc
-       | Bytecode.Iintr (_, f, d, args) ->
-         let vals =
-           match Array.length args with
-           | 1 -> [ regs.(args.(0)) ]
-           | 2 -> [ regs.(args.(0)); regs.(args.(1)) ]
-           | _ -> Array.fold_right (fun r acc -> regs.(r) :: acc) args []
-         in
-         regs.(d) <- f vals;
-         incr pc
-       | Bytecode.Icall cs ->
-         call_boxed fr cs;
-         (* the callee may have (de)allocated arrays this frame binds *)
-         if cs.Bytecode.cs_reval then revalidate fr;
-         incr pc
-       | Bytecode.Ijmp t -> pc := t
-       | Bytecode.Ijf (r, t) ->
-         if Value.to_bool regs.(r) then incr pc else pc := t
-       | Bytecode.Ijt (r, t) ->
-         if Value.to_bool regs.(r) then pc := t else incr pc
-       | Bytecode.Iloop_test { ireg; hireg; stepreg; target } -> (
-         match (regs.(ireg), regs.(hireg), regs.(stepreg)) with
-         | Value.Int i, Value.Int hi, Value.Int step ->
-           if (if step > 0 then i <= hi else i >= hi) then incr pc
-           else pc := target
-         | _ -> corrupt ())
-       | Bytecode.Iinc (ir, sr) ->
-         (match (regs.(ir), regs.(sr)) with
-         | Value.Int i, Value.Int s -> regs.(ir) <- Value.Int (i + s)
-         | _ -> corrupt ());
-         incr pc
-       | Bytecode.Iloop_fini { sid; loreg; hireg; stepreg } ->
-         (match (regs.(loreg), regs.(hireg), regs.(stepreg)) with
-         | Value.Int lo, Value.Int hi, Value.Int step ->
-           scalars.(sid).Storage.entry <-
-             Storage.Scalar
-               (Value.Int (lo + (step * max 0 ((hi - lo + step) / step))))
-         | _ -> corrupt ());
-         incr pc
-       | Bytecode.Iloop_fini_reg { dst; loreg; hireg; stepreg } ->
-         (match (regs.(loreg), regs.(hireg), regs.(stepreg)) with
-         | Value.Int lo, Value.Int hi, Value.Int step ->
-           regs.(dst) <- Value.Int (lo + (step * max 0 ((hi - lo + step) / step)))
-         | _ -> corrupt ());
-         incr pc
-       | Bytecode.Ipoll ->
-         fr.tick <- fr.tick + 1;
-         if fr.tick land 255 = 0 then Fault.check_current ();
-         incr pc
-       | Bytecode.Iprint rs ->
-         let parts =
-           Array.fold_right
-             (fun r acc -> Value.to_string regs.(r) :: acc)
-             rs []
-         in
-         fr.printer (String.concat " " parts ^ "\n");
-         incr pc
-       | Bytecode.Icrit_enter ->
-         Mutex.lock Omp.critical_mutex;
-         fr.crit <- fr.crit + 1;
-         incr pc
-       | Bytecode.Icrit_exit ->
-         fr.crit <- fr.crit - 1;
-         Mutex.unlock Omp.critical_mutex;
-         incr pc
-       | Bytecode.Ireturn -> raise Storage.Sub_return
-       | Bytecode.Istop msg -> raise (Storage.Stop_program msg)
-       | Bytecode.Iexit ->
-         exited := true;
-         pc := n
-     done
-   with e ->
-     while fr.crit > 0 do
-       fr.crit <- fr.crit - 1;
-       Mutex.unlock Omp.critical_mutex
-     done;
-     raise e);
-  !exited
-
-(* The unboxed dispatch loop.  Same structure as [exec]; every opcode
-   is the primitive operation its boxed counterpart performs on the
-   value kinds the binder verified, so the float/int results are
-   bit-identical (DESIGN.md §16). *)
-and texec (fr : tframe) : bool =
-  let code = fr.tcode in
   let fregs = fr.fregs in
   let iregs = fr.iregs in
-  let scalars = fr.tscalars in
-  let arrays = fr.tarrays in
+  let scalars = fr.scalars in
+  let arrays = fr.arrays in
   let n = Array.length code in
   let pc = ref 0 in
   let exited = ref false in
@@ -1161,43 +1060,42 @@ and texec (fr : tframe) : bool =
          let lo = iregs.(t_loreg)
          and hi = iregs.(t_hireg)
          and step = iregs.(t_stepreg) in
-         scalars.(t_sid).Storage.entry <-
-           Storage.Scalar
-             (Value.Int (lo + (step * max 0 ((hi - lo + step) / step))));
+         scalars.(t_sid).Storage.entry <- Storage.Scalar (Value.Int (loop_completed lo hi step));
          incr pc
        | Bytecode.Tloop_fini_reg { t_dst; t_loreg; t_hireg; t_stepreg } ->
          let lo = iregs.(t_loreg)
          and hi = iregs.(t_hireg)
          and step = iregs.(t_stepreg) in
-         iregs.(t_dst) <- lo + (step * max 0 ((hi - lo + step) / step));
+         iregs.(t_dst) <- loop_completed lo hi step;
          incr pc
        | Bytecode.Tpoll ->
-         fr.ttick <- fr.ttick + 1;
-         if fr.ttick land 255 = 0 then Fault.check_current ();
+         fr.tick <- fr.tick + 1;
+         if fr.tick land 255 = 0 then Fault.check_current ();
          incr pc
        | Bytecode.Tcrit_enter ->
          Mutex.lock Omp.critical_mutex;
-         fr.tcrit <- fr.tcrit + 1;
+         fr.crit <- fr.crit + 1;
          incr pc
        | Bytecode.Tcrit_exit ->
-         fr.tcrit <- fr.tcrit - 1;
+         fr.crit <- fr.crit - 1;
          Mutex.unlock Omp.critical_mutex;
          incr pc
        | Bytecode.Tcall { tc_site; tc_args; tc_res } ->
-         call_typed fr tc_site tc_args tc_res;
-         if tc_site.Bytecode.cs_reval then trevalidate fr;
+         call fr tc_site tc_args tc_res;
+         (* the callee may have (de)allocated arrays this frame binds *)
+         if tc_site.Bytecode.cs_reval then revalidate fr;
          incr pc
        | Bytecode.Tallocate { ta_raw; ta_name; ta_bounds } ->
          let bounds = Array.map (fun (l, h) -> (iregs.(l), iregs.(h))) ta_bounds in
-         Storage.allocate fr.traws.(ta_raw) ta_name bounds ~count:fr.tenv.ce_allocs;
-         trevalidate fr;
+         Storage.allocate fr.raws.(ta_raw) ta_name bounds ~count:fr.env.ce_allocs;
+         revalidate fr;
          incr pc
        | Bytecode.Tdealloc (rid, name) ->
-         Storage.deallocate fr.traws.(rid) name;
-         trevalidate fr;
+         Storage.deallocate fr.raws.(rid) name;
+         revalidate fr;
          incr pc
        | Bytecode.Tallocated (d, rid, name) ->
-         iregs.(d) <- (if Storage.allocated fr.traws.(rid) name then 1 else 0);
+         iregs.(d) <- (if Storage.allocated fr.raws.(rid) name then 1 else 0);
          incr pc
        | Bytecode.Tcheck_alloc (a, store) ->
          check_alloc arrays.(a).c_bad ~store;
@@ -1206,19 +1104,16 @@ and texec (fr : tframe) : bool =
        | Bytecode.Texit ->
          exited := true;
          pc := n
+       | Bytecode.Tv ins -> pc := vstep fr !pc ins
      done
    with e ->
-     while fr.tcrit > 0 do
-       fr.tcrit <- fr.tcrit - 1;
+     while fr.crit > 0 do
+       fr.crit <- fr.crit - 1;
        Mutex.unlock Omp.critical_mutex
      done;
      raise e);
   !exited
 
-(** Run a bound subprogram body once (RETURN raises [Sub_return],
-    which the interpreter's call protocol catches). *)
-and exec_bound (b : bound) : unit =
-  match b with Bf fr -> ignore (exec fr) | Bt tf -> ignore (texec tf)
 
 (* Run one call of [cf]'s callee, whose dummies are staged; [false]
    when [enter] refused it. *)
@@ -1226,85 +1121,33 @@ and call_frame cf =
   if not (enter cf) then false
   else begin
     cf.busy <- true;
-    count_run (Bytecode.plan_site cf.plan) cf.bound;
-    (match exec_bound cf.bound with
-    | () | (exception Storage.Sub_return) -> cf.busy <- false
+    count_run (Bytecode.plan_site cf.plan) cf.frame;
+    (match texec cf.frame with
+    | _ | (exception Storage.Sub_return) -> cf.busy <- false
     | exception e ->
       cf.busy <- false;
       raise e);
     true
   end
 
-(* A compiled call from the boxed VM.  Through the callee's reusable
-   frame when there is one and it takes the call: the actuals go
-   straight into its dummy slots.  Otherwise — and always for
-   array-element actuals, whose copy-out targets the array resolved
-   before the call — the scope path, with the tree-walker's bindings. *)
-and call_boxed fr (cs : Bytecode.call_site) =
-  let regs = fr.regs in
-  let args = cs.Bytecode.cs_args in
-  let dst = cs.Bytecode.cs_dst in
+(* A compiled call.  Through the callee's reusable frame when there is
+   one and it takes the call: the actuals go straight into its dummy
+   slots.  Otherwise — and always for array-element actuals, whose
+   copy-out targets the array resolved before the call — the scope
+   path, with the tree-walker's bindings. *)
+and call fr (cs : Bytecode.call_site) (args : Bytecode.targ array) (res : Bytecode.tres) =
   let frame_ran =
     match callee fr.callees fr.env cs with
     | Some cf when (not cf.busy) && not (Array.exists is_elem args) ->
       for k = 0 to Array.length args - 1 do
         cf.dslots.(k) <-
           (match args.(k) with
-          | Bytecode.Arg_alias rid -> fr.raws.(rid)
-          | Bytecode.Arg_value r -> Storage.copy_in_slot regs.(r)
-          | Bytecode.Arg_elem _ -> corrupt ())
-      done;
-      call_frame cf
-      && begin
-           let v = result_of cf cs.Bytecode.cs_name in
-           if dst >= 0 then begin
-             if v == no_result then
-               Storage.error "subroutine %s used as a function" cs.Bytecode.cs_name;
-             regs.(dst) <- v
-           end;
-           true
-         end
-    | _ -> false
-  in
-  if not frame_ran then begin
-    let bindings =
-      Array.fold_right
-        (fun spec acc ->
-          (match spec with
-          | Bytecode.Arg_alias rid -> `Alias fr.raws.(rid)
-          | Bytecode.Arg_value r -> `Copy (regs.(r), None)
-          | Bytecode.Arg_elem { ae_arr; ae_idx; ae_val } ->
-            let ab = fr.arrays.(ae_arr) in
-            let idx =
-              Array.map (fun r -> match regs.(r) with Value.Int i -> i | _ -> corrupt ()) ae_idx
-            in
-            (* copy-out through the resolved lvalue, exactly the
-               tree-walker's writeback: bounds-checked Farray.set *)
-            let wb v = Farray.set ab.ba idx (Value.to_cell v) in
-            `Copy (regs.(ae_val), Some wb))
-          :: acc)
-        args []
-    in
-    match fr.env.ce_call cs bindings with
-    | Some v -> if dst >= 0 then regs.(dst) <- v
-    | None -> if dst >= 0 then Storage.error "subroutine %s used as a function" cs.Bytecode.cs_name
-  end
-
-(* [call_boxed] for the typed VM: actuals are boxed only as copied
-   dummies, the result lands in its bank. *)
-and call_typed fr (cs : Bytecode.call_site) (args : Bytecode.targ array) (res : Bytecode.tres) =
-  let frame_ran =
-    match callee fr.tcallees fr.tenv cs with
-    | Some cf when not cf.busy ->
-      for k = 0 to Array.length args - 1 do
-        cf.dslots.(k) <-
-          (match args.(k) with
-          | Bytecode.Ta_alias rid -> fr.traws.(rid)
+          | Bytecode.Ta_alias rid -> fr.raws.(rid)
           | a -> Storage.copy_in_slot (targ_value fr a))
       done;
       call_frame cf
       && begin
-           tstore fr res (result_of cf cs.Bytecode.cs_name);
+           store_result fr cs res (result_of cf cs.Bytecode.cs_name);
            true
          end
     | _ -> false
@@ -1314,14 +1157,22 @@ and call_typed fr (cs : Bytecode.call_site) (args : Bytecode.targ array) (res : 
       Array.fold_right
         (fun a acc ->
           (match a with
-          | Bytecode.Ta_alias rid -> `Alias fr.traws.(rid)
+          | Bytecode.Ta_alias rid -> `Alias fr.raws.(rid)
+          | Bytecode.Ta_elem { ae_arr; ae_idx; ae_val } ->
+            let ab = fr.arrays.(ae_arr) in
+            let idx =
+              Array.map (int_reg fr.vregs) ae_idx
+            in
+            (* copy-out through the resolved lvalue, exactly the
+               tree-walker's writeback: bounds-checked Farray.set *)
+            let wb v = Farray.set ab.c_ba idx (Value.to_cell v) in
+            `Copy (fr.vregs.(ae_val), Some wb)
           | a -> `Copy (targ_value fr a, None))
           :: acc)
         args []
     in
-    match fr.tenv.ce_call cs bindings with
-    | Some v -> tstore fr res v
-    | None -> tstore fr res no_result
+    store_result fr cs res
+      (match fr.env.ce_call cs bindings with Some v -> v | None -> no_result)
   end
 
 (* --- loop drivers -------------------------------------------------------- *)
@@ -1329,67 +1180,34 @@ and call_typed fr (cs : Bytecode.call_site) (args : Bytecode.targ array) (res : 
 (** Serial DO: bounds were already evaluated by the interpreter.
     After normal completion the DO variable holds the loop-completed
     value; after a top-level EXIT it retains the value at the EXIT. *)
-let run_do (b : bound) ~(slot : Storage.slot) ~lo ~hi ~step =
+let run_do fr ~(slot : Storage.slot) ~lo ~hi ~step =
   let continue_ i = if step > 0 then i <= hi else i >= hi in
   let exited = ref false in
   let i = ref lo in
-  (match b with
-  | Bf fr ->
-    while (not !exited) && continue_ !i do
-      fr.tick <- fr.tick + 1;
-      if fr.tick land 255 = 0 then Fault.check_current ();
-      slot.Storage.entry <- Storage.Scalar (Value.Int !i);
-      if exec fr then exited := true else i := !i + step
-    done
-  | Bt tf ->
-    while (not !exited) && continue_ !i do
-      tf.ttick <- tf.ttick + 1;
-      if tf.ttick land 255 = 0 then Fault.check_current ();
-      slot.Storage.entry <- Storage.Scalar (Value.Int !i);
-      if texec tf then exited := true else i := !i + step
-    done);
-  if not !exited then
-    slot.Storage.entry <-
-      Storage.Scalar (Value.Int (lo + (step * max 0 ((hi - lo + step) / step))))
+  while (not !exited) && continue_ !i do
+    fr.tick <- fr.tick + 1;
+    if fr.tick land 255 = 0 then Fault.check_current ();
+    slot.Storage.entry <- Storage.Scalar (Value.Int !i);
+    if texec fr then exited := true else i := !i + step
+  done;
+  if not !exited then slot.Storage.entry <- Storage.Scalar (Value.Int (loop_completed lo hi step))
 
 (** One chunk of a parallel DO.  A top-level EXIT escapes as
     [Loop_exit], exactly like the tree-walker's chunk body (where the
     pool surfaces it as a region error). *)
-let run_chunk (b : bound) ~(slot : Storage.slot) ~clo ~chi =
-  match b with
-  | Bf fr ->
-    for i = clo to chi do
-      if (i - clo) land 255 = 255 then Fault.check_current ();
-      slot.Storage.entry <- Storage.Scalar (Value.Int i);
-      if exec fr then raise Storage.Loop_exit
-    done
-  | Bt tf ->
-    for i = clo to chi do
-      if (i - clo) land 255 = 255 then Fault.check_current ();
-      slot.Storage.entry <- Storage.Scalar (Value.Int i);
-      if texec tf then raise Storage.Loop_exit
-    done
+let run_chunk fr ~(slot : Storage.slot) ~clo ~chi =
+  for i = clo to chi do
+    if (i - clo) land 255 = 255 then Fault.check_current ();
+    slot.Storage.entry <- Storage.Scalar (Value.Int i);
+    if texec fr then raise Storage.Loop_exit
+  done
 
 (** One chunk of a COLLAPSE(2) parallel DO over the linearized
     iteration space (unit steps, validated by the interpreter). *)
-let run_collapse (b : bound) ~(oslot : Storage.slot) ~(islot : Storage.slot)
-    ~lo ~ilo ~isize ~clo ~chi =
-  match b with
-  | Bf fr ->
-    for k = clo to chi do
-      if (k - clo) land 255 = 255 then Fault.check_current ();
-      oslot.Storage.entry <-
-        Storage.Scalar (Value.Int (lo + ((k - 1) / isize)));
-      islot.Storage.entry <-
-        Storage.Scalar (Value.Int (ilo + ((k - 1) mod isize)));
-      if exec fr then raise Storage.Loop_exit
-    done
-  | Bt tf ->
-    for k = clo to chi do
-      if (k - clo) land 255 = 255 then Fault.check_current ();
-      oslot.Storage.entry <-
-        Storage.Scalar (Value.Int (lo + ((k - 1) / isize)));
-      islot.Storage.entry <-
-        Storage.Scalar (Value.Int (ilo + ((k - 1) mod isize)));
-      if texec tf then raise Storage.Loop_exit
-    done
+let run_collapse fr ~(oslot : Storage.slot) ~(islot : Storage.slot) ~lo ~ilo ~isize ~clo ~chi =
+  for k = clo to chi do
+    if (k - clo) land 255 = 255 then Fault.check_current ();
+    oslot.Storage.entry <- Storage.Scalar (Value.Int (lo + ((k - 1) / isize)));
+    islot.Storage.entry <- Storage.Scalar (Value.Int (ilo + ((k - 1) mod isize)));
+    if texec fr then raise Storage.Loop_exit
+  done
