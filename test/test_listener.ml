@@ -149,6 +149,7 @@ let test_blank_and_crlf_lines_ignored () =
 (* --- inline scripts through the compile cache ----------------------------- *)
 
 let test_inline_script_cache () =
+  let steady_calls = 40 in
   with_server
     ~after:(fun st ->
       (* create() compiles the default script (miss 1); the inline
@@ -156,7 +157,9 @@ let test_inline_script_cache () =
          script is a miss that is never cached (miss 3); the default
          script resent inline hits the same entry as startup *)
       check_int "misses" 3 st.Listener.ls_cache.Progcache.cs_misses;
-      check_int "hits" 2 st.Listener.ls_cache.Progcache.cs_hits)
+      check_int "hits" (2 + steady_calls) st.Listener.ls_cache.Progcache.cs_hits;
+      check_bool "steady-state hit rate >= 90%" true
+        (Progcache.hit_rate st.Listener.ls_cache >= 0.90))
   @@ fun path _srv ->
   let cl = Listener.Client.connect path in
   Fun.protect ~finally:(fun () -> Listener.Client.close cl) @@ fun () ->
@@ -175,7 +178,16 @@ let test_inline_script_cache () =
   let r = request_exn cl (inline_req "f(1)" "program nope\nthis is not gpi\n") in
   check_bool "compile error classified" true (contains r "\"ok\":false");
   check_bool "still serving" true
-    (contains (request_exn cl "run pi_mid(10)") "\"ok\":true")
+    (contains (request_exn cl "run pi_mid(10)") "\"ok\":true");
+  (* steady state: lock-step requests cycling both cached scripts are
+     all hits *)
+  for i = 1 to steady_calls do
+    let r =
+      if i mod 2 = 0 then request_exn cl (inline_req "triple(1.0)" triple_script)
+      else request_exn cl (inline_req "pi_mid(10)" pi_script)
+    in
+    check_bool "steady call ok" true (contains r "\"ok\":true")
+  done
 
 let test_escape_round_trip () =
   let cases =
@@ -196,11 +208,13 @@ let test_escape_round_trip () =
 (* --- admission control / shedding ----------------------------------------- *)
 
 let test_overload_sheds_with_structured_fault () =
+  let overloads_received = ref (-1) in
   with_server
     ~config_f:(fun c ->
       { c with Listener.lc_max_pending = 1; lc_executors = 1; lc_threads = Some 1 })
     ~after:(fun st ->
-      check_bool "server-side shed counter matches" true (st.Listener.ls_shed >= 1))
+      check_int "every shed request answered with an overload fault"
+        !overloads_received st.Listener.ls_shed)
   @@ fun path _srv ->
   Fun.protect ~finally:Faultinject.clear @@ fun () ->
   (* every region sleeps 100ms, so the single executor is busy while
@@ -228,6 +242,7 @@ let test_overload_sheds_with_structured_fault () =
        overloads)
     true (overloads >= 1);
   check_int "answered = ok + shed" n (oks + overloads);
+  overloads_received := overloads;
   (* the overload fault carries the admission numbers *)
   let sample =
     List.find (fun r -> contains r "\"class\":\"overload\"") responses

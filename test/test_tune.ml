@@ -1,7 +1,7 @@
 (* The variant autotuner: variant grammar, structural digests, plan
    persistence (round-trip, corruption, staleness), plan application
-   counters, the static cost model's schedule ranking, and one small
-   end-to-end tune. *)
+   counters, the static cost model's schedule ranking, and end-to-end
+   tunes of a small loop and the SARB and FUN3D kernel shapes. *)
 
 open Glaf_tune
 module Ast = Glaf_fortran.Ast
@@ -286,18 +286,135 @@ let contains hay needle =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
-let test_tune_end_to_end () =
-  let cu = Parser.parse_string tiny_src in
+(* SARB's 2 x 60 entropy-exchange collapse(2) nest with the
+   ent_exchange body inlined: 120 collapsed iterations, each with a
+   ~25-iteration stencil loop. *)
+let sarb_collapse_src =
+  {|
+module entx
+  implicit none
+  integer :: nv
+  real*8 :: flux2(2, 60)
+  real*8 :: tl(61)
+  real*8 :: ent2(2, 60)
+end module entx
+
+subroutine entx_init()
+  use entx
+  implicit none
+  integer :: idir, k
+  nv = 60
+  do k = 1, 61
+    tl(k) = 220.0d0 + 0.9d0 * k
+  end do
+  do idir = 1, 2
+    do k = 1, 60
+      flux2(idir, k) = 40.0d0 + idir * 3.0d0 + 0.25d0 * k
+    end do
+  end do
+end subroutine entx_init
+
+subroutine ent_sweep()
+  use entx
+  implicit none
+  integer :: idir, k, j
+  real*8 :: acc, dtq
+!$omp parallel do private(idir, k, j, acc, dtq) collapse(2)
+  do idir = 1, 2
+    do k = 1, nv
+      acc = 0.0d0
+      do j = max(k - 12, 1), min(k + 12, nv)
+        dtq = tl(j) - tl(k)
+        if (abs(dtq) > 2.0d0) then
+          acc = acc + flux2(idir, j) * dtq / (tl(j) * tl(k))
+        else
+          acc = acc + flux2(idir, j) * 2.0d0 / (tl(j) + tl(k)) * 0.01d0
+        end if
+      end do
+      ent2(idir, k) = flux2(idir, k) / tl(k) + 0.05d0 * acc / nv
+    end do
+  end do
+!$omp end parallel do
+end subroutine ent_sweep
+|}
+
+(* FUN3D's edge loop in its parallel-safe gather form: each edge
+   computes its own flux magnitude into a private slot, with no scatter
+   to the endpoint cells.  The directive carries no reduction, so the
+   bit-identity gate runs at the measured thread count too. *)
+let fun3d_gather_src =
+  {|
+module gatherx
+  implicit none
+  integer :: nedge
+  integer :: eptr(2, 2000)
+  real*8 :: q(5, 700)
+  real*8 :: wgt(2000)
+  real*8 :: eflux(2000)
+end module gatherx
+
+subroutine gatherx_init()
+  use gatherx
+  implicit none
+  integer :: e, m
+  nedge = 2000
+  do e = 1, 2000
+    eptr(1, e) = 1 + mod(3 * e, 700)
+    eptr(2, e) = 1 + mod(5 * e + 11, 700)
+    wgt(e) = 0.5d0 + mod(e, 9) * 0.05d0
+    eflux(e) = 0.0d0
+  end do
+  do e = 1, 700
+    do m = 1, 5
+      q(m, e) = 1.0d0 + 0.001d0 * e + 0.1d0 * m
+    end do
+  end do
+end subroutine gatherx_init
+
+subroutine gather_sweep()
+  use gatherx
+  implicit none
+  integer :: e, m, n1, n2
+  real*8 :: acc
+!$omp parallel do private(e, m, n1, n2, acc)
+  do e = 1, nedge
+    n1 = eptr(1, e)
+    n2 = eptr(2, e)
+    acc = 0.0d0
+    do m = 1, 5
+      acc = acc + abs(wgt(e) * (q(m, n2) - q(m, n1)))
+    end do
+    eflux(e) = acc
+  end do
+!$omp end parallel do
+end subroutine gather_sweep
+|}
+
+(* Tune [sweep] once: there is a tunable loop, the composed program is
+   verified, and every loop's winner is verified bit-identical and no
+   slower than its default. *)
+let tune_verified src ~init ~sweep =
+  let cu = Parser.parse_string src in
   let r =
-    Tuner.tune ~repeats:1 ~setup:[ ("tiny_init", []) ]
-      ~calls:[ ("tiny_sweep", []) ] cu
+    Tuner.tune ~repeats:1 ~setup:[ (init, []) ] ~calls:[ (sweep, []) ] cu
   in
+  check_bool (sweep ^ ": has a tunable site") true (r.Tuner.tn_loops <> []);
+  check_bool (sweep ^ ": composed program verified") true
+    (r.Tuner.tn_compose_errors = []);
+  List.iter
+    (fun (l : Tuner.loop_result) ->
+      let at what = l.Tuner.lr_site.Tuner.st_label ^ ": " ^ what in
+      check_bool (at "winner verified at least at 1 thread") true
+        (l.Tuner.lr_verified > 0);
+      check_bool (at "winner no slower than default") true
+        (l.Tuner.lr_winner_ms <= l.Tuner.lr_default_ms *. 1.001))
+    r.Tuner.tn_loops;
+  (cu, r)
+
+let test_tune_end_to_end () =
+  let cu, r = tune_verified tiny_src ~init:"tiny_init" ~sweep:"tiny_sweep" in
   check_int "one tunable site" 1 (List.length r.Tuner.tn_loops);
-  check_bool "composed program verified" true (r.Tuner.tn_compose_errors = []);
   let l = List.hd r.Tuner.tn_loops in
-  check_bool "winner verified at least at 1 thread" true (l.Tuner.lr_verified > 0);
-  check_bool "winner no slower than default" true
-    (l.Tuner.lr_winner_ms <= l.Tuner.lr_default_ms *. 1.001);
   let table = Tuner.table_string r in
   check_bool "table mentions the loop" true (contains table "tiny_sweep#1");
   check_bool "table reports the win/loss column" true (contains table "result");
@@ -310,7 +427,11 @@ let test_tune_end_to_end () =
   let l2 = List.hd r2.Tuner.tn_loops in
   check_bool "cached row is flagged" true l2.Tuner.lr_cached;
   check_bool "cached decision identical" true
-    (Variant.equal l.Tuner.lr_winner l2.Tuner.lr_winner)
+    (Variant.equal l.Tuner.lr_winner l2.Tuner.lr_winner);
+  (* the case-study kernel shapes *)
+  ignore (tune_verified sarb_collapse_src ~init:"entx_init" ~sweep:"ent_sweep");
+  ignore
+    (tune_verified fun3d_gather_src ~init:"gatherx_init" ~sweep:"gather_sweep")
 
 let suites =
   [

@@ -215,6 +215,105 @@ let test_fun3d_generated_code () =
   check_bool "parallel cells loop" true (contains src "!$omp parallel do");
   check_bool "use mesh module" true (contains src "use mesh_mod")
 
+(* --- bytecode coverage gate ----------------------------------------------- *)
+
+module Interp = Glaf_interp.Interp
+
+(* Sites that must run compiled, and on the typed variant, every time
+   they execute: the SARB exchange subs, FUN3D's allocating drivers and
+   everything on its cell path.  FUN3D's [edgejp] holds the parallel
+   cell loop and still tree-walks (nested-parallel-do): it shows in the
+   table, but is not gated. *)
+let coverage_gated_sites =
+  [
+    "sub ent_exchange"; "sub lw_exchange_up"; "sub lw_exchange_dn";
+    "sub cell_loop"; "sub edge_loop"; "sub ioff_search"; "sub angle_check";
+    "sub fun3d_init_mesh"; "sub jacobian_fill_glaf";
+  ]
+
+(* Every breach of the coverage gate in [rows]; [] passes.  Each gated
+   site exists, ran, never bailed and never ran boxed; no site of the
+   SARB unit (the unit holding [ent_exchange]) bailed at all; and the
+   factored-out leaves [ent_contrib] and [combine_flux] were inlined,
+   so they have no site of their own. *)
+let coverage_failures (rows : Interp.bytecode_row list) =
+  let reason r = Option.value r.Interp.r_reason ~default:"?" in
+  let gated lbl =
+    match List.filter (fun r -> r.Interp.r_label = lbl) rows with
+    | [] -> [ Printf.sprintf "no bytecode site for %s" lbl ]
+    | rs ->
+      List.filter_map
+        (fun r ->
+          if r.Interp.r_bails > 0 || r.Interp.r_runs = 0 then
+            Some (Printf.sprintf "%s bailed (%s)" lbl (reason r))
+          else if r.Interp.r_boxed > 0 then
+            Some
+              (Printf.sprintf "%s ran %d times on the boxed variant" lbl
+                 r.Interp.r_boxed)
+          else None)
+        rs
+  in
+  let sarb_units =
+    List.filter_map
+      (fun r ->
+        if r.Interp.r_label = "sub ent_exchange" then Some r.Interp.r_unit
+        else None)
+      rows
+  in
+  List.concat_map gated coverage_gated_sites
+  @ List.filter_map
+      (fun r ->
+        if List.mem r.Interp.r_unit sarb_units && r.Interp.r_bails > 0 then
+          Some
+            (Printf.sprintf "SARB site %s (%s) bailed (%s)" r.Interp.r_label
+               r.Interp.r_id (reason r))
+        else None)
+      rows
+  @ List.filter_map
+      (fun lbl ->
+        if List.exists (fun r -> r.Interp.r_label = lbl) rows then
+          Some (lbl ^ " was not inlined")
+        else None)
+      [ "sub ent_contrib"; "sub combine_flux" ]
+
+let coverage_table rows =
+  let b = Buffer.create 4096 in
+  Printf.bprintf b "%-34s %10s %10s %10s  %s\n" "site" "typed" "boxed" "bails"
+    "bail reason / boxed_reason";
+  List.iter
+    (fun r ->
+      Printf.bprintf b "%-34s %10d %10d %10d  %s%s\n" r.Interp.r_label
+        r.Interp.r_typed r.Interp.r_boxed r.Interp.r_bails
+        (Option.value r.Interp.r_reason ~default:"")
+        (match r.Interp.r_boxed_reason with
+        | Some why -> "boxed_reason=" ^ why
+        | None -> ""))
+    (List.sort (fun a b -> compare a.Interp.r_label b.Interp.r_label) rows);
+  Buffer.contents b
+
+(* SARB's GLAF serial variant and FUN3D's serial and best GLAF variants
+   on a 60-cell mesh, counted from a clean slate. *)
+let coverage_rows ~bytecode =
+  Interp.reset_bytecode_stats ();
+  ignore (Sarb.run ~threads:2 ~bytecode Sarb.Glaf_serial);
+  List.iter
+    (fun opts -> ignore (Fun3d.run ~threads:2 ~ncell:60 ~bytecode (Fun3d.Glaf opts)))
+    [ Fun3d_glaf.serial_options; Fun3d_glaf.best_options ];
+  Interp.bytecode_stats ()
+
+let test_bytecode_coverage () =
+  let rows = coverage_rows ~bytecode:true in
+  match coverage_failures rows with
+  | [] -> ()
+  | failures ->
+    Alcotest.failf "bytecode coverage:\n%s\n\n%s"
+      (String.concat "\n" failures) (coverage_table rows)
+
+(* the same fixtures on the tree-walker alone must fail the gate *)
+let test_bytecode_coverage_rejects_treewalk () =
+  check_bool "tree-walk rows fail the gate" true
+    (coverage_failures (coverage_rows ~bytecode:false) <> [])
+
 let suites =
   [
     ( "workloads.sarb",
@@ -240,5 +339,11 @@ let suites =
         Alcotest.test_case "figure 7 shape" `Quick test_fun3d_figure7_shape;
         Alcotest.test_case "generated code" `Quick test_fun3d_generated_code;
         Alcotest.test_case "allocation parity" `Quick test_fun3d_alloc_parity;
+      ] );
+    ( "workloads.coverage",
+      [
+        Alcotest.test_case "bytecode coverage gate" `Quick test_bytecode_coverage;
+        Alcotest.test_case "gate rejects tree-walk rows" `Quick
+          test_bytecode_coverage_rejects_treewalk;
       ] );
   ]
