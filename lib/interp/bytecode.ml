@@ -18,8 +18,14 @@
     A subprogram body keeps its private scalars — the locals nothing
     outside the running call can observe — in registers of their own
     instead of scope slots ({!private_scalars}, DESIGN.md
-    section 20); when {!specialize} rejects a program, the reason rides
-    along for the stats.
+    section 20), and an inlined leaf reads such a register in place
+    when it never assigns the dummy; when {!specialize} rejects a
+    program, the reason rides along for the stats.  Literals and folded
+    PARAMETERs are constant registers the bind preloads
+    ([program.consts]) rather than instructions, a serial DO tests and
+    polls once per iteration at its continue point ([Iloop_next]), and
+    RETURN ends the VM's pass without an exception (DESIGN.md
+    section 22).
 
     Design rules (DESIGN.md sections 13 and 16):
     - {e Compile or fall back, never approximate.}  Compilation raises
@@ -311,6 +317,10 @@ and program = {
       (** names compilation resolved as not-in-scope (intrinsics, user
           functions); bind verifies they are still not variables *)
   ncalls : int;  (** call sites ([cs_idx] ranges over [0, ncalls)) *)
+  consts : (int * Value.t) array;
+      (** constant registers, preloaded by {!Vm.bind} and never written:
+          literals, folded PARAMETERs, the default DO step and ALLOCATE
+          lower bound, one register per distinct kind and bit pattern *)
   promoted : string array;
       (** a subprogram's private scalars, kept in registers: no slot of
           the executing scope is read or written for them *)
@@ -323,7 +333,10 @@ and program = {
 (** Register-style instructions.  [int] operands are register indices
     except where noted; jump targets are instruction indices. *)
 and instr =
-  | Iconst of int * Value.t  (** dst <- literal / folded constant *)
+  | Iconst of int * Value.t
+      (** dst <- value, for writes that must run: home zeroing, inline
+          locals and results, the [.and.]/[.or.] diamonds; literals and
+          folded PARAMETERs live in [consts] *)
   | Icopy of int * int  (** dst <- src *)
   | Iload of int * int  (** dst <- scalar slot (scalar id) *)
   | Istore of int * int  (** scalar id <- coerce slot.base src *)
@@ -361,7 +374,10 @@ and instr =
   | Iloop_test of { ireg : int; hireg : int; stepreg : int; target : int }
       (** nested-DO header: jump to [target] when the (Int) counter
           has passed the bound for the step's sign *)
-  | Iinc of int * int  (** counter reg <- counter + step (Int regs) *)
+  | Iloop_next of { ireg : int; hireg : int; stepreg : int; target : int }
+      (** nested-DO continue point: counter <- counter + step; when it
+          has not passed the bound, poll and jump to [target], the first
+          instruction after the header's [Ipoll], else fall through *)
   | Iloop_fini of { sid : int; loreg : int; hireg : int; stepreg : int }
       (** normal nested-DO completion: store the loop-completed value
           [lo + step * max 0 ((hi-lo+step)/step)]; an EXIT jumps past
@@ -372,7 +388,7 @@ and instr =
   | Iprint of int array
   | Icrit_enter  (** lock the global CRITICAL/ATOMIC mutex *)
   | Icrit_exit
-  | Ireturn  (** RETURN: raise Sub_return *)
+  | Ireturn  (** RETURN: release CRITICAL locks, end the pass *)
   | Istop of string option
   | Iexit  (** top-level EXIT: end body, signal loop exit *)
   | Iallocate of { al_raw : int; al_name : string; al_bounds : (int * int) array }
@@ -438,7 +454,7 @@ and tinstr =
   | Tjf of int * int  (** jump when int reg = 0 *)
   | Tjt of int * int
   | Tloop_test of { t_ireg : int; t_hireg : int; t_stepreg : int; t_target : int }
-  | Tinc of int * int
+  | Tloop_next of { t_ireg : int; t_hireg : int; t_stepreg : int; t_target : int }
   | Tloop_fini of { t_sid : int; t_loreg : int; t_hireg : int; t_stepreg : int }
   | Tloop_fini_reg of { t_dst : int; t_loreg : int; t_hireg : int; t_stepreg : int }
   | Tpoll
@@ -493,8 +509,8 @@ and tres = Tr_none | Tr_f of int | Tr_i of int | Tr_b of int | Tr_v of int
     on mismatch. *)
 and tprogram = {
   tcode : tinstr array;
-  t_nf : int;  (** float-bank size *)
-  t_ni : int;  (** int-bank size *)
+  t_finit : float array;  (** the float bank at bind: constants in place *)
+  t_iinit : int array;  (** the int bank at bind: constants in place *)
   t_sty : ty array;  (** per-scalar expected value kind *)
   t_raw_int : (int * bool) array;
       (** raw ids passed to a callee that may rewrite an Int actual to
@@ -554,6 +570,10 @@ type iframe = {
   mutable iret : int list;  (* RETURN -> jump-to-inline-end patch sites *)
 }
 
+(* A constant's identity: its kind and bit pattern, so [0.0d0] and
+   [-0.0d0] get registers of their own. *)
+type const_key = K_int of int | K_real of int64 | K_bool of bool | K_str of string
+
 type ctx = {
   env : env;
   scope : Storage.scope;
@@ -578,6 +598,8 @@ type ctx = {
       (* promoted private scalars: home register, declared base *)
   mutable nhomes : int;  (* homes are registers [0, nhomes) *)
   mutable ncalls : int;
+  const_ids : (const_key, int) Hashtbl.t;
+  consts : (int, Value.t) Hashtbl.t;  (* constant register -> value *)
   dealloc_names : (string, unit) Hashtbl.t Lazy.t;
       (* every DEALLOCATE target in the unit: arrays that may be
          unallocated at run time even when allocated at compile time *)
@@ -590,6 +612,25 @@ let reg ctx =
 
 let emit ctx i = vec_push ctx.code i
 let here ctx = ctx.code.len
+
+(* The register holding constant [v], taken from the program's constant
+   table ({!program.consts}); nothing is emitted. *)
+let const_reg ctx (v : Value.t) =
+  let key =
+    match v with
+    | Value.Int n -> K_int n
+    | Value.Real x -> K_real (Int64.bits_of_float x)
+    | Value.Bool b -> K_bool b
+    | Value.Str s -> K_str s
+    | Value.Arr _ -> bail "array-constant"
+  in
+  match Hashtbl.find_opt ctx.const_ids key with
+  | Some r -> r
+  | None ->
+    let r = reg ctx in
+    Hashtbl.replace ctx.const_ids key r;
+    Hashtbl.replace ctx.consts r v;
+    r
 
 (* Emit a jump with a placeholder target; returns the patch site. *)
 let emit_patchable ctx i =
@@ -1204,18 +1245,57 @@ let inline_shadowed env mod_name (shape : leaf_shape) : bool =
     | Some msc ->
       List.exists (fun h -> Storage.lookup msc h <> None) shape.lf_heads)
 
+(* Whether a call of [sp] with [actuals], compiled in [ctx], expands
+   inline ({!compile_inline_call}) rather than marshalling a call: the
+   callee is a leaf whose module shadows none of its intrinsic heads,
+   and every actual is a whole scalar variable of the scope.  Arity and
+   function-versus-subroutine use are checked by the call compiler. *)
+let inlines ctx (sp : Ast.subprogram) mod_name actuals =
+  ctx.inline = None
+  && (match leaf_shape sp with
+     | Some shape -> not (inline_shadowed ctx.env mod_name shape)
+     | None -> false)
+  && List.for_all
+       (function
+         | Ast.Desig [ (n, []) ] -> (
+           match Storage.lookup ctx.scope n with
+           | Some { Storage.entry = Storage.Scalar _; _ } -> true
+           | _ -> false)
+         | _ -> false)
+       actuals
+
+(* Whether the inlined leaf [sp] may read its dummy [dummy] straight
+   from the register of an actual declared [base]: the leaf never
+   assigns the dummy, and declares it with that base, so the REAL
+   redeclaration quirk has nothing to rewrite in a register that holds
+   its declared kind. *)
+let reads_in_place (sp : Ast.subprogram) dummy base =
+  (not
+     (Ast.fold_stmts
+        (fun w s -> w || match s with Ast.Assign ((h, _) :: _, _) -> h = dummy | _ -> false)
+        false sp.Ast.sub_body))
+  && List.exists
+       (function
+         | Ast.Var_decl { base = b; entities; _ } ->
+           b = base && List.exists (fun (e : Ast.entity) -> e.Ast.ent_name = dummy) entities
+         | _ -> false)
+       sp.Ast.sub_decls
+
 (* --- private scalars ------------------------------------------------------ *)
 
 (* The scalars of [sp] nothing outside the running call can observe:
    declared once, INTEGER, REAL, REAL*8 or LOGICAL, with no attribute,
    dimension or initializer; not a dummy, the function result, a COMMON
-   member or an EXTERNAL; and never bound by reference — not a bare
-   actual of a call or function reference (inlined or not, in the body
-   or a declaration), not named by ALLOCATE, DEALLOCATE or allocated().
-   Every read and write of such a name is then a statement of this
-   body, so a register holds it exactly (DESIGN.md section 20).  Names
-   resolve as [compile_desig_load] resolves them: a head the scope
-   binds is a variable, then allocated(), intrinsics, user functions. *)
+   member or an EXTERNAL; and never bound by reference — not named by
+   ALLOCATE, DEALLOCATE or allocated(), and not a bare actual of a call
+   or function reference (in the body or a declaration), except of a
+   site that inlines ({!inlines}) into a leaf that reads that dummy in
+   place ({!reads_in_place}); a REAL DO variable, which holds raw Ints
+   mid-loop, never goes to a leaf in place.  Every read and write of
+   such a name is then a statement of this body, so a register holds it
+   exactly (DESIGN.md section 20).  Names resolve as
+   [compile_desig_load] resolves them: a head the scope binds is a
+   variable, then allocated(), intrinsics, user functions. *)
 let private_scalars ctx (sp : Ast.subprogram) : (string * Ast.base_type) list =
   let excluded = Hashtbl.create 16 and seen = Hashtbl.create 16 in
   let exclude n = Hashtbl.replace excluded n () in
@@ -1224,18 +1304,6 @@ let private_scalars ctx (sp : Ast.subprogram) : (string * Ast.base_type) list =
   exclude sp.Ast.sub_name;
   exclude (String.lowercase_ascii sp.Ast.sub_name);
   let bare = function Ast.Desig [ (n, []) ] -> exclude n | _ -> () in
-  let visit =
-    Ast.fold_expr
-      (fun () e ->
-        match e with
-        | Ast.Desig ((h, args) :: _)
-          when Storage.lookup ctx.scope h = None
-               && not (Hashtbl.mem Intrinsics.tbl (String.lowercase_ascii h)) ->
-          (* a user function, or allocated() *)
-          List.iter bare args
-        | _ -> ())
-      ()
-  in
   List.iter
     (function
       | Ast.Var_decl { base; attrs; entities } ->
@@ -1254,16 +1322,56 @@ let private_scalars ctx (sp : Ast.subprogram) : (string * Ast.base_type) list =
       | Ast.Common (_, names) | Ast.External names -> List.iter exclude names
       | _ -> ())
     sp.Ast.sub_decls;
-  List.iter visit (decl_exprs sp);
+  let in_place = Hashtbl.create 8 and real_dovars = Hashtbl.create 8 in
+  (* the actuals of a call site: kept only when read in place by an
+     inlined leaf *)
+  let site callee args =
+    match callee with
+    | Some (f, mod_name)
+      when List.length args = List.length f.Ast.sub_args && inlines ctx f mod_name args ->
+      List.iter2
+        (fun dummy a ->
+          match a with
+          | Ast.Desig [ (n, []) ] -> (
+            match List.assoc_opt n !cands with
+            | Some base when reads_in_place f dummy base -> Hashtbl.replace in_place n ()
+            | _ -> exclude n)
+          | _ -> ())
+        f.Ast.sub_args args
+    | _ -> List.iter bare args
+  in
+  let visit ~decl =
+    Ast.fold_expr
+      (fun () e ->
+        match e with
+        | Ast.Desig ((h, args) :: rest)
+          when Storage.lookup ctx.scope h = None
+               && not (Hashtbl.mem Intrinsics.tbl (String.lowercase_ascii h)) -> (
+          (* a user function, or allocated() *)
+          match Hashtbl.find_opt ctx.env.e_subs h with
+          | Some ((f, _) as callee)
+            when (not decl) && rest = [] && h <> "allocated" && f.Ast.sub_kind <> `Subroutine ->
+            site (Some callee) args
+          | _ -> List.iter bare args)
+        | _ -> ())
+      ()
+  in
+  List.iter (visit ~decl:true) (decl_exprs sp);
   Ast.fold_stmts
     (fun () s ->
       (match s with
-      | Ast.Call (_, args) -> List.iter bare args
+      | Ast.Call (name, args) ->
+        site (Hashtbl.find_opt ctx.env.e_subs (String.lowercase_ascii name)) args
+      | Ast.Do l -> (
+        match List.assoc_opt l.Ast.do_var !cands with
+        | Some (Ast.Real | Ast.Real8) -> Hashtbl.replace real_dovars l.Ast.do_var ()
+        | _ -> ())
       | Ast.Allocate allocs -> List.iter (fun (d, _) -> exclude (Ast.desig_name d)) allocs
       | Ast.Deallocate ds -> List.iter (fun d -> exclude (Ast.desig_name d)) ds
       | _ -> ());
-      List.iter visit (stmt_exprs s))
+      List.iter (visit ~decl:false) (stmt_exprs s))
     () sp.Ast.sub_body;
+  Hashtbl.iter (fun n () -> if Hashtbl.mem in_place n then exclude n) real_dovars;
   List.filter
     (fun (n, base) ->
       (not (Hashtbl.mem excluded n))
@@ -1301,10 +1409,7 @@ let array_elem (slot : Storage.slot) =
 
 let rec compile_expr ctx (e : Ast.expr) : int =
   match static_eval e with
-  | Some v ->
-    let r = reg ctx in
-    emit ctx (Iconst (r, v));
-    r
+  | Some v -> const_reg ctx v
   | None -> (
     match e with
     | Ast.Int_lit _ | Ast.Real_lit _ | Ast.Logical_lit _ | Ast.Str_lit _ ->
@@ -1403,9 +1508,7 @@ and compile_slot_load ctx (slot : Storage.slot) name path args rest : int =
       | Value.Arr _ -> bail "array-parameter"
       | v ->
         note_check ctx slot name path v;
-        let r = reg ctx in
-        emit ctx (Iconst (r, v));
-        r
+        const_reg ctx v
     end
     else begin
       let sid = scalar_id ctx slot name path in
@@ -1517,6 +1620,10 @@ and compile_marshalled_call ctx sp mod_name name actuals ~is_fn : int =
     List.map2
       (fun dummy a ->
         match a with
+        | Ast.Desig [ (n, []) ] when Hashtbl.mem ctx.homes n ->
+          (* private_scalars promotes an actual only for a site that
+             inlines; a callee cannot alias a register *)
+          bail "home-actual"
         | Ast.Desig [ (n, []) ] -> (
           match Storage.lookup ctx.scope n with
           | Some slot ->
@@ -1577,95 +1684,82 @@ and compile_marshalled_call ctx sp mod_name name actuals ~is_fn : int =
   dst
 
 (* Expand a leaf callee into the caller's instruction stream.  Every
-   actual must be a whole scalar variable, so dummies alias caller
-   slots (same scalar-id space — two dummies aliasing one variable
-   share an id, like two aliases of one slot) and locals/result live
-   in plain registers.  Declaration processing follows setup_scope's
-   order, including the dummy-redeclaration quirk (Idummy_adjust).
-   Returns None when the call site does not qualify; the marshalled
-   path then takes over. *)
+   actual is a whole scalar variable ({!inlines}), so dummies alias
+   caller slots (same scalar-id space — two dummies aliasing one
+   variable share an id, like two aliases of one slot) or read a
+   promoted actual's home register in place ({!reads_in_place}), and
+   locals/result live in plain registers.  Declaration processing
+   follows setup_scope's order, including the dummy-redeclaration quirk
+   (Idummy_adjust).  Returns None when the call site does not qualify;
+   the marshalled path then takes over. *)
 and compile_inline_call ctx sp mod_name actuals : int option =
-  if ctx.inline <> None then None (* leaves contain no calls *)
-  else
-    match leaf_shape sp with
-    | None -> None
-    | Some shape ->
-      if inline_shadowed ctx.env mod_name shape then None
-      else begin
-        (* site check: every actual a whole scalar variable in scope *)
-        let slots =
-          List.map
-            (fun a ->
-              match a with
-              | Ast.Desig [ (n, []) ] -> (
-                match Storage.lookup ctx.scope n with
-                | Some ({ Storage.entry = Storage.Scalar _; _ } as slot) ->
-                  Some (n, slot)
-                | _ -> None)
-              | _ -> None)
-            actuals
-        in
-        if List.exists (fun s -> s = None) slots then None
-        else begin
-          let written = written_dummies sp in
-          let frame = { imap = Hashtbl.create 8; iret = [] } in
-          List.iter2
-            (fun dummy s ->
-              match s with
-              | Some (n, slot) ->
-                if slot.Storage.is_param && Hashtbl.mem written dummy then
-                  bail "writes-parameter-arg";
-                Hashtbl.replace frame.imap dummy
-                  (Ib_slot (scalar_id ctx slot n []))
-              | None -> assert false)
-            sp.Ast.sub_args slots;
-          (* declarations, in setup_scope order *)
+  if not (inlines ctx sp mod_name actuals) then None
+  else begin
+    let written = written_dummies sp in
+    let frame = { imap = Hashtbl.create 8; iret = [] } in
+    List.iter2
+      (fun dummy a ->
+        match a with
+        | Ast.Desig [ (n, []) ] -> (
+          match Hashtbl.find_opt ctx.homes n with
+          | Some (h, base) ->
+            if not (reads_in_place sp dummy base) then bail "home-actual";
+            Hashtbl.replace frame.imap dummy (Ib_reg (h, base))
+          | None ->
+            let slot = Option.get (Storage.lookup ctx.scope n) in
+            if slot.Storage.is_param && Hashtbl.mem written dummy then
+              bail "writes-parameter-arg";
+            Hashtbl.replace frame.imap dummy (Ib_slot (scalar_id ctx slot n [])))
+        | _ -> assert false)
+      sp.Ast.sub_args actuals;
+    (* declarations, in setup_scope order *)
+    List.iter
+      (function
+        | Ast.Var_decl { base; entities; _ } ->
           List.iter
-            (function
-              | Ast.Var_decl { base; entities; _ } ->
-                List.iter
-                  (fun (e : Ast.entity) ->
-                    let n = e.Ast.ent_name in
-                    match Hashtbl.find_opt frame.imap n with
-                    | Some (Ib_slot sid) ->
-                      (* dummy redeclaration: REAL over an aliased Int
-                         rewrites the slot in place *)
-                      if base = Ast.Real || base = Ast.Real8 then
-                        emit ctx (Idummy_adjust sid)
-                    | Some (Ib_reg _) -> bail "inline-shape"
-                    | None ->
-                      let r = reg ctx in
-                      emit ctx (Iconst (r, Value.zero_of base));
-                      Hashtbl.replace frame.imap n (Ib_reg (r, base)))
-                  entities
-              | _ -> ())
-            sp.Ast.sub_decls;
-          (* function result register (setup_scope creates the slot
-             zero-initialized when not declared) *)
-          let res =
-            match sp.Ast.sub_kind with
-            | `Function rt -> (
-              match Hashtbl.find_opt frame.imap sp.Ast.sub_name with
-              | Some (Ib_reg (r, _)) -> r
-              | Some (Ib_slot _) -> bail "inline-shape"
+            (fun (e : Ast.entity) ->
+              let n = e.Ast.ent_name in
+              match Hashtbl.find_opt frame.imap n with
+              | Some (Ib_slot sid) ->
+                (* dummy redeclaration: REAL over an aliased Int
+                   rewrites the slot in place *)
+                if base = Ast.Real || base = Ast.Real8 then
+                  emit ctx (Idummy_adjust sid)
+              | Some (Ib_reg _) when List.mem n sp.Ast.sub_args ->
+                () (* a home of the declared base: a Real already *)
+              | Some (Ib_reg _) -> bail "inline-shape"
               | None ->
-                let base = Option.value rt ~default:Ast.Real8 in
                 let r = reg ctx in
                 emit ctx (Iconst (r, Value.zero_of base));
-                Hashtbl.replace frame.imap sp.Ast.sub_name (Ib_reg (r, base));
-                r)
-            | `Subroutine -> 0
-          in
-          ctx.inline <- Some frame;
-          (match List.iter (compile_stmt ctx) sp.Ast.sub_body with
-          | () -> ctx.inline <- None
-          | exception e ->
-            ctx.inline <- None;
-            raise e);
-          List.iter (fun at -> patch ctx at (here ctx)) frame.iret;
-          Some res
-        end
-      end
+                Hashtbl.replace frame.imap n (Ib_reg (r, base)))
+            entities
+        | _ -> ())
+      sp.Ast.sub_decls;
+    (* function result register (setup_scope creates the slot
+       zero-initialized when not declared) *)
+    let res =
+      match sp.Ast.sub_kind with
+      | `Function rt -> (
+        match Hashtbl.find_opt frame.imap sp.Ast.sub_name with
+        | Some (Ib_reg (r, _)) -> r
+        | Some (Ib_slot _) -> bail "inline-shape"
+        | None ->
+          let base = Option.value rt ~default:Ast.Real8 in
+          let r = reg ctx in
+          emit ctx (Iconst (r, Value.zero_of base));
+          Hashtbl.replace frame.imap sp.Ast.sub_name (Ib_reg (r, base));
+          r)
+      | `Subroutine -> 0
+    in
+    ctx.inline <- Some frame;
+    (match List.iter (compile_stmt ctx) sp.Ast.sub_body with
+    | () -> ctx.inline <- None
+    | exception e ->
+      ctx.inline <- None;
+      raise e);
+    List.iter (fun at -> patch ctx at (here ctx)) frame.iret;
+    Some res
+  end
 
 (* --- lvalues ------------------------------------------------------------- *)
 
@@ -1853,9 +1947,7 @@ and compile_stmt ctx (s : Ast.stmt) =
               | Ast.Section _ -> bail "section"
               | e ->
                 let rhi = int_of e in
-                let one = reg ctx in
-                emit ctx (Iconst (one, Value.Int 1));
-                (one, rhi))
+                (const_reg ctx (Value.Int 1), rhi))
             exprs
         in
         emit ctx
@@ -1875,20 +1967,20 @@ and compile_stmt ctx (s : Ast.stmt) =
       ds
 
 (* [Ito_int] of an expression into a register of its own: an in-place
-   conversion would rewrite a promoted variable's home, and a loop
-   bound must not move when the body assigns the variable it came
-   from. *)
+   conversion would rewrite a promoted variable's home or a constant
+   register, and a loop bound must not move when the body assigns the
+   variable it came from.  An INTEGER constant is its own [to_int]. *)
 and compile_int ctx e =
   let r = compile_expr ctx e in
-  if is_home ctx r then begin
+  match Hashtbl.find_opt ctx.consts r with
+  | Some (Value.Int _) -> r
+  | None when not (is_home ctx r) ->
+    emit ctx (Ito_int (r, r));
+    r
+  | _ ->
     let d = reg ctx in
     emit ctx (Ito_int (d, r));
     d
-  end
-  else begin
-    emit ctx (Ito_int (r, r));
-    r
-  end
 
 and compile_serial_do ctx (l : Ast.do_loop) =
   (* the DO variable: a scalar slot, or a promoted variable's home *)
@@ -1912,10 +2004,7 @@ and compile_serial_do ctx (l : Ast.do_loop) =
   let rstep =
     match l.Ast.do_step with
     | Some e -> compile_int ctx e
-    | None ->
-      let r = reg ctx in
-      emit ctx (Iconst (r, Value.Int 1));
-      r
+    | None -> const_reg ctx (Value.Int 1)
   in
   emit ctx (Icheck_step rstep);
   (* A home the body never assigns is the counter itself; otherwise the
@@ -1937,13 +2026,16 @@ and compile_serial_do ctx (l : Ast.do_loop) =
     | `Home h when not (body_writes l.Ast.do_var) -> h
     | _ -> reg ctx
   in
+  (* Rotated: the header tests and polls once, for the first iteration;
+     the continue point increments, tests and, when the loop goes on,
+     polls and jumps back past the header.  One poll per iteration. *)
   emit ctx (Icopy (ri, rlo));
-  let head = here ctx in
   let jfini =
     emit_patchable ctx
       (Iloop_test { ireg = ri; hireg = rhi; stepreg = rstep; target = 0 })
   in
   emit ctx Ipoll;
+  let top = here ctx in
   (match var with
   | `Slot sid -> emit ctx (Istore_raw (sid, ri))
   | `Home h -> if h <> ri then emit ctx (Icopy (h, ri)));
@@ -1961,8 +2053,7 @@ and compile_serial_do ctx (l : Ast.do_loop) =
   (* continue point: CYCLE lands on the increment *)
   let cont = here ctx in
   List.iter (fun at -> patch ctx at cont) lctx.cont_patches;
-  emit ctx (Iinc (ri, rstep));
-  emit ctx (Ijmp head);
+  emit ctx (Iloop_next { ireg = ri; hireg = rhi; stepreg = rstep; target = top });
   patch ctx jfini (here ctx);
   emit ctx
     (match var with
@@ -2161,6 +2252,15 @@ let specialize env (p : program) : (tprogram, string) result =
           if scalar sid <> TI then raise (Treject ("DO variable " ^ p.scalars.(sid).sname ^ " is not integer"))
         | _ -> ())
       p.code;
+    (* constant registers get the bank of their kind before any code *)
+    Array.iter
+      (fun (r, v) ->
+        match v with
+        | Value.Int _ -> def r TI
+        | Value.Real _ -> def r TF
+        | Value.Bool _ -> def r TB
+        | Value.Str _ | Value.Arr _ -> raise (Treject "character or array constant"))
+      p.consts;
     for i = 0 to n - 1 do
       map.(i) <- out.tlen;
       (match p.code.(i) with
@@ -2543,9 +2643,17 @@ let specialize env (p : program) : (tprogram, string) result =
                t_stepreg = bank.(stepreg);
                t_target = target;
              })
-      | Iinc (ir, sr) ->
-        if ty_of ir <> TI || ty_of sr <> TI then raise (Treject "non-integer DO counter");
-        tvec_push out (Tinc (bank.(ir), bank.(sr)))
+      | Iloop_next { ireg; hireg; stepreg; target } ->
+        if ty_of ireg <> TI || ty_of hireg <> TI || ty_of stepreg <> TI then
+          raise (Treject "non-integer DO counter");
+        tvec_push out
+          (Tloop_next
+             {
+               t_ireg = bank.(ireg);
+               t_hireg = bank.(hireg);
+               t_stepreg = bank.(stepreg);
+               t_target = target;
+             })
       | Iloop_fini { sid; loreg; hireg; stepreg } ->
         if ty_of loreg <> TI || ty_of hireg <> TI || ty_of stepreg <> TI then
           raise (Treject "non-integer DO bounds");
@@ -2602,13 +2710,24 @@ let specialize env (p : program) : (tprogram, string) result =
         | Tjt (r, t) -> tcode.(i) <- Tjt (r, map.(t))
         | Tloop_test lt ->
           tcode.(i) <- Tloop_test { lt with t_target = map.(lt.t_target) }
+        | Tloop_next ln ->
+          tcode.(i) <- Tloop_next { ln with t_target = map.(ln.t_target) }
         | _ -> ())
       tcode;
+    let finit = Array.make (max 1 !nf) 0.0 and iinit = Array.make (max 1 !ni) 0 in
+    Array.iter
+      (fun (r, v) ->
+        match v with
+        | Value.Int x -> iinit.(bank.(r)) <- x
+        | Value.Real x -> finit.(bank.(r)) <- x
+        | Value.Bool b -> iinit.(bank.(r)) <- (if b then 1 else 0)
+        | Value.Str _ | Value.Arr _ -> assert false)
+      p.consts;
     Ok
       {
         tcode;
-        t_nf = max 1 !nf;
-        t_ni = max 1 !ni;
+        t_finit = finit;
+        t_iinit = iinit;
         t_sty = sty;
         t_raw_int = Array.of_list (List.rev !raw_int);
       }
@@ -2656,6 +2775,8 @@ let make_ctx env scope ?sub ~in_sub () =
     homes = Hashtbl.create 8;
     nhomes = 0;
     ncalls = 0;
+    const_ids = Hashtbl.create 16;
+    consts = Hashtbl.create 16;
     code = vec_create ();
     nregs = 0;
     scalar_ids = Hashtbl.create 16;
@@ -2700,6 +2821,9 @@ let finish ctx : program =
       negatives =
         Array.of_list (Hashtbl.fold (fun n () acc -> n :: acc) ctx.negs []);
       ncalls = ctx.ncalls;
+      consts =
+        Array.of_list
+          (List.sort (fun (a, _) (b, _) -> compare a b) (Hashtbl.fold (fun r v acc -> (r, v) :: acc) ctx.consts []));
       promoted =
         Array.of_list (Hashtbl.fold (fun n _ acc -> n :: acc) ctx.homes [] |> List.sort compare);
       boxed_memo = Atomic.make [||];

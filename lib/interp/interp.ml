@@ -584,7 +584,7 @@ and run_sub_body ?cs st (sp : Ast.subprogram) scope :
     in
     match bind_compiled st compiled scope ~dovars:[] with
     | Some fr ->
-      (try ignore (Vm.texec fr) with Sub_return -> ());
+      ignore (Vm.texec fr);
       Option.map (fun p -> (p, fr)) (fst compiled)
     | None -> tree_walk ()
   end

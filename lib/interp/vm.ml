@@ -12,7 +12,10 @@
     to the tree-walker.
 
     A bound program is one {!frame} running one dispatch loop
-    ([texec]) over three register banks.  When the program carries a
+    ([texec]) over three register banks, its constant registers
+    preloaded at bind.  A pass ends normally, on a top-level EXIT or
+    on RETURN ({!outcome}), without an exception; the drivers map the
+    outcome onto the tree-walker's protocols.  When the program carries a
     typed variant (see {!Bytecode.specialize}) and the executing
     scope's scalar slots are declared with, and hold, the inferred
     kinds, the frame runs that variant over the unboxed float and int
@@ -352,9 +355,9 @@ let bind (p : Bytecode.program) (scope : Storage.scope) ~printer
         }
     in
     let boxed why =
-      frame (Bytecode.boxed p) ~fregs:no_fregs ~iregs:no_iregs
-        ~vregs:(Array.make (max 1 p.Bytecode.nregs) (Value.Int 0))
-        (Some why)
+      let vregs = Array.make (max 1 p.Bytecode.nregs) (Value.Int 0) in
+      Array.iter (fun (r, v) -> vregs.(r) <- v) p.Bytecode.consts;
+      frame (Bytecode.boxed p) ~fregs:no_fregs ~iregs:no_iregs ~vregs (Some why)
     in
     match p.Bytecode.typed with
     | Error why -> boxed why
@@ -363,8 +366,8 @@ let bind (p : Bytecode.program) (scope : Storage.scope) ~printer
       | Some why -> boxed why
       | None ->
         frame tp.Bytecode.tcode
-          ~fregs:(Array.make tp.Bytecode.t_nf 0.0)
-          ~iregs:(Array.make tp.Bytecode.t_ni 0)
+          ~fregs:(Array.copy tp.Bytecode.t_finit)
+          ~iregs:(Array.copy tp.Bytecode.t_iinit)
           ~vregs:no_vregs None)
 
 (* Whole-array assignment, mirroring the tree-walker's assign_lvalue. *)
@@ -467,6 +470,11 @@ let binop op va vb =
 let loop_completed lo hi step = lo + (step * max 0 ((hi - lo + step) / step))
 
 let int_reg (regs : Value.t array) r = match regs.(r) with Value.Int i -> i | _ -> corrupt ()
+
+(* The cancellation poll, every 256 ticks of the frame. *)
+let poll fr =
+  fr.tick <- fr.tick + 1;
+  if fr.tick land 255 = 0 then Fault.check_current ()
 
 (* One instruction of a boxed variant at [pc], over the [Value] bank:
    the tree-walker's operations on boxed values.  Returns the next pc. *)
@@ -595,9 +603,16 @@ let vstep fr pc (ins : Bytecode.instr) : int =
   | Bytecode.Iloop_test { ireg; hireg; stepreg; target } ->
     let i = int_reg regs ireg and hi = int_reg regs hireg and step = int_reg regs stepreg in
     if if step > 0 then i <= hi else i >= hi then pc + 1 else target
-  | Bytecode.Iinc (ir, sr) ->
-    regs.(ir) <- Value.Int (int_reg regs ir + int_reg regs sr);
-    pc + 1
+  | Bytecode.Iloop_next { ireg; hireg; stepreg; target } ->
+    let step = int_reg regs stepreg in
+    let i = int_reg regs ireg + step in
+    regs.(ireg) <- Value.Int i;
+    let hi = int_reg regs hireg in
+    if if step > 0 then i <= hi else i >= hi then begin
+      poll fr;
+      target
+    end
+    else pc + 1
   | Bytecode.Iloop_fini { sid; loreg; hireg; stepreg } ->
     fr.scalars.(sid).Storage.entry <-
       Storage.Scalar (Value.Int (loop_completed (int_reg regs loreg) (int_reg regs hireg) (int_reg regs stepreg)));
@@ -796,16 +811,27 @@ let store_result fr (cs : Bytecode.call_site) (res : Bytecode.tres) v =
   | Bytecode.Tr_b d, Value.Bool b -> fr.iregs.(d) <- (if b then 1 else 0)
   | _ -> corrupt ()
 
-(* The dispatch loop: one pass over the body.  Returns [true] when a
-   top-level EXIT ended the pass (the caller translates that into its
-   loop's exit protocol).  Typed opcodes work on the float and int
-   banks, each the primitive operation its boxed counterpart performs
-   on the value kinds the binder verified, so the float/int results are
+(** How one pass over a program ended: it ran off the end, or a
+    top-level EXIT or a RETURN ended it. *)
+type outcome = Normal | Exited | Returned
+
+(* Release the CRITICAL locks [fr] holds, like Fun.protect unwinding
+   the tree-walker's [Omp.critical]. *)
+let release_crit fr =
+  while fr.crit > 0 do
+    fr.crit <- fr.crit - 1;
+    Mutex.unlock Omp.critical_mutex
+  done
+
+(* The dispatch loop: one pass over the body, and how it ended (the
+   caller turns EXIT into its loop's exit protocol, RETURN into the end
+   of the subprogram).  Typed opcodes work on the float and int banks,
+   each the primitive operation its boxed counterpart performs on the
+   value kinds the binder verified, so the float/int results are
    bit-identical (DESIGN.md §16); a boxed variant's [Tv] instructions
-   step over the [Value] bank.  On any exception, CRITICAL locks still
-   held are released before re-raising, like Fun.protect in the
-   tree-walker. *)
-let rec texec (fr : frame) : bool =
+   step over the [Value] bank.  RETURN, and any exception, release the
+   CRITICAL locks still held, like Fun.protect in the tree-walker. *)
+let rec texec (fr : frame) : outcome =
   let code = fr.code in
   let fregs = fr.fregs in
   let iregs = fr.iregs in
@@ -813,7 +839,7 @@ let rec texec (fr : frame) : bool =
   let arrays = fr.arrays in
   let n = Array.length code in
   let pc = ref 0 in
-  let exited = ref false in
+  let outcome = ref Normal in
   (try
      while !pc < n do
        match Array.unsafe_get code !pc with
@@ -1053,9 +1079,15 @@ let rec texec (fr : frame) : bool =
          and step = iregs.(t_stepreg) in
          if (if step > 0 then i <= hi else i >= hi) then incr pc
          else pc := t_target
-       | Bytecode.Tinc (ir, sr) ->
-         iregs.(ir) <- iregs.(ir) + iregs.(sr);
-         incr pc
+       | Bytecode.Tloop_next { t_ireg; t_hireg; t_stepreg; t_target } ->
+         let step = iregs.(t_stepreg) in
+         let i = iregs.(t_ireg) + step in
+         iregs.(t_ireg) <- i;
+         if (if step > 0 then i <= iregs.(t_hireg) else i >= iregs.(t_hireg)) then begin
+           poll fr;
+           pc := t_target
+         end
+         else incr pc
        | Bytecode.Tloop_fini { t_sid; t_loreg; t_hireg; t_stepreg } ->
          let lo = iregs.(t_loreg)
          and hi = iregs.(t_hireg)
@@ -1069,8 +1101,7 @@ let rec texec (fr : frame) : bool =
          iregs.(t_dst) <- loop_completed lo hi step;
          incr pc
        | Bytecode.Tpoll ->
-         fr.tick <- fr.tick + 1;
-         if fr.tick land 255 = 0 then Fault.check_current ();
+         poll fr;
          incr pc
        | Bytecode.Tcrit_enter ->
          Mutex.lock Omp.critical_mutex;
@@ -1100,19 +1131,19 @@ let rec texec (fr : frame) : bool =
        | Bytecode.Tcheck_alloc (a, store) ->
          check_alloc arrays.(a).c_bad ~store;
          incr pc
-       | Bytecode.Treturn -> raise Storage.Sub_return
+       | Bytecode.Treturn ->
+         release_crit fr;
+         outcome := Returned;
+         pc := n
        | Bytecode.Texit ->
-         exited := true;
+         outcome := Exited;
          pc := n
        | Bytecode.Tv ins -> pc := vstep fr !pc ins
      done
    with e ->
-     while fr.crit > 0 do
-       fr.crit <- fr.crit - 1;
-       Mutex.unlock Omp.critical_mutex
-     done;
+     release_crit fr;
      raise e);
-  !exited
+  !outcome
 
 
 (* Run one call of [cf]'s callee, whose dummies are staged; [false]
@@ -1123,7 +1154,7 @@ and call_frame cf =
     cf.busy <- true;
     count_run (Bytecode.plan_site cf.plan) cf.frame;
     (match texec cf.frame with
-    | _ | (exception Storage.Sub_return) -> cf.busy <- false
+    | _ -> cf.busy <- false
     | exception e ->
       cf.busy <- false;
       raise e);
@@ -1179,27 +1210,37 @@ and call fr (cs : Bytecode.call_site) (args : Bytecode.targ array) (res : Byteco
 
 (** Serial DO: bounds were already evaluated by the interpreter.
     After normal completion the DO variable holds the loop-completed
-    value; after a top-level EXIT it retains the value at the EXIT. *)
+    value; after a top-level EXIT it retains the value at the EXIT.  A
+    RETURN leaves the loop as [Sub_return], like the tree-walker's. *)
 let run_do fr ~(slot : Storage.slot) ~lo ~hi ~step =
   let continue_ i = if step > 0 then i <= hi else i >= hi in
   let exited = ref false in
   let i = ref lo in
   while (not !exited) && continue_ !i do
-    fr.tick <- fr.tick + 1;
-    if fr.tick land 255 = 0 then Fault.check_current ();
+    poll fr;
     slot.Storage.entry <- Storage.Scalar (Value.Int !i);
-    if texec fr then exited := true else i := !i + step
+    match texec fr with
+    | Normal -> i := !i + step
+    | Exited -> exited := true
+    | Returned -> raise Storage.Sub_return
   done;
   if not !exited then slot.Storage.entry <- Storage.Scalar (Value.Int (loop_completed lo hi step))
 
-(** One chunk of a parallel DO.  A top-level EXIT escapes as
-    [Loop_exit], exactly like the tree-walker's chunk body (where the
-    pool surfaces it as a region error). *)
+(* One pass of a chunk body: EXIT and RETURN escape as the
+   tree-walker's [Loop_exit] and [Sub_return] (the pool surfaces them
+   as a region error). *)
+let chunk_pass fr =
+  match texec fr with
+  | Normal -> ()
+  | Exited -> raise Storage.Loop_exit
+  | Returned -> raise Storage.Sub_return
+
+(** One chunk of a parallel DO. *)
 let run_chunk fr ~(slot : Storage.slot) ~clo ~chi =
   for i = clo to chi do
     if (i - clo) land 255 = 255 then Fault.check_current ();
     slot.Storage.entry <- Storage.Scalar (Value.Int i);
-    if texec fr then raise Storage.Loop_exit
+    chunk_pass fr
   done
 
 (** One chunk of a COLLAPSE(2) parallel DO over the linearized
@@ -1209,5 +1250,5 @@ let run_collapse fr ~(oslot : Storage.slot) ~(islot : Storage.slot) ~lo ~ilo ~is
     if (k - clo) land 255 = 255 then Fault.check_current ();
     oslot.Storage.entry <- Storage.Scalar (Value.Int (lo + ((k - 1) / isize)));
     islot.Storage.entry <- Storage.Scalar (Value.Int (ilo + ((k - 1) mod isize)));
-    if texec fr then raise Storage.Loop_exit
+    chunk_pass fr
   done

@@ -55,8 +55,10 @@
 
     The runtime keeps lightweight counters ({!stats}) so the region
     entry cost, schedule behaviour, region overlap and worker
-    utilisation are observable ([oglaf serve --stats],
-    [bench/main.exe pool]). *)
+    utilisation are observable: [oglaf serve --stats], and perfbench's
+    [runtime.*] layers (regions and tasks per op, busy ratio, join
+    wait, respawns); [BENCH_PR2.json] is the frozen record of the
+    pool's first measurements. *)
 
 (* --- team sizing -------------------------------------------------------- *)
 

@@ -1750,6 +1750,353 @@ let test_one_program_both_variants () =
   Alcotest.(check (option string))
     "both_int boxed_reason" (Some "bind: alias actual has another kind") (reason "sub both_int")
 
+(* --- constant registers, rotated DO loops, leaf actuals, RETURN ------------ *)
+
+(* Literals and folded PARAMETERs live in preloaded constant registers,
+   DO loops test and poll at their continue point, an inlined leaf
+   reads a promoted actual's register in place, and RETURN ends the
+   pass without an exception.  Each case runs in two variants: as
+   written (typed wherever [specialize] allows) and with every [!BOX(v)]
+   line replaced by an integer [**] that sends its subprogram to the
+   boxed variant.  Both must match the tree-walker at 1 and 4 threads,
+   with exact typed/boxed/bail counts per site. *)
+let lean_src =
+  {|
+module leanmod
+  implicit none
+  integer, parameter :: two = 2
+  real*8, parameter :: half = 0.5d0
+  integer :: tot
+end module leanmod
+
+real*8 function lsum(a, b)
+  implicit none
+  real*8 :: a, b
+  lsum = a * 2.0d0 + b
+  return
+end function lsum
+
+subroutine lbump(a)
+  implicit none
+  real*8 :: a
+  a = a + 1.0d0
+end subroutine lbump
+
+real*8 function lhalf(a)
+  implicit none
+  real*8 :: a
+  lhalf = a * 0.5d0
+end function lhalf
+
+integer function lread(k)
+  implicit none
+  integer :: k
+  lread = k * 3 + 1
+end function lread
+
+subroutine lwrite(k)
+  implicit none
+  integer :: k
+  k = k + 100
+end subroutine lwrite
+
+subroutine crit_ret(k)
+  use leanmod
+  implicit none
+  integer :: k
+!BOX(k)
+!$omp critical
+  tot = tot + k
+  if (mod(k, 2) == 0) return
+  tot = tot + 1000
+!$omp end critical
+end subroutine crit_ret
+
+real*8 function k_zeros(n)
+  implicit none
+  integer :: n, i
+  real*8 :: a, b, s
+!BOX(n)
+  a = 0.0d0
+  b = -0.0d0
+  s = 0.0d0
+  do i = 1, n
+    s = s + sign(1.0d0, -0.0d0) * i + sign(2.0d0, 0.0d0)
+  end do
+  k_zeros = s + 1.0d0 / b + sign(3.0d0, a) * 1.0d6
+end function k_zeros
+
+real*8 function k_kinds(n)
+  implicit none
+  integer :: n, i, k
+  real*8 :: x
+!BOX(n)
+  k = 0
+  x = 1.0d0
+  do i = 1, n
+    k = k + 2
+    x = x * 2 + 2.0d0 / i + 2
+  end do
+  k_kinds = x + k
+end function k_kinds
+
+real*8 function k_param(n)
+  use leanmod
+  implicit none
+  integer :: n, i, k
+  real*8 :: x
+!BOX(n)
+  k = 0
+  x = 0.0d0
+  do i = 1, n
+    k = k + two * 2 + 2
+    x = x + half * i + 0.5d0 * two
+  end do
+  k_param = x * 1000.0d0 + k
+end function k_param
+
+integer function k_logic(n)
+  implicit none
+  integer :: n, i, k
+  logical :: l, m
+!BOX(n)
+  k = 0
+  do i = 1, n
+    l = .true. .and. (i > 2)
+    m = (i < 3) .or. .false.
+    if (.false. .or. l) k = k + 1
+    if (m .and. .true.) k = k + 10
+    if (.true. .or. m) k = k + 100
+  end do
+  k_logic = k
+end function k_logic
+
+integer function k_zerotrip(n)
+  implicit none
+  integer :: n, i, j, k
+!BOX(n)
+  k = 0
+  do i = 5, 1
+    k = k + 1
+  end do
+  do j = 1, n, -1
+    k = k + 10
+  end do
+  k_zerotrip = i * 1000 + j * 10 + k
+end function k_zerotrip
+
+integer function k_steps(n)
+  implicit none
+  integer :: n, i, j, st, k
+!BOX(n)
+  k = 0
+  do i = n, 1, -2
+    k = k + i
+  end do
+  st = n / 2 + 1
+  do j = 1, 3 * n, st
+    k = k * 3 + j
+  end do
+  st = -st
+  do j = 3 * n, -n, st
+    k = k - j
+  end do
+  k_steps = k * 100 + i + j
+end function k_steps
+
+integer function k_exits(n)
+  implicit none
+  integer :: n, i, j, k
+!BOX(n)
+  k = 0
+  do i = 1, n
+    if (mod(i, 3) == 0) cycle
+    do j = 1, n
+      if (j > i) exit
+      if (mod(j, 2) == 0) cycle
+      k = k + i * 10 + j
+    end do
+    if (i > n - 2) exit
+  end do
+  k_exits = k * 10000 + i * 100 + j
+end function k_exits
+
+real*8 function k_ret(n)
+  integer :: n, i
+  real*8 :: s
+  zz = 1.5d0
+  s = 0.0d0
+  do i = 1, n
+    s = s + zz * i
+    if (i == 3) then
+      k_ret = s
+      return
+    end if
+  end do
+  k_ret = -s
+end function k_ret
+
+real*8 function k_twice(n)
+  implicit none
+  integer :: n, i
+  real*8 :: x, s
+!BOX(n)
+  s = 0.0d0
+  do i = 1, n
+    x = i * 0.25d0
+    s = s + lsum(x, x)
+  end do
+  k_twice = s
+end function k_twice
+
+real*8 function k_bump(n)
+  implicit none
+  integer :: n, i
+  real*8 :: x, s
+!BOX(n)
+  s = 0.0d0
+  x = 0.5d0
+  do i = 1, n
+    call lbump(x)
+    s = s + x * i
+  end do
+  k_bump = s
+end function k_bump
+
+real*8 function k_intreal(n)
+  implicit none
+  integer :: n, i, k
+  real*8 :: s
+!BOX(n)
+  s = 0.0d0
+  do i = 1, n
+    k = i * 3
+    s = s + lhalf(k) + k / 2
+  end do
+  k_intreal = s
+end function k_intreal
+
+real*8 function k_dovar(n)
+  implicit none
+  integer :: n, i, j
+  real*8 :: s
+!BOX(n)
+  s = 0.0d0
+  do i = 1, n
+    s = s + lread(i)
+  end do
+  do j = 1, n
+    call lwrite(j)
+    s = s + j * 0.5d0
+  end do
+  k_dovar = s * 1000.0d0 + i + j
+end function k_dovar
+
+real*8 function k_realdo(n)
+  implicit none
+  integer :: n
+  real*8 :: x, s
+!BOX(n)
+  s = 0.0d0
+  do x = 1, n
+    s = s + lhalf(x)
+    s = s + x / 2
+  end do
+  k_realdo = s + x
+end function k_realdo
+
+integer function k_crit(n)
+  use leanmod
+  implicit none
+  integer :: n, i
+  tot = 0
+!$omp parallel do
+  do i = 1, n
+    call crit_ret(i)
+  end do
+!$omp end parallel do
+  k_crit = tot
+end function k_crit
+|}
+
+(* [lean_src] with each [!BOX(v)] line dropped ([boxed = false]) or
+   turned into a never-taken integer [**] test, which [specialize]
+   rejects. *)
+let lean_variant ~boxed =
+  String.split_on_char '\n' lean_src
+  |> List.map (fun line ->
+         let t = String.trim line in
+         if String.length t > 5 && String.sub t 0 5 = "!BOX(" then
+           if boxed then Printf.sprintf "  if (%s ** 2 < 0) stop" (String.sub t 5 (String.length t - 6)) else ""
+         else line)
+  |> String.concat "\n"
+
+(* A case: its driver, and per variant the (site label, typed, boxed,
+   bails) counts of one call at 1 thread. *)
+type lean_case = {
+  lc_fn : string;
+  lc_typed : (string * int * int * int) list;
+  lc_boxed : (string * int * int * int) list;
+}
+
+let lean_cases =
+  let own ?(typed = true) fn = [ ("sub " ^ fn, (if typed then 1 else 0), (if typed then 0 else 1), 0) ] in
+  let case ?typed fn = { lc_fn = fn; lc_typed = own ?typed fn; lc_boxed = own ~typed:false fn } in
+  [
+    case "k_zeros";
+    case "k_kinds";
+    case "k_param";
+    case "k_logic";
+    case "k_zerotrip";
+    case "k_steps";
+    case "k_exits";
+    (* the body bails on the implicit declaration of [zz]; its DO body
+       compiles and RETURNs *)
+    { lc_fn = "k_ret"; lc_typed = [ ("sub k_ret", 0, 0, 1); ("do", 1, 0, 0) ]; lc_boxed = [ ("sub k_ret", 0, 0, 1); ("do", 1, 0, 0) ] };
+    case "k_twice";
+    case "k_bump";
+    (* the REAL dummy rewrites the INTEGER local in place: boxed *)
+    case ~typed:false "k_intreal";
+    case "k_dovar";
+    (* a REAL DO variable holds raw Ints, which the leaf's REAL dummy
+       rewrites in place: it stays a slot, and runs boxed *)
+    case ~typed:false "k_realdo";
+    (* RETURN inside CRITICAL, from a parallel loop's chunk body (the
+       driver's own body bails on the nested parallel DO) *)
+    {
+      lc_fn = "k_crit";
+      lc_typed = [ ("sub k_crit", 0, 0, 1); ("omp-do", 1, 0, 0); ("sub crit_ret", 9, 0, 0) ];
+      lc_boxed = [ ("sub k_crit", 0, 0, 1); ("omp-do", 1, 0, 0); ("sub crit_ret", 0, 9, 0) ];
+    };
+  ]
+
+let test_lean_battery () =
+  List.iter
+    (fun boxed ->
+      let cu = Parser.parse_string (lean_variant ~boxed) in
+      let variant = if boxed then "boxed" else "typed" in
+      List.iter
+        (fun c ->
+          List.iter
+            (fun t ->
+              assert_same (Printf.sprintf "%s (%s), %d threads" c.lc_fn variant t) ~threads:t cu c.lc_fn
+                [ Ast.Int_lit 9 ])
+            [ 1; 4 ];
+          Interp.reset_bytecode_stats ();
+          let st = Interp.make_state ~printer:ignore cu in
+          Interp.set_threads st 1;
+          ignore (Interp.call st c.lc_fn [ Ast.Int_lit 9 ]);
+          let rows = Interp.bytecode_stats_for st in
+          List.iter
+            (fun (lbl, typed, boxed_runs, bails) ->
+              let what = Printf.sprintf "%s (%s): %s" c.lc_fn variant lbl in
+              check_int (what ^ " typed") typed (site_count (fun r -> r.Interp.r_typed) rows lbl);
+              check_int (what ^ " boxed") boxed_runs (site_count (fun r -> r.Interp.r_boxed) rows lbl);
+              check_int (what ^ " bails") bails (site_count (fun r -> r.Interp.r_bails) rows lbl))
+            (if boxed then c.lc_boxed else c.lc_typed))
+        lean_cases)
+    [ false; true ]
+
 (* --- allocation per compiled call ------------------------------------------ *)
 
 (* A FUN3D-shaped callee (cf. edge_loop): two array dummies, two
@@ -1834,6 +2181,53 @@ real*8 function drive_edges(n)
 end function drive_edges
 |}
 
+(* A FUN3D flux sweep (cf. edge_loop's flux step): four locals loaded
+   from arrays and passed to an inlined read-only leaf (cf.
+   combine_flux) on every iteration of a DO.  The leaf reads the
+   locals' registers in place, so an iteration stores nothing on the
+   heap. *)
+let flux_src =
+  {|
+real*8 function comb(flv, wrv, wlv, dissv)
+  implicit none
+  real*8 :: flv, wrv, wlv, dissv
+  comb = (flv + wrv) / wlv + dissv * 0.0d0
+  return
+end function comb
+
+real*8 function flux_sweep(n)
+  implicit none
+  integer :: n
+  real*8 :: fl(8), wr(8), wl(8), diss(8), df(8)
+  integer :: i, k
+  real*8 :: flv, wrv, wlv, dissv, s
+  do i = 1, 8
+    fl(i) = i * 0.5d0
+    wr(i) = i * 0.25d0 + 1.0d0
+    wl(i) = 1.0d0 + i
+    diss(i) = 0.05d0 * i
+  end do
+  s = 0.0d0
+  do k = 1, n
+    do i = 1, 8
+      flv = fl(i)
+      wrv = wr(i)
+      wlv = wl(i)
+      dissv = diss(i)
+      df(i) = comb(flv, wrv, wlv, dissv)
+    end do
+    s = s + df(k - (k - 1) / 8 * 8)
+  end do
+  flux_sweep = s
+end function flux_sweep
+|}
+
+(* Minor-heap words per flux-sweep iteration the sweep must stay
+   under.  0 are measured; when the leaf's actuals were scope slots,
+   each of the four local stores boxed a float into a slot, 24 words
+   an iteration. *)
+let words_per_iteration_bound = 2.0
+
 (* Minor-heap words per compiled call the call path must stay under.
    About 8 are measured, all of them the caller's stores of its two
    actuals; marshalling each call through binding lists and slot
@@ -1855,7 +2249,21 @@ let test_call_allocation () =
   check_bool
     (Printf.sprintf "%.1f minor words per call <= %.0f" per_call words_per_call_bound)
     true
-    (per_call <= words_per_call_bound)
+    (per_call <= words_per_call_bound);
+  let cu = Parser.parse_string flux_src in
+  let rows = assert_typed_same "flux sweep" cu "flux_sweep" [ Ast.Int_lit 30 ] in
+  check_int "comb inlined" 0 (site_count (fun r -> r.Interp.r_runs + r.Interp.r_bails) rows "sub comb");
+  let st = Interp.make_state ~printer:ignore cu in
+  Interp.set_threads st 1;
+  ignore (Interp.call st "flux_sweep" [ Ast.Int_lit 2 ]);
+  let sweeps = 5_000 in
+  let w0 = Gc.minor_words () in
+  ignore (Interp.call st "flux_sweep" [ Ast.Int_lit sweeps ]);
+  let per_iter = (Gc.minor_words () -. w0) /. float_of_int (8 * sweeps) in
+  check_bool
+    (Printf.sprintf "%.2f minor words per flux iteration <= %.0f" per_iter words_per_iteration_bound)
+    true
+    (per_iter <= words_per_iteration_bound)
 
 (* --- example scripts ----------------------------------------------------- *)
 
@@ -2148,6 +2556,7 @@ let suites =
         Alcotest.test_case "boxed: character constant and PRINT" `Quick test_boxed_charcat;
         Alcotest.test_case "boxed: REAL DO variable" `Quick test_boxed_realdo;
         Alcotest.test_case "one program, typed and boxed binds" `Quick test_one_program_both_variants;
+        Alcotest.test_case "constants, rotated loops, leaf actuals, RETURN" `Quick test_lean_battery;
         Alcotest.test_case "workload coverage" `Quick
           test_workload_bytecode_coverage;
         Alcotest.test_case "saxpy script" `Quick test_saxpy_diff;

@@ -268,6 +268,32 @@ let test_timeout_fires_and_batch_recovers () =
       | None -> false)
   | Error f -> Alcotest.failf "recovery call failed: %s" (Fault.to_string f)
 
+(* A compiled serial DO polls the deadline at its continue point: a
+   10^9-iteration loop in a compiled function at 1 thread (no pool
+   chunk boundary to poll at) still times out promptly. *)
+let spin_src =
+  {|
+integer function spin(n)
+  implicit none
+  integer :: n, i, k
+  k = 0
+  do i = 1, n
+    k = k + mod(i, 7)
+  end do
+  spin = k
+end function spin
+|}
+
+let test_timeout_in_compiled_loop () =
+  let c = { Serve.co_source = spin_src; co_unit = Glaf_fortran.Parser.parse_string spin_src } in
+  let t0 = Fault.now_s () in
+  (match Serve.run_call ~threads:1 ~deadline_s:0.02 c (List.hd (parse_calls_exn "spin(1000000000)")) with
+  | Error (Fault.Timeout_fault _) -> ()
+  | Error f -> Alcotest.failf "wrong fault: %s" (Fault.to_string f)
+  | Ok _ -> Alcotest.fail "deadline did not fire");
+  let took = Fault.now_s () -. t0 in
+  check_bool (Printf.sprintf "timed out after %.3fs < 1s" took) true (took < 1.0)
+
 (* --- pool supervision ----------------------------------------------------- *)
 
 let test_worker_crash_respawns () =
@@ -492,6 +518,8 @@ let suites =
           test_token_cancels_pool_region;
         Alcotest.test_case "per-call timeout" `Quick
           test_timeout_fires_and_batch_recovers;
+        Alcotest.test_case "timeout in a compiled serial loop" `Quick
+          test_timeout_in_compiled_loop;
       ] );
     ( "faults.serve",
       [
