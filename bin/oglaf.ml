@@ -144,7 +144,8 @@ let load_plan path =
   | Error reason -> die "plan fault: %s" reason
 
 let plan_stats_line plan =
-  Printf.eprintf "oglaf: plan %s\n%!" (Glaf_tune.Plan.stats_json plan)
+  Printf.eprintf "oglaf: plan %s\n%!"
+    (Glaf_runtime.Json.to_string (Glaf_tune.Plan.stats_json plan))
 
 let plan_arg =
   Arg.(
@@ -435,17 +436,13 @@ let serve_connect ~socket ~calls_file ~status_q =
       match L.Client.request cl ("run " ^ line) with
       | Some resp ->
         print_endline resp;
-        (* our JSON writer is deterministic: a fault response always
-           carries this exact token *)
-        let is_fault =
-          let tok = "\"ok\":false" in
-          let n = String.length resp and m = String.length tok in
-          let rec scan i =
-            i + m <= n && (String.sub resp i m = tok || scan (i + 1))
-          in
-          scan 0
+        let module J = Glaf_runtime.Json in
+        let ok =
+          match J.parse resp with
+          | Ok j -> J.field "ok" j = Some (J.Bool true)
+          | Error _ -> false
         in
-        if is_fault then any_failed := true
+        if not ok then any_failed := true
       | None ->
         any_failed := true;
         Printf.eprintf "oglaf: no reply for %s (server gone?)\n%!" line

@@ -44,10 +44,9 @@ type t = {
   prog_name : string;
   mutable globals : Grid.t list;
   mutable modules : module_b list;
-  mutable entry : string option;
 }
 
-let create prog_name = { prog_name; globals = []; modules = []; entry = None }
+let create prog_name = { prog_name; globals = []; modules = [] }
 
 let current_module b action =
   match b.modules with
@@ -113,9 +112,6 @@ let add_stmt b stmt =
   let s = current_step b "add_stmt" in
   s.s_stmts <- stmt :: s.s_stmts
 
-(** Mark the program entry point. *)
-let set_entry b name = b.entry <- Some name
-
 (** {1 Storage helpers for the §3 integration surface} *)
 
 (** Re-home a grid into legacy module [module_name] (§3.1, emitted via
@@ -153,7 +149,7 @@ let assemble b : Ir_module.program =
   Ir_module.program
     ~globals:(List.rev b.globals)
     ~modules:(List.rev_map build_module b.modules)
-    ?entry:b.entry b.prog_name
+    b.prog_name
 
 (** Close the building session: assemble the IR program and validate
     it structurally, raising {!Build_error} on any violation the GPI

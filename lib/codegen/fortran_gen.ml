@@ -85,8 +85,6 @@ and gen_ref tv (r : Expr.gref) : Ast.designator =
   | Some type_var -> (type_var, []) :: main
   | None -> main
 
-let no_tv (_ : string) : string option = None
-
 (** {1 Statements} *)
 
 type fctx = {

@@ -210,11 +210,6 @@ type compilation_unit = program_unit list
 
 (** {1 Convenience accessors} *)
 
-let unit_name = function
-  | Module m -> m.mod_name
-  | Standalone s -> s.sub_name
-  | Main m -> m.main_name
-
 let subprograms_of = function
   | Module m -> m.mod_contains
   | Standalone s -> [ s ]

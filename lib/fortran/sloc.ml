@@ -12,12 +12,6 @@ let of_source source = List.length (Line_scanner.scan source)
 let of_subprogram (sp : Ast.subprogram) =
   of_source (Pp_ast.to_string [ Ast.Standalone sp ])
 
-(** SLOC of the body only (statements, no declarations/header). *)
-let of_body (sp : Ast.subprogram) =
-  let w = { Pp_ast.buf = Buffer.create 1024; indent = 0 } in
-  List.iter (Pp_ast.stmt_to_buf w) sp.Ast.sub_body;
-  of_source (Buffer.contents w.Pp_ast.buf)
-
 (** Per-subprogram SLOC table for a compilation unit, in source order. *)
 let table (cu : Ast.compilation_unit) =
   List.map

@@ -141,10 +141,3 @@ let check legacy (p : Ir_module.program) : issue list =
     @ List.concat_map (check_grid legacy "global") p.Ir_module.globals
   in
   grid_issues @ check_calls legacy p
-
-exception Incompatible of issue list
-
-let check_exn legacy p =
-  match check legacy p with
-  | [] -> ()
-  | issues -> raise (Incompatible issues)

@@ -1235,13 +1235,6 @@ let module_array st ~module_name ~var =
   | Some _ -> error "%s.%s is not an allocated array" module_name var
   | None -> error "no variable %s in module %s" module_name var
 
-(** Write a scalar module variable. *)
-let set_module_scalar st ~module_name ~var v =
-  let scope = init_module st module_name in
-  match Hashtbl.find_opt scope.vars var with
-  | Some slot -> slot.entry <- Scalar (Value.coerce slot.base v)
-  | None -> error "no variable %s in module %s" module_name var
-
 (** Read a COMMON-block member. *)
 let common_scalar st ~block ~var =
   match Hashtbl.find_opt st.commons block with

@@ -59,7 +59,6 @@ let idx name indices = Ref { grid = name; field = None; indices }
 let fld name field indices = Ref { grid = name; field = Some field; indices }
 
 let neg e = Unop (Neg, e)
-let not_ e = Unop (Not, e)
 let ( + ) a b = Binop (Add, a, b)
 let ( - ) a b = Binop (Sub, a, b)
 let ( * ) a b = Binop (Mul, a, b)
@@ -75,14 +74,6 @@ let ( >= ) a b = Binop (Ge, a, b)
 let ( && ) a b = Binop (And, a, b)
 let ( || ) a b = Binop (Or, a, b)
 let call name args = Call (name, args)
-
-let is_comparison = function
-  | Eq | Ne | Lt | Le | Gt | Ge -> true
-  | Add | Sub | Mul | Div | Pow | Mod | And | Or -> false
-
-let is_logical = function
-  | And | Or -> true
-  | _ -> false
 
 (** [fold f acc e] folds [f] over every sub-expression of [e]
     (including [e] itself), pre-order. *)

@@ -93,11 +93,6 @@ let elem_type g =
   | Dense t -> t
   | Record _ -> Types.T_real8
 
-let field_type g field =
-  match g.kind with
-  | Dense t -> Some t
-  | Record fields -> List.assoc_opt field fields
-
 (** Total number of elements when all extents are fixed. *)
 let fixed_size g =
   let mul acc d =

@@ -181,5 +181,4 @@ let pp_program ppf (p : Ir_module.program) =
 
 let expr_to_string e = asprintf "%a" pp_expr e
 let stmt_to_string s = asprintf "@[<v>%a@]" pp_stmt s
-let func_to_string f = asprintf "%a" pp_func f
 let program_to_string p = asprintf "%a" pp_program p

@@ -34,15 +34,6 @@ type directive = {
 }
 [@@deriving show { with_path = false }, eq, ord]
 
-let plain_directive =
-  {
-    private_vars = [];
-    reductions = [];
-    collapse = 1;
-    num_threads = None;
-    schedule = None;
-  }
-
 type t =
   | Assign of Expr.gref * Expr.t
   | If of (Expr.t * t list) list * t list

@@ -29,14 +29,6 @@ let c_name = function
   | T_logical -> "int"
   | T_string -> "char*"
 
-let is_numeric = function
-  | T_int | T_real | T_real8 -> true
-  | T_logical | T_string -> false
-
-let is_floating = function
-  | T_real | T_real8 -> true
-  | T_int | T_logical | T_string -> false
-
 (** Result type of a binary numeric operation: widest operand wins. *)
 let join a b =
   match (a, b) with

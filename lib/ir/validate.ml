@@ -256,11 +256,3 @@ let program (p : Ir_module.program) =
   in
   global_errors @ module_name_errors @ function_name_errors @ per_function
   @ check_calls p
-
-exception Invalid of error list
-
-(** Validate and raise {!Invalid} on any error. *)
-let program_exn p =
-  match program p with
-  | [] -> ()
-  | errors -> raise (Invalid errors)

@@ -3,8 +3,9 @@
     Every layer of the serving stack (pool -> interpreter -> service
     -> CLI) reports failures in the same shape: a {!t} classifying
     {e what} went wrong, rendered uniformly by {!to_string} (one-line
-    diagnostics) and {!to_json} (machine-readable, for batch reports
-    and CI).  The classes mirror the pipeline stages:
+    diagnostics) and {!json} (machine-readable: a {!Json.v} that the
+    listener embeds in its responses; {!to_json} prints it alone).
+    The classes mirror the pipeline stages:
 
     - [Parse_fault]    — a script or calls file did not parse;
     - [Analysis_fault] — auto-parallelization / codegen / reparse of
@@ -101,48 +102,23 @@ let to_string f =
     Printf.sprintf "pool fault in %s (calls line %d): %s" call line reason
   | Overload_fault _ -> Printf.sprintf "overload fault: %s" (reason f)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (** Uniform shape: [class] and [reason] always present, [call]/[line]
     when the fault is attached to a served call or source line. *)
-let to_json f =
-  let field k v = Printf.sprintf "\"%s\":%s" k v in
-  let str s = "\"" ^ json_escape s ^ "\"" in
-  let fields =
-    match f with
-    | Parse_fault { line; reason } ->
-      [ field "class" (str "parse");
-        field "line" (string_of_int line);
-        field "reason" (str reason) ]
-    | Analysis_fault { reason } ->
-      [ field "class" (str "analysis"); field "reason" (str reason) ]
-    | Runtime_fault { call; line; reason }
-    | Timeout_fault { call; line; reason }
-    | Pool_fault { call; line; reason } ->
-      [ field "class" (str (cls_name (cls_of f)));
-        field "call" (str call);
-        field "line" (string_of_int line);
-        field "reason" (str reason) ]
+let json f : Json.v =
+  let cls = ("class", Json.Str (cls_name (cls_of f))) in
+  let reason = ("reason", Json.Str (reason f)) in
+  Json.Obj
+    (match f with
+    | Parse_fault { line; _ } -> [ cls; ("line", Json.int line); reason ]
+    | Analysis_fault _ -> [ cls; reason ]
+    | Runtime_fault { call; line; _ }
+    | Timeout_fault { call; line; _ }
+    | Pool_fault { call; line; _ } ->
+      [ cls; ("call", Json.Str call); ("line", Json.int line); reason ]
     | Overload_fault { pending; limit } ->
-      [ field "class" (str "overload");
-        field "pending" (string_of_int pending);
-        field "limit" (string_of_int limit);
-        field "reason" (str (reason f)) ]
-  in
-  "{" ^ String.concat "," fields ^ "}"
+      [ cls; ("pending", Json.int pending); ("limit", Json.int limit); reason ])
+
+let to_json f = Json.to_string (json f)
 
 (** {1 Pool failures}
 

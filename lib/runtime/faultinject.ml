@@ -35,13 +35,6 @@ type directive =
   | Delay_chunk of { region : int; delay_s : float }
   | Kill_worker of { worker : int; times : int }
 
-let directive_to_string = function
-  | Fail_region k -> Printf.sprintf "fail-region:%d" k
-  | Delay_chunk { region; delay_s } ->
-    Printf.sprintf "delay-chunk:%d:%g" region (delay_s *. 1e3)
-  | Kill_worker { worker; times } ->
-    Printf.sprintf "kill-worker:%d:%d" worker times
-
 (** Raised by an injected region failure; the service layer classifies
     it as a runtime fault. *)
 exception Injected of string

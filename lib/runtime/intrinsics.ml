@@ -170,8 +170,6 @@ let tbl : (string, Value.t list -> Value.t) Hashtbl.t =
   List.iter (fun (k, v) -> Hashtbl.replace h k v) table;
   h
 
-let is_intrinsic name = Hashtbl.mem tbl (String.lowercase_ascii name)
-
 let apply name args =
   match Hashtbl.find_opt tbl (String.lowercase_ascii name) with
   | Some f -> Some (f args)

@@ -36,6 +36,9 @@
        "output":"","ms":0.412}
       {"seq":2,"ok":false,"fault":{"class":"overload","pending":64,...}}
     ]}
+    Every response and status line is a {!Glaf_runtime.Json.v} printed
+    by {!Glaf_runtime.Json.to_string}: compact, keys in the order
+    shown, timings rounded to 3 decimals.
 
     {2 Lifecycle}
 
@@ -116,16 +119,15 @@ type config = {
   lc_deadline_s : float option;  (** per-call deadline *)
   lc_bytecode : bool;
   lc_retries : int;  (** transient-fault retries per call *)
-  lc_cache_capacity : int;
   lc_transform :
     (Glaf_fortran.Ast.compilation_unit -> Glaf_fortran.Ast.compilation_unit)
     option;
       (** rewrites every compiled unit before it is served (startup
           script and cached inline scripts alike) — how [--plan]
           applies a tuning plan on the serving path *)
-  lc_status_extra : (unit -> (string * string) list) option;
-      (** extra top-level status fields, [(name, raw JSON value)] —
-          e.g. the plan cache's hit/stale counters *)
+  lc_status_extra : (unit -> (string * Json.v) list) option;
+      (** extra fields appended to the status object — e.g. the plan
+          cache's hit/stale counters *)
 }
 
 let default_config ~socket =
@@ -139,7 +141,6 @@ let default_config ~socket =
     lc_deadline_s = None;
     lc_bytecode = true;
     lc_retries = 0;
-    lc_cache_capacity = 64;
     lc_transform = None;
     lc_status_extra = None;
   }
@@ -285,76 +286,69 @@ let call_text (c : Serve.call) =
   Format.asprintf "%s%a" c.Serve.cl_name Serve.pp_args c.Serve.cl_args
 
 let fault_response ~seq fault =
-  Printf.sprintf "{\"seq\":%d,\"ok\":false,\"fault\":%s}" seq
-    (Fault.to_json fault)
+  Json.(to_string (Obj [ ("seq", int seq); ("ok", Bool false); ("fault", Fault.json fault) ]))
 
 let outcome_response ~seq (oc : Serve.outcome) =
-  Printf.sprintf
-    "{\"seq\":%d,\"ok\":true,\"call\":\"%s\",\"value\":%s,\"output\":\"%s\",\"ms\":%.3f}"
-    seq
-    (Fault.json_escape (call_text oc.Serve.oc_call))
-    (match oc.Serve.oc_value with
-    | Some v -> "\"" ^ Fault.json_escape (Value.to_string v) ^ "\""
-    | None -> "null")
-    (Fault.json_escape oc.Serve.oc_output)
-    (oc.Serve.oc_time_s *. 1e3)
+  Json.(
+    to_string
+      (Obj
+         [ ("seq", int seq); ("ok", Bool true);
+           ("call", Str (call_text oc.Serve.oc_call));
+           ("value", opt (fun v -> Str (Value.to_string v)) oc.Serve.oc_value);
+           ("output", Str oc.Serve.oc_output);
+           ("ms", fixed 3 (oc.Serve.oc_time_s *. 1e3)) ]))
 
 (* Bytecode coverage over every script this process has served: total
    compiled-vs-treewalked executions plus the worst bailing sites, so
    a coverage regression shows up in monitoring rather than as a
    silent slowdown. *)
 let bytecode_json () =
-  let rows = Glaf_interp.Bytecode.Stats.snapshot () in
-  let runs = List.fold_left (fun a (r : Glaf_interp.Bytecode.Stats.row) -> a + r.r_runs) 0 rows in
-  let bails = List.fold_left (fun a (r : Glaf_interp.Bytecode.Stats.row) -> a + r.r_bails) 0 rows in
+  let module S = Glaf_interp.Bytecode.Stats in
+  let rows = S.snapshot () in
+  let total f = Json.int (List.fold_left (fun a (r : S.row) -> a + f r) 0 rows) in
   let bailing =
-    List.filter (fun (r : Glaf_interp.Bytecode.Stats.row) -> r.r_bails > 0) rows
-    |> List.sort (fun (a : Glaf_interp.Bytecode.Stats.row) b ->
-           compare b.r_bails a.r_bails)
+    List.filter (fun (r : S.row) -> r.r_bails > 0) rows
+    |> List.sort (fun (a : S.row) b -> compare b.r_bails a.r_bails)
   in
-  let top = List.filteri (fun i _ -> i < 8) bailing in
-  Printf.sprintf
-    "{\"sites\":%d,\"runs\":%d,\"bails\":%d,\"bail_sites\":[%s]}"
-    (List.length rows) runs bails
-    (String.concat ","
-       (List.map
-          (fun (r : Glaf_interp.Bytecode.Stats.row) ->
-            Printf.sprintf "{\"label\":\"%s\",\"bails\":%d,\"reason\":%s}"
-              (Fault.json_escape r.r_label) r.r_bails
-              (match r.r_reason with
-              | Some why -> "\"" ^ Fault.json_escape why ^ "\""
-              | None -> "null"))
-          top))
+  let site (r : S.row) =
+    Json.(
+      Obj
+        [ ("label", Str r.r_label); ("bails", int r.r_bails);
+          ("reason", opt (fun why -> Str why) r.r_reason) ])
+  in
+  Json.(
+    Obj
+      [ ("sites", int (List.length rows));
+        ("runs", total (fun r -> r.r_runs));
+        ("bails", total (fun r -> r.r_bails));
+        ("bail_sites", List (List.map site (List.filteri (fun i _ -> i < 8) bailing))) ])
 
 let status_response ~seq t =
   let st = stats t in
-  let extra =
-    match t.cfg.lc_status_extra with
-    | None -> ""
-    | Some fields ->
-      String.concat ""
-        (List.map
-           (fun (name, json) -> Printf.sprintf ",\"%s\":%s" name json)
-           (fields ()))
+  let cs = st.ls_cache in
+  let extra = match t.cfg.lc_status_extra with None -> [] | Some f -> f () in
+  let status =
+    Json.
+      [ ("health", Str (health_string st.ls_health));
+        ("draining", Bool st.ls_draining);
+        ("pending", int st.ls_pending); ("max_pending", int st.ls_max_pending);
+        ("connections", int st.ls_accepted); ("ok", int st.ls_ok);
+        ("failed", int st.ls_failed); ("shed", int st.ls_shed);
+        ("rejected", int st.ls_rejected); ("write_errors", int st.ls_write_errors);
+        ("respawns", int st.ls_respawns);
+        ( "latency",
+          Obj
+            [ ("window", int latency_window); ("count", int st.ls_calls);
+              ("p50_ms", fixed 3 st.ls_p50_ms); ("p99_ms", fixed 3 st.ls_p99_ms) ] );
+        ( "cache",
+          Obj
+            [ ("size", int cs.Progcache.cs_size); ("capacity", int cs.Progcache.cs_capacity);
+              ("hits", int cs.Progcache.cs_hits); ("misses", int cs.Progcache.cs_misses);
+              ("evictions", int cs.Progcache.cs_evictions);
+              ("hit_rate", fixed 4 (Progcache.hit_rate cs)) ] );
+        ("bytecode", bytecode_json ()) ]
   in
-  Printf.sprintf
-    "{\"seq\":%d,\"ok\":true,\"status\":{\"health\":\"%s\",\"draining\":%b,\
-     \"pending\":%d,\"max_pending\":%d,\"connections\":%d,\"ok\":%d,\
-     \"failed\":%d,\"shed\":%d,\"rejected\":%d,\"write_errors\":%d,\
-     \"respawns\":%d,\"latency\":{\"window\":%d,\"count\":%d,\
-     \"p50_ms\":%.3f,\"p99_ms\":%.3f},\"cache\":{\"size\":%d,\"capacity\":%d,\
-     \"hits\":%d,\"misses\":%d,\"evictions\":%d,\"hit_rate\":%.4f},\
-     \"bytecode\":%s%s}}"
-    seq
-    (Fault.json_escape (health_string st.ls_health))
-    st.ls_draining st.ls_pending st.ls_max_pending st.ls_accepted st.ls_ok
-    st.ls_failed st.ls_shed st.ls_rejected st.ls_write_errors st.ls_respawns
-    latency_window st.ls_calls st.ls_p50_ms st.ls_p99_ms
-    st.ls_cache.Progcache.cs_size st.ls_cache.Progcache.cs_capacity
-    st.ls_cache.Progcache.cs_hits st.ls_cache.Progcache.cs_misses
-    st.ls_cache.Progcache.cs_evictions
-    (Progcache.hit_rate st.ls_cache)
-    (bytecode_json ()) extra
+  Json.(to_string (Obj [ ("seq", int seq); ("ok", Bool true); ("status", Obj (status @ extra)) ]))
 
 (* --- socket plumbing ------------------------------------------------------ *)
 
@@ -664,9 +658,7 @@ let create ~config:cfg script_text =
     raise (Listener_error "need at least one executor");
   ignore_sigpipe ();
   let cache =
-    Progcache.create ~capacity:cfg.lc_cache_capacity
-      ~compile:(Serve.compile_result ?transform:cfg.lc_transform)
-      ()
+    Progcache.create ~compile:(Serve.compile_result ?transform:cfg.lc_transform) ()
   in
   match fst (Progcache.find_or_compile cache script_text) with
   | Error fault -> Error fault

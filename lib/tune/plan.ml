@@ -6,8 +6,9 @@
     re-analysis but goes stale the moment the loop body changes; the
     machine key pins the plan to the host class it was measured on.
 
-    Plans round-trip through a small hand-written JSON format
-    ([version] / [machine] / [entries]); {!load} returns structured
+    Plans round-trip through {!Glaf_runtime.Json} as one object
+    ([version] / [machine] / [entries]); a timing that was not finite
+    is saved as [null] and loads as [nan].  {!load} returns structured
     errors — a corrupted, truncated, or wrong-version file is a
     report, never a crash.  {!apply} rewrites a freshly compiled unit
     with the cached winners and keeps hit/miss/stale counters so
@@ -15,6 +16,7 @@
     instead of re-searched. *)
 
 open Glaf_fortran
+open Glaf_runtime
 
 type entry = {
   pe_loop : string;  (** human label, ["sub#ordinal"] *)
@@ -151,207 +153,31 @@ let stats t =
 
 let stats_json t =
   let s = stats t in
-  Printf.sprintf
-    "{\"machine\":\"%s\",\"entries\":%d,\"applies\":%d,\"hits\":%d,\"misses\":%d,\"stale\":%d}"
-    (Glaf_runtime.Fault.json_escape t.p_machine)
-    (List.length t.p_entries) s.st_applies s.st_hits s.st_misses s.st_stale
+  Json.(
+    Obj
+      [ ("machine", Str t.p_machine); ("entries", int (List.length t.p_entries));
+        ("applies", int s.st_applies); ("hits", int s.st_hits);
+        ("misses", int s.st_misses); ("stale", int s.st_stale) ])
 
-(* --- JSON writer --------------------------------------------------------- *)
-
-let float_str f =
-  (* shortest representation that round-trips a float *)
-  let s = Printf.sprintf "%.17g" f in
-  let short = Printf.sprintf "%.12g" f in
-  if float_of_string short = f then short else s
+(* --- JSON ---------------------------------------------------------------- *)
 
 let entry_to_json e =
-  let str s = "\"" ^ Glaf_runtime.Fault.json_escape s ^ "\"" in
-  String.concat ","
-    [
-      Printf.sprintf "{\"loop\":%s" (str e.pe_loop);
-      Printf.sprintf "\"digest\":%s" (str e.pe_digest);
-      Printf.sprintf "\"variant\":%s" (str (Variant.to_string e.pe_variant));
-      Printf.sprintf "\"default\":%s" (str (Variant.to_string e.pe_default));
-      Printf.sprintf "\"ms\":%s" (float_str e.pe_ms);
-      Printf.sprintf "\"default_ms\":%s" (float_str e.pe_default_ms);
-      Printf.sprintf "\"serial_ms\":%s" (float_str e.pe_serial_ms);
-      Printf.sprintf "\"verified\":%d" e.pe_verified;
-      Printf.sprintf "\"model_agrees\":%b}" e.pe_model_agrees;
-    ]
+  Json.(
+    Obj
+      [ ("loop", Str e.pe_loop); ("digest", Str e.pe_digest);
+        ("variant", Str (Variant.to_string e.pe_variant));
+        ("default", Str (Variant.to_string e.pe_default));
+        ("ms", Num e.pe_ms); ("default_ms", Num e.pe_default_ms);
+        ("serial_ms", Num e.pe_serial_ms); ("verified", int e.pe_verified);
+        ("model_agrees", Bool e.pe_model_agrees) ])
 
 let to_json t =
-  Printf.sprintf
-    "{\"version\":%d,\"machine\":\"%s\",\"entries\":[\n%s\n]}\n"
-    current_version
-    (Glaf_runtime.Fault.json_escape t.p_machine)
-    (String.concat ",\n" (List.map entry_to_json t.p_entries))
-
-(* --- JSON reader --------------------------------------------------------- *)
-
-(* Minimal recursive-descent JSON, enough for plan files (and for
-   tests poking at listener status).  Any syntax error is reported
-   with its byte offset. *)
-module Json = struct
-  type v =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | List of v list
-    | Obj of (string * v) list
-
-  exception Bad of int * string
-
-  let parse (s : string) : (v, string) result =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let bad msg = raise (Bad (!pos, msg)) in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-        incr pos;
-        skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> incr pos
-      | _ -> bad (Printf.sprintf "expected '%c'" c)
-    in
-    let lit word v =
-      if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-      then (
-        pos := !pos + String.length word;
-        v)
-      else bad (Printf.sprintf "expected %s" word)
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then bad "unterminated string"
-        else
-          match s.[!pos] with
-          | '"' -> incr pos
-          | '\\' ->
-            incr pos;
-            (if !pos >= n then bad "unterminated escape"
-             else
-               match s.[!pos] with
-               | '"' -> Buffer.add_char b '"'
-               | '\\' -> Buffer.add_char b '\\'
-               | '/' -> Buffer.add_char b '/'
-               | 'n' -> Buffer.add_char b '\n'
-               | 't' -> Buffer.add_char b '\t'
-               | 'r' -> Buffer.add_char b '\r'
-               | 'b' -> Buffer.add_char b '\b'
-               | 'f' -> Buffer.add_char b '\012'
-               | 'u' ->
-                 if !pos + 4 >= n then bad "bad \\u escape"
-                 else (
-                   let code =
-                     try int_of_string ("0x" ^ String.sub s (!pos + 1) 4)
-                     with _ -> bad "bad \\u escape"
-                   in
-                   pos := !pos + 4;
-                   (* plan files only ever escape control chars *)
-                   if code < 0x80 then Buffer.add_char b (Char.chr code)
-                   else Buffer.add_char b '?')
-               | c -> bad (Printf.sprintf "bad escape '\\%c'" c));
-            incr pos;
-            go ()
-          | c ->
-            Buffer.add_char b c;
-            incr pos;
-            go ()
-      in
-      go ();
-      Buffer.contents b
-    in
-    let parse_number () =
-      let start = !pos in
-      let num_char = function
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while !pos < n && num_char s.[!pos] do
-        incr pos
-      done;
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> Num f
-      | None -> bad "bad number"
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> bad "unexpected end of input"
-      | Some '"' -> Str (parse_string ())
-      | Some '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some '}' then (
-          incr pos;
-          Obj [])
-        else
-          let rec fields acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              incr pos;
-              fields ((k, v) :: acc)
-            | Some '}' ->
-              incr pos;
-              List.rev ((k, v) :: acc)
-            | _ -> bad "expected ',' or '}'"
-          in
-          Obj (fields [])
-      | Some '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some ']' then (
-          incr pos;
-          List [])
-        else
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              incr pos;
-              items (v :: acc)
-            | Some ']' ->
-              incr pos;
-              List.rev (v :: acc)
-            | _ -> bad "expected ',' or ']'"
-          in
-          List (items [])
-      | Some 't' -> lit "true" (Bool true)
-      | Some 'f' -> lit "false" (Bool false)
-      | Some 'n' -> lit "null" Null
-      | Some _ -> parse_number ()
-    in
-    try
-      let v = parse_value () in
-      skip_ws ();
-      if !pos <> n then Error (Printf.sprintf "trailing bytes at offset %d" !pos)
-      else Ok v
-    with Bad (at, msg) -> Error (Printf.sprintf "%s at offset %d" msg at)
-
-  let field k = function
-    | Obj fields -> List.assoc_opt k fields
-    | _ -> None
-
-  let str = function Str s -> Some s | _ -> None
-  let num = function Num f -> Some f | _ -> None
-  let boolean = function Bool b -> Some b | _ -> None
-  let list = function List l -> Some l | _ -> None
-end
+  Json.(
+    to_string
+      (Obj
+         [ ("version", int current_version); ("machine", Str t.p_machine);
+           ("entries", List (List.map entry_to_json t.p_entries)) ]))
+  ^ "\n"
 
 let entry_of_json (j : Json.v) : (entry, string) result =
   let ( let* ) = Result.bind in
@@ -360,13 +186,15 @@ let entry_of_json (j : Json.v) : (entry, string) result =
     | Some v -> Ok v
     | None -> Error (Printf.sprintf "entry missing or malformed field %S" k)
   in
+  (* a timing that was not finite when saved was written as null *)
+  let ms = function Json.Null -> Some Float.nan | j -> Json.num j in
   let* loop = want "loop" Json.str in
   let* digest = want "digest" Json.str in
   let* variant_s = want "variant" Json.str in
   let* default_s = want "default" Json.str in
-  let* ms = want "ms" Json.num in
-  let* default_ms = want "default_ms" Json.num in
-  let* serial_ms = want "serial_ms" Json.num in
+  let* pe_ms = want "ms" ms in
+  let* default_ms = want "default_ms" ms in
+  let* serial_ms = want "serial_ms" ms in
   let* verified = want "verified" Json.num in
   let* model_agrees = want "model_agrees" Json.boolean in
   let* variant =
@@ -388,7 +216,7 @@ let entry_of_json (j : Json.v) : (entry, string) result =
         pe_digest = digest;
         pe_variant = variant;
         pe_default = default;
-        pe_ms = ms;
+        pe_ms;
         pe_default_ms = default_ms;
         pe_serial_ms = serial_ms;
         pe_verified = int_of_float verified;

@@ -564,5 +564,3 @@ let table_string (r : report) : string =
    | errs ->
      List.iter (fun e -> Printf.bprintf b "COMPOSE FAILURE: %s\n" e) errs);
   Buffer.contents b
-
-let pp_table ppf r = Format.pp_print_string ppf (table_string r)

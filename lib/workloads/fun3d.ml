@@ -138,10 +138,3 @@ let figure7 ?(threads = 16) ?(ncell = Fun3d_legacy.paper_ncell) () =
   List.map
     (fun v -> (variant_name v, base /. modeled_time ~threads ~ncell v))
     figure7_variants
-
-(** Landmark values from the paper's Figure 7. *)
-let figure7_paper_landmarks =
-  [
-    ("manual parallel", 3.85);
-    ("GLAF EdgeJP+NoRealloc", 1.67);
-  ]

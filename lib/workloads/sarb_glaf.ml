@@ -25,7 +25,6 @@ let mbsx = 6
 
 (* --- grid constructors for the integration surface ------------------- *)
 
-let ext_real name = Grid.scalar ~storage:(Grid.External_module "fuinput") Types.T_real8 name
 let ext_int name = Grid.scalar ~storage:(Grid.External_module "fuinput") Types.T_int name
 
 let ext_arr ?(m = "fuinput") n name =
@@ -1006,8 +1005,3 @@ let program () : Ir_module.program =
 
 (** The six Table-1 kernels (excludes the §3.3 helper functions). *)
 let kernel_names = Sarb_legacy.kernel_names
-
-(** Helper functions GLAF introduced (interior loops, §3.3). *)
-let helper_names =
-  [ "lw_exchange_up"; "lw_exchange_dn"; "ent_contrib"; "ent_exchange";
-    "lw_band_sum"; "sw_band_sum" ]

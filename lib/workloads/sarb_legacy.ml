@@ -680,9 +680,6 @@ let full_source =
 
 let parse () = Glaf_fortran.Parser.parse_string full_source
 
-(** Names of the two legacy modules GLAF code integrates with. *)
-let legacy_modules = [ "fuinput"; "fuoutput" ]
-
 (** Default adjustment parameters used in tests and benches. *)
 let default_dtemp = 1.5
 let default_qfac = 1.02

@@ -19,6 +19,21 @@ let contains hay needle =
   let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
   go 0
 
+(* The value at the key [path] of a JSON response line; an unparsable
+   line fails the test. *)
+let json_at path line =
+  match Json.parse line with
+  | Error e -> Alcotest.failf "unparsable response %S: %s" line e
+  | Ok j -> List.fold_left (fun v k -> Option.bind v (Json.field k)) (Some j) path
+
+let json_float path line =
+  match json_at path line with
+  | Some (Json.Num f) -> f
+  | _ -> Alcotest.failf "no number at %s in %s" (String.concat "." path) line
+
+let check_json msg path expected line =
+  check_bool msg true (json_at path line = Some expected)
+
 (* Two distinct kernels so cache keying and per-script dispatch are
    observable from the responses: pi_mid sums the quadrature midpoint
    rule, triple is trivially different. *)
@@ -247,8 +262,9 @@ let test_overload_sheds_with_structured_fault () =
   let sample =
     List.find (fun r -> contains r "\"class\":\"overload\"") responses
   in
-  check_bool "pending field present" true (contains sample "\"pending\":");
-  check_bool "limit field present" true (contains sample "\"limit\":1")
+  check_bool "pending field present" true
+    (match json_at [ "fault"; "pending" ] sample with Some (Num _) -> true | _ -> false);
+  check_json "limit field present" [ "fault"; "limit" ] (Json.int 1) sample
 
 let test_status_endpoint () =
   with_server ~config_f:(fun c -> { c with Listener.lc_max_pending = 17 })
@@ -257,13 +273,14 @@ let test_status_endpoint () =
   Fun.protect ~finally:(fun () -> Listener.Client.close cl) @@ fun () ->
   ignore (request_exn cl "run pi_mid(10)");
   let st = request_exn cl "status" in
-  check_bool "ok line" true (contains st "\"ok\":true");
-  check_bool "health" true (contains st "\"health\":\"healthy\"");
-  check_bool "not draining" true (contains st "\"draining\":false");
-  check_bool "max_pending echoed" true (contains st "\"max_pending\":17");
-  check_bool "served count" true (contains st "\"ok\":1");
-  check_bool "cache block" true (contains st "\"cache\":{");
-  check_bool "status consumes a seq" true (contains st "\"seq\":2")
+  check_json "ok line" [ "ok" ] (Bool true) st;
+  check_json "health" [ "status"; "health" ] (Str "healthy") st;
+  check_json "not draining" [ "status"; "draining" ] (Bool false) st;
+  check_json "max_pending echoed" [ "status"; "max_pending" ] (Json.int 17) st;
+  check_json "served count" [ "status"; "ok" ] (Json.int 1) st;
+  check_bool "cache block" true
+    (match json_at [ "status"; "cache" ] st with Some (Obj _) -> true | _ -> false);
+  check_json "status consumes a seq" [ "seq" ] (Json.int 2) st
 
 (* every completed run — ok or fault — lands one wall-time sample in
    the rolling latency window; status surfaces the window size, the
@@ -283,26 +300,12 @@ let test_status_latency () =
     ignore (request_exn cl "run pi_mid(50)")
   done;
   let st = request_exn cl "status" in
-  check_bool "latency block present" true (contains st "\"latency\":{");
-  check_bool "window advertised" true (contains st "\"window\":256");
-  check_bool "count covers the calls" true
-    (contains st (Printf.sprintf "\"count\":%d" n));
-  check_bool "p50 field" true (contains st "\"p50_ms\":");
-  check_bool "p99 field" true (contains st "\"p99_ms\":")
-
-(* The numeric value of ["key":] in a response line. *)
-let json_float key line =
-  let pat = "\"" ^ key ^ "\":" in
-  let lp = String.length pat and n = String.length line in
-  let rec find i =
-    if i + lp > n then Alcotest.failf "no %s in %s" key line
-    else if String.sub line i lp = pat then i + lp
-    else find (i + 1)
-  in
-  let start = find 0 in
-  let stop = ref start in
-  while !stop < n && String.contains "0123456789.-e" line.[!stop] do incr stop done;
-  float_of_string (String.sub line start (!stop - start))
+  check_json "window advertised" [ "status"; "latency"; "window" ] (Json.int 256) st;
+  check_json "count covers the calls" [ "status"; "latency"; "count" ] (Json.int n) st;
+  check_bool "p50 positive" true (json_float [ "status"; "latency"; "p50_ms" ] st > 0.0);
+  check_bool "p99 dominates p50" true
+    (json_float [ "status"; "latency"; "p99_ms" ] st
+    >= json_float [ "status"; "latency"; "p50_ms" ] st)
 
 (* Latency spans admission to the response write: with one executor, a
    fast request pipelined behind a slow one waits out the slow call,
@@ -318,11 +321,12 @@ let test_latency_counts_queue_wait () =
      one, however late the reader admits the fast one *)
   Listener.Client.send_line cl "run pi_mid(500000)\nrun pi_mid(10)";
   let slow = recv_exn cl and fast = recv_exn cl in
-  check_bool "slow answered" true (contains slow "\"seq\":1");
-  check_bool "fast answered" true (contains fast "\"seq\":2");
-  let slow_ms = json_float "ms" slow in
+  check_json "slow answered" [ "seq" ] (Json.int 1) slow;
+  check_json "fast answered" [ "seq" ] (Json.int 2) fast;
+  let slow_ms = json_float [ "ms" ] slow in
   let st = request_exn cl "status" in
-  let p50 = json_float "p50_ms" st and p99 = json_float "p99_ms" st in
+  let p50 = json_float [ "status"; "latency"; "p50_ms" ] st
+  and p99 = json_float [ "status"; "latency"; "p99_ms" ] st in
   check_bool (Printf.sprintf "p99 %.3f >= slow call %.3f ms" p99 slow_ms) true
     (p99 >= slow_ms);
   check_bool (Printf.sprintf "p50 %.3f counts the queue wait" p50) true
@@ -505,7 +509,9 @@ let test_degraded_mode_keeps_answering () =
   check_bool "value near pi" true (contains r "\"value\":\"3.14");
   let st = request_exn cl "status" in
   check_bool "status reports degraded health" true
-    (contains st "\"health\":\"degraded")
+    (match json_at [ "status"; "health" ] st with
+    | Some (Str h) -> String.starts_with ~prefix:"degraded" h
+    | _ -> false)
 
 let test_drain_answers_admitted_requests () =
   with_server

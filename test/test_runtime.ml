@@ -461,6 +461,84 @@ let test_zone_run_executes_all () =
   check_bool "every zone ran exactly once" true
     (Array.for_all (fun c -> c = 1) (Array.sub seen 1 12))
 
+(* --- Json ----------------------------------------------------------------- *)
+
+let gen_json =
+  let open QCheck.Gen in
+  let any_string = string_size ~gen:(map Char.chr (int_bound 255)) (int_bound 12) in
+  let finite = map (fun f -> if Float.is_finite f then f else 0.0) float in
+  sized
+    (fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun f -> Json.Num f) finite;
+               map Json.int int;
+               map (fun s -> Json.Str s) any_string;
+             ]
+         in
+         if n <= 0 then leaf
+         else
+           let items g = list_size (int_bound 4) g in
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.List l) (items (self (n / 4))));
+               (1, map (fun l -> Json.Obj l) (items (pair any_string (self (n / 4)))));
+             ]))
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"json print/parse roundtrip" ~count:500
+    (QCheck.make ~print:Json.to_string gen_json)
+    (fun v -> Json.parse (Json.to_string v) = Ok v)
+
+(* any byte string is answered with Ok or Error: random bytes, runs of
+   JSON punctuation, and printed values with one byte cut or changed *)
+let prop_json_total =
+  let open QCheck.Gen in
+  let jsonish = string_of (oneofl (List.of_seq (String.to_seq "{}[]\":,\\u0a9.-+eEtrfalsn "))) in
+  let mangled =
+    map3
+      (fun v i c ->
+        let s = Json.to_string v in
+        let i = i mod (String.length s + 1) in
+        if c = '\000' then String.sub s 0 i
+        else String.mapi (fun j x -> if j = i then c else x) s)
+      gen_json nat char
+  in
+  QCheck.Test.make ~name:"json parse never raises" ~count:2000
+    (QCheck.make ~print:String.escaped (oneof [ string; jsonish; mangled ]))
+    (fun s -> match Json.parse s with Ok _ | Error _ -> true)
+
+let test_json_layout () =
+  let v =
+    Json.(
+      Obj
+        [
+          ("seq", int 3);
+          ("ok", Bool false);
+          ("s", Str "a\"b\\c\nd\te\001\xff");
+          ("ms", fixed 3 0.41249);
+          ("x", List [ Null; Num Float.nan; Num Float.infinity; Num (-0.5) ]);
+        ])
+  in
+  Alcotest.(check string) "compact, keys in order"
+    ({|{"seq":3,"ok":false,"s":"a\"b\\c\nd\te\u0001|} ^ "\xff"
+   ^ {|","ms":0.412,"x":[null,null,null,-0.5]}|})
+    (Json.to_string v)
+
+let test_json_errors () =
+  let err s = Result.is_error (Json.parse s) in
+  check_bool "empty" true (err "");
+  check_bool "trailing bytes" true (err "{} x");
+  check_bool "nan is not json" true (err "nan");
+  check_bool "deep nesting is an error" true (err (String.make 100_000 '['));
+  check_bool "nesting at the limit parses" false
+    (err (String.make Json.max_depth '[' ^ String.make Json.max_depth ']'));
+  check_bool "whitespace tolerated" false (err " {\n \"a\" : [ 1 , 2 ]\n} ")
+
 let suites =
   [
     ( "runtime.value",
@@ -521,5 +599,12 @@ let suites =
         Alcotest.test_case "cosine sizes" `Quick test_zone_sizes_cosine;
         Alcotest.test_case "lpt vs static" `Quick test_zone_lpt_beats_static;
         Alcotest.test_case "run executes all" `Quick test_zone_run_executes_all;
+      ] );
+    ( "runtime.json",
+      [
+        Alcotest.test_case "compact layout" `Quick test_json_layout;
+        Alcotest.test_case "errors" `Quick test_json_errors;
+        QCheck_alcotest.to_alcotest prop_json_roundtrip;
+        QCheck_alcotest.to_alcotest prop_json_total;
       ] );
   ]

@@ -207,6 +207,60 @@ let test_plan_corruption () =
   check_bool "missing file is a structured error" true
     (Result.is_error (Plan.load "/nonexistent/plan.json"))
 
+(* the tuner records nan default/serial times when the default variant
+   fails verification; such a plan must save and load again, each
+   non-finite timing coming back as nan *)
+let test_plan_nonfinite_roundtrip () =
+  let e =
+    {
+      (sample_entry ()) with
+      Plan.pe_ms = Float.infinity;
+      pe_default_ms = Float.nan;
+      pe_serial_ms = Float.neg_infinity;
+    }
+  in
+  let e2 = { (sample_entry ~digest:(String.make 32 'b') ()) with Plan.pe_default_ms = Float.nan } in
+  let path = Filename.temp_file "oglaf_plan" ".json" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  Plan.save (Plan.make ~machine:"test rig" [ e; e2 ]) path;
+  match Plan.load path with
+  | Error err -> Alcotest.failf "plan with non-finite timings: %s" err
+  | Ok p ->
+    check_int "both entries load" 2 (List.length p.Plan.p_entries);
+    let e' = Option.get (Plan.find p e.Plan.pe_digest) in
+    let e2' = Option.get (Plan.find p e2.Plan.pe_digest) in
+    check_bool "non-finite timings load as nan" true
+      (Float.is_nan e'.Plan.pe_ms
+      && Float.is_nan e'.Plan.pe_default_ms
+      && Float.is_nan e'.Plan.pe_serial_ms
+      && Float.is_nan e2'.Plan.pe_default_ms);
+    check_bool "finite timings stay bit-exact" true
+      (e2'.Plan.pe_ms = e2.Plan.pe_ms && e2'.Plan.pe_serial_ms = e2.Plan.pe_serial_ms);
+    check_int "verified survives" e.Plan.pe_verified e'.Plan.pe_verified
+
+(* plan files written in the earlier layout, one entry per line, load *)
+let test_plan_multiline_layout () =
+  let s =
+    "{\"version\":1,\"machine\":\"test rig\",\"entries\":[\n\
+     {\"loop\":\"tiny_sweep#1\",\"digest\":\"aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa\",\
+     \"variant\":\"guided:4\",\"default\":\"default\",\"ms\":1.25,\
+     \"default_ms\":2.5,\"serial_ms\":3.125,\"verified\":30,\"model_agrees\":true},\n\
+     {\"loop\":\"tiny_sweep#2\",\"digest\":\"bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb\",\
+     \"variant\":\"serial\",\"default\":\"default\",\"ms\":0.5,\
+     \"default_ms\":0.75,\"serial_ms\":0.5,\"verified\":1,\"model_agrees\":false}\n\
+     ]}\n"
+  in
+  match Plan.of_json s with
+  | Error e -> Alcotest.failf "multi-line plan: %s" e
+  | Ok p ->
+    check_int "two entries" 2 (List.length p.Plan.p_entries);
+    let e = Option.get (Plan.find p (String.make 32 'a')) in
+    check_bool "variant read" true
+      (Variant.equal e.Plan.pe_variant (sample_entry ()).Plan.pe_variant);
+    check_bool "timings read" true
+      (e.Plan.pe_ms = 1.25 && e.Plan.pe_default_ms = 2.5 && e.Plan.pe_serial_ms = 3.125)
+
 let test_plan_apply_counters () =
   let cu = Parser.parse_string tiny_src in
   let l = first_loop cu in
@@ -448,6 +502,9 @@ let suites =
         Alcotest.test_case "json roundtrip" `Quick test_plan_roundtrip;
         Alcotest.test_case "corruption rejected" `Quick test_plan_corruption;
         Alcotest.test_case "apply counters" `Quick test_plan_apply_counters;
+        Alcotest.test_case "non-finite timings roundtrip" `Quick
+          test_plan_nonfinite_roundtrip;
+        Alcotest.test_case "multi-line layout loads" `Quick test_plan_multiline_layout;
       ] );
     ( "tune.model",
       [
