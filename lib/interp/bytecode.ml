@@ -25,7 +25,10 @@
     ([program.consts]) rather than instructions, a serial DO tests and
     polls once per iteration at its continue point ([Iloop_next]), and
     RETURN ends the VM's pass without an exception (DESIGN.md
-    section 22).
+    section 22).  A parallel DO's chunk is one program that loops over
+    the chunk itself, with its DO variables, privates, reduction
+    accumulators and the shared scalars it only reads in registers
+    ({!compile_chunk}, DESIGN.md section 24).
 
     Design rules (DESIGN.md sections 13 and 16):
     - {e Compile or fall back, never approximate.}  Compilation raises
@@ -324,6 +327,16 @@ and program = {
   promoted : string array;
       (** a subprogram's private scalars, kept in registers: no slot of
           the executing scope is read or written for them *)
+  chunk_args : int array;
+      (** a parallel-DO chunk program's argument registers, which
+          {!Vm.run_chunk} sets before the pass: the chunk's first and
+          last iteration, then for COLLAPSE(2) the outer lower bound,
+          the inner lower bound and the inner trip count; empty for
+          other programs *)
+  chunk_homes : scalar_ref array;
+      (** the scalars a chunk program keeps in home registers: bind
+          verifies each is a scalar slot of the executing scope with
+          the base the homes were compiled for *)
   boxed_memo : tinstr array Atomic.t;
       (** the boxed variant, once a bind has needed it ({!boxed}) *)
   typed : (tprogram, string) result;
@@ -512,6 +525,7 @@ and tprogram = {
   t_finit : float array;  (** the float bank at bind: constants in place *)
   t_iinit : int array;  (** the int bank at bind: constants in place *)
   t_sty : ty array;  (** per-scalar expected value kind *)
+  t_chunk_args : int array;  (** [chunk_args] in the int bank *)
   t_raw_int : (int * bool) array;
       (** raw ids passed to a callee that may rewrite an Int actual to
           Real ([false]: the slot must not hold an Int) or store a raw
@@ -702,58 +716,65 @@ let note_negative ctx name =
 let digest_of x =
   Digest.to_hex (Digest.string (Marshal.to_string x [ Marshal.No_sharing ]))
 
-module Phys_stmts = Hashtbl.Make (struct
+(* Memo tables keyed by an AST's physical identity.  [purge_unit]
+   drops a unit's entries when a long-lived listener evicts it, so the
+   tables hold only the ASTs someone still holds.  (Ephemeron tables
+   would drop them too, but on OCaml 5.1 a table whose keys churn as
+   fast as a listener's inline scripts slows every major cycle, and
+   the heap grows with the requests served.) *)
+module Phys (T : sig
+  type t
+end) =
+Hashtbl.Make (struct
+  type t = T.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+module Phys_stmts = Phys (struct
   type t = Ast.stmt list
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
 end)
 
-module Phys_sub = Hashtbl.Make (struct
+module Phys_loop = Phys (struct
+  type t = Ast.do_loop
+end)
+
+module Phys_sub = Phys (struct
   type t = Ast.subprogram
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
 end)
 
-module Phys_cu = Hashtbl.Make (struct
+module Phys_cu = Phys (struct
   type t = Ast.compilation_unit
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
 end)
+
+(* [find] / [replace] of one memo table: the value for [key], computed
+   outside the lock on a miss. *)
+let memo find replace tbl compute key =
+  match locked (fun () -> find tbl key) with
+  | Some v -> v
+  | None ->
+    let v = compute key in
+    locked (fun () -> replace tbl key v);
+    v
 
 (* The parser builds each AST once, so memoizing digests by physical
    identity makes the digest cost once-per-AST, not once-per-call. *)
 let body_digest_tbl : string Phys_stmts.t = Phys_stmts.create 64
+let loop_digest_tbl : string Phys_loop.t = Phys_loop.create 16
 let sub_digest_tbl : string Phys_sub.t = Phys_sub.create 64
 let unit_key_tbl : string Phys_cu.t = Phys_cu.create 16
 
-let body_digest (body : Ast.stmt list) =
-  match locked (fun () -> Phys_stmts.find_opt body_digest_tbl body) with
-  | Some d -> d
-  | None ->
-    let d = digest_of body in
-    locked (fun () -> Phys_stmts.replace body_digest_tbl body d);
-    d
+let body_digest = memo Phys_stmts.find_opt Phys_stmts.replace body_digest_tbl digest_of
 
-let sub_digest (sp : Ast.subprogram) =
-  match locked (fun () -> Phys_sub.find_opt sub_digest_tbl sp) with
-  | Some d -> d
-  | None ->
-    let d = digest_of sp in
-    locked (fun () -> Phys_sub.replace sub_digest_tbl sp d);
-    d
+(* A whole DO loop, its bounds and OpenMP clauses included. *)
+let loop_digest = memo Phys_loop.find_opt Phys_loop.replace loop_digest_tbl digest_of
+let sub_digest = memo Phys_sub.find_opt Phys_sub.replace sub_digest_tbl digest_of
 
 (** Stable cache/stats namespace for a compilation unit: the digest of
     its whole AST, so structurally identical re-parses share it. *)
-let unit_key (cu : Ast.compilation_unit) =
-  match locked (fun () -> Phys_cu.find_opt unit_key_tbl cu) with
-  | Some k -> k
-  | None ->
-    let k = "u" ^ digest_of cu in
-    locked (fun () -> Phys_cu.replace unit_key_tbl cu k);
-    k
+let unit_key =
+  memo Phys_cu.find_opt Phys_cu.replace unit_key_tbl (fun cu -> "u" ^ digest_of cu)
 
 (* --- constant folding ---------------------------------------------------- *)
 
@@ -872,10 +893,8 @@ let local_var_names (sp : Ast.subprogram) : (string, unit) Hashtbl.t =
    caller PARAMETER slot our constant folding relies on. *)
 let written_memo : (string, unit) Hashtbl.t Phys_sub.t = Phys_sub.create 32
 
-let written_dummies (sp : Ast.subprogram) : (string, unit) Hashtbl.t =
-  match locked (fun () -> Phys_sub.find_opt written_memo sp) with
-  | Some w -> w
-  | None ->
+let written_dummies : Ast.subprogram -> (string, unit) Hashtbl.t =
+  memo Phys_sub.find_opt Phys_sub.replace written_memo @@ fun sp ->
     let dummies = sp.Ast.sub_args in
     let w = Hashtbl.create 8 in
     let note n = if List.mem n dummies then Hashtbl.replace w n () in
@@ -922,7 +941,6 @@ let written_dummies (sp : Ast.subprogram) : (string, unit) Hashtbl.t =
         | _ -> ());
         List.iter check_expr (stmt_exprs s))
       () sp.Ast.sub_body;
-    locked (fun () -> Phys_sub.replace written_memo sp w);
     w
 
 (* --- value-kind effects of calls ------------------------------------------ *)
@@ -1161,10 +1179,8 @@ type leaf_shape = { lf_heads : string list }
 
 let leaf_memo : leaf_shape option Phys_sub.t = Phys_sub.create 32
 
-let leaf_shape (sp : Ast.subprogram) : leaf_shape option =
-  match locked (fun () -> Phys_sub.find_opt leaf_memo sp) with
-  | Some r -> r
-  | None ->
+let leaf_shape : Ast.subprogram -> leaf_shape option =
+  memo Phys_sub.find_opt Phys_sub.replace leaf_memo @@ fun sp ->
     let ok = ref true in
     let nstmts = Ast.fold_stmts (fun n _ -> n + 1) 0 sp.Ast.sub_body in
     if nstmts > inline_max_stmts then ok := false;
@@ -1227,9 +1243,7 @@ let leaf_shape (sp : Ast.subprogram) : leaf_shape option =
         | Ast.Return | Ast.Continue | Ast.Comment _ -> ()
         | _ -> ok := false)
       () sp.Ast.sub_body;
-    let r = if !ok then Some { lf_heads = !intr_heads } else None in
-    locked (fun () -> Phys_sub.replace leaf_memo sp r);
-    r
+    if !ok then Some { lf_heads = !intr_heads } else None
 
 (* Inside the callee, an intrinsic head resolves only after the scope
    chain misses; a module variable of the same name would win.  The
@@ -1283,27 +1297,17 @@ let reads_in_place (sp : Ast.subprogram) dummy base =
 
 (* --- private scalars ------------------------------------------------------ *)
 
-(* The scalars of [sp] nothing outside the running call can observe:
+(* The scalars of [sp] its declarations make register candidates:
    declared once, INTEGER, REAL, REAL*8 or LOGICAL, with no attribute,
    dimension or initializer; not a dummy, the function result, a COMMON
-   member or an EXTERNAL; and never bound by reference — not named by
-   ALLOCATE, DEALLOCATE or allocated(), and not a bare actual of a call
-   or function reference (in the body or a declaration), except of a
-   site that inlines ({!inlines}) into a leaf that reads that dummy in
-   place ({!reads_in_place}); a REAL DO variable, which holds raw Ints
-   mid-loop, never goes to a leaf in place.  Every read and write of
-   such a name is then a statement of this body, so a register holds it
-   exactly (DESIGN.md section 20).  Names resolve as
-   [compile_desig_load] resolves them: a head the scope binds is a
-   variable, then allocated(), intrinsics, user functions. *)
-let private_scalars ctx (sp : Ast.subprogram) : (string * Ast.base_type) list =
+   member or an EXTERNAL. *)
+let sub_candidates (sp : Ast.subprogram) : (string * Ast.base_type) list =
   let excluded = Hashtbl.create 16 and seen = Hashtbl.create 16 in
   let exclude n = Hashtbl.replace excluded n () in
   let cands = ref [] in
   List.iter exclude sp.Ast.sub_args;
   exclude sp.Ast.sub_name;
   exclude (String.lowercase_ascii sp.Ast.sub_name);
-  let bare = function Ast.Desig [ (n, []) ] -> exclude n | _ -> () in
   List.iter
     (function
       | Ast.Var_decl { base; attrs; entities } ->
@@ -1322,6 +1326,26 @@ let private_scalars ctx (sp : Ast.subprogram) : (string * Ast.base_type) list =
       | Ast.Common (_, names) | Ast.External names -> List.iter exclude names
       | _ -> ())
     sp.Ast.sub_decls;
+  List.filter (fun (n, _) -> not (Hashtbl.mem excluded n)) (List.rev !cands)
+
+(* The candidates [cands] (name, declared base) that [body] and the
+   declaration expressions [decls] never bind by reference — not named
+   by ALLOCATE, DEALLOCATE or allocated(), and not a bare actual of a
+   call or function reference, except of a site that inlines
+   ({!inlines}) into a leaf that reads that dummy in place
+   ({!reads_in_place}); a REAL DO variable, which holds raw Ints
+   mid-loop, never goes to a leaf in place — and that the scope binds
+   to a non-PARAMETER scalar slot of that base.  Every read and write
+   of such a name is then a statement of [body], so a register holds
+   it exactly: a subprogram's locals ({!sub_candidates}, DESIGN.md
+   section 20) and a parallel-DO chunk's own scalars (section 24).
+   Names resolve as [compile_desig_load] resolves them: a head the
+   scope binds is a variable, then allocated(), intrinsics, user
+   functions. *)
+let private_scalars ctx ~cands ?(decls = []) (body : Ast.stmt list) : (string * Ast.base_type) list =
+  let excluded = Hashtbl.create 16 in
+  let exclude n = Hashtbl.replace excluded n () in
+  let bare = function Ast.Desig [ (n, []) ] -> exclude n | _ -> () in
   let in_place = Hashtbl.create 8 and real_dovars = Hashtbl.create 8 in
   (* the actuals of a call site: kept only when read in place by an
      inlined leaf *)
@@ -1333,7 +1357,7 @@ let private_scalars ctx (sp : Ast.subprogram) : (string * Ast.base_type) list =
         (fun dummy a ->
           match a with
           | Ast.Desig [ (n, []) ] -> (
-            match List.assoc_opt n !cands with
+            match List.assoc_opt n cands with
             | Some base when reads_in_place f dummy base -> Hashtbl.replace in_place n ()
             | _ -> exclude n)
           | _ -> ())
@@ -1356,30 +1380,30 @@ let private_scalars ctx (sp : Ast.subprogram) : (string * Ast.base_type) list =
         | _ -> ())
       ()
   in
-  List.iter (visit ~decl:true) (decl_exprs sp);
+  List.iter (visit ~decl:true) decls;
   Ast.fold_stmts
     (fun () s ->
       (match s with
       | Ast.Call (name, args) ->
         site (Hashtbl.find_opt ctx.env.e_subs (String.lowercase_ascii name)) args
       | Ast.Do l -> (
-        match List.assoc_opt l.Ast.do_var !cands with
+        match List.assoc_opt l.Ast.do_var cands with
         | Some (Ast.Real | Ast.Real8) -> Hashtbl.replace real_dovars l.Ast.do_var ()
         | _ -> ())
       | Ast.Allocate allocs -> List.iter (fun (d, _) -> exclude (Ast.desig_name d)) allocs
       | Ast.Deallocate ds -> List.iter (fun d -> exclude (Ast.desig_name d)) ds
       | _ -> ());
       List.iter (visit ~decl:false) (stmt_exprs s))
-    () sp.Ast.sub_body;
+    () body;
   Hashtbl.iter (fun n () -> if Hashtbl.mem in_place n then exclude n) real_dovars;
   List.filter
     (fun (n, base) ->
       (not (Hashtbl.mem excluded n))
       &&
-      match Hashtbl.find_opt ctx.scope.Storage.vars n with
+      match Storage.lookup ctx.scope n with
       | Some { Storage.entry = Storage.Scalar _; base = b; is_param = false } -> b = base
       | _ -> false)
-    (List.rev !cands)
+    cands
 
 (* Give each private scalar of [sp] a home register, set to what
    [setup_scope] gives a fresh local.  Homes are registers
@@ -1390,10 +1414,23 @@ let promote_privates ctx sp =
       let h = reg ctx in
       Hashtbl.replace ctx.homes n (h, base);
       emit ctx (Iconst (h, Value.zero_of base)))
-    (private_scalars ctx sp);
+    (private_scalars ctx ~cands:(sub_candidates sp) ~decls:(decl_exprs sp) sp.Ast.sub_body);
   ctx.nhomes <- ctx.nregs
 
 let is_home ctx r = r < ctx.nhomes
+
+(* Whether [body] assigns the scalar [v] itself or uses it as a DO
+   variable. *)
+let assigns body v =
+  Ast.fold_stmts
+    (fun w s ->
+      w
+      ||
+      match s with
+      | Ast.Assign ((h, _) :: _, _) -> h = v
+      | Ast.Do l -> l.Ast.do_var = v
+      | _ -> false)
+    false body
 
 (* --- expressions --------------------------------------------------------- *)
 
@@ -2010,20 +2047,9 @@ and compile_serial_do ctx (l : Ast.do_loop) =
   (* A home the body never assigns is the counter itself; otherwise the
      counter is private and each iteration stores it raw, like the
      tree-walker's per-iteration slot write. *)
-  let body_writes v =
-    Ast.fold_stmts
-      (fun w s ->
-        w
-        ||
-        match s with
-        | Ast.Assign ((h, _) :: _, _) -> h = v
-        | Ast.Do l' -> l'.Ast.do_var = v
-        | _ -> false)
-      false l.Ast.do_body
-  in
   let ri =
     match var with
-    | `Home h when not (body_writes l.Ast.do_var) -> h
+    | `Home h when not (assigns l.Ast.do_body l.Ast.do_var) -> h
     | _ -> reg ctx
   in
   (* Rotated: the header tests and polls once, for the first iteration;
@@ -2252,7 +2278,10 @@ let specialize env (p : program) : (tprogram, string) result =
           if scalar sid <> TI then raise (Treject ("DO variable " ^ p.scalars.(sid).sname ^ " is not integer"))
         | _ -> ())
       p.code;
-    (* constant registers get the bank of their kind before any code *)
+    (* a chunk's argument registers hold the Ints [Vm.run_chunk] sets,
+       and constant registers get the bank of their kind, before any
+       code *)
+    Array.iter (fun r -> def r TI) p.chunk_args;
     Array.iter
       (fun (r, v) ->
         match v with
@@ -2729,6 +2758,7 @@ let specialize env (p : program) : (tprogram, string) result =
         t_finit = finit;
         t_iinit = iinit;
         t_sty = sty;
+        t_chunk_args = Array.map (fun r -> bank.(r)) p.chunk_args;
         t_raw_int = Array.of_list (List.rev !raw_int);
       }
   with Treject why -> Error why
@@ -2808,7 +2838,7 @@ let make_ctx env scope ?sub ~in_sub () =
          tbl);
   }
 
-let finish ctx : program =
+let finish ?(chunk_args = [||]) ?(chunk_homes = [||]) ctx : program =
   List.iter (fun at -> patch ctx at (here ctx)) ctx.end_patches;
   let p =
     {
@@ -2826,6 +2856,8 @@ let finish ctx : program =
           (List.sort (fun (a, _) (b, _) -> compare a b) (Hashtbl.fold (fun r v acc -> (r, v) :: acc) ctx.consts []));
       promoted =
         Array.of_list (Hashtbl.fold (fun n _ acc -> n :: acc) ctx.homes [] |> List.sort compare);
+      chunk_args;
+      chunk_homes;
       boxed_memo = Atomic.make [||];
       typed = Error "";
     }
@@ -2872,18 +2904,12 @@ let cached_compile key (compile : unit -> (program, string) result) :
           done;
           r))
 
-(** Compile a loop body (the [what] string labels the stats site).
-    Returns the program (None = bail, recorded as the site's reason)
-    and the site itself so the caller can count runs and bind-time
-    bails. *)
-let compile_body env ~scope ~what (body : Ast.stmt list) :
-    program option * Stats.site =
+(** Compile a serial DO's body (stats label "do").  Returns the program
+    (None = bail, recorded as the site's reason) and the site itself so
+    the caller can count runs and bind-time bails. *)
+let compile_body env ~scope (body : Ast.stmt list) : program option * Stats.site =
   let dg = body_digest body in
-  let site =
-    Stats.get ~unit_key:env.e_unit
-      ~id:(what ^ "@" ^ String.sub dg 0 8)
-      ~label:what
-  in
+  let site = Stats.get ~unit_key:env.e_unit ~id:("do@" ^ String.sub dg 0 8) ~label:"do" in
   let r =
     cached_compile (cache_key env "b" dg) (fun () ->
         compile_raw env ~scope ~in_sub:false body)
@@ -2906,6 +2932,186 @@ let compile_sub env ~scope (sp : Ast.subprogram) : program option * Stats.site
   let r =
     cached_compile (cache_key env "s" dg) (fun () ->
         compile_raw env ~scope ~sub:sp ~in_sub:true sp.Ast.sub_body)
+  in
+  match r with
+  | Ok p -> (Some p, site)
+  | Error reason ->
+    Stats.set_reason site reason;
+    (None, site)
+
+(* --- parallel-DO chunks ---------------------------------------------------- *)
+
+(* How a chunk's scope clone binds a name the loop's clauses list: a
+   fresh zeroed slot (the DO variables and PRIVATE), a fresh copy of
+   the shared slot (FIRSTPRIVATE) or the thread's reduction
+   accumulator, which every chunk of the thread continues.  A shared
+   scalar is the enclosing scope's own slot. *)
+type chunk_kind = Ck_private | Ck_first | Ck_red | Ck_shared
+
+(* The body's homes would load a shared scalar once per chunk although
+   the body may write it: compile again without. *)
+exception Unsound_hoist
+
+(* The scalar the compile-time scope binds [n] to, when a home could
+   stand for it: not a PARAMETER, INTEGER, REAL, REAL*8 or LOGICAL. *)
+let home_slot ctx n =
+  match Storage.lookup ctx.scope n with
+  | Some ({ Storage.entry = Storage.Scalar _; is_param = false; base; _ } as slot) -> (
+    match base with Ast.Integer | Ast.Real | Ast.Real8 | Ast.Logical -> Some slot | _ -> None)
+  | _ -> None
+
+(* The chunk's candidates for a home, (name, slot, kind), by name: its
+   clause scalars (INTEGER DO variables only, and no name listed under
+   two kinds, whose binding the clause order decides) and, with
+   [hoist], every scalar [body] reads as a bare name and never assigns. *)
+let chunk_candidates ctx ~hoist ~dovars (d : Ast.omp_do) body =
+  let clauses =
+    List.map (fun n -> (n, Ck_private)) (dovars @ d.Ast.omp_private)
+    @ List.map (fun n -> (n, Ck_first)) d.Ast.omp_firstprivate
+    @ List.concat_map (fun (_, ns) -> List.map (fun n -> (n, Ck_red)) ns) d.Ast.omp_reduction
+  in
+  let named = List.sort_uniq compare (List.map fst clauses) in
+  let kinds n = List.sort_uniq compare (List.filter_map (fun (m, k) -> if m = n then Some k else None) clauses) in
+  let own =
+    List.filter_map
+      (fun n ->
+        match (kinds n, home_slot ctx n) with
+        | [ k ], Some slot when slot.Storage.base = Ast.Integer || not (List.mem n dovars) -> Some (n, slot, k)
+        | _ -> None)
+      named
+  in
+  let shared =
+    if not hoist then []
+    else
+      let reads = Hashtbl.create 16 in
+      Ast.fold_stmts
+        (fun () s ->
+          List.iter
+            (Ast.fold_expr (fun () e -> match e with Ast.Desig [ (n, []) ] -> Hashtbl.replace reads n () | _ -> ()) ())
+            (stmt_exprs s))
+        () body;
+      Hashtbl.fold
+        (fun n () acc ->
+          match home_slot ctx n with
+          | Some slot when (not (List.mem n named)) && not (assigns body n) -> (n, slot, Ck_shared) :: acc
+          | _ -> acc)
+        reads []
+      |> List.sort compare
+  in
+  own @ shared
+
+(* A body instruction that writes a scalar slot or makes a call: with
+   one, a shared scalar may change mid-chunk. *)
+let writes_or_calls = function
+  | Icall _ | Istore _ | Istore_raw _ | Iloop_fini _ | Idummy_adjust _ -> true
+  | _ -> false
+
+(* One parallel DO's chunk as a program that loops over the chunk
+   itself (DESIGN.md section 24).  Argument registers (set by
+   {!Vm.run_chunk}) come first, then the homes: each clause scalar and
+   hoisted shared scalar [private_scalars] keeps, a PRIVATE one zeroed
+   and the others loaded from their slot in a prologue.  The loop is
+   [compile_serial_do]'s rotated loop over [clo, chi]; each iteration
+   sets the DO variable (for COLLAPSE(2), both, from the linear
+   counter [k]: [lo + (k-1)/isize] and [ilo + (k-1) mod isize]), in its
+   home or raw into its slot.  A top-level CYCLE continues the chunk,
+   EXIT and RETURN end the pass; the epilogue of a normally finished
+   chunk stores each reduction home back into the thread's slot. *)
+let compile_chunk_raw env ~scope ~hoist (l : Ast.do_loop) (d : Ast.omp_do) (inner : Ast.do_loop option) :
+    (program, string) result =
+  let ctx = make_ctx env scope ~in_sub:false () in
+  let body = match inner with Some i -> i.Ast.do_body | None -> l.Ast.do_body in
+  let dovars = l.Ast.do_var :: (match inner with Some i -> [ i.Ast.do_var ] | None -> []) in
+  match
+    let rclo = reg ctx and rchi = reg ctx in
+    let shape = match inner with Some _ -> [| reg ctx; reg ctx; reg ctx |] | None -> [||] in
+    let cands = chunk_candidates ctx ~hoist ~dovars d body in
+    let kept = private_scalars ctx ~cands:(List.map (fun (n, slot, _) -> (n, slot.Storage.base)) cands) body in
+    let homes = List.filter (fun (n, _, _) -> List.mem_assoc n kept) cands in
+    List.iter
+      (fun (n, (slot : Storage.slot), k) ->
+        let h = reg ctx in
+        Hashtbl.replace ctx.homes n (h, slot.Storage.base);
+        match k with
+        | Ck_private -> if not (List.mem n dovars) then emit ctx (Iconst (h, Value.zero_of slot.Storage.base))
+        | Ck_first | Ck_red | Ck_shared -> emit ctx (Iload (h, scalar_id ctx slot n [])))
+      homes;
+    ctx.nhomes <- ctx.nregs;
+    (* where DO variable [v]'s value goes: its home, raw into its slot,
+       or nowhere when the scope has no such name (the body cannot read
+       it then) *)
+    let dovar v =
+      match Hashtbl.find_opt ctx.homes v with
+      | Some (h, _) -> `Home h
+      | None -> (
+        match Storage.lookup ctx.scope v with
+        | Some slot when slot.Storage.is_param -> bail "parameter-store"
+        | Some slot -> `Slot (scalar_id ctx slot v [])
+        | None -> `None)
+    in
+    let set v r =
+      match dovar v with
+      | `Home h -> if h <> r then emit ctx (Icopy (h, r))
+      | `Slot sid -> emit ctx (Istore_raw (sid, r))
+      | `None -> ()
+    in
+    let one = const_reg ctx (Value.Int 1) in
+    let counter =
+      match (inner, dovar l.Ast.do_var) with
+      | None, `Home h when not (assigns body l.Ast.do_var) ->
+        emit ctx (Icopy (h, rclo));
+        h
+      | _ -> rclo
+    in
+    let jfini = emit_patchable ctx (Iloop_test { ireg = counter; hireg = rchi; stepreg = one; target = 0 }) in
+    emit ctx Ipoll;
+    let top = here ctx in
+    (match inner with
+    | None -> set l.Ast.do_var counter
+    | Some i ->
+      let km1 = reg ctx and q = reg ctx and oi = reg ctx and qs = reg ctx and rem = reg ctx and ii = reg ctx in
+      emit ctx (Ibinop (Ast.Sub, km1, rclo, one));
+      emit ctx (Ibinop (Ast.Div, q, km1, shape.(2)));
+      emit ctx (Ibinop (Ast.Add, oi, shape.(0), q));
+      emit ctx (Ibinop (Ast.Mul, qs, q, shape.(2)));
+      emit ctx (Ibinop (Ast.Sub, rem, km1, qs));
+      emit ctx (Ibinop (Ast.Add, ii, shape.(1), rem));
+      set l.Ast.do_var oi;
+      set i.Ast.do_var ii);
+    let body_start = here ctx in
+    List.iter (compile_stmt ctx) body;
+    let cont = here ctx in
+    if List.exists (fun (_, _, k) -> k = Ck_shared) homes then
+      for pc = body_start to cont - 1 do
+        if writes_or_calls ctx.code.items.(pc) then raise Unsound_hoist
+      done;
+    List.iter (fun at -> patch ctx at cont) ctx.end_patches;
+    ctx.end_patches <- [];
+    emit ctx (Iloop_next { ireg = counter; hireg = rchi; stepreg = one; target = top });
+    patch ctx jfini (here ctx);
+    List.iter
+      (fun (n, slot, k) ->
+        if k = Ck_red then emit ctx (Istore (scalar_id ctx slot n [], fst (Hashtbl.find ctx.homes n))))
+      homes;
+    let home_ref (n, (slot : Storage.slot), _) = { sname = n; spath = []; sbase = slot.Storage.base } in
+    finish ctx
+      ~chunk_args:(Array.append [| rclo; rchi |] shape)
+      ~chunk_homes:(Array.of_list (List.map home_ref homes))
+  with
+  | p -> Ok p
+  | exception Bail reason -> Error reason
+
+(** Compile the chunk program of the parallel DO [l] (clauses [d]; for
+    COLLAPSE(2), [inner] is the fused inner DO), cached on the loop's
+    digest.  Returns it (None = bail, recorded as the site's reason)
+    and its "omp-do" stats site, which counts one run per chunk. *)
+let compile_chunk env ~scope (l : Ast.do_loop) (d : Ast.omp_do) ~inner : program option * Stats.site =
+  let dg = loop_digest l in
+  let site = Stats.get ~unit_key:env.e_unit ~id:("omp-do@" ^ String.sub dg 0 8) ~label:"omp-do" in
+  let r =
+    cached_compile (cache_key env "c" dg) (fun () ->
+        try compile_chunk_raw env ~scope ~hoist:true l d inner
+        with Unsound_hoist -> compile_chunk_raw env ~scope ~hoist:false l d inner)
   in
   match r with
   | Ok p -> (Some p, site)
@@ -3118,13 +3324,45 @@ let plan_count u =
   locked (fun () -> Hashtbl.fold (fun k _ n -> if has_prefix u k then n + 1 else n) plans 0)
 
 (** Drop every cached program, frame plan, call-effects summary and
-    stats site belonging to [unit_key] (the listener calls this when it
-    evicts a script from its own cache, so long-lived serve processes
-    don't accumulate them for dead scripts). *)
-let purge_unit u =
+    stats site of the unit [cu], and the memo entries of its ASTs (the
+    listener calls this when it evicts a script from its own cache, so
+    long-lived serve processes don't accumulate them for dead
+    scripts). *)
+let purge_unit (cu : Ast.compilation_unit) =
+  let u = unit_key cu in
+  let forget_body body =
+    Ast.fold_stmts
+      (fun () s ->
+        match s with
+        | Ast.Do l ->
+          Phys_loop.remove loop_digest_tbl l;
+          Phys_stmts.remove body_digest_tbl l.Ast.do_body
+        | _ -> ())
+      () body
+  in
   locked (fun () ->
       let doomed tbl = Hashtbl.fold (fun k _ acc -> if has_prefix u k then k :: acc else acc) tbl [] in
       List.iter (Hashtbl.remove cache) (doomed cache);
       List.iter (Hashtbl.remove plans) (doomed plans);
-      Hashtbl.remove effects_memo u);
+      Hashtbl.remove effects_memo u;
+      Phys_cu.remove unit_key_tbl cu;
+      List.iter
+        (function
+          | Ast.Main m -> forget_body m.Ast.main_body
+          | pu ->
+            List.iter
+              (fun sp ->
+                Phys_sub.remove sub_digest_tbl sp;
+                Phys_sub.remove written_memo sp;
+                Phys_sub.remove leaf_memo sp;
+                forget_body sp.Ast.sub_body)
+              (Ast.subprograms_of pu))
+        cu);
   Stats.purge_unit u
+
+(** Entries of the AST-keyed memo tables: bounded by the units not yet
+    purged, however many a listener has served. *)
+let memo_entries () =
+  locked (fun () ->
+      Phys_stmts.length body_digest_tbl + Phys_loop.length loop_digest_tbl + Phys_sub.length sub_digest_tbl
+      + Phys_sub.length written_memo + Phys_sub.length leaf_memo + Phys_cu.length unit_key_tbl)

@@ -932,7 +932,7 @@ and exec_do_serial st scope (l : Ast.do_loop) =
      counted against the loop's stats site. *)
   let compiled =
     if st.use_bytecode then
-      bind_compiled st (Bytecode.compile_body (benv st) ~scope ~what:"do" l.Ast.do_body) scope
+      bind_compiled st (Bytecode.compile_body (benv st) ~scope l.Ast.do_body) scope
         ~dovars:[ slot ]
     else None
   in
@@ -1093,48 +1093,46 @@ and exec_do_parallel st scope (l : Ast.do_loop) (d : Ast.omp_do) =
     let tscope = clone_scope_for_thread scope ~fresh in
     body_of_thread tscope clo chi
   in
-  (* Compile the chunk body once per loop (cached on its digest); each
-     worker binds against its private scope clone and falls back per
-     chunk when a binding does not resolve.  Stats count chunk
-     executions: runs are chunks that ran compiled, bails are chunks
-     that tree-walked. *)
-  let compile_chunk_body body_stmts =
-    if st.use_bytecode then
-      let p, site =
-        Bytecode.compile_body (benv st) ~scope ~what:"omp-do" body_stmts
-      in
-      Some (p, site)
-    else None
+  (* Compile the chunk program once per loop (cached on the loop's
+     digest): one pass loops over a whole chunk, with the DO variables,
+     privates and reduction accumulators in registers.  Each chunk binds
+     it against the thread's scope clone and tree-walks [walk] when the
+     binding does not resolve.  Stats count chunks: runs are chunks
+     that ran compiled, bails are chunks that tree-walked. *)
+  let run_chunks ~lo ~hi args walk =
+    let prog =
+      if st.use_bytecode then Some (Bytecode.compile_chunk (benv st) ~scope l d ~inner:collapse2)
+      else None
+    in
+    Omp.parallel_for ~threads ~sched ~lo ~hi
+      (run_chunk (fun tscope clo chi ->
+           match Option.bind prog (fun c -> bind_compiled st c tscope ~dovars:[]) with
+           | Some fr -> Vm.run_chunk fr (args clo chi)
+           | None -> walk tscope clo chi))
   in
   (match collapse2 with
   | None ->
-    let prog = compile_chunk_body l.Ast.do_body in
-    let body tscope clo chi =
-      let slot = Hashtbl.find tscope.vars l.Ast.do_var in
-      match Option.bind prog (fun c -> bind_compiled st c tscope ~dovars:[ slot ]) with
-      | Some fr -> Vm.run_chunk fr ~slot ~clo ~chi
-      | None ->
+    run_chunks ~lo ~hi
+      (fun clo chi -> [| clo; chi |])
+      (fun tscope clo chi ->
+        let slot = Hashtbl.find tscope.vars l.Ast.do_var in
         for i = clo to chi do
           if (i - clo) land 255 = 255 then Fault.check_current ();
           slot.entry <- Scalar (Value.Int i);
           try exec_stmts st tscope l.Ast.do_body with Loop_cycle -> ()
-        done
-    in
-    Omp.parallel_for ~threads ~sched ~lo ~hi (run_chunk body)
+        done)
   | Some inner ->
     let ilo = Value.to_int (eval st scope inner.Ast.do_lo)
     and ihi = Value.to_int (eval st scope inner.Ast.do_hi) in
     let isize = max 0 (ihi - ilo + 1) in
     let osize = max 0 (hi - lo + 1) in
     let total = osize * isize in
-    if total > 0 then begin
-      let prog = compile_chunk_body inner.Ast.do_body in
-      let body tscope clo chi =
-        let oslot = Hashtbl.find tscope.vars l.Ast.do_var in
-        let islot = Hashtbl.find tscope.vars inner.Ast.do_var in
-        match Option.bind prog (fun c -> bind_compiled st c tscope ~dovars:[ oslot; islot ]) with
-        | Some fr -> Vm.run_collapse fr ~oslot ~islot ~lo ~ilo ~isize ~clo ~chi
-        | None ->
+    if total > 0 then
+      run_chunks ~lo:1 ~hi:total
+        (fun clo chi -> [| clo; chi; lo; ilo; isize |])
+        (fun tscope clo chi ->
+          let oslot = Hashtbl.find tscope.vars l.Ast.do_var in
+          let islot = Hashtbl.find tscope.vars inner.Ast.do_var in
           for k = clo to chi do
             if (k - clo) land 255 = 255 then Fault.check_current ();
             let oi = lo + ((k - 1) / isize) in
@@ -1142,10 +1140,7 @@ and exec_do_parallel st scope (l : Ast.do_loop) (d : Ast.omp_do) =
             oslot.entry <- Scalar (Value.Int oi);
             islot.entry <- Scalar (Value.Int ii);
             try exec_stmts st tscope inner.Ast.do_body with Loop_cycle -> ()
-          done
-      in
-      Omp.parallel_for ~threads ~sched ~lo:1 ~hi:total (run_chunk body)
-    end);
+          done));
   (* combine reductions deterministically, in thread order *)
   let per_thread =
     Hashtbl.fold (fun t red acc -> (t, red) :: acc) red_by_thread []

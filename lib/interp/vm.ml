@@ -41,10 +41,12 @@
     aliased actual; the interpreter's scope path ([callenv.ce_call])
     takes every call the frame cannot (DESIGN.md §20).
 
-    The [run_*] drivers reproduce the tree-walker's loop protocols
-    exactly, including the {!Glaf_runtime.Fault.check_current}
-    cancellation poll every 256 iterations and the Fortran DO-variable
-    completion/EXIT rules. *)
+    Two entry points run loop bodies.  [run_do] runs a serial DO's
+    body once per iteration and reproduces the tree-walker's
+    DO-variable completion/EXIT rules.  [run_chunk] runs one chunk of a
+    parallel DO as a single pass: the chunk program loops over the
+    chunk itself ({!Bytecode.compile_chunk}, DESIGN.md §24).  Both poll
+    {!Glaf_runtime.Fault.check_current} every 256 ticks of the frame. *)
 
 open Glaf_fortran
 open Glaf_runtime
@@ -102,6 +104,7 @@ and frame = {
   raws : Storage.slot array;  (** whole-slot aliases for calls and ALLOCATE *)
   env : callenv;
   callees : cframe option array;  (** per call site: the callee's frame *)
+  cargs : int array;  (** a chunk program's argument registers, in this frame's bank *)
   why : string option;  (** why this frame runs the boxed variant; [None]: typed *)
   printer : string -> unit;
   mutable tick : int;
@@ -332,9 +335,16 @@ let bind (p : Bytecode.program) (scope : Storage.scope) ~printer
   Array.iter
     (fun name -> if Storage.lookup scope name <> None then ok := false)
     p.Bytecode.negatives;
+  (* ...and the bases a chunk program's homes coerce to. *)
+  Array.iter
+    (fun (r : Bytecode.scalar_ref) ->
+      match Storage.lookup scope r.Bytecode.sname with
+      | Some { Storage.entry = Storage.Scalar _; base; _ } when base = r.Bytecode.sbase -> ()
+      | _ -> ok := false)
+    p.Bytecode.chunk_homes;
   if not !ok then None
   else
-    let frame code ~fregs ~iregs ~vregs why =
+    let frame code ~fregs ~iregs ~vregs ~cargs why =
       Some
         {
           code;
@@ -348,6 +358,7 @@ let bind (p : Bytecode.program) (scope : Storage.scope) ~printer
           raws;
           env;
           callees = Array.make p.Bytecode.ncalls None;
+          cargs;
           why;
           printer;
           tick = 0;
@@ -357,7 +368,7 @@ let bind (p : Bytecode.program) (scope : Storage.scope) ~printer
     let boxed why =
       let vregs = Array.make (max 1 p.Bytecode.nregs) (Value.Int 0) in
       Array.iter (fun (r, v) -> vregs.(r) <- v) p.Bytecode.consts;
-      frame (Bytecode.boxed p) ~fregs:no_fregs ~iregs:no_iregs ~vregs (Some why)
+      frame (Bytecode.boxed p) ~fregs:no_fregs ~iregs:no_iregs ~vregs ~cargs:p.Bytecode.chunk_args (Some why)
     in
     match p.Bytecode.typed with
     | Error why -> boxed why
@@ -368,7 +379,7 @@ let bind (p : Bytecode.program) (scope : Storage.scope) ~printer
         frame tp.Bytecode.tcode
           ~fregs:(Array.copy tp.Bytecode.t_finit)
           ~iregs:(Array.copy tp.Bytecode.t_iinit)
-          ~vregs:no_vregs None)
+          ~vregs:no_vregs ~cargs:tp.Bytecode.t_chunk_args None)
 
 (* Whole-array assignment, mirroring the tree-walker's assign_lvalue. *)
 let store_whole a v =
@@ -1226,29 +1237,17 @@ let run_do fr ~(slot : Storage.slot) ~lo ~hi ~step =
   done;
   if not !exited then slot.Storage.entry <- Storage.Scalar (Value.Int (loop_completed lo hi step))
 
-(* One pass of a chunk body: EXIT and RETURN escape as the
-   tree-walker's [Loop_exit] and [Sub_return] (the pool surfaces them
-   as a region error). *)
-let chunk_pass fr =
+(** One chunk of a parallel DO, [args] its {!Bytecode.chunk_args}
+    values: a single pass of the chunk program, which loops over the
+    chunk itself.  EXIT and RETURN escape as the tree-walker's
+    [Loop_exit] and [Sub_return] (the pool surfaces them as a region
+    error). *)
+let run_chunk fr (args : int array) =
+  let regs = fr.cargs in
+  for k = 0 to Array.length regs - 1 do
+    if fr.why = None then fr.iregs.(regs.(k)) <- args.(k) else fr.vregs.(regs.(k)) <- Value.Int args.(k)
+  done;
   match texec fr with
   | Normal -> ()
   | Exited -> raise Storage.Loop_exit
   | Returned -> raise Storage.Sub_return
-
-(** One chunk of a parallel DO. *)
-let run_chunk fr ~(slot : Storage.slot) ~clo ~chi =
-  for i = clo to chi do
-    if (i - clo) land 255 = 255 then Fault.check_current ();
-    slot.Storage.entry <- Storage.Scalar (Value.Int i);
-    chunk_pass fr
-  done
-
-(** One chunk of a COLLAPSE(2) parallel DO over the linearized
-    iteration space (unit steps, validated by the interpreter). *)
-let run_collapse fr ~(oslot : Storage.slot) ~(islot : Storage.slot) ~lo ~ilo ~isize ~clo ~chi =
-  for k = clo to chi do
-    if (k - clo) land 255 = 255 then Fault.check_current ();
-    oslot.Storage.entry <- Storage.Scalar (Value.Int (lo + ((k - 1) / isize)));
-    islot.Storage.entry <- Storage.Scalar (Value.Int (ilo + ((k - 1) mod isize)));
-    chunk_pass fr
-  done

@@ -103,12 +103,12 @@ let evict_lru c =
   | Some (k, e, _) ->
     Hashtbl.remove c.tbl k;
     c.evictions <- c.evictions + 1;
-    (* Drop the evicted script's compiled bytecode and stats sites
-       too: the interpreter-level caches key by the unit's structural
-       digest, so without this a long-lived server accumulates
-       programs for scripts it will never serve again. *)
-    Glaf_interp.Bytecode.purge_unit
-      (Glaf_interp.Bytecode.unit_key e.e_compiled.Serve.co_unit)
+    (* Drop the evicted script's compiled bytecode, stats sites and
+       AST memo entries too: the interpreter-level caches key by the
+       unit's structural digest and the memos by its AST, so without
+       this a long-lived server accumulates programs and ASTs for
+       scripts it will never serve again. *)
+    Glaf_interp.Bytecode.purge_unit e.e_compiled.Serve.co_unit
 
 (** Return the compiled program for [script], compiling (and caching
     on success) if absent.  The second component reports whether this

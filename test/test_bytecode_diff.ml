@@ -67,6 +67,7 @@ let run_engine ~bytecode ?(threads = 1) ?sched cu fname args =
   | exception Value.Runtime_error m -> finish None (Some ("value: " ^ m))
   | exception Farray.Bounds_error m -> finish None (Some ("bounds: " ^ m))
   | exception Faultinject.Injected m -> finish None (Some ("inject: " ^ m))
+  | exception Interp.Loop_exit -> finish None (Some "EXIT left the call")
 
 let assert_same name ?threads ?sched cu fname args =
   let a = run_engine ~bytecode:true ?threads ?sched cu fname args in
@@ -2019,11 +2020,10 @@ integer function k_crit(n)
 end function k_crit
 |}
 
-(* [lean_src] with each [!BOX(v)] line dropped ([boxed = false]) or
-   turned into a never-taken integer [**] test, which [specialize]
-   rejects. *)
-let lean_variant ~boxed =
-  String.split_on_char '\n' lean_src
+(* [src] with each [!BOX(v)] line dropped ([boxed = false]) or turned
+   into a never-taken integer [**] test, which [specialize] rejects. *)
+let box_variant ~boxed src =
+  String.split_on_char '\n' src
   |> List.map (fun line ->
          let t = String.trim line in
          if String.length t > 5 && String.sub t 0 5 = "!BOX(" then
@@ -2073,7 +2073,7 @@ let lean_cases =
 let test_lean_battery () =
   List.iter
     (fun boxed ->
-      let cu = Parser.parse_string (lean_variant ~boxed) in
+      let cu = Parser.parse_string (box_variant ~boxed lean_src) in
       let variant = if boxed then "boxed" else "typed" in
       List.iter
         (fun c ->
@@ -2095,6 +2095,347 @@ let test_lean_battery () =
               check_int (what ^ " bails") bails (site_count (fun r -> r.Interp.r_bails) rows lbl))
             (if boxed then c.lc_boxed else c.lc_typed))
         lean_cases)
+    [ false; true ]
+
+(* --- parallel-DO chunk programs -------------------------------------------- *)
+
+(* A parallel DO's chunk runs as one program that loops over the chunk,
+   its DO variables, privates, reduction accumulators and the shared
+   scalars it only reads in registers (DESIGN.md section 24).  Each case
+   has one parallel DO; [!BOX(v)] lines work as in [lean_src]
+   ({!box_variant}).  The
+   leaves [half] (reads its dummy in place) and [setv] (writes its
+   dummy) inline, [twice] and [peek] do not. *)
+let chunk_src =
+  {|
+module chunkmod
+  implicit none
+  real*8 :: racc
+  real*8 :: vec(64)
+  real*8 :: grid2(7, 5)
+end module chunkmod
+
+real*8 function half(x)
+  implicit none
+  real*8 :: x
+  half = x * 0.5d0
+end function half
+
+subroutine setv(x, v)
+  implicit none
+  real*8 :: x, v
+  x = v
+end subroutine setv
+
+subroutine twice(t, n)
+  implicit none
+  real*8 :: t
+  integer :: n, j
+  do j = 1, n
+    t = t * 2.0d0 + j
+  end do
+end subroutine twice
+
+real*8 function peek(x)
+  use chunkmod
+  implicit none
+  real*8 :: x
+  peek = x * 0.5d0 + racc
+end function peek
+
+real*8 function c_sum(n)
+  implicit none
+  integer :: n, i
+  real*8 :: acc, h
+  h = 1.0d0 / n
+  acc = 0.25d0
+!$omp parallel do reduction(+:acc)
+  do i = 1, n
+!BOX(i)
+    acc = acc + 4.0d0 / (1.0d0 + ((i - 0.5d0) * h) ** 2) + half(h)
+  end do
+!$omp end parallel do
+  c_sum = acc * h
+end function c_sum
+
+real*8 function c_prod(n)
+  implicit none
+  integer :: n, i, ip
+  real*8 :: p
+  p = 1.0d0
+  ip = 3
+!$omp parallel do reduction(*:p, ip)
+  do i = 1, n
+!BOX(i)
+    p = p * (1.0d0 + 1.0d0 / (i + 3))
+    if (mod(i, 5) == 0) ip = ip * 2
+  end do
+!$omp end parallel do
+  c_prod = p + ip
+end function c_prod
+
+real*8 function c_maxmin(n)
+  implicit none
+  integer :: n, i, kmax, kmin
+  real*8 :: xmax, xmin
+  xmax = -1.0d0
+  xmin = 1.0d9
+  kmax = -5
+  kmin = 1000
+!$omp parallel do reduction(max:xmax, kmax) reduction(min:xmin, kmin)
+  do i = 1, n
+!BOX(i)
+    xmax = max(xmax, sin(i * 0.37d0))
+    xmin = min(xmin, cos(i * 0.11d0))
+    kmax = max(kmax, mod(i * 7, 23))
+    kmin = min(kmin, mod(i * 5, 17) - 3)
+  end do
+!$omp end parallel do
+  c_maxmin = xmax + xmin * 10.0d0 + kmax * 100.0d0 + kmin * 1000.0d0
+end function c_maxmin
+
+real*8 function c_priv(n)
+  use chunkmod
+  implicit none
+  integer :: n, i, m
+  real*8 :: t, off, s
+  off = 2.5d0
+  t = 99.0d0
+  m = 7
+!$omp parallel do private(t, m) firstprivate(off)
+  do i = 1, n
+!BOX(i)
+    t = t + i
+    m = i * 3
+    off = off + 0.5d0
+    vec(i) = t + off + m
+  end do
+!$omp end parallel do
+  s = 0.0d0
+  do i = 1, n
+    s = s + vec(i) * i
+  end do
+  c_priv = s + t + off + m
+end function c_priv
+
+real*8 function c_coll(n)
+  use chunkmod
+  implicit none
+  integer :: n, i, j
+  real*8 :: s, w
+  w = 0.5d0 + n
+  s = 0.0d0
+!$omp parallel do collapse(2) reduction(+:s)
+  do i = 1, 7
+    do j = 1, 5
+!BOX(j)
+      if (mod(i + j, 3) == 0) cycle
+      grid2(i, j) = i * 10.0d0 + j + w
+      s = s + grid2(i, j)
+    end do
+  end do
+!$omp end parallel do
+  c_coll = s + grid2(7, 5) + grid2(2, 1) * 1000.0d0
+end function c_coll
+
+real*8 function c_exit(n)
+  implicit none
+  integer :: n, i, k
+  real*8 :: s
+  s = 0.5d0
+  do k = 1, 3
+!$omp parallel do reduction(+:s)
+    do i = 1, n
+!BOX(i)
+      s = s + i
+      if (i == 5) exit
+    end do
+!$omp end parallel do
+  end do
+  c_exit = s + k * 100.0d0
+end function c_exit
+
+real*8 function c_exit_top(n)
+  implicit none
+  integer :: n, i
+  real*8 :: s
+  s = 0.5d0
+!$omp parallel do reduction(+:s)
+  do i = 1, n
+!BOX(i)
+    s = s + i
+    if (i == 5) exit
+  end do
+!$omp end parallel do
+  c_exit_top = s
+end function c_exit_top
+
+real*8 function c_ret(n)
+  implicit none
+  integer :: n, i, k
+  real*8 :: s
+  s = 0.5d0
+  c_ret = 7.0d0
+  do k = 1, 3
+!$omp parallel do reduction(+:s)
+    do i = 1, n
+!BOX(i)
+      s = s + i
+      if (i == 5) return
+    end do
+!$omp end parallel do
+  end do
+  c_ret = s
+end function c_ret
+
+real*8 function c_actual(n)
+  use chunkmod
+  implicit none
+  integer :: n, i
+  real*8 :: t, s
+!$omp parallel do private(t)
+  do i = 1, n
+!BOX(i)
+    t = i * 0.25d0
+    call twice(t, 2)
+    vec(i) = t
+  end do
+!$omp end parallel do
+  s = 0.0d0
+  do i = 1, n
+    s = s + vec(i) * i
+  end do
+  c_actual = s
+end function c_actual
+
+real*8 function c_modred(n)
+  use chunkmod
+  implicit none
+  integer :: n, i
+  racc = 1.5d0
+!$omp parallel do reduction(+:racc)
+  do i = 1, n
+!BOX(i)
+    racc = racc + peek(i * 1.0d0)
+  end do
+!$omp end parallel do
+  c_modred = racc
+end function c_modred
+
+subroutine alias_loop(a, b, n, res)
+  implicit none
+  real*8 :: a, b, res
+  integer :: n, i
+  res = 0.0d0
+!$omp parallel do reduction(+:res)
+  do i = 1, n
+!BOX(i)
+!$omp critical
+    b = b + 1.0d0
+    res = res + a
+!$omp end critical
+  end do
+!$omp end parallel do
+end subroutine alias_loop
+
+real*8 function c_alias(n)
+  implicit none
+  integer :: n
+  real*8 :: x, r
+  x = 0.5d0
+  call alias_loop(x, x, n, r)
+  c_alias = r + x * 1000.0d0
+end function c_alias
+
+real*8 function c_leafw(n)
+  implicit none
+  integer :: n, i
+  real*8 :: y, z, w, s
+  y = 1.0d0
+  z = 3.0d0
+  s = 0.0d0
+!$omp parallel do private(w) reduction(+:s)
+  do i = 1, n
+!BOX(i)
+    w = z + i
+!$omp critical
+    call setv(y, w)
+    s = s + y * z
+!$omp end critical
+  end do
+!$omp end parallel do
+  c_leafw = s
+end function c_leafw
+|}
+
+(* The VM matches the tree-walker: bit for bit at 1 thread, and at 4
+   within the [verify] tolerance (a schedule that hands chunks to
+   threads dynamically may reassociate a floating-point reduction). *)
+let assert_chunk_same what ~threads ~sched cu fname =
+  let args = [ Ast.Int_lit 23 ] in
+  if threads = 1 then assert_same what ~sched cu fname args
+  else
+    let a = run_engine ~bytecode:true ~threads ~sched cu fname args in
+    let b = run_engine ~bytecode:false ~threads ~sched cu fname args in
+    Alcotest.(check (option string)) (what ^ ": error") b.r_error a.r_error;
+    match (a.r_value, b.r_value) with
+    | Some (Some (Value.Real x)), Some (Some (Value.Real y)) ->
+      check_bool (Printf.sprintf "%s: %.17g ~ %.17g" what x y) true
+        (Float.abs (x -. y) <= 1e-9 *. Float.max 1.0 (Float.abs y))
+    | _ -> check_bool (what ^ ": both raised") true (a.r_value = None && b.r_value = None)
+
+(* Per case: the "omp-do" (typed, boxed, bails) counts of one call at 1
+   thread, as written; the [!BOX] variant swaps typed and boxed. *)
+let chunk_cases =
+  [
+    ("c_sum", (1, 0, 0));
+    ("c_prod", (1, 0, 0));
+    ("c_maxmin", (1, 0, 0));
+    ("c_priv", (1, 0, 0));
+    ("c_coll", (1, 0, 0));
+    ("c_exit", (1, 0, 0));
+    ("c_exit_top", (1, 0, 0));
+    ("c_ret", (1, 0, 0));
+    ("c_actual", (1, 0, 0));
+    ("c_modred", (1, 0, 0));
+    ("c_alias", (1, 0, 0));
+    ("c_leafw", (1, 0, 0));
+  ]
+
+let chunk_scheds =
+  [
+    ("static", Sched.Static);
+    ("chunk:4", Sched.Static_chunked 4);
+    ("dynamic:3", Sched.Dynamic 3);
+    ("guided:2", Sched.Guided 2);
+  ]
+
+let test_chunk_battery () =
+  List.iter
+    (fun boxed ->
+      let cu = Parser.parse_string (box_variant ~boxed chunk_src) in
+      let variant = if boxed then "boxed" else "typed" in
+      List.iter
+        (fun (fname, (typed, boxed_runs, bails)) ->
+          List.iter
+            (fun (sname, sched) ->
+              List.iter
+                (fun threads ->
+                  let what = Printf.sprintf "%s (%s, %s), %d threads" fname variant sname threads in
+                  assert_chunk_same what ~threads ~sched cu fname)
+                [ 1; 4 ])
+            chunk_scheds;
+          Interp.reset_bytecode_stats ();
+          let st = Interp.make_state ~printer:ignore cu in
+          Interp.set_threads st 1;
+          (try ignore (Interp.call st fname [ Ast.Int_lit 23 ]) with Interp.Loop_exit -> ());
+          let rows = Interp.bytecode_stats_for st in
+          let what = Printf.sprintf "%s (%s): omp-do" fname variant in
+          let typed, boxed_runs = if boxed then (boxed_runs, typed) else (typed, boxed_runs) in
+          check_int (what ^ " typed") typed (site_count (fun r -> r.Interp.r_typed) rows "omp-do");
+          check_int (what ^ " boxed") boxed_runs (site_count (fun r -> r.Interp.r_boxed) rows "omp-do");
+          check_int (what ^ " bails") bails (site_count (fun r -> r.Interp.r_bails) rows "omp-do"))
+        chunk_cases)
     [ false; true ]
 
 (* --- allocation per compiled call ------------------------------------------ *)
@@ -2557,6 +2898,7 @@ let suites =
         Alcotest.test_case "boxed: REAL DO variable" `Quick test_boxed_realdo;
         Alcotest.test_case "one program, typed and boxed binds" `Quick test_one_program_both_variants;
         Alcotest.test_case "constants, rotated loops, leaf actuals, RETURN" `Quick test_lean_battery;
+        Alcotest.test_case "parallel-DO chunk programs" `Quick test_chunk_battery;
         Alcotest.test_case "workload coverage" `Quick
           test_workload_bytecode_coverage;
         Alcotest.test_case "saxpy script" `Quick test_saxpy_diff;

@@ -294,6 +294,39 @@ let test_timeout_in_compiled_loop () =
   let took = Fault.now_s () -. t0 in
   check_bool (Printf.sprintf "timed out after %.3fs < 1s" took) true (took < 1.0)
 
+(* A parallel DO's chunk loops inside the VM and polls the deadline at
+   its continue point: at 1 thread the whole 10^9-iteration range is one
+   compiled chunk, with no chunk boundary in between, and still times
+   out promptly. *)
+let spin_chunk_src =
+  {|
+integer function spin_chunk(n)
+  implicit none
+  integer :: n, i, k
+  k = 0
+!$omp parallel do reduction(+:k) schedule(static)
+  do i = 1, n
+    k = k + mod(i, 7)
+  end do
+!$omp end parallel do
+  spin_chunk = k
+end function spin_chunk
+|}
+
+let test_timeout_in_compiled_chunk () =
+  let c = { Serve.co_source = spin_chunk_src; co_unit = Glaf_fortran.Parser.parse_string spin_chunk_src } in
+  Glaf_interp.Interp.reset_bytecode_stats ();
+  let t0 = Fault.now_s () in
+  (match Serve.run_call ~threads:1 ~deadline_s:0.02 c (List.hd (parse_calls_exn "spin_chunk(1000000000)")) with
+  | Error (Fault.Timeout_fault _) -> ()
+  | Error f -> Alcotest.failf "wrong fault: %s" (Fault.to_string f)
+  | Ok _ -> Alcotest.fail "deadline did not fire");
+  let took = Fault.now_s () -. t0 in
+  check_bool (Printf.sprintf "timed out after %.3fs < 1s" took) true (took < 1.0);
+  let rows = List.filter (fun r -> r.Glaf_interp.Interp.r_label = "omp-do") (Glaf_interp.Interp.bytecode_stats ()) in
+  check_int "one compiled chunk" 1 (List.fold_left (fun a r -> a + r.Glaf_interp.Interp.r_typed) 0 rows);
+  check_int "no tree-walked chunk" 0 (List.fold_left (fun a r -> a + r.Glaf_interp.Interp.r_bails) 0 rows)
+
 (* --- pool supervision ----------------------------------------------------- *)
 
 let test_worker_crash_respawns () =
@@ -520,6 +553,8 @@ let suites =
           test_timeout_fires_and_batch_recovers;
         Alcotest.test_case "timeout in a compiled serial loop" `Quick
           test_timeout_in_compiled_loop;
+        Alcotest.test_case "timeout in a compiled parallel-DO chunk" `Quick
+          test_timeout_in_compiled_chunk;
       ] );
     ( "faults.serve",
       [

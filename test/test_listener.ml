@@ -657,6 +657,58 @@ let test_progcache_purges_frame_plans () =
   ignore (compiled 2);
   check_int "evicted unit keeps no plan" 0 (Glaf_interp.Bytecode.plan_count u)
 
+(* The inline-script shape a served mix sends: a reduction parallel DO,
+   distinct per [k]. *)
+let mix_script k =
+  Printf.sprintf
+    {|program leak%d
+module m
+function f returns real8
+  param n integer
+  grid acc real8
+  step sweep
+    set acc = 0.0
+    foreach i = 1, n
+      set acc = acc + %d.0 * i + 1.0
+    end foreach
+    return acc
+end program
+|}
+    k k
+
+(* Scripts the cache evicted leave nothing behind: eviction purges the
+   bytecode layer's memos keyed by AST identity with the unit's
+   programs, so neither the memo entries nor the live heap grow with
+   the number of distinct scripts served. *)
+let test_progcache_releases_asts () =
+  let c = Progcache.create ~capacity:4 () in
+  let call = List.hd (Serve.parse_calls "f(50)") in
+  let serve k =
+    match Progcache.find_or_compile c (mix_script k) with
+    | Ok co, _ -> (
+      match Serve.run_call ~threads:1 co call with
+      | Ok oc -> check_bool "value" true (oc.Serve.oc_value <> None)
+      | Error f -> Alcotest.failf "script %d failed: %s" k (Fault.to_string f))
+    | Error f, _ -> Alcotest.failf "compile failed: %s" (Fault.to_string f)
+  in
+  let settle () =
+    Gc.full_major ();
+    Gc.full_major ();
+    ((Gc.stat ()).Gc.live_words, Glaf_interp.Bytecode.memo_entries ())
+  in
+  for k = 1 to 50 do
+    serve k
+  done;
+  let words50, entries50 = settle () in
+  for k = 51 to 200 do
+    serve k
+  done;
+  let words200, entries200 = settle () in
+  check_bool (Printf.sprintf "memo entries %d -> %d after 150 more scripts" entries50 entries200) true
+    (entries200 <= entries50 + 8);
+  check_bool (Printf.sprintf "live words %d -> %d after 150 more scripts" words50 words200) true
+    (words200 - words50 < 150 * 100)
+
 let test_progcache_does_not_cache_failures () =
   let c = Progcache.create ~capacity:4 () in
   let bad = "program nope\nthis is not gpi\n" in
@@ -723,5 +775,7 @@ let suites =
           test_progcache_purges_frame_plans;
         Alcotest.test_case "failures not cached" `Quick
           test_progcache_does_not_cache_failures;
+        Alcotest.test_case "evicted scripts release their ASTs" `Quick
+          test_progcache_releases_asts;
       ] );
   ]
