@@ -1002,10 +1002,13 @@ and exec_do_parallel st scope (l : Ast.do_loop) (d : Ast.omp_do) =
   (match l.Ast.do_step with
   | Some (Ast.Int_lit 1) | None -> ()
   | Some _ -> error "parallel DO requires unit step");
+  (* a team of one inside another region's body, so a nested loop
+     takes the [serial_team] path below *)
   let threads =
-    match d.Ast.omp_num_threads with
-    | Some e -> Value.to_int (eval st scope e)
-    | None -> st.default_threads
+    Pool.team_size
+      (match d.Ast.omp_num_threads with
+      | Some e -> Value.to_int (eval st scope e)
+      | None -> st.default_threads)
   in
   let sched =
     match d.Ast.omp_schedule with
@@ -1037,7 +1040,9 @@ and exec_do_parallel st scope (l : Ast.do_loop) (d : Ast.omp_do) =
      from the shared variable's current value and written back verbatim
      at the end, which makes an annotated loop bit-identical to its
      serial execution under every schedule — the property the lift
-     verifier relies on. *)
+     verifier relies on.  A loop nested inside another region's body
+     always runs here with one thread ({!Pool.team_size}), so nesting
+     never changes a result either. *)
   let serial_team = threads <= 1 in
   let red_by_thread : (int, (string * slot) list) Hashtbl.t =
     Hashtbl.create 8
@@ -1098,7 +1103,9 @@ and exec_do_parallel st scope (l : Ast.do_loop) (d : Ast.omp_do) =
      privates and reduction accumulators in registers.  Each chunk binds
      it against the thread's scope clone and tree-walks [walk] when the
      binding does not resolve.  Stats count chunks: runs are chunks
-     that ran compiled, bails are chunks that tree-walked. *)
+     that ran compiled, bails are chunks that tree-walked.  OpenMP
+     forbids a branch out of the region, so an EXIT or RETURN that
+     leaves the body is an error on both engines. *)
   let run_chunks ~lo ~hi args walk =
     let prog =
       if st.use_bytecode then Some (Bytecode.compile_chunk (benv st) ~scope l d ~inner:collapse2)
@@ -1106,9 +1113,13 @@ and exec_do_parallel st scope (l : Ast.do_loop) (d : Ast.omp_do) =
     in
     Omp.parallel_for ~threads ~sched ~lo ~hi
       (run_chunk (fun tscope clo chi ->
-           match Option.bind prog (fun c -> bind_compiled st c tscope ~dovars:[]) with
-           | Some fr -> Vm.run_chunk fr (args clo chi)
-           | None -> walk tscope clo chi))
+           try
+             match Option.bind prog (fun c -> bind_compiled st c tscope ~dovars:[]) with
+             | Some fr -> Vm.run_chunk fr (args clo chi)
+             | None -> walk tscope clo chi
+           with
+           | Loop_exit -> error "EXIT branches out of a PARALLEL DO region"
+           | Sub_return -> error "RETURN branches out of a PARALLEL DO region"))
   in
   (match collapse2 with
   | None ->

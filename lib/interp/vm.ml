@@ -1240,8 +1240,8 @@ let run_do fr ~(slot : Storage.slot) ~lo ~hi ~step =
 (** One chunk of a parallel DO, [args] its {!Bytecode.chunk_args}
     values: a single pass of the chunk program, which loops over the
     chunk itself.  EXIT and RETURN escape as the tree-walker's
-    [Loop_exit] and [Sub_return] (the pool surfaces them as a region
-    error). *)
+    [Loop_exit] and [Sub_return], which [Interp.exec_do_parallel] turns
+    into a runtime error. *)
 let run_chunk fr (args : int array) =
   let regs = fr.cargs in
   for k = 0 to Array.length regs - 1 do

@@ -5,15 +5,13 @@
     persistent worker pool ({!Pool}): domains are created once and
     reused across regions, with per-loop scheduling ({!Sched}) —
     [Static] (the default, OpenMP's static chunking with deterministic
-    chunk assignment), [Static_chunked k] and [Dynamic k].  Nested
-    parallel regions fall back to spawn-per-region domains, which
-    reproduces the oversubscription behaviour the paper observes at 8
-    threads on a 4-core machine.
+    chunk assignment), [Static_chunked k], [Dynamic k] and [Guided k].
+    A parallel region entered from inside another region's body runs
+    with a team of one, as OpenMP does by default ({!Pool.team_size}).
 
     A global lock backs CRITICAL sections and the atomic-update
     helper. *)
 
-let set_num_threads = Pool.set_num_threads
 let num_threads = Pool.num_threads
 
 (* One global lock backs both CRITICAL sections and ATOMIC updates;
@@ -27,10 +25,6 @@ let critical f =
 
 let atomic_update = critical
 
-(** Static chunking of the inclusive iteration space [lo..hi]; see
-    {!Sched.static_chunks}. *)
-let static_chunks = Sched.static_chunks
-
 (** Run [body t chunk_lo chunk_hi] on [threads] logical threads over
     [lo..hi], dispatching to the resident {!Pool} workers.  The
     calling domain acts as thread 0 (like an OpenMP master), so a
@@ -39,13 +33,3 @@ let static_chunks = Sched.static_chunks
     invoked several times per thread, once per chunk. *)
 let parallel_for ?threads ?sched ~lo ~hi body =
   Pool.run ?threads ?sched ~lo ~hi body
-
-(** Fork-join helper returning per-thread results in thread order
-    (deterministic reduction combining).  Always runs under [Static]:
-    each thread contributes exactly one result. *)
-let parallel_for_collect ?threads ~lo ~hi body =
-  let n = match threads with Some n -> max 1 n | None -> num_threads () in
-  let results = Array.make n None in
-  Pool.run ~threads:n ~sched:Sched.Static ~lo ~hi (fun t clo chi ->
-      results.(t) <- Some (body t clo chi));
-  Array.to_list results |> List.filter_map Fun.id

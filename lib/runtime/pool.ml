@@ -19,20 +19,23 @@
     caches); pinned tasks are never stolen, so the chunk-to-worker map
     of identical back-to-back regions is deterministic.
 
-    Sizing: the default team size comes from {!set_num_threads} or the
-    [OGLAF_NUM_THREADS] environment variable (falling back to
+    Sizing: the default team size comes from the [OGLAF_NUM_THREADS]
+    environment variable (falling back to
     [Domain.recommended_domain_count () - 1]); the pool grows on
-    demand when a region requests a larger team, so asking for 8
-    threads on a 4-core box oversubscribes exactly like the paper's
-    8-thread runs.
+    demand when a region requests a larger team, up to
+    {!max_pool_size} workers, so asking for 8 threads on a 4-core box
+    oversubscribes exactly like the paper's 8-thread runs.
 
-    Nested regions: a [run] issued from inside a pool worker falls
-    back to spawn-per-region domains, reproducing the documented
-    oversubscription behaviour of nested [PARALLEL DO] — a worker
-    never waits on the queue it is supposed to drain, so the pool
-    cannot deadlock on itself.  (Top-level regions issued while the
-    pool is busy now queue instead of spawning; only regions {e from
-    inside} a worker take the fallback.)
+    Nested regions: every logical thread of a region runs its chunks
+    as a {e team member} (a domain-local flag), and a region entered
+    by a team member runs on the calling domain with a team of one —
+    OpenMP's default, non-nested mode, which the cost model in
+    [lib/perf] assumes too.  Unlike libgomp, an enclosing one-thread
+    region counts as well, so a nested loop's result never depends on
+    the outer team size.  A worker therefore never waits on the queue
+    it is supposed to drain, so the pool cannot deadlock on itself,
+    and region entry never creates a domain: {!spawn_worker} is the
+    only place that does.
 
     Supervision (PR 3): a worker domain that dies with an unhandled
     exception drains its own affinity queue on the way out (each
@@ -71,17 +74,32 @@ let env_threads =
   | None -> None
 
 let default_num_threads =
-  ref
-    (match env_threads with
-    | Some n -> n
-    | None -> max 1 (Domain.recommended_domain_count () - 1))
+  match env_threads with
+  | Some n -> n
+  | None -> max 1 (Domain.recommended_domain_count () - 1)
 
-let set_num_threads n = default_num_threads := max 1 n
-let num_threads () = !default_num_threads
+let num_threads () = default_num_threads
 
-(** Hard cap on resident workers; oversubscription beyond this spills
-    to the spawn fallback. *)
+(** Hard cap on resident workers; a region that needs more workers
+    runs its chunk plan sequentially on the calling domain. *)
 let max_pool_size = 64
+
+(* True while this domain runs a logical thread's chunks of some
+   region (worker task, the master's thread 0, or a sequential run). *)
+let in_team : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
+
+(** The team a region asking for [n] threads gets: 1 inside a team
+    member (nested regions are inactive), [max 1 n] otherwise. *)
+let team_size n = if Domain.DLS.get in_team then 1 else max 1 n
+
+(* Run [f] as a team member, so every region it enters gets a team of
+   one. *)
+let as_member f =
+  if Domain.DLS.get in_team then f ()
+  else begin
+    Domain.DLS.set in_team true;
+    Fun.protect ~finally:(fun () -> Domain.DLS.set in_team false) f
+  end
 
 (* --- stats -------------------------------------------------------------- *)
 
@@ -99,7 +117,6 @@ let bucket_of_ns ns =
 
 let c_regions = Atomic.make 0
 let c_inline = Atomic.make 0
-let c_spawn = Atomic.make 0
 let c_seq = Atomic.make 0
 let c_tasks = Atomic.make 0
 let c_busy_ns = Atomic.make 0
@@ -131,9 +148,12 @@ type health = Healthy | Degraded of string
 type stats = {
   pool_size : int;  (** resident worker domains (excludes the master) *)
   regions : int;  (** regions dispatched to the resident team *)
-  inline_regions : int;  (** regions run inline (1 thread or <= 1 iteration) *)
-  spawn_regions : int;  (** nested regions on the spawn fallback *)
-  seq_regions : int;  (** regions run sequentially in degraded mode *)
+  inline_regions : int;
+      (** regions run inline (1 thread, nested, or <= 1 iteration) *)
+  spawn_regions : int;  (** retired: always 0, no region spawns a domain *)
+  seq_regions : int;
+      (** regions run sequentially: degraded mode, or a team that needs
+          more than {!max_pool_size} workers *)
   tasks : int;  (** chunk executions across all regions *)
   busy_ns : int;  (** summed in-body time across team members *)
   region_ns : int;  (** summed region wall-clock time (master view) *)
@@ -147,7 +167,6 @@ type stats = {
 let reset_stats () =
   Atomic.set c_regions 0;
   Atomic.set c_inline 0;
-  Atomic.set c_spawn 0;
   Atomic.set c_seq 0;
   Atomic.set c_tasks 0;
   Atomic.set c_busy_ns 0;
@@ -166,16 +185,15 @@ let record_region ~wall_ns ~busy_ns ~team =
 let pp_stats ppf s =
   Format.fprintf ppf
     "pool: %d resident workers, %s%s@\n\
-     regions: %d pooled (peak %d overlapped), %d inline, %d spawn-fallback, \
-     %d sequential (degraded); %d chunk tasks@\n\
+     regions: %d pooled (peak %d overlapped), %d inline, %d sequential; \
+     %d chunk tasks@\n\
      time: %.3f ms busy / %.3f ms region wall / %.3f ms barrier idle@\n"
     s.pool_size
     (match s.health with
     | Healthy -> "healthy"
     | Degraded reason -> "DEGRADED (" ^ reason ^ ")")
     (if s.respawns > 0 then Printf.sprintf ", %d respawns" s.respawns else "")
-    s.regions s.max_inflight s.inline_regions s.spawn_regions s.seq_regions
-    s.tasks
+    s.regions s.max_inflight s.inline_regions s.seq_regions s.tasks
     (float_of_int s.busy_ns /. 1e6)
     (float_of_int s.region_ns /. 1e6)
     (float_of_int s.idle_ns /. 1e6);
@@ -231,13 +249,8 @@ type worker = {
   dom : unit Domain.t;
 }
 
-(* True inside a pool worker (or spawn-fallback domain created by the
-   pool): a parallel region entered there must not wait on the team it
-   is part of. *)
-let in_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
-
-(* The worker slot this domain occupies, [None] on the master and on
-   spawn-fallback domains; lets tests observe chunk affinity. *)
+(* The worker slot this domain occupies, [None] on the master; lets
+   tests observe chunk affinity. *)
 let worker_slot : int option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let current_worker () = Domain.DLS.get worker_slot
@@ -373,7 +386,6 @@ let drain_on_death ~slot ~alive =
   Mutex.unlock q_mu
 
 let worker_main ~slot ~stop ~alive =
-  Domain.DLS.set in_worker true;
   Domain.DLS.set worker_slot (Some slot);
   let rec loop () =
     match next_task ~slot stop with
@@ -417,7 +429,7 @@ let stats () =
     pool_size = pool_size ();
     regions = Atomic.get c_regions;
     inline_regions = Atomic.get c_inline;
-    spawn_regions = Atomic.get c_spawn;
+    spawn_regions = 0;
     seq_regions = Atomic.get c_seq;
     tasks = Atomic.get c_tasks;
     busy_ns = Atomic.get c_busy_ns;
@@ -639,27 +651,11 @@ let run_queued ~team ~static ~token run_thread =
   latch_wait region.r_latch;
   (region.r_exns, Atomic.get region.r_busy)
 
-(* Spawn-per-region fallback: the pre-pool behaviour, used for regions
-   nested inside a pool worker.  Nested regions therefore
-   oversubscribe the machine exactly as the paper observes for 8
-   threads on 4 cores. *)
-let run_spawned ~team run_thread =
-  let exns = Array.make team None in
-  let doms =
-    Array.init (team - 1) (fun i ->
-        let t = i + 1 in
-        Domain.spawn (fun () ->
-            Domain.DLS.set in_worker true;
-            try run_thread t with e -> exns.(t) <- Some e))
-  in
-  (try run_thread 0 with e -> exns.(0) <- Some e);
-  Array.iter Domain.join doms;
-  exns
-
-(* Degraded-mode execution: every logical thread's chunks run on the
-   master domain, in thread order.  Chunk assignment — and therefore
-   reduction combining order — is identical to the pooled run, so
-   results match bit-for-bit; only the parallelism is gone. *)
+(* Sequential execution (degraded mode, or a team that needs more
+   workers than the pool cap): every logical thread's chunks run on the master domain, in
+   thread order.  Chunk assignment — and therefore reduction combining
+   order — is identical to the pooled run, so results match
+   bit-for-bit; only the parallelism is gone. *)
 let run_sequential ~team run_thread =
   let exns = Array.make team None in
   for t = 0 to team - 1 do
@@ -668,17 +664,18 @@ let run_sequential ~team run_thread =
   exns
 
 (** Run [body t chunk_lo chunk_hi] over the inclusive range [lo..hi]
-    on a team of [threads] logical threads (default
-    {!num_threads}), under schedule [sched] (default
+    on a team of [team_size threads] logical threads ([threads]
+    defaults to {!num_threads}), under schedule [sched] (default
     {!Sched.default}).  Thread 0 is the calling domain (the OpenMP
     master); under [Static] each participating thread receives exactly
     one contiguous chunk, so chunk assignment — and hence reduction
     combining order — is deterministic and identical to the historical
     spawn-per-region runtime.  Concurrent top-level regions multiplex
-    onto the shared resident workers through the task queue; only
-    regions entered from inside a worker take the spawn fallback. *)
+    onto the shared resident workers through the task queue; a region
+    entered from inside another region's body runs inline with a team
+    of one. *)
 let run ?threads ?(sched = Sched.default) ~lo ~hi body =
-  let n = match threads with Some n -> max 1 n | None -> num_threads () in
+  let n = team_size (match threads with Some n -> n | None -> num_threads ()) in
   let total = hi - lo + 1 in
   if total <= 0 then ()  (* empty iteration space: no dispatch at all *)
   else begin
@@ -693,45 +690,41 @@ let run ?threads ?(sched = Sched.default) ~lo ~hi body =
       body t clo chi
     in
     if n = 1 || total = 1 then begin
-      (* single-chunk fast path: no team, no barrier *)
+      (* single-chunk fast path (and every nested region): no team, no
+         barrier *)
       Atomic.incr c_inline;
       Atomic.incr c_tasks;
-      body 0 lo hi
+      as_member (fun () -> body 0 lo hi)
     end
     else begin
       let team, run_thread = plan ~sched ~lo ~hi n body in
       (* the caller's deadline travels with the region: every chunk
-         task re-installs it on the domain that executes it *)
+         task re-installs it on the domain that executes it, and runs
+         as a team member *)
       let token = Fault.current () in
-      let run_thread t = Fault.with_token_opt token (fun () -> run_thread t) in
+      let run_thread t =
+        Fault.with_token_opt token (fun () -> as_member (fun () -> run_thread t))
+      in
+      let sequential () =
+        Atomic.incr c_seq;
+        reraise_first (run_sequential ~team run_thread)
+      in
       if team <= 1 then begin
         Atomic.incr c_inline;
         run_thread 0
       end
-      else if Atomic.get degraded_reason <> None then begin
-        (* degraded: resident team retired, domains suspect — run the
-           same chunk plan sequentially on the master *)
-        Atomic.incr c_seq;
-        reraise_first (run_sequential ~team run_thread)
-      end
-      else if Domain.DLS.get in_worker then begin
-        Atomic.incr c_spawn;
-        reraise_first (run_spawned ~team run_thread)
-      end
+      else if Atomic.get degraded_reason <> None || team - 1 > max_pool_size
+      then
+        (* degraded (resident team retired, domains suspect) or more
+           workers than the pool cap: the same chunk plan, on the
+           master *)
+        sequential ()
       else begin
         ensure_workers (team - 1);
         (* reap/respawn workers that died in an earlier region; may
            flip the pool to degraded mode *)
         heal_workers ();
-        if Atomic.get degraded_reason <> None then begin
-          Atomic.incr c_seq;
-          reraise_first (run_sequential ~team run_thread)
-        end
-        else if team - 1 > pool_size () then begin
-          (* requested team exceeds the pool cap *)
-          Atomic.incr c_spawn;
-          reraise_first (run_spawned ~team run_thread)
-        end
+        if Atomic.get degraded_reason <> None then sequential ()
         else begin
           enter_inflight ();
           let outcome =

@@ -2385,21 +2385,27 @@ let assert_chunk_same what ~threads ~sched cu fname =
     | _ -> check_bool (what ^ ": both raised") true (a.r_value = None && b.r_value = None)
 
 (* Per case: the "omp-do" (typed, boxed, bails) counts of one call at 1
-   thread, as written; the [!BOX] variant swaps typed and boxed. *)
+   thread, as written; the [!BOX] variant swaps typed and boxed.  The
+   EXIT and RETURN cases branch out of the region, which OpenMP
+   forbids: both engines raise the named error at every thread count
+   and schedule. *)
+let exit_error = Some "EXIT branches out of a PARALLEL DO region"
+let return_error = Some "RETURN branches out of a PARALLEL DO region"
+
 let chunk_cases =
   [
-    ("c_sum", (1, 0, 0));
-    ("c_prod", (1, 0, 0));
-    ("c_maxmin", (1, 0, 0));
-    ("c_priv", (1, 0, 0));
-    ("c_coll", (1, 0, 0));
-    ("c_exit", (1, 0, 0));
-    ("c_exit_top", (1, 0, 0));
-    ("c_ret", (1, 0, 0));
-    ("c_actual", (1, 0, 0));
-    ("c_modred", (1, 0, 0));
-    ("c_alias", (1, 0, 0));
-    ("c_leafw", (1, 0, 0));
+    ("c_sum", (1, 0, 0), None);
+    ("c_prod", (1, 0, 0), None);
+    ("c_maxmin", (1, 0, 0), None);
+    ("c_priv", (1, 0, 0), None);
+    ("c_coll", (1, 0, 0), None);
+    ("c_exit", (1, 0, 0), exit_error);
+    ("c_exit_top", (1, 0, 0), exit_error);
+    ("c_ret", (1, 0, 0), return_error);
+    ("c_actual", (1, 0, 0), None);
+    ("c_modred", (1, 0, 0), None);
+    ("c_alias", (1, 0, 0), None);
+    ("c_leafw", (1, 0, 0), None);
   ]
 
 let chunk_scheds =
@@ -2416,27 +2422,193 @@ let test_chunk_battery () =
       let cu = Parser.parse_string (box_variant ~boxed chunk_src) in
       let variant = if boxed then "boxed" else "typed" in
       List.iter
-        (fun (fname, (typed, boxed_runs, bails)) ->
+        (fun (fname, (typed, boxed_runs, bails), error) ->
           List.iter
             (fun (sname, sched) ->
               List.iter
                 (fun threads ->
                   let what = Printf.sprintf "%s (%s, %s), %d threads" fname variant sname threads in
-                  assert_chunk_same what ~threads ~sched cu fname)
+                  assert_chunk_same what ~threads ~sched cu fname;
+                  if error <> None then
+                    Alcotest.(check (option string)) (what ^ ": structured error")
+                      (Option.map (( ^ ) "fortran: ") error)
+                      (run_engine ~bytecode:false ~threads ~sched cu fname [ Ast.Int_lit 23 ]).r_error)
                 [ 1; 4 ])
             chunk_scheds;
           Interp.reset_bytecode_stats ();
           let st = Interp.make_state ~printer:ignore cu in
           Interp.set_threads st 1;
-          (try ignore (Interp.call st fname [ Ast.Int_lit 23 ]) with Interp.Loop_exit -> ());
-          let rows = Interp.bytecode_stats_for st in
           let what = Printf.sprintf "%s (%s): omp-do" fname variant in
+          Alcotest.(check (option string)) (what ^ " error") error
+            (match Interp.call st fname [ Ast.Int_lit 23 ] with
+            | _ -> None
+            | exception Interp.Fortran_error m -> Some m);
+          let rows = Interp.bytecode_stats_for st in
           let typed, boxed_runs = if boxed then (boxed_runs, typed) else (typed, boxed_runs) in
           check_int (what ^ " typed") typed (site_count (fun r -> r.Interp.r_typed) rows "omp-do");
           check_int (what ^ " boxed") boxed_runs (site_count (fun r -> r.Interp.r_boxed) rows "omp-do");
           check_int (what ^ " bails") bails (site_count (fun r -> r.Interp.r_bails) rows "omp-do"))
         chunk_cases)
     [ false; true ]
+
+(* --- nested parallel regions ------------------------------------------------- *)
+
+(* Subroutines that hold a PARALLEL DO, called from a PARALLEL DO's
+   body.  The inner regions run with a team of one (OpenMP's default
+   nesting, {!Pool.team_size}), even under an inner NUM_THREADS clause,
+   so each seeds its reductions from the shared value and folds in
+   serial order.  The outer loops combine only exact reductions (max,
+   integer +) and write disjoint array cells, so at any thread count
+   the result is bit-identical to the 1-thread tree-walker.  Each inner
+   result lands in its own module array cell: a sum over all of them
+   would round away a last-bit difference.  At 2
+   threads under the static schedule, outer iterations 1..8 run on the
+   master's chunk and 9..16 on a worker's. *)
+let nest_src =
+  {|
+module nestmod
+  implicit none
+  real*8 :: av(16), bv(16), cv(16), dv(16)
+  real*8 :: rowv(12, 16)
+end module nestmod
+
+subroutine inner_sum(k, m, s)
+  implicit none
+  integer :: k, m, j
+  real*8 :: s
+  s = 0.125d0 * k
+!$omp parallel do reduction(+:s)
+  do j = 1, m
+    s = s + 1.0d0 / (j + k * 0.37d0)
+  end do
+!$omp end parallel do
+end subroutine inner_sum
+
+subroutine inner_max(k, m, x, kk)
+  implicit none
+  integer :: k, m, j, kk
+  real*8 :: x
+  x = -2.0d0
+  kk = -100
+!$omp parallel do reduction(max:x, kk)
+  do j = 1, m
+    x = max(x, sin(j * 0.31d0 + k))
+    kk = max(kk, mod(j * 7 + k, 19))
+  end do
+!$omp end parallel do
+end subroutine inner_max
+
+subroutine inner_priv(k, m, off, r)
+  use nestmod
+  implicit none
+  integer :: k, m, j
+  real*8 :: off, r, t
+  r = 0.0d0
+  t = 5.0d0
+!$omp parallel do private(t) firstprivate(off) reduction(+:r)
+  do j = 1, m
+    t = j * 0.5d0 + k
+    off = off + 0.25d0
+    rowv(j, k) = t * off
+    r = r + rowv(j, k) / 3.0d0
+  end do
+!$omp end parallel do
+  r = r + t + off
+end subroutine inner_priv
+
+subroutine inner_nt(k, m, s)
+  implicit none
+  integer :: k, m, j
+  real*8 :: s
+  s = 1.0d0
+!$omp parallel do reduction(+:s) num_threads(4)
+  do j = 1, m
+    s = s + sqrt(j * 1.0d0 + k) / (j + 2)
+  end do
+!$omp end parallel do
+end subroutine inner_nt
+
+real*8 function n_drive(n)
+  use nestmod
+  implicit none
+  integer :: n, k, kk, cnt
+  real*8 :: a, b, c, d, big, total
+  big = -1.0d0
+  cnt = 0
+!$omp parallel do private(a, b, c, d, kk) reduction(max:big) reduction(+:cnt)
+  do k = 1, n
+    call inner_sum(k, 37, a)
+    call inner_max(k, 23, b, kk)
+    call inner_priv(k, 12, 0.5d0 * k, c)
+    call inner_nt(k, 29, d)
+    av(k) = a
+    bv(k) = b
+    cv(k) = c
+    dv(k) = d
+    big = max(big, a + d)
+    cnt = cnt + kk
+  end do
+!$omp end parallel do
+  n_drive = big * 1000.0d0 + cnt
+end function n_drive
+
+real*8 function n_firstp(n)
+  use nestmod
+  implicit none
+  integer :: n, k
+  real*8 :: base, c
+  base = 0.75d0
+!$omp parallel do private(c) firstprivate(base) schedule(dynamic, 1)
+  do k = 1, n
+    call inner_priv(k, 12, base + k, c)
+    cv(k) = c
+  end do
+!$omp end parallel do
+  n_firstp = base
+end function n_firstp
+|}
+
+(* One call: the function value and the module arrays, as bit
+   patterns, plus the number of regions that reached the pool. *)
+let nest_run ~bytecode ~threads cu fname =
+  let st = Interp.make_state ~printer:ignore cu in
+  Interp.set_threads st threads;
+  Interp.set_bytecode st bytecode;
+  Pool.reset_stats ();
+  let v = Interp.call st fname [ Ast.Int_lit 16 ] in
+  let pooled = (Pool.stats ()).Pool.regions in
+  let bits var =
+    Farray.fold
+      (fun acc c ->
+        match c with Farray.Cf x -> Int64.bits_of_float x :: acc | _ -> acc)
+      [] (Interp.module_array st ~module_name:"nestmod" ~var)
+  in
+  ( (match v with Some (Value.Real x) -> Int64.bits_of_float x | _ -> 0L),
+    List.map bits [ "av"; "bv"; "cv"; "dv"; "rowv" ],
+    pooled )
+
+(* Both engines at 1, 2 and 4 threads match the 1-thread tree-walker
+   bit for bit, and only the outer region ever reaches the pool. *)
+let test_nested_battery () =
+  let cu = Parser.parse_string nest_src in
+  List.iter
+    (fun fname ->
+      let ref_value, ref_arrays, _ = nest_run ~bytecode:false ~threads:1 cu fname in
+      List.iter
+        (fun threads ->
+          List.iter
+            (fun bytecode ->
+              let what =
+                Printf.sprintf "%s (%s), %d threads" fname
+                  (if bytecode then "bytecode" else "tree-walk") threads
+              in
+              let value, arrays, pooled = nest_run ~bytecode ~threads cu fname in
+              check_bool (what ^ ": value bits") true (Int64.equal ref_value value);
+              check_bool (what ^ ": module array bits") true (ref_arrays = arrays);
+              check_int (what ^ ": pooled regions") (if threads > 1 then 1 else 0) pooled)
+            [ true; false ])
+        [ 1; 2; 4 ])
+    [ "n_drive"; "n_firstp" ]
 
 (* --- allocation per compiled call ------------------------------------------ *)
 
@@ -2899,6 +3071,7 @@ let suites =
         Alcotest.test_case "one program, typed and boxed binds" `Quick test_one_program_both_variants;
         Alcotest.test_case "constants, rotated loops, leaf actuals, RETURN" `Quick test_lean_battery;
         Alcotest.test_case "parallel-DO chunk programs" `Quick test_chunk_battery;
+        Alcotest.test_case "nested parallel regions" `Quick test_nested_battery;
         Alcotest.test_case "workload coverage" `Quick
           test_workload_bytecode_coverage;
         Alcotest.test_case "saxpy script" `Quick test_saxpy_diff;

@@ -145,14 +145,14 @@ let test_intrinsics_unknown () =
 (* --- Omp ------------------------------------------------------------------ *)
 
 let test_static_chunks () =
-  let chunks = Omp.static_chunks ~lo:1 ~hi:10 4 in
+  let chunks = Sched.static_chunks ~lo:1 ~hi:10 4 in
   check_int "4 chunks" 4 (Array.length chunks);
   (* coverage: union of chunks is exactly 1..10, disjoint and ordered *)
   let covered = Array.to_list chunks |> List.concat_map (fun (a, b) ->
       List.init (max 0 (b - a + 1)) (fun i -> a + i)) in
   Alcotest.(check (list int)) "cover 1..10" (List.init 10 (fun i -> i + 1)) covered;
   (* empty iteration space *)
-  let empty = Omp.static_chunks ~lo:5 ~hi:4 3 in
+  let empty = Sched.static_chunks ~lo:5 ~hi:4 3 in
   check_bool "empty chunks" true
     (Array.for_all (fun (a, b) -> b < a) empty)
 
@@ -166,14 +166,6 @@ let test_parallel_for_sums () =
       done;
       acc.(t) <- !s);
   check_int "total" (n * (n + 1) / 2) (Array.fold_left ( + ) 0 acc)
-
-let test_parallel_for_collect_order () =
-  let results =
-    Omp.parallel_for_collect ~threads:3 ~lo:1 ~hi:9 (fun t lo hi -> (t, lo, hi))
-  in
-  check_int "three results" 3 (List.length results);
-  check_bool "thread order" true
-    (List.mapi (fun i (t, _, _) -> i = t) results |> List.for_all Fun.id)
 
 let test_parallel_exception_propagates () =
   check_bool "exception surfaces" true
@@ -293,13 +285,17 @@ let test_pool_empty_range () =
 
 let test_pool_threads_exceed_iterations () =
   (* 8 threads over 3 iterations: occupancy caps the team, every
-     iteration runs exactly once, and no thread sees an empty chunk *)
+     iteration runs exactly once, and no thread sees an empty chunk.
+     Chunk bodies only record: Alcotest's checks are not safe to call
+     from several domains at once. *)
   let hits = Array.make 4 0 in
+  let empty_chunks = Atomic.make 0 in
   Omp.parallel_for ~threads:8 ~lo:1 ~hi:3 (fun _ lo hi ->
-      check_bool "chunk non-empty" true (hi >= lo);
+      if hi < lo then Atomic.incr empty_chunks;
       for i = lo to hi do
         Omp.critical (fun () -> hits.(i) <- hits.(i) + 1)
       done);
+  check_int "no empty chunk" 0 (Atomic.get empty_chunks);
   Alcotest.(check (list int)) "each iteration once" [ 1; 1; 1 ]
     (Array.to_list (Array.sub hits 1 3))
 
@@ -374,7 +370,6 @@ let test_pool_reuse_many_regions () =
   check_int "pool size stable" size0 (Pool.pool_size ());
   let s = Pool.stats () in
   check_int "all regions pooled" 1000 s.Pool.regions;
-  check_int "no spawn fallback" 0 s.Pool.spawn_regions;
   check_bool "tasks recorded" true (s.Pool.tasks >= 1000)
 
 (* Static chunk affinity: thread t's chunk is pinned to the worker
@@ -397,33 +392,56 @@ let test_pool_affinity_deterministic () =
       first (chunk_to_worker ())
   done
 
-let test_pool_nested_region_falls_back () =
-  (* a region launched from inside a worker must not deadlock on the
-     resident team; it takes the spawn fallback *)
+(* A region entered from a team member's chunk (the master's thread 0
+   or a worker's task) is inactive, as in OpenMP's default nesting: it
+   runs on the calling domain as thread 0 with the single chunk
+   [lo, hi], and enters no pooled region. *)
+let test_pool_nested_team_of_one () =
+  Pool.run ~threads:2 ~lo:1 ~hi:100 (fun _ _ _ -> ());
   Pool.reset_stats ();
-  let inner_total = Atomic.make 0 in
-  Pool.run ~threads:2 ~lo:1 ~hi:2 (fun _ lo hi ->
-      for _ = lo to hi do
-        Pool.run ~threads:2 ~lo:1 ~hi:10 (fun _ clo chi ->
-            ignore (Atomic.fetch_and_add inner_total (chi - clo + 1)))
+  let inner_hits = Array.make 11 0 in
+  let outer_on = Array.make 3 (-2) in
+  let inner_chunks = ref [] in
+  let member_team = Array.make 3 0 in
+  Pool.run ~threads:2 ~sched:Sched.Static ~lo:1 ~hi:2 (fun _ lo hi ->
+      for o = lo to hi do
+        outer_on.(o) <- (match Pool.current_worker () with Some w -> w | None -> -1);
+        member_team.(o) <- Pool.team_size 8;
+        Pool.run ~threads:2 ~lo:1 ~hi:10 (fun t clo chi ->
+            Omp.critical (fun () ->
+                inner_chunks := (t, clo, chi) :: !inner_chunks;
+                for i = clo to chi do
+                  inner_hits.(i) <- inner_hits.(i) + 1
+                done))
       done);
-  check_int "nested iterations all ran" 20 (Atomic.get inner_total);
-  check_bool "nested regions used spawn fallback" true
-    ((Pool.stats ()).Pool.spawn_regions >= 1)
+  check_int "outer iteration 1 on the master" (-1) outer_on.(1);
+  check_bool "outer iteration 2 on a worker" true (outer_on.(2) >= 0);
+  Alcotest.(check (list int)) "team of one inside a member" [ 1; 1 ]
+    (Array.to_list (Array.sub member_team 1 2));
+  Alcotest.(check (list int)) "each inner iteration once per outer one"
+    (List.init 10 (fun _ -> 2)) (Array.to_list (Array.sub inner_hits 1 10));
+  Alcotest.(check (list (triple int int int))) "thread 0, one chunk [1, 10]"
+    [ (0, 1, 10); (0, 1, 10) ] !inner_chunks;
+  let s = Pool.stats () in
+  check_int "only the outer region pooled" 1 s.Pool.regions;
+  check_int "both nested regions inline" 2 s.Pool.inline_regions;
+  check_int "outside a region the team is full again" 8 (Pool.team_size 8)
 
 let test_nested_region_exception_unwinds () =
-  (* an exception thrown in an inner (spawn-fallback) region must
-     unwind through the outer pooled region without poisoning the
-     resident team or flipping it to degraded mode *)
+  (* an exception thrown in an inner region (here: the one nested in
+     the worker's outer chunk) must unwind through the outer pooled
+     region without poisoning the resident team or flipping it to
+     degraded mode *)
   check_bool "inner exception reaches the caller" true
     (match
        Pool.run ~threads:2 ~lo:1 ~hi:2 (fun _ lo _ ->
-           Pool.run ~threads:2 ~lo:1 ~hi:10 (fun _ clo _ ->
-               if lo > 1 && clo > 1 then failwith "inner boom"))
+           Pool.run ~threads:2 ~lo:1 ~hi:10 (fun _ _ _ ->
+               if lo > 1 then failwith "inner boom"))
      with
     | exception Failure msg -> msg = "inner boom"
     | () -> false);
   check_bool "pool still healthy" true (Pool.health () = Pool.Healthy);
+  check_int "team member flag cleared" 4 (Pool.team_size 4);
   (* both nesting levels still work after the unwind *)
   let total = Atomic.make 0 in
   Pool.run ~threads:2 ~lo:1 ~hi:2 (fun _ lo hi ->
@@ -432,6 +450,31 @@ let test_nested_region_exception_unwinds () =
             ignore (Atomic.fetch_and_add total (chi - clo + 1)))
       done);
   check_int "nested regions usable after exception" 20 (Atomic.get total)
+
+(* A team wider than the pool cap runs its unchanged static chunk plan
+   sequentially on the calling domain: every iteration once, thread t
+   on chunk t, and no worker domain created. *)
+let test_pool_team_beyond_cap () =
+  let threads = Pool.max_pool_size + 2 and n = 3 * (Pool.max_pool_size + 2) in
+  let size0 = Pool.pool_size () in
+  Pool.reset_stats ();
+  let hits = Array.make (n + 1) 0 and owner = Array.make (n + 1) (-1) in
+  Pool.run ~threads ~sched:Sched.Static ~lo:1 ~hi:n (fun t lo hi ->
+      for i = lo to hi do
+        hits.(i) <- hits.(i) + 1;
+        owner.(i) <- t
+      done);
+  check_bool "every iteration once" true
+    (Array.for_all (fun c -> c = 1) (Array.sub hits 1 n));
+  let chunks = Sched.static_chunks ~lo:1 ~hi:n threads in
+  Array.iteri
+    (fun t (clo, chi) ->
+      for i = clo to chi do
+        check_int (Printf.sprintf "iteration %d on thread %d" i t) t owner.(i)
+      done)
+    chunks;
+  check_int "pool did not grow" size0 (Pool.pool_size ());
+  check_int "ran sequentially" 1 (Pool.stats ()).Pool.seq_regions
 
 (* --- Zones ----------------------------------------------------------------- *)
 
@@ -566,7 +609,6 @@ let suites =
       [
         Alcotest.test_case "static chunks" `Quick test_static_chunks;
         Alcotest.test_case "parallel sums" `Quick test_parallel_for_sums;
-        Alcotest.test_case "collect order" `Quick test_parallel_for_collect_order;
         Alcotest.test_case "exception propagation" `Quick test_parallel_exception_propagates;
         Alcotest.test_case "critical exclusion" `Quick test_critical_mutual_exclusion;
       ] );
@@ -589,10 +631,12 @@ let suites =
           test_pool_affinity_deterministic;
         Alcotest.test_case "reuse across 1000 regions" `Quick
           test_pool_reuse_many_regions;
-        Alcotest.test_case "nested region fallback" `Quick
-          test_pool_nested_region_falls_back;
+        Alcotest.test_case "nested region team of one" `Quick
+          test_pool_nested_team_of_one;
         Alcotest.test_case "nested exception unwinds" `Quick
           test_nested_region_exception_unwinds;
+        Alcotest.test_case "team beyond the pool cap" `Quick
+          test_pool_team_beyond_cap;
       ] );
     ( "runtime.zones",
       [
