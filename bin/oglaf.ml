@@ -190,8 +190,8 @@ let bytecode_stats_flag =
     & flag
     & info [ "bytecode-stats" ]
         ~doc:
-          "After the call, print one line per compiled construct (loop or \
-           subprogram body) with its run counts on typed and on boxed \
+          "After the call, print one line per compiled construct (subprogram \
+           body or chunk) with its run counts on typed and on boxed \
            registers, its bail count and, when it bailed, the construct \
            that stopped compilation; when it ran boxed, [boxed_reason] \
            names what kept it off the typed registers.")

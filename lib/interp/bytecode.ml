@@ -1,4 +1,4 @@
-(** Bytecode compiler for interpreter loop bodies and whole subprograms.
+(** Bytecode compiler for whole subprograms and parallel-DO chunks.
 
     The tree-walker pays a [Hashtbl.find], an exception handler and a
     closure allocation or two on every statement of every iteration.
@@ -28,7 +28,8 @@
     section 22).  A parallel DO's chunk is one program that loops over
     the chunk itself, with its DO variables, privates, reduction
     accumulators and the shared scalars it only reads in registers
-    ({!compile_chunk}, DESIGN.md section 24).
+    ({!compile_chunk}, DESIGN.md section 24), and a parallel DO inside
+    a compiled body is one instruction ([Iomp_do], DESIGN.md section 13).
 
     Design rules (DESIGN.md sections 13 and 16):
     - {e Compile or fall back, never approximate.}  Compilation raises
@@ -36,8 +37,8 @@
       counters) for anything whose tree-walk semantics we are not
       prepared to replicate exactly; the caller then runs the
       tree-walker, so behaviour is unchanged by construction.  The
-      fallback unit is one construct — a loop body, one call site, one
-      callee — never the whole program.
+      fallback unit is one callee or one chunk, never the whole
+      program.
     - {e Same operations, same order.}  Generated code calls the exact
       [Value]/[Farray]/[Intrinsics] functions the tree-walker calls,
       in the same evaluation order, so results — including error
@@ -73,7 +74,8 @@ let locked f =
 
 (** {1 Bail / coverage statistics}
 
-    One site per compiled construct (loop body or subprogram body),
+    One site per compiled construct (subprogram body or parallel-DO
+    chunk),
     keyed by (unit, site id).  [sk_typed] and [sk_boxed] count bytecode
     executions of the typed and of the boxed variant, [sk_bails] counts
     tree-walk fallbacks (compile bails and bind refusals alike);
@@ -403,7 +405,7 @@ and instr =
   | Icrit_exit
   | Ireturn  (** RETURN: release CRITICAL locks, end the pass *)
   | Istop of string option
-  | Iexit  (** top-level EXIT: end body, signal loop exit *)
+  | Iexit  (** a chunk's top-level EXIT: raise [Loop_exit] *)
   | Iallocate of { al_raw : int; al_name : string; al_bounds : (int * int) array }
       (** ALLOCATE one variable: raw-slot id, name for errors, (lo, hi)
           registers per dimension (already [to_int]ed) *)
@@ -412,6 +414,9 @@ and instr =
   | Icheck_alloc of int * bool
       (** array id, is-store: raise the tree-walker's unallocated-array
           error before the access's subscripts are evaluated *)
+  | Iomp_do of omp_do
+      (** a parallel DO: the interpreter's region entry runs it on the
+          frame's scope, then the frame re-reads its array slots *)
 
 and tinstr =
   | TconstF of int * float
@@ -484,8 +489,16 @@ and tinstr =
   | Tdealloc of int * string
   | Tallocated of int * int * string  (** int dst <- 0/1 *)
   | Tcheck_alloc of int * bool
+  | Tomp_do of omp_do
   | Tv of instr
       (** a boxed variant's instruction, over the [Value] register bank *)
+
+(** A parallel DO inside a compiled body (DESIGN.md section 13).  Every
+    name it mentions stays a scope slot.  [od_kinds] are the raw slots
+    the loop may store a raw Int into ([true]: DO variables, callees'
+    integer stores) or rewrite from Int to Real ([false]), verified at
+    a typed bind like a typed call's ({!tprogram.t_raw_int}). *)
+and omp_do = { od_loop : Ast.do_loop; od_kinds : (int * bool) list }
 
 (** A compiled call: the site, how each actual is passed, and where the
     result goes.  The compiler emits [Ta_alias], [Ta_v], [Ta_elem] and
@@ -591,7 +604,6 @@ type const_key = K_int of int | K_real of int64 | K_bool of bool | K_str of stri
 type ctx = {
   env : env;
   scope : Storage.scope;
-  in_sub : bool;  (* compiling a whole subprogram body *)
   code : vec;
   mutable nregs : int;
   scalar_ids : (string * string list, int) Hashtbl.t;
@@ -607,7 +619,8 @@ type ctx = {
   mutable crit : int;  (* compile-time CRITICAL nesting depth *)
   mutable end_patches : int list;  (* top-level CYCLE -> end of body *)
   mutable inline : iframe option;  (* set while expanding a leaf callee *)
-  sub : Ast.subprogram option;  (* the subprogram whose body this is *)
+  sub : Ast.subprogram option;
+      (* the subprogram whose body this is; [None] for a chunk *)
   homes : (string, int * Ast.base_type) Hashtbl.t;
       (* promoted private scalars: home register, declared base *)
   mutable nhomes : int;  (* homes are registers [0, nhomes) *)
@@ -732,10 +745,6 @@ Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
-module Phys_stmts = Phys (struct
-  type t = Ast.stmt list
-end)
-
 module Phys_loop = Phys (struct
   type t = Ast.do_loop
 end)
@@ -760,12 +769,9 @@ let memo find replace tbl compute key =
 
 (* The parser builds each AST once, so memoizing digests by physical
    identity makes the digest cost once-per-AST, not once-per-call. *)
-let body_digest_tbl : string Phys_stmts.t = Phys_stmts.create 64
 let loop_digest_tbl : string Phys_loop.t = Phys_loop.create 16
 let sub_digest_tbl : string Phys_sub.t = Phys_sub.create 64
 let unit_key_tbl : string Phys_cu.t = Phys_cu.create 16
-
-let body_digest = memo Phys_stmts.find_opt Phys_stmts.replace body_digest_tbl digest_of
 
 (* A whole DO loop, its bounds and OpenMP clauses included. *)
 let loop_digest = memo Phys_loop.find_opt Phys_loop.replace loop_digest_tbl digest_of
@@ -1104,7 +1110,7 @@ let unit_effects env =
 (* Whether a call of [sp] compiled in [ctx] may (de)allocate an array
    the calling frame binds.  The frame binds dummies, module and COMMON
    names — [fx_alloc_out] — and SAVE locals: its own subprogram's, and,
-   through an array dummy or from a loop body, anyone's. *)
+   through an array dummy or from a chunk, anyone's. *)
 let may_realloc_for ctx (sp : Ast.subprogram) =
   let scalar_dummy (f : Ast.subprogram) n =
     List.exists
@@ -1125,7 +1131,7 @@ let may_realloc_for ctx (sp : Ast.subprogram) =
     || Hashtbl.length fx.fx_alloc_saves > 0
        &&
        match ctx.sub with
-       | Some f when ctx.in_sub ->
+       | Some f ->
          Hashtbl.mem fx.fx_alloc_saves (String.lowercase_ascii f.Ast.sub_name)
          || not (List.for_all (scalar_dummy f) f.Ast.sub_args)
        | _ -> true)
@@ -1328,11 +1334,43 @@ let sub_candidates (sp : Ast.subprogram) : (string * Ast.base_type) list =
     sp.Ast.sub_decls;
   List.filter (fun (n, _) -> not (Hashtbl.mem excluded n)) (List.rev !cands)
 
+(* Walk the nest of the parallel DO [l]: [name] sees every name it
+   mentions (DO variables, clause lists, NUM_THREADS, bounds and body),
+   [call is_stmt head args] every CALL and designator. *)
+let omp_do_walk (l : Ast.do_loop) ~name ~call =
+  let expr =
+    Ast.fold_expr
+      (fun () e ->
+        match e with
+        | Ast.Desig ((h, args) :: _) ->
+          name h;
+          call false h args
+        | Ast.Implied_do (_, v, _, _) -> name v
+        | _ -> ())
+      ()
+  in
+  Ast.fold_stmts
+    (fun () s ->
+      List.iter expr (stmt_exprs s);
+      match s with
+      | Ast.Do { do_var; do_omp; _ } ->
+        name do_var;
+        Option.iter
+          (fun (d : Ast.omp_do) ->
+            List.iter name (d.omp_private @ d.omp_firstprivate @ d.omp_shared @ d.omp_copyprivate);
+            List.iter (fun (_, ns) -> List.iter name ns) d.omp_reduction;
+            Option.iter expr d.omp_num_threads)
+          do_omp
+      | Ast.Call (h, args) -> call true h args
+      | _ -> ())
+    () [ Ast.Do l ]
+
 (* The candidates [cands] (name, declared base) that [body] and the
    declaration expressions [decls] never bind by reference — not named
-   by ALLOCATE, DEALLOCATE or allocated(), and not a bare actual of a
-   call or function reference, except of a site that inlines
-   ({!inlines}) into a leaf that reads that dummy in place
+   by ALLOCATE, DEALLOCATE or allocated(), not mentioned by a parallel
+   DO (the region's scope clones reach it through its slot), and not a
+   bare actual of a call or function reference, except of a site that
+   inlines ({!inlines}) into a leaf that reads that dummy in place
    ({!reads_in_place}); a REAL DO variable, which holds raw Ints
    mid-loop, never goes to a leaf in place — and that the scope binds
    to a non-PARAMETER scalar slot of that base.  Every read and write
@@ -1386,6 +1424,7 @@ let private_scalars ctx ~cands ?(decls = []) (body : Ast.stmt list) : (string * 
       (match s with
       | Ast.Call (name, args) ->
         site (Hashtbl.find_opt ctx.env.e_subs (String.lowercase_ascii name)) args
+      | Ast.Do l when l.Ast.do_omp <> None -> omp_do_walk l ~name:exclude ~call:(fun _ _ _ -> ())
       | Ast.Do l -> (
         match List.assoc_opt l.Ast.do_var cands with
         | Some (Ast.Real | Ast.Real8) -> Hashtbl.replace real_dovars l.Ast.do_var ()
@@ -1882,9 +1921,7 @@ and compile_stmt ctx (s : Ast.stmt) =
       branches;
     List.iter (compile_stmt ctx) else_;
     List.iter (fun at -> patch ctx at (here ctx)) !jends
-  | Ast.Do l ->
-    if l.Ast.do_omp <> None then bail "nested-parallel-do";
-    compile_serial_do ctx l
+  | Ast.Do l -> if l.Ast.do_omp = None then compile_serial_do ctx l else compile_omp_do ctx l
   | Ast.Do_while (c, body) ->
     let head = here ctx in
     let rc = compile_expr ctx c in
@@ -1910,12 +1947,12 @@ and compile_stmt ctx (s : Ast.stmt) =
       emit_unlocks ctx lctx.crit_at_entry;
       lctx.exit_patches <- emit_patchable ctx (Ijmp 0) :: lctx.exit_patches
     | [] ->
-      if ctx.in_sub then
+      if ctx.sub <> None then
         (* a bare EXIT in a subprogram body raises Loop_exit into the
            caller's loop: let the tree-walker own that behaviour *)
         bail "exit-outside-loop"
       else begin
-        (* EXIT from the loop the VM itself is driving *)
+        (* EXIT from the chunk loop the program itself drives *)
         emit_unlocks ctx 0;
         emit ctx Iexit
       end)
@@ -1928,7 +1965,7 @@ and compile_stmt ctx (s : Ast.stmt) =
       | None ->
         lctx.cont_patches <- emit_patchable ctx (Ijmp 0) :: lctx.cont_patches)
     | [] ->
-      if ctx.in_sub then bail "cycle-outside-loop"
+      if ctx.sub <> None then bail "cycle-outside-loop"
       else begin
         emit_unlocks ctx 0;
         ctx.end_patches <- emit_patchable ctx (Ijmp 0) :: ctx.end_patches
@@ -2089,6 +2126,27 @@ and compile_serial_do ctx (l : Ast.do_loop) =
      value at the point of EXIT (the satellite DO/EXIT fix, native to
      the bytecode path) *)
   List.iter (fun at -> patch ctx at (here ctx)) lctx.exit_patches
+
+(* A parallel DO: one instruction, the loop left to the region entry.
+   Its names are scope slots here ({!private_scalars}); what the typed
+   bind must check is collected as for a call's alias actuals. *)
+and compile_omp_do ctx (l : Ast.do_loop) =
+  let fx = (unit_effects ctx.env).ue_subs and kinds = ref [] in
+  let need ~int n = if Storage.lookup ctx.scope n <> None then kinds := (raw_id ctx n, int) :: !kinds in
+  List.iter (fun (l : Ast.do_loop) -> need ~int:true l.Ast.do_var) (Ast.loops [ Ast.Do l ]);
+  omp_do_walk l ~name:ignore ~call:(fun is_stmt h args ->
+      match Hashtbl.find_opt fx (String.lowercase_ascii h) with
+      | Some f when is_stmt || Storage.lookup ctx.scope h = None ->
+        List.iteri
+          (fun k a ->
+            match a with
+            | Ast.Desig [ (n, []) ] when k < Array.length f.fx_real - 1 ->
+              if f.fx_real.(k) then need ~int:false n;
+              if f.fx_int.(k) then need ~int:true n
+            | _ -> ())
+          args
+      | _ -> ());
+  emit ctx (Iomp_do { od_loop = l; od_kinds = !kinds })
 
 (* --- typed specialization ------------------------------------------------ *)
 
@@ -2651,6 +2709,15 @@ let specialize env (p : program) : (tprogram, string) result =
         def d TB;
         tvec_push out (Tallocated (bank.(d), rid, name))
       | Icall c -> tvec_push out (typed_call c)
+      | Iomp_do od ->
+        (* rule 3 of DESIGN.md section 13: the loop's kind effects are
+           checked like a call's, on alias actuals and (below) module
+           and COMMON scalars *)
+        if List.exists (fun (rid, int) -> List.mem (rid, not int) od.od_kinds) od.od_kinds then
+          raise (Treject "parallel DO may make a variable real or integer");
+        raw_int := od.od_kinds @ !raw_int;
+        has_call := true;
+        tvec_push out (Tomp_do od)
       | Idummy_adjust sid -> (
         (* the quirk only rewrites an Int value; a slot the typed bind
            verified as Real or Bool is untouched by it, and typed stores
@@ -2779,6 +2846,7 @@ let boxed_code (code : instr array) : tinstr array =
       | Iexit -> Texit
       | Idealloc (rid, name) -> Tdealloc (rid, name)
       | Icheck_alloc (a, store) -> Tcheck_alloc (a, store)
+      | Iomp_do od -> Tomp_do od
       | i -> Tv i)
     code
 
@@ -2796,11 +2864,10 @@ let boxed p =
 
 (* --- entry points -------------------------------------------------------- *)
 
-let make_ctx env scope ?sub ~in_sub () =
+let make_ctx env scope ?sub () =
   {
     env;
     scope;
-    in_sub;
     sub;
     homes = Hashtbl.create 8;
     nhomes = 0;
@@ -2839,7 +2906,6 @@ let make_ctx env scope ?sub ~in_sub () =
   }
 
 let finish ?(chunk_args = [||]) ?(chunk_homes = [||]) ctx : program =
-  List.iter (fun at -> patch ctx at (here ctx)) ctx.end_patches;
   let p =
     {
       code = Array.sub ctx.code.items 0 ctx.code.len;
@@ -2863,18 +2929,6 @@ let finish ?(chunk_args = [||]) ?(chunk_homes = [||]) ctx : program =
     }
   in
   { p with typed = specialize ctx.env p }
-
-(* Compile raw (no cache): Ok program or Error bail-reason.  A
-   subprogram body ([sub]) first gets its private scalars promoted. *)
-let compile_raw env ~scope ?sub ~in_sub (body : Ast.stmt list) :
-    (program, string) result =
-  let ctx = make_ctx env scope ?sub ~in_sub () in
-  match
-    Option.iter (promote_privates ctx) sub;
-    List.iter (compile_stmt ctx) body
-  with
-  | () -> Ok (finish ctx)
-  | exception Bail reason -> Error reason
 
 (* Program cache: structural digest key, namespaced by unit,
    FIFO-bounded.  Compiles run outside the
@@ -2904,25 +2958,11 @@ let cached_compile key (compile : unit -> (program, string) result) :
           done;
           r))
 
-(** Compile a serial DO's body (stats label "do").  Returns the program
-    (None = bail, recorded as the site's reason) and the site itself so
-    the caller can count runs and bind-time bails. *)
-let compile_body env ~scope (body : Ast.stmt list) : program option * Stats.site =
-  let dg = body_digest body in
-  let site = Stats.get ~unit_key:env.e_unit ~id:("do@" ^ String.sub dg 0 8) ~label:"do" in
-  let r =
-    cached_compile (cache_key env "b" dg) (fun () ->
-        compile_raw env ~scope ~in_sub:false body)
-  in
-  match r with
-  | Ok p -> (Some p, site)
-  | Error reason ->
-    Stats.set_reason site reason;
-    (None, site)
-
 (** Compile a whole subprogram body against a representative callee
-    scope (the first call's).  Later calls bind against their own
-    scopes; kind or folded-constant mismatches fail the bind and
+    scope (the first call's).  Returns the program (None = bail,
+    recorded as the site's reason) and the site itself so the caller
+    can count runs and bind-time bails.  Later calls bind against their
+    own scopes; kind or folded-constant mismatches fail the bind and
     tree-walk that call only. *)
 let compile_sub env ~scope (sp : Ast.subprogram) : program option * Stats.site
     =
@@ -2931,7 +2971,13 @@ let compile_sub env ~scope (sp : Ast.subprogram) : program option * Stats.site
   let site = Stats.get ~unit_key:env.e_unit ~id:label ~label in
   let r =
     cached_compile (cache_key env "s" dg) (fun () ->
-        compile_raw env ~scope ~sub:sp ~in_sub:true sp.Ast.sub_body)
+        let ctx = make_ctx env scope ~sub:sp () in
+        match
+          promote_privates ctx sp;
+          List.iter (compile_stmt ctx) sp.Ast.sub_body
+        with
+        | () -> Ok (finish ctx)
+        | exception Bail reason -> Error reason)
   in
   match r with
   | Ok p -> (Some p, site)
@@ -3000,10 +3046,10 @@ let chunk_candidates ctx ~hoist ~dovars (d : Ast.omp_do) body =
   in
   own @ shared
 
-(* A body instruction that writes a scalar slot or makes a call: with
-   one, a shared scalar may change mid-chunk. *)
+(* A body instruction that writes a scalar slot, makes a call or runs a
+   parallel DO: with one, a shared scalar may change mid-chunk. *)
 let writes_or_calls = function
-  | Icall _ | Istore _ | Istore_raw _ | Iloop_fini _ | Idummy_adjust _ -> true
+  | Icall _ | Iomp_do _ | Istore _ | Istore_raw _ | Iloop_fini _ | Idummy_adjust _ -> true
   | _ -> false
 
 (* One parallel DO's chunk as a program that loops over the chunk
@@ -3019,7 +3065,7 @@ let writes_or_calls = function
    chunk stores each reduction home back into the thread's slot. *)
 let compile_chunk_raw env ~scope ~hoist (l : Ast.do_loop) (d : Ast.omp_do) (inner : Ast.do_loop option) :
     (program, string) result =
-  let ctx = make_ctx env scope ~in_sub:false () in
+  let ctx = make_ctx env scope () in
   let body = match inner with Some i -> i.Ast.do_body | None -> l.Ast.do_body in
   let dovars = l.Ast.do_var :: (match inner with Some i -> [ i.Ast.do_var ] | None -> []) in
   match
@@ -3175,6 +3221,9 @@ let local_init base attrs (e : Ast.entity) : local_init =
    declaration, everything else through the module scopes. *)
 let build_plan (sp : Ast.subprogram) (p : program) site : frame_plan option =
   try
+    (* a reused frame has no scope for a parallel DO's region (rule 2
+       of DESIGN.md section 13): such a callee takes the scope path *)
+    if Array.exists (function Iomp_do _ -> true | _ -> false) p.code then raise No_plan;
     let arg_idx = Hashtbl.create 8 in
     List.iteri
       (fun k n ->
@@ -3334,9 +3383,7 @@ let purge_unit (cu : Ast.compilation_unit) =
     Ast.fold_stmts
       (fun () s ->
         match s with
-        | Ast.Do l ->
-          Phys_loop.remove loop_digest_tbl l;
-          Phys_stmts.remove body_digest_tbl l.Ast.do_body
+        | Ast.Do l -> Phys_loop.remove loop_digest_tbl l
         | _ -> ())
       () body
   in
@@ -3364,5 +3411,5 @@ let purge_unit (cu : Ast.compilation_unit) =
     purged, however many a listener has served. *)
 let memo_entries () =
   locked (fun () ->
-      Phys_stmts.length body_digest_tbl + Phys_loop.length loop_digest_tbl + Phys_sub.length sub_digest_tbl
+      Phys_loop.length loop_digest_tbl + Phys_sub.length sub_digest_tbl
       + Phys_sub.length written_memo + Phys_sub.length leaf_memo + Phys_cu.length unit_key_tbl)

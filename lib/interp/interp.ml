@@ -66,8 +66,8 @@ type state = {
   mutable default_sched : Sched.t;
       (** schedule used when a directive has no SCHEDULE clause *)
   mutable use_bytecode : bool;
-      (** lower eligible loop bodies to bytecode (default); [false]
-          forces the tree-walker everywhere ([--no-bytecode]) *)
+      (** compile subprogram bodies and parallel-DO chunks (default);
+          [false] forces the tree-walker everywhere ([--no-bytecode]) *)
   frames : (int * (int, Vm.cframe) Hashtbl.t) list Atomic.t;
       (** per domain id: reusable callee frames by frame-plan uid *)
 }
@@ -548,7 +548,7 @@ and call_with_bindings ?cs st (sp : Ast.subprogram) mod_name name
     if not (Hashtbl.mem frames plan.Bytecode.fp_uid) then
       Option.iter
         (Hashtbl.replace frames plan.Bytecode.fp_uid)
-        (Vm.make_cframe plan fr scope)
+        (Vm.make_cframe plan fr)
   | _ -> ());
   result
 
@@ -582,7 +582,7 @@ and run_sub_body ?cs st (sp : Ast.subprogram) scope :
         | _ -> ());
         (p, site)
     in
-    match bind_compiled st compiled scope ~dovars:[] with
+    match bind_compiled st compiled scope with
     | Some fr ->
       ignore (Vm.texec fr);
       Option.map (fun p -> (p, fr)) (fst compiled)
@@ -592,8 +592,8 @@ and run_sub_body ?cs st (sp : Ast.subprogram) scope :
 (* Bind a compiled program (or a compile bail) to [scope], counting
    the run, typed or boxed, or the bail against its stats site; [None]
    tree-walks. *)
-and bind_compiled st ((p, site) : Bytecode.program option * Bytecode.Stats.site) scope ~dovars =
-  match Option.bind p (fun p -> Vm.bind p scope ~printer:st.printer ~env:(callenv st) ~dovars) with
+and bind_compiled st ((p, site) : Bytecode.program option * Bytecode.Stats.site) scope =
+  match Option.bind p (fun p -> Vm.bind p scope ~printer:st.printer ~env:(callenv st)) with
   | Some fr ->
     Vm.count_run site fr;
     Some fr
@@ -605,7 +605,8 @@ and bind_compiled st ((p, site) : Bytecode.program option * Bytecode.Stats.site)
    domain's reusable frame for the callee ([call_site_frame]) when it
    takes the call, otherwise down the scope path with marshalled
    bindings (arity was checked at compile time), which leaves a frame
-   behind; [Iallocate] counts into the state's counter. *)
+   behind; [Iallocate] counts into the state's counter; a parallel DO
+   enters its region here, as the tree-walker does. *)
 and callenv st : Vm.callenv =
   {
     Vm.ce_call =
@@ -614,6 +615,7 @@ and callenv st : Vm.callenv =
           bindings);
     ce_frame = call_site_frame st;
     ce_allocs = st.alloc_count;
+    ce_omp_do = (fun scope l -> exec_do_parallel st scope l (Option.get l.Ast.do_omp));
   }
 
 (* This domain's reusable frame for the callee of [cs], if a call left
@@ -926,38 +928,25 @@ and exec_do_serial st scope (l : Ast.do_loop) =
         s
       end
   in
-  (* Hot path: lower the body to bytecode once (cached on its
-     structural digest) and bind it to this scope; any unsupported
-     construct or binding mismatch falls back to the tree-walk below,
-     counted against the loop's stats site. *)
-  let compiled =
-    if st.use_bytecode then
-      bind_compiled st (Bytecode.compile_body (benv st) ~scope l.Ast.do_body) scope
-        ~dovars:[ slot ]
-    else None
-  in
-  match compiled with
-  | Some fr -> Vm.run_do fr ~slot ~lo ~hi ~step
-  | None ->
-    let continue_ i = if step > 0 then i <= hi else i >= hi in
-    (* Cooperative cancellation: poll the ambient deadline token every
-       256 iterations so a runaway serial loop honours --timeout-ms
-       (parallel loops poll at pool chunk boundaries and below). *)
-    let tick = ref 0 in
-    (try
-       let i = ref lo in
-       while continue_ !i do
-         incr tick;
-         if !tick land 255 = 0 then Fault.check_current ();
-         slot.entry <- Scalar (Value.Int !i);
-         (try exec_stmts st scope l.Ast.do_body with Loop_cycle -> ());
-         i := !i + step
-       done;
-       (* normal completion only: after EXIT the DO variable retains
-          its value at the point of EXIT (F2018 8.1.6.6) *)
-       slot.entry <-
-         Scalar (Value.Int (lo + (step * max 0 ((hi - lo + step) / step))))
-     with Loop_exit -> ())
+  let continue_ i = if step > 0 then i <= hi else i >= hi in
+  (* Cooperative cancellation: poll the ambient deadline token every
+     256 iterations so a runaway serial loop honours --timeout-ms
+     (parallel loops poll at pool chunk boundaries and below). *)
+  let tick = ref 0 in
+  try
+    let i = ref lo in
+    while continue_ !i do
+      incr tick;
+      if !tick land 255 = 0 then Fault.check_current ();
+      slot.entry <- Scalar (Value.Int !i);
+      (try exec_stmts st scope l.Ast.do_body with Loop_cycle -> ());
+      i := !i + step
+    done;
+    (* normal completion only: after EXIT the DO variable retains
+       its value at the point of EXIT (F2018 8.1.6.6) *)
+    slot.entry <-
+      Scalar (Value.Int (lo + (step * max 0 ((hi - lo + step) / step))))
+  with Loop_exit -> ()
 
 (* Clone a scope for one worker thread: same slot objects (shared),
    except names listed private/firstprivate/reduction and the loop
@@ -1114,7 +1103,7 @@ and exec_do_parallel st scope (l : Ast.do_loop) (d : Ast.omp_do) =
     Omp.parallel_for ~threads ~sched ~lo ~hi
       (run_chunk (fun tscope clo chi ->
            try
-             match Option.bind prog (fun c -> bind_compiled st c tscope ~dovars:[]) with
+             match Option.bind prog (fun c -> bind_compiled st c tscope) with
              | Some fr -> Vm.run_chunk fr (args clo chi)
              | None -> walk tscope clo chi
            with

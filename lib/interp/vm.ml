@@ -1,9 +1,9 @@
 (** Execution engine for {!Bytecode} programs.
 
     [bind] re-resolves a compiled program's name descriptors against
-    the executing scope (the caller's scope for serial loops, a worker
-    thread's private clone for parallel chunks, the callee scope for
-    compiled subprograms), verifying that every binding still has the
+    the executing scope (a worker thread's private clone for parallel
+    chunks, the callee scope for compiled subprograms), verifying that
+    every binding still has the
     kind the compiler saw — and that everything compilation baked in
     from its representative scope still holds: folded PARAMETER values
     are compared against the executing slot, and names compiled as
@@ -13,9 +13,9 @@
 
     A bound program is one {!frame} running one dispatch loop
     ([texec]) over three register banks, its constant registers
-    preloaded at bind.  A pass ends normally, on a top-level EXIT or
-    on RETURN ({!outcome}), without an exception; the drivers map the
-    outcome onto the tree-walker's protocols.  When the program carries a
+    preloaded at bind.  A pass ends normally or on RETURN without an
+    exception; a chunk's top-level EXIT raises the tree-walker's
+    [Loop_exit].  When the program carries a
     typed variant (see {!Bytecode.specialize}) and the executing
     scope's scalar slots are declared with, and hold, the inferred
     kinds, the frame runs that variant over the unboxed float and int
@@ -39,13 +39,14 @@
     frame per call site, the calling instruction stages the actuals
     straight into its dummy slots, and nothing is allocated for an
     aliased actual; the interpreter's scope path ([callenv.ce_call])
-    takes every call the frame cannot (DESIGN.md §20).
+    takes every call the frame cannot (DESIGN.md §20).  A parallel DO
+    in a compiled body goes back to the interpreter's region entry
+    ([callenv.ce_omp_do]) on the scope the frame was bound to, and the
+    frame re-reads its array slots after it (DESIGN.md §13).
 
-    Two entry points run loop bodies.  [run_do] runs a serial DO's
-    body once per iteration and reproduces the tree-walker's
-    DO-variable completion/EXIT rules.  [run_chunk] runs one chunk of a
-    parallel DO as a single pass: the chunk program loops over the
-    chunk itself ({!Bytecode.compile_chunk}, DESIGN.md §24).  Both poll
+    One loop driver runs a parallel DO's chunk: [run_chunk] runs the
+    chunk program, which loops over the chunk itself, as a single pass
+    ({!Bytecode.compile_chunk}, DESIGN.md §24).  Compiled loops poll
     {!Glaf_runtime.Fault.check_current} every 256 ticks of the frame. *)
 
 open Glaf_fortran
@@ -82,11 +83,13 @@ type tabind = {
     copy-out, result): the scope path.  [ce_frame cs] is this domain's
     reusable frame for the callee of [cs], once a call left one behind.
     [ce_allocs] is the state's ALLOCATE counter, which ALLOCATE bumps
-    like the tree-walker does. *)
+    like the tree-walker does.  [ce_omp_do scope loop] runs a parallel
+    DO exactly like the tree-walker's [exec_do_parallel]. *)
 type callenv = {
   ce_call : Bytecode.call_site -> Storage.arg_binding list -> Value.t option;
   ce_frame : Bytecode.call_site -> cframe option;
   ce_allocs : int Atomic.t;
+  ce_omp_do : Storage.scope -> Ast.do_loop -> unit;
 }
 
 (** A bound program, ready to run: the typed variant (with sized float
@@ -103,6 +106,7 @@ and frame = {
   arefs : Bytecode.array_ref array;
   raws : Storage.slot array;  (** whole-slot aliases for calls and ALLOCATE *)
   env : callenv;
+  scope : Storage.scope;  (** where a parallel DO runs ({!Bytecode.build_plan}) *)
   callees : cframe option array;  (** per call site: the callee's frame *)
   cargs : int array;  (** a chunk program's argument registers, in this frame's bank *)
   why : string option;  (** why this frame runs the boxed variant; [None]: typed *)
@@ -233,23 +237,6 @@ let typed_slot_ok (ty : Bytecode.ty) (sl : Storage.slot) =
     true
   | _ -> false
 
-(* Every scalar slot is [typed_slot_ok], and no DO-variable slot the
-   driver writes raw Ints into is typed otherwise.  The first failing
-   scalar's name, if any. *)
-let typed_scalars_bad (p : Bytecode.program) (tp : Bytecode.tprogram)
-    (scalars : Storage.slot array) (dovars : Storage.slot list) : string option =
-  let bad = ref None in
-  Array.iteri
-    (fun i (sl : Storage.slot) ->
-      let ty = tp.Bytecode.t_sty.(i) in
-      if
-        !bad = None
-        && ((not (typed_slot_ok ty sl))
-           || (ty <> Bytecode.TI && List.exists (fun dv -> dv == sl) dovars))
-      then bad := Some p.Bytecode.scalars.(i).Bytecode.sname)
-    scalars;
-  !bad
-
 (* The raw slots a typed call passes to a callee that may change their
    kind hold the kind that call leaves alone. *)
 let typed_raws_ok (tp : Bytecode.tprogram) (raws : Storage.slot array) =
@@ -264,20 +251,14 @@ let typed_raws_ok (tp : Bytecode.tprogram) (raws : Storage.slot array) =
 
 (* Why the executing scope refuses the typed variant, if it does. *)
 let typed_refusal (p : Bytecode.program) (tp : Bytecode.tprogram)
-    (scalars : Storage.slot array) (aslots : Storage.slot array) raws
-    (dovars : Storage.slot list) : string option =
-  match typed_scalars_bad p tp scalars dovars with
-  | Some n -> Some ("bind: scalar " ^ n ^ " has another kind")
+    (scalars : Storage.slot array) (aslots : Storage.slot array) raws : string option =
+  match Array.find_mapi (fun i sl -> if typed_slot_ok tp.Bytecode.t_sty.(i) sl then None else Some i) scalars with
+  | Some i -> Some ("bind: scalar " ^ p.Bytecode.scalars.(i).Bytecode.sname ^ " has another kind")
   | None when not (typed_raws_ok tp raws) -> Some "bind: alias actual has another kind"
-  | None ->
-    let ok = ref true in
-    Array.iteri (fun i r -> if not (elem_ok r aslots.(i).Storage.entry) then ok := false) p.Bytecode.arrays;
-    if !ok then None else Some "bind: array has another element kind"
+  | None when Array.for_all2 (fun r (s : Storage.slot) -> elem_ok r s.Storage.entry) p.Bytecode.arrays aslots -> None
+  | None -> Some "bind: array has another element kind"
 
-(** [dovars] lists the slots a loop driver will write raw Int values
-    into (the DO variables); they gate the typed variant only. *)
-let bind (p : Bytecode.program) (scope : Storage.scope) ~printer
-    ~(env : callenv) ~(dovars : Storage.slot list) : frame option =
+let bind (p : Bytecode.program) (scope : Storage.scope) ~printer ~(env : callenv) : frame option =
   let ok = ref true in
   let scalars =
     Array.map
@@ -357,6 +338,7 @@ let bind (p : Bytecode.program) (scope : Storage.scope) ~printer
           arefs = p.Bytecode.arrays;
           raws;
           env;
+          scope;
           callees = Array.make p.Bytecode.ncalls None;
           cargs;
           why;
@@ -373,7 +355,7 @@ let bind (p : Bytecode.program) (scope : Storage.scope) ~printer
     match p.Bytecode.typed with
     | Error why -> boxed why
     | Ok tp -> (
-      match typed_refusal p tp scalars aslots raws dovars with
+      match typed_refusal p tp scalars aslots raws with
       | Some why -> boxed why
       | None ->
         frame tp.Bytecode.tcode
@@ -640,7 +622,7 @@ let vstep fr pc (ins : Bytecode.instr) : int =
      ({!Bytecode.boxed_code}) *)
   | Bytecode.Icall _ | Bytecode.Ijmp _ | Bytecode.Ipoll | Bytecode.Icrit_enter
   | Bytecode.Icrit_exit | Bytecode.Ireturn | Bytecode.Iexit | Bytecode.Idealloc _
-  | Bytecode.Icheck_alloc _ ->
+  | Bytecode.Icheck_alloc _ | Bytecode.Iomp_do _ ->
     corrupt ()
 
 (* --- reusable callee frames ---------------------------------------------- *)
@@ -654,12 +636,9 @@ let count_run site fr =
     Bytecode.Stats.set_boxed_reason site why
 
 (** Keep the frame [fr] that a finished call of [plan]'s callee ran in,
-    adopting the locals of that call's [scope]. *)
-let make_cframe (plan : Bytecode.frame_plan) (fr : frame) (scope : Storage.scope) :
-    cframe option =
-  match
-    Array.map (fun (n, _) -> Hashtbl.find scope.Storage.vars n) plan.Bytecode.fp_locals
-  with
+    adopting the locals of the scope it was bound to. *)
+let make_cframe (plan : Bytecode.frame_plan) (fr : frame) : cframe option =
+  match Array.map (fun (n, _) -> Hashtbl.find fr.scope.Storage.vars n) plan.Bytecode.fp_locals with
   | lslots ->
     Some
       {
@@ -822,10 +801,6 @@ let store_result fr (cs : Bytecode.call_site) (res : Bytecode.tres) v =
   | Bytecode.Tr_b d, Value.Bool b -> fr.iregs.(d) <- (if b then 1 else 0)
   | _ -> corrupt ()
 
-(** How one pass over a program ended: it ran off the end, or a
-    top-level EXIT or a RETURN ended it. *)
-type outcome = Normal | Exited | Returned
-
 (* Release the CRITICAL locks [fr] holds, like Fun.protect unwinding
    the tree-walker's [Omp.critical]. *)
 let release_crit fr =
@@ -834,15 +809,14 @@ let release_crit fr =
     Mutex.unlock Omp.critical_mutex
   done
 
-(* The dispatch loop: one pass over the body, and how it ended (the
-   caller turns EXIT into its loop's exit protocol, RETURN into the end
-   of the subprogram).  Typed opcodes work on the float and int banks,
+(* The dispatch loop: one pass over the body, and whether a RETURN
+   ended it (a chunk's top-level EXIT raises [Loop_exit]).  Typed opcodes work on the float and int banks,
    each the primitive operation its boxed counterpart performs on the
    value kinds the binder verified, so the float/int results are
    bit-identical (DESIGN.md §16); a boxed variant's [Tv] instructions
    step over the [Value] bank.  RETURN, and any exception, release the
    CRITICAL locks still held, like Fun.protect in the tree-walker. *)
-let rec texec (fr : frame) : outcome =
+let rec texec (fr : frame) : bool =
   let code = fr.code in
   let fregs = fr.fregs in
   let iregs = fr.iregs in
@@ -850,7 +824,7 @@ let rec texec (fr : frame) : outcome =
   let arrays = fr.arrays in
   let n = Array.length code in
   let pc = ref 0 in
-  let outcome = ref Normal in
+  let returned = ref false in
   (try
      while !pc < n do
        match Array.unsafe_get code !pc with
@@ -1142,19 +1116,22 @@ let rec texec (fr : frame) : outcome =
        | Bytecode.Tcheck_alloc (a, store) ->
          check_alloc arrays.(a).c_bad ~store;
          incr pc
+       | Bytecode.Tomp_do od ->
+         fr.env.ce_omp_do fr.scope od.Bytecode.od_loop;
+         (* the loop's body may have (de)allocated arrays this frame binds *)
+         revalidate fr;
+         incr pc
        | Bytecode.Treturn ->
          release_crit fr;
-         outcome := Returned;
+         returned := true;
          pc := n
-       | Bytecode.Texit ->
-         outcome := Exited;
-         pc := n
+       | Bytecode.Texit -> raise Storage.Loop_exit
        | Bytecode.Tv ins -> pc := vstep fr !pc ins
      done
    with e ->
      release_crit fr;
      raise e);
-  !outcome
+  !returned
 
 
 (* Run one call of [cf]'s callee, whose dummies are staged; [false]
@@ -1217,25 +1194,7 @@ and call fr (cs : Bytecode.call_site) (args : Bytecode.targ array) (res : Byteco
       (match fr.env.ce_call cs bindings with Some v -> v | None -> no_result)
   end
 
-(* --- loop drivers -------------------------------------------------------- *)
-
-(** Serial DO: bounds were already evaluated by the interpreter.
-    After normal completion the DO variable holds the loop-completed
-    value; after a top-level EXIT it retains the value at the EXIT.  A
-    RETURN leaves the loop as [Sub_return], like the tree-walker's. *)
-let run_do fr ~(slot : Storage.slot) ~lo ~hi ~step =
-  let continue_ i = if step > 0 then i <= hi else i >= hi in
-  let exited = ref false in
-  let i = ref lo in
-  while (not !exited) && continue_ !i do
-    poll fr;
-    slot.Storage.entry <- Storage.Scalar (Value.Int !i);
-    match texec fr with
-    | Normal -> i := !i + step
-    | Exited -> exited := true
-    | Returned -> raise Storage.Sub_return
-  done;
-  if not !exited then slot.Storage.entry <- Storage.Scalar (Value.Int (loop_completed lo hi step))
+(* --- the chunk driver ----------------------------------------------------- *)
 
 (** One chunk of a parallel DO, [args] its {!Bytecode.chunk_args}
     values: a single pass of the chunk program, which loops over the
@@ -1247,7 +1206,4 @@ let run_chunk fr (args : int array) =
   for k = 0 to Array.length regs - 1 do
     if fr.why = None then fr.iregs.(regs.(k)) <- args.(k) else fr.vregs.(regs.(k)) <- Value.Int args.(k)
   done;
-  match texec fr with
-  | Normal -> ()
-  | Exited -> raise Storage.Loop_exit
-  | Returned -> raise Storage.Sub_return
+  if texec fr then raise Storage.Sub_return

@@ -2050,9 +2050,9 @@ let lean_cases =
     case "k_zerotrip";
     case "k_steps";
     case "k_exits";
-    (* the body bails on the implicit declaration of [zz]; its DO body
-       compiles and RETURNs *)
-    { lc_fn = "k_ret"; lc_typed = [ ("sub k_ret", 0, 0, 1); ("do", 1, 0, 0) ]; lc_boxed = [ ("sub k_ret", 0, 0, 1); ("do", 1, 0, 0) ] };
+    (* the body bails on the implicit declaration of [zz] and
+       tree-walks whole, its DO loop and RETURN included *)
+    { lc_fn = "k_ret"; lc_typed = [ ("sub k_ret", 0, 0, 1) ]; lc_boxed = [ ("sub k_ret", 0, 0, 1) ] };
     case "k_twice";
     case "k_bump";
     (* the REAL dummy rewrites the INTEGER local in place: boxed *)
@@ -2061,12 +2061,12 @@ let lean_cases =
     (* a REAL DO variable holds raw Ints, which the leaf's REAL dummy
        rewrites in place: it stays a slot, and runs boxed *)
     case ~typed:false "k_realdo";
-    (* RETURN inside CRITICAL, from a parallel loop's chunk body (the
-       driver's own body bails on the nested parallel DO) *)
+    (* RETURN inside CRITICAL, from a parallel loop's chunk body; the
+       driver compiles, its parallel DO one region-entry instruction *)
     {
       lc_fn = "k_crit";
-      lc_typed = [ ("sub k_crit", 0, 0, 1); ("omp-do", 1, 0, 0); ("sub crit_ret", 9, 0, 0) ];
-      lc_boxed = [ ("sub k_crit", 0, 0, 1); ("omp-do", 1, 0, 0); ("sub crit_ret", 0, 9, 0) ];
+      lc_typed = [ ("sub k_crit", 1, 0, 0); ("omp-do", 1, 0, 0); ("sub crit_ret", 9, 0, 0) ];
+      lc_boxed = [ ("sub k_crit", 1, 0, 0); ("omp-do", 1, 0, 0); ("sub crit_ret", 0, 9, 0) ];
     };
   ]
 
@@ -2610,6 +2610,226 @@ let test_nested_battery () =
         [ 1; 2; 4 ])
     [ "n_drive"; "n_firstp" ]
 
+(* --- parallel DO inside compiled code ------------------------------------------ *)
+
+(* A parallel DO inside a compiled body, a subprogram or a chunk
+   program, is one instruction that hands the loop to the region entry
+   on the frame's scope (DESIGN.md section 13).  Every result here is
+   schedule-independent (exact sums, disjoint writes), so at 1, 2 and 4
+   threads, under every schedule, both engines must match the 1-thread
+   tree-walker bit for bit.  [o_kind]: the REAL dummy of [lhalfk]
+   rewrites the INTEGER local [k] in place, so the frame that reads [k]
+   after the loop may not run typed.  [o_nest]: a parallel DO directly
+   inside another's body, so the outer chunk program holds the
+   instruction.  [o_after]: typed code reads a REDUCTION result and a
+   FIRSTPRIVATE source after the loop.  [o_serial]: the instruction
+   inside a serial DO, next to a register home the loop never names.
+   [o_alloc]: the loop ALLOCATEs a module and a local array that the
+   frame then fills and reads.  [o_exit] and [o_ret] branch out of the
+   region. *)
+let omp_src =
+  {|
+module ompmod
+  implicit none
+  real*8, allocatable :: buf(:)
+  real*8 :: tri(16, 16)
+end module ompmod
+
+real*8 function lhalfk(a)
+  real*8 :: a
+  lhalfk = a * 0.5d0
+end function lhalfk
+
+real*8 function o_kind(n)
+  integer :: n, i, k
+  real*8 :: s
+!BOX(n)
+  k = 2
+  s = 0.0d0
+!$omp parallel do reduction(+:s)
+  do i = 1, n
+    s = s + i + lhalfk(k)
+  end do
+!$omp end parallel do
+  o_kind = s + k / 2 + mod(k, 2) * 1000
+end function o_kind
+
+real*8 function o_nest(n)
+  use ompmod
+  implicit none
+  integer :: n, i, j
+  real*8 :: s, t
+!BOX(n)
+  s = 0.0d0
+!$omp parallel do private(t) reduction(+:s)
+  do i = 1, n
+    t = 0.0d0
+!$omp parallel do reduction(+:t)
+    do j = 1, i
+      t = t + j * 0.5d0
+      tri(j, i) = t + i
+    end do
+!$omp end parallel do
+    s = s + t + tri(1, i)
+  end do
+!$omp end parallel do
+  o_nest = s
+end function o_nest
+
+real*8 function o_after(n)
+  implicit none
+  integer :: n, i, cnt, k
+  real*8 :: s, base, x
+!BOX(n)
+  s = 1.5d0
+  base = 0.25d0
+  cnt = 0
+!$omp parallel do firstprivate(base) private(x) reduction(+:s, cnt)
+  do i = 1, n
+    x = base * i
+    s = s + x
+    cnt = cnt + i
+  end do
+!$omp end parallel do
+  k = 0
+  do i = 1, 3
+    k = k + cnt
+  end do
+  o_after = s * 1000.0d0 + base + k + i
+end function o_after
+
+real*8 function o_serial(n)
+  implicit none
+  integer :: n, i, k, m
+  real*8 :: s
+!BOX(n)
+  s = 0.0d0
+  m = 0
+  do k = 1, 3
+    m = m + k
+!$omp parallel do reduction(+:s)
+    do i = 1, n
+      s = s + k * i
+    end do
+!$omp end parallel do
+  end do
+  o_serial = s + m * 1000 + k * 100000
+end function o_serial
+
+real*8 function o_alloc(n)
+  use ompmod
+  implicit none
+  integer :: n, i
+  real*8 :: s
+  real*8, allocatable :: w(:)
+!BOX(n)
+  s = 0.0d0
+!$omp parallel do
+  do i = 1, n
+    if (i == n) then
+      allocate(buf(n))
+    end if
+    if (i == 1) then
+      allocate(w(2 * n))
+    end if
+  end do
+!$omp end parallel do
+  do i = 1, n
+    buf(i) = i * 0.5d0
+    w(2 * i) = buf(i) * 3.0d0
+  end do
+  do i = 1, n
+    s = s + buf(i) + w(2 * i)
+  end do
+  deallocate(buf)
+  o_alloc = s
+end function o_alloc
+
+integer function o_exit(n)
+  implicit none
+  integer :: n, i, k
+!BOX(n)
+  k = 0
+!$omp parallel do reduction(+:k)
+  do i = 1, n
+    k = k + i
+    if (i == 3) exit
+  end do
+!$omp end parallel do
+  o_exit = k
+end function o_exit
+
+integer function o_ret(n)
+  implicit none
+  integer :: n, i, k
+!BOX(n)
+  k = 0
+!$omp parallel do reduction(+:k)
+  do i = 1, n
+    k = k + i
+    if (i == 3) return
+  end do
+!$omp end parallel do
+  o_ret = k
+end function o_ret
+|}
+
+(* Per driver: whether its own body runs typed as written, and the
+   error both engines raise, if any.  [o_kind] binds boxed: [k] holds
+   an Int that [lhalfk] may make Real.  No site of any driver bails, so
+   [o_nest]'s outer chunk program compiles with the inner loop's
+   instruction in it. *)
+let omp_cases =
+  [
+    ("o_kind", false, None);
+    ("o_nest", true, None);
+    ("o_after", true, None);
+    ("o_serial", true, None);
+    ("o_alloc", true, None);
+    ("o_exit", true, exit_error);
+    ("o_ret", true, return_error);
+  ]
+
+let test_omp_do_battery () =
+  List.iter
+    (fun boxed ->
+      let cu = Parser.parse_string (box_variant ~boxed omp_src) in
+      let variant = if boxed then "boxed" else "typed" in
+      List.iter
+        (fun (fname, typed, error) ->
+          let args = [ Ast.Int_lit 16 ] in
+          let reference = run_engine ~bytecode:false ~threads:1 cu fname args in
+          Alcotest.(check (option string)) (fname ^ ": reference error")
+            (Option.map (( ^ ) "fortran: ") error) reference.r_error;
+          List.iter
+            (fun (sname, sched) ->
+              List.iter
+                (fun threads ->
+                  List.iter
+                    (fun bytecode ->
+                      let what =
+                        Printf.sprintf "%s (%s, %s, %s), %d threads" fname variant sname
+                          (if bytecode then "bytecode" else "tree-walk") threads
+                      in
+                      let r = run_engine ~bytecode ~threads ~sched cu fname args in
+                      Alcotest.(check (option string)) (what ^ ": error") reference.r_error r.r_error;
+                      check_bool (what ^ ": value bits") true
+                        (match (reference.r_value, r.r_value) with
+                        | Some a, Some b -> value_opt_eq a b
+                        | None, None -> true
+                        | _ -> false))
+                    [ true; false ])
+                [ 1; 2; 4 ])
+            chunk_scheds;
+          let rows, _ = vm_run cu fname args in
+          let typed = typed && not boxed in
+          let what = Printf.sprintf "%s (%s): sub %s" fname variant fname in
+          check_int (what ^ " typed") (if typed then 1 else 0) (site_count (fun r -> r.Interp.r_typed) rows ("sub " ^ fname));
+          check_int (what ^ " boxed") (if typed then 0 else 1) (site_count (fun r -> r.Interp.r_boxed) rows ("sub " ^ fname));
+          check_int (fname ^ ": bails at any site") 0 (List.fold_left (fun a r -> a + r.Interp.r_bails) 0 rows))
+        omp_cases)
+    [ false; true ]
+
 (* --- allocation per compiled call ------------------------------------------ *)
 
 (* A FUN3D-shaped callee (cf. edge_loop): two array dummies, two
@@ -3072,6 +3292,7 @@ let suites =
         Alcotest.test_case "constants, rotated loops, leaf actuals, RETURN" `Quick test_lean_battery;
         Alcotest.test_case "parallel-DO chunk programs" `Quick test_chunk_battery;
         Alcotest.test_case "nested parallel regions" `Quick test_nested_battery;
+        Alcotest.test_case "parallel DO inside compiled code" `Quick test_omp_do_battery;
         Alcotest.test_case "workload coverage" `Quick
           test_workload_bytecode_coverage;
         Alcotest.test_case "saxpy script" `Quick test_saxpy_diff;

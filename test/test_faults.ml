@@ -390,12 +390,17 @@ let test_degraded_sequential_fallback () =
 let test_transient_retry_succeeds () =
   with_clean_pool @@ fun () ->
   let c = Lazy.force compiled in
-  (* warm the pool so the kill hits a resident worker inside the call *)
-  Pool.run ~threads:4 ~lo:1 ~hi:1000 (fun _ _ _ -> ());
+  (* a warm pool of exactly one resident worker, so the one task of each
+     2-thread region below goes to worker 0 and the kill fires on the
+     first attempt: with more workers, a dynamic region's tasks go to
+     whichever idle worker takes them first, and worker 0 may get none *)
+  Pool.shutdown ();
+  Pool.run ~threads:2 ~lo:1 ~hi:1000 (fun _ _ _ -> ());
+  check_int "one resident worker" 1 (Pool.stats ()).Pool.pool_size;
   Faultinject.set_plan [ Faultinject.Kill_worker { worker = 0; times = 1 } ];
   let call = List.hd (parse_calls_exn "pi_mid(100000)") in
   (* without retries the injected pool fault surfaces... *)
-  (match Serve.run_call ~threads:4 c call with
+  (match Serve.run_call ~threads:2 c call with
   | Error (Fault.Pool_fault _) -> ()
   | Error f -> Alcotest.failf "wrong fault: %s" (Fault.to_string f)
   | Ok _ -> Alcotest.fail "expected a pool fault");
@@ -405,7 +410,7 @@ let test_transient_retry_succeeds () =
      lands (the kill directive fires exactly once); the retry is a
      requeue in the executor core, here the caller's domain alone *)
   let b =
-    Serve.run_calls ~concurrency:1 ~threads:4 ~retries:1 ~backoff_s:0.01 c
+    Serve.run_calls ~concurrency:1 ~threads:2 ~retries:1 ~backoff_s:0.01 c
       [ call ]
   in
   match b.Serve.b_results with
