@@ -27,16 +27,6 @@ let empty =
     calls_unknown = [];
   }
 
-let union a b =
-  let u l1 l2 = List.sort_uniq compare (l1 @ l2) in
-  {
-    writes_params = u a.writes_params b.writes_params;
-    reads_params = u a.reads_params b.reads_params;
-    writes_external = u a.writes_external b.writes_external;
-    reads_external = u a.reads_external b.reads_external;
-    calls_unknown = u a.calls_unknown b.calls_unknown;
-  }
-
 (* Storage of grid [name] as seen from function [f]: local (incl.
    arguments) or external. *)
 let grid_visibility p m f name =
@@ -55,9 +45,25 @@ let grid_visibility p m f name =
 
 type env = {
   program : Ir_module.program;
-  pure : string list;  (** library functions assumed side-effect free *)
+  pure : (string, unit) Hashtbl.t;  (** library functions assumed side-effect free *)
+  functions : (string, Ir_module.t * Func.t) Hashtbl.t;
+      (** every program function with its module; the first of a name wins *)
   mutable cyclic : bool;  (** a call cycle was seeded with [empty] *)
 }
+
+let make_env ~pure program =
+  let set = Hashtbl.create 64 in
+  List.iter (fun name -> Hashtbl.replace set name ()) pure;
+  let functions = Hashtbl.create 64 in
+  List.iter
+    (fun m ->
+      List.iter
+        (fun (f : Func.t) ->
+          if not (Hashtbl.mem functions f.Func.name) then
+            Hashtbl.add functions f.Func.name (m, f))
+        m.Ir_module.functions)
+    program.Ir_module.modules;
+  { program; pure = set; functions; cyclic = false }
 
 let rec summarize env cache visited fname : t =
   match Hashtbl.find_opt cache fname with
@@ -71,7 +77,7 @@ let rec summarize env cache visited fname : t =
     end
     else begin
       let result =
-        match find_with_module env.program fname with
+        match Hashtbl.find_opt env.functions fname with
         | None -> { empty with calls_unknown = [ fname ] }
         | Some (m, f) -> summarize_function env cache (fname :: visited) m f
       in
@@ -79,62 +85,54 @@ let rec summarize env cache visited fname : t =
       result
     end
 
-and find_with_module p fname =
-  List.find_map
-    (fun m ->
-      match Ir_module.find_function m fname with
-      | Some f -> Some (m, f)
-      | None -> None)
-    p.Ir_module.modules
-
+(* One summary is five sets, filled in place and listed, sorted, once
+   at the end. *)
 and summarize_function env cache visited m f : t =
   let p = env.program in
-  let acc = ref empty in
-  let classify_ref kind (r : Expr.gref) =
-    match grid_visibility p m f r.Expr.grid with
+  let set () = Hashtbl.create 16 in
+  let writes_params = set () and reads_params = set () in
+  let writes_external = set () and reads_external = set () in
+  let calls_unknown = set () in
+  let add tbl x = Hashtbl.replace tbl x () in
+  let visibility = Hashtbl.create 32 in
+  let classify_ref written (r : Expr.gref) =
+    let name = r.Expr.grid in
+    let vis =
+      match Hashtbl.find_opt visibility name with
+      | Some v -> v
+      | None ->
+        let v = grid_visibility p m f name in
+        Hashtbl.add visibility name v;
+        v
+    in
+    match vis with
     | `Local | `Index -> ()
-    | `Param n ->
-      acc :=
-        if kind = `W then
-          union !acc { empty with writes_params = [ n ] }
-        else union !acc { empty with reads_params = [ n ] }
-    | `External ->
-      acc :=
-        if kind = `W then
-          union !acc { empty with writes_external = [ r.Expr.grid ] }
-        else union !acc { empty with reads_external = [ r.Expr.grid ] }
+    | `Param n -> add (if written then writes_params else reads_params) n
+    | `External -> add (if written then writes_external else reads_external) name
   in
   let body = Func.all_stmts f in
-  List.iter (classify_ref `W) (Stmt.writes body);
-  List.iter (classify_ref `R) (Stmt.reads body);
+  List.iter (classify_ref true) (Stmt.writes body);
+  List.iter (classify_ref false) (Stmt.reads body);
   (* propagate callee effects through actual arguments *)
   let handle_call callee args =
-    if List.mem callee env.pure then ()
-    else begin
+    if not (Hashtbl.mem env.pure callee) then begin
       let s = summarize env cache visited callee in
-      acc :=
-        union !acc
-          {
-            empty with
-            writes_external = s.writes_external;
-            reads_external = s.reads_external;
-            calls_unknown = s.calls_unknown;
-          };
-      (match find_with_module p callee with
-      | None ->
-        acc := union !acc { empty with calls_unknown = [ callee ] }
-      | Some _ ->
+      List.iter (add writes_external) s.writes_external;
+      List.iter (add reads_external) s.reads_external;
+      List.iter (add calls_unknown) s.calls_unknown;
+      if Hashtbl.mem env.functions callee then
         List.iteri
           (fun pos arg ->
-            let refs = Expr.refs arg in
             let is_written = List.mem pos s.writes_params in
             let is_read = List.mem pos s.reads_params in
-            List.iter
-              (fun r ->
-                if is_written then classify_ref `W r;
-                if is_read then classify_ref `R r)
-              refs)
-          args)
+            if is_written || is_read then
+              List.iter
+                (fun r ->
+                  if is_written then classify_ref true r;
+                  if is_read then classify_ref false r)
+                (Expr.refs arg))
+          args
+      else add calls_unknown callee
     end
   in
   Stmt.fold_stmts
@@ -152,7 +150,14 @@ and summarize_function env cache visited m f : t =
               () e)
           (Stmt.shallow_exprs st))
     () body;
-  !acc
+  let sorted cmp tbl = List.sort cmp (Hashtbl.fold (fun x () acc -> x :: acc) tbl []) in
+  {
+    writes_params = sorted Int.compare writes_params;
+    reads_params = sorted Int.compare reads_params;
+    writes_external = sorted String.compare writes_external;
+    reads_external = sorted String.compare reads_external;
+    calls_unknown = sorted String.compare calls_unknown;
+  }
 
 (** Summaries for every function of [program]: the least fixpoint of
     the call graph, whatever order the functions are declared in.  A
@@ -160,14 +165,14 @@ and summarize_function env cache visited m f : t =
     otherwise every function is re-summarized against the table until
     nothing grows (unions over finite sets, so this terminates). *)
 let of_program ?(pure = []) program : (string, t) Hashtbl.t =
-  let env = { program; pure; cyclic = false } in
+  let env = make_env ~pure program in
   let cache = Hashtbl.create 16 in
   let names =
     List.map (fun (f : Func.t) -> f.Func.name) (Ir_module.all_functions program)
   in
   List.iter (fun name -> ignore (summarize env cache [] name)) names;
   let grows name =
-    match find_with_module program name with
+    match Hashtbl.find_opt env.functions name with
     | None -> false
     | Some (m, f) ->
       let s = summarize_function env cache [ name ] m f in

@@ -58,6 +58,15 @@ let pp_token ppf t =
   in
   Format.pp_print_string ppf s
 
+(** Token equality, without polymorphic compare. *)
+let equal a b =
+  match (a, b) with
+  | Ident x, Ident y | Str x, Str y -> String.equal x y
+  | Int x, Int y -> x = y
+  | Real (x, d), Real (y, e) -> Float.equal x y && d = e
+  | (Ident _ | Int _ | Real _ | Str _), _ | _, (Ident _ | Int _ | Real _ | Str _) -> false
+  | _ -> a == b (* two constant constructors *)
+
 exception Lex_error of string
 
 let is_digit c = c >= '0' && c <= '9'
@@ -68,82 +77,62 @@ let is_alnum c = is_alpha c || is_digit c
    Handles: 123, 1.5, "1.", ".5", 1e5, 1.5e-3, 1.0d0 / 2d0 (double),
    and kind suffixes 1.0_8 / 1.0_dp (double).  A dot followed by a
    letter other than an exponent marker ends the number, so "1.and."
-   lexes as [1] [.and.]. *)
+   lexes as [1] [.and.].  The text is sliced from the line once, with
+   a [d] exponent marker rewritten to [e]. *)
 let scan_number s i =
   let n = String.length s in
-  let buf = Buffer.create 16 in
-  let peek j = if j < n then Some s.[j] else None in
-  let rec digits j =
-    match peek j with
-    | Some c when is_digit c ->
-      Buffer.add_char buf c;
-      digits (j + 1)
-    | _ -> j
-  in
+  let at j = if j < n then s.[j] else ' ' in
+  let rec digits j = if j < n && is_digit s.[j] then digits (j + 1) else j in
   let j = digits i in
   let saw_dot, j =
-    match (peek j, peek (j + 1)) with
-    | Some '.', Some c when is_digit c ->
-      Buffer.add_char buf '.';
-      (true, digits (j + 1))
-    | Some '.', Some ('e' | 'E' | 'd' | 'D') ->
-      (* "1.e5" / "1.d0": dot belongs to the number only if an exponent
-         follows; otherwise it is ".d..."-style nonsense we reject later *)
-      Buffer.add_char buf '.';
-      (true, j + 1)
-    | Some '.', Some c when is_alpha c -> (false, j) (* dotted operator *)
-    | Some '.', _ ->
-      Buffer.add_char buf '.';
-      (true, j + 1)
-    | _ -> (false, j)
+    if at j <> '.' then (false, j)
+    else
+      match at (j + 1) with
+      | '0' .. '9' -> (true, digits (j + 1))
+      (* "1.e5" / "1.d0": the dot belongs to the number; without
+         exponent digits it is ".d..."-style nonsense rejected later *)
+      | 'e' | 'E' | 'd' | 'D' -> (true, j + 1)
+      | c when is_alpha c -> (false, j) (* dotted operator *)
+      | _ -> (true, j + 1)
   in
-  let is_double = ref false in
-  let saw_exp = ref false in
-  let j =
-    match peek j with
-    | Some (('e' | 'E' | 'd' | 'D') as c) -> (
-      let sign_ok k =
-        match peek k with
-        | Some c2 when is_digit c2 -> Some k
-        | Some ('+' | '-') -> (
-          match peek (k + 1) with
-          | Some c3 when is_digit c3 -> Some k
-          | _ -> None)
-        | _ -> None
-      in
-      match sign_ok (j + 1) with
-      | None -> j
-      | Some _ ->
-        saw_exp := true;
-        if c = 'd' || c = 'D' then is_double := true;
-        Buffer.add_char buf 'e';
-        let j =
-          match peek (j + 1) with
-          | Some (('+' | '-') as sg) ->
-            Buffer.add_char buf sg;
-            j + 2
-          | _ -> j + 1
-        in
-        digits j)
-    | _ -> j
+  (* exponent: a marker followed by digits, optionally signed *)
+  let exp_at, j =
+    match at j with
+    | 'e' | 'E' | 'd' | 'D'
+      when is_digit (at (j + 1))
+           || ((at (j + 1) = '+' || at (j + 1) = '-') && is_digit (at (j + 2))) ->
+      let k = if is_digit (at (j + 1)) then j + 1 else j + 2 in
+      (j, digits k)
+    | _ -> (-1, j)
   in
+  let text_end = j in
+  let is_double = exp_at >= 0 && (s.[exp_at] = 'd' || s.[exp_at] = 'D') in
   (* kind suffix: _8, _dp *)
-  let j =
-    if j < n && s.[j] = '_' then begin
-      let k = ref (j + 1) in
-      while !k < n && is_alnum s.[!k] do
-        incr k
-      done;
-      let kind = String.lowercase_ascii (String.sub s (j + 1) (!k - j - 1)) in
-      if kind = "8" || kind = "dp" then is_double := true;
-      !k
+  let is_double, j =
+    if at j = '_' then begin
+      let rec alnums k = if k < n && is_alnum s.[k] then alnums (k + 1) else k in
+      let k = alnums (j + 1) in
+      let kind_8 = k = j + 2 && s.[j + 1] = '8' in
+      let kind_dp =
+        k = j + 3
+        && Char.lowercase_ascii s.[j + 1] = 'd'
+        && Char.lowercase_ascii s.[j + 2] = 'p'
+      in
+      (is_double || kind_8 || kind_dp, k)
     end
-    else j
+    else (is_double, j)
   in
-  let text = Buffer.contents buf in
+  let text =
+    if exp_at < 0 || s.[exp_at] = 'e' then String.sub s i (text_end - i)
+    else begin
+      let b = Bytes.create (text_end - i) in
+      Bytes.blit_string s i b 0 (text_end - i);
+      Bytes.set b (exp_at - i) 'e';
+      Bytes.unsafe_to_string b
+    end
+  in
   let tok =
-    if saw_dot || !saw_exp || !is_double then
-      Real (float_of_string text, !is_double)
+    if saw_dot || exp_at >= 0 || is_double then Real (float_of_string text, is_double)
     else
       match int_of_string_opt text with
       | Some v -> Int v
@@ -159,97 +148,119 @@ let dotted_ops =
     ("true", True_tok); ("false", False_tok);
   ]
 
-(** Tokenize one logical line. *)
+(* The dotted operator [.w.] whose letters, in any case, are
+   [s.[i..i+len-1]]. *)
+let dotted_op s i len =
+  let rec same w k = k = len || (Char.lowercase_ascii s.[i + k] = w.[k] && same w (k + 1)) in
+  List.find_map (fun (w, t) -> if String.length w = len && same w 0 then Some t else None) dotted_ops
+
+(* Lower-cased copy of [s.[i..j-1]]. *)
+let lowercase_sub s i j =
+  let b = Bytes.create (j - i) in
+  for k = i to j - 1 do
+    Bytes.unsafe_set b (k - i) (Char.lowercase_ascii s.[k])
+  done;
+  Bytes.unsafe_to_string b
+
+(* A string literal opening with [quote] at [i]: its contents (a
+   doubled quote stands for one) and the index after it. *)
+let scan_string line i quote =
+  let n = String.length line in
+  let rec close j doubled =
+    if j >= n then raise (Lex_error "unterminated string")
+    else if line.[j] <> quote then close (j + 1) doubled
+    else if j + 1 < n && line.[j + 1] = quote then close (j + 2) true
+    else (j, doubled)
+  in
+  let j, doubled = close (i + 1) false in
+  let body = String.sub line (i + 1) (j - i - 1) in
+  if not doubled then (body, j + 1)
+  else begin
+    let b = Buffer.create (String.length body) in
+    let k = ref 0 in
+    while !k < String.length body do
+      Buffer.add_char b body.[!k];
+      k := !k + if body.[!k] = quote then 2 else 1
+    done;
+    (Buffer.contents b, j + 1)
+  end
+
+(** Tokenize one logical line into an array ending with [Eof]. *)
 let tokenize line =
   let n = String.length line in
-  let toks = ref [] in
-  let push t = toks := t :: !toks in
+  let toks = ref (Array.make 16 Eof) and count = ref 0 in
+  let push t =
+    if !count = Array.length !toks then begin
+      let a = Array.make (2 * !count) Eof in
+      Array.blit !toks 0 a 0 !count;
+      toks := a
+    end;
+    Array.unsafe_set !toks !count t;
+    incr count
+  in
   let rec go i =
-    if i >= n then ()
-    else
+    if i < n then
       let c = line.[i] in
-      if c = ' ' || c = '\t' || c = '\r' then go (i + 1)
-      else if is_digit c then begin
-        let tok, j = scan_number line i in
-        push tok;
-        go j
-      end
-      else if c = '.' && i + 1 < n && is_digit line.[i + 1] then begin
-        let tok, j = scan_number line i in
-        push tok;
-        go j
-      end
-      else if c = '.' then begin
+      let next = if i + 1 < n then line.[i + 1] else ' ' in
+      match c with
+      | ' ' | '\t' | '\r' -> go (i + 1)
+      | '0' .. '9' -> number i
+      | '.' when is_digit next -> number i
+      | '.' ->
         (* dotted operator *)
-        let j = ref (i + 1) in
-        while !j < n && is_alpha line.[!j] do
-          incr j
-        done;
-        if !j < n && line.[!j] = '.' then begin
-          let word = String.lowercase_ascii (String.sub line (i + 1) (!j - i - 1)) in
-          match List.assoc_opt word dotted_ops with
+        let rec letters j = if j < n && is_alpha line.[j] then letters (j + 1) else j in
+        let j = letters (i + 1) in
+        if j < n && line.[j] = '.' then begin
+          match dotted_op line (i + 1) (j - i - 1) with
           | Some t ->
             push t;
-            go (!j + 1)
-          | None -> raise (Lex_error (Printf.sprintf "unknown operator .%s." word))
+            go (j + 1)
+          | None ->
+            raise
+              (Lex_error (Printf.sprintf "unknown operator .%s." (lowercase_sub line (i + 1) j)))
         end
         else raise (Lex_error "stray '.'")
-      end
-      else if is_alpha c then begin
-        let j = ref i in
-        while !j < n && is_alnum line.[!j] do
-          incr j
-        done;
-        push (Ident (String.lowercase_ascii (String.sub line i (!j - i))));
-        go !j
-      end
-      else if c = '\'' || c = '"' then begin
-        let quote = c in
-        let buf = Buffer.create 16 in
-        let rec str j =
-          if j >= n then raise (Lex_error "unterminated string")
-          else if line.[j] = quote then
-            if j + 1 < n && line.[j + 1] = quote then begin
-              Buffer.add_char buf quote;
-              str (j + 2)
-            end
-            else j + 1
-          else begin
-            Buffer.add_char buf line.[j];
-            str (j + 1)
-          end
-        in
-        let j = str (i + 1) in
-        push (Str (Buffer.contents buf));
+      | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
+        let rec word j = if j < n && is_alnum line.[j] then word (j + 1) else j in
+        let j = word i in
+        push (Ident (lowercase_sub line i j));
         go j
-      end
-      else
-        let two = if i + 1 < n then String.sub line i 2 else "" in
-        match two with
-        | "::" -> push Dcolon; go (i + 2)
-        | "**" -> push Dstar; go (i + 2)
-        | "//" -> push Dslash; go (i + 2)
-        | "==" -> push Eq_tok; go (i + 2)
-        | "/=" -> push Ne_tok; go (i + 2)
-        | "<=" -> push Le_tok; go (i + 2)
-        | ">=" -> push Ge_tok; go (i + 2)
-        | "=>" -> push Arrow; go (i + 2)
-        | _ -> (
-          match c with
-          | '(' -> push Lparen; go (i + 1)
-          | ')' -> push Rparen; go (i + 1)
-          | ',' -> push Comma; go (i + 1)
-          | ':' -> push Colon; go (i + 1)
-          | '%' -> push Percent; go (i + 1)
-          | '=' -> push Assign_tok; go (i + 1)
-          | '+' -> push Plus; go (i + 1)
-          | '-' -> push Minus; go (i + 1)
-          | '*' -> push Star; go (i + 1)
-          | '/' -> push Slash; go (i + 1)
-          | '<' -> push Lt_tok; go (i + 1)
-          | '>' -> push Gt_tok; go (i + 1)
-          | c ->
-            raise (Lex_error (Printf.sprintf "unexpected character %C" c)))
+      | '\'' | '"' ->
+        let s, j = scan_string line i c in
+        push (Str s);
+        go j
+      | ':' when next = ':' -> two Dcolon i
+      | '*' when next = '*' -> two Dstar i
+      | '/' when next = '/' -> two Dslash i
+      | '=' when next = '=' -> two Eq_tok i
+      | '/' when next = '=' -> two Ne_tok i
+      | '<' when next = '=' -> two Le_tok i
+      | '>' when next = '=' -> two Ge_tok i
+      | '=' when next = '>' -> two Arrow i
+      | '(' -> one Lparen i
+      | ')' -> one Rparen i
+      | ',' -> one Comma i
+      | ':' -> one Colon i
+      | '%' -> one Percent i
+      | '=' -> one Assign_tok i
+      | '+' -> one Plus i
+      | '-' -> one Minus i
+      | '*' -> one Star i
+      | '/' -> one Slash i
+      | '<' -> one Lt_tok i
+      | '>' -> one Gt_tok i
+      | c -> raise (Lex_error (Printf.sprintf "unexpected character %C" c))
+  and number i =
+    let tok, j = scan_number line i in
+    push tok;
+    go j
+  and one t i =
+    push t;
+    go (i + 1)
+  and two t i =
+    push t;
+    go (i + 2)
   in
   go 0;
-  List.rev (Eof :: !toks)
+  push Eof;
+  Array.sub !toks 0 !count

@@ -32,7 +32,7 @@ let line_of_scanned (l : Line_scanner.line) =
     is_directive = l.Line_scanner.is_directive;
     tokens =
       (match Lexer.tokenize l.Line_scanner.text with
-      | toks -> Ok (Array.of_list toks)
+      | toks -> Ok toks
       | exception Lexer.Lex_error msg -> Error msg);
   }
 
@@ -55,7 +55,8 @@ let cursor_of_line (l : line) =
   | Ok toks -> { toks; pos = 0; lineno = l.lineno }
   | Error msg -> fail l.lineno "%s" msg
 
-let peek c = c.toks.(c.pos)
+(* [Eof] past the end, where a consumed [Eof] leaves the cursor *)
+let peek c = if c.pos < Array.length c.toks then c.toks.(c.pos) else Lexer.Eof
 let peek2 c =
   if c.pos + 1 < Array.length c.toks then c.toks.(c.pos + 1) else Lexer.Eof
 
@@ -68,7 +69,7 @@ let next c =
 
 let expect c tok what =
   let t = next c in
-  if t <> tok then
+  if not (Lexer.equal t tok) then
     fail c.lineno "expected %s, got %a" what Lexer.pp_token t
 
 let expect_ident c =
@@ -76,9 +77,12 @@ let expect_ident c =
   | Lexer.Ident s -> s
   | t -> fail c.lineno "expected identifier, got %a" Lexer.pp_token t
 
-let accept c tok = if peek c = tok then (advance c; true) else false
+(* Is the next token [tok]? *)
+let at c tok = Lexer.equal (peek c) tok
 
-let at_eof c = peek c = Lexer.Eof
+let accept c tok = if at c tok then (advance c; true) else false
+
+let at_eof c = at c Lexer.Eof
 
 let expect_end c =
   if not (at_eof c) then
@@ -212,7 +216,7 @@ and parse_designator_tail c name =
 
 (** One subscript: expression, or a section [lo:hi] / [:] / [lo:] / [:hi]. *)
 and parse_subscript c =
-  if peek c = Lexer.Colon then begin
+  if at c Lexer.Colon then begin
     advance c;
     match peek c with
     | Lexer.Comma | Lexer.Rparen -> Section (None, None)
@@ -237,16 +241,19 @@ let parse_expr_string ?(lineno = 0) text =
 
 (** {1 Line classification} *)
 
-(* First identifier(s) of the line, for dispatch. *)
-let first_word (l : line) =
-  match token l 0 with Lexer.Ident w -> Some w | _ -> None
+(* Does the line open a module's CONTAINS section? *)
+let is_contains (l : line) =
+  match token l 0 with Lexer.Ident "contains" -> true | _ -> false
 
 (* Is this line "end <kw>" or "end"? Handles fused forms endif/enddo. *)
 let is_end_of kw (l : line) =
   match (token l 0, token l 1) with
   | Lexer.Ident "end", Lexer.Eof -> true
-  | Lexer.Ident "end", Lexer.Ident w -> w = kw
-  | Lexer.Ident w, _ -> w = "end" ^ kw
+  | Lexer.Ident "end", Lexer.Ident w -> String.equal w kw
+  | Lexer.Ident w, _ ->
+    String.length w = 3 + String.length kw
+    && String.starts_with ~prefix:"end" w
+    && String.ends_with ~suffix:kw w
   | _ -> false
 
 (** {1 Line stream} *)
@@ -409,7 +416,9 @@ let parse_omp_line (l : line) =
 
 (** {1 Declarations} *)
 
-let base_type_keywords = [ "integer"; "real"; "logical"; "character"; "double" ]
+let is_base_type_keyword = function
+  | "integer" | "real" | "logical" | "character" | "double" -> true
+  | _ -> false
 
 (* Parse base type at cursor; cursor sits on the type keyword. *)
 let parse_base_type c =
@@ -424,7 +433,7 @@ let parse_base_type c =
       | Lexer.Int 8 -> Real8
       | Lexer.Int _ -> Real
       | t -> fail c.lineno "bad kind after real*, got %a" Lexer.pp_token t
-    else if peek c = Lexer.Lparen && peek2 c = Lexer.Ident "kind" then begin
+    else if at c Lexer.Lparen && Lexer.equal (peek2 c) (Lexer.Ident "kind") then begin
       advance c;
       let _ = expect_ident c in
       expect c Lexer.Assign_tok "=";
@@ -521,7 +530,7 @@ let parse_attr c =
 let parse_entity c =
   let ent_name = expect_ident c in
   let ent_dims, ent_deferred =
-    if peek c = Lexer.Lparen then
+    if at c Lexer.Lparen then
       let dims, deferred = parse_dim_spec c in
       (Some dims, deferred)
     else (None, None)
@@ -535,7 +544,7 @@ let parse_entity c =
 let parse_var_decl c =
   let base = parse_base_type c in
   let attrs = ref [] in
-  while peek c = Lexer.Comma do
+  while at c Lexer.Comma do
     advance c;
     attrs := parse_attr c :: !attrs
   done;
@@ -554,7 +563,7 @@ let parse_derived_var_decl c =
   let tname = expect_ident c in
   expect c Lexer.Rparen ")";
   let attrs = ref [] in
-  while peek c = Lexer.Comma do
+  while at c Lexer.Comma do
     advance c;
     attrs := parse_attr c :: !attrs
   done;
@@ -575,7 +584,7 @@ let parse_common c =
   (* members may carry dims in F77 style: common /b/ a(10) — accept and
      drop the dims (the separate declaration carries them in our subset) *)
   let skip_dims () =
-    if peek c = Lexer.Lparen then ignore (parse_dim_spec c)
+    if at c Lexer.Lparen then ignore (parse_dim_spec c)
   in
   skip_dims ();
   while accept c Lexer.Comma do
@@ -647,7 +656,8 @@ and parse_one_stmt s (l : line) : stmt option =
     | Dir_critical ->
       bump s;
       let stop (l : line) =
-        l.is_directive && parse_omp_line l = Dir_end_critical
+        l.is_directive
+        && match parse_omp_line l with Dir_end_critical -> true | _ -> false
       in
       let body = parse_stmt_lines s ~stop in
       bump s;
@@ -797,8 +807,8 @@ and parse_if s =
         (not l.is_directive)
         && (is_end_of "if" l
            ||
-           match first_word l with
-           | Some "else" | Some "elseif" -> true
+           match token l 0 with
+           | Lexer.Ident ("else" | "elseif") -> true
            | _ -> false)
       in
       let body = parse_stmt_lines s ~stop in
@@ -812,7 +822,7 @@ and parse_if s =
         let c = cursor_of_line l in
         let w = expect_ident c in
         let is_elseif =
-          (w = "elseif") || (w = "else" && peek c = Lexer.Ident "if")
+          w = "elseif" || (w = "else" && Lexer.equal (peek c) (Lexer.Ident "if"))
         in
         if is_elseif then begin
           if w = "else" then advance c;
@@ -918,10 +928,16 @@ and parse_do s =
 (** {1 Program units} *)
 
 let is_plain_end (l : line) =
-  token l 0 = Lexer.Ident "end" && token l 1 = Lexer.Eof
+  match (token l 0, token l 1) with
+  | Lexer.Ident "end", Lexer.Eof -> true
+  | _ -> false
 
-let decl_starters =
-  base_type_keywords @ [ "type"; "common"; "use"; "implicit"; "external" ]
+let is_decl_starter w =
+  is_base_type_keyword w
+  ||
+  match w with
+  | "type" | "common" | "use" | "implicit" | "external" -> true
+  | _ -> false
 
 let is_decl_line (l : line) =
   (not l.is_directive)
@@ -929,7 +945,7 @@ let is_decl_line (l : line) =
   match (token l 0, token l 1) with
   | Lexer.Ident ("integer" | "real" | "logical"), Lexer.Ident "function" ->
     false
-  | Lexer.Ident w, _ -> List.mem w decl_starters
+  | Lexer.Ident w, _ -> is_decl_starter w
   | _ -> false
 
 let rec parse_decl s : decl =
@@ -956,7 +972,7 @@ let rec parse_decl s : decl =
     done;
     External (List.rev !names)
   | Lexer.Ident "type" ->
-    if peek2 c = Lexer.Lparen then begin
+    if Lexer.equal (peek2 c) Lexer.Lparen then begin
       bump s;
       advance c;
       parse_derived_var_decl c
@@ -980,7 +996,7 @@ let rec parse_decl s : decl =
       loop ();
       Type_def { type_name; fields = List.rev !fields }
     end
-  | Lexer.Ident w when List.mem w base_type_keywords ->
+  | Lexer.Ident w when is_base_type_keyword w ->
     bump s;
     parse_var_decl c
   | t -> fail l.lineno "expected declaration, got %a" Lexer.pp_token t
@@ -1007,15 +1023,14 @@ let parse_subprogram_header (l : line) =
   let c = cursor_of_line l in
   let result_type =
     match peek c with
-    | Lexer.Ident w when List.mem w base_type_keywords ->
-      Some (parse_base_type c)
+    | Lexer.Ident w when is_base_type_keyword w -> Some (parse_base_type c)
     | _ -> None
   in
   let kw = expect_ident c in
   let kind =
     match kw with
     | "subroutine" ->
-      if result_type <> None then
+      if Option.is_some result_type then
         fail l.lineno "subroutine cannot have a result type";
       `Subroutine
     | "function" -> `Function result_type
@@ -1047,7 +1062,7 @@ let is_subprogram_start (l : line) =
   match (token l 0, token l 1, token l 2, token l 3) with
   | Lexer.Ident ("subroutine" | "function"), _, _, _ -> true
   | Lexer.Ident w, Lexer.Ident "function", _, _
-    when List.mem w base_type_keywords ->
+    when is_base_type_keyword w ->
     true
   | Lexer.Ident "double", Lexer.Ident "precision", Lexer.Ident "function", _ ->
     true
@@ -1084,17 +1099,11 @@ let parse_module s =
   let mod_name = expect_ident c in
   expect_end c;
   bump s;
-  let stop (l : line) =
-    is_end_of "module" l
-    ||
-    match first_word l with
-    | Some "contains" -> true
-    | _ -> false
-  in
+  let stop (l : line) = is_end_of "module" l || is_contains l in
   let mod_decls = parse_decls s ~stop in
   let mod_contains = ref [] in
   (match cur s with
-  | Some l when first_word l = Some "contains" ->
+  | Some l when is_contains l ->
     bump s;
     let rec loop () =
       let l = cur_exn s "end module" in
@@ -1141,9 +1150,9 @@ let parse_string source : compilation_unit =
     match cur s with
     | None -> ()
     | Some l ->
-      (match first_word l with
-      | Some "module" -> units := parse_module s :: !units
-      | Some "program" -> units := parse_main s :: !units
+      (match token l 0 with
+      | Lexer.Ident "module" -> units := parse_module s :: !units
+      | Lexer.Ident "program" -> units := parse_main s :: !units
       | _ when is_subprogram_start l ->
         units := Standalone (parse_subprogram s) :: !units
       | _ ->

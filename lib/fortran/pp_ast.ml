@@ -58,7 +58,11 @@ let float_literal x is_double =
 let rec expr_to_buf b e =
   match e with
   | Int_lit n ->
-    if n < 0 then buf_add b (Printf.sprintf "(%d)" n)
+    if n < 0 then begin
+      buf_add b "(";
+      buf_add b (string_of_int n);
+      buf_add b ")"
+    end
     else buf_add b (string_of_int n)
   | Real_lit (x, d) -> buf_add b (float_literal x d)
   | Logical_lit true -> buf_add b ".true."
@@ -91,7 +95,9 @@ let rec expr_to_buf b e =
   | Implied_do (e, v, lo, hi) ->
     buf_add b "(";
     expr_to_buf b e;
-    buf_add b (", " ^ v ^ " = ");
+    buf_add b ", ";
+    buf_add b v;
+    buf_add b " = ";
     expr_to_buf b lo;
     buf_add b ", ";
     expr_to_buf b hi;
@@ -131,66 +137,109 @@ let expr_to_string e =
   expr_to_buf b e;
   Buffer.contents b
 
-let desig_to_string d =
-  let b = Buffer.create 32 in
-  desig_to_buf b d;
-  Buffer.contents b
+(* [items] printed by [f], separated by [", "] *)
+let comma_list b f items =
+  List.iteri
+    (fun i x ->
+      if i > 0 then buf_add b ", ";
+      f b x)
+    items
 
-(** {1 Statements} *)
+let names b names = comma_list b buf_add names
+let int b n = buf_add b (string_of_int n)
+
+(* [opening], then [x] printed by [f], then [")"] *)
+let enclosed b opening f x =
+  buf_add b opening;
+  f b x;
+  buf_add b ")"
+
+(** {1 Statements}
+
+    Every line is written straight into the writer's buffer: [start]
+    indents it, the printers below append its pieces, [finish] ends
+    it. *)
 
 type writer = {
   buf : Buffer.t;
   mutable indent : int;
 }
 
-let line w fmt =
-  Format.kasprintf
-    (fun s ->
-      buf_add w.buf (String.make (2 * w.indent) ' ');
-      buf_add w.buf s;
-      buf_add w.buf "\n")
-    fmt
+let start w =
+  for _ = 1 to w.indent do
+    buf_add w.buf "  "
+  done
 
-let omp_clause_string (d : omp_do) =
-  let b = Buffer.create 64 in
-  if d.omp_private <> [] then
-    buf_add b (" private(" ^ String.concat ", " d.omp_private ^ ")");
-  if d.omp_firstprivate <> [] then
-    buf_add b (" firstprivate(" ^ String.concat ", " d.omp_firstprivate ^ ")");
-  if d.omp_shared <> [] then
-    buf_add b (" shared(" ^ String.concat ", " d.omp_shared ^ ")");
+let finish w = Buffer.add_char w.buf '\n'
+
+(* A line of [s] and [name], e.g. [end module m]. *)
+let line ?(name = "") w s =
+  start w;
+  buf_add w.buf s;
+  buf_add w.buf name;
+  finish w
+
+(* A line holding [x], printed by [f]. *)
+let line_of w f x =
+  start w;
+  f w.buf x;
+  finish w
+
+let omp_clauses_to_buf b (d : omp_do) =
+  let clause opening items = if items <> [] then enclosed b opening names items in
+  clause " private(" d.omp_private;
+  clause " firstprivate(" d.omp_firstprivate;
+  clause " shared(" d.omp_shared;
   List.iter
-    (fun (op, names) ->
-      let ops =
-        match op with Osum -> "+" | Oprod -> "*" | Omax -> "max" | Omin -> "min"
-      in
-      buf_add b (" reduction(" ^ ops ^ ":" ^ String.concat ", " names ^ ")"))
+    (fun (op, vars) ->
+      buf_add b " reduction(";
+      buf_add b (match op with Osum -> "+" | Oprod -> "*" | Omax -> "max" | Omin -> "min");
+      enclosed b ":" names vars)
     d.omp_reduction;
-  if d.omp_collapse > 1 then
-    buf_add b (Printf.sprintf " collapse(%d)" d.omp_collapse);
-  (match d.omp_num_threads with
-  | Some e -> buf_add b (" num_threads(" ^ expr_to_string e ^ ")")
-  | None -> ());
+  if d.omp_collapse > 1 then enclosed b " collapse(" int d.omp_collapse;
+  Option.iter (enclosed b " num_threads(" expr_to_buf) d.omp_num_threads;
   (match d.omp_schedule with
   | Some Static -> buf_add b " schedule(static)"
-  | Some (Static_chunk k) -> buf_add b (Printf.sprintf " schedule(static, %d)" k)
-  | Some (Dynamic k) -> buf_add b (Printf.sprintf " schedule(dynamic, %d)" k)
+  | Some (Static_chunk k) -> enclosed b " schedule(static, " int k
+  | Some (Dynamic k) -> enclosed b " schedule(dynamic, " int k
   | Some (Guided 1) -> buf_add b " schedule(guided)"
-  | Some (Guided k) -> buf_add b (Printf.sprintf " schedule(guided, %d)" k)
+  | Some (Guided k) -> enclosed b " schedule(guided, " int k
   | None -> ());
-  if d.omp_copyprivate <> [] then
-    buf_add b (" copyprivate(" ^ String.concat ", " d.omp_copyprivate ^ ")");
-  Buffer.contents b
+  clause " copyprivate(" d.omp_copyprivate
+
+let do_header_to_buf b l =
+  buf_add b "do ";
+  buf_add b l.do_var;
+  buf_add b " = ";
+  expr_to_buf b l.do_lo;
+  buf_add b ", ";
+  expr_to_buf b l.do_hi;
+  Option.iter
+    (fun e ->
+      buf_add b ", ";
+      expr_to_buf b e)
+    l.do_step
+
+let allocation_to_buf b (d, exprs) =
+  desig_to_buf b d;
+  enclosed b "(" (fun b -> comma_list b expr_to_buf) exprs
 
 let rec stmt_to_buf w s =
   match s with
-  | Assign (d, e) -> line w "%s = %s" (desig_to_string d) (expr_to_string e)
-  | If_arith (c, s) -> line w "if (%s) %s" (expr_to_string c) (inline_stmt s)
+  | Assign _ | Call _ | Return | Exit | Cycle | Stop _ -> line_of w simple_stmt_to_buf s
+  | If_arith (c, s) ->
+    start w;
+    enclosed w.buf "if (" expr_to_buf c;
+    buf_add w.buf " ";
+    simple_stmt_to_buf w.buf s;
+    finish w
   | If_block (branches, else_) ->
     List.iteri
       (fun i (c, body) ->
-        if i = 0 then line w "if (%s) then" (expr_to_string c)
-        else line w "else if (%s) then" (expr_to_string c);
+        start w;
+        enclosed w.buf (if i = 0 then "if (" else "else if (") expr_to_buf c;
+        buf_add w.buf " then";
+        finish w;
         indented w body)
       branches;
     if else_ <> [] then begin
@@ -199,48 +248,31 @@ let rec stmt_to_buf w s =
     end;
     line w "end if"
   | Do l ->
-    (match l.do_omp with
-    | Some d -> line w "!$omp parallel do%s" (omp_clause_string d)
-    | None -> ());
-    let step =
-      match l.do_step with
-      | Some e -> ", " ^ expr_to_string e
-      | None -> ""
-    in
-    line w "do %s = %s, %s%s" l.do_var (expr_to_string l.do_lo)
-      (expr_to_string l.do_hi) step;
+    Option.iter
+      (line_of w (fun b d ->
+           buf_add b "!$omp parallel do";
+           omp_clauses_to_buf b d))
+      l.do_omp;
+    line_of w do_header_to_buf l;
     indented w l.do_body;
     line w "end do";
-    (match l.do_omp with
-    | Some _ -> line w "!$omp end parallel do"
-    | None -> ())
+    if Option.is_some l.do_omp then line w "!$omp end parallel do"
   | Do_while (c, body) ->
-    line w "do while (%s)" (expr_to_string c);
+    line_of w (fun b -> enclosed b "do while (" expr_to_buf) c;
     indented w body;
     line w "end do"
-  | Call (name, args) ->
-    if args = [] then line w "call %s()" name
-    else
-      line w "call %s(%s)" name
-        (String.concat ", " (List.map expr_to_string args))
-  | Return -> line w "return"
-  | Exit -> line w "exit"
-  | Cycle -> line w "cycle"
   | Continue -> line w "continue"
-  | Stop None -> line w "stop"
-  | Stop (Some m) -> line w "stop '%s'" m
   | Allocate allocs ->
-    let one (d, exprs) =
-      Printf.sprintf "%s(%s)" (desig_to_string d)
-        (String.concat ", " (List.map expr_to_string exprs))
-    in
-    line w "allocate(%s)" (String.concat ", " (List.map one allocs))
+    line_of w (fun b -> enclosed b "allocate(" (fun b -> comma_list b allocation_to_buf)) allocs
   | Deallocate ds ->
-    line w "deallocate(%s)" (String.concat ", " (List.map desig_to_string ds))
+    line_of w (fun b -> enclosed b "deallocate(" (fun b -> comma_list b desig_to_buf)) ds
+  | Print [] -> line w "print *"
   | Print args ->
-    if args = [] then line w "print *"
-    else
-      line w "print *, %s" (String.concat ", " (List.map expr_to_string args))
+    line_of w
+      (fun b args ->
+        buf_add b "print *, ";
+        comma_list b expr_to_buf args)
+      args
   | Omp_atomic s ->
     line w "!$omp atomic";
     stmt_to_buf w s
@@ -249,19 +281,27 @@ let rec stmt_to_buf w s =
     indented w body;
     line w "!$omp end critical"
   | Omp_barrier -> line w "!$omp barrier"
-  | Comment c -> line w "! %s" c
+  | Comment c -> line w "! " ~name:c
 
-and inline_stmt s =
+(* A statement that fits after a logical IF. *)
+and simple_stmt_to_buf b s =
   match s with
-  | Assign (d, e) -> Printf.sprintf "%s = %s" (desig_to_string d) (expr_to_string e)
-  | Return -> "return"
-  | Exit -> "exit"
-  | Cycle -> "cycle"
-  | Stop None -> "stop"
-  | Stop (Some m) -> Printf.sprintf "stop '%s'" m
+  | Assign (d, e) ->
+    desig_to_buf b d;
+    buf_add b " = ";
+    expr_to_buf b e
+  | Return -> buf_add b "return"
+  | Exit -> buf_add b "exit"
+  | Cycle -> buf_add b "cycle"
+  | Stop None -> buf_add b "stop"
+  | Stop (Some m) ->
+    buf_add b "stop '";
+    buf_add b m;
+    buf_add b "'"
   | Call (name, args) ->
-    Printf.sprintf "call %s(%s)" name
-      (String.concat ", " (List.map expr_to_string args))
+    buf_add b "call ";
+    buf_add b name;
+    enclosed b "(" (fun b -> comma_list b expr_to_buf) args
   | _ -> invalid_arg "inline_stmt: not a simple statement"
 
 and indented w body =
@@ -271,93 +311,127 @@ and indented w body =
 
 (** {1 Declarations} *)
 
-let base_type_str = function
-  | Integer -> "integer"
-  | Real -> "real"
-  | Real8 -> "real*8"
-  | Logical -> "logical"
-  | Character None -> "character(len=*)"
-  | Character (Some n) -> Printf.sprintf "character(len=%d)" n
-  | Derived name -> Printf.sprintf "type(%s)" name
+let base_type_to_buf b = function
+  | Integer -> buf_add b "integer"
+  | Real -> buf_add b "real"
+  | Real8 -> buf_add b "real*8"
+  | Logical -> buf_add b "logical"
+  | Character None -> buf_add b "character(len=*)"
+  | Character (Some n) -> enclosed b "character(len=" int n
+  | Derived name -> enclosed b "type(" buf_add name
 
-let dims_str dims =
-  let one (lo, hi) =
-    match lo with
-    | Some lo -> expr_to_string lo ^ ":" ^ expr_to_string hi
-    | None -> expr_to_string hi
-  in
-  "(" ^ String.concat ", " (List.map one dims) ^ ")"
+let dims_to_buf b dims =
+  enclosed b "("
+    (fun b ->
+      comma_list b (fun b (lo, hi) ->
+          Option.iter
+            (fun lo ->
+              expr_to_buf b lo;
+              buf_add b ":")
+            lo;
+          expr_to_buf b hi))
+    dims
 
-let deferred_str rank = "(" ^ String.concat ", " (List.init rank (fun _ -> ":")) ^ ")"
+let attr_to_buf b = function
+  | Dimension dims ->
+    buf_add b "dimension";
+    dims_to_buf b dims
+  | Allocatable -> buf_add b "allocatable"
+  | Save -> buf_add b "save"
+  | Parameter -> buf_add b "parameter"
+  | Intent_in -> buf_add b "intent(in)"
+  | Intent_out -> buf_add b "intent(out)"
+  | Intent_inout -> buf_add b "intent(inout)"
+  | Pointer -> buf_add b "pointer"
+  | Target -> buf_add b "target"
 
-let attr_str = function
-  | Dimension dims -> "dimension" ^ dims_str dims
-  | Allocatable -> "allocatable"
-  | Save -> "save"
-  | Parameter -> "parameter"
-  | Intent_in -> "intent(in)"
-  | Intent_out -> "intent(out)"
-  | Intent_inout -> "intent(inout)"
-  | Pointer -> "pointer"
-  | Target -> "target"
-
-let entity_str e =
-  let b = Buffer.create 32 in
+let entity_to_buf b e =
   buf_add b e.ent_name;
   (match (e.ent_deferred, e.ent_dims) with
-  | Some rank, _ -> buf_add b (deferred_str rank)
-  | None, Some dims -> buf_add b (dims_str dims)
+  | Some rank, _ ->
+    buf_add b "(";
+    for k = 1 to rank do
+      buf_add b (if k > 1 then ", :" else ":")
+    done;
+    buf_add b ")"
+  | None, Some dims -> dims_to_buf b dims
   | None, None -> ());
-  (match e.ent_init with
-  | Some init ->
-    buf_add b " = ";
-    buf_add b (expr_to_string init)
-  | None -> ());
-  Buffer.contents b
+  Option.iter
+    (fun init ->
+      buf_add b " = ";
+      expr_to_buf b init)
+    e.ent_init
 
 let rec decl_to_buf w d =
+  let b = w.buf in
   match d with
   | Var_decl { base; attrs; entities } ->
-    let attrs_s =
-      String.concat "" (List.map (fun a -> ", " ^ attr_str a) attrs)
-    in
-    line w "%s%s :: %s" (base_type_str base) attrs_s
-      (String.concat ", " (List.map entity_str entities))
+    start w;
+    base_type_to_buf b base;
+    List.iter
+      (fun a ->
+        buf_add b ", ";
+        attr_to_buf b a)
+      attrs;
+    buf_add b " :: ";
+    comma_list b entity_to_buf entities;
+    finish w
   | Type_def { type_name; fields } ->
-    line w "type :: %s" type_name;
+    line w "type :: " ~name:type_name;
     w.indent <- w.indent + 1;
     List.iter (decl_to_buf w) fields;
     w.indent <- w.indent - 1;
-    line w "end type %s" type_name
-  | Common (block, names) ->
-    line w "common /%s/ %s" block (String.concat ", " names)
-  | Use (m, []) -> line w "use %s" m
-  | Use (m, only) -> line w "use %s, only: %s" m (String.concat ", " only)
+    line w "end type " ~name:type_name
+  | Common (block, members) ->
+    start w;
+    buf_add b "common /";
+    buf_add b block;
+    buf_add b "/ ";
+    names b members;
+    finish w
+  | Use (m, only) ->
+    start w;
+    buf_add b "use ";
+    buf_add b m;
+    if only <> [] then begin
+      buf_add b ", only: ";
+      names b only
+    end;
+    finish w
   | Implicit_none -> line w "implicit none"
-  | External names -> line w "external %s" (String.concat ", " names)
-  | Decl_comment c -> line w "! %s" c
+  | External procs ->
+    line_of w
+      (fun b procs ->
+        buf_add b "external ";
+        names b procs)
+      procs
+  | Decl_comment c -> line w "! " ~name:c
 
 (** {1 Program units} *)
 
 let subprogram_to_buf w (sp : subprogram) =
-  let args = String.concat ", " sp.sub_args in
+  let b = w.buf in
+  start w;
   (match sp.sub_kind with
-  | `Subroutine -> line w "subroutine %s(%s)" sp.sub_name args
+  | `Subroutine -> buf_add b "subroutine "
   | `Function (Some t) ->
-    line w "%s function %s(%s)" (base_type_str t) sp.sub_name args
-  | `Function None -> line w "function %s(%s)" sp.sub_name args);
+    base_type_to_buf b t;
+    buf_add b " function "
+  | `Function None -> buf_add b "function ");
+  buf_add b sp.sub_name;
+  enclosed b "(" names sp.sub_args;
+  finish w;
   w.indent <- w.indent + 1;
   List.iter (decl_to_buf w) sp.sub_decls;
   List.iter (stmt_to_buf w) sp.sub_body;
   w.indent <- w.indent - 1;
-  (match sp.sub_kind with
-  | `Subroutine -> line w "end subroutine %s" sp.sub_name
-  | `Function _ -> line w "end function %s" sp.sub_name)
+  line w ~name:sp.sub_name
+    (match sp.sub_kind with `Subroutine -> "end subroutine " | `Function _ -> "end function ")
 
 let unit_to_buf w u =
   match u with
   | Module { mod_name; mod_decls; mod_contains } ->
-    line w "module %s" mod_name;
+    line w "module " ~name:mod_name;
     w.indent <- w.indent + 1;
     List.iter (decl_to_buf w) mod_decls;
     w.indent <- w.indent - 1;
@@ -371,15 +445,15 @@ let unit_to_buf w u =
         mod_contains;
       w.indent <- w.indent - 1
     end;
-    line w "end module %s" mod_name
+    line w "end module " ~name:mod_name
   | Standalone sp -> subprogram_to_buf w sp
   | Main { main_name; main_decls; main_body } ->
-    line w "program %s" main_name;
+    line w "program " ~name:main_name;
     w.indent <- w.indent + 1;
     List.iter (decl_to_buf w) main_decls;
     List.iter (stmt_to_buf w) main_body;
     w.indent <- w.indent - 1;
-    line w "end program %s" main_name
+    line w "end program " ~name:main_name
 
 (** Render a compilation unit to free-form Fortran source. *)
 let to_string (cu : compilation_unit) =

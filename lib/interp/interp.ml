@@ -70,6 +70,9 @@ type state = {
           [false] forces the tree-walker everywhere ([--no-bytecode]) *)
   frames : (int * (int, Vm.cframe) Hashtbl.t) list Atomic.t;
       (** per domain id: reusable callee frames by frame-plan uid *)
+  mutable callenv : Vm.callenv option;
+      (** the VM's hooks into this state, built by the first bind
+          ({!callenv}) and shared by every frame after it *)
 }
 
 let lookup = Storage.lookup
@@ -119,6 +122,7 @@ let make_state ?(printer = print_string) (cu : Ast.compilation_unit) =
     default_sched = Sched.default;
     use_bytecode = true;
     frames = Atomic.make [];
+    callenv = None;
   }
 
 let set_threads st n = st.default_threads <- max 1 n
@@ -606,17 +610,26 @@ and bind_compiled st ((p, site) : Bytecode.program option * Bytecode.Stats.site)
    takes the call, otherwise down the scope path with marshalled
    bindings (arity was checked at compile time), which leaves a frame
    behind; [Iallocate] counts into the state's counter; a parallel DO
-   enters its region here, as the tree-walker does. *)
+   enters its region here, as the tree-walker does.  Built once per
+   state; two domains that race to build it make equal records, and
+   either may stay. *)
 and callenv st : Vm.callenv =
-  {
-    Vm.ce_call =
-      (fun cs bindings ->
-        call_with_bindings ~cs st cs.Bytecode.cs_sub cs.Bytecode.cs_mod cs.Bytecode.cs_name
-          bindings);
-    ce_frame = call_site_frame st;
-    ce_allocs = st.alloc_count;
-    ce_omp_do = (fun scope l -> exec_do_parallel st scope l (Option.get l.Ast.do_omp));
-  }
+  match st.callenv with
+  | Some env -> env
+  | None ->
+    let env =
+      {
+        Vm.ce_call =
+          (fun cs bindings ->
+            call_with_bindings ~cs st cs.Bytecode.cs_sub cs.Bytecode.cs_mod
+              cs.Bytecode.cs_name bindings);
+        ce_frame = call_site_frame st;
+        ce_allocs = st.alloc_count;
+        ce_omp_do = (fun scope l -> exec_do_parallel st scope l (Option.get l.Ast.do_omp));
+      }
+    in
+    st.callenv <- Some env;
+    env
 
 (* This domain's reusable frame for the callee of [cs], if a call left
    one behind.  The VM caches the answer per call site in the calling

@@ -45,7 +45,7 @@ let test_scan_string_bang () =
 
 (* --- lexer ------------------------------------------------------------ *)
 
-let tok_list s = Lexer.tokenize s
+let tok_list s = Array.to_list (Lexer.tokenize s)
 
 let test_lex_numbers () =
   (match tok_list "42" with
