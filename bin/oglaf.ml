@@ -191,18 +191,16 @@ let bytecode_stats_flag =
     & info [ "bytecode-stats" ]
         ~doc:
           "After the call, print one line per compiled construct (subprogram \
-           body or chunk) with its run counts on typed and on boxed \
-           registers, its bail count and, when it bailed, the construct \
-           that stopped compilation; when it ran boxed, [boxed_reason] \
-           names what kept it off the typed registers.")
+           body or chunk) with the number of runs on the bytecode VM, the \
+           number of runs that fell back to the tree-walker and, when it \
+           fell back, [reason]: the construct that stopped compilation or \
+           the binding that refused the compiled program.")
 
 let print_bytecode_stats rows =
   List.iter
     (fun (r : Glaf_interp.Interp.bytecode_row) ->
-      Printf.eprintf "bytecode %-24s typed=%-8d boxed=%-8d bails=%-8d%s%s\n" r.r_label
-        r.r_typed r.r_boxed r.r_bails
-        (match r.r_reason with Some why -> " bail=" ^ why | None -> "")
-        (match r.r_boxed_reason with Some why -> " boxed_reason=" ^ why | None -> ""))
+      Printf.eprintf "bytecode %-24s runs=%-8d bails=%-8d%s\n" r.r_label r.r_runs r.r_bails
+        (match r.r_reason with Some why -> " reason=" ^ why | None -> ""))
     rows
 
 let run_cmd =

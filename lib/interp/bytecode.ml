@@ -11,19 +11,20 @@
     ({!compile_sub}), call sites marshal arguments with the exact
     by-reference semantics of the tree-walker's [bind_actual]
     ([Icall]), small leaf subprograms are inlined into the caller's
-    instruction stream, and programs whose every register is provably
-    a real, an integer or a logical — calls and allocation included —
-    run an unboxed typed-register variant (see {!specialize}), the
-    others their boxed variant ({!boxed}), on the same dispatch loop.
+    instruction stream, and every program runs over unboxed typed
+    register banks: {!specialize} proves each register a real, an
+    integer or a logical — calls and allocation included — or the
+    program bails like any other construct the compiler has no
+    instruction for (DESIGN.md section 26).
     A subprogram body keeps its private scalars — the locals nothing
     outside the running call can observe — in registers of their own
     instead of scope slots ({!private_scalars}, DESIGN.md
     section 20), and an inlined leaf reads such a register in place
-    when it never assigns the dummy; when {!specialize} rejects a
-    program, the reason rides along for the stats.  Literals and folded
+    when it never assigns the dummy.  Literals and folded
     PARAMETERs are constant registers the bind preloads
-    ([program.consts]) rather than instructions, a serial DO tests and
-    polls once per iteration at its continue point ([Iloop_next]), and
+    ([tprogram.t_finit], [t_iinit]) rather than instructions, a serial
+    DO tests and polls once per iteration at its continue point
+    ([Iloop_next]), and
     RETURN ends the VM's pass without an exception (DESIGN.md
     section 22).  A parallel DO's chunk is one program that loops over
     the chunk itself, with its DO variables, privates, reduction
@@ -76,22 +77,18 @@ let locked f =
 
     One site per compiled construct (subprogram body or parallel-DO
     chunk),
-    keyed by (unit, site id).  [sk_typed] and [sk_boxed] count bytecode
-    executions of the typed and of the boxed variant, [sk_bails] counts
-    tree-walk fallbacks (compile bails and bind refusals alike);
-    [sk_reason] names the first construct that made compilation bail,
-    when it did, and [sk_boxed_reason] the first reason a run took the
-    boxed variant (the construct {!specialize} rejected, or the binding
-    that refused the typed variant). *)
+    keyed by (unit, site id).  [sk_runs] counts bytecode executions,
+    [sk_bails] tree-walk fallbacks (compile bails and bind refusals
+    alike); [sk_reason] names the first reason the site fell back: the
+    construct that made compilation bail, or the binding that refused
+    the compiled program. *)
 module Stats = struct
   type site = {
     sk_unit : string;
     sk_id : string;
     sk_label : string;
     mutable sk_reason : string option;
-    mutable sk_boxed_reason : string option;
-    sk_typed : int Atomic.t;
-    sk_boxed : int Atomic.t;
+    sk_runs : int Atomic.t;
     sk_bails : int Atomic.t;
     sk_gen : int;  (** [generation] when registered *)
   }
@@ -106,10 +103,7 @@ module Stats = struct
     r_id : string;
     r_label : string;
     r_reason : string option;
-    r_boxed_reason : string option;
-    r_runs : int;  (** [r_typed + r_boxed] *)
-    r_typed : int;
-    r_boxed : int;
+    r_runs : int;
     r_bails : int;
   }
 
@@ -126,9 +120,7 @@ module Stats = struct
               sk_id = id;
               sk_label = label;
               sk_reason = None;
-              sk_boxed_reason = None;
-              sk_typed = Atomic.make 0;
-              sk_boxed = Atomic.make 0;
+              sk_runs = Atomic.make 0;
               sk_bails = Atomic.make 0;
               sk_gen = Atomic.get generation;
             }
@@ -136,38 +128,31 @@ module Stats = struct
           Hashtbl.replace tbl (unit_key, id) s;
           s)
 
-  let run s ~typed = Atomic.incr (if typed then s.sk_typed else s.sk_boxed)
-  let bail s = Atomic.incr s.sk_bails
+  let run s = Atomic.incr s.sk_runs
 
+  (* Unlocked test first: every bind refusal of a site calls this. *)
   let set_reason s reason =
-    locked (fun () ->
-        match s.sk_reason with
-        | Some _ -> ()
-        | None -> s.sk_reason <- Some reason)
-
-  (* Unlocked test first: every boxed run of a site calls this. *)
-  let set_boxed_reason s reason =
-    if s.sk_boxed_reason = None then
+    if s.sk_reason = None then
       locked (fun () ->
-          match s.sk_boxed_reason with
+          match s.sk_reason with
           | Some _ -> ()
-          | None -> s.sk_boxed_reason <- Some reason)
+          | None -> s.sk_reason <- Some reason)
+
+  let bail ?reason s =
+    Atomic.incr s.sk_bails;
+    Option.iter (set_reason s) reason
 
   let snapshot () : row list =
     let rows =
       locked (fun () ->
           Hashtbl.fold
             (fun _ s acc ->
-              let typed = Atomic.get s.sk_typed and boxed = Atomic.get s.sk_boxed in
               {
                 r_unit = s.sk_unit;
                 r_id = s.sk_id;
                 r_label = s.sk_label;
                 r_reason = s.sk_reason;
-                r_boxed_reason = s.sk_boxed_reason;
-                r_runs = typed + boxed;
-                r_typed = typed;
-                r_boxed = boxed;
+                r_runs = Atomic.get s.sk_runs;
                 r_bails = Atomic.get s.sk_bails;
               }
               :: acc)
@@ -203,7 +188,7 @@ end
 type scalar_ref = { sname : string; spath : string list; sbase : Ast.base_type }
 
 (** Array binding descriptor; [asubs] is the subscript count at the
-    use sites (0 = whole-array reference, no rank requirement).
+    use sites (1 or 2), which the bound array's rank must equal.
     [aelem] is the element kind seen at compile time; used by the
     typed specializer and re-validated by the typed bind. *)
 type array_ref = {
@@ -222,14 +207,13 @@ type array_ref = {
 
 (** {1 Register files}
 
-    A frame runs one [tinstr] stream over three register banks: a
-    [float array], an [int array] (bools live in it as 0/1) and a
-    [Value.t array].  When every register of a program is provably a
-    float, an int or a bool, {!specialize} re-emits it over the two
-    unboxed banks; any other program runs its boxed variant ({!boxed})
-    over the [Value] bank.  Every typed opcode performs the same
-    primitive float/int operation, in the same order, as its boxed
-    counterpart — unboxing removes allocation and dispatch cost, never
+    The compiler emits [instr] over one untyped register file;
+    {!specialize} proves every register a float, an int or a bool and
+    re-emits the program as one [tinstr] stream over two unboxed banks,
+    a [float array] and an [int array] (bools live in it as 0/1), or
+    bails.  Every typed opcode performs the same primitive float/int
+    operation, in the same order, as the tree-walker's [Value]
+    function — unboxing removes allocation and dispatch cost, never
     changes an IEEE-754 bit (DESIGN.md section 16 has the
     instruction-by-instruction argument). *)
 
@@ -308,8 +292,6 @@ and frame_plan = {
 }
 
 and program = {
-  code : instr array;
-  nregs : int;
   scalars : scalar_ref array;
   arrays : array_ref array;
   raws : string array;
@@ -322,27 +304,14 @@ and program = {
       (** names compilation resolved as not-in-scope (intrinsics, user
           functions); bind verifies they are still not variables *)
   ncalls : int;  (** call sites ([cs_idx] ranges over [0, ncalls)) *)
-  consts : (int * Value.t) array;
-      (** constant registers, preloaded by {!Vm.bind} and never written:
-          literals, folded PARAMETERs, the default DO step and ALLOCATE
-          lower bound, one register per distinct kind and bit pattern *)
   promoted : string array;
       (** a subprogram's private scalars, kept in registers: no slot of
           the executing scope is read or written for them *)
-  chunk_args : int array;
-      (** a parallel-DO chunk program's argument registers, which
-          {!Vm.run_chunk} sets before the pass: the chunk's first and
-          last iteration, then for COLLAPSE(2) the outer lower bound,
-          the inner lower bound and the inner trip count; empty for
-          other programs *)
   chunk_homes : scalar_ref array;
       (** the scalars a chunk program keeps in home registers: bind
           verifies each is a scalar slot of the executing scope with
           the base the homes were compiled for *)
-  boxed_memo : tinstr array Atomic.t;
-      (** the boxed variant, once a bind has needed it ({!boxed}) *)
-  typed : (tprogram, string) result;
-      (** the typed variant, or the construct {!specialize} rejected *)
+  typed : tprogram;  (** the code over the typed banks ({!specialize}) *)
 }
 
 (** Register-style instructions.  [int] operands are register indices
@@ -351,7 +320,7 @@ and instr =
   | Iconst of int * Value.t
       (** dst <- value, for writes that must run: home zeroing, inline
           locals and results, the [.and.]/[.or.] diamonds; literals and
-          folded PARAMETERs live in [consts] *)
+          folded PARAMETERs are constant registers *)
   | Icopy of int * int  (** dst <- src *)
   | Iload of int * int  (** dst <- scalar slot (scalar id) *)
   | Istore of int * int  (** scalar id <- coerce slot.base src *)
@@ -361,23 +330,19 @@ and instr =
   | Icoerce of Ast.base_type * int * int
       (** dst <- [Value.coerce base] src: assignment to an inlined
           callee local, replicating the tree-walker's slot store *)
-  | Iload_arr of int * int  (** dst <- whole-array value (array id) *)
-  | Istore_whole of int * int  (** whole-array assignment: array id, src *)
   | Iload1 of int * int * int  (** dst, array id, index reg (rank 1) *)
   | Iload2 of int * int * int * int  (** dst, array id, i reg, j reg *)
-  | IloadN of int * int * int array  (** dst, array id, index regs *)
   | Istore1 of int * int * int  (** array id, index reg, src *)
   | Istore2 of int * int * int * int  (** array id, i reg, j reg, src *)
-  | IstoreN of int * int array * int  (** array id, index regs, src *)
   | Ibinop of Ast.binop * int * int * int  (** op, dst, a, b *)
   | Ineg of int * int
   | Inot of int * int
   | Ibool of int * int  (** dst <- Bool (to_bool src) *)
   | Ito_int of int * int  (** dst <- Int (to_int src) *)
   | Icheck_step of int  (** error if reg is integer 0 (DO step) *)
-  | Iintr of string * (Value.t list -> Value.t) * int * int array
-      (** pre-resolved intrinsic: lowercase name (for the typed
-          specializer), fn, dst, arg regs *)
+  | Iintr of string * int * int array
+      (** intrinsic: lowercase name (which the typed specializer
+          dispatches on), dst, arg regs *)
   | Icall of call  (** marshal arguments, run the callee *)
   | Idummy_adjust of int
       (** scalar id; the [setup_scope] dummy-redeclaration quirk for a
@@ -400,11 +365,9 @@ and instr =
   | Iloop_fini_reg of { dst : int; loreg : int; hireg : int; stepreg : int }
       (** [Iloop_fini] for a DO variable promoted to register [dst] *)
   | Ipoll  (** cancellation poll (every 256 ticks) *)
-  | Iprint of int array
   | Icrit_enter  (** lock the global CRITICAL/ATOMIC mutex *)
   | Icrit_exit
   | Ireturn  (** RETURN: release CRITICAL locks, end the pass *)
-  | Istop of string option
   | Iexit  (** a chunk's top-level EXIT: raise [Loop_exit] *)
   | Iallocate of { al_raw : int; al_name : string; al_bounds : (int * int) array }
       (** ALLOCATE one variable: raw-slot id, name for errors, (lo, hi)
@@ -447,6 +410,9 @@ and tinstr =
   | TmulF of int * int * int
   | TdivF of int * int * int
   | TpowF of int * int * int
+  | TpowI of int * int * int
+      (** dst, base, exponent k >= 0 (a constant): [k] multiplications
+          of 1 by the base, like [Value.pow] *)
   | TaddI of int * int * int
   | TsubI of int * int * int
   | TmulI of int * int * int
@@ -464,7 +430,7 @@ and tinstr =
   | TfniF of string * (float -> int) * int * int  (** nint/floor/... *)
   | TmaxF of int * int * int  (** IEEE [>] pick, like variadic_minmax *)
   | TminF of int * int * int
-  | TmaxI of int * int * int  (** compared via float_of_int, like boxed *)
+  | TmaxI of int * int * int  (** compared via float_of_int, like [Value] *)
   | TminI of int * int * int
   | TabsF of int * int
   | TabsI of int * int
@@ -490,8 +456,6 @@ and tinstr =
   | Tallocated of int * int * string  (** int dst <- 0/1 *)
   | Tcheck_alloc of int * bool
   | Tomp_do of omp_do
-  | Tv of instr
-      (** a boxed variant's instruction, over the [Value] register bank *)
 
 (** A parallel DO inside a compiled body (DESIGN.md section 13).  Every
     name it mentions stays a scope slot.  [od_kinds] are the raw slots
@@ -501,44 +465,45 @@ and tinstr =
 and omp_do = { od_loop : Ast.do_loop; od_kinds : (int * bool) list }
 
 (** A compiled call: the site, how each actual is passed, and where the
-    result goes.  The compiler emits [Ta_alias], [Ta_v], [Ta_elem] and
-    [Tr_v] ([Icall]); {!specialize} moves the registers to the typed
-    banks. *)
+    result goes.  The compiler emits [Ta_alias], [Ta_v] and [Tr_v]
+    ([Icall]); {!specialize} moves the registers to the typed banks. *)
 and call = { tc_site : call_site; tc_args : targ array; tc_res : tres }
 
 (** How one actual is passed.  The shapes mirror the tree-walker's
     [bind_actual] exactly: whole-variable designators alias the slot,
-    array elements are copy-in/copy-out against indices evaluated
-    {e before} the value (the tree-walker resolves the lvalue first),
     everything else is a plain copied value, from the float bank, the
-    int bank, a 0/1 bool or the [Value] bank. *)
+    int bank or a 0/1 bool ([Ta_v]: the compiler's untyped register).
+    An array-element actual (copy-in/copy-out) bails. *)
 and targ =
   | Ta_alias of int  (** raw-slot id: pass the caller's slot itself *)
   | Ta_f of int
   | Ta_i of int
   | Ta_b of int
   | Ta_v of int
-  | Ta_elem of { ae_arr : int; ae_idx : int array; ae_val : int }
-      (** array id, index registers (already [to_int]ed, the lvalue
-          pass), value register (the bounds-checked re-evaluation), all
-          in the [Value] bank *)
 
 (** Where a call's result goes: nowhere (statement CALL) or a register
-    of the float bank, the int bank, a bool in the int bank, or the
-    [Value] bank. *)
+    of the float bank, the int bank or a bool in the int bank ([Tr_v]:
+    the compiler's untyped register). *)
 and tres = Tr_none | Tr_f of int | Tr_i of int | Tr_b of int | Tr_v of int
 
-(** A typed variant of a program: same scalars/arrays tables (ids are
-    shared), registers split across float and int banks.  [t_sty]
-    gives the value kind every scalar slot must hold for the typed
-    code to be exact; the bind re-checks it and runs the boxed variant
-    on mismatch. *)
+(** A program's typed code: registers split across float and int
+    banks.  [t_sty] gives the value kind every scalar slot must hold
+    for the typed code to be exact; the bind re-checks it and refuses
+    the program on mismatch, so that run tree-walks. *)
 and tprogram = {
   tcode : tinstr array;
-  t_finit : float array;  (** the float bank at bind: constants in place *)
+  t_finit : float array;
+      (** the float bank at bind: constant registers (literals, folded
+          PARAMETERs, the default DO step and ALLOCATE lower bound) in
+          place, never written *)
   t_iinit : int array;  (** the int bank at bind: constants in place *)
   t_sty : ty array;  (** per-scalar expected value kind *)
-  t_chunk_args : int array;  (** [chunk_args] in the int bank *)
+  t_chunk_args : int array;
+      (** a parallel-DO chunk program's argument registers in the int
+          bank, which {!Vm.run_chunk} sets before the pass: the chunk's
+          first and last iteration, then for COLLAPSE(2) the outer lower
+          bound, the inner lower bound and the inner trip count; empty
+          for other programs *)
   t_raw_int : (int * bool) array;
       (** raw ids passed to a callee that may rewrite an Int actual to
           Real ([false]: the slot must not hold an Int) or store a raw
@@ -599,7 +564,7 @@ type iframe = {
 
 (* A constant's identity: its kind and bit pattern, so [0.0d0] and
    [-0.0d0] get registers of their own. *)
-type const_key = K_int of int | K_real of int64 | K_bool of bool | K_str of string
+type const_key = K_int of int | K_real of int64 | K_bool of bool
 
 type ctx = {
   env : env;
@@ -641,15 +606,15 @@ let emit ctx i = vec_push ctx.code i
 let here ctx = ctx.code.len
 
 (* The register holding constant [v], taken from the program's constant
-   table ({!program.consts}); nothing is emitted. *)
+   table ([ctx.consts], preloaded into the typed banks); nothing is
+   emitted. *)
 let const_reg ctx (v : Value.t) =
   let key =
     match v with
     | Value.Int n -> K_int n
     | Value.Real x -> K_real (Int64.bits_of_float x)
     | Value.Bool b -> K_bool b
-    | Value.Str s -> K_str s
-    | Value.Arr _ -> bail "array-constant"
+    | Value.Str _ | Value.Arr _ -> bail "character or array constant"
   in
   match Hashtbl.find_opt ctx.const_ids key with
   | Some r -> r
@@ -1473,6 +1438,10 @@ let assigns body v =
 
 (* --- expressions --------------------------------------------------------- *)
 
+(* The compiler has no instruction for a whole-array value or a rank-3
+   or higher element. *)
+let whole_or_rank3 = "whole-array or rank>2 access"
+
 let has_section args =
   List.exists (function Ast.Section _ -> true | _ -> false) args
 
@@ -1554,20 +1523,21 @@ and compile_checked_subscripts ctx aid ~store args =
   List.map (compile_expr ctx) args
 
 and compile_elem_load ctx ~unalloc elem name path args =
+  if List.length args > 2 then bail whole_or_rank3;
   let aid = array_id ctx ~unalloc elem name path (List.length args) in
   let idx = compile_checked_subscripts ctx aid ~store:false args in
   let d = reg ctx in
   (match idx with
   | [ i ] -> emit ctx (Iload1 (d, aid, i))
   | [ i; j ] -> emit ctx (Iload2 (d, aid, i, j))
-  | _ -> emit ctx (IloadN (d, aid, Array.of_list idx)));
+  | _ -> assert false);
   d
 
-and emit_intrinsic ctx lname f args =
+and emit_intrinsic ctx lname args =
   if has_section args then bail "section";
   let argregs = List.map (compile_expr ctx) args in
   let d = reg ctx in
-  emit ctx (Iintr (lname, f, d, Array.of_list argregs));
+  emit ctx (Iintr (lname, d, Array.of_list argregs));
   d
 
 (* Walk a designator chain against the compile-time scope.  Only the
@@ -1592,12 +1562,7 @@ and compile_slot_load ctx (slot : Storage.slot) name path args rest : int =
       emit ctx (Iload (r, sid));
       r
     end
-  | (Storage.Array _ | Storage.Unalloc _), [], [] ->
-    let elem, unalloc = array_elem slot in
-    let aid = array_id ctx ~unalloc elem name path 0 in
-    let r = reg ctx in
-    emit ctx (Iload_arr (r, aid));
-    r
+  | (Storage.Array _ | Storage.Unalloc _), [], [] -> bail whole_or_rank3
   | (Storage.Array _ | Storage.Unalloc _), _ :: _, [] ->
     let elem, unalloc = array_elem slot in
     compile_elem_load ctx ~unalloc elem name path args
@@ -1625,10 +1590,10 @@ and compile_desig_load ctx (parts : Ast.designator) : int =
       | Some (Ib_reg (r, _)) ->
         if args <> [] then bail "inline-shape";
         r
-      | None -> (
-        match Hashtbl.find_opt Intrinsics.tbl (String.lowercase_ascii h) with
-        | Some f -> emit_intrinsic ctx (String.lowercase_ascii h) f args
-        | None -> bail "inline-shape"))
+      | None ->
+        if Hashtbl.mem Intrinsics.tbl (String.lowercase_ascii h) then
+          emit_intrinsic ctx (String.lowercase_ascii h) args
+        else bail "inline-shape")
     | _ -> bail "inline-shape")
   | None -> (
     match parts with
@@ -1645,10 +1610,10 @@ and compile_desig_load ctx (parts : Ast.designator) : int =
           match
             Hashtbl.find_opt Intrinsics.tbl (String.lowercase_ascii name)
           with
-          | Some f ->
+          | Some _ ->
             if rest <> [] then bail "designator-shape";
             note_negative ctx name;
-            emit_intrinsic ctx (String.lowercase_ascii name) f args
+            emit_intrinsic ctx (String.lowercase_ascii name) args
           | None -> (
             (* user function: the tree-walker's eval_desig evaluates
                every argument once (vals), finds the subprogram, then
@@ -1711,25 +1676,11 @@ and compile_marshalled_call ctx sp mod_name name actuals ~is_fn : int =
           | None -> bail "implicit-arg")
         | Ast.Desig ((n, args) :: rest) -> (
           match Storage.lookup ctx.scope n with
-          | Some { Storage.entry = Storage.Array arr; _ }
+          | Some { Storage.entry = Storage.Array _; _ }
             when rest = [] && args <> [] && not (has_section args) ->
-            (* copy-in/copy-out array element: the tree-walker first
-               resolves the lvalue (evaluating and to_int-ing each
-               subscript), then re-evaluates the designator for the
-               value (bounds-checked) *)
-            let aid =
-              array_id ctx ~unalloc:false arr.Farray.elem n []
-                (List.length args)
-            in
-            (* an unallocated array fails resolve_lvalue and the value
-               re-evaluation both, before any subscript runs *)
-            if (array_ref ctx aid).amaybe then
-              emit ctx (Icheck_alloc (aid, false));
-            let idx = List.map (compile_int ctx) args in
-            let av =
-              compile_elem_load ctx ~unalloc:false arr.Farray.elem n [] args
-            in
-            Ta_elem { ae_arr = aid; ae_idx = Array.of_list idx; ae_val = av }
+            (* copy-in/copy-out array element: the copy-out targets the
+               element resolved before the call *)
+            bail "array-element actual"
           | Some _ -> bail "arg-shape"
           | None ->
             (* head not in scope: bind_actual's resolve_lvalue fails
@@ -1847,18 +1798,16 @@ and compile_slot_store ctx (slot : Storage.slot) name path args rest rv =
     if slot.Storage.is_param then bail "parameter-store";
     let sid = scalar_id ctx slot name path in
     emit ctx (Istore (sid, rv))
-  | (Storage.Array _ | Storage.Unalloc _), [], [] ->
-    let elem, unalloc = array_elem slot in
-    let aid = array_id ctx ~unalloc elem name path 0 in
-    emit ctx (Istore_whole (aid, rv))
+  | (Storage.Array _ | Storage.Unalloc _), [], [] -> bail whole_or_rank3
   | (Storage.Array _ | Storage.Unalloc _), _ :: _, [] -> (
+    if List.length args > 2 then bail whole_or_rank3;
     let elem, unalloc = array_elem slot in
     let aid = array_id ctx ~unalloc elem name path (List.length args) in
     let idx = compile_checked_subscripts ctx aid ~store:true args in
     match idx with
     | [ i ] -> emit ctx (Istore1 (aid, i, rv))
     | [ i; j ] -> emit ctx (Istore2 (aid, i, j, rv))
-    | _ -> emit ctx (IstoreN (aid, Array.of_list idx, rv)))
+    | _ -> assert false)
   | Storage.Struct obj, [], (fname, fargs) :: frest -> (
     match Hashtbl.find_opt obj fname with
     | Some fslot ->
@@ -1974,11 +1923,8 @@ and compile_stmt ctx (s : Ast.stmt) =
     match ctx.inline with
     | Some fr -> fr.iret <- emit_patchable ctx (Ijmp 0) :: fr.iret
     | None -> emit ctx Ireturn)
-  | Ast.Stop msg -> emit ctx (Istop msg)
+  | Ast.Print _ | Ast.Stop _ -> bail "PRINT or STOP"
   | Ast.Continue | Ast.Comment _ | Ast.Omp_barrier -> ()
-  | Ast.Print args ->
-    let regs = List.map (compile_expr ctx) args in
-    emit ctx (Iprint (Array.of_list regs))
   | Ast.Omp_atomic s ->
     if ctx.crit > 0 then bail "nested-critical";
     emit ctx Icrit_enter;
@@ -2150,28 +2096,27 @@ and compile_omp_do ctx (l : Ast.do_loop) =
 
 (* --- typed specialization ------------------------------------------------ *)
 
-(* Re-emit a boxed program over unboxed float/int register banks when
-   every register's value kind is statically known.  The mapping is a
-   single forward pass: this emitter defines registers before use on
-   every path (including the short-circuit And/Or diamonds, whose two
-   definitions of the result register are both Bool), so each boxed
-   register gets exactly one type or the whole program is rejected.
-   Rejection is free: the boxed program still runs, so the typed layer
-   can afford to be picky — anything whose boxed semantics depends on
-   a runtime value kind (integer **, huge(), Value polymorphism over
-   Str/Arr, calls, prints) is rejected rather than approximated.
+(* Re-emit the compiler's untyped program over unboxed float/int
+   register banks, every register's value kind statically known.  The
+   mapping is a single forward pass: this emitter defines registers
+   before use on every path (including the short-circuit And/Or
+   diamonds, whose two definitions of the result register are both
+   Bool), so each register gets exactly one type or the program bails.
+   A bail tree-walks, so the typed layer can afford to be picky —
+   anything whose semantics depends on a runtime value kind (integer
+   ** with a variable exponent, Value polymorphism over Str/Arr, calls
+   whose effects could change a slot's kind) bails rather than being
+   approximated.
 
    Soundness (DESIGN.md §16): every typed opcode performs the same
-   primitive float/int operation the boxed opcode's fast path (or the
-   Value function it calls) performs, in the same order.  The
+   primitive float/int operation the tree-walker's [Value] function
+   performs, in the same order.  The
    subtleties are the comparison and min/max orders: Value.compare_values
    and variadic_minmax go through OCaml's polymorphic compare on
    floats, which is Float.compare's total order (NaN below everything,
    NaN = NaN) — NOT native float (<), so typed comparisons use
    Float.compare too.  Int min/max comparisons go through float_of_int
    first, exactly like variadic_minmax's to_float. *)
-
-exception Treject of string
 
 type tvec = { mutable titems : tinstr array; mutable tlen : int }
 
@@ -2189,13 +2134,19 @@ let floor_of x = int_of_float (Float.floor x)
 let ceil_of x = int_of_float (Float.ceil x)
 let fmod x y = Float.rem x y
 
-(** The typed variant of [p], or [Error why] when some register, scalar
-    or instruction has no single provable kind, or when a call could
-    change the kind of a slot the typed code reads (see {!effects});
-    [why] names the first such construct.  [env] is the unit [p] was
-    compiled in, whose subprograms' effects the call check consults. *)
-let specialize env (p : program) : (tprogram, string) result =
-  let nsc = Array.length p.scalars in
+(** The typed code of the program [ctx] compiled, whose scalar table is
+    [scalars] and array table [arrays].  Raises {!Bail} when some
+    register, scalar or instruction has no single provable kind, or
+    when a call could change the kind of a slot the typed code reads
+    (see {!effects}), naming the first such construct.  The unit's
+    subprograms' effects ([ctx.env]) feed the call check. *)
+let specialize ctx ~(scalars : scalar_ref array) ~(arrays : array_ref array) ~chunk_args : tprogram =
+  let env = ctx.env in
+  let code = Array.sub ctx.code.items 0 ctx.code.len in
+  let consts =
+    List.sort (fun (a, _) (b, _) -> compare a b) (Hashtbl.fold (fun r v acc -> (r, v) :: acc) ctx.consts [])
+  in
+  let nsc = Array.length scalars in
   let sty = Array.make nsc TI in
   let sty_ok = Array.make nsc false in
   Array.iteri
@@ -2211,12 +2162,12 @@ let specialize env (p : program) : (tprogram, string) result =
         sty.(i) <- TB;
         sty_ok.(i) <- true
       | _ -> ())
-    p.scalars;
-  let n = Array.length p.code in
+    scalars;
+  let n = Array.length code in
   let out = { titems = Array.make (max 64 (2 * n)) Tpoll; tlen = 0 } in
   let map = Array.make (n + 1) 0 in
-  let rty : ty option array = Array.make (max 1 p.nregs) None in
-  let bank = Array.make (max 1 p.nregs) 0 in
+  let rty : ty option array = Array.make (max 1 ctx.nregs) None in
+  let bank = Array.make (max 1 ctx.nregs) 0 in
   let nf = ref 0 and ni = ref 0 in
   let fresh_f () =
     let i = !nf in
@@ -2233,9 +2184,9 @@ let specialize env (p : program) : (tprogram, string) result =
     | None ->
       rty.(r) <- Some t;
       bank.(r) <- (match t with TF -> fresh_f () | TI | TB -> fresh_i ())
-    | Some t' -> if t <> t' then raise (Treject "register kind conflict")
+    | Some t' -> if t <> t' then bail "register kind conflict"
   in
-  let ty_of r = match rty.(r) with Some t -> t | None -> raise (Treject "register of unknown kind") in
+  let ty_of r = match rty.(r) with Some t -> t | None -> bail "register of unknown kind" in
   (* operand access with on-the-fly conversion into a fresh temp; the
      conversions are total (float_of_int / int_of_float never raise),
      exactly like to_float / to_int on numeric Values *)
@@ -2246,7 +2197,7 @@ let specialize env (p : program) : (tprogram, string) result =
       let t = fresh_f () in
       tvec_push out (Ti2f (t, bank.(r)));
       t
-    | TB -> raise (Treject "logical used as a number")
+    | TB -> bail "logical used as a number"
   in
   let as_i_trunc r =
     match ty_of r with
@@ -2255,10 +2206,10 @@ let specialize env (p : program) : (tprogram, string) result =
       let t = fresh_i () in
       tvec_push out (Tf2i (t, bank.(r)));
       t
-    | TB -> raise (Treject "logical used as a number")
+    | TB -> bail "logical used as a number"
   in
   let as_cond r =
-    match ty_of r with TI | TB -> bank.(r) | TF -> raise (Treject "real used as a condition")
+    match ty_of r with TI | TB -> bank.(r) | TF -> bail "real used as a condition"
   in
   (* to_bool-normalized 0/1 operand, for Eqv/Neqv *)
   let as_bool r =
@@ -2268,10 +2219,10 @@ let specialize env (p : program) : (tprogram, string) result =
       let t = fresh_i () in
       tvec_push out (Tbool (t, bank.(r)));
       t
-    | TF -> raise (Treject "real used as a logical")
+    | TF -> bail "real used as a logical"
   in
   let scalar i =
-    if not sty_ok.(i) then raise (Treject ("scalar " ^ p.scalars.(i).sname ^ " is not integer, real or logical"));
+    if not sty_ok.(i) then bail ("scalar " ^ scalars.(i).sname ^ " is not integer, real or logical");
     sty.(i)
   in
   (* A typed call may not change the kind of a slot this frame reads
@@ -2289,7 +2240,7 @@ let specialize env (p : program) : (tprogram, string) result =
           (String.lowercase_ascii cs.cs_sub.Ast.sub_name)
       with
       | Some fx -> fx
-      | None -> raise (Treject ("call of " ^ cs.cs_sub.Ast.sub_name ^ " has no effects summary"))
+      | None -> bail ("call of " ^ cs.cs_sub.Ast.sub_name ^ " has no effects summary")
     in
     let args =
       Array.mapi
@@ -2297,23 +2248,22 @@ let specialize env (p : program) : (tprogram, string) result =
           match arg with
           | Ta_alias rid ->
             let real = fx.fx_real.(k) and int = fx.fx_int.(k) in
-            if real && int then raise (Treject ("call of " ^ cs.cs_sub.Ast.sub_name ^ " may make an actual real or integer"));
+            if real && int then bail ("call of " ^ cs.cs_sub.Ast.sub_name ^ " may make an actual real or integer");
             if real || int then raw_int := (rid, int) :: !raw_int;
             Ta_alias rid
           | Ta_v r -> (
             match ty_of r with TF -> Ta_f bank.(r) | TI -> Ta_i bank.(r) | TB -> Ta_b bank.(r))
-          | Ta_elem _ -> raise (Treject "array-element actual")
-          | Ta_f _ | Ta_i _ | Ta_b _ -> raise (Treject "typed actual"))
+          | Ta_f _ | Ta_i _ | Ta_b _ -> bail "typed actual")
         tc_args
     in
     let res =
       match tc_res with
       | Tr_none -> Tr_none
       | Tr_v d -> (
-        let t = match result_ty cs.cs_sub fx with Some t -> t | None -> raise (Treject ("result of " ^ cs.cs_sub.Ast.sub_name ^ " has no fixed kind")) in
+        let t = match result_ty cs.cs_sub fx with Some t -> t | None -> bail ("result of " ^ cs.cs_sub.Ast.sub_name ^ " has no fixed kind") in
         def d t;
         match t with TF -> Tr_f bank.(d) | TI -> Tr_i bank.(d) | TB -> Tr_b bank.(d))
-      | Tr_f _ | Tr_i _ | Tr_b _ -> raise (Treject "typed result")
+      | Tr_f _ | Tr_i _ | Tr_b _ -> bail "typed result"
     in
     has_call := true;
     Tcall { tc_site = cs; tc_args = args; tc_res = res }
@@ -2325,542 +2275,518 @@ let specialize env (p : program) : (tprogram, string) result =
     | Ast.Ge -> Cge
     | Ast.Eq -> Ceq
     | Ast.Ne -> Cne
-    | _ -> raise (Treject "non-comparison operator")
+    | _ -> bail "non-comparison operator"
   in
-  try
-    (* slots written raw (DO variables) hold Ints mid-loop regardless
-       of their declared base; only Integer-based ones stay typable *)
-    Array.iter
-      (function
-        | Istore_raw (sid, _) | Iloop_fini { sid; _ } ->
-          if scalar sid <> TI then raise (Treject ("DO variable " ^ p.scalars.(sid).sname ^ " is not integer"))
-        | _ -> ())
-      p.code;
-    (* a chunk's argument registers hold the Ints [Vm.run_chunk] sets,
-       and constant registers get the bank of their kind, before any
-       code *)
-    Array.iter (fun r -> def r TI) p.chunk_args;
-    Array.iter
-      (fun (r, v) ->
-        match v with
-        | Value.Int _ -> def r TI
-        | Value.Real _ -> def r TF
-        | Value.Bool _ -> def r TB
-        | Value.Str _ | Value.Arr _ -> raise (Treject "character or array constant"))
-      p.consts;
-    for i = 0 to n - 1 do
-      map.(i) <- out.tlen;
-      (match p.code.(i) with
-      | Iconst (d, Value.Int x) ->
-        def d TI;
-        tvec_push out (TconstI (bank.(d), x))
-      | Iconst (d, Value.Real x) ->
+  (* slots written raw (DO variables) hold Ints mid-loop regardless
+     of their declared base; only Integer-based ones stay typable *)
+  Array.iter
+    (function
+      | Istore_raw (sid, _) | Iloop_fini { sid; _ } ->
+        if scalar sid <> TI then bail ("DO variable " ^ scalars.(sid).sname ^ " is not integer")
+      | _ -> ())
+    code;
+  (* a chunk's argument registers hold the Ints [Vm.run_chunk] sets,
+     and constant registers get the bank of their kind, before any
+     code *)
+  Array.iter (fun r -> def r TI) chunk_args;
+  List.iter
+    (fun (r, v) ->
+      match v with
+      | Value.Int _ -> def r TI
+      | Value.Real _ -> def r TF
+      | Value.Bool _ -> def r TB
+      | Value.Str _ | Value.Arr _ -> assert false (* [const_reg] bails *))
+    consts;
+  for i = 0 to n - 1 do
+    map.(i) <- out.tlen;
+    (match code.(i) with
+    | Iconst (d, Value.Int x) ->
+      def d TI;
+      tvec_push out (TconstI (bank.(d), x))
+    | Iconst (d, Value.Real x) ->
+      def d TF;
+      tvec_push out (TconstF (bank.(d), x))
+    | Iconst (d, Value.Bool b) ->
+      def d TB;
+      tvec_push out (TconstI (bank.(d), if b then 1 else 0))
+    | Iconst (_, (Value.Str _ | Value.Arr _)) -> bail "character or array constant"
+    | Icopy (d, s) -> (
+      match ty_of s with
+      | TF ->
         def d TF;
-        tvec_push out (TconstF (bank.(d), x))
-      | Iconst (d, Value.Bool b) ->
+        tvec_push out (TmovF (bank.(d), bank.(s)))
+      | TI ->
+        def d TI;
+        tvec_push out (TmovI (bank.(d), bank.(s)))
+      | TB ->
         def d TB;
-        tvec_push out (TconstI (bank.(d), if b then 1 else 0))
-      | Iconst (_, (Value.Str _ | Value.Arr _)) -> raise (Treject "character or array constant")
-      | Icopy (d, s) -> (
-        match ty_of s with
-        | TF ->
-          def d TF;
-          tvec_push out (TmovF (bank.(d), bank.(s)))
-        | TI ->
+        tvec_push out (TmovI (bank.(d), bank.(s))))
+    | Iload (d, sid) -> (
+      match scalar sid with
+      | TF ->
+        def d TF;
+        tvec_push out (TldsF (bank.(d), sid))
+      | TI ->
+        def d TI;
+        tvec_push out (TldsI (bank.(d), sid))
+      | TB ->
+        def d TB;
+        tvec_push out (TldsB (bank.(d), sid)))
+    | Istore (sid, r) -> (
+      match (scalar sid, ty_of r) with
+      | TF, TF -> tvec_push out (TstsF (sid, bank.(r)))
+      | TF, TI -> tvec_push out (TstsF_ofI (sid, bank.(r)))
+      | TI, TI -> tvec_push out (TstsI (sid, bank.(r)))
+      | TI, TF -> tvec_push out (TstsI_ofF (sid, bank.(r)))
+      | TB, TB -> tvec_push out (TstsB (sid, bank.(r)))
+      | _ -> bail "assignment of another kind")
+    | Istore_raw (sid, r) ->
+      if ty_of r <> TI then bail "raw store of a non-integer";
+      tvec_push out (TstsI_raw (sid, bank.(r)))
+    | Icoerce (base, d, s) -> (
+      match (base, ty_of s) with
+      | Ast.Integer, TI ->
+        def d TI;
+        tvec_push out (TmovI (bank.(d), bank.(s)))
+      | Ast.Integer, TF ->
+        def d TI;
+        tvec_push out (Tf2i (bank.(d), bank.(s)))
+      | (Ast.Real | Ast.Real8), TF ->
+        def d TF;
+        tvec_push out (TmovF (bank.(d), bank.(s)))
+      | (Ast.Real | Ast.Real8), TI ->
+        def d TF;
+        tvec_push out (Ti2f (bank.(d), bank.(s)))
+      | Ast.Logical, TB ->
+        def d TB;
+        tvec_push out (TmovI (bank.(d), bank.(s)))
+      | _ -> bail "assignment of another kind")
+    | Iload1 (d, a, ir) -> (
+      match arrays.(a).aelem with
+      | Farray.Efloat ->
+        let iv = as_i_trunc ir in
+        def d TF;
+        tvec_push out (Tld1F (bank.(d), a, iv))
+      | Farray.Eint ->
+        let iv = as_i_trunc ir in
+        def d TI;
+        tvec_push out (Tld1I (bank.(d), a, iv))
+      | _ -> bail "array of another element kind")
+    | Iload2 (d, a, ir, jr) -> (
+      match arrays.(a).aelem with
+      | Farray.Efloat ->
+        let iv = as_i_trunc ir in
+        let jv = as_i_trunc jr in
+        def d TF;
+        tvec_push out (Tld2F (bank.(d), a, iv, jv))
+      | Farray.Eint ->
+        let iv = as_i_trunc ir in
+        let jv = as_i_trunc jr in
+        def d TI;
+        tvec_push out (Tld2I (bank.(d), a, iv, jv))
+      | _ -> bail "array of another element kind")
+    | Istore1 (a, ir, r) -> (
+      match arrays.(a).aelem with
+      | Farray.Efloat ->
+        (* set_linear coerces Ci -> float_of_int, same as Ti2f *)
+        let iv = as_i_trunc ir in
+        let rv = as_f r in
+        tvec_push out (Tst1F (a, iv, rv))
+      | Farray.Eint ->
+        let iv = as_i_trunc ir in
+        let rv = as_i_trunc r in
+        tvec_push out (Tst1I (a, iv, rv))
+      | _ -> bail "array of another element kind")
+    | Istore2 (a, ir, jr, r) -> (
+      match arrays.(a).aelem with
+      | Farray.Efloat ->
+        let iv = as_i_trunc ir in
+        let jv = as_i_trunc jr in
+        let rv = as_f r in
+        tvec_push out (Tst2F (a, iv, jv, rv))
+      | Farray.Eint ->
+        let iv = as_i_trunc ir in
+        let jv = as_i_trunc jr in
+        let rv = as_i_trunc r in
+        tvec_push out (Tst2I (a, iv, jv, rv))
+      | _ -> bail "array of another element kind")
+    | Ibinop (op, d, a, b) -> (
+      let ta = ty_of a and tb = ty_of b in
+      match op with
+      | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div -> (
+        match (ta, tb) with
+        | TI, TI ->
           def d TI;
-          tvec_push out (TmovI (bank.(d), bank.(s)))
-        | TB ->
-          def d TB;
-          tvec_push out (TmovI (bank.(d), bank.(s))))
-      | Iload (d, sid) -> (
-        match scalar sid with
-        | TF ->
+          tvec_push out
+            ((match op with
+             | Ast.Add -> TaddI (bank.(d), bank.(a), bank.(b))
+             | Ast.Sub -> TsubI (bank.(d), bank.(a), bank.(b))
+             | Ast.Mul -> TmulI (bank.(d), bank.(a), bank.(b))
+             | _ -> TdivI (bank.(d), bank.(a), bank.(b))))
+        | (TF | TI), (TF | TI) ->
+          let av = as_f a in
+          let bv = as_f b in
           def d TF;
-          tvec_push out (TldsF (bank.(d), sid))
-        | TI ->
-          def d TI;
-          tvec_push out (TldsI (bank.(d), sid))
-        | TB ->
-          def d TB;
-          tvec_push out (TldsB (bank.(d), sid)))
-      | Istore (sid, r) -> (
-        match (scalar sid, ty_of r) with
-        | TF, TF -> tvec_push out (TstsF (sid, bank.(r)))
-        | TF, TI -> tvec_push out (TstsF_ofI (sid, bank.(r)))
-        | TI, TI -> tvec_push out (TstsI (sid, bank.(r)))
-        | TI, TF -> tvec_push out (TstsI_ofF (sid, bank.(r)))
-        | TB, TB -> tvec_push out (TstsB (sid, bank.(r)))
-        | _ -> raise (Treject "assignment of another kind"))
-      | Istore_raw (sid, r) ->
-        if ty_of r <> TI then raise (Treject "raw store of a non-integer");
-        tvec_push out (TstsI_raw (sid, bank.(r)))
-      | Icoerce (base, d, s) -> (
-        match (base, ty_of s) with
-        | Ast.Integer, TI ->
-          def d TI;
-          tvec_push out (TmovI (bank.(d), bank.(s)))
-        | Ast.Integer, TF ->
-          def d TI;
-          tvec_push out (Tf2i (bank.(d), bank.(s)))
-        | (Ast.Real | Ast.Real8), TF ->
-          def d TF;
-          tvec_push out (TmovF (bank.(d), bank.(s)))
-        | (Ast.Real | Ast.Real8), TI ->
-          def d TF;
-          tvec_push out (Ti2f (bank.(d), bank.(s)))
-        | Ast.Logical, TB ->
-          def d TB;
-          tvec_push out (TmovI (bank.(d), bank.(s)))
-        | _ -> raise (Treject "assignment of another kind"))
-      | Iload_arr _ | Istore_whole _ | IloadN _ | IstoreN _ -> raise (Treject "whole-array or rank>2 access")
-      | Iload1 (d, a, ir) -> (
-        match p.arrays.(a).aelem with
-        | Farray.Efloat ->
-          let iv = as_i_trunc ir in
-          def d TF;
-          tvec_push out (Tld1F (bank.(d), a, iv))
-        | Farray.Eint ->
-          let iv = as_i_trunc ir in
-          def d TI;
-          tvec_push out (Tld1I (bank.(d), a, iv))
-        | _ -> raise (Treject "array of another element kind"))
-      | Iload2 (d, a, ir, jr) -> (
-        match p.arrays.(a).aelem with
-        | Farray.Efloat ->
-          let iv = as_i_trunc ir in
-          let jv = as_i_trunc jr in
-          def d TF;
-          tvec_push out (Tld2F (bank.(d), a, iv, jv))
-        | Farray.Eint ->
-          let iv = as_i_trunc ir in
-          let jv = as_i_trunc jr in
-          def d TI;
-          tvec_push out (Tld2I (bank.(d), a, iv, jv))
-        | _ -> raise (Treject "array of another element kind"))
-      | Istore1 (a, ir, r) -> (
-        match p.arrays.(a).aelem with
-        | Farray.Efloat ->
-          (* set_linear coerces Ci -> float_of_int, same as Ti2f *)
-          let iv = as_i_trunc ir in
-          let rv = as_f r in
-          tvec_push out (Tst1F (a, iv, rv))
-        | Farray.Eint ->
-          let iv = as_i_trunc ir in
-          let rv = as_i_trunc r in
-          tvec_push out (Tst1I (a, iv, rv))
-        | _ -> raise (Treject "array of another element kind"))
-      | Istore2 (a, ir, jr, r) -> (
-        match p.arrays.(a).aelem with
-        | Farray.Efloat ->
-          let iv = as_i_trunc ir in
-          let jv = as_i_trunc jr in
-          let rv = as_f r in
-          tvec_push out (Tst2F (a, iv, jv, rv))
-        | Farray.Eint ->
-          let iv = as_i_trunc ir in
-          let jv = as_i_trunc jr in
-          let rv = as_i_trunc r in
-          tvec_push out (Tst2I (a, iv, jv, rv))
-        | _ -> raise (Treject "array of another element kind"))
-      | Ibinop (op, d, a, b) -> (
-        let ta = ty_of a and tb = ty_of b in
-        match op with
-        | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div -> (
-          match (ta, tb) with
-          | TI, TI ->
+          tvec_push out
+            ((match op with
+             | Ast.Add -> TaddF (bank.(d), av, bv)
+             | Ast.Sub -> TsubF (bank.(d), av, bv)
+             | Ast.Mul -> TmulF (bank.(d), av, bv)
+             | _ -> TdivF (bank.(d), av, bv)))
+        | _ -> bail "logical arithmetic")
+      | Ast.Pow -> (
+        match (ta, tb) with
+        | TI, TI -> (
+          (* Value.pow: an int loop for k >= 0, a real power for
+             k < 0; a variable exponent decides the result's kind at
+             run time *)
+          match Hashtbl.find_opt ctx.consts b with
+          | Some (Value.Int k) when k >= 0 ->
             def d TI;
-            tvec_push out
-              ((match op with
-               | Ast.Add -> TaddI (bank.(d), bank.(a), bank.(b))
-               | Ast.Sub -> TsubI (bank.(d), bank.(a), bank.(b))
-               | Ast.Mul -> TmulI (bank.(d), bank.(a), bank.(b))
-               | _ -> TdivI (bank.(d), bank.(a), bank.(b))))
-          | (TF | TI), (TF | TI) ->
-            let av = as_f a in
-            let bv = as_f b in
-            def d TF;
-            tvec_push out
-              ((match op with
-               | Ast.Add -> TaddF (bank.(d), av, bv)
-               | Ast.Sub -> TsubF (bank.(d), av, bv)
-               | Ast.Mul -> TmulF (bank.(d), av, bv)
-               | _ -> TdivF (bank.(d), av, bv)))
-          | _ -> raise (Treject "logical arithmetic"))
-        | Ast.Pow -> (
-          match (ta, tb) with
-          | TI, TI -> raise (Treject "integer **") (* integer ** is an int loop *)
-          | (TF | TI), (TF | TI) ->
+            tvec_push out (TpowI (bank.(d), bank.(a), k))
+          | Some (Value.Int _) ->
             let av = as_f a in
             let bv = as_f b in
             def d TF;
             tvec_push out (TpowF (bank.(d), av, bv))
-          | _ -> raise (Treject "logical arithmetic"))
-        | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne -> (
-          match (ta, tb) with
-          | TI, TI ->
-            def d TB;
-            tvec_push out (TcmpI (cmp_of op, bank.(d), bank.(a), bank.(b)))
-          | (TF | TI), (TF | TI) ->
-            (* mixed numerics compare through to_float, like
-               compare_values *)
-            let av = as_f a in
-            let bv = as_f b in
-            def d TB;
-            tvec_push out (TcmpF (cmp_of op, bank.(d), av, bv))
-          | TB, TB when op = Ast.Eq || op = Ast.Ne ->
-            def d TB;
-            tvec_push out (TcmpI (cmp_of op, bank.(d), bank.(a), bank.(b)))
-          | _ -> raise (Treject "comparison of mixed kinds"))
-        | Ast.Eqv | Ast.Neqv ->
-          let av = as_bool a in
-          let bv = as_bool b in
-          def d TB;
-          tvec_push out
-            (TcmpI
-               ((if op = Ast.Eqv then Ceq else Cne), bank.(d), av, bv))
-        | Ast.Concat | Ast.And | Ast.Or -> raise (Treject "character or unshortened logical operator"))
-      | Ineg (d, s) -> (
-        match ty_of s with
-        | TF ->
+          | _ -> bail "integer **")
+        | (TF | TI), (TF | TI) ->
+          let av = as_f a in
+          let bv = as_f b in
           def d TF;
-          tvec_push out (TnegF (bank.(d), bank.(s)))
+          tvec_push out (TpowF (bank.(d), av, bv))
+        | _ -> bail "logical arithmetic")
+      | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne -> (
+        match (ta, tb) with
+        | TI, TI ->
+          def d TB;
+          tvec_push out (TcmpI (cmp_of op, bank.(d), bank.(a), bank.(b)))
+        | (TF | TI), (TF | TI) ->
+          (* mixed numerics compare through to_float, like
+             compare_values *)
+          let av = as_f a in
+          let bv = as_f b in
+          def d TB;
+          tvec_push out (TcmpF (cmp_of op, bank.(d), av, bv))
+        | TB, TB when op = Ast.Eq || op = Ast.Ne ->
+          def d TB;
+          tvec_push out (TcmpI (cmp_of op, bank.(d), bank.(a), bank.(b)))
+        | _ -> bail "comparison of mixed kinds")
+      | Ast.Eqv | Ast.Neqv ->
+        let av = as_bool a in
+        let bv = as_bool b in
+        def d TB;
+        tvec_push out
+          (TcmpI
+             ((if op = Ast.Eqv then Ceq else Cne), bank.(d), av, bv))
+      | Ast.Concat | Ast.And | Ast.Or -> bail "character or unshortened logical operator")
+    | Ineg (d, s) -> (
+      match ty_of s with
+      | TF ->
+        def d TF;
+        tvec_push out (TnegF (bank.(d), bank.(s)))
+      | TI ->
+        def d TI;
+        tvec_push out (TnegI (bank.(d), bank.(s)))
+      | TB -> bail "negated logical")
+    | Inot (d, s) ->
+      let sv = as_cond s in
+      def d TB;
+      tvec_push out (Tnot (bank.(d), sv))
+    | Ibool (d, s) ->
+      let sv = as_cond s in
+      def d TB;
+      tvec_push out (Tbool (bank.(d), sv))
+    | Ito_int (d, s) ->
+      if d = s then begin
+        (* in-place narrowing can't retype a register; Int -> Int is
+           the identity and needs no code *)
+        match ty_of s with TI -> () | _ -> bail "in-place int() of a non-integer"
+      end
+      else begin
+        match ty_of s with
         | TI ->
           def d TI;
-          tvec_push out (TnegI (bank.(d), bank.(s)))
-        | TB -> raise (Treject "negated logical"))
-      | Inot (d, s) ->
-        let sv = as_cond s in
-        def d TB;
-        tvec_push out (Tnot (bank.(d), sv))
-      | Ibool (d, s) ->
-        let sv = as_cond s in
-        def d TB;
-        tvec_push out (Tbool (bank.(d), sv))
-      | Ito_int (d, s) ->
-        if d = s then begin
-          (* in-place narrowing can't retype a register; Int -> Int is
-             the identity and needs no code *)
-          match ty_of s with TI -> () | _ -> raise (Treject "in-place int() of a non-integer")
-        end
-        else begin
-          match ty_of s with
-          | TI ->
-            def d TI;
-            tvec_push out (TmovI (bank.(d), bank.(s)))
-          | TF ->
-            def d TI;
-            tvec_push out (Tf2i (bank.(d), bank.(s)))
-          | TB -> raise (Treject "int() of a logical")
-        end
-      | Icheck_step r ->
-        if ty_of r <> TI then raise (Treject "non-integer DO step");
-        tvec_push out (Tcheck_step bank.(r))
-      | Iintr (name, _, d, args) -> (
-        let arg1 () =
-          match args with [| a |] -> a | _ -> raise (Treject ("arity of intrinsic " ^ name))
-        in
-        let arg2 () =
-          match args with [| a; b |] -> (a, b) | _ -> raise (Treject ("arity of intrinsic " ^ name))
-        in
-        let un1 f =
-          let av = as_f (arg1 ()) in
+          tvec_push out (TmovI (bank.(d), bank.(s)))
+        | TF ->
+          def d TI;
+          tvec_push out (Tf2i (bank.(d), bank.(s)))
+        | TB -> bail "int() of a logical"
+      end
+    | Icheck_step r ->
+      if ty_of r <> TI then bail "non-integer DO step";
+      tvec_push out (Tcheck_step bank.(r))
+    | Iintr (name, d, args) -> (
+      let arg1 () =
+        match args with [| a |] -> a | _ -> bail ("arity of intrinsic " ^ name)
+      in
+      let arg2 () =
+        match args with [| a; b |] -> (a, b) | _ -> bail ("arity of intrinsic " ^ name)
+      in
+      let un1 f =
+        let av = as_f (arg1 ()) in
+        def d TF;
+        tvec_push out (Tin1F (name, f, bank.(d), av))
+      in
+      match name with
+      | "sqrt" | "dsqrt" -> un1 sqrt
+      | "exp" | "dexp" -> un1 exp
+      | "log" | "alog" | "dlog" -> un1 log
+      | "log10" | "alog10" -> un1 log10
+      | "sin" -> un1 sin
+      | "cos" -> un1 cos
+      | "tan" -> un1 tan
+      | "asin" -> un1 asin
+      | "acos" -> un1 acos
+      | "atan" -> un1 atan
+      | "sinh" -> un1 sinh
+      | "cosh" -> un1 cosh
+      | "tanh" -> un1 tanh
+      | "dabs" -> un1 Float.abs
+      | "atan2" ->
+        let x, y = arg2 () in
+        let av = as_f x in
+        let bv = as_f y in
+        def d TF;
+        tvec_push out (Tin2F (name, atan2, bank.(d), av, bv))
+      | "sign" | "dsign" ->
+        let x, y = arg2 () in
+        let av = as_f x in
+        let bv = as_f y in
+        def d TF;
+        tvec_push out (Tin2F (name, Intrinsics.sign_val, bank.(d), av, bv))
+      | "abs" -> (
+        match ty_of (arg1 ()) with
+        | TI ->
+          def d TI;
+          tvec_push out (TabsI (bank.(d), bank.(arg1 ())))
+        | TF ->
           def d TF;
-          tvec_push out (Tin1F (name, f, bank.(d), av))
-        in
-        match name with
-        | "sqrt" | "dsqrt" -> un1 sqrt
-        | "exp" | "dexp" -> un1 exp
-        | "log" | "alog" | "dlog" -> un1 log
-        | "log10" | "alog10" -> un1 log10
-        | "sin" -> un1 sin
-        | "cos" -> un1 cos
-        | "tan" -> un1 tan
-        | "asin" -> un1 asin
-        | "acos" -> un1 acos
-        | "atan" -> un1 atan
-        | "sinh" -> un1 sinh
-        | "cosh" -> un1 cosh
-        | "tanh" -> un1 tanh
-        | "dabs" -> un1 Float.abs
-        | "atan2" ->
-          let x, y = arg2 () in
+          tvec_push out (TabsF (bank.(d), bank.(arg1 ())))
+        | TB -> bail "abs of a logical")
+      | "iabs" ->
+        let av = as_i_trunc (arg1 ()) in
+        def d TI;
+        tvec_push out (TabsI (bank.(d), av))
+      | "mod" -> (
+        let x, y = arg2 () in
+        match (ty_of x, ty_of y) with
+        | TI, TI ->
+          def d TI;
+          tvec_push out (TmodI (bank.(d), bank.(x), bank.(y)))
+        | (TF | TI), (TF | TI) ->
           let av = as_f x in
           let bv = as_f y in
           def d TF;
-          tvec_push out (Tin2F (name, atan2, bank.(d), av, bv))
-        | "sign" | "dsign" ->
-          let x, y = arg2 () in
+          tvec_push out (Tin2F (name, fmod, bank.(d), av, bv))
+        | _ -> bail "mod of a logical")
+      | "int" | "ifix" -> (
+        match ty_of (arg1 ()) with
+        | TI ->
+          def d TI;
+          tvec_push out (TmovI (bank.(d), bank.(arg1 ())))
+        | TF ->
+          def d TI;
+          tvec_push out (Tf2i (bank.(d), bank.(arg1 ())))
+        | TB -> bail "int() of a logical")
+      | "nint" ->
+        let av = as_f (arg1 ()) in
+        def d TI;
+        tvec_push out (TfniF (name, nint_of, bank.(d), av))
+      | "floor" ->
+        let av = as_f (arg1 ()) in
+        def d TI;
+        tvec_push out (TfniF (name, floor_of, bank.(d), av))
+      | "ceiling" ->
+        let av = as_f (arg1 ()) in
+        def d TI;
+        tvec_push out (TfniF (name, ceil_of, bank.(d), av))
+      | "real" | "float" | "dble" | "sngl" -> (
+        match ty_of (arg1 ()) with
+        | TF ->
+          def d TF;
+          tvec_push out (TmovF (bank.(d), bank.(arg1 ())))
+        | TI ->
+          def d TF;
+          tvec_push out (Ti2f (bank.(d), bank.(arg1 ())))
+        | TB -> bail "real() of a logical")
+      | "max" | "amax1" | "dmax1" | "max0" -> (
+        let x, y = arg2 () in
+        match (ty_of x, ty_of y) with
+        | TI, TI ->
+          def d TI;
+          tvec_push out (TmaxI (bank.(d), bank.(x), bank.(y)))
+        | (TF | TI), (TF | TI) ->
+          (* all_int is false, so the tree-walker's result is
+             Real (to_float best): converting both first and picking
+             in float is the same value *)
           let av = as_f x in
           let bv = as_f y in
           def d TF;
-          tvec_push out (Tin2F (name, Intrinsics.sign_val, bank.(d), av, bv))
-        | "abs" -> (
-          match ty_of (arg1 ()) with
-          | TI ->
-            def d TI;
-            tvec_push out (TabsI (bank.(d), bank.(arg1 ())))
-          | TF ->
-            def d TF;
-            tvec_push out (TabsF (bank.(d), bank.(arg1 ())))
-          | TB -> raise (Treject "abs of a logical"))
-        | "iabs" ->
-          let av = as_i_trunc (arg1 ()) in
+          tvec_push out (TmaxF (bank.(d), av, bv))
+        | _ -> bail "max of a logical")
+      | "min" | "amin1" | "dmin1" | "min0" -> (
+        let x, y = arg2 () in
+        match (ty_of x, ty_of y) with
+        | TI, TI ->
           def d TI;
-          tvec_push out (TabsI (bank.(d), av))
-        | "mod" -> (
-          let x, y = arg2 () in
-          match (ty_of x, ty_of y) with
-          | TI, TI ->
-            def d TI;
-            tvec_push out (TmodI (bank.(d), bank.(x), bank.(y)))
-          | (TF | TI), (TF | TI) ->
-            let av = as_f x in
-            let bv = as_f y in
-            def d TF;
-            tvec_push out (Tin2F (name, fmod, bank.(d), av, bv))
-          | _ -> raise (Treject "mod of a logical"))
-        | "int" | "ifix" -> (
-          match ty_of (arg1 ()) with
-          | TI ->
-            def d TI;
-            tvec_push out (TmovI (bank.(d), bank.(arg1 ())))
-          | TF ->
-            def d TI;
-            tvec_push out (Tf2i (bank.(d), bank.(arg1 ())))
-          | TB -> raise (Treject "int() of a logical"))
-        | "nint" ->
-          let av = as_f (arg1 ()) in
-          def d TI;
-          tvec_push out (TfniF (name, nint_of, bank.(d), av))
-        | "floor" ->
-          let av = as_f (arg1 ()) in
-          def d TI;
-          tvec_push out (TfniF (name, floor_of, bank.(d), av))
-        | "ceiling" ->
-          let av = as_f (arg1 ()) in
-          def d TI;
-          tvec_push out (TfniF (name, ceil_of, bank.(d), av))
-        | "real" | "float" | "dble" | "sngl" -> (
-          match ty_of (arg1 ()) with
-          | TF ->
-            def d TF;
-            tvec_push out (TmovF (bank.(d), bank.(arg1 ())))
-          | TI ->
-            def d TF;
-            tvec_push out (Ti2f (bank.(d), bank.(arg1 ())))
-          | TB -> raise (Treject "real() of a logical"))
-        | "max" | "amax1" | "dmax1" | "max0" -> (
-          let x, y = arg2 () in
-          match (ty_of x, ty_of y) with
-          | TI, TI ->
-            def d TI;
-            tvec_push out (TmaxI (bank.(d), bank.(x), bank.(y)))
-          | (TF | TI), (TF | TI) ->
-            (* all_int is false, so the boxed result is
-               Real (to_float best): converting both first and picking
-               in float is the same value *)
-            let av = as_f x in
-            let bv = as_f y in
-            def d TF;
-            tvec_push out (TmaxF (bank.(d), av, bv))
-          | _ -> raise (Treject "max of a logical"))
-        | "min" | "amin1" | "dmin1" | "min0" -> (
-          let x, y = arg2 () in
-          match (ty_of x, ty_of y) with
-          | TI, TI ->
-            def d TI;
-            tvec_push out (TminI (bank.(d), bank.(x), bank.(y)))
-          | (TF | TI), (TF | TI) ->
-            let av = as_f x in
-            let bv = as_f y in
-            def d TF;
-            tvec_push out (TminF (bank.(d), av, bv))
-          | _ -> raise (Treject "min of a logical"))
-        | "huge" -> (
-          match ty_of (arg1 ()) with
-          | TI ->
-            def d TI;
-            tvec_push out (TconstI (bank.(d), max_int))
-          | TF ->
-            def d TF;
-            tvec_push out (TconstF (bank.(d), Float.max_float))
-          | TB -> raise (Treject "huge of a logical"))
-        | "tiny" ->
-          if ty_of (arg1 ()) <> TF then raise (Treject "tiny of a non-real");
+          tvec_push out (TminI (bank.(d), bank.(x), bank.(y)))
+        | (TF | TI), (TF | TI) ->
+          let av = as_f x in
+          let bv = as_f y in
           def d TF;
-          tvec_push out (TconstF (bank.(d), Float.min_float))
-        | "epsilon" ->
-          if ty_of (arg1 ()) <> TF then raise (Treject "epsilon of a non-real");
+          tvec_push out (TminF (bank.(d), av, bv))
+        | _ -> bail "min of a logical")
+      | "huge" -> (
+        match ty_of (arg1 ()) with
+        | TI ->
+          def d TI;
+          tvec_push out (TconstI (bank.(d), max_int))
+        | TF ->
           def d TF;
-          tvec_push out (TconstF (bank.(d), epsilon_float))
-        | _ -> raise (Treject ("intrinsic " ^ name)))
-      | Icheck_alloc (a, store) -> tvec_push out (Tcheck_alloc (a, store))
-      | Iallocate { al_raw; al_name; al_bounds } ->
-        let reg r = if ty_of r <> TI then raise (Treject "non-integer ALLOCATE bound") else bank.(r) in
-        tvec_push out
-          (Tallocate
-             {
-               ta_raw = al_raw;
-               ta_name = al_name;
-               ta_bounds = Array.map (fun (l, h) -> (reg l, reg h)) al_bounds;
-             })
-      | Idealloc (rid, name) -> tvec_push out (Tdealloc (rid, name))
-      | Iallocated (d, rid, name) ->
-        def d TB;
-        tvec_push out (Tallocated (bank.(d), rid, name))
-      | Icall c -> tvec_push out (typed_call c)
-      | Iomp_do od ->
-        (* rule 3 of DESIGN.md section 13: the loop's kind effects are
-           checked like a call's, on alias actuals and (below) module
-           and COMMON scalars *)
-        if List.exists (fun (rid, int) -> List.mem (rid, not int) od.od_kinds) od.od_kinds then
-          raise (Treject "parallel DO may make a variable real or integer");
-        raw_int := od.od_kinds @ !raw_int;
-        has_call := true;
-        tvec_push out (Tomp_do od)
-      | Idummy_adjust sid -> (
-        (* the quirk only rewrites an Int value; a slot the typed bind
-           verified as Real or Bool is untouched by it, and typed stores
-           keep it that way: nothing to emit.  An Integer-based dummy
-           would be rewritten to Real -> the program is not typable. *)
-        match scalar sid with TF | TB -> () | TI -> raise (Treject "INTEGER dummy redeclared REAL"))
-      | Iprint _ | Istop _ -> raise (Treject "PRINT or STOP")
-      | Ijmp t -> tvec_push out (Tjmp t)
-      | Ijf (r, t) -> tvec_push out (Tjf (as_cond r, t))
-      | Ijt (r, t) -> tvec_push out (Tjt (as_cond r, t))
-      | Iloop_test { ireg; hireg; stepreg; target } ->
-        if ty_of ireg <> TI || ty_of hireg <> TI || ty_of stepreg <> TI then
-          raise (Treject "non-integer DO bounds");
-        tvec_push out
-          (Tloop_test
-             {
-               t_ireg = bank.(ireg);
-               t_hireg = bank.(hireg);
-               t_stepreg = bank.(stepreg);
-               t_target = target;
-             })
-      | Iloop_next { ireg; hireg; stepreg; target } ->
-        if ty_of ireg <> TI || ty_of hireg <> TI || ty_of stepreg <> TI then
-          raise (Treject "non-integer DO counter");
-        tvec_push out
-          (Tloop_next
-             {
-               t_ireg = bank.(ireg);
-               t_hireg = bank.(hireg);
-               t_stepreg = bank.(stepreg);
-               t_target = target;
-             })
-      | Iloop_fini { sid; loreg; hireg; stepreg } ->
-        if ty_of loreg <> TI || ty_of hireg <> TI || ty_of stepreg <> TI then
-          raise (Treject "non-integer DO bounds");
-        tvec_push out
-          (Tloop_fini
-             {
-               t_sid = sid;
-               t_loreg = bank.(loreg);
-               t_hireg = bank.(hireg);
-               t_stepreg = bank.(stepreg);
-             })
-      | Iloop_fini_reg { dst; loreg; hireg; stepreg } ->
-        if ty_of loreg <> TI || ty_of hireg <> TI || ty_of stepreg <> TI then
-          raise (Treject "non-integer DO bounds");
-        def dst TI;
-        tvec_push out
-          (Tloop_fini_reg
-             {
-               t_dst = bank.(dst);
-               t_loreg = bank.(loreg);
-               t_hireg = bank.(hireg);
-               t_stepreg = bank.(stepreg);
-             })
-      | Ipoll -> tvec_push out Tpoll
-      | Icrit_enter -> tvec_push out Tcrit_enter
-      | Icrit_exit -> tvec_push out Tcrit_exit
-      | Ireturn -> tvec_push out Treturn
-      | Iexit -> tvec_push out Texit)
-    done;
-    map.(n) <- out.tlen;
-    (* every scalar slot is referenced by some surviving instruction,
-       so untypable bases were already rejected; keep the assertion
-       cheap anyway *)
-    Array.iteri (fun i ok -> if not ok then ignore (scalar i)) sty_ok;
-    (* a callee, or anything it calls, may rewrite the kind of a
-       module or COMMON scalar this frame reads *)
-    if !has_call then begin
-      let ue = Lazy.force effects in
-      Array.iteri
-        (fun i (r : scalar_ref) ->
-          if r.spath = [] then
-            match sty.(i) with
-            | TI -> if Hashtbl.mem ue.ue_real r.sname then raise (Treject ("integer " ^ r.sname ^ " may be made real by a call"))
-            | TF | TB -> if Hashtbl.mem ue.ue_int r.sname then raise (Treject ("real or logical " ^ r.sname ^ " may be made integer by a call")))
-        p.scalars
-    end;
-    (* retarget jumps from boxed pcs to typed pcs *)
-    let tcode = Array.sub out.titems 0 out.tlen in
+          tvec_push out (TconstF (bank.(d), Float.max_float))
+        | TB -> bail "huge of a logical")
+      | "tiny" ->
+        if ty_of (arg1 ()) <> TF then bail "tiny of a non-real";
+        def d TF;
+        tvec_push out (TconstF (bank.(d), Float.min_float))
+      | "epsilon" ->
+        if ty_of (arg1 ()) <> TF then bail "epsilon of a non-real";
+        def d TF;
+        tvec_push out (TconstF (bank.(d), epsilon_float))
+      | _ -> bail ("intrinsic " ^ name))
+    | Icheck_alloc (a, store) -> tvec_push out (Tcheck_alloc (a, store))
+    | Iallocate { al_raw; al_name; al_bounds } ->
+      let reg r = if ty_of r <> TI then bail "non-integer ALLOCATE bound" else bank.(r) in
+      tvec_push out
+        (Tallocate
+           {
+             ta_raw = al_raw;
+             ta_name = al_name;
+             ta_bounds = Array.map (fun (l, h) -> (reg l, reg h)) al_bounds;
+           })
+    | Idealloc (rid, name) -> tvec_push out (Tdealloc (rid, name))
+    | Iallocated (d, rid, name) ->
+      def d TB;
+      tvec_push out (Tallocated (bank.(d), rid, name))
+    | Icall c -> tvec_push out (typed_call c)
+    | Iomp_do od ->
+      (* rule 3 of DESIGN.md section 13: the loop's kind effects are
+         checked like a call's, on alias actuals and (below) module
+         and COMMON scalars *)
+      if List.exists (fun (rid, int) -> List.mem (rid, not int) od.od_kinds) od.od_kinds then
+        bail "parallel DO may make a variable real or integer";
+      raw_int := od.od_kinds @ !raw_int;
+      has_call := true;
+      tvec_push out (Tomp_do od)
+    | Idummy_adjust sid -> (
+      (* the quirk only rewrites an Int value; a slot the typed bind
+         verified as Real or Bool is untouched by it, and typed stores
+         keep it that way: nothing to emit.  An Integer-based dummy
+         would be rewritten to Real -> the program is not typable. *)
+      match scalar sid with TF | TB -> () | TI -> bail "INTEGER dummy redeclared REAL")
+    | Ijmp t -> tvec_push out (Tjmp t)
+    | Ijf (r, t) -> tvec_push out (Tjf (as_cond r, t))
+    | Ijt (r, t) -> tvec_push out (Tjt (as_cond r, t))
+    | Iloop_test { ireg; hireg; stepreg; target } ->
+      if ty_of ireg <> TI || ty_of hireg <> TI || ty_of stepreg <> TI then
+        bail "non-integer DO bounds";
+      tvec_push out
+        (Tloop_test
+           {
+             t_ireg = bank.(ireg);
+             t_hireg = bank.(hireg);
+             t_stepreg = bank.(stepreg);
+             t_target = target;
+           })
+    | Iloop_next { ireg; hireg; stepreg; target } ->
+      if ty_of ireg <> TI || ty_of hireg <> TI || ty_of stepreg <> TI then
+        bail "non-integer DO counter";
+      tvec_push out
+        (Tloop_next
+           {
+             t_ireg = bank.(ireg);
+             t_hireg = bank.(hireg);
+             t_stepreg = bank.(stepreg);
+             t_target = target;
+           })
+    | Iloop_fini { sid; loreg; hireg; stepreg } ->
+      if ty_of loreg <> TI || ty_of hireg <> TI || ty_of stepreg <> TI then
+        bail "non-integer DO bounds";
+      tvec_push out
+        (Tloop_fini
+           {
+             t_sid = sid;
+             t_loreg = bank.(loreg);
+             t_hireg = bank.(hireg);
+             t_stepreg = bank.(stepreg);
+           })
+    | Iloop_fini_reg { dst; loreg; hireg; stepreg } ->
+      if ty_of loreg <> TI || ty_of hireg <> TI || ty_of stepreg <> TI then
+        bail "non-integer DO bounds";
+      def dst TI;
+      tvec_push out
+        (Tloop_fini_reg
+           {
+             t_dst = bank.(dst);
+             t_loreg = bank.(loreg);
+             t_hireg = bank.(hireg);
+             t_stepreg = bank.(stepreg);
+           })
+    | Ipoll -> tvec_push out Tpoll
+    | Icrit_enter -> tvec_push out Tcrit_enter
+    | Icrit_exit -> tvec_push out Tcrit_exit
+    | Ireturn -> tvec_push out Treturn
+    | Iexit -> tvec_push out Texit)
+  done;
+  map.(n) <- out.tlen;
+  (* every scalar slot is referenced by some surviving instruction,
+     so untypable bases were already rejected; keep the assertion
+     cheap anyway *)
+  Array.iteri (fun i ok -> if not ok then ignore (scalar i)) sty_ok;
+  (* a callee, or anything it calls, may rewrite the kind of a
+     module or COMMON scalar this frame reads *)
+  if !has_call then begin
+    let ue = Lazy.force effects in
     Array.iteri
-      (fun i ti ->
-        match ti with
-        | Tjmp t -> tcode.(i) <- Tjmp map.(t)
-        | Tjf (r, t) -> tcode.(i) <- Tjf (r, map.(t))
-        | Tjt (r, t) -> tcode.(i) <- Tjt (r, map.(t))
-        | Tloop_test lt ->
-          tcode.(i) <- Tloop_test { lt with t_target = map.(lt.t_target) }
-        | Tloop_next ln ->
-          tcode.(i) <- Tloop_next { ln with t_target = map.(ln.t_target) }
-        | _ -> ())
-      tcode;
-    let finit = Array.make (max 1 !nf) 0.0 and iinit = Array.make (max 1 !ni) 0 in
-    Array.iter
-      (fun (r, v) ->
-        match v with
-        | Value.Int x -> iinit.(bank.(r)) <- x
-        | Value.Real x -> finit.(bank.(r)) <- x
-        | Value.Bool b -> iinit.(bank.(r)) <- (if b then 1 else 0)
-        | Value.Str _ | Value.Arr _ -> assert false)
-      p.consts;
-    Ok
-      {
-        tcode;
-        t_finit = finit;
-        t_iinit = iinit;
-        t_sty = sty;
-        t_chunk_args = Array.map (fun r -> bank.(r)) p.chunk_args;
-        t_raw_int = Array.of_list (List.rev !raw_int);
-      }
-  with Treject why -> Error why
-
-(** The boxed variant of [code]: one [tinstr] per instruction, so jump
-    targets carry over unchanged.  Calls and the opcodes that touch no
-    register take their shared form; every other instruction runs as
-    [Tv] over the [Value] bank. *)
-let boxed_code (code : instr array) : tinstr array =
-  Array.map
-    (function
-      | Icall c -> Tcall c
-      | Ijmp t -> Tjmp t
-      | Ipoll -> Tpoll
-      | Icrit_enter -> Tcrit_enter
-      | Icrit_exit -> Tcrit_exit
-      | Ireturn -> Treturn
-      | Iexit -> Texit
-      | Idealloc (rid, name) -> Tdealloc (rid, name)
-      | Icheck_alloc (a, store) -> Tcheck_alloc (a, store)
-      | Iomp_do od -> Tomp_do od
-      | i -> Tv i)
-    code
-
-(** The boxed variant of [p]: what a frame runs when the typed variant
-    does not apply.  Built on the first bind that needs it, so typed
-    programs never hold one; domains racing on that first bind build
-    equal arrays. *)
-let boxed p =
-  match Atomic.get p.boxed_memo with
-  | [||] when Array.length p.code > 0 ->
-    let b = boxed_code p.code in
-    Atomic.set p.boxed_memo b;
-    b
-  | b -> b
+      (fun i (r : scalar_ref) ->
+        if r.spath = [] then
+          match sty.(i) with
+          | TI -> if Hashtbl.mem ue.ue_real r.sname then bail ("integer " ^ r.sname ^ " may be made real by a call")
+          | TF | TB -> if Hashtbl.mem ue.ue_int r.sname then bail ("real or logical " ^ r.sname ^ " may be made integer by a call"))
+      scalars
+  end;
+  (* retarget jumps from untyped pcs to typed pcs *)
+  let tcode = Array.sub out.titems 0 out.tlen in
+  Array.iteri
+    (fun i ti ->
+      match ti with
+      | Tjmp t -> tcode.(i) <- Tjmp map.(t)
+      | Tjf (r, t) -> tcode.(i) <- Tjf (r, map.(t))
+      | Tjt (r, t) -> tcode.(i) <- Tjt (r, map.(t))
+      | Tloop_test lt ->
+        tcode.(i) <- Tloop_test { lt with t_target = map.(lt.t_target) }
+      | Tloop_next ln ->
+        tcode.(i) <- Tloop_next { ln with t_target = map.(ln.t_target) }
+      | _ -> ())
+    tcode;
+  let finit = Array.make (max 1 !nf) 0.0 and iinit = Array.make (max 1 !ni) 0 in
+  List.iter
+    (fun (r, v) ->
+      match v with
+      | Value.Int x -> iinit.(bank.(r)) <- x
+      | Value.Real x -> finit.(bank.(r)) <- x
+      | Value.Bool b -> iinit.(bank.(r)) <- (if b then 1 else 0)
+      | Value.Str _ | Value.Arr _ -> assert false)
+    consts;
+  {
+    tcode;
+    t_finit = finit;
+    t_iinit = iinit;
+    t_sty = sty;
+    t_chunk_args = Array.map (fun r -> bank.(r)) chunk_args;
+    t_raw_int = Array.of_list (List.rev !raw_int);
+  }
 
 (* --- entry points -------------------------------------------------------- *)
 
@@ -2905,30 +2831,23 @@ let make_ctx env scope ?sub () =
          tbl);
   }
 
+(* The program [ctx] compiled, typed; raises {!Bail} when
+   {!specialize} cannot type it. *)
 let finish ?(chunk_args = [||]) ?(chunk_homes = [||]) ctx : program =
-  let p =
-    {
-      code = Array.sub ctx.code.items 0 ctx.code.len;
-      nregs = ctx.nregs;
-      scalars = Array.of_list (List.rev ctx.scalar_refs);
-      arrays = Array.of_list (List.rev ctx.array_refs);
-      raws = Array.of_list (List.rev ctx.raw_refs);
-      checks = Array.of_list (List.rev ctx.checks);
-      negatives =
-        Array.of_list (Hashtbl.fold (fun n () acc -> n :: acc) ctx.negs []);
-      ncalls = ctx.ncalls;
-      consts =
-        Array.of_list
-          (List.sort (fun (a, _) (b, _) -> compare a b) (Hashtbl.fold (fun r v acc -> (r, v) :: acc) ctx.consts []));
-      promoted =
-        Array.of_list (Hashtbl.fold (fun n _ acc -> n :: acc) ctx.homes [] |> List.sort compare);
-      chunk_args;
-      chunk_homes;
-      boxed_memo = Atomic.make [||];
-      typed = Error "";
-    }
-  in
-  { p with typed = specialize ctx.env p }
+  let scalars = Array.of_list (List.rev ctx.scalar_refs) in
+  let arrays = Array.of_list (List.rev ctx.array_refs) in
+  let typed = specialize ctx ~scalars ~arrays ~chunk_args in
+  {
+    scalars;
+    arrays;
+    raws = Array.of_list (List.rev ctx.raw_refs);
+    checks = Array.of_list (List.rev ctx.checks);
+    negatives = Array.of_list (Hashtbl.fold (fun n () acc -> n :: acc) ctx.negs []);
+    ncalls = ctx.ncalls;
+    promoted = Array.of_list (Hashtbl.fold (fun n _ acc -> n :: acc) ctx.homes [] |> List.sort compare);
+    chunk_homes;
+    typed;
+  }
 
 (* Program cache: structural digest key, namespaced by unit,
    FIFO-bounded.  Compiles run outside the
@@ -2974,9 +2893,10 @@ let compile_sub env ~scope (sp : Ast.subprogram) : program option * Stats.site
         let ctx = make_ctx env scope ~sub:sp () in
         match
           promote_privates ctx sp;
-          List.iter (compile_stmt ctx) sp.Ast.sub_body
+          List.iter (compile_stmt ctx) sp.Ast.sub_body;
+          finish ctx
         with
-        | () -> Ok (finish ctx)
+        | p -> Ok p
         | exception Bail reason -> Error reason)
   in
   match r with
@@ -3223,7 +3143,7 @@ let build_plan (sp : Ast.subprogram) (p : program) site : frame_plan option =
   try
     (* a reused frame has no scope for a parallel DO's region (rule 2
        of DESIGN.md section 13): such a callee takes the scope path *)
-    if Array.exists (function Iomp_do _ -> true | _ -> false) p.code then raise No_plan;
+    if Array.exists (function Tomp_do _ -> true | _ -> false) p.typed.tcode then raise No_plan;
     let arg_idx = Hashtbl.create 8 in
     List.iteri
       (fun k n ->

@@ -594,16 +594,21 @@ and run_sub_body ?cs st (sp : Ast.subprogram) scope :
   end
 
 (* Bind a compiled program (or a compile bail) to [scope], counting
-   the run, typed or boxed, or the bail against its stats site; [None]
-   tree-walks. *)
+   the run or the bail, and a bind's reason, against its stats site;
+   [None] tree-walks. *)
 and bind_compiled st ((p, site) : Bytecode.program option * Bytecode.Stats.site) scope =
-  match Option.bind p (fun p -> Vm.bind p scope ~printer:st.printer ~env:(callenv st)) with
-  | Some fr ->
-    Vm.count_run site fr;
-    Some fr
+  match p with
   | None ->
     Bytecode.Stats.bail site;
     None
+  | Some p -> (
+    match Vm.bind p scope ~env:(callenv st) with
+    | Ok fr ->
+      Bytecode.Stats.run site;
+      Some fr
+    | Error reason ->
+      Bytecode.Stats.bail site ~reason;
+      None)
 
 (* The VM's view of the interpreter: a compiled call runs in this
    domain's reusable frame for the callee ([call_site_frame]) when it
@@ -1262,12 +1267,10 @@ type bytecode_row = Bytecode.Stats.row = {
   r_unit : string;
   r_id : string;
   r_label : string;
-  r_reason : string option;  (** first bailing construct, if any *)
-  r_boxed_reason : string option;
-      (** first reason a compiled run took the boxed variant, if any *)
-  r_runs : int;  (** executions that ran compiled: [r_typed + r_boxed] *)
-  r_typed : int;  (** ...on the typed (unboxed) VM *)
-  r_boxed : int;  (** ...of the boxed variant (the [Value] registers) *)
+  r_reason : string option;
+      (** first reason the site fell back: the construct that made
+          compilation bail or the binding that refused it, if any *)
+  r_runs : int;  (** executions that ran compiled *)
   r_bails : int;  (** executions that fell back to the tree-walker *)
 }
 

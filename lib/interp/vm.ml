@@ -8,22 +8,19 @@
     from its representative scope still holds: folded PARAMETER values
     are compared against the executing slot, and names compiled as
     intrinsics or function references must still not resolve as
-    variables.  Any mismatch returns [None] and the caller falls back
-    to the tree-walker.
+    variables — and that the executing scope's scalar slots are
+    declared with, and hold, the kinds {!Bytecode.specialize} inferred.
+    Any mismatch returns the reason and the caller falls back to the
+    tree-walker for that run (DESIGN.md §26).
 
     A bound program is one {!frame} running one dispatch loop
-    ([texec]) over three register banks, its constant registers
-    preloaded at bind.  A pass ends normally or on RETURN without an
-    exception; a chunk's top-level EXIT raises the tree-walker's
-    [Loop_exit].  When the program carries a
-    typed variant (see {!Bytecode.specialize}) and the executing
-    scope's scalar slots are declared with, and hold, the inferred
-    kinds, the frame runs that variant over the unboxed float and int
-    banks; otherwise it runs the program's boxed variant, whose [Tv]
-    instructions step over the [Value] bank.  Both produce
-    bit-identical results — the typed opcodes perform the same
-    primitive operations in the same order, minus the [Value] boxing
-    (DESIGN.md §16, §21).  Frames run compiled calls, ALLOCATE,
+    ([texec]) over two unboxed register banks, float and int, its
+    constant registers preloaded at bind.  A pass ends normally or on
+    RETURN without an exception; a chunk's top-level EXIT raises the
+    tree-walker's [Loop_exit].  Results are bit-identical to the
+    tree-walker's — the typed opcodes perform the same primitive
+    operations in the same order, minus the [Value] boxing (DESIGN.md
+    §16, §21).  Frames run compiled calls, ALLOCATE,
     DEALLOCATE and [allocated()] (through the {!Storage} helpers the
     tree-walker uses), and bind arrays that may be unallocated: such a
     binding has empty bounds, so only the checked out-of-range path
@@ -60,11 +57,10 @@ type bad = Good | Unallocated of string | Rank_mismatch
 
 (** Array binding: the backing {!Farray.t}, its raw element bank (a
     float or an int array, the other empty; both empty for the other
-    element kinds) and pre-fetched bounds for the rank-1/rank-2 fast
-    paths (column-major: the second subscript strides by the first
-    dimension's size).  Typed code reads the bank, boxed code the
-    array.  A [bad] binding has empty bounds and banks, so every
-    fast-path access takes the checked out-of-range path. *)
+    element kinds) and pre-fetched bounds for the rank-1/rank-2
+    accesses (column-major: the second subscript strides by the first
+    dimension's size).  A [bad] binding has empty bounds and banks, so
+    every access takes the checked out-of-range path. *)
 type tabind = {
   t_f : float array;
   t_i : int array;
@@ -92,14 +88,11 @@ type callenv = {
   ce_omp_do : Storage.scope -> Ast.do_loop -> unit;
 }
 
-(** A bound program, ready to run: the typed variant (with sized float
-    and int banks and the shared empty [vregs]) or the boxed variant
-    (with a sized [vregs] and the shared empty float and int banks). *)
+(** A bound program, ready to run, with its float and int banks. *)
 and frame = {
   code : Bytecode.tinstr array;
   fregs : float array;
   iregs : int array;
-  vregs : Value.t array;
   scalars : Storage.slot array;
   arrays : tabind array;
   aslots : Storage.slot array;  (** the slot each array binding reads *)
@@ -108,9 +101,7 @@ and frame = {
   env : callenv;
   scope : Storage.scope;  (** where a parallel DO runs ({!Bytecode.build_plan}) *)
   callees : cframe option array;  (** per call site: the callee's frame *)
-  cargs : int array;  (** a chunk program's argument registers, in this frame's bank *)
-  why : string option;  (** why this frame runs the boxed variant; [None]: typed *)
-  printer : string -> unit;
+  cargs : int array;  (** a chunk program's argument registers, in the int bank *)
   mutable tick : int;
   mutable crit : int;  (* CRITICAL locks held (0 or 1) *)
 }
@@ -136,10 +127,9 @@ let dummy_slot () =
 
 let empty_array = Farray.create Farray.Eint [| (1, 0) |]
 
-(* The banks a frame does not use. *)
+(* The banks of an array that has neither element kind. *)
 let no_fregs : float array = [||]
 let no_iregs : int array = [||]
-let no_vregs : Value.t array = [||]
 
 let bad_binding ba why =
   {
@@ -184,7 +174,7 @@ let display_name (r : Bytecode.array_ref) =
 let binding_of ~entry (r : Bytecode.array_ref) (e : Storage.entry) : tabind option =
   match e with
   | Storage.Array a ->
-    if r.Bytecode.asubs > 0 && r.Bytecode.asubs <> Farray.rank a then
+    if r.Bytecode.asubs <> Farray.rank a then
       if entry then None else Some (bad_binding a Rank_mismatch)
     else Some (good_binding a)
   | Storage.Unalloc _ ->
@@ -217,7 +207,7 @@ let revalidate fr =
     | e -> (
       let r = fr.arefs.(i) in
       match binding_of ~entry:false r e with
-      | Some ab when fr.why <> None || elem_ok r e -> arrays.(i) <- ab
+      | Some ab when elem_ok r e -> arrays.(i) <- ab
       | _ -> corrupt ())
   done
 
@@ -227,8 +217,8 @@ let resolve_slot scope name path : Storage.slot option =
   | Some slot -> Storage.walk_path slot path
 
 (* The slot is declared with the value kind the typed code was
-   specialized for (so the coercing stores of a callee or of boxed
-   code keep it) and holds it. *)
+   specialized for (so the coercing stores of a callee or of the
+   tree-walker keep it) and holds it. *)
 let typed_slot_ok (ty : Bytecode.ty) (sl : Storage.slot) =
   match (ty, sl.Storage.base, sl.Storage.entry) with
   | Bytecode.TF, (Ast.Real | Ast.Real8), Storage.Scalar (Value.Real _)
@@ -249,24 +239,27 @@ let typed_raws_ok (tp : Bytecode.tprogram) (raws : Storage.slot array) =
   done;
   !ok
 
-(* Why the executing scope refuses the typed variant, if it does. *)
-let typed_refusal (p : Bytecode.program) (tp : Bytecode.tprogram)
-    (scalars : Storage.slot array) (aslots : Storage.slot array) raws : string option =
+(* Why the executing scope's kinds refuse the typed code, if they do. *)
+let typed_refusal (p : Bytecode.program) (scalars : Storage.slot array) (aslots : Storage.slot array) raws :
+    string option =
+  let tp = p.Bytecode.typed in
   match Array.find_mapi (fun i sl -> if typed_slot_ok tp.Bytecode.t_sty.(i) sl then None else Some i) scalars with
   | Some i -> Some ("bind: scalar " ^ p.Bytecode.scalars.(i).Bytecode.sname ^ " has another kind")
   | None when not (typed_raws_ok tp raws) -> Some "bind: alias actual has another kind"
   | None when Array.for_all2 (fun r (s : Storage.slot) -> elem_ok r s.Storage.entry) p.Bytecode.arrays aslots -> None
   | None -> Some "bind: array has another element kind"
 
-let bind (p : Bytecode.program) (scope : Storage.scope) ~printer ~(env : callenv) : frame option =
-  let ok = ref true in
+(** Bind [p] to [scope], or say why the scope refuses it. *)
+let bind (p : Bytecode.program) (scope : Storage.scope) ~(env : callenv) : (frame, string) result =
+  let why = ref None in
+  let refuse name = if !why = None then why := Some ("bind: " ^ name ^ " does not resolve as compiled") in
   let scalars =
     Array.map
       (fun (r : Bytecode.scalar_ref) ->
         match resolve_slot scope r.Bytecode.sname r.Bytecode.spath with
         | Some ({ Storage.entry = Storage.Scalar _; _ } as s) -> s
         | _ ->
-          ok := false;
+          refuse r.Bytecode.sname;
           dummy_slot ())
       p.Bytecode.scalars
   in
@@ -276,18 +269,18 @@ let bind (p : Bytecode.program) (scope : Storage.scope) ~printer ~(env : callenv
         match resolve_slot scope r.Bytecode.aname r.Bytecode.apath with
         | Some s -> s
         | None ->
-          ok := false;
+          refuse r.Bytecode.aname;
           dummy_slot ())
       p.Bytecode.arrays
   in
   let arrays =
     Array.map2
-      (fun r (s : Storage.slot) ->
+      (fun (r : Bytecode.array_ref) (s : Storage.slot) ->
         match binding_of ~entry:true r s.Storage.entry with
         | Some ab -> ab
         | None ->
           (* e.g. a rank mismatch: let the tree-walker raise its error *)
-          ok := false;
+          refuse r.Bytecode.aname;
           dummy_binding)
       p.Bytecode.arrays aslots
   in
@@ -297,7 +290,7 @@ let bind (p : Bytecode.program) (scope : Storage.scope) ~printer ~(env : callenv
         match Storage.lookup scope name with
         | Some s -> s
         | None ->
-          ok := false;
+          refuse name;
           dummy_slot ())
       p.Bytecode.raws
   in
@@ -309,29 +302,32 @@ let bind (p : Bytecode.program) (scope : Storage.scope) ~printer ~(env : callenv
       match resolve_slot scope r.Bytecode.sname r.Bytecode.spath with
       | Some { Storage.entry = Storage.Scalar v'; _ } when compare v v' = 0 ->
         ()
-      | _ -> ok := false)
+      | _ -> refuse r.Bytecode.sname)
     p.Bytecode.checks;
   (* ...and names resolved as intrinsics or user functions, which a
      variable of the same name would shadow. *)
   Array.iter
-    (fun name -> if Storage.lookup scope name <> None then ok := false)
+    (fun name -> if Storage.lookup scope name <> None then refuse name)
     p.Bytecode.negatives;
   (* ...and the bases a chunk program's homes coerce to. *)
   Array.iter
     (fun (r : Bytecode.scalar_ref) ->
       match Storage.lookup scope r.Bytecode.sname with
       | Some { Storage.entry = Storage.Scalar _; base; _ } when base = r.Bytecode.sbase -> ()
-      | _ -> ok := false)
+      | _ -> refuse r.Bytecode.sname)
     p.Bytecode.chunk_homes;
-  if not !ok then None
-  else
-    let frame code ~fregs ~iregs ~vregs ~cargs why =
-      Some
+  match !why with
+  | Some why -> Error why
+  | None -> (
+    match typed_refusal p scalars aslots raws with
+    | Some why -> Error why
+    | None ->
+      let tp = p.Bytecode.typed in
+      Ok
         {
-          code;
-          fregs;
-          iregs;
-          vregs;
+          code = tp.Bytecode.tcode;
+          fregs = Array.copy tp.Bytecode.t_finit;
+          iregs = Array.copy tp.Bytecode.t_iinit;
           scalars;
           arrays;
           aslots;
@@ -340,300 +336,31 @@ let bind (p : Bytecode.program) (scope : Storage.scope) ~printer ~(env : callenv
           env;
           scope;
           callees = Array.make p.Bytecode.ncalls None;
-          cargs;
-          why;
-          printer;
+          cargs = tp.Bytecode.t_chunk_args;
           tick = 0;
           crit = 0;
-        }
-    in
-    let boxed why =
-      let vregs = Array.make (max 1 p.Bytecode.nregs) (Value.Int 0) in
-      Array.iter (fun (r, v) -> vregs.(r) <- v) p.Bytecode.consts;
-      frame (Bytecode.boxed p) ~fregs:no_fregs ~iregs:no_iregs ~vregs ~cargs:p.Bytecode.chunk_args (Some why)
-    in
-    match p.Bytecode.typed with
-    | Error why -> boxed why
-    | Ok tp -> (
-      match typed_refusal p tp scalars aslots raws with
-      | Some why -> boxed why
-      | None ->
-        frame tp.Bytecode.tcode
-          ~fregs:(Array.copy tp.Bytecode.t_finit)
-          ~iregs:(Array.copy tp.Bytecode.t_iinit)
-          ~vregs:no_vregs ~cargs:tp.Bytecode.t_chunk_args None)
-
-(* Whole-array assignment, mirroring the tree-walker's assign_lvalue. *)
-let store_whole a v =
-  match v with
-  | Value.Arr src when Farray.size src = Farray.size a ->
-    let n = Farray.size a in
-    for i = 0 to n - 1 do
-      Farray.set_linear a i (Farray.get_linear src i)
-    done
-  | Value.Arr _ -> Storage.error "shape mismatch in whole-array assignment"
-  | v -> Farray.fill a (Value.to_cell v)
+        })
 
 let check_alloc bad ~store =
   match bad with Unallocated n -> Storage.unallocated_error n ~store | Good | Rank_mismatch -> ()
 
-(* The checked element access behind boxed code's rank-1/rank-2 fast
-   paths (and every rank-N access): a binding with no array raises the
-   tree-walker's unallocated error; otherwise the generic [Farray]
-   access converts the subscripts and raises the tree-walker's bounds
-   or rank error, or succeeds (e.g. real-valued subscripts). *)
-let slow_load ab (idx : Value.t array) =
-  check_alloc ab.c_bad ~store:false;
-  let idx = Array.map Value.to_int idx in
-  Value.of_cell (Farray.get ab.c_ba idx)
-
-let slow_store ab (idx : Value.t array) v =
-  check_alloc ab.c_bad ~store:true;
-  let idx = Array.map Value.to_int idx in
-  Farray.set ab.c_ba idx (Value.to_cell v)
-
-(* Typed code's out-of-range branch, which every access through a bad
-   binding takes (its bounds are empty): raise what the boxed slow path
-   raises for the same subscripts — the unallocated error, or
-   [Farray]'s rank or bounds error. *)
+(* The out-of-range branch, which every access through a bad binding
+   takes (its bounds are empty): raise what the tree-walker raises for
+   the same subscripts — the unallocated error, or [Farray]'s rank or
+   bounds error. *)
 let oob ab ~store (idx : int array) =
   check_alloc ab.c_bad ~store;
   ignore (Farray.offset ab.c_ba idx);
   corrupt ()
 
-(* Generic binop semantics, shared with boxed code's fast paths:
-   exactly the tree-walker's [eval_binop] (Gt/Ge swap operands into
-   lt/le, comparisons go through [Value.compare_values]' total order). *)
-let binop_slow op va vb =
-  match op with
-  | Ast.Add -> Value.add va vb
-  | Ast.Sub -> Value.sub va vb
-  | Ast.Mul -> Value.mul va vb
-  | Ast.Div -> Value.div va vb
-  | Ast.Pow -> Value.pow va vb
-  | Ast.Eq -> Value.Bool (Value.eq va vb)
-  | Ast.Ne -> Value.Bool (not (Value.eq va vb))
-  | Ast.Lt -> Value.Bool (Value.lt va vb)
-  | Ast.Le -> Value.Bool (Value.le va vb)
-  | Ast.Gt -> Value.Bool (Value.lt vb va)
-  | Ast.Ge -> Value.Bool (Value.le vb va)
-  | Ast.Eqv -> Value.Bool (Value.to_bool va = Value.to_bool vb)
-  | Ast.Neqv -> Value.Bool (Value.to_bool va <> Value.to_bool vb)
-  | Ast.Concat -> (
-    match (va, vb) with
-    | Value.Str x, Value.Str y -> Value.Str (x ^ y)
-    | _ -> Storage.error "// expects character operands")
-  | Ast.And | Ast.Or -> corrupt () (* compiled to jumps *)
-
-(* Boxed code's binop: typed fast paths skipping the [Value] dispatch
-   layers; the results are bit-identical to [binop_slow] — [num2]/[div]
-   reduce to the raw float/int op on same-typed operands, and
-   comparisons use the same [compare]-based total order (so NaN
-   ordering matches the tree-walker exactly). *)
-let binop op va vb =
-  match (va, vb) with
-  | Value.Real x, Value.Real y -> (
-    match op with
-    | Ast.Add -> Value.Real (x +. y)
-    | Ast.Sub -> Value.Real (x -. y)
-    | Ast.Mul -> Value.Real (x *. y)
-    | Ast.Div -> Value.Real (x /. y)
-    | Ast.Pow -> Value.Real (x ** y)
-    | Ast.Lt -> Value.Bool (Float.compare x y < 0)
-    | Ast.Le -> Value.Bool (Float.compare x y <= 0)
-    | Ast.Gt -> Value.Bool (Float.compare y x < 0)
-    | Ast.Ge -> Value.Bool (Float.compare y x <= 0)
-    | Ast.Eq -> Value.Bool (Float.compare x y = 0)
-    | Ast.Ne -> Value.Bool (Float.compare x y <> 0)
-    | _ -> binop_slow op va vb)
-  | Value.Int x, Value.Int y -> (
-    match op with
-    | Ast.Add -> Value.Int (x + y)
-    | Ast.Sub -> Value.Int (x - y)
-    | Ast.Mul -> Value.Int (x * y)
-    | Ast.Lt -> Value.Bool (x < y)
-    | Ast.Le -> Value.Bool (x <= y)
-    | Ast.Gt -> Value.Bool (y < x)
-    | Ast.Ge -> Value.Bool (y <= x)
-    | Ast.Eq -> Value.Bool (x = y)
-    | Ast.Ne -> Value.Bool (x <> y)
-    | _ -> binop_slow op va vb)
-  | _ -> binop_slow op va vb
-
 let loop_completed lo hi step = lo + (step * max 0 ((hi - lo + step) / step))
-
-let int_reg (regs : Value.t array) r = match regs.(r) with Value.Int i -> i | _ -> corrupt ()
 
 (* The cancellation poll, every 256 ticks of the frame. *)
 let poll fr =
   fr.tick <- fr.tick + 1;
   if fr.tick land 255 = 0 then Fault.check_current ()
 
-(* One instruction of a boxed variant at [pc], over the [Value] bank:
-   the tree-walker's operations on boxed values.  Returns the next pc. *)
-let vstep fr pc (ins : Bytecode.instr) : int =
-  let regs = fr.vregs in
-  match ins with
-  | Bytecode.Iconst (d, v) ->
-    regs.(d) <- v;
-    pc + 1
-  | Bytecode.Icopy (d, s) ->
-    regs.(d) <- regs.(s);
-    pc + 1
-  | Bytecode.Iload (d, s) ->
-    (match fr.scalars.(s).Storage.entry with
-    | Storage.Scalar v -> regs.(d) <- v
-    | _ -> corrupt ());
-    pc + 1
-  | Bytecode.Istore (s, r) ->
-    let sl = fr.scalars.(s) in
-    sl.Storage.entry <- Storage.Scalar (Value.coerce sl.Storage.base regs.(r));
-    pc + 1
-  | Bytecode.Istore_raw (s, r) ->
-    fr.scalars.(s).Storage.entry <- Storage.Scalar regs.(r);
-    pc + 1
-  | Bytecode.Icoerce (base, d, s) ->
-    regs.(d) <- Value.coerce base regs.(s);
-    pc + 1
-  | Bytecode.Idummy_adjust s ->
-    (* setup_scope's dummy-redeclaration quirk: declaring an aliased
-       dummy REAL rewrites an Int value in place *)
-    let sl = fr.scalars.(s) in
-    (match sl.Storage.entry with
-    | Storage.Scalar v when Value.is_int v ->
-      sl.Storage.entry <- Storage.Scalar (Value.Real (Value.to_float v))
-    | _ -> ());
-    pc + 1
-  | Bytecode.Iload_arr (d, a) ->
-    let ab = fr.arrays.(a) in
-    (match ab.c_bad with
-    | Unallocated n -> Storage.error "%s used before allocation" n
-    | _ -> regs.(d) <- Value.Arr ab.c_ba);
-    pc + 1
-  | Bytecode.Istore_whole (a, r) ->
-    let ab = fr.arrays.(a) in
-    (match ab.c_bad with
-    | Unallocated _ -> Storage.error "assignment to unallocated array"
-    | _ -> store_whole ab.c_ba regs.(r));
-    pc + 1
-  | Bytecode.Iload1 (d, a, ir) ->
-    let ab = fr.arrays.(a) in
-    (match regs.(ir) with
-    | Value.Int i when i >= ab.c_lo1 && i <= ab.c_hi1 ->
-      regs.(d) <- Value.of_cell (Farray.get_linear ab.c_ba (i - ab.c_lo1))
-    | vi -> regs.(d) <- slow_load ab [| vi |]);
-    pc + 1
-  | Bytecode.Iload2 (d, a, ir, jr) ->
-    let ab = fr.arrays.(a) in
-    (match (regs.(ir), regs.(jr)) with
-    | Value.Int i, Value.Int j
-      when i >= ab.c_lo1 && i <= ab.c_hi1 && j >= ab.c_lo2 && j <= ab.c_hi2 ->
-      regs.(d) <-
-        Value.of_cell (Farray.get_linear ab.c_ba (i - ab.c_lo1 + ((j - ab.c_lo2) * ab.c_s1)))
-    | vi, vj -> regs.(d) <- slow_load ab [| vi; vj |]);
-    pc + 1
-  | Bytecode.IloadN (d, a, irs) ->
-    regs.(d) <- slow_load fr.arrays.(a) (Array.map (fun r -> regs.(r)) irs);
-    pc + 1
-  | Bytecode.Istore1 (a, ir, r) ->
-    let ab = fr.arrays.(a) in
-    (match regs.(ir) with
-    | Value.Int i when i >= ab.c_lo1 && i <= ab.c_hi1 ->
-      Farray.set_linear ab.c_ba (i - ab.c_lo1) (Value.to_cell regs.(r))
-    | vi -> slow_store ab [| vi |] regs.(r));
-    pc + 1
-  | Bytecode.Istore2 (a, ir, jr, r) ->
-    let ab = fr.arrays.(a) in
-    (match (regs.(ir), regs.(jr)) with
-    | Value.Int i, Value.Int j
-      when i >= ab.c_lo1 && i <= ab.c_hi1 && j >= ab.c_lo2 && j <= ab.c_hi2 ->
-      Farray.set_linear ab.c_ba
-        (i - ab.c_lo1 + ((j - ab.c_lo2) * ab.c_s1))
-        (Value.to_cell regs.(r))
-    | vi, vj -> slow_store ab [| vi; vj |] regs.(r));
-    pc + 1
-  | Bytecode.IstoreN (a, irs, r) ->
-    slow_store fr.arrays.(a) (Array.map (fun i -> regs.(i)) irs) regs.(r);
-    pc + 1
-  | Bytecode.Iallocate { al_raw; al_name; al_bounds } ->
-    (* the tree-walker's ALLOCATE, bounds already evaluated *)
-    let bounds = Array.map (fun (l, h) -> (int_reg regs l, int_reg regs h)) al_bounds in
-    Storage.allocate fr.raws.(al_raw) al_name bounds ~count:fr.env.ce_allocs;
-    revalidate fr;
-    pc + 1
-  | Bytecode.Iallocated (d, rid, name) ->
-    regs.(d) <- Value.Bool (Storage.allocated fr.raws.(rid) name);
-    pc + 1
-  | Bytecode.Ibinop (op, d, a, b) ->
-    regs.(d) <- binop op regs.(a) regs.(b);
-    pc + 1
-  | Bytecode.Ineg (d, s) ->
-    regs.(d) <- Value.neg regs.(s);
-    pc + 1
-  | Bytecode.Inot (d, s) ->
-    regs.(d) <- Value.Bool (not (Value.to_bool regs.(s)));
-    pc + 1
-  | Bytecode.Ibool (d, s) ->
-    regs.(d) <- Value.Bool (Value.to_bool regs.(s));
-    pc + 1
-  | Bytecode.Ito_int (d, s) ->
-    regs.(d) <- Value.Int (Value.to_int regs.(s));
-    pc + 1
-  | Bytecode.Icheck_step r ->
-    (match regs.(r) with Value.Int 0 -> Storage.error "DO loop with zero step" | _ -> ());
-    pc + 1
-  | Bytecode.Iintr (_, f, d, args) ->
-    let vals =
-      match Array.length args with
-      | 1 -> [ regs.(args.(0)) ]
-      | 2 -> [ regs.(args.(0)); regs.(args.(1)) ]
-      | _ -> Array.fold_right (fun r acc -> regs.(r) :: acc) args []
-    in
-    regs.(d) <- f vals;
-    pc + 1
-  | Bytecode.Ijf (r, t) -> if Value.to_bool regs.(r) then pc + 1 else t
-  | Bytecode.Ijt (r, t) -> if Value.to_bool regs.(r) then t else pc + 1
-  | Bytecode.Iloop_test { ireg; hireg; stepreg; target } ->
-    let i = int_reg regs ireg and hi = int_reg regs hireg and step = int_reg regs stepreg in
-    if if step > 0 then i <= hi else i >= hi then pc + 1 else target
-  | Bytecode.Iloop_next { ireg; hireg; stepreg; target } ->
-    let step = int_reg regs stepreg in
-    let i = int_reg regs ireg + step in
-    regs.(ireg) <- Value.Int i;
-    let hi = int_reg regs hireg in
-    if if step > 0 then i <= hi else i >= hi then begin
-      poll fr;
-      target
-    end
-    else pc + 1
-  | Bytecode.Iloop_fini { sid; loreg; hireg; stepreg } ->
-    fr.scalars.(sid).Storage.entry <-
-      Storage.Scalar (Value.Int (loop_completed (int_reg regs loreg) (int_reg regs hireg) (int_reg regs stepreg)));
-    pc + 1
-  | Bytecode.Iloop_fini_reg { dst; loreg; hireg; stepreg } ->
-    regs.(dst) <- Value.Int (loop_completed (int_reg regs loreg) (int_reg regs hireg) (int_reg regs stepreg));
-    pc + 1
-  | Bytecode.Iprint rs ->
-    let parts = Array.fold_right (fun r acc -> Value.to_string regs.(r) :: acc) rs [] in
-    fr.printer (String.concat " " parts ^ "\n");
-    pc + 1
-  | Bytecode.Istop msg -> raise (Storage.Stop_program msg)
-  (* the register-free opcodes and calls run in their shared form
-     ({!Bytecode.boxed_code}) *)
-  | Bytecode.Icall _ | Bytecode.Ijmp _ | Bytecode.Ipoll | Bytecode.Icrit_enter
-  | Bytecode.Icrit_exit | Bytecode.Ireturn | Bytecode.Iexit | Bytecode.Idealloc _
-  | Bytecode.Icheck_alloc _ | Bytecode.Iomp_do _ ->
-    corrupt ()
-
 (* --- reusable callee frames ---------------------------------------------- *)
-
-(** Count one run of [fr] on [site], and the first reason it ran boxed. *)
-let count_run site fr =
-  match fr.why with
-  | None -> Bytecode.Stats.run site ~typed:true
-  | Some why ->
-    Bytecode.Stats.run site ~typed:false;
-    Bytecode.Stats.set_boxed_reason site why
 
 (** Keep the frame [fr] that a finished call of [plan]'s callee ran in,
     adopting the locals of the scope it was bound to. *)
@@ -682,9 +409,9 @@ let rebind_slots cf =
 (* Point the arg-sourced bindings at this call's dummies and re-check
    what can differ from call to call: argument kinds and ranks, folded
    PARAMETER values reached through a dummy, arrays whose storage was
-   replaced (fresh locals, re-ALLOCATEd module arrays) and, for typed
-   frames, the element kinds and the value kind of every scalar but
-   the fresh locals.  [false] sends this call down the scope path. *)
+   replaced (fresh locals, re-ALLOCATEd module arrays), the element
+   kinds and the value kind of every scalar but the fresh locals.
+   [false] sends this call down the scope path. *)
 let rebind cf =
   let p = cf.plan in
   let fr = cf.frame in
@@ -704,19 +431,16 @@ let rebind cf =
       | e -> (
         let r = fr.arefs.(i) in
         match binding_of ~entry:true r e with
-        | Some ab when fr.why <> None || elem_ok r e -> arrays.(i) <- ab
+        | Some ab when elem_ok r e -> arrays.(i) <- ab
         | _ -> raise Exit)
     done;
-    (match (fr.why, p.Bytecode.fp_prog.Bytecode.typed) with
-    | Some _, _ -> ()
-    | None, Ok tp ->
-      let ix = p.Bytecode.fp_kind_scalars in
-      for j = 0 to Array.length ix - 1 do
-        let i = ix.(j) in
-        if not (typed_slot_ok tp.Bytecode.t_sty.(i) fr.scalars.(i)) then raise Exit
-      done;
-      if not (typed_raws_ok tp fr.raws) then raise Exit
-    | None, Error _ -> raise Exit);
+    let tp = p.Bytecode.fp_prog.Bytecode.typed in
+    let ix = p.Bytecode.fp_kind_scalars in
+    for j = 0 to Array.length ix - 1 do
+      let i = ix.(j) in
+      if not (typed_slot_ok tp.Bytecode.t_sty.(i) fr.scalars.(i)) then raise Exit
+    done;
+    if not (typed_raws_ok tp fr.raws) then raise Exit;
     fr.tick <- 0;
     true
   with Exit -> false
@@ -778,16 +502,12 @@ let callee (cache : cframe option array) env (cs : Bytecode.call_site) =
       c
     | None -> None)
 
-let is_elem = function Bytecode.Ta_elem _ -> true | _ -> false
-
-(* An actual copied in from a register: typed ones are boxed at the
-   call boundary. *)
+(* An actual copied in from a register, boxed at the call boundary. *)
 let targ_value fr = function
   | Bytecode.Ta_f r -> Value.Real fr.fregs.(r)
   | Bytecode.Ta_i r -> Value.Int fr.iregs.(r)
   | Bytecode.Ta_b r -> Value.Bool (fr.iregs.(r) <> 0)
-  | Bytecode.Ta_v r -> fr.vregs.(r)
-  | Bytecode.Ta_alias _ | Bytecode.Ta_elem _ -> corrupt ()
+  | Bytecode.Ta_alias _ | Bytecode.Ta_v _ -> corrupt ()
 
 (* A call's result into its bank; [no_result] from a subroutine called
    as a function is the tree-walker's error. *)
@@ -795,7 +515,6 @@ let store_result fr (cs : Bytecode.call_site) (res : Bytecode.tres) v =
   match (res, v) with
   | Bytecode.Tr_none, _ -> ()
   | _ when v == no_result -> Storage.error "subroutine %s used as a function" cs.Bytecode.cs_name
-  | Bytecode.Tr_v d, v -> fr.vregs.(d) <- v
   | Bytecode.Tr_f d, Value.Real x -> fr.fregs.(d) <- x
   | Bytecode.Tr_i d, Value.Int x -> fr.iregs.(d) <- x
   | Bytecode.Tr_b d, Value.Bool b -> fr.iregs.(d) <- (if b then 1 else 0)
@@ -810,12 +529,12 @@ let release_crit fr =
   done
 
 (* The dispatch loop: one pass over the body, and whether a RETURN
-   ended it (a chunk's top-level EXIT raises [Loop_exit]).  Typed opcodes work on the float and int banks,
-   each the primitive operation its boxed counterpart performs on the
-   value kinds the binder verified, so the float/int results are
-   bit-identical (DESIGN.md §16); a boxed variant's [Tv] instructions
-   step over the [Value] bank.  RETURN, and any exception, release the
-   CRITICAL locks still held, like Fun.protect in the tree-walker. *)
+   ended it (a chunk's top-level EXIT raises [Loop_exit]).  Opcodes
+   work on the float and int banks, each the primitive operation the
+   tree-walker's [Value] function performs on the value kinds the
+   binder verified, so the float/int results are bit-identical
+   (DESIGN.md §16).  RETURN, and any exception, release the CRITICAL
+   locks still held, like Fun.protect in the tree-walker. *)
 let rec texec (fr : frame) : bool =
   let code = fr.code in
   let fregs = fr.fregs in
@@ -954,6 +673,14 @@ let rec texec (fr : frame) : bool =
        | Bytecode.TpowF (d, a, b) ->
          fregs.(d) <- fregs.(a) ** fregs.(b);
          incr pc
+       | Bytecode.TpowI (d, a, k) ->
+         let x = iregs.(a) in
+         let acc = ref 1 in
+         for _ = 1 to k do
+           acc := !acc * x
+         done;
+         iregs.(d) <- !acc;
+         incr pc
        | Bytecode.TaddI (d, a, b) ->
          iregs.(d) <- iregs.(a) + iregs.(b);
          incr pc
@@ -1036,7 +763,7 @@ let rec texec (fr : frame) : bool =
          fregs.(d) <- (if Float.compare y x < 0 then y else x);
          incr pc
        | Bytecode.TmaxI (d, a, b) ->
-         (* the boxed pick compares to_floats, so go through
+         (* the tree-walker's pick compares to_floats, so go through
             float_of_int (observable for > 2^53 magnitudes) *)
          let x = iregs.(a) and y = iregs.(b) in
          iregs.(d) <-
@@ -1126,7 +853,6 @@ let rec texec (fr : frame) : bool =
          returned := true;
          pc := n
        | Bytecode.Texit -> raise Storage.Loop_exit
-       | Bytecode.Tv ins -> pc := vstep fr !pc ins
      done
    with e ->
      release_crit fr;
@@ -1140,7 +866,7 @@ and call_frame cf =
   if not (enter cf) then false
   else begin
     cf.busy <- true;
-    count_run (Bytecode.plan_site cf.plan) cf.frame;
+    Bytecode.Stats.run (Bytecode.plan_site cf.plan);
     (match texec cf.frame with
     | _ -> cf.busy <- false
     | exception e ->
@@ -1151,13 +877,11 @@ and call_frame cf =
 
 (* A compiled call.  Through the callee's reusable frame when there is
    one and it takes the call: the actuals go straight into its dummy
-   slots.  Otherwise — and always for array-element actuals, whose
-   copy-out targets the array resolved before the call — the scope
-   path, with the tree-walker's bindings. *)
+   slots.  Otherwise the scope path, with the tree-walker's bindings. *)
 and call fr (cs : Bytecode.call_site) (args : Bytecode.targ array) (res : Bytecode.tres) =
   let frame_ran =
     match callee fr.callees fr.env cs with
-    | Some cf when (not cf.busy) && not (Array.exists is_elem args) ->
+    | Some cf when not cf.busy ->
       for k = 0 to Array.length args - 1 do
         cf.dslots.(k) <-
           (match args.(k) with
@@ -1177,15 +901,6 @@ and call fr (cs : Bytecode.call_site) (args : Bytecode.targ array) (res : Byteco
         (fun a acc ->
           (match a with
           | Bytecode.Ta_alias rid -> `Alias fr.raws.(rid)
-          | Bytecode.Ta_elem { ae_arr; ae_idx; ae_val } ->
-            let ab = fr.arrays.(ae_arr) in
-            let idx =
-              Array.map (int_reg fr.vregs) ae_idx
-            in
-            (* copy-out through the resolved lvalue, exactly the
-               tree-walker's writeback: bounds-checked Farray.set *)
-            let wb v = Farray.set ab.c_ba idx (Value.to_cell v) in
-            `Copy (fr.vregs.(ae_val), Some wb)
           | a -> `Copy (targ_value fr a, None))
           :: acc)
         args []
@@ -1204,6 +919,6 @@ and call fr (cs : Bytecode.call_site) (args : Bytecode.targ array) (res : Byteco
 let run_chunk fr (args : int array) =
   let regs = fr.cargs in
   for k = 0 to Array.length regs - 1 do
-    if fr.why = None then fr.iregs.(regs.(k)) <- args.(k) else fr.vregs.(regs.(k)) <- Value.Int args.(k)
+    fr.iregs.(regs.(k)) <- args.(k)
   done;
   if texec fr then raise Storage.Sub_return

@@ -330,9 +330,15 @@ real*8 function drive_calls(n, t)
   do i = 1, 64
     acc = acc + stash(i)
   end do
-  print *, 'calls', n
+  call say_calls(n)
   drive_calls = acc
 end function drive_calls
+
+subroutine say_calls(n)
+  implicit none
+  integer :: n
+  print *, 'calls', n
+end subroutine say_calls
 |}
 
 let test_calls_diff () =
@@ -544,7 +550,7 @@ real*8 function sum_marr(n)
   sum_marr = s
 end function sum_marr
 
-real*8 function sum_marr_boxed(n)
+real*8 function sum_marr_mixed(n)
   use frmod
   implicit none
   integer :: n, i
@@ -553,8 +559,8 @@ real*8 function sum_marr_boxed(n)
   do i = 0, n
     s = s + marr(i)
   end do
-  sum_marr_boxed = s + twice(0.5d0)
-end function sum_marr_boxed
+  sum_marr_mixed = s + twice(0.5d0)
+end function sum_marr_mixed
 
 real*8 function drive_realloc(n)
   use frmod
@@ -562,9 +568,9 @@ real*8 function drive_realloc(n)
   integer :: n
   real*8 :: a, b
   call setup_marr(n)
-  a = sum_marr(n) + marr(n) + sum_marr_boxed(n)
+  a = sum_marr(n) + marr(n) + sum_marr_mixed(n)
   call setup_marr(n + 5)
-  b = sum_marr(n + 5) + marr(n + 5) + sum_marr_boxed(n + 5)
+  b = sum_marr(n + 5) + marr(n + 5) + sum_marr_mixed(n + 5)
   drive_realloc = a * 1000.0d0 + b
 end function drive_realloc
 
@@ -1054,8 +1060,9 @@ let site_count field rows lbl =
   List.fold_left (fun a r -> if r.Interp.r_label = lbl then a + field r else a) 0 rows
 
 (* Same result (or error) and ALLOCATE count on both engines, and the
-   driver's own body ran on the VM named by [typed]. *)
-let assert_typed_same ?(typed = true) name cu fname args =
+   driver's own body ran on the VM ([on_vm]) or bailed to the
+   tree-walker. *)
+let assert_typed_same ?(on_vm = true) name cu fname args =
   assert_same name cu fname args;
   let rows, allocs = vm_run cu fname args in
   let st = Interp.make_state ~printer:ignore cu in
@@ -1063,8 +1070,8 @@ let assert_typed_same ?(typed = true) name cu fname args =
   (try ignore (Interp.call st fname args) with Interp.Fortran_error _ | Farray.Bounds_error _ -> ());
   check_int (name ^ ": ALLOCATE count") (Interp.allocations st) allocs;
   let lbl = "sub " ^ fname in
-  check_int (name ^ ": typed runs") (if typed then 1 else 0) (site_count (fun r -> r.Interp.r_typed) rows lbl);
-  check_int (name ^ ": boxed runs") (if typed then 0 else 1) (site_count (fun r -> r.Interp.r_boxed) rows lbl);
+  check_int (name ^ ": runs") (if on_vm then 1 else 0) (site_count (fun r -> r.Interp.r_runs) rows lbl);
+  check_int (name ^ ": bails") (if on_vm then 0 else 1) (site_count (fun r -> r.Interp.r_bails) rows lbl);
   rows
 
 let typed_cu () = Parser.parse_string typed_src
@@ -1073,8 +1080,8 @@ let test_typed_fn_results () =
   let rows = assert_typed_same "int/real/logical results" (typed_cu ()) "drive_fns" [ Ast.Int_lit 9 ] in
   List.iter
     (fun callee ->
-      check_int (callee ^ " never boxed") 0 (site_count (fun r -> r.Interp.r_boxed) rows ("sub " ^ callee));
-      check_bool (callee ^ " ran typed") true (site_count (fun r -> r.Interp.r_typed) rows ("sub " ^ callee) > 0))
+      check_int (callee ^ " never bailed") 0 (site_count (fun r -> r.Interp.r_bails) rows ("sub " ^ callee));
+      check_bool (callee ^ " ran compiled") true (site_count (fun r -> r.Interp.r_runs) rows ("sub " ^ callee) > 0))
     [ "icount"; "rhalf"; "isodd" ];
   (* a reused typed frame passes its own dummy on: the alias must follow
      each call's actual *)
@@ -1101,19 +1108,20 @@ let test_typed_realloc () =
 let test_typed_save_guard () =
   let cu = typed_cu () in
   let rows = assert_typed_same "SAVE + allocated() guard" cu "drive_saved" [ Ast.Int_lit 5 ] in
-  check_int "saved_sum typed from the first call" 5 (site_count (fun r -> r.Interp.r_typed) rows "sub saved_sum");
-  check_int "saved_sum never boxed" 0 (site_count (fun r -> r.Interp.r_boxed) rows "sub saved_sum")
+  check_int "saved_sum compiled from the first call" 5 (site_count (fun r -> r.Interp.r_runs) rows "sub saved_sum");
+  check_int "saved_sum never bailed" 0 (site_count (fun r -> r.Interp.r_bails) rows "sub saved_sum")
 
 let test_typed_kind_rule () =
   let cu = typed_cu () in
   (* the REAL dummy rewrites the caller's INTEGER k in place: typing
-     the caller would leave it reading an Int slot that holds a Real *)
-  ignore (assert_typed_same ~typed:false "INTEGER actual to REAL dummy" cu "drive_quirk" [ Ast.Int_lit 7 ]);
+     the caller would leave it reading an Int slot that holds a Real,
+     so it bails *)
+  ignore (assert_typed_same ~on_vm:false "INTEGER actual to REAL dummy" cu "drive_quirk" [ Ast.Int_lit 7 ]);
   (* a DO loop stores raw Ints into its variable: a REAL actual aliased
      to it, or a module REAL some callee loops over, ends up an Int *)
-  ignore (assert_typed_same ~typed:false "REAL actual as callee DO variable" cu "drive_do_alias" [ Ast.Int_lit 7 ]);
-  ignore (assert_typed_same ~typed:false "module REAL as callee DO variable" cu "drive_global_do" [ Ast.Int_lit 7 ]);
-  ignore (assert_typed_same ~typed:false "COMMON REAL as callee DO variable" cu "drive_common_do" [ Ast.Int_lit 7 ]);
+  ignore (assert_typed_same ~on_vm:false "REAL actual as callee DO variable" cu "drive_do_alias" [ Ast.Int_lit 7 ]);
+  ignore (assert_typed_same ~on_vm:false "module REAL as callee DO variable" cu "drive_global_do" [ Ast.Int_lit 7 ]);
+  ignore (assert_typed_same ~on_vm:false "COMMON REAL as callee DO variable" cu "drive_common_do" [ Ast.Int_lit 7 ]);
   (* a copied-in Int gets an Integer-based slot the quirk turns Real:
      rthrice's typed frame, specialized for a REAL slot, must not take
      it, or its stores would skip the slot's INTEGER coercion *)
@@ -1124,9 +1132,9 @@ let test_typed_recursion () =
   let rows = assert_typed_same "recursion with local ALLOCATE" cu "drive_rsumarr" [ Ast.Int_lit 6 ] in
   (* 6 + 4 activations: the second chain's outer call reuses the frame
      the first left behind, nested calls (frame busy) take the scope
-     path — all typed *)
-  check_int "rsumarr activations typed" 10 (site_count (fun r -> r.Interp.r_typed) rows "sub rsumarr");
-  check_int "rsumarr never boxed" 0 (site_count (fun r -> r.Interp.r_boxed) rows "sub rsumarr")
+     path — all compiled *)
+  check_int "rsumarr activations compiled" 10 (site_count (fun r -> r.Interp.r_runs) rows "sub rsumarr");
+  check_int "rsumarr never bailed" 0 (site_count (fun r -> r.Interp.r_bails) rows "sub rsumarr")
 
 (* --- private scalars in registers ------------------------------------------ *)
 
@@ -1466,17 +1474,18 @@ real*8 function drive_rtri(n)
 end function drive_rtri
 |}
 
-(* Same results as the tree-walker, the driver ran typed, and [callee]
-   ran [runs] times on the VM named by [typed], never tree-walked. *)
-let assert_promo ?(typed = true) ?(runs = 3) name callee =
+(* Same results as the tree-walker, the driver ran on the VM, and
+   [callee] ran [runs] times on the VM ([on_vm]) or bailed [runs]
+   times to the tree-walker. *)
+let assert_promo ?(on_vm = true) ?(runs = 3) name callee =
   let cu = Parser.parse_string promo_src in
   let rows = assert_typed_same name cu ("drive_" ^ name) [ Ast.Int_lit 5 ] in
   let out = run_engine ~bytecode:true cu ("drive_" ^ name) [ Ast.Int_lit 5 ] in
   check_bool (name ^ ": ran without error") true (out.r_error = None);
   let lbl = "sub " ^ callee in
-  let on_vm = site_count (fun r -> if typed then r.Interp.r_typed else r.Interp.r_boxed) rows lbl in
-  check_int (name ^ ": " ^ callee ^ " runs") runs on_vm;
-  check_int (name ^ ": " ^ callee ^ " bails") 0 (site_count (fun r -> r.Interp.r_bails) rows lbl);
+  let ran, bailed = if on_vm then (runs, 0) else (0, runs) in
+  check_int (name ^ ": " ^ callee ^ " runs") ran (site_count (fun r -> r.Interp.r_runs) rows lbl);
+  check_int (name ^ ": " ^ callee ^ " bails") bailed (site_count (fun r -> r.Interp.r_bails) rows lbl);
   rows
 
 let test_promo_by_reference () =
@@ -1495,10 +1504,11 @@ let test_promo_do () =
   (* EXIT keeps the variable's value at the EXIT, a completed loop
      leaves the loop-completed value *)
   ignore (assert_promo "exit" "p_exit");
-  (* a REAL DO variable holds raw integers mid-loop: boxed, and exact *)
-  let rows = assert_promo ~typed:false "realdo" "p_realdo" in
-  check_bool "p_realdo says why it ran boxed" true
-    (List.exists (fun r -> r.Interp.r_label = "sub p_realdo" && r.Interp.r_boxed_reason <> None) rows)
+  (* a REAL DO variable holds raw integers mid-loop: it bails, and the
+     tree-walker runs it *)
+  let rows = assert_promo ~on_vm:false "realdo" "p_realdo" in
+  check_bool "p_realdo says why it bailed" true
+    (List.exists (fun r -> r.Interp.r_label = "sub p_realdo" && r.Interp.r_reason <> None) rows)
 
 let test_promo_locals () =
   (* every call starts from setup_scope's zero, also in a reused frame *)
@@ -1520,12 +1530,14 @@ let test_promo_recursion () =
      registers of their own: 5 + 4 activations, all typed *)
   ignore (assert_promo ~runs:9 "rtri" "rtri")
 
-(* --- constructs the typed specializer rejects -------------------------------- *)
+(* --- constructs the typed registers do not cover ------------------------------ *)
 
-(* One unit per construct {!Bytecode.specialize} rejects.  Each driver
-   runs its compiled sites on the boxed register bank: never a bail,
-   the rejected construct named as the boxed reason, and results and
-   PRINT text bit-identical to the tree-walker at 1 and 4 threads. *)
+(* One unit per construct the compiler or {!Bytecode.specialize} has no
+   typed instruction for (the [boxed:] cases, named for the register
+   bank they used to run on).  Each driver's named sites bail to the
+   tree-walker, the construct named as the bail reason, and results
+   and PRINT text are bit-identical to the tree-walker at 1 and 4
+   threads. *)
 
 (* the rank-3 store runs in a parallel chunk body, the read in the
    driver's own compiled body *)
@@ -1633,10 +1645,12 @@ real*8 function charcat(n)
   implicit none
   integer :: n, i
   real*8 :: s
+  character(len=8) :: tag
+  tag = 'step'
   s = 0.0d0
   do i = 1, n
     s = s + i * 0.5d0
-    print *, 'step' // ' no', i, s
+    print *, tag // ' no', i, s
   end do
   charcat = s
 end function charcat
@@ -1657,8 +1671,8 @@ end function realdo
 |}
 
 (* Both engines agree on [fname] at 1 and 4 threads, then every site
-   labelled in [sites] ran boxed for [reason] and never bailed. *)
-let assert_boxed name src fname sites reason =
+   labelled in [sites] bailed for [reason] and never ran compiled. *)
+let assert_bails name src fname sites reason =
   let cu = Parser.parse_string src in
   List.iter
     (fun t -> assert_same (Printf.sprintf "%s, %d threads" name t) ~threads:t cu fname [ Ast.Int_lit 6 ])
@@ -1670,34 +1684,105 @@ let assert_boxed name src fname sites reason =
   let rows = Interp.bytecode_stats_for st in
   List.iter
     (fun lbl ->
-      check_bool (name ^ ": " ^ lbl ^ " ran boxed") true (site_count (fun r -> r.Interp.r_boxed) rows lbl >= 1);
-      check_int (name ^ ": " ^ lbl ^ " bails") 0 (site_count (fun r -> r.Interp.r_bails) rows lbl);
+      check_bool (name ^ ": " ^ lbl ^ " bailed") true (site_count (fun r -> r.Interp.r_bails) rows lbl >= 1);
+      check_int (name ^ ": " ^ lbl ^ " runs") 0 (site_count (fun r -> r.Interp.r_runs) rows lbl);
       List.iter
         (fun r ->
           if r.Interp.r_label = lbl then
-            Alcotest.(check (option string)) (name ^ ": " ^ lbl ^ " boxed_reason") (Some reason)
-              r.Interp.r_boxed_reason)
+            Alcotest.(check (option string)) (name ^ ": " ^ lbl ^ " reason") (Some reason) r.Interp.r_reason)
         rows)
     sites
 
 let rank3_reason = "whole-array or rank>2 access"
 
-let test_boxed_rank3 () = assert_boxed "rank-3 access" rank3_src "rank3" [ "sub rank3"; "omp-do" ] rank3_reason
-let test_boxed_whole () = assert_boxed "whole-array copy and fill" whole_src "wholearr" [ "sub wholearr" ] rank3_reason
-let test_boxed_ipow () = assert_boxed "integer **" ipow_src "ipow" [ "sub ipow" ] "integer **"
+let test_boxed_rank3 () = assert_bails "rank-3 access" rank3_src "rank3" [ "sub rank3"; "omp-do" ] rank3_reason
+let test_boxed_whole () = assert_bails "whole-array copy and fill" whole_src "wholearr" [ "sub wholearr" ] rank3_reason
+
+(* [i ** 2] types; [2 ** (i - 1)], a variable exponent, bails: the
+   kind of its result depends on the exponent's sign *)
+let test_boxed_ipow () = assert_bails "integer **" ipow_src "ipow" [ "sub ipow" ] "integer **"
 
 let test_boxed_elem () =
-  assert_boxed "array-element actual" elem_src "elemact" [ "sub elemact" ] "array-element actual"
+  assert_bails "array-element actual" elem_src "elemact" [ "sub elemact" ] "array-element actual"
 
 let test_boxed_charcat () =
-  assert_boxed "character constant" charcat_src "charcat" [ "sub charcat" ] "character or array constant"
+  assert_bails "character constant" charcat_src "charcat" [ "sub charcat" ] "character or array constant"
 
-let test_boxed_realdo () = assert_boxed "REAL DO variable" realdo_src "realdo" [ "sub realdo" ] "register kind conflict"
+let test_boxed_realdo () = assert_bails "REAL DO variable" realdo_src "realdo" [ "sub realdo" ] "register kind conflict"
+
+(* An INTEGER base to a constant INTEGER power runs typed:
+   [Value.pow]'s repeated multiply for k >= 0 (so [x ** 0] is 1 and an
+   overflowing power wraps), a real power for k < 0.  The exponent is
+   a literal, a negated literal or a folded PARAMETER. *)
+let ipow_const_src =
+  {|
+integer function ipow0(b)
+  implicit none
+  integer :: b
+  ipow0 = b ** 0
+end function ipow0
+
+integer function ipow3(b)
+  implicit none
+  integer :: b
+  ipow3 = b ** 3
+end function ipow3
+
+integer function ipowk(b)
+  implicit none
+  integer, parameter :: k = 3
+  integer :: b
+  ipowk = b ** k + b ** 1
+end function ipowk
+
+real*8 function ipowm2(b)
+  implicit none
+  integer :: b
+  ipowm2 = b ** (-2)
+end function ipowm2
+
+real*8 function ipow_loop(n)
+  implicit none
+  integer :: n, i, s
+  real*8 :: r
+  s = 0
+  r = 0.0d0
+  do i = 1, n
+    s = s + i ** 3 - (-i) ** 2 + i ** 0
+    r = r + i ** (-2)
+  end do
+  ipow_loop = s + r
+end function ipow_loop
+|}
+
+let test_typed_ipow_const () =
+  let cu = Parser.parse_string ipow_const_src in
+  let bases = [ 0; -1; 2; 3_000_000 ] in
+  List.iter
+    (fun fname ->
+      List.iter
+        (fun b ->
+          let what = Printf.sprintf "%s(%d)" fname b in
+          List.iter
+            (fun t -> assert_same (Printf.sprintf "%s, %d threads" what t) ~threads:t cu fname [ Ast.Int_lit b ])
+            [ 1; 4 ];
+          let rows, _ = vm_run cu fname [ Ast.Int_lit b ] in
+          check_int (what ^ ": runs") 1 (site_count (fun r -> r.Interp.r_runs) rows ("sub " ^ fname));
+          check_int (what ^ ": bails") 0 (site_count (fun r -> r.Interp.r_bails) rows ("sub " ^ fname)))
+        (if fname = "ipow_loop" then [ 9 ] else bases))
+    [ "ipow0"; "ipow3"; "ipowk"; "ipowm2"; "ipow_loop" ];
+  (* the overflowing power wraps exactly like the tree-walker's, and
+     the k < 0 power of 0 is a real infinity *)
+  check_bool "3e6 ** 3 wraps" true
+    ((run_engine ~bytecode:true cu "ipow3" [ Ast.Int_lit 3_000_000 ]).r_value
+    = Some (Some (Value.Int (3_000_000 * 3_000_000 * 3_000_000))));
+  check_bool "0 ** -2 is infinity" true
+    ((run_engine ~bytecode:true cu "ipowm2" [ Ast.Int_lit 0 ]).r_value = Some (Some (Value.Real Float.infinity)))
 
 (* One compiled subprogram, bound in two scopes: a REAL actual gives
    its slot the kind the typed code was specialized for, an INTEGER one
    (rewritten to Real in place by the REAL redeclaration quirk) keeps an
-   INTEGER slot, which the bind refuses for the typed variant; the
+   INTEGER slot, which the bind refuses, so that call tree-walks; the
    caller passing it is refused too, for its alias actual. *)
 let variants_src =
   {|
@@ -1741,15 +1826,17 @@ let test_one_program_both_variants () =
   List.iter (fun t -> assert_same (Printf.sprintf "both variants, %d threads" t) ~threads:t cu "both" [ Ast.Int_lit 5 ]) [ 1; 4 ];
   let rows, _ = vm_run cu "both" [ Ast.Int_lit 5 ] in
   let reason lbl =
-    List.fold_left (fun a r -> if r.Interp.r_label = lbl then r.Interp.r_boxed_reason else a) None rows
+    List.fold_left (fun a r -> if r.Interp.r_label = lbl then r.Interp.r_reason else a) None rows
   in
-  check_int "scale2 typed runs" 2 (site_count (fun r -> r.Interp.r_typed) rows "sub scale2");
-  check_int "scale2 boxed runs" 1 (site_count (fun r -> r.Interp.r_boxed) rows "sub scale2");
-  check_int "scale2 bails" 0 (site_count (fun r -> r.Interp.r_bails) rows "sub scale2");
-  Alcotest.(check (option string)) "scale2 boxed_reason" (Some "bind: scalar x has another kind") (reason "sub scale2");
-  check_int "both_int boxed runs" 1 (site_count (fun r -> r.Interp.r_boxed) rows "sub both_int");
+  check_int "scale2 runs" 2 (site_count (fun r -> r.Interp.r_runs) rows "sub scale2");
+  check_int "scale2 bails" 1 (site_count (fun r -> r.Interp.r_bails) rows "sub scale2");
+  Alcotest.(check (option string)) "scale2 reason" (Some "bind: scalar x has another kind") (reason "sub scale2");
+  check_int "both_int runs" 0 (site_count (fun r -> r.Interp.r_runs) rows "sub both_int");
+  check_int "both_int bails" 1 (site_count (fun r -> r.Interp.r_bails) rows "sub both_int");
   Alcotest.(check (option string))
-    "both_int boxed_reason" (Some "bind: alias actual has another kind") (reason "sub both_int")
+    "both_int reason" (Some "bind: alias actual has another kind") (reason "sub both_int");
+  check_int "both_real runs" 2 (site_count (fun r -> r.Interp.r_runs) rows "sub both_real");
+  check_int "both_real bails" 0 (site_count (fun r -> r.Interp.r_bails) rows "sub both_real")
 
 (* --- constant registers, rotated DO loops, leaf actuals, RETURN ------------ *)
 
@@ -1757,10 +1844,11 @@ let test_one_program_both_variants () =
    DO loops test and poll at their continue point, an inlined leaf
    reads a promoted actual's register in place, and RETURN ends the
    pass without an exception.  Each case runs in two variants: as
-   written (typed wherever [specialize] allows) and with every [!BOX(v)]
-   line replaced by an integer [**] that sends its subprogram to the
-   boxed variant.  Both must match the tree-walker at 1 and 4 threads,
-   with exact typed/boxed/bail counts per site. *)
+   written (compiled wherever the typed registers cover it) and with
+   every [!BAIL(v)] line replaced by a never-taken STOP, which sends its
+   subprogram or chunk to the tree-walker.  Both must match the
+   tree-walker at 1 and 4 threads, with exact run/bail counts per
+   site. *)
 let lean_src =
   {|
 module leanmod
@@ -1805,7 +1893,7 @@ subroutine crit_ret(k)
   use leanmod
   implicit none
   integer :: k
-!BOX(k)
+!BAIL(k)
 !$omp critical
   tot = tot + k
   if (mod(k, 2) == 0) return
@@ -1817,7 +1905,7 @@ real*8 function k_zeros(n)
   implicit none
   integer :: n, i
   real*8 :: a, b, s
-!BOX(n)
+!BAIL(n)
   a = 0.0d0
   b = -0.0d0
   s = 0.0d0
@@ -1831,7 +1919,7 @@ real*8 function k_kinds(n)
   implicit none
   integer :: n, i, k
   real*8 :: x
-!BOX(n)
+!BAIL(n)
   k = 0
   x = 1.0d0
   do i = 1, n
@@ -1846,7 +1934,7 @@ real*8 function k_param(n)
   implicit none
   integer :: n, i, k
   real*8 :: x
-!BOX(n)
+!BAIL(n)
   k = 0
   x = 0.0d0
   do i = 1, n
@@ -1860,7 +1948,7 @@ integer function k_logic(n)
   implicit none
   integer :: n, i, k
   logical :: l, m
-!BOX(n)
+!BAIL(n)
   k = 0
   do i = 1, n
     l = .true. .and. (i > 2)
@@ -1875,7 +1963,7 @@ end function k_logic
 integer function k_zerotrip(n)
   implicit none
   integer :: n, i, j, k
-!BOX(n)
+!BAIL(n)
   k = 0
   do i = 5, 1
     k = k + 1
@@ -1889,7 +1977,7 @@ end function k_zerotrip
 integer function k_steps(n)
   implicit none
   integer :: n, i, j, st, k
-!BOX(n)
+!BAIL(n)
   k = 0
   do i = n, 1, -2
     k = k + i
@@ -1908,7 +1996,7 @@ end function k_steps
 integer function k_exits(n)
   implicit none
   integer :: n, i, j, k
-!BOX(n)
+!BAIL(n)
   k = 0
   do i = 1, n
     if (mod(i, 3) == 0) cycle
@@ -1941,7 +2029,7 @@ real*8 function k_twice(n)
   implicit none
   integer :: n, i
   real*8 :: x, s
-!BOX(n)
+!BAIL(n)
   s = 0.0d0
   do i = 1, n
     x = i * 0.25d0
@@ -1954,7 +2042,7 @@ real*8 function k_bump(n)
   implicit none
   integer :: n, i
   real*8 :: x, s
-!BOX(n)
+!BAIL(n)
   s = 0.0d0
   x = 0.5d0
   do i = 1, n
@@ -1968,7 +2056,7 @@ real*8 function k_intreal(n)
   implicit none
   integer :: n, i, k
   real*8 :: s
-!BOX(n)
+!BAIL(n)
   s = 0.0d0
   do i = 1, n
     k = i * 3
@@ -1981,7 +2069,7 @@ real*8 function k_dovar(n)
   implicit none
   integer :: n, i, j
   real*8 :: s
-!BOX(n)
+!BAIL(n)
   s = 0.0d0
   do i = 1, n
     s = s + lread(i)
@@ -1997,7 +2085,7 @@ real*8 function k_realdo(n)
   implicit none
   integer :: n
   real*8 :: x, s
-!BOX(n)
+!BAIL(n)
   s = 0.0d0
   do x = 1, n
     s = s + lhalf(x)
@@ -2020,28 +2108,29 @@ integer function k_crit(n)
 end function k_crit
 |}
 
-(* [src] with each [!BOX(v)] line dropped ([boxed = false]) or turned
-   into a never-taken integer [**] test, which [specialize] rejects. *)
-let box_variant ~boxed src =
+(* [src] with each [!BAIL(v)] line dropped ([bail = false]) or turned
+   into a never-taken STOP, which the compiler has no instruction
+   for. *)
+let bail_variant ~bail src =
   String.split_on_char '\n' src
   |> List.map (fun line ->
          let t = String.trim line in
-         if String.length t > 5 && String.sub t 0 5 = "!BOX(" then
-           if boxed then Printf.sprintf "  if (%s ** 2 < 0) stop" (String.sub t 5 (String.length t - 6)) else ""
+         if String.length t > 6 && String.sub t 0 6 = "!BAIL(" then
+           if bail then Printf.sprintf "  if (%s ** 2 < 0) stop" (String.sub t 6 (String.length t - 7)) else ""
          else line)
   |> String.concat "\n"
 
-(* A case: its driver, and per variant the (site label, typed, boxed,
-   bails) counts of one call at 1 thread. *)
+(* A case: its driver, and per variant the (site label, runs, bails)
+   counts of one call at 1 thread. *)
 type lean_case = {
   lc_fn : string;
-  lc_typed : (string * int * int * int) list;
-  lc_boxed : (string * int * int * int) list;
+  lc_plain : (string * int * int) list;
+  lc_bail : (string * int * int) list;
 }
 
 let lean_cases =
-  let own ?(typed = true) fn = [ ("sub " ^ fn, (if typed then 1 else 0), (if typed then 0 else 1), 0) ] in
-  let case ?typed fn = { lc_fn = fn; lc_typed = own ?typed fn; lc_boxed = own ~typed:false fn } in
+  let own ?(on_vm = true) fn = [ ("sub " ^ fn, (if on_vm then 1 else 0), if on_vm then 0 else 1) ] in
+  let case ?on_vm fn = { lc_fn = fn; lc_plain = own ?on_vm fn; lc_bail = own ~on_vm:false fn } in
   [
     case "k_zeros";
     case "k_kinds";
@@ -2052,29 +2141,29 @@ let lean_cases =
     case "k_exits";
     (* the body bails on the implicit declaration of [zz] and
        tree-walks whole, its DO loop and RETURN included *)
-    { lc_fn = "k_ret"; lc_typed = [ ("sub k_ret", 0, 0, 1) ]; lc_boxed = [ ("sub k_ret", 0, 0, 1) ] };
+    { lc_fn = "k_ret"; lc_plain = [ ("sub k_ret", 0, 1) ]; lc_bail = [ ("sub k_ret", 0, 1) ] };
     case "k_twice";
     case "k_bump";
-    (* the REAL dummy rewrites the INTEGER local in place: boxed *)
-    case ~typed:false "k_intreal";
+    (* the REAL dummy rewrites the INTEGER local in place: it bails *)
+    case ~on_vm:false "k_intreal";
     case "k_dovar";
     (* a REAL DO variable holds raw Ints, which the leaf's REAL dummy
-       rewrites in place: it stays a slot, and runs boxed *)
-    case ~typed:false "k_realdo";
+       rewrites in place: it stays a slot, and the body bails *)
+    case ~on_vm:false "k_realdo";
     (* RETURN inside CRITICAL, from a parallel loop's chunk body; the
        driver compiles, its parallel DO one region-entry instruction *)
     {
       lc_fn = "k_crit";
-      lc_typed = [ ("sub k_crit", 1, 0, 0); ("omp-do", 1, 0, 0); ("sub crit_ret", 9, 0, 0) ];
-      lc_boxed = [ ("sub k_crit", 1, 0, 0); ("omp-do", 1, 0, 0); ("sub crit_ret", 0, 9, 0) ];
+      lc_plain = [ ("sub k_crit", 1, 0); ("omp-do", 1, 0); ("sub crit_ret", 9, 0) ];
+      lc_bail = [ ("sub k_crit", 1, 0); ("omp-do", 1, 0); ("sub crit_ret", 0, 9) ];
     };
   ]
 
 let test_lean_battery () =
   List.iter
-    (fun boxed ->
-      let cu = Parser.parse_string (box_variant ~boxed lean_src) in
-      let variant = if boxed then "boxed" else "typed" in
+    (fun bail ->
+      let cu = Parser.parse_string (bail_variant ~bail lean_src) in
+      let variant = if bail then "bail" else "plain" in
       List.iter
         (fun c ->
           List.iter
@@ -2088,12 +2177,11 @@ let test_lean_battery () =
           ignore (Interp.call st c.lc_fn [ Ast.Int_lit 9 ]);
           let rows = Interp.bytecode_stats_for st in
           List.iter
-            (fun (lbl, typed, boxed_runs, bails) ->
+            (fun (lbl, runs, bails) ->
               let what = Printf.sprintf "%s (%s): %s" c.lc_fn variant lbl in
-              check_int (what ^ " typed") typed (site_count (fun r -> r.Interp.r_typed) rows lbl);
-              check_int (what ^ " boxed") boxed_runs (site_count (fun r -> r.Interp.r_boxed) rows lbl);
+              check_int (what ^ " runs") runs (site_count (fun r -> r.Interp.r_runs) rows lbl);
               check_int (what ^ " bails") bails (site_count (fun r -> r.Interp.r_bails) rows lbl))
-            (if boxed then c.lc_boxed else c.lc_typed))
+            (if bail then c.lc_bail else c.lc_plain))
         lean_cases)
     [ false; true ]
 
@@ -2102,8 +2190,8 @@ let test_lean_battery () =
 (* A parallel DO's chunk runs as one program that loops over the chunk,
    its DO variables, privates, reduction accumulators and the shared
    scalars it only reads in registers (DESIGN.md section 24).  Each case
-   has one parallel DO; [!BOX(v)] lines work as in [lean_src]
-   ({!box_variant}).  The
+   has one parallel DO; [!BAIL(v)] lines work as in [lean_src]
+   ({!bail_variant}).  The
    leaves [half] (reads its dummy in place) and [setv] (writes its
    dummy) inline, [twice] and [peek] do not. *)
 let chunk_src =
@@ -2151,7 +2239,7 @@ real*8 function c_sum(n)
   acc = 0.25d0
 !$omp parallel do reduction(+:acc)
   do i = 1, n
-!BOX(i)
+!BAIL(i)
     acc = acc + 4.0d0 / (1.0d0 + ((i - 0.5d0) * h) ** 2) + half(h)
   end do
 !$omp end parallel do
@@ -2166,7 +2254,7 @@ real*8 function c_prod(n)
   ip = 3
 !$omp parallel do reduction(*:p, ip)
   do i = 1, n
-!BOX(i)
+!BAIL(i)
     p = p * (1.0d0 + 1.0d0 / (i + 3))
     if (mod(i, 5) == 0) ip = ip * 2
   end do
@@ -2184,7 +2272,7 @@ real*8 function c_maxmin(n)
   kmin = 1000
 !$omp parallel do reduction(max:xmax, kmax) reduction(min:xmin, kmin)
   do i = 1, n
-!BOX(i)
+!BAIL(i)
     xmax = max(xmax, sin(i * 0.37d0))
     xmin = min(xmin, cos(i * 0.11d0))
     kmax = max(kmax, mod(i * 7, 23))
@@ -2204,7 +2292,7 @@ real*8 function c_priv(n)
   m = 7
 !$omp parallel do private(t, m) firstprivate(off)
   do i = 1, n
-!BOX(i)
+!BAIL(i)
     t = t + i
     m = i * 3
     off = off + 0.5d0
@@ -2228,7 +2316,7 @@ real*8 function c_coll(n)
 !$omp parallel do collapse(2) reduction(+:s)
   do i = 1, 7
     do j = 1, 5
-!BOX(j)
+!BAIL(j)
       if (mod(i + j, 3) == 0) cycle
       grid2(i, j) = i * 10.0d0 + j + w
       s = s + grid2(i, j)
@@ -2246,7 +2334,7 @@ real*8 function c_exit(n)
   do k = 1, 3
 !$omp parallel do reduction(+:s)
     do i = 1, n
-!BOX(i)
+!BAIL(i)
       s = s + i
       if (i == 5) exit
     end do
@@ -2262,7 +2350,7 @@ real*8 function c_exit_top(n)
   s = 0.5d0
 !$omp parallel do reduction(+:s)
   do i = 1, n
-!BOX(i)
+!BAIL(i)
     s = s + i
     if (i == 5) exit
   end do
@@ -2279,7 +2367,7 @@ real*8 function c_ret(n)
   do k = 1, 3
 !$omp parallel do reduction(+:s)
     do i = 1, n
-!BOX(i)
+!BAIL(i)
       s = s + i
       if (i == 5) return
     end do
@@ -2295,7 +2383,7 @@ real*8 function c_actual(n)
   real*8 :: t, s
 !$omp parallel do private(t)
   do i = 1, n
-!BOX(i)
+!BAIL(i)
     t = i * 0.25d0
     call twice(t, 2)
     vec(i) = t
@@ -2315,7 +2403,7 @@ real*8 function c_modred(n)
   racc = 1.5d0
 !$omp parallel do reduction(+:racc)
   do i = 1, n
-!BOX(i)
+!BAIL(i)
     racc = racc + peek(i * 1.0d0)
   end do
 !$omp end parallel do
@@ -2329,7 +2417,7 @@ subroutine alias_loop(a, b, n, res)
   res = 0.0d0
 !$omp parallel do reduction(+:res)
   do i = 1, n
-!BOX(i)
+!BAIL(i)
 !$omp critical
     b = b + 1.0d0
     res = res + a
@@ -2356,7 +2444,7 @@ real*8 function c_leafw(n)
   s = 0.0d0
 !$omp parallel do private(w) reduction(+:s)
   do i = 1, n
-!BOX(i)
+!BAIL(i)
     w = z + i
 !$omp critical
     call setv(y, w)
@@ -2384,8 +2472,8 @@ let assert_chunk_same what ~threads ~sched cu fname =
         (Float.abs (x -. y) <= 1e-9 *. Float.max 1.0 (Float.abs y))
     | _ -> check_bool (what ^ ": both raised") true (a.r_value = None && b.r_value = None)
 
-(* Per case: the "omp-do" (typed, boxed, bails) counts of one call at 1
-   thread, as written; the [!BOX] variant swaps typed and boxed.  The
+(* Per case: the "omp-do" (runs, bails) counts of one call at 1 thread,
+   as written; the [!BAIL] variant swaps them.  The
    EXIT and RETURN cases branch out of the region, which OpenMP
    forbids: both engines raise the named error at every thread count
    and schedule. *)
@@ -2394,18 +2482,18 @@ let return_error = Some "RETURN branches out of a PARALLEL DO region"
 
 let chunk_cases =
   [
-    ("c_sum", (1, 0, 0), None);
-    ("c_prod", (1, 0, 0), None);
-    ("c_maxmin", (1, 0, 0), None);
-    ("c_priv", (1, 0, 0), None);
-    ("c_coll", (1, 0, 0), None);
-    ("c_exit", (1, 0, 0), exit_error);
-    ("c_exit_top", (1, 0, 0), exit_error);
-    ("c_ret", (1, 0, 0), return_error);
-    ("c_actual", (1, 0, 0), None);
-    ("c_modred", (1, 0, 0), None);
-    ("c_alias", (1, 0, 0), None);
-    ("c_leafw", (1, 0, 0), None);
+    ("c_sum", (1, 0), None);
+    ("c_prod", (1, 0), None);
+    ("c_maxmin", (1, 0), None);
+    ("c_priv", (1, 0), None);
+    ("c_coll", (1, 0), None);
+    ("c_exit", (1, 0), exit_error);
+    ("c_exit_top", (1, 0), exit_error);
+    ("c_ret", (1, 0), return_error);
+    ("c_actual", (1, 0), None);
+    ("c_modred", (1, 0), None);
+    ("c_alias", (1, 0), None);
+    ("c_leafw", (1, 0), None);
   ]
 
 let chunk_scheds =
@@ -2418,11 +2506,11 @@ let chunk_scheds =
 
 let test_chunk_battery () =
   List.iter
-    (fun boxed ->
-      let cu = Parser.parse_string (box_variant ~boxed chunk_src) in
-      let variant = if boxed then "boxed" else "typed" in
+    (fun bail ->
+      let cu = Parser.parse_string (bail_variant ~bail chunk_src) in
+      let variant = if bail then "bail" else "plain" in
       List.iter
-        (fun (fname, (typed, boxed_runs, bails), error) ->
+        (fun (fname, (runs, bails), error) ->
           List.iter
             (fun (sname, sched) ->
               List.iter
@@ -2444,9 +2532,8 @@ let test_chunk_battery () =
             | _ -> None
             | exception Interp.Fortran_error m -> Some m);
           let rows = Interp.bytecode_stats_for st in
-          let typed, boxed_runs = if boxed then (boxed_runs, typed) else (typed, boxed_runs) in
-          check_int (what ^ " typed") typed (site_count (fun r -> r.Interp.r_typed) rows "omp-do");
-          check_int (what ^ " boxed") boxed_runs (site_count (fun r -> r.Interp.r_boxed) rows "omp-do");
+          let runs, bails = if bail then (bails, runs) else (runs, bails) in
+          check_int (what ^ " runs") runs (site_count (fun r -> r.Interp.r_runs) rows "omp-do");
           check_int (what ^ " bails") bails (site_count (fun r -> r.Interp.r_bails) rows "omp-do"))
         chunk_cases)
     [ false; true ]
@@ -2643,7 +2730,7 @@ end function lhalfk
 real*8 function o_kind(n)
   integer :: n, i, k
   real*8 :: s
-!BOX(n)
+!BAIL(n)
   k = 2
   s = 0.0d0
 !$omp parallel do reduction(+:s)
@@ -2659,7 +2746,7 @@ real*8 function o_nest(n)
   implicit none
   integer :: n, i, j
   real*8 :: s, t
-!BOX(n)
+!BAIL(n)
   s = 0.0d0
 !$omp parallel do private(t) reduction(+:s)
   do i = 1, n
@@ -2680,7 +2767,7 @@ real*8 function o_after(n)
   implicit none
   integer :: n, i, cnt, k
   real*8 :: s, base, x
-!BOX(n)
+!BAIL(n)
   s = 1.5d0
   base = 0.25d0
   cnt = 0
@@ -2702,7 +2789,7 @@ real*8 function o_serial(n)
   implicit none
   integer :: n, i, k, m
   real*8 :: s
-!BOX(n)
+!BAIL(n)
   s = 0.0d0
   m = 0
   do k = 1, 3
@@ -2722,7 +2809,7 @@ real*8 function o_alloc(n)
   integer :: n, i
   real*8 :: s
   real*8, allocatable :: w(:)
-!BOX(n)
+!BAIL(n)
   s = 0.0d0
 !$omp parallel do
   do i = 1, n
@@ -2748,7 +2835,7 @@ end function o_alloc
 integer function o_exit(n)
   implicit none
   integer :: n, i, k
-!BOX(n)
+!BAIL(n)
   k = 0
 !$omp parallel do reduction(+:k)
   do i = 1, n
@@ -2762,7 +2849,7 @@ end function o_exit
 integer function o_ret(n)
   implicit none
   integer :: n, i, k
-!BOX(n)
+!BAIL(n)
   k = 0
 !$omp parallel do reduction(+:k)
   do i = 1, n
@@ -2774,29 +2861,33 @@ integer function o_ret(n)
 end function o_ret
 |}
 
-(* Per driver: whether its own body runs typed as written, and the
-   error both engines raise, if any.  [o_kind] binds boxed: [k] holds
-   an Int that [lhalfk] may make Real.  No site of any driver bails, so
-   [o_nest]'s outer chunk program compiles with the inner loop's
-   instruction in it. *)
+(* Per driver: whether its own body runs on the VM as written, the
+   bails of its other sites, and the error both engines raise, if any.
+   [o_kind] passes its INTEGER [k] to [lhalfk]'s REAL dummy, which the
+   redeclaration quirk makes Real: the driver's bind is refused, its
+   chunk program (with [lhalfk] inlined) does not compile, and each of
+   the 16 tree-walked calls of [lhalfk] is refused its bind — 17 bails
+   besides its own.  No site of any other driver bails, so [o_nest]'s
+   outer chunk program compiles with the inner loop's instruction in
+   it. *)
 let omp_cases =
   [
-    ("o_kind", false, None);
-    ("o_nest", true, None);
-    ("o_after", true, None);
-    ("o_serial", true, None);
-    ("o_alloc", true, None);
-    ("o_exit", true, exit_error);
-    ("o_ret", true, return_error);
+    ("o_kind", false, 17, None);
+    ("o_nest", true, 0, None);
+    ("o_after", true, 0, None);
+    ("o_serial", true, 0, None);
+    ("o_alloc", true, 0, None);
+    ("o_exit", true, 0, exit_error);
+    ("o_ret", true, 0, return_error);
   ]
 
 let test_omp_do_battery () =
   List.iter
-    (fun boxed ->
-      let cu = Parser.parse_string (box_variant ~boxed omp_src) in
-      let variant = if boxed then "boxed" else "typed" in
+    (fun bail ->
+      let cu = Parser.parse_string (bail_variant ~bail omp_src) in
+      let variant = if bail then "bail" else "plain" in
       List.iter
-        (fun (fname, typed, error) ->
+        (fun (fname, on_vm, other_bails, error) ->
           let args = [ Ast.Int_lit 16 ] in
           let reference = run_engine ~bytecode:false ~threads:1 cu fname args in
           Alcotest.(check (option string)) (fname ^ ": reference error")
@@ -2822,11 +2913,13 @@ let test_omp_do_battery () =
                 [ 1; 2; 4 ])
             chunk_scheds;
           let rows, _ = vm_run cu fname args in
-          let typed = typed && not boxed in
-          let what = Printf.sprintf "%s (%s): sub %s" fname variant fname in
-          check_int (what ^ " typed") (if typed then 1 else 0) (site_count (fun r -> r.Interp.r_typed) rows ("sub " ^ fname));
-          check_int (what ^ " boxed") (if typed then 0 else 1) (site_count (fun r -> r.Interp.r_boxed) rows ("sub " ^ fname));
-          check_int (fname ^ ": bails at any site") 0 (List.fold_left (fun a r -> a + r.Interp.r_bails) 0 rows))
+          let on_vm = on_vm && not bail in
+          let own = "sub " ^ fname in
+          let what = Printf.sprintf "%s (%s): %s" fname variant own in
+          check_int (what ^ " runs") (if on_vm then 1 else 0) (site_count (fun r -> r.Interp.r_runs) rows own);
+          check_int (what ^ " bails") (if on_vm then 0 else 1) (site_count (fun r -> r.Interp.r_bails) rows own);
+          check_int (fname ^ ": bails at any other site") other_bails
+            (List.fold_left (fun a r -> if r.Interp.r_label = own then a else a + r.Interp.r_bails) 0 rows))
         omp_cases)
     [ false; true ]
 
@@ -2970,7 +3063,7 @@ let words_per_call_bound = 16.0
 let test_call_allocation () =
   let cu = Parser.parse_string edge_src in
   let rows = assert_typed_same "FUN3D-shaped calls" cu "drive_edges" [ Ast.Int_lit 40 ] in
-  check_int "edge_like never boxed" 0 (site_count (fun r -> r.Interp.r_boxed) rows "sub edge_like");
+  check_int "edge_like never bailed" 0 (site_count (fun r -> r.Interp.r_bails) rows "sub edge_like");
   let st = Interp.make_state ~printer:ignore cu in
   Interp.set_threads st 1;
   (* the first call compiles, plans and leaves the callee's frame *)
@@ -3288,6 +3381,7 @@ let suites =
         Alcotest.test_case "boxed: array-element actual" `Quick test_boxed_elem;
         Alcotest.test_case "boxed: character constant and PRINT" `Quick test_boxed_charcat;
         Alcotest.test_case "boxed: REAL DO variable" `Quick test_boxed_realdo;
+        Alcotest.test_case "typed: integer ** constant" `Quick test_typed_ipow_const;
         Alcotest.test_case "one program, typed and boxed binds" `Quick test_one_program_both_variants;
         Alcotest.test_case "constants, rotated loops, leaf actuals, RETURN" `Quick test_lean_battery;
         Alcotest.test_case "parallel-DO chunk programs" `Quick test_chunk_battery;

@@ -324,7 +324,7 @@ let test_timeout_in_compiled_chunk () =
   let took = Fault.now_s () -. t0 in
   check_bool (Printf.sprintf "timed out after %.3fs < 1s" took) true (took < 1.0);
   let rows = List.filter (fun r -> r.Glaf_interp.Interp.r_label = "omp-do") (Glaf_interp.Interp.bytecode_stats ()) in
-  check_int "one compiled chunk" 1 (List.fold_left (fun a r -> a + r.Glaf_interp.Interp.r_typed) 0 rows);
+  check_int "one compiled chunk" 1 (List.fold_left (fun a r -> a + r.Glaf_interp.Interp.r_runs) 0 rows);
   check_int "no tree-walked chunk" 0 (List.fold_left (fun a r -> a + r.Glaf_interp.Interp.r_bails) 0 rows)
 
 (* --- pool supervision ----------------------------------------------------- *)

@@ -5,6 +5,7 @@ let () =
          Test_ir.suites;
          Test_fortran_parser.suites;
          Test_front_end.suites;
+         Test_inputs.suites;
          Test_interp.suites;
          Test_analysis.suites;
          Test_builder.suites;

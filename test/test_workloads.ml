@@ -231,7 +231,7 @@ let coverage_gated_sites =
   ]
 
 (* Every breach of the coverage gate in [rows]; [] passes.  Each gated
-   site exists and ran; no site bailed or ran boxed; and the
+   site exists and ran; no site bailed; and the
    factored-out leaves [ent_contrib] and [combine_flux] were inlined,
    so they have no site of their own. *)
 let coverage_failures (rows : Interp.bytecode_row list) =
@@ -254,11 +254,6 @@ let coverage_failures (rows : Interp.bytecode_row list) =
           Some
             (Printf.sprintf "site %s (%s) bailed (%s)" r.Interp.r_label
                r.Interp.r_id (reason r))
-        else if r.Interp.r_boxed > 0 then
-          Some
-            (Printf.sprintf "site %s (%s) ran %d times on the boxed variant (%s)"
-               r.Interp.r_label r.Interp.r_id r.Interp.r_boxed
-               (Option.value r.Interp.r_boxed_reason ~default:"?"))
         else None)
       rows
   @ List.filter_map
@@ -270,27 +265,22 @@ let coverage_failures (rows : Interp.bytecode_row list) =
 
 let coverage_table rows =
   let b = Buffer.create 4096 in
-  Printf.bprintf b "%-34s %10s %10s %10s  %s\n" "site" "typed" "boxed" "bails"
-    "bail reason / boxed_reason";
+  Printf.bprintf b "%-34s %10s %10s  %s\n" "site" "runs" "bails" "reason";
   List.iter
     (fun r ->
-      Printf.bprintf b "%-34s %10d %10d %10d  %s%s\n" r.Interp.r_label
-        r.Interp.r_typed r.Interp.r_boxed r.Interp.r_bails
-        (Option.value r.Interp.r_reason ~default:"")
-        (match r.Interp.r_boxed_reason with
-        | Some why -> "boxed_reason=" ^ why
-        | None -> ""))
+      Printf.bprintf b "%-34s %10d %10d  %s\n" r.Interp.r_label r.Interp.r_runs
+        r.Interp.r_bails
+        (Option.value r.Interp.r_reason ~default:""))
     (List.sort (fun a b -> compare a.Interp.r_label b.Interp.r_label) rows);
   Buffer.contents b
 
-(* At 2 threads, counted from a clean slate: SARB's GLAF serial and
-   GLAF-parallel v0-v3 variants, every Figure 7 variant of FUN3D on a
+(* At 2 threads, counted from a clean slate: every SARB variant (the
+   legacy original serial, GLAF serial and GLAF-parallel v0-v3), every
+   Figure 7 variant of FUN3D (its original serial among them) on a
    60-cell mesh, and [quad_sweep.gpi]'s [pi_mid], the served kernel. *)
 let coverage_rows ~bytecode =
   Interp.reset_bytecode_stats ();
-  List.iter
-    (fun v -> if v <> Sarb.Original_serial then ignore (Sarb.run ~threads:2 ~bytecode v))
-    Sarb.all_variants;
+  List.iter (fun v -> ignore (Sarb.run ~threads:2 ~bytecode v)) Sarb.all_variants;
   List.iter (fun v -> ignore (Fun3d.run ~threads:2 ~ncell:60 ~bytecode v)) Fun3d.figure7_variants;
   let quad =
     In_channel.with_open_bin "../examples/scripts/quad_sweep.gpi" In_channel.input_all
