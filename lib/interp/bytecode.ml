@@ -31,6 +31,10 @@
     accumulators and the shared scalars it only reads in registers
     ({!compile_chunk}, DESIGN.md section 24), and a parallel DO inside
     a compiled body is one instruction ([Iomp_do], DESIGN.md section 13).
+    IF and DO WHILE conditions compile to fused jumps, a result assigned
+    to a home register is computed straight into it, and the slot loads
+    a serial DO's body cannot change run once before the loop
+    ({!compile_branch}, {!specialize}, DESIGN.md section 27).
 
     Design rules (DESIGN.md sections 13 and 16):
     - {e Compile or fall back, never approximate.}  Compilation raises
@@ -351,6 +355,12 @@ and instr =
   | Ijmp of int
   | Ijf of int * int  (** jump when to_bool reg is false *)
   | Ijt of int * int  (** jump when to_bool reg is true *)
+  | Ijcmp of Ast.binop * int * int * int
+      (** comparison operator, a, b, target: jump when [a op b] holds,
+          compared like [Value.compare_values] *)
+  | Ijalloc of int * string * bool * int
+      (** raw-slot id, name, sense, target: jump when allocated(raw
+          slot) is [sense] *)
   | Iloop_test of { ireg : int; hireg : int; stepreg : int; target : int }
       (** nested-DO header: jump to [target] when the (Int) counter
           has passed the bound for the step's sign *)
@@ -437,6 +447,10 @@ and tinstr =
   | Tjmp of int
   | Tjf of int * int  (** jump when int reg = 0 *)
   | Tjt of int * int
+  | TjcmpF of cmp * int * int * int
+      (** a, b, target: jump when [Float.compare a b] satisfies the cmp *)
+  | TjcmpI of cmp * int * int * int
+  | Tjalloc of int * string * bool * int  (** raw id, name, sense, target *)
   | Tloop_test of { t_ireg : int; t_hireg : int; t_stepreg : int; t_target : int }
   | Tloop_next of { t_ireg : int; t_hireg : int; t_stepreg : int; t_target : int }
   | Tloop_fini of { t_sid : int; t_loreg : int; t_hireg : int; t_stepreg : int }
@@ -589,6 +603,10 @@ type ctx = {
   homes : (string, int * Ast.base_type) Hashtbl.t;
       (* promoted private scalars: home register, declared base *)
   mutable nhomes : int;  (* homes are registers [0, nhomes) *)
+  joins : (int, unit) Hashtbl.t;
+      (* registers past the homes with more than one definition or
+         use: an inlined leaf's variables and the [.and.]/[.or.]
+         results; every other one is a temp, defined once and read once *)
   mutable ncalls : int;
   const_ids : (const_key, int) Hashtbl.t;
   consts : (int, Value.t) Hashtbl.t;  (* constant register -> value *)
@@ -600,6 +618,11 @@ type ctx = {
 let reg ctx =
   let r = ctx.nregs in
   ctx.nregs <- r + 1;
+  r
+
+let join_reg ctx =
+  let r = reg ctx in
+  Hashtbl.replace ctx.joins r ();
   r
 
 let emit ctx i = vec_push ctx.code i
@@ -636,8 +659,13 @@ let patch ctx at target =
     | Ijmp _ -> Ijmp target
     | Ijf (r, _) -> Ijf (r, target)
     | Ijt (r, _) -> Ijt (r, target)
+    | Ijcmp (op, a, b, _) -> Ijcmp (op, a, b, target)
+    | Ijalloc (rid, name, sense, _) -> Ijalloc (rid, name, sense, target)
     | Iloop_test lt -> Iloop_test { lt with target }
     | _ -> assert false)
+
+(* Point the jumps at [sites] here. *)
+let patch_here ctx sites = List.iter (fun at -> patch ctx at (here ctx)) sites
 
 let scalar_id ctx (slot : Storage.slot) name path =
   let key = (name, path) in
@@ -1473,7 +1501,7 @@ let rec compile_expr ctx (e : Ast.expr) : int =
     | Ast.Binop (Ast.And, a, b) ->
       (* short-circuit, like the tree-walker's (&&) *)
       let ra = compile_expr ctx a in
-      let d = reg ctx in
+      let d = join_reg ctx in
       let jfalse = emit_patchable ctx (Ijf (ra, 0)) in
       let rb = compile_expr ctx b in
       emit ctx (Ibool (d, rb));
@@ -1484,7 +1512,7 @@ let rec compile_expr ctx (e : Ast.expr) : int =
       d
     | Ast.Binop (Ast.Or, a, b) ->
       let ra = compile_expr ctx a in
-      let d = reg ctx in
+      let d = join_reg ctx in
       let jtrue = emit_patchable ctx (Ijt (ra, 0)) in
       let rb = compile_expr ctx b in
       emit ctx (Ibool (d, rb));
@@ -1630,13 +1658,71 @@ and compile_desig_load ctx (parts : Ast.designator) : int =
 (* allocated(v): the tree-walker's eval_desig checks the slot kind at
    run time (ignoring any component parts after the call). *)
 and compile_allocated ctx args =
+  let rid, vname = allocated_arg ctx args in
+  let d = reg ctx in
+  emit ctx (Iallocated (d, rid, vname));
+  d
+
+(* The raw slot and name allocated()'s argument names. *)
+and allocated_arg ctx args =
   match args with
   | [ Ast.Desig [ (vname, []) ] ] when Storage.lookup ctx.scope vname <> None ->
     note_negative ctx "allocated";
-    let d = reg ctx in
-    emit ctx (Iallocated (d, raw_id ctx vname, vname));
-    d
+    (raw_id ctx vname, vname)
   | _ -> bail "allocated()"
+
+(* Whether the designator head [name] is allocated() at this point, as
+   [compile_desig_load] resolves it. *)
+and is_allocated ctx name =
+  name = "allocated" && ctx.inline = None
+  && (not (Hashtbl.mem ctx.homes name))
+  && Storage.lookup ctx.scope name = None
+
+(* A condition in branch context: the code jumps when [e] is [jump_if]
+   and falls through otherwise; returns the jumps' patch sites.  A
+   comparison or allocated() is one fused jump, [.not.] swaps the
+   sense, [.and.]/[.or.] short-circuit left to right like the
+   tree-walker's (&&)/(||); any other condition is a value tested by
+   [Ijt]/[Ijf], which apply [to_bool] as the tree-walker's IF does.
+   Comparisons negate exactly: the tree-walker compares with a total
+   order ([compare], NaN below everything), so [not (a < b)] is
+   [a >= b]. *)
+and compile_branch ctx (e : Ast.expr) ~jump_if : int list =
+  match e with
+  | _ when static_eval e <> None -> compile_test ctx e ~jump_if
+  | Ast.Unop (Ast.Not, a) -> compile_branch ctx a ~jump_if:(not jump_if)
+  | Ast.Binop (((Ast.And | Ast.Or) as op), a, b) ->
+    (* [a] decides alone when it is false for .and., true for .or. *)
+    let decides = op = Ast.Or in
+    if jump_if = decides then
+      let ja = compile_branch ctx a ~jump_if in
+      ja @ compile_branch ctx b ~jump_if
+    else begin
+      let skip = compile_branch ctx a ~jump_if:decides in
+      let jb = compile_branch ctx b ~jump_if in
+      patch_here ctx skip;
+      jb
+    end
+  | Ast.Binop (((Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne) as op), a, b) ->
+    let ra = compile_expr ctx a in
+    let rb = compile_expr ctx b in
+    let negated = function
+      | Ast.Lt -> Ast.Ge
+      | Ast.Le -> Ast.Gt
+      | Ast.Gt -> Ast.Le
+      | Ast.Ge -> Ast.Lt
+      | Ast.Eq -> Ast.Ne
+      | _ -> Ast.Eq
+    in
+    [ emit_patchable ctx (Ijcmp ((if jump_if then op else negated op), ra, rb, 0)) ]
+  | Ast.Desig [ (h, args) ] when is_allocated ctx h ->
+    let rid, vname = allocated_arg ctx args in
+    [ emit_patchable ctx (Ijalloc (rid, vname, jump_if, 0)) ]
+  | _ -> compile_test ctx e ~jump_if
+
+and compile_test ctx e ~jump_if =
+  let r = compile_expr ctx e in
+  [ emit_patchable ctx (if jump_if then Ijt (r, 0) else Ijf (r, 0)) ]
 
 (* --- compiled calls ------------------------------------------------------ *)
 
@@ -1756,7 +1842,7 @@ and compile_inline_call ctx sp mod_name actuals : int option =
                 () (* a home of the declared base: a Real already *)
               | Some (Ib_reg _) -> bail "inline-shape"
               | None ->
-                let r = reg ctx in
+                let r = join_reg ctx in
                 emit ctx (Iconst (r, Value.zero_of base));
                 Hashtbl.replace frame.imap n (Ib_reg (r, base)))
             entities
@@ -1772,7 +1858,7 @@ and compile_inline_call ctx sp mod_name actuals : int option =
         | Some (Ib_slot _) -> bail "inline-shape"
         | None ->
           let base = Option.value rt ~default:Ast.Real8 in
-          let r = reg ctx in
+          let r = join_reg ctx in
           emit ctx (Iconst (r, Value.zero_of base));
           Hashtbl.replace frame.imap sp.Ast.sub_name (Ib_reg (r, base));
           r)
@@ -1854,27 +1940,24 @@ and compile_stmt ctx (s : Ast.stmt) =
     let rv = compile_expr ctx e in
     compile_desig_store ctx d rv
   | Ast.If_arith (c, s) ->
-    let rc = compile_expr ctx c in
-    let jend = emit_patchable ctx (Ijf (rc, 0)) in
+    let jends = compile_branch ctx c ~jump_if:false in
     compile_stmt ctx s;
-    patch ctx jend (here ctx)
+    patch_here ctx jends
   | Ast.If_block (branches, else_) ->
     let jends = ref [] in
     List.iter
       (fun (c, body) ->
-        let rc = compile_expr ctx c in
-        let jnext = emit_patchable ctx (Ijf (rc, 0)) in
+        let jnexts = compile_branch ctx c ~jump_if:false in
         List.iter (compile_stmt ctx) body;
         jends := emit_patchable ctx (Ijmp 0) :: !jends;
-        patch ctx jnext (here ctx))
+        patch_here ctx jnexts)
       branches;
     List.iter (compile_stmt ctx) else_;
     List.iter (fun at -> patch ctx at (here ctx)) !jends
   | Ast.Do l -> if l.Ast.do_omp = None then compile_serial_do ctx l else compile_omp_do ctx l
   | Ast.Do_while (c, body) ->
     let head = here ctx in
-    let rc = compile_expr ctx c in
-    let jend = emit_patchable ctx (Ijf (rc, 0)) in
+    let jends = compile_branch ctx c ~jump_if:false in
     emit ctx Ipoll;
     let lctx =
       {
@@ -1888,8 +1971,7 @@ and compile_stmt ctx (s : Ast.stmt) =
     List.iter (compile_stmt ctx) body;
     ctx.loops <- List.tl ctx.loops;
     emit ctx (Ijmp head);
-    patch ctx jend (here ctx);
-    List.iter (fun at -> patch ctx at (here ctx)) lctx.exit_patches
+    patch_here ctx (jends @ lctx.exit_patches)
   | Ast.Exit -> (
     match ctx.loops with
     | lctx :: _ ->
@@ -2026,7 +2108,9 @@ and compile_serial_do ctx (l : Ast.do_loop) =
     | Some e -> compile_int ctx e
     | None -> const_reg ctx (Value.Int 1)
   in
-  emit ctx (Icheck_step rstep);
+  (match Hashtbl.find_opt ctx.consts rstep with
+  | Some (Value.Int k) when k <> 0 -> ()
+  | _ -> emit ctx (Icheck_step rstep));
   (* A home the body never assigns is the counter itself; otherwise the
      counter is private and each iteration stores it raw, like the
      tree-walker's per-iteration slot write. *)
@@ -2129,6 +2213,102 @@ let tvec_push v x =
   v.titems.(v.tlen) <- x;
   v.tlen <- v.tlen + 1
 
+(* The register [ins] writes its result to. *)
+let result_reg (ins : instr) =
+  match ins with
+  | Iconst (d, _) | Icopy (d, _) | Iload (d, _) | Icoerce (_, d, _) | Iload1 (d, _, _) | Iload2 (d, _, _, _)
+  | Ibinop (_, d, _, _) | Ineg (d, _) | Inot (d, _) | Ibool (d, _) | Ito_int (d, _) | Iintr (_, d, _)
+  | Iallocated (d, _, _)
+  | Icall { tc_res = Tr_v d; _ } ->
+    Some d
+  | _ -> None
+
+(* [ins] with every jump target [t] replaced by [f t]. *)
+let retarget f (ins : tinstr) =
+  match ins with
+  | Tjmp t -> Tjmp (f t)
+  | Tjf (r, t) -> Tjf (r, f t)
+  | Tjt (r, t) -> Tjt (r, f t)
+  | TjcmpF (c, a, b, t) -> TjcmpF (c, a, b, f t)
+  | TjcmpI (c, a, b, t) -> TjcmpI (c, a, b, f t)
+  | Tjalloc (rid, n, sense, t) -> Tjalloc (rid, n, sense, f t)
+  | Tloop_test lt -> Tloop_test { lt with t_target = f lt.t_target }
+  | Tloop_next ln -> Tloop_next { ln with t_target = f ln.t_target }
+  | ins -> ins
+
+(* [code] laid out again with [place k] in place of instruction [k]; a
+   jump to [k] lands on the first instruction placed for it, or on the
+   next one placed after it. *)
+let relayout (code : tinstr array) (place : int -> tinstr list) =
+  let placed = Array.init (Array.length code) place in
+  let pos = Array.make (Array.length code + 1) 0 in
+  Array.iteri (fun k is -> pos.(k + 1) <- pos.(k) + List.length is) placed;
+  Array.of_list (List.concat_map (List.map (retarget (fun t -> pos.(t)))) (Array.to_list placed))
+
+(* Move slot loads out of serial DO loops (DESIGN.md section 27).  A
+   load moves before the header of the outermost enclosing loop whose
+   body neither calls, runs a parallel DO, (de)allocates nor stores a
+   scalar slot: nothing this frame runs changes a slot there.  Across
+   CRITICAL or ATOMIC another thread may, so a loop holding one moves
+   only the loads of the frame's fresh locals ([fresh] scalar ids),
+   which no other thread can reach.  Only loads into temps move
+   ([movable] typed indices): a temp is defined once, before every
+   read of it, and the move keeps that. *)
+let hoist_loads ~movable ~fresh (code : tinstr array) =
+  let target = Array.make (Array.length code) (-1) in
+  Array.iteri
+    (fun k ins ->
+      match ins with
+      | Tloop_test { t_target = fini; _ } ->
+        let body = Array.sub code (k + 1) (fini - k - 1) in
+        let blocks = function
+          | Tcall _ | Tomp_do _ | Tallocate _ | Tdealloc _ | TstsF _ | TstsF_ofI _ | TstsI _ | TstsI_ofF _
+          | TstsB _ | TstsI_raw _ | Tloop_fini _ ->
+            true
+          | _ -> false
+        in
+        let crit = Array.exists (function Tcrit_enter | Tcrit_exit -> true | _ -> false) body in
+        if not (Array.exists blocks body) then
+          Array.iteri
+            (fun j ins ->
+              let j = k + 1 + j in
+              match ins with
+              | TldsF (_, sid) | TldsI (_, sid) | TldsB (_, sid)
+                when target.(j) < 0 && movable j && ((not crit) || fresh sid) ->
+                target.(j) <- k
+              | _ -> ())
+            body
+      | _ -> ())
+    code;
+  let hoisted = Array.make (Array.length code) [] in
+  for j = Array.length code - 1 downto 0 do
+    if target.(j) >= 0 then hoisted.(target.(j)) <- code.(j) :: hoisted.(target.(j))
+  done;
+  relayout code (fun k -> if target.(k) >= 0 then [] else hoisted.(k) @ [ code.(k) ])
+
+(* Drop every jump to the next instruction, until none is left. *)
+let rec drop_next_jumps code =
+  let code' = relayout code (fun k -> match code.(k) with Tjmp t when t = k + 1 -> [] | ins -> [ ins ]) in
+  if Array.length code' = Array.length code then code else drop_next_jumps code'
+
+(* The names [sp] binds to slots of each call's own: its declared
+   variables, less the dummies, SAVE and COMMON members; none for a
+   chunk program, whose scalars belong to the enclosing scope. *)
+let fresh_locals (sub : Ast.subprogram option) =
+  let own = Hashtbl.create 16 in
+  Option.iter
+    (fun (sp : Ast.subprogram) ->
+      List.iter
+        (function
+          | Ast.Var_decl { attrs; entities; _ } when not (List.mem Ast.Save attrs) ->
+            List.iter (fun (e : Ast.entity) -> Hashtbl.replace own e.Ast.ent_name ()) entities
+          | _ -> ())
+        sp.Ast.sub_decls;
+      List.iter (Hashtbl.remove own) sp.Ast.sub_args;
+      List.iter (function Ast.Common (_, names) -> List.iter (Hashtbl.remove own) names | _ -> ()) sp.Ast.sub_decls)
+    sub;
+  own
+
 let nint_of x = int_of_float (Float.round x)
 let floor_of x = int_of_float (Float.floor x)
 let ceil_of x = int_of_float (Float.ceil x)
@@ -2179,11 +2359,28 @@ let specialize ctx ~(scalars : scalar_ref array) ~(arrays : array_ref array) ~ch
     incr ni;
     i
   in
+  (* Results computed straight into a home: [into] maps a temp [s] to
+     [d] when the instruction after the one computing [s] is the
+     assignment [d <- s].  A temp is defined once and read once, and
+     every instruction reads its operands before it writes its result,
+     so [s] may share [d]'s register when the two have one kind; the
+     assignment then moves nothing. *)
+  let into = Hashtbl.create 16 in
+  for i = 1 to n - 1 do
+    match code.(i) with
+    | Icoerce (_, d, s)
+      when s >= ctx.nhomes && (not (Hashtbl.mem ctx.consts s)) && (not (Hashtbl.mem ctx.joins s))
+           && result_reg code.(i - 1) = Some s ->
+      Hashtbl.replace into s d
+    | _ -> ()
+  done;
   let def r t =
     match rty.(r) with
-    | None ->
+    | None -> (
       rty.(r) <- Some t;
-      bank.(r) <- (match t with TF -> fresh_f () | TI | TB -> fresh_i ())
+      match Hashtbl.find_opt into r with
+      | Some d when rty.(d) = Some t -> bank.(r) <- bank.(d)
+      | _ -> bank.(r) <- (match t with TF -> fresh_f () | TI | TB -> fresh_i ()))
     | Some t' -> if t <> t' then bail "register kind conflict"
   in
   let ty_of r = match rty.(r) with Some t -> t | None -> bail "register of unknown kind" in
@@ -2277,6 +2474,26 @@ let specialize ctx ~(scalars : scalar_ref array) ~(arrays : array_ref array) ~ch
     | Ast.Ne -> Cne
     | _ -> bail "non-comparison operator"
   in
+  (* The operands of comparison [op]: in the int bank ([false]) or,
+     for mixed numerics, through to_float like compare_values. *)
+  let cmp_operands op a b =
+    match (ty_of a, ty_of b) with
+    | TI, TI -> (false, bank.(a), bank.(b))
+    | (TF | TI), (TF | TI) ->
+      let av = as_f a in
+      let bv = as_f b in
+      (true, av, bv)
+    | TB, TB when op = Ast.Eq || op = Ast.Ne -> (false, bank.(a), bank.(b))
+    | _ -> bail "comparison of mixed kinds"
+  in
+  (* Typed indices of the slot loads into temps: {!hoist_loads} may
+     move them out of their loop. *)
+  let movable = Hashtbl.create 16 in
+  (* [d] <- [s], of one kind: nothing when [s] was computed in [d] *)
+  let move d s =
+    if bank.(s) <> bank.(d) then
+      tvec_push out (if ty_of s = TF then TmovF (bank.(d), bank.(s)) else TmovI (bank.(d), bank.(s)))
+  in
   (* slots written raw (DO variables) hold Ints mid-loop regardless
      of their declared base; only Integer-based ones stay typable *)
   Array.iter
@@ -2321,8 +2538,8 @@ let specialize ctx ~(scalars : scalar_ref array) ~(arrays : array_ref array) ~ch
       | TB ->
         def d TB;
         tvec_push out (TmovI (bank.(d), bank.(s))))
-    | Iload (d, sid) -> (
-      match scalar sid with
+    | Iload (d, sid) ->
+      (match scalar sid with
       | TF ->
         def d TF;
         tvec_push out (TldsF (bank.(d), sid))
@@ -2331,7 +2548,9 @@ let specialize ctx ~(scalars : scalar_ref array) ~(arrays : array_ref array) ~ch
         tvec_push out (TldsI (bank.(d), sid))
       | TB ->
         def d TB;
-        tvec_push out (TldsB (bank.(d), sid)))
+        tvec_push out (TldsB (bank.(d), sid)));
+      let shared = match Hashtbl.find_opt into d with Some h -> bank.(h) = bank.(d) | None -> false in
+      if d >= ctx.nhomes && not shared then Hashtbl.replace movable (out.tlen - 1) ()
     | Istore (sid, r) -> (
       match (scalar sid, ty_of r) with
       | TF, TF -> tvec_push out (TstsF (sid, bank.(r)))
@@ -2347,19 +2566,19 @@ let specialize ctx ~(scalars : scalar_ref array) ~(arrays : array_ref array) ~ch
       match (base, ty_of s) with
       | Ast.Integer, TI ->
         def d TI;
-        tvec_push out (TmovI (bank.(d), bank.(s)))
+        move d s
       | Ast.Integer, TF ->
         def d TI;
         tvec_push out (Tf2i (bank.(d), bank.(s)))
       | (Ast.Real | Ast.Real8), TF ->
         def d TF;
-        tvec_push out (TmovF (bank.(d), bank.(s)))
+        move d s
       | (Ast.Real | Ast.Real8), TI ->
         def d TF;
         tvec_push out (Ti2f (bank.(d), bank.(s)))
       | Ast.Logical, TB ->
         def d TB;
-        tvec_push out (TmovI (bank.(d), bank.(s)))
+        move d s
       | _ -> bail "assignment of another kind")
     | Iload1 (d, a, ir) -> (
       match arrays.(a).aelem with
@@ -2456,22 +2675,11 @@ let specialize ctx ~(scalars : scalar_ref array) ~(arrays : array_ref array) ~ch
           def d TF;
           tvec_push out (TpowF (bank.(d), av, bv))
         | _ -> bail "logical arithmetic")
-      | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne -> (
-        match (ta, tb) with
-        | TI, TI ->
-          def d TB;
-          tvec_push out (TcmpI (cmp_of op, bank.(d), bank.(a), bank.(b)))
-        | (TF | TI), (TF | TI) ->
-          (* mixed numerics compare through to_float, like
-             compare_values *)
-          let av = as_f a in
-          let bv = as_f b in
-          def d TB;
-          tvec_push out (TcmpF (cmp_of op, bank.(d), av, bv))
-        | TB, TB when op = Ast.Eq || op = Ast.Ne ->
-          def d TB;
-          tvec_push out (TcmpI (cmp_of op, bank.(d), bank.(a), bank.(b)))
-        | _ -> bail "comparison of mixed kinds")
+      | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne ->
+        let fl, av, bv = cmp_operands op a b in
+        def d TB;
+        tvec_push out
+          (if fl then TcmpF (cmp_of op, bank.(d), av, bv) else TcmpI (cmp_of op, bank.(d), av, bv))
       | Ast.Eqv | Ast.Neqv ->
         let av = as_bool a in
         let bv = as_bool b in
@@ -2688,6 +2896,10 @@ let specialize ctx ~(scalars : scalar_ref array) ~(arrays : array_ref array) ~ch
     | Ijmp t -> tvec_push out (Tjmp t)
     | Ijf (r, t) -> tvec_push out (Tjf (as_cond r, t))
     | Ijt (r, t) -> tvec_push out (Tjt (as_cond r, t))
+    | Ijcmp (op, a, b, t) ->
+      let fl, av, bv = cmp_operands op a b in
+      tvec_push out (if fl then TjcmpF (cmp_of op, av, bv, t) else TjcmpI (cmp_of op, av, bv, t))
+    | Ijalloc (rid, name, sense, t) -> tvec_push out (Tjalloc (rid, name, sense, t))
     | Iloop_test { ireg; hireg; stepreg; target } ->
       if ty_of ireg <> TI || ty_of hireg <> TI || ty_of stepreg <> TI then
         bail "non-integer DO bounds";
@@ -2756,20 +2968,14 @@ let specialize ctx ~(scalars : scalar_ref array) ~(arrays : array_ref array) ~ch
           | TF | TB -> if Hashtbl.mem ue.ue_int r.sname then bail ("real or logical " ^ r.sname ^ " may be made integer by a call"))
       scalars
   end;
-  (* retarget jumps from untyped pcs to typed pcs *)
-  let tcode = Array.sub out.titems 0 out.tlen in
-  Array.iteri
-    (fun i ti ->
-      match ti with
-      | Tjmp t -> tcode.(i) <- Tjmp map.(t)
-      | Tjf (r, t) -> tcode.(i) <- Tjf (r, map.(t))
-      | Tjt (r, t) -> tcode.(i) <- Tjt (r, map.(t))
-      | Tloop_test lt ->
-        tcode.(i) <- Tloop_test { lt with t_target = map.(lt.t_target) }
-      | Tloop_next ln ->
-        tcode.(i) <- Tloop_next { ln with t_target = map.(ln.t_target) }
-      | _ -> ())
-    tcode;
+  (* jumps from untyped pcs to typed pcs, then the final layout *)
+  let fresh = fresh_locals ctx.sub in
+  let tcode =
+    Array.map (retarget (fun t -> map.(t))) (Array.sub out.titems 0 out.tlen)
+    |> hoist_loads ~movable:(Hashtbl.mem movable) ~fresh:(fun sid ->
+           scalars.(sid).spath = [] && Hashtbl.mem fresh scalars.(sid).sname)
+    |> drop_next_jumps
+  in
   let finit = Array.make (max 1 !nf) 0.0 and iinit = Array.make (max 1 !ni) 0 in
   List.iter
     (fun (r, v) ->
@@ -2797,6 +3003,7 @@ let make_ctx env scope ?sub () =
     sub;
     homes = Hashtbl.create 8;
     nhomes = 0;
+    joins = Hashtbl.create 8;
     ncalls = 0;
     const_ids = Hashtbl.create 16;
     consts = Hashtbl.create 16;
@@ -3284,6 +3491,14 @@ let known_plan env (sp : Ast.subprogram) : plan_state =
     match frame_plan env sp p (Stats.get ~unit_key:env.e_unit ~id:label ~label) with
     | Some plan -> Plan plan
     | None -> Plan_none)
+
+(** The program [sp] compiled to in [env]'s unit, once a call compiled
+    it (for tests and diagnostics). *)
+let compiled_sub env (sp : Ast.subprogram) : program option =
+  let key = cache_key env "s" (sub_digest sp) in
+  match locked (fun () -> Hashtbl.find_opt cache key) with
+  | Some (Ok p) -> Some p
+  | _ -> None
 
 let has_prefix u k =
   String.length k > String.length u && String.sub k 0 (String.length u) = u

@@ -1283,6 +1283,12 @@ let bytecode_stats_for st =
 
 let reset_bytecode_stats () = Bytecode.Stats.reset ()
 
+(** The compiled program of subprogram [name] in [st]'s unit, once a
+    call compiled it (for tests and diagnostics). *)
+let compiled_program st name =
+  Option.bind (Hashtbl.find_opt st.subs (String.lowercase_ascii name)) (fun (sp, _) ->
+      Bytecode.compiled_sub (benv st) sp)
+
 (** Read an array-valued field of a scalar TYPE variable in a module
     (e.g. SARB's [fo%fuir]). *)
 let module_struct_array st ~module_name ~var ~field =

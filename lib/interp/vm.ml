@@ -355,6 +355,28 @@ let oob ab ~store (idx : int array) =
 
 let loop_completed lo hi step = lo + (step * max 0 ((hi - lo + step) / step))
 
+(* A comparison of the typed code.  Reals compare in [Float.compare]'s
+   total order (NaN below everything, NaN = NaN), as the tree-walker's
+   polymorphic [compare] does, not IEEE's. *)
+let[@inline] fcmp c (x : float) y =
+  let k = Float.compare x y in
+  match c with
+  | Bytecode.Clt -> k < 0
+  | Bytecode.Cle -> k <= 0
+  | Bytecode.Cgt -> k > 0
+  | Bytecode.Cge -> k >= 0
+  | Bytecode.Ceq -> k = 0
+  | Bytecode.Cne -> k <> 0
+
+let[@inline] icmp c (x : int) y =
+  match c with
+  | Bytecode.Clt -> x < y
+  | Bytecode.Cle -> x <= y
+  | Bytecode.Cgt -> x > y
+  | Bytecode.Cge -> x >= y
+  | Bytecode.Ceq -> x = y
+  | Bytecode.Cne -> x <> y
+
 (* The cancellation poll, every 256 ticks of the frame. *)
 let poll fr =
   fr.tick <- fr.tick + 1;
@@ -701,32 +723,10 @@ let rec texec (fr : frame) : bool =
          iregs.(d) <- iregs.(a) mod y;
          incr pc
        | Bytecode.TcmpF (c, d, a, b) ->
-         let k = Float.compare fregs.(a) fregs.(b) in
-         iregs.(d) <-
-           (if
-              match c with
-              | Bytecode.Clt -> k < 0
-              | Bytecode.Cle -> k <= 0
-              | Bytecode.Cgt -> k > 0
-              | Bytecode.Cge -> k >= 0
-              | Bytecode.Ceq -> k = 0
-              | Bytecode.Cne -> k <> 0
-            then 1
-            else 0);
+         iregs.(d) <- (if fcmp c fregs.(a) fregs.(b) then 1 else 0);
          incr pc
        | Bytecode.TcmpI (c, d, a, b) ->
-         let x = iregs.(a) and y = iregs.(b) in
-         iregs.(d) <-
-           (if
-              match c with
-              | Bytecode.Clt -> x < y
-              | Bytecode.Cle -> x <= y
-              | Bytecode.Cgt -> x > y
-              | Bytecode.Cge -> x >= y
-              | Bytecode.Ceq -> x = y
-              | Bytecode.Cne -> x <> y
-            then 1
-            else 0);
+         iregs.(d) <- (if icmp c iregs.(a) iregs.(b) then 1 else 0);
          incr pc
        | Bytecode.TnegF (d, s) ->
          fregs.(d) <- -.fregs.(s);
@@ -785,6 +785,10 @@ let rec texec (fr : frame) : bool =
        | Bytecode.Tjmp t -> pc := t
        | Bytecode.Tjf (r, t) -> if iregs.(r) <> 0 then incr pc else pc := t
        | Bytecode.Tjt (r, t) -> if iregs.(r) <> 0 then pc := t else incr pc
+       | Bytecode.TjcmpF (c, a, b, t) -> if fcmp c fregs.(a) fregs.(b) then pc := t else incr pc
+       | Bytecode.TjcmpI (c, a, b, t) -> if icmp c iregs.(a) iregs.(b) then pc := t else incr pc
+       | Bytecode.Tjalloc (rid, name, sense, t) ->
+         if Storage.allocated fr.raws.(rid) name = sense then pc := t else incr pc
        | Bytecode.Tloop_test { t_ireg; t_hireg; t_stepreg; t_target } ->
          let i = iregs.(t_ireg)
          and hi = iregs.(t_hireg)

@@ -18,7 +18,7 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-let scripts = "../examples/scripts"
+let scripts = Test_paths.scripts
 
 let read_file path =
   let ic = open_in_bin path in
@@ -69,9 +69,8 @@ let run_engine ~bytecode ?(threads = 1) ?sched cu fname args =
   | exception Faultinject.Injected m -> finish None (Some ("inject: " ^ m))
   | exception Interp.Loop_exit -> finish None (Some "EXIT left the call")
 
-let assert_same name ?threads ?sched cu fname args =
-  let a = run_engine ~bytecode:true ?threads ?sched cu fname args in
-  let b = run_engine ~bytecode:false ?threads ?sched cu fname args in
+(* [a] printed, raised and returned exactly what [b] did. *)
+let check_same name ~expected:b a =
   check_string (name ^ ": printed output") b.r_output a.r_output;
   (match (a.r_error, b.r_error) with
   | None, None -> ()
@@ -88,6 +87,11 @@ let assert_same name ?threads ?sched cu fname args =
            (pp_value_opt va) (pp_value_opt vb))
   | None, None -> ()
   | _ -> Alcotest.fail (name ^ ": one engine raised, the other returned")
+
+let assert_same name ?threads ?sched cu fname args =
+  let a = run_engine ~bytecode:true ?threads ?sched cu fname args in
+  let b = run_engine ~bytecode:false ?threads ?sched cu fname args in
+  check_same name ~expected:b a
 
 let all_scheds =
   [
@@ -3346,6 +3350,364 @@ let test_fun3d_diff () =
       ("fun3d glaf best", Fun3d.Glaf Fun3d_glaf.best_options);
     ]
 
+(* --- fused jumps, home destinations, hoisted loads ------------------------- *)
+
+(* One driver per rewrite of DESIGN.md section 27.  [f_homes]: homes
+   assigned from expressions that read the same home, from inlined leaf
+   results (one through a RETURN), from call results, across kinds,
+   from other homes just written (a zeroed local, a finished DO
+   variable) and from a slot load in a loop that changes the home.
+   [f_short]: .and./.or. in IF and DO WHILE conditions whose right
+   operand calls [bump], which counts its calls in a module scalar.
+   [f_nan]: REAL comparisons with a NaN operand, ordered like
+   [Float.compare].  [f_alloc]: .not. allocated(), taken and not.
+   [f_nohoist]: loops whose slot loads must stay in the loop: one
+   calls a routine that writes the dummy, one a leaf that does (inlined),
+   one passes [k] twice to [alias_sum], whose loop reads one alias and
+   writes the other.  [f_crit]: a parallel DO whose CRITICAL loop reads
+   a module scalar, a dummy and a fresh local, then a serial loop that
+   reads the module scalar with nothing that can change it.  [f_par]
+   runs [f_homes] and [f_nohoist] in a parallel DO. *)
+let fuse_src =
+  {|
+module fusemod
+  implicit none
+  integer :: cnt
+  integer :: shared_k
+  integer :: hist(32)
+  real*8, allocatable :: buf(:)
+end module fusemod
+
+real*8 function hsum(a, b)
+  implicit none
+  real*8 :: a, b
+  hsum = a * 0.25d0 + b
+end function hsum
+
+real*8 function clampv(a, b)
+  implicit none
+  real*8 :: a, b
+  if (a > b .or. a /= a) then
+    clampv = b
+    return
+  end if
+  clampv = a
+end function clampv
+
+integer function isteps(k)
+  implicit none
+  integer :: k, j, s
+  s = 0
+  do j = 1, k
+    s = s + j
+  end do
+  isteps = s
+end function isteps
+
+real*8 function f_homes(n)
+  implicit none
+  integer :: n
+  integer :: i, k, m
+  real*8 :: x, y, z, w, u
+  x = u
+  x = x + 1.5d0 + w
+  y = 0.0d0
+  k = 3
+  m = 0
+  do i = 1, n
+    x = x * 0.5d0 + x / 3.0d0
+    x = -x + i
+    k = k * 2 - k / 3
+    k = mod(k, 1000)
+    y = hsum(x, y)
+    x = hsum(y, x)
+    z = clampv(x, y)
+    m = isteps(i + 0)
+    m = isteps(mod(k, 7)) + m
+    z = z + k
+    k = x * 10.0d0
+    w = m - 1
+    y = w
+  end do
+  k = i
+  m = m + i
+  do i = 1, 3
+    m = n
+    m = m + i
+    k = k + m
+  end do
+  f_homes = x + y + z + k + m + w + u
+end function f_homes
+
+logical function bump(k)
+  use fusemod
+  implicit none
+  integer :: k
+  cnt = cnt + 1
+  bump = mod(k, 3) == 0
+end function bump
+
+integer function f_short(n)
+  use fusemod
+  implicit none
+  integer :: n, i, k, hits
+  cnt = 0
+  hits = 0
+  do i = 1, n
+    if (mod(i, 2) == 0 .and. bump(i)) hits = hits + 1
+    if (mod(i, 5) == 0 .or. bump(i + 1)) hits = hits + 10
+    if (.not. (i > 3 .and. bump(i)) .or. i == 7) then
+      hits = hits + 100
+    else if (i < 2 .or. bump(i + 2) .and. i > 5) then
+      hits = hits + 1000
+    else
+      hits = hits + 10000
+    end if
+  end do
+  k = 0
+  do while (k < n .and. (.not. bump(k) .or. k < 4))
+    k = k + 1
+  end do
+  hits = hits + 100000 * k
+  k = 0
+  do while (.not. (k >= n .or. bump(k + 100)))
+    k = k + 1
+  end do
+  f_short = hits + 1000000 * k + 10000000 * cnt
+end function f_short
+
+integer function f_nan(n)
+  implicit none
+  integer :: n, i, r
+  real*8 :: x, y, m1
+  m1 = -1.0d0
+  x = sqrt(m1)
+  r = 0
+  do i = 1, n
+    y = i - 3
+    if (i == 5) y = x
+    r = r * 2
+    if (x < y) r = r + 1
+    if (x > y) r = r + 3
+    if (x <= y) r = r + 5
+    if (x >= y) r = r + 7
+    if (x == y) r = r + 11
+    if (x /= y) r = r + 13
+    if (y < x) r = r + 17
+    if (.not. (y >= x)) r = r + 19
+    if (y == y .and. x < i) r = r + 23
+    if (x > i .or. y /= i) r = r + 29
+    r = mod(r, 1000003)
+  end do
+  f_nan = r
+end function f_nan
+
+integer function f_alloc(n)
+  use fusemod
+  implicit none
+  integer :: n, r, i
+  real*8, allocatable, save :: loc(:)
+  r = 0
+  if (.not. allocated(buf)) then
+    allocate(buf(n))
+    r = r + 1
+  end if
+  if (.not. allocated(buf)) r = r + 10
+  if (allocated(buf)) r = r + 100
+  deallocate(buf)
+  if (allocated(buf) .or. n < 0) r = r + 1000
+  if (.not. allocated(buf) .and. n > 0) r = r + 10000
+  do i = 1, 3
+    if (.not. allocated(loc)) then
+      allocate(loc(i + 1))
+      r = r + 100000
+    end if
+  end do
+  deallocate(loc)
+  f_alloc = r
+end function f_alloc
+
+subroutine wrk(k)
+  implicit none
+  integer :: k, j
+  do j = 1, 2
+    k = k + 1
+  end do
+end subroutine wrk
+
+subroutine incr(k)
+  implicit none
+  integer :: k
+  k = k + 3
+end subroutine incr
+
+integer function alias_sum(a, b)
+  implicit none
+  integer :: a, b, j, t
+  t = 0
+  do j = 1, 4
+    t = t + a
+    b = b + 1
+  end do
+  alias_sum = t
+end function alias_sum
+
+integer function f_nohoist(n)
+  implicit none
+  integer :: n, i, k, s
+  k = 0
+  s = 0
+  do i = 1, n
+    s = s + k
+    call wrk(k)
+  end do
+  do i = 1, n
+    s = s + k * 2
+    call incr(k)
+  end do
+  do i = 1, n
+    s = s + alias_sum(k, k)
+  end do
+  f_nohoist = s * 1000 + k
+end function f_nohoist
+
+subroutine touch(k)
+  implicit none
+  integer :: k, j
+  do j = 1, 1
+    k = k + j
+  end do
+end subroutine touch
+
+subroutine crit_reader(i)
+  use fusemod
+  implicit none
+  integer :: i, j, loc
+  loc = i * 2
+  call touch(loc)
+  do j = 1, 4
+!$omp critical
+    hist(j) = hist(j) + shared_k + loc
+    hist(8 + j) = hist(8 + j) + i
+!$omp end critical
+  end do
+end subroutine crit_reader
+
+integer function f_crit(n)
+  use fusemod
+  implicit none
+  integer :: n, i, j, s
+  shared_k = 7
+  do j = 1, 32
+    hist(j) = 0
+  end do
+!$omp parallel do
+  do i = 1, n
+    call crit_reader(i)
+  end do
+!$omp end parallel do
+  s = 0
+  do j = 1, 32
+    s = mod(s * 3 + hist(j) + shared_k, 1000003)
+  end do
+  f_crit = s
+end function f_crit
+
+integer function f_par(n)
+  implicit none
+  integer :: n, i, acc
+  acc = 0
+!$omp parallel do reduction(+:acc)
+  do i = 1, n
+    acc = acc + int(f_homes(i) * 1000.0d0) + f_nohoist(i)
+  end do
+!$omp end parallel do
+  f_par = acc
+end function f_par
+|}
+
+let fuse_drivers = [ "f_homes"; "f_short"; "f_nan"; "f_alloc"; "f_nohoist"; "f_crit"; "f_par" ]
+
+(* Every driver on both engines at 1, 2 and 4 threads, bit-identical to
+   the tree-walker at 1 thread; on the VM at 2 threads every site runs
+   compiled and none bails. *)
+let test_fuse_battery () =
+  let cu = Parser.parse_string fuse_src in
+  let args = [ Ast.Int_lit 9 ] in
+  List.iter
+    (fun fname ->
+      let reference = run_engine ~bytecode:false cu fname args in
+      check_bool (fname ^ ": reference returns") true (reference.r_error = None);
+      List.iter
+        (fun threads ->
+          List.iter
+            (fun bytecode ->
+              check_same
+                (Printf.sprintf "%s, %s, %d threads" fname (if bytecode then "VM" else "tree-walk") threads)
+                ~expected:reference
+                (run_engine ~bytecode ~threads cu fname args))
+            [ true; false ])
+        [ 1; 2; 4 ];
+      Interp.reset_bytecode_stats ();
+      let st = Interp.make_state ~printer:ignore cu in
+      Interp.set_threads st 2;
+      ignore (Interp.call st fname args);
+      let rows = Interp.bytecode_stats_for st in
+      check_int (fname ^ ": runs") 1 (site_count (fun r -> r.Interp.r_runs) rows ("sub " ^ fname));
+      List.iter
+        (fun r -> check_int (Printf.sprintf "%s: %s bails" fname r.Interp.r_label) 0 r.Interp.r_bails)
+        rows)
+    fuse_drivers
+
+(* Per serial DO of [name]'s compiled body, in code order: how many
+   loads of the scalar [var] its body holds; and how many loads of it
+   lie outside every loop. *)
+let loop_loads st name var =
+  let p =
+    match Interp.compiled_program st name with
+    | Some p -> p
+    | None -> Alcotest.failf "%s did not compile" name
+  in
+  let code = p.Bytecode.typed.Bytecode.tcode in
+  let is_load = function
+    | Bytecode.TldsI (_, sid) | Bytecode.TldsF (_, sid) | Bytecode.TldsB (_, sid) ->
+      p.Bytecode.scalars.(sid).Bytecode.sname = var
+    | _ -> false
+  in
+  let loads lo hi = List.length (List.filter (fun k -> is_load code.(k)) (List.init (hi - lo) (( + ) lo))) in
+  let loops =
+    List.filter_map
+      (fun k -> match code.(k) with Bytecode.Tloop_test { t_target; _ } -> Some (k, t_target) | _ -> None)
+      (List.init (Array.length code) Fun.id)
+  in
+  let inside = List.map (fun (k, fini) -> loads (k + 1) fini) loops in
+  let outer = List.filter (fun (k, _) -> not (List.exists (fun (k', f') -> k' < k && k < f') loops)) loops in
+  (inside, loads 0 (Array.length code) - List.fold_left (fun a (k, f) -> a + loads (k + 1) f) 0 outer)
+
+(* Where the loads ended up: out of loops that can change no slot, in
+   the loops whose body calls, stores a slot, or holds a CRITICAL
+   section while reading a slot other threads can reach. *)
+let test_fuse_hoist_shape () =
+  let cu = Parser.parse_string fuse_src in
+  let st = Interp.make_state ~printer:ignore cu in
+  Interp.set_threads st 2;
+  List.iter (fun f -> ignore (Interp.call st f [ Ast.Int_lit 9 ])) fuse_drivers;
+  let check name var (inside, outside) =
+    Alcotest.(check (pair (list int) int)) (Printf.sprintf "%s: loads of %s" name var) (inside, outside)
+      (loop_loads st name var)
+  in
+  (* a call, an inlined store and a store to the other alias keep them;
+     a function reference evaluates its actuals once before the call,
+     as the tree-walker does *)
+  check "f_nohoist" "k" ([ 1; 2; 2 ], 1);
+  check "alias_sum" "a" ([ 1 ], 0);
+  (* across CRITICAL only the fresh local moves *)
+  check "crit_reader" "shared_k" ([ 1 ], 0);
+  check "crit_reader" "i" ([ 1 ], 1);
+  check "crit_reader" "loc" ([ 0 ], 1);
+  (* nothing in [f_crit]'s serial loops can change [shared_k] *)
+  check "f_crit" "shared_k" ([ 0; 0 ], 1)
+
 let suites =
   [
     ( "bytecode.diff",
@@ -3398,5 +3760,7 @@ let suites =
         Alcotest.test_case "serve inject" `Quick test_serve_inject_diff;
         Alcotest.test_case "sarb workload" `Quick test_sarb_diff;
         Alcotest.test_case "fun3d workload" `Quick test_fun3d_diff;
+        Alcotest.test_case "fused jumps, home results, hoisted loads" `Quick test_fuse_battery;
+        Alcotest.test_case "hoisted loads: where they go" `Quick test_fuse_hoist_shape;
       ] );
   ]

@@ -1,8 +1,8 @@
 (* End-to-end tests of the oglaf CLI binary against the shipped GPI
    scripts. *)
 
-let exe = "../bin/oglaf.exe"
-let scripts = "../examples/scripts"
+let exe = Test_paths.oglaf_exe
+let scripts = Test_paths.scripts
 
 let check_bool = Alcotest.(check bool)
 
@@ -324,7 +324,7 @@ let test_sloc_command () =
     check_bool "lists subprogram" true (contains out "s")
   end
 
-let fixtures = "../examples/fortran"
+let fixtures = Test_paths.fortran
 let sarb_fixture = fixtures ^ "/sarb_kernels.f90"
 
 let test_sloc_error_contract () =

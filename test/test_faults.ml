@@ -491,7 +491,7 @@ let test_calls_parser_crlf_blank_oversize () =
    load.  Driven through the real CLI because the precedence lives in
    process startup order, not in library code. *)
 let test_inject_precedence_flag_wins () =
-  let exe = "../bin/oglaf.exe" in
+  let exe = Test_paths.oglaf_exe in
   if not (Sys.file_exists exe) then
     Alcotest.fail (Printf.sprintf "CLI binary %s is missing" exe);
   let run_capture cmd =
@@ -510,8 +510,11 @@ let test_inject_precedence_flag_wins () =
     let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
     go 0
   in
-  let serve = "serve ../examples/scripts/quad_sweep.gpi \
-               --calls ../examples/scripts/quad_sweep.calls --threads 2" in
+  let serve =
+    Printf.sprintf "serve %s --calls %s --threads 2"
+      (Filename.quote (Filename.concat Test_paths.scripts "quad_sweep.gpi"))
+      (Filename.quote (Filename.concat Test_paths.scripts "quad_sweep.calls"))
+  in
   (* env alone: the plan fails the first region -> first call faults *)
   let rc, out =
     run_capture (Printf.sprintf "OGLAF_INJECT=fail-region:1 %s %s" exe serve)

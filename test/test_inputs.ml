@@ -9,7 +9,7 @@ module Serve = Glaf_service.Serve
 module Listener = Glaf_service.Listener
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
-let scripts = "../examples/scripts"
+let scripts = Test_paths.scripts
 
 let script_fixtures =
   List.map

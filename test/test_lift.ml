@@ -348,10 +348,10 @@ let test_fixture_files_in_sync () =
      sources the workloads and tests use *)
   Alcotest.(check string)
     "sarb fixture" Sarb_legacy.full_source
-    (read_file "../examples/fortran/sarb_kernels.f90");
+    (read_file (Filename.concat Test_paths.fortran "sarb_kernels.f90"));
   Alcotest.(check string)
     "fun3d fixture" Fun3d_legacy.full_source
-    (read_file "../examples/fortran/fun3d_kernels.f90")
+    (read_file (Filename.concat Test_paths.fortran "fun3d_kernels.f90"))
 
 let suites =
   [

@@ -207,6 +207,25 @@ let test_fun3d_figure7_shape () =
     (get "GLAF Edge+NoRealloc" > get "GLAF Edge"
     && get "GLAF Cell+NoRealloc" > get "GLAF Cell")
 
+(* The static typed-instruction counts of FUN3D's hot subprograms, as
+   compiled for EdgeJP+NoRealloc: results computed straight into their
+   home registers, conditions as fused jumps, loop-invariant slot loads
+   before their loop (DESIGN.md section 27).  A compiler change that
+   brings back the copies, the booleans built only to be tested or the
+   in-loop reloads moves these numbers (179, 23 and 91 before). *)
+let test_fun3d_typed_shape () =
+  let v = Fun3d.Glaf Fun3d_glaf.best_options in
+  let st = Glaf_interp.Interp.make_state ~printer:ignore (Fun3d.integrated_cu v) in
+  Glaf_interp.Interp.set_threads st 1;
+  ignore (Glaf_interp.Interp.call st "fun3d_init_mesh" [ Ast.Int_lit 60 ]);
+  ignore (Glaf_interp.Interp.call st (Fun3d.entry_name v) []);
+  List.iter
+    (fun (name, n) ->
+      match Glaf_interp.Interp.compiled_program st name with
+      | Some p -> check_int (name ^ " typed instructions") n (Array.length p.Glaf_interp.Bytecode.typed.tcode)
+      | None -> Alcotest.failf "%s did not compile" name)
+    [ ("edge_loop", 136); ("ioff_search", 16); ("cell_loop", 75) ]
+
 let test_fun3d_generated_code () =
   let src = Pp_ast.to_string (Fun3d.generated_cu Fun3d_glaf.best_options) in
   check_bool "allocatable+save temps" true (contains src ", allocatable, save :: fl(:)");
@@ -283,7 +302,7 @@ let coverage_rows ~bytecode =
   List.iter (fun v -> ignore (Sarb.run ~threads:2 ~bytecode v)) Sarb.all_variants;
   List.iter (fun v -> ignore (Fun3d.run ~threads:2 ~ncell:60 ~bytecode v)) Fun3d.figure7_variants;
   let quad =
-    In_channel.with_open_bin "../examples/scripts/quad_sweep.gpi" In_channel.input_all
+    In_channel.with_open_bin (Filename.concat Test_paths.scripts "quad_sweep.gpi") In_channel.input_all
   in
   let st = Interp.make_state ~printer:ignore (Glaf_service.Serve.compile quad).Glaf_service.Serve.co_unit in
   Interp.set_threads st 2;
@@ -329,6 +348,7 @@ let suites =
         Alcotest.test_case "figure 7 shape" `Quick test_fun3d_figure7_shape;
         Alcotest.test_case "generated code" `Quick test_fun3d_generated_code;
         Alcotest.test_case "allocation parity" `Quick test_fun3d_alloc_parity;
+        Alcotest.test_case "typed code shape" `Quick test_fun3d_typed_shape;
       ] );
     ( "workloads.coverage",
       [
