@@ -66,7 +66,7 @@ let annotate_function ctx enclosing (f : Func.t) : Func.t * report =
     program and the per-loop analysis report. *)
 let run ?(pure = []) (p : Ir_module.program) : Ir_module.program * report =
   let ctx = Depend.context ~pure p in
-  let report = ref [] in
+  let reports_rev = ref [] in
   let modules =
     List.map
       (fun (m : Ir_module.t) ->
@@ -74,14 +74,14 @@ let run ?(pure = []) (p : Ir_module.program) : Ir_module.program * report =
           List.map
             (fun f ->
               let f', r = annotate_function ctx m f in
-              report := !report @ r;
+              reports_rev := r :: !reports_rev;
               f')
             m.Ir_module.functions
         in
         { m with Ir_module.functions })
       p.Ir_module.modules
   in
-  ({ p with Ir_module.modules }, !report)
+  ({ p with Ir_module.modules }, List.concat (List.rev !reports_rev))
 
 let pp_report ppf (r : report) =
   List.iter

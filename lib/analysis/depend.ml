@@ -17,28 +17,52 @@
 
 open Glaf_ir
 
+(** Names of every function of [program]: the calls {!classify}
+    counts as control. *)
+let user_functions program =
+  let set = Hashtbl.create 16 in
+  List.iter
+    (fun (f : Func.t) -> Hashtbl.replace set f.Func.name ())
+    (Ir_module.all_functions program);
+  set
+
 (** What one analysis pass over [program] shares between all its
-    functions and loops: the effect summaries are built once, here. *)
+    functions and loops: the effect summaries and the function-name
+    set are built once, here. *)
 type context = {
   program : Ir_module.program;
   pure : string list;
   summaries : (string, Summary.t) Hashtbl.t;
+  user_fns : (string, unit) Hashtbl.t;
 }
 
 let context ?(pure = []) program =
-  { program; pure; summaries = Summary.of_program ~pure program }
+  {
+    program;
+    pure;
+    summaries = Summary.of_program ~pure program;
+    user_fns = user_functions program;
+  }
 
 type env = {
   ctx : context;
   enclosing : Ir_module.t;
   func : Func.t;
+  grids : (string, Grid.t option) Hashtbl.t;
+      (** every name resolved so far: [func] is immutable, so each
+          name is looked up once per environment *)
 }
 
 (** The analysis environment of [func] inside [enclosing]. *)
-let env ctx enclosing func = { ctx; enclosing; func }
+let env ctx enclosing func = { ctx; enclosing; func; grids = Hashtbl.create 16 }
 
 let lookup_grid env name =
-  Ir_module.resolve_grid env.ctx.program env.enclosing env.func name
+  match Hashtbl.find_opt env.grids name with
+  | Some g -> g
+  | None ->
+    let g = Ir_module.resolve_grid env.ctx.program env.enclosing env.func name in
+    Hashtbl.add env.grids name g;
+    g
 
 let is_scalar_name env name =
   match lookup_grid env name with
@@ -335,10 +359,11 @@ let outer_invariant ~index c e =
    "double-nested loops that contain one or a few statements without
    including any control structure".  What survives all removals is
    the class of control-carrying nests (the two large
-   longwave_entropy_model loops). *)
-let classify program (loop : Stmt.loop) : Loop_info.loop_class =
+   longwave_entropy_model loops).  [user_fns] is
+   {!user_functions} of the program that holds the loop. *)
+let classify user_fns (loop : Stmt.loop) : Loop_info.loop_class =
   let body = loop.Stmt.body in
-  let is_user_fn name = Ir_module.find_program_function program name <> None in
+  let is_user_fn name = Hashtbl.mem user_fns name in
   let expr_calls_user e =
     Expr.fold
       (fun acc e ->
@@ -476,7 +501,7 @@ let rec analyze env (loop : Stmt.loop) : Loop_info.t =
     obstacles;
     reductions = List.rev !reductions;
     private_vars = !private_vars;
-    classification = classify env.ctx.program loop;
+    classification = classify env.ctx.user_fns loop;
     collapsible;
     trip_count = constant_trip loop;
   }

@@ -1,9 +1,16 @@
 (** Directives mode of [oglaf autopar]: annotate legacy Fortran in
     place.
 
-    Every DO loop of every subprogram is lowered (via {!Lower}) into
-    the grid IR just far enough to run {!Glaf_analysis.Depend} on it;
-    outermost parallelizable loops get a [!$OMP PARALLEL DO] directive
+    Each subprogram is lowered once, whole (via {!Lower.lower_all}):
+    that gives the callee summaries, and a lowering context in which
+    every grid of the body is already registered.  The walk lowers each
+    DO loop again in that context, to the IR {!Glaf_analysis.Depend}
+    analyzes, and analyzes all loops of a subprogram in one
+    {!Glaf_analysis.Depend.env}, which resolves each name once.  A
+    subprogram whose body does not lower (or a main program) is lowered
+    as far as it goes and each loop analyzed over the grids registered
+    by then.
+    Outermost parallelizable loops get a [!$OMP PARALLEL DO] directive
     attached to the AST (private / reduction / collapse clauses derived
     from the analysis), everything else is reported with its obstacle.
     The annotated AST prints back to compilable source with
@@ -50,22 +57,38 @@ let pseudo_sub_of_main (m : Ast.main_unit) : Ast.subprogram =
     sub_body = m.Ast.main_body;
   }
 
-let annotate_subprogram ~ctx ~enclosing cu (sp : Ast.subprogram) :
+(* The lowering context a subprogram's loops are lowered in, and the
+   analysis environment of each loop.  [lowered] is the subprogram's
+   whole-body lowering from {!Lower.lower_all}: its grids are final, so
+   one environment serves every loop.  Otherwise (the body did not
+   lower, or [sp] is a main program) it is lowered here as far as it
+   goes, and each loop is analyzed over the grids registered when it
+   is reached. *)
+let loop_envs ~ctx ~enclosing ~lowered cu (sp : Ast.subprogram) =
+  match lowered with
+  | Some (f, lctx) ->
+    let env = Depend.env ctx enclosing f in
+    (lctx, fun () -> env)
+  | None ->
+    let lctx = Lower.make_ctx cu sp in
+    (* force-register every reachable grid (incl. lazy TYPE elements)
+       so per-loop analysis sees a complete symbol table *)
+    (try ignore (Lower.lower_body lctx sp.Ast.sub_body)
+     with Lower.Unsupported _ -> ());
+    (lctx, fun () -> Depend.env ctx enclosing (Lower.func_of_ctx lctx))
+
+let annotate_subprogram ~ctx ~enclosing ~lowered cu (sp : Ast.subprogram) :
     Ast.stmt list * entry list =
   let entries = ref [] in
   let record var status =
     entries := { e_sub = sp.Ast.sub_name; e_var = var; e_status = status }
       :: !entries
   in
-  match Lower.make_ctx cu sp with
+  match loop_envs ~ctx ~enclosing ~lowered cu sp with
   | exception Lower.Unsupported why ->
     record "-" (Unanalyzable why);
     (sp.Ast.sub_body, List.rev !entries)
-  | lctx ->
-    (* force-register every reachable grid (incl. lazy TYPE elements)
-       so per-loop analysis sees a complete symbol table *)
-    (try ignore (Lower.lower_body lctx sp.Ast.sub_body)
-     with Lower.Unsupported _ -> ());
+  | lctx, loop_env ->
     let rec walk_stmts stmts = List.map walk_stmt stmts
     and walk_stmt (s : Ast.stmt) : Ast.stmt =
       match s with
@@ -95,8 +118,7 @@ let annotate_subprogram ~ctx ~enclosing cu (sp : Ast.subprogram) :
             { l with Ast.do_body = walk_stmts l.Ast.do_body }
           end
           else begin
-            let env = Depend.env ctx enclosing (Lower.func_of_ctx lctx) in
-            let info = Depend.analyze env ir_loop in
+            let info = Depend.analyze (loop_env ()) ir_loop in
             if info.Loop_info.parallel then begin
               record l.Ast.do_var (Annotated info);
               let d = Option.get (Loop_info.to_directive info) in
@@ -115,17 +137,22 @@ let annotate_subprogram ~ctx ~enclosing cu (sp : Ast.subprogram) :
 (** Analyze and annotate a whole compilation unit. *)
 let run ?(pure = []) (cu : Ast.compilation_unit) : t =
   (* whole-program best-effort lowering: callee summaries for the
-     dependence analysis.  Subprograms that fail to lower are absent,
-     so calls to them show up as Unsafe_call — conservative. *)
-  let funcs, skipped = Lower.lower_all cu in
-  let enclosing = Ir_module.make ~functions:funcs "legacy" in
+     dependence analysis, and the contexts the walk re-lowers each loop
+     in.  Subprograms that fail to lower are absent, so calls to them
+     show up as Unsafe_call — conservative. *)
+  let lowered, skipped = Lower.lower_all cu in
+  let enclosing = Ir_module.make ~functions:(List.map fst lowered) "legacy" in
   let ctx =
     Depend.context ~pure (Ir_module.program ~modules:[ enclosing ] "legacy")
   in
-  let entries = ref [] in
+  let entries_rev = ref [] in
   let do_sub sp =
-    let body, es = annotate_subprogram ~ctx ~enclosing cu sp in
-    entries := !entries @ es;
+    (* a main program's pseudo-subprogram is never among [lowered] *)
+    let lowered =
+      List.find_opt (fun (_, (lctx : Lower.ctx)) -> lctx.Lower.sub == sp) lowered
+    in
+    let body, es = annotate_subprogram ~ctx ~enclosing ~lowered cu sp in
+    entries_rev := es :: !entries_rev;
     body
   in
   let annotated =
@@ -148,7 +175,7 @@ let run ?(pure = []) (cu : Ast.compilation_unit) : t =
           Ast.Main { m with Ast.main_body = do_sub sp })
       cu
   in
-  { annotated; entries = !entries; skipped }
+  { annotated; entries = List.concat (List.rev !entries_rev); skipped }
 
 let annotated_count t =
   List.length

@@ -6,6 +6,13 @@
     parse ▸ {!Lower} ▸ {!Glaf_analysis.Autopar} ▸
     {!Glaf_codegen.Fortran_gen} ▸ re-parse ▸ interpret
 
+    The kernel is lowered once, and besides it only its transitive
+    callees: the dependence analysis reads callee summaries and
+    nothing else of the unit, so subprograms the kernel never reaches
+    are neither lowered nor summarized.  The printed [source] (the
+    whole original unit plus the generated module) is re-parsed, so
+    the code callers execute has been through the printer.
+
     The lifted function is renamed [<name>_lifted] so the original and
     the generated kernel coexist in one compilation unit (the
     interpreter resolves subprogram names last-wins, so distinct names
@@ -77,14 +84,37 @@ let lift ?(pure = []) (cu : Ast.compilation_unit) (name : string) : t =
     with Lower.Unsupported why ->
       lift_error "cannot lift %s: %s" sp.Ast.sub_name why
   in
-  (* callee summaries: every other subprogram that lowers cleanly *)
-  let others, _skipped = Lower.lower_all cu in
-  let others =
-    List.filter
-      (fun (f : Func.t) ->
-        not (String.equal f.Func.name sp.Ast.sub_name))
-      others
+  (* callee summaries: the kernel's transitive callees that lower
+     cleanly, in unit order.  A summary reads only its function's own
+     callees, so no other subprogram can change the analysis.  Every
+     subprogram of a callee's name is tried (the summaries take the
+     first that lowers); a callee that does not lower stays absent, so
+     calls to it remain Unsafe_call. *)
+  let subprograms = Ast.all_subprograms cu in
+  let visited = Hashtbl.create 16 in
+  let callees = ref [] in
+  let rec visit (f : Func.t) =
+    List.iter
+      (fun name ->
+        if not (Hashtbl.mem visited name) then begin
+          Hashtbl.add visited name ();
+          List.iter
+            (fun (callee : Ast.subprogram) ->
+              if
+                String.equal callee.Ast.sub_name name
+                && not (String.equal name sp.Ast.sub_name)
+              then
+                match Lower.lower_subprogram cu callee with
+                | f ->
+                  callees := (callee, f) :: !callees;
+                  visit f
+                | exception Lower.Unsupported _ -> ())
+            subprograms
+        end)
+      (Func.callees f)
   in
+  visit f_target;
+  let others = List.filter_map (fun sp -> List.assq_opt sp !callees) subprograms in
   (* annotate only the kernel; the others contribute their summaries *)
   let m = Ir_module.make ~functions:(others @ [ f_target ]) "glaf_lift" in
   let ctx = Depend.context ~pure (Ir_module.program ~modules:[ m ] "glaf_lift") in

@@ -606,11 +606,13 @@ let func_of_ctx ?(name = "") ?(steps = []) ctx : Func.t =
   Func.make ?return ~params:ctx.sub.Ast.sub_args
     ~grids:(List.rev ctx.grids_rev) ~steps name
 
-(** Lower a whole subprogram into a function.  [rename] gives the IR
+(** Lower a whole subprogram into a function, and return the context
+    it was lowered in: every grid of the body is registered there, so
+    lowering any of its loops again adds none.  [rename] gives the IR
     function a fresh name so the original and the lifted version can
     coexist in one compilation unit. *)
-let lower_subprogram ?rename (cu : Ast.compilation_unit)
-    (sp : Ast.subprogram) : Func.t =
+let lower_with_ctx ?rename (cu : Ast.compilation_unit) (sp : Ast.subprogram) :
+    Func.t * ctx =
   let ctx = make_ctx cu sp in
   let body = lower_body ctx sp.Ast.sub_body in
   let body =
@@ -622,18 +624,24 @@ let lower_subprogram ?rename (cu : Ast.compilation_unit)
   let name =
     match rename with Some n -> n | None -> sp.Ast.sub_name
   in
-  func_of_ctx ~name ~steps:[ Func.step "lifted body" body ] ctx
+  (func_of_ctx ~name ~steps:[ Func.step "lifted body" body ] ctx, ctx)
+
+let lower_subprogram ?rename cu sp = fst (lower_with_ctx ?rename cu sp)
 
 (** Best-effort lowering of every subprogram in the unit; returns the
-    lowered functions (original names) and per-subprogram failures.
+    lowered functions (original names) with their contexts, in
+    {!Ast.all_subprograms} order, and per-subprogram failures.
     Subprograms that do not lower are {e excluded} — their callers see
     an [Unsafe_call] obstacle instead of an empty (pure-looking)
     summary. *)
 let lower_all (cu : Ast.compilation_unit) :
-    Func.t list * (string * string) list =
-  List.fold_left
-    (fun (fs, errs) sp ->
-      match lower_subprogram cu sp with
-      | f -> (fs @ [ f ], errs)
-      | exception Unsupported why -> (fs, errs @ [ (sp.Ast.sub_name, why) ]))
-    ([], []) (Ast.all_subprograms cu)
+    (Func.t * ctx) list * (string * string) list =
+  let fs, errs =
+    List.fold_left
+      (fun (fs, errs) sp ->
+        match lower_with_ctx cu sp with
+        | lowered -> (lowered :: fs, errs)
+        | exception Unsupported why -> (fs, (sp.Ast.sub_name, why) :: errs))
+      ([], []) (Ast.all_subprograms cu)
+  in
+  (List.rev fs, List.rev errs)

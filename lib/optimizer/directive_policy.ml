@@ -58,9 +58,10 @@ let removed_classes = function
 let apply ?pure:(_ : string list option) policy (p : Ir_module.program) :
     Ir_module.program =
   let removed = removed_classes policy in
+  let user_fns = Depend.user_functions p in
   let prune_loop (l : Stmt.loop) =
     match l.Stmt.directive with
-    | Some _ when List.mem (Depend.classify p l) removed ->
+    | Some _ when List.mem (Depend.classify user_fns l) removed ->
       { l with Stmt.directive = None }
     | _ -> l
   in

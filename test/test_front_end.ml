@@ -70,6 +70,42 @@ let test_forward_pins () =
         (Pp_ast.to_string (Glaf_codegen.Fortran_gen.gen_program p)))
     forward_pins
 
+(* --- analysis reports ----------------------------------------------------- *)
+
+(* Printed text hides what the analysis decided about a loop it left
+   alone: these pin each loop's class, obstacles, privates and
+   reductions in directives mode, in the three lifts and in forward
+   Autopar.  The digests were taken before lowering and summaries were
+   cut to what each job reads (DESIGN.md §28). *)
+let report_pins =
+  [
+    ("directives sarb", "8145f83e2bd43fc360d9ced46517e20b");
+    ("directives fun3d", "7defdb410d0d383f1a426579db94427a");
+    ("lift adjust2", "3c9be295fa53cf9b4e74d46ce4021029");
+    ("lift longwave_entropy_model", "c751c2969161580cb6f84933d9e1b1da");
+    ("lift fun3d_rms", "3e37b7376adedcea301f75235b2ec998");
+    ("forward sarb", "18c77f665933524aa36fd5e0fb557bf4");
+  ]
+
+let test_report_pins () =
+  let module Apf = Glaf_lift.Autopar_fortran in
+  let module Autopar = Glaf_analysis.Autopar in
+  let pin_report name text = pin ("report " ^ name) (List.assoc name report_pins) text in
+  List.iter
+    (fun (fx, src) ->
+      pin_report ("directives " ^ fx)
+        (Format.asprintf "%a" Apf.pp_report (Apf.run ~pure (Parser.parse_string src))))
+    fixtures;
+  List.iter
+    (fun (fx, kernel, _) ->
+      let cu = Parser.parse_string (List.assoc fx fixtures) in
+      pin_report ("lift " ^ kernel)
+        (Format.asprintf "%a" Autopar.pp_report (Glaf_lift.Lift_kernel.lift ~pure cu kernel).report))
+    lift_pins;
+  pin_report "forward sarb"
+    (Format.asprintf "%a" Autopar.pp_report
+       (snd (Autopar.run ~pure (Glaf_workloads.Sarb_glaf.program ()))))
+
 (* --- call summaries ----------------------------------------------------- *)
 
 let summary_dump program =
@@ -84,10 +120,11 @@ let summary_dump program =
            (strs s.reads_external) (strs s.calls_unknown))
   |> String.concat ""
 
-(* every subprogram of a fixture that lowers, as {!Lift_kernel.lift}
-   sees its callees *)
+(* every subprogram of a fixture that lowers, as directives mode
+   summarizes them ({!Lift_kernel.lift} summarizes the ones its kernel
+   reaches) *)
 let lowered src =
-  let functions, _skipped = Glaf_lift.Lower.lower_all (Parser.parse_string src) in
+  let functions = List.map fst (fst (Glaf_lift.Lower.lower_all (Parser.parse_string src))) in
   Glaf_ir.Ir_module.program ~modules:[ Glaf_ir.Ir_module.make ~functions "m" ] "p"
 
 let summary_pins =
@@ -189,6 +226,7 @@ let suites =
         Alcotest.test_case "lifted kernels" `Quick test_lift_pins;
         Alcotest.test_case "forward sarb v0-v3" `Quick test_forward_pins;
         Alcotest.test_case "call summaries" `Quick test_summary_pins;
+        Alcotest.test_case "analysis reports" `Quick test_report_pins;
       ] );
     ( "front_end.no_crash",
       [

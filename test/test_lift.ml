@@ -237,7 +237,7 @@ let test_lift_matches_whole_program () =
     let others =
       List.filter
         (fun (f : Glaf_ir.Func.t) -> f.Glaf_ir.Func.name <> name)
-        (fst (Lower.lower_all cu))
+        (List.map fst (fst (Lower.lower_all cu)))
     in
     let m =
       Glaf_ir.Ir_module.make
@@ -274,6 +274,70 @@ let test_lift_matches_whole_program () =
         \  do i = 1, n\n    call setv(a(i), 2.0d0)\n  end do\n\
         \  do i = 1, n\n    call bump(a(i))\n  end do\nend subroutine kern\n")
     "kern"
+
+(* The lift lowers and summarizes only the kernel's transitive
+   callees: a subprogram outside that call graph, even one that does
+   not lower, changes neither the report nor the generated kernel, and
+   a callee of the kernel that does not lower still blocks its loop. *)
+let test_lift_callee_set () =
+  let module Autopar = Glaf_analysis.Autopar in
+  let module Loop_info = Glaf_analysis.Loop_info in
+  (* kern's loop is parallel only through scale's summary, which is
+     pure only through store's *)
+  let reached =
+    "subroutine store(x, v)\n  real*8 :: x, v\n  x = v\nend subroutine store\n\n\
+     subroutine scale(x, y)\n  real*8 :: x, y\n  call store(y, 2.0d0 * x)\n\
+     end subroutine scale\n\n\
+     subroutine kern(a, b, n)\n  integer :: n, i\n  real*8 :: a(100), b(100)\n\
+     \  do i = 1, n\n    call scale(a(i), b(i))\n  end do\nend subroutine kern\n"
+  in
+  (* a derived-type dummy argument does not lower *)
+  let unrelated =
+    "module shapes\n  type pt_t\n    real*8 :: x\n  end type pt_t\nend module shapes\n\n\
+     subroutine unrelated(p)\n  use shapes\n  type(pt_t) :: p\n  p%x = 1.0d0\n\
+     end subroutine unrelated\n\n"
+  in
+  let report (l : Lift_kernel.t) = Format.asprintf "%a" Autopar.pp_report l.Lift_kernel.report in
+  (* the generated module; the rest of [source] is the unit as parsed *)
+  let generated (l : Lift_kernel.t) =
+    let src = l.Lift_kernel.source and needle = "module glaf_lift" in
+    let rec find i =
+      if i + String.length needle > String.length src then Alcotest.fail "no glaf_lift module"
+      else if String.sub src i (String.length needle) = needle then i
+      else find (i + 1)
+    in
+    let i = find 0 in
+    String.sub src i (String.length src - i)
+  in
+  let cu_alone = Parser.parse_string reached in
+  let cu_with = Parser.parse_string (unrelated ^ reached) in
+  check_bool "unrelated does not lower" true
+    (List.mem_assoc "unrelated" (snd (Lower.lower_all cu_with)));
+  let alone = Lift_kernel.lift ~pure cu_alone "kern" in
+  let with_ = Lift_kernel.lift ~pure cu_with "kern" in
+  Alcotest.(check string) "report" (report alone) (report with_);
+  Alcotest.(check string) "generated kernel" (generated alone) (generated with_);
+  check_bool "source is the unit, then the kernel" true
+    (String.starts_with ~prefix:(Pp_ast.to_string cu_with) with_.Lift_kernel.source
+    && String.ends_with ~suffix:(generated alone) with_.Lift_kernel.source);
+  check_bool "callees summarized" true
+    (alone.Lift_kernel.report <> []
+    && List.for_all
+         (fun (e : Autopar.report_entry) -> e.Autopar.re_info.Loop_info.parallel)
+         alone.Lift_kernel.report);
+  let blocked =
+    Lift_kernel.lift ~pure
+      (Parser.parse_string
+         "subroutine noisy(x)\n  real*8 :: x\n  print *, x\nend subroutine noisy\n\n\
+          subroutine kern(a, n)\n  integer :: n, i\n  real*8 :: a(100)\n\
+          \  do i = 1, n\n    call noisy(a(i))\n  end do\nend subroutine kern\n")
+      "kern"
+  in
+  check_bool "unlowered callee is Unsafe_call" true
+    (List.exists
+       (fun (e : Autopar.report_entry) ->
+         List.mem (Loop_info.Unsafe_call "noisy") e.Autopar.re_info.Loop_info.obstacles)
+       blocked.Lift_kernel.report)
 
 let test_lift_unknown_kernel () =
   match Lift_kernel.lift ~pure (Lazy.force sarb_cu) "nosuch" with
@@ -382,6 +446,7 @@ let suites =
           test_verify_catches_bad_directive;
         Alcotest.test_case "kernel-only = whole-program autopar" `Quick
           test_lift_matches_whole_program;
+        Alcotest.test_case "only reached callees" `Quick test_lift_callee_set;
       ] );
     ( "lift.fixtures",
       [ Alcotest.test_case "files in sync" `Quick test_fixture_files_in_sync ] );
