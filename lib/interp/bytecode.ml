@@ -10,12 +10,13 @@
     boundaries: user subprograms compile once into cached programs
     ({!compile_sub}), call sites marshal arguments with the exact
     by-reference semantics of the tree-walker's [bind_actual]
-    ([Icall]), small leaf subprograms are inlined into the caller's
+    ([Tcall]), small leaf subprograms are inlined into the caller's
     instruction stream, and every program runs over unboxed typed
-    register banks: {!specialize} proves each register a real, an
-    integer or a logical — calls and allocation included — or the
-    program bails like any other construct the compiler has no
-    instruction for (DESIGN.md section 26).
+    register banks.  The compiler emits that typed code in one pass:
+    each construct is typed where it is compiled, every operand a
+    real, an integer or a logical register — calls and allocation
+    included — or the program bails like any other construct the
+    compiler has no instruction for (DESIGN.md sections 26 and 31).
     A subprogram body keeps its private scalars — the locals nothing
     outside the running call can observe — in registers of their own
     instead of scope slots ({!private_scalars}, DESIGN.md
@@ -24,17 +25,17 @@
     PARAMETERs are constant registers the bind preloads
     ([tprogram.t_finit], [t_iinit]) rather than instructions, a serial
     DO tests and polls once per iteration at its continue point
-    ([Iloop_next]), and
+    ([Tloop_next]), and
     RETURN ends the VM's pass without an exception (DESIGN.md
     section 22).  A parallel DO's chunk is one program that loops over
     the chunk itself, with its DO variables, privates, reduction
     accumulators and the shared scalars it only reads in registers
     ({!compile_chunk}, DESIGN.md section 24), and a parallel DO inside
-    a compiled body is one instruction ([Iomp_do], DESIGN.md section 13).
+    a compiled body is one instruction ([Tomp_do], DESIGN.md section 13).
     IF and DO WHILE conditions compile to fused jumps, a result assigned
     to a home register is computed straight into it, and the slot loads
     a serial DO's body cannot change run once before the loop
-    ({!compile_branch}, {!specialize}, DESIGN.md section 27).
+    ({!compile_branch}, {!result}, {!hoist_loads}, DESIGN.md section 27).
 
     Design rules (DESIGN.md sections 13 and 16):
     - {e Compile or fall back, never approximate.}  Compilation raises
@@ -187,14 +188,14 @@ end
 
 (** Scalar binding descriptor: [spath] is the derived-type component
     chain ([fo%fuir] gives [sname = "fo"], [spath = ["fuir"]]).
-    [sbase] is the declared base type seen at compile time; only the
-    typed specializer relies on it (and the typed bind re-checks). *)
+    [sbase] is the declared base type seen at compile time: the kind the
+    code reads and writes the slot as, which the bind re-checks. *)
 type scalar_ref = { sname : string; spath : string list; sbase : Ast.base_type }
 
 (** Array binding descriptor; [asubs] is the subscript count at the
     use sites (1 or 2), which the bound array's rank must equal.
-    [aelem] is the element kind seen at compile time; used by the
-    typed specializer and re-validated by the typed bind. *)
+    [aelem] is the element kind seen at compile time: the bank the code
+    loads and stores its elements in, re-validated by the bind. *)
 type array_ref = {
   aname : string;
   apath : string list;
@@ -204,17 +205,16 @@ type array_ref = {
       (** may be unallocated while the program runs: the slot was
           [Unalloc] at compile time or the unit DEALLOCATEs the name.
           Only these bind while unallocated (see {!Vm.bind}), and a
-          non-trivial subscript of one is preceded by [Icheck_alloc] so
+          non-trivial subscript of one is preceded by [Tcheck_alloc] so
           the tree-walker's "used before allocation" error fires before
           the subscripts are evaluated. *)
 }
 
 (** {1 Register files}
 
-    The compiler emits [instr] over one untyped register file;
-    {!specialize} proves every register a float, an int or a bool and
-    re-emits the program as one [tinstr] stream over two unboxed banks,
-    a [float array] and an [int array] (bools live in it as 0/1), or
+    The compiler emits one [tinstr] stream over two unboxed banks, a
+    [float array] and an [int array] (bools live in it as 0/1): every
+    operand it compiles is a register of a known kind, or the program
     bails.  Every typed opcode performs the same primitive float/int
     operation, in the same order, as the tree-walker's [Value]
     function — unboxing removes allocation and dispatch cost, never
@@ -299,7 +299,7 @@ and program = {
   scalars : scalar_ref array;
   arrays : array_ref array;
   raws : string array;
-      (** whole-slot aliases for [Icall] marshalling: resolved by name
+      (** whole-slot aliases for [Tcall] marshalling: resolved by name
           at bind time, any entry kind *)
   checks : (scalar_ref * Value.t) array;
       (** PARAMETER scalars folded into the code as constants; bind
@@ -315,84 +315,17 @@ and program = {
       (** the scalars a chunk program keeps in home registers: bind
           verifies each is a scalar slot of the executing scope with
           the base the homes were compiled for *)
-  typed : tprogram;  (** the code over the typed banks ({!specialize}) *)
+  typed : tprogram;  (** the code over the typed banks *)
 }
 
-(** Register-style instructions.  [int] operands are register indices
-    except where noted; jump targets are instruction indices. *)
-and instr =
-  | Iconst of int * Value.t
+(** Register-style instructions over the two banks.  [int] operands
+    are register indices except where noted; jump targets are
+    instruction indices. *)
+and tinstr =
+  | TconstF of int * float
       (** dst <- value, for writes that must run: home zeroing, inline
           locals and results, the [.and.]/[.or.] diamonds; literals and
           folded PARAMETERs are constant registers *)
-  | Icopy of int * int  (** dst <- src *)
-  | Iload of int * int  (** dst <- scalar slot (scalar id) *)
-  | Istore of int * int  (** scalar id <- coerce slot.base src *)
-  | Istore_raw of int * int
-      (** scalar id <- src, no coercion (DO-variable stores, matching
-          the tree-walker's raw [Scalar (Int i)] writes) *)
-  | Icoerce of Ast.base_type * int * int
-      (** dst <- [Value.coerce base] src: assignment to an inlined
-          callee local, replicating the tree-walker's slot store *)
-  | Iload1 of int * int * int  (** dst, array id, index reg (rank 1) *)
-  | Iload2 of int * int * int * int  (** dst, array id, i reg, j reg *)
-  | Istore1 of int * int * int  (** array id, index reg, src *)
-  | Istore2 of int * int * int * int  (** array id, i reg, j reg, src *)
-  | Ibinop of Ast.binop * int * int * int  (** op, dst, a, b *)
-  | Ineg of int * int
-  | Inot of int * int
-  | Ibool of int * int  (** dst <- Bool (to_bool src) *)
-  | Ito_int of int * int  (** dst <- Int (to_int src) *)
-  | Icheck_step of int  (** error if reg is integer 0 (DO step) *)
-  | Iintr of string * int * int array
-      (** intrinsic: lowercase name (which the typed specializer
-          dispatches on), dst, arg regs *)
-  | Icall of call  (** marshal arguments, run the callee *)
-  | Idummy_adjust of int
-      (** scalar id; the [setup_scope] dummy-redeclaration quirk for a
-          dummy declared REAL: an aliased slot holding an Int is
-          rewritten in place to [Real (to_float v)] *)
-  | Ijmp of int
-  | Ijf of int * int  (** jump when to_bool reg is false *)
-  | Ijt of int * int  (** jump when to_bool reg is true *)
-  | Ijcmp of Ast.binop * int * int * int
-      (** comparison operator, a, b, target: jump when [a op b] holds,
-          compared like [Value.compare_values] *)
-  | Ijalloc of int * string * bool * int
-      (** raw-slot id, name, sense, target: jump when allocated(raw
-          slot) is [sense] *)
-  | Iloop_test of { ireg : int; hireg : int; stepreg : int; target : int }
-      (** nested-DO header: jump to [target] when the (Int) counter
-          has passed the bound for the step's sign *)
-  | Iloop_next of { ireg : int; hireg : int; stepreg : int; target : int }
-      (** nested-DO continue point: counter <- counter + step; when it
-          has not passed the bound, poll and jump to [target], the first
-          instruction after the header's [Ipoll], else fall through *)
-  | Iloop_fini of { sid : int; loreg : int; hireg : int; stepreg : int }
-      (** normal nested-DO completion: store the loop-completed value
-          [lo + step * max 0 ((hi-lo+step)/step)]; an EXIT jumps past
-          this, so the DO variable keeps its value at the EXIT *)
-  | Iloop_fini_reg of { dst : int; loreg : int; hireg : int; stepreg : int }
-      (** [Iloop_fini] for a DO variable promoted to register [dst] *)
-  | Ipoll  (** cancellation poll (every 256 ticks) *)
-  | Icrit_enter  (** lock the global CRITICAL/ATOMIC mutex *)
-  | Icrit_exit
-  | Ireturn  (** RETURN: release CRITICAL locks, end the pass *)
-  | Iexit  (** a chunk's top-level EXIT: raise [Loop_exit] *)
-  | Iallocate of { al_raw : int; al_name : string; al_bounds : (int * int) array }
-      (** ALLOCATE one variable: raw-slot id, name for errors, (lo, hi)
-          registers per dimension (already [to_int]ed) *)
-  | Idealloc of int * string  (** DEALLOCATE: raw-slot id, name *)
-  | Iallocated of int * int * string  (** dst <- allocated(raw slot) *)
-  | Icheck_alloc of int * bool
-      (** array id, is-store: raise the tree-walker's unallocated-array
-          error before the access's subscripts are evaluated *)
-  | Iomp_do of omp_do
-      (** a parallel DO: the interpreter's region entry runs it on the
-          frame's scope, then the frame re-reads its array slots *)
-
-and tinstr =
-  | TconstF of int * float
   | TconstI of int * int  (** ints; bools are 0/1 in the int bank *)
   | TmovF of int * int
   | TmovI of int * int
@@ -404,7 +337,9 @@ and tinstr =
   | TstsI of int * int
   | TstsI_ofF of int * int  (** declared-int slot <- int_of_float reg *)
   | TstsB of int * int
-  | TstsI_raw of int * int  (** raw DO-variable store, no coercion *)
+  | TstsI_raw of int * int
+      (** scalar id <- src, no coercion (DO-variable stores, matching
+          the tree-walker's raw [Scalar (Int i)] writes) *)
   | Ti2f of int * int  (** float dst <- float_of_int int src *)
   | Tf2i of int * int  (** int dst <- int_of_float float src *)
   | Tld1F of int * int * int  (** dst, array id, index reg (rank 1) *)
@@ -434,7 +369,7 @@ and tinstr =
   | TnegI of int * int
   | Tnot of int * int  (** int dst <- 1 - (src <> 0) *)
   | Tbool of int * int  (** int dst <- src <> 0 (normalize to 0/1) *)
-  | Tcheck_step of int  (** error if int reg is 0 *)
+  | Tcheck_step of int  (** error if int reg is 0 (DO step) *)
   | Tin1F of string * (float -> float) * int * int  (** intrinsic f(x) *)
   | Tin2F of string * (float -> float -> float) * int * int * int
   | TfniF of string * (float -> int) * int * int  (** nint/floor/... *)
@@ -450,26 +385,43 @@ and tinstr =
   | TjcmpF of cmp * int * int * int
       (** a, b, target: jump when [Float.compare a b] satisfies the cmp *)
   | TjcmpI of cmp * int * int * int
-  | Tjalloc of int * string * bool * int  (** raw id, name, sense, target *)
+  | Tjalloc of int * string * bool * int
+      (** raw-slot id, name, sense, target: jump when allocated(raw
+          slot) is [sense] *)
   | Tloop_test of { t_ireg : int; t_hireg : int; t_stepreg : int; t_target : int }
+      (** serial-DO header: jump to [t_target] when the counter has
+          passed the bound for the step's sign *)
   | Tloop_next of { t_ireg : int; t_hireg : int; t_stepreg : int; t_target : int }
+      (** serial-DO continue point: counter <- counter + step; when it
+          has not passed the bound, poll and jump to [t_target], the
+          first instruction after the header's [Tpoll], else fall
+          through *)
   | Tloop_fini of { t_sid : int; t_loreg : int; t_hireg : int; t_stepreg : int }
+      (** normal serial-DO completion: store the loop-completed value
+          [lo + step * max 0 ((hi-lo+step)/step)]; an EXIT jumps past
+          this, so the DO variable keeps its value at the EXIT *)
   | Tloop_fini_reg of { t_dst : int; t_loreg : int; t_hireg : int; t_stepreg : int }
-  | Tpoll
-  | Tcrit_enter
+      (** [Tloop_fini] for a DO variable promoted to register [t_dst] *)
+  | Tpoll  (** cancellation poll (every 256 ticks) *)
+  | Tcrit_enter  (** lock the global CRITICAL/ATOMIC mutex *)
   | Tcrit_exit
-  | Treturn
-  | Texit
+  | Treturn  (** RETURN: release CRITICAL locks, end the pass *)
+  | Texit  (** a chunk's top-level EXIT: raise [Loop_exit] *)
   | Tcall of call
-      (** [Icall] over the register banks: typed actuals are boxed at
-          the call boundary, the result lands in the bank of the
+      (** marshal the actuals, run the callee: typed actuals are boxed
+          at the call boundary, the result lands in the bank of the
           callee's declared result kind *)
   | Tallocate of { ta_raw : int; ta_name : string; ta_bounds : (int * int) array }
-      (** [Iallocate], (lo, hi) int-bank registers per dimension *)
-  | Tdealloc of int * string
-  | Tallocated of int * int * string  (** int dst <- 0/1 *)
+      (** ALLOCATE one variable: raw-slot id, name for errors, (lo, hi)
+          int-bank registers per dimension *)
+  | Tdealloc of int * string  (** DEALLOCATE: raw-slot id, name *)
+  | Tallocated of int * int * string  (** int dst <- 0/1 allocated(raw slot) *)
   | Tcheck_alloc of int * bool
+      (** array id, is-store: raise the tree-walker's unallocated-array
+          error before the access's subscripts are evaluated *)
   | Tomp_do of omp_do
+      (** a parallel DO: the interpreter's region entry runs it on the
+          frame's scope, then the frame re-reads its array slots *)
 
 (** A parallel DO inside a compiled body (DESIGN.md section 13).  Every
     name it mentions stays a scope slot.  [od_kinds] are the raw slots
@@ -479,26 +431,23 @@ and tinstr =
 and omp_do = { od_loop : Ast.do_loop; od_kinds : (int * bool) list }
 
 (** A compiled call: the site, how each actual is passed, and where the
-    result goes.  The compiler emits [Ta_alias], [Ta_v] and [Tr_v]
-    ([Icall]); {!specialize} moves the registers to the typed banks. *)
+    result goes. *)
 and call = { tc_site : call_site; tc_args : targ array; tc_res : tres }
 
 (** How one actual is passed.  The shapes mirror the tree-walker's
     [bind_actual] exactly: whole-variable designators alias the slot,
     everything else is a plain copied value, from the float bank, the
-    int bank or a 0/1 bool ([Ta_v]: the compiler's untyped register).
-    An array-element actual (copy-in/copy-out) bails. *)
+    int bank or a 0/1 bool.  An array-element actual
+    (copy-in/copy-out) bails. *)
 and targ =
   | Ta_alias of int  (** raw-slot id: pass the caller's slot itself *)
   | Ta_f of int
   | Ta_i of int
   | Ta_b of int
-  | Ta_v of int
 
 (** Where a call's result goes: nowhere (statement CALL) or a register
-    of the float bank, the int bank or a bool in the int bank ([Tr_v]:
-    the compiler's untyped register). *)
-and tres = Tr_none | Tr_f of int | Tr_i of int | Tr_b of int | Tr_v of int
+    of the float bank, the int bank or a bool in the int bank. *)
+and tres = Tr_none | Tr_f of int | Tr_i of int | Tr_b of int
 
 (** A program's typed code: registers split across float and int
     banks.  [t_sty] gives the value kind every scalar slot must hold
@@ -545,19 +494,6 @@ exception Bail of string
 
 let bail reason = raise (Bail reason)
 
-type vec = { mutable items : instr array; mutable len : int }
-
-let vec_create () = { items = Array.make 64 (Ijmp 0); len = 0 }
-
-let vec_push v x =
-  if v.len = Array.length v.items then begin
-    let bigger = Array.make (2 * v.len) (Ijmp 0) in
-    Array.blit v.items 0 bigger 0 v.len;
-    v.items <- bigger
-  end;
-  v.items.(v.len) <- x;
-  v.len <- v.len + 1
-
 (* Enclosing loop construct, for EXIT/CYCLE lowering: where to jump
    and how many CRITICAL locks to release on the way out. *)
 type loop_ctx = {
@@ -567,9 +503,21 @@ type loop_ctx = {
   crit_at_entry : int;
 }
 
+(* A compiled value: a register of the float bank ([TF]) or of the int
+   bank ([TI], or a 0/1 [TB]), and what else may read or write it. *)
+type opnd = { r : int; k : ty; role : role }
+
+and role =
+  | Temp  (** written only by the expression that computes it *)
+  | Var
+      (** a variable's register, which statements assign: a home, an
+          inlined leaf's local *)
+  | Const of Value.t  (** preloaded by the bind, never written *)
+
 (* How a name inside an inlined callee resolves: a caller scalar slot
-   (aliased dummy) or a plain register (callee local / result). *)
-type ibind = Ib_slot of int | Ib_reg of int * Ast.base_type
+   (aliased dummy: scalar id and the kind it holds) or a register
+   (callee local or result, or a home the leaf reads in place). *)
+type ibind = Ib_slot of int * ty | Ib_reg of int * Ast.base_type
 
 type iframe = {
   imap : (string, ibind) Hashtbl.t;
@@ -583,9 +531,11 @@ type const_key = K_int of int | K_real of int64 | K_bool of bool
 type ctx = {
   env : env;
   scope : Storage.scope;
-  code : vec;
-  mutable nregs : int;
-  scalar_ids : (string * string list, int) Hashtbl.t;
+  mutable code : tinstr array;  (* the program's one code vector *)
+  mutable len : int;
+  mutable nf : int;  (* float-bank registers in use *)
+  mutable ni : int;  (* int-bank registers in use *)
+  scalar_ids : (string * string list, int * ty) Hashtbl.t;
   mutable scalar_refs : scalar_ref list;  (* reversed *)
   array_ids : (string * string list * int, int) Hashtbl.t;
   mutable array_refs : array_ref list;  (* reversed *)
@@ -602,50 +552,92 @@ type ctx = {
       (* the subprogram whose body this is; [None] for a chunk *)
   homes : (string, int * Ast.base_type) Hashtbl.t;
       (* promoted private scalars: home register, declared base *)
-  mutable nhomes : int;  (* homes are registers [0, nhomes) *)
-  joins : (int, unit) Hashtbl.t;
-      (* registers past the homes with more than one definition or
-         use: an inlined leaf's variables and the [.and.]/[.or.]
-         results; every other one is a temp, defined once and read once *)
   mutable ncalls : int;
-  const_ids : (const_key, int) Hashtbl.t;
-  consts : (int, Value.t) Hashtbl.t;  (* constant register -> value *)
+  const_ids : (const_key, opnd) Hashtbl.t;  (* preloaded by the bind *)
+  movable : (int, unit) Hashtbl.t;
+      (* the slot loads into temps, by code index: {!hoist_loads} may
+         move them out of their loop *)
+  mutable raw_int : (int * bool) list;  (* [t_raw_int], reversed *)
+  mutable has_call : bool;  (* a call or a parallel DO was emitted *)
   dealloc_names : (string, unit) Hashtbl.t Lazy.t;
       (* every DEALLOCATE target in the unit: arrays that may be
          unallocated at run time even when allocated at compile time *)
 }
 
-let reg ctx =
-  let r = ctx.nregs in
-  ctx.nregs <- r + 1;
-  r
+(* A fresh register of the bank of kind [k]. *)
+let fresh ctx k =
+  match k with
+  | TF ->
+    let r = ctx.nf in
+    ctx.nf <- r + 1;
+    r
+  | TI | TB ->
+    let r = ctx.ni in
+    ctx.ni <- r + 1;
+    r
 
-let join_reg ctx =
-  let r = reg ctx in
-  Hashtbl.replace ctx.joins r ();
-  r
+(* The register a result of kind [k] is computed in: the destination
+   hint [dst] when it has that kind, else a fresh temp.  A hint is the
+   home or inlined local the statement assigns the result to; a temp is
+   read once, by that assignment, and every instruction reads its
+   operands before it writes its result, so computing straight into the
+   variable leaves the assignment nothing to move. *)
+let result ctx ?dst k =
+  match dst with
+  | Some d when d.k = k -> { d with role = Temp }
+  | _ -> { r = fresh ctx k; k; role = Temp }
 
-let emit ctx i = vec_push ctx.code i
-let here ctx = ctx.code.len
+(* The kind of a register or slot declared [base]. *)
+let ty_of_base = function
+  | Ast.Integer -> TI
+  | Ast.Real | Ast.Real8 -> TF
+  | Ast.Logical -> TB
+  | _ -> bail "character or array constant"
+
+let emit ctx i =
+  if ctx.len = Array.length ctx.code then begin
+    let bigger = Array.make (max 64 (2 * ctx.len)) Tpoll in
+    Array.blit ctx.code 0 bigger 0 ctx.len;
+    ctx.code <- bigger
+  end;
+  ctx.code.(ctx.len) <- i;
+  ctx.len <- ctx.len + 1
+
+let here ctx = ctx.len
+
+(* [ins] with every jump target [t] replaced by [f t]. *)
+let retarget f (ins : tinstr) =
+  match ins with
+  | Tjmp t -> Tjmp (f t)
+  | Tjf (r, t) -> Tjf (r, f t)
+  | Tjt (r, t) -> Tjt (r, f t)
+  | TjcmpF (c, a, b, t) -> TjcmpF (c, a, b, f t)
+  | TjcmpI (c, a, b, t) -> TjcmpI (c, a, b, f t)
+  | Tjalloc (rid, n, sense, t) -> Tjalloc (rid, n, sense, f t)
+  | Tloop_test lt -> Tloop_test { lt with t_target = f lt.t_target }
+  | Tloop_next ln -> Tloop_next { ln with t_target = f ln.t_target }
+  | ins -> ins
 
 (* The register holding constant [v], taken from the program's constant
-   table ([ctx.consts], preloaded into the typed banks); nothing is
-   emitted. *)
+   table (preloaded into the banks at bind); nothing is emitted. *)
 let const_reg ctx (v : Value.t) =
-  let key =
+  let key, k =
     match v with
-    | Value.Int n -> K_int n
-    | Value.Real x -> K_real (Int64.bits_of_float x)
-    | Value.Bool b -> K_bool b
+    | Value.Int n -> (K_int n, TI)
+    | Value.Real x -> (K_real (Int64.bits_of_float x), TF)
+    | Value.Bool b -> (K_bool b, TB)
     | Value.Str _ | Value.Arr _ -> bail "character or array constant"
   in
   match Hashtbl.find_opt ctx.const_ids key with
-  | Some r -> r
+  | Some o -> o
   | None ->
-    let r = reg ctx in
-    Hashtbl.replace ctx.const_ids key r;
-    Hashtbl.replace ctx.consts r v;
-    r
+    let o = { r = fresh ctx k; k; role = Const v } in
+    Hashtbl.replace ctx.const_ids key o;
+    o
+
+(* Set register [r] of kind [k] to the zero [setup_scope] gives a fresh
+   variable. *)
+let emit_zero ctx k r = emit ctx (if k = TF then TconstF (r, 0.0) else TconstI (r, 0))
 
 (* Emit a jump with a placeholder target; returns the patch site. *)
 let emit_patchable ctx i =
@@ -653,31 +645,30 @@ let emit_patchable ctx i =
   emit ctx i;
   at
 
-let patch ctx at target =
-  ctx.code.items.(at) <-
-    (match ctx.code.items.(at) with
-    | Ijmp _ -> Ijmp target
-    | Ijf (r, _) -> Ijf (r, target)
-    | Ijt (r, _) -> Ijt (r, target)
-    | Ijcmp (op, a, b, _) -> Ijcmp (op, a, b, target)
-    | Ijalloc (rid, name, sense, _) -> Ijalloc (rid, name, sense, target)
-    | Iloop_test lt -> Iloop_test { lt with target }
-    | _ -> assert false)
+let patch ctx at target = ctx.code.(at) <- retarget (fun _ -> target) ctx.code.(at)
 
 (* Point the jumps at [sites] here. *)
 let patch_here ctx sites = List.iter (fun at -> patch ctx at (here ctx)) sites
 
+(* The id of scalar [name]%[path] in the program's table and the kind
+   its slot holds; a slot of any other base makes the program
+   untypable. *)
 let scalar_id ctx (slot : Storage.slot) name path =
   let key = (name, path) in
   match Hashtbl.find_opt ctx.scalar_ids key with
-  | Some id -> id
+  | Some idk -> idk
   | None ->
+    let k =
+      match slot.Storage.base with
+      | Ast.Integer | Ast.Real | Ast.Real8 | Ast.Logical -> ty_of_base slot.Storage.base
+      | _ -> bail ("scalar " ^ name ^ " is not integer, real or logical")
+    in
     let id = Hashtbl.length ctx.scalar_ids in
-    Hashtbl.replace ctx.scalar_ids key id;
+    Hashtbl.replace ctx.scalar_ids key (id, k);
     ctx.scalar_refs <-
       { sname = name; spath = path; sbase = slot.Storage.base }
       :: ctx.scalar_refs;
-    id
+    (id, k)
 
 (* [unalloc]: the compile-time slot holds no array yet. *)
 let array_id ctx ~unalloc elem name path nsubs =
@@ -945,7 +936,7 @@ let written_dummies : Ast.subprogram -> (string, unit) Hashtbl.t =
 (* --- value-kind effects of calls ------------------------------------------ *)
 
 (* A typed frame checks once, at bind, that each scalar slot it reads
-   holds the value kind it was specialized for.  Coercing stores keep a
+   holds the value kind it was compiled for.  Coercing stores keep a
    slot's kind, so only two things can change it under a running frame:
    the setup_scope quirk, which rewrites an Int aliased to a dummy
    declared REAL into a Real, and a DO loop, which stores raw Ints into
@@ -1246,7 +1237,7 @@ let leaf_shape : Ast.subprogram -> leaf_shape option =
 
 (* Inside the callee, an intrinsic head resolves only after the scope
    chain misses; a module variable of the same name would win.  The
-   expansion emits Iintr directly, so refuse to inline when the
+   expansion emits the intrinsic directly, so refuse to inline when the
    callee's module scope (if initialized) shadows any head — and when
    the module is not initialized yet, refuse too (cannot verify). *)
 let inline_shadowed env mod_name (shape : leaf_shape) : bool =
@@ -1438,18 +1429,18 @@ let private_scalars ctx ~cands ?(decls = []) (body : Ast.stmt list) : (string * 
     cands
 
 (* Give each private scalar of [sp] a home register, set to what
-   [setup_scope] gives a fresh local.  Homes are registers
-   [0, nhomes). *)
+   [setup_scope] gives a fresh local. *)
 let promote_privates ctx sp =
   List.iter
     (fun (n, base) ->
-      let h = reg ctx in
+      let k = ty_of_base base in
+      let h = fresh ctx k in
       Hashtbl.replace ctx.homes n (h, base);
-      emit ctx (Iconst (h, Value.zero_of base)))
-    (private_scalars ctx ~cands:(sub_candidates sp) ~decls:(decl_exprs sp) sp.Ast.sub_body);
-  ctx.nhomes <- ctx.nregs
+      emit_zero ctx k h)
+    (private_scalars ctx ~cands:(sub_candidates sp) ~decls:(decl_exprs sp) sp.Ast.sub_body)
 
-let is_home ctx r = r < ctx.nhomes
+(* The operand of home [(h, base)]. *)
+let home_opnd (h, base) = { r = h; k = ty_of_base base; role = Var }
 
 (* Whether [body] assigns the scalar [v] itself or uses it as a DO
    variable. *)
@@ -1466,6 +1457,23 @@ let assigns body v =
 
 (* --- expressions --------------------------------------------------------- *)
 
+(* Each construct is typed where it is compiled: a bail tree-walks, so
+   the compiler can afford to be picky — anything whose semantics
+   depends on a runtime value kind (integer ** with a variable
+   exponent, Value polymorphism over Str/Arr, calls whose effects could
+   change a slot's kind) bails rather than being approximated.
+
+   Soundness (DESIGN.md §16): every typed opcode performs the same
+   primitive float/int operation the tree-walker's [Value] function
+   performs, in the same order.  The subtleties are the comparison and
+   min/max orders: Value.compare_values goes through OCaml's polymorphic
+   compare on floats, which is Float.compare's total order (NaN below
+   everything, NaN = NaN) — NOT native float (<), so typed comparisons
+   use Float.compare too; variadic_minmax picks with (>)/(<), false
+   against a NaN, as the typed max/min do.  Int min/max comparisons go
+   through float_of_int first, exactly like variadic_minmax's
+   to_float. *)
+
 (* The compiler has no instruction for a whole-array value or a rank-3
    or higher element. *)
 let whole_or_rank3 = "whole-array or rank>2 access"
@@ -1480,54 +1488,308 @@ let array_elem (slot : Storage.slot) =
   | Storage.Unalloc (elem, _) -> (elem, true)
   | _ -> bail "designator-shape"
 
-let rec compile_expr ctx (e : Ast.expr) : int =
+(* The bank an array's elements are loaded into and stored from. *)
+let elem_ty = function
+  | Farray.Efloat -> TF
+  | Farray.Eint -> TI
+  | _ -> bail "array of another element kind"
+
+let nint_of x = int_of_float (Float.round x)
+let floor_of x = int_of_float (Float.floor x)
+let ceil_of x = int_of_float (Float.ceil x)
+let fmod x y = Float.rem x y
+
+(* Operand conversions into a fresh temp; the conversions are total
+   (float_of_int / int_of_float never raise), exactly like to_float /
+   to_int on numeric Values. *)
+let as_f ctx o =
+  match o.k with
+  | TF -> o.r
+  | TI ->
+    let t = fresh ctx TF in
+    emit ctx (Ti2f (t, o.r));
+    t
+  | TB -> bail "logical used as a number"
+
+let as_i_trunc ctx o =
+  match o.k with
+  | TI -> o.r
+  | TF ->
+    let t = fresh ctx TI in
+    emit ctx (Tf2i (t, o.r));
+    t
+  | TB -> bail "logical used as a number"
+
+(* [to_int] of [o] into an int register of its own. *)
+let to_int_reg ctx o =
+  let d = fresh ctx TI in
+  emit ctx (match o.k with TI -> TmovI (d, o.r) | TF -> Tf2i (d, o.r) | TB -> bail "int() of a logical");
+  d
+
+let as_cond o = match o.k with TI | TB -> o.r | TF -> bail "real used as a condition"
+
+(* to_bool-normalized 0/1 operand, for Eqv/Neqv *)
+let as_bool ctx o =
+  match o.k with
+  | TB -> o.r
+  | TI ->
+    let t = fresh ctx TI in
+    emit ctx (Tbool (t, o.r));
+    t
+  | TF -> bail "real used as a logical"
+
+let cmp_of = function
+  | Ast.Lt -> Clt
+  | Ast.Le -> Cle
+  | Ast.Gt -> Cgt
+  | Ast.Ge -> Cge
+  | Ast.Eq -> Ceq
+  | Ast.Ne -> Cne
+  | _ -> invalid_arg "cmp_of"
+
+(* The operands of comparison [op]: in the int bank ([false]) or, for
+   mixed numerics, through to_float like compare_values. *)
+let cmp_operands ctx op a b =
+  match (a.k, b.k) with
+  | TI, TI -> (false, a.r, b.r)
+  | (TF | TI), (TF | TI) ->
+    let av = as_f ctx a in
+    let bv = as_f ctx b in
+    (true, av, bv)
+  | TB, TB when op = Ast.Eq || op = Ast.Ne -> (false, a.r, b.r)
+  | _ -> bail "comparison of mixed kinds"
+
+(* [d] <- [s] for an assignment to a register variable declared with
+   [d]'s kind, coerced like the tree-walker's slot store; nothing when
+   [s] was computed in [d]. *)
+let assign_reg ctx d s =
+  match (d.k, s.k) with
+  | TF, TF -> if s.r <> d.r then emit ctx (TmovF (d.r, s.r))
+  | TI, TI | TB, TB -> if s.r <> d.r then emit ctx (TmovI (d.r, s.r))
+  | TI, TF -> emit ctx (Tf2i (d.r, s.r))
+  | TF, TI -> emit ctx (Ti2f (d.r, s.r))
+  | _ -> bail "assignment of another kind"
+
+(* Scalar slot [sid], holding kind [k], <- [s], coerced to the slot's
+   declared base. *)
+let store_scalar ctx (sid, k) s =
+  emit ctx
+    (match (k, s.k) with
+    | TF, TF -> TstsF (sid, s.r)
+    | TF, TI -> TstsF_ofI (sid, s.r)
+    | TI, TI -> TstsI (sid, s.r)
+    | TI, TF -> TstsI_ofF (sid, s.r)
+    | TB, TB -> TstsB (sid, s.r)
+    | _ -> bail "assignment of another kind")
+
+(* Load scalar slot [sid] of kind [k].  A load into a temp is one
+   {!hoist_loads} may move. *)
+let load_scalar ctx ?dst (sid, k) =
+  let d = result ctx ?dst k in
+  (match dst with Some h when h.k = k -> () | _ -> Hashtbl.replace ctx.movable (here ctx) ());
+  emit ctx (match k with TF -> TldsF (d.r, sid) | TI -> TldsI (d.r, sid) | TB -> TldsB (d.r, sid));
+  d
+
+(* Arithmetic, comparison and .eqv./.neqv. of compiled operands. *)
+let compile_binop ctx ?dst op a b =
+  let float_op mk =
+    let av = as_f ctx a in
+    let bv = as_f ctx b in
+    let d = result ctx ?dst TF in
+    emit ctx (mk d.r av bv);
+    d
+  in
+  match op with
+  | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div -> (
+    match (a.k, b.k) with
+    | TI, TI ->
+      let d = result ctx ?dst TI in
+      emit ctx
+        (match op with
+        | Ast.Add -> TaddI (d.r, a.r, b.r)
+        | Ast.Sub -> TsubI (d.r, a.r, b.r)
+        | Ast.Mul -> TmulI (d.r, a.r, b.r)
+        | _ -> TdivI (d.r, a.r, b.r));
+      d
+    | (TF | TI), (TF | TI) ->
+      float_op (fun d av bv ->
+          match op with
+          | Ast.Add -> TaddF (d, av, bv)
+          | Ast.Sub -> TsubF (d, av, bv)
+          | Ast.Mul -> TmulF (d, av, bv)
+          | _ -> TdivF (d, av, bv))
+    | _ -> bail "logical arithmetic")
+  | Ast.Pow -> (
+    match (a.k, b.k, b.role) with
+    (* Value.pow: an int loop for k >= 0, a real power for k < 0; a
+       variable exponent decides the result's kind at run time *)
+    | TI, TI, Const (Value.Int k) when k >= 0 ->
+      let d = result ctx ?dst TI in
+      emit ctx (TpowI (d.r, a.r, k));
+      d
+    | TI, TI, Const _ | (TF | TI), TF, _ | TF, TI, _ -> float_op (fun d av bv -> TpowF (d, av, bv))
+    | TI, TI, _ -> bail "integer **"
+    | _ -> bail "logical arithmetic")
+  | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne ->
+    let fl, av, bv = cmp_operands ctx op a b in
+    let d = result ctx ?dst TB in
+    emit ctx (if fl then TcmpF (cmp_of op, d.r, av, bv) else TcmpI (cmp_of op, d.r, av, bv));
+    d
+  | Ast.Eqv | Ast.Neqv ->
+    let av = as_bool ctx a in
+    let bv = as_bool ctx b in
+    let d = result ctx ?dst TB in
+    emit ctx (TcmpI ((if op = Ast.Eqv then Ceq else Cne), d.r, av, bv));
+    d
+  | Ast.Concat | Ast.And | Ast.Or -> bail "character or unshortened logical operator"
+
+(* Intrinsic [name] (lowercase) of the compiled [args]. *)
+let compile_intrinsic ctx ?dst name (args : opnd list) =
+  let arg1 () = match args with [ a ] -> a | _ -> bail ("arity of intrinsic " ^ name) in
+  let arg2 () = match args with [ a; b ] -> (a, b) | _ -> bail ("arity of intrinsic " ^ name) in
+  let into k mk =
+    let d = result ctx ?dst k in
+    emit ctx (mk d.r);
+    d
+  in
+  let un1 f =
+    let av = as_f ctx (arg1 ()) in
+    into TF (fun d -> Tin1F (name, f, d, av))
+  in
+  let un2 f =
+    let x, y = arg2 () in
+    let av = as_f ctx x in
+    let bv = as_f ctx y in
+    into TF (fun d -> Tin2F (name, f, d, av, bv))
+  in
+  let fni f =
+    let av = as_f ctx (arg1 ()) in
+    into TI (fun d -> TfniF (name, f, d, av))
+  in
+  (* max/min: int args stay ints; otherwise all_int is false, so the
+     tree-walker's result is Real (to_float best): converting both
+     first and picking in float is the same value *)
+  let pick ~what mki mkf =
+    let x, y = arg2 () in
+    match (x.k, y.k) with
+    | TI, TI -> into TI (fun d -> mki d x.r y.r)
+    | (TF | TI), (TF | TI) ->
+      let av = as_f ctx x in
+      let bv = as_f ctx y in
+      into TF (fun d -> mkf d av bv)
+    | _ -> bail (what ^ " of a logical")
+  in
+  match name with
+  | "sqrt" | "dsqrt" -> un1 sqrt
+  | "exp" | "dexp" -> un1 exp
+  | "log" | "alog" | "dlog" -> un1 log
+  | "log10" | "alog10" -> un1 log10
+  | "sin" -> un1 sin
+  | "cos" -> un1 cos
+  | "tan" -> un1 tan
+  | "asin" -> un1 asin
+  | "acos" -> un1 acos
+  | "atan" -> un1 atan
+  | "sinh" -> un1 sinh
+  | "cosh" -> un1 cosh
+  | "tanh" -> un1 tanh
+  | "dabs" -> un1 Float.abs
+  | "atan2" -> un2 atan2
+  | "sign" | "dsign" -> un2 Intrinsics.sign_val
+  | "abs" -> (
+    let a = arg1 () in
+    match a.k with
+    | TI -> into TI (fun d -> TabsI (d, a.r))
+    | TF -> into TF (fun d -> TabsF (d, a.r))
+    | TB -> bail "abs of a logical")
+  | "iabs" ->
+    let av = as_i_trunc ctx (arg1 ()) in
+    into TI (fun d -> TabsI (d, av))
+  | "mod" -> (
+    let x, y = arg2 () in
+    match (x.k, y.k) with
+    | TI, TI -> into TI (fun d -> TmodI (d, x.r, y.r))
+    | (TF | TI), (TF | TI) -> un2 fmod
+    | _ -> bail "mod of a logical")
+  | "int" | "ifix" -> (
+    let a = arg1 () in
+    match a.k with
+    | TI -> into TI (fun d -> TmovI (d, a.r))
+    | TF -> into TI (fun d -> Tf2i (d, a.r))
+    | TB -> bail "int() of a logical")
+  | "nint" -> fni nint_of
+  | "floor" -> fni floor_of
+  | "ceiling" -> fni ceil_of
+  | "real" | "float" | "dble" | "sngl" -> (
+    let a = arg1 () in
+    match a.k with
+    | TF -> into TF (fun d -> TmovF (d, a.r))
+    | TI -> into TF (fun d -> Ti2f (d, a.r))
+    | TB -> bail "real() of a logical")
+  | "max" | "amax1" | "dmax1" | "max0" ->
+    pick ~what:"max" (fun d a b -> TmaxI (d, a, b)) (fun d a b -> TmaxF (d, a, b))
+  | "min" | "amin1" | "dmin1" | "min0" ->
+    pick ~what:"min" (fun d a b -> TminI (d, a, b)) (fun d a b -> TminF (d, a, b))
+  | "huge" -> (
+    match (arg1 ()).k with
+    | TI -> into TI (fun d -> TconstI (d, max_int))
+    | TF -> into TF (fun d -> TconstF (d, Float.max_float))
+    | TB -> bail "huge of a logical")
+  | "tiny" ->
+    if (arg1 ()).k <> TF then bail "tiny of a non-real";
+    into TF (fun d -> TconstF (d, Float.min_float))
+  | "epsilon" ->
+    if (arg1 ()).k <> TF then bail "epsilon of a non-real";
+    into TF (fun d -> TconstF (d, epsilon_float))
+  | _ -> bail ("intrinsic " ^ name)
+
+(* [dst], when given, is the home or inlined local the statement
+   assigns the value to ({!result}): the construct that computes the
+   value last computes it there. *)
+let rec compile_expr ?dst ctx (e : Ast.expr) : opnd =
   match static_eval e with
   | Some v -> const_reg ctx v
   | None -> (
     match e with
     | Ast.Int_lit _ | Ast.Real_lit _ | Ast.Logical_lit _ | Ast.Str_lit _ ->
       assert false (* handled by static_eval *)
-    | Ast.Unop (Ast.Pos, a) -> compile_expr ctx a
-    | Ast.Unop (Ast.Neg, a) ->
-      let ra = compile_expr ctx a in
-      let r = reg ctx in
-      emit ctx (Ineg (r, ra));
-      r
+    | Ast.Unop (Ast.Pos, a) -> compile_expr ?dst ctx a
+    | Ast.Unop (Ast.Neg, a) -> (
+      let a = compile_expr ctx a in
+      match a.k with
+      | TF ->
+        let d = result ctx ?dst TF in
+        emit ctx (TnegF (d.r, a.r));
+        d
+      | TI ->
+        let d = result ctx ?dst TI in
+        emit ctx (TnegI (d.r, a.r));
+        d
+      | TB -> bail "negated logical")
     | Ast.Unop (Ast.Not, a) ->
-      let ra = compile_expr ctx a in
-      let r = reg ctx in
-      emit ctx (Inot (r, ra));
-      r
-    | Ast.Binop (Ast.And, a, b) ->
-      (* short-circuit, like the tree-walker's (&&) *)
-      let ra = compile_expr ctx a in
-      let d = join_reg ctx in
-      let jfalse = emit_patchable ctx (Ijf (ra, 0)) in
-      let rb = compile_expr ctx b in
-      emit ctx (Ibool (d, rb));
-      let jend = emit_patchable ctx (Ijmp 0) in
-      patch ctx jfalse (here ctx);
-      emit ctx (Iconst (d, Value.Bool false));
-      patch ctx jend (here ctx);
+      let sv = as_cond (compile_expr ctx a) in
+      let d = result ctx ?dst TB in
+      emit ctx (Tnot (d.r, sv));
       d
-    | Ast.Binop (Ast.Or, a, b) ->
-      let ra = compile_expr ctx a in
-      let d = join_reg ctx in
-      let jtrue = emit_patchable ctx (Ijt (ra, 0)) in
-      let rb = compile_expr ctx b in
-      emit ctx (Ibool (d, rb));
-      let jend = emit_patchable ctx (Ijmp 0) in
-      patch ctx jtrue (here ctx);
-      emit ctx (Iconst (d, Value.Bool true));
-      patch ctx jend (here ctx);
-      d
+    | Ast.Binop (((Ast.And | Ast.Or) as op), a, b) ->
+      (* short-circuit, like the tree-walker's (&&)/(||): [a] decides
+         alone when it is false for .and., true for .or.; the result
+         register has two definitions, so it takes no hint *)
+      let ra = as_cond (compile_expr ctx a) in
+      let decided = emit_patchable ctx (if op = Ast.And then Tjf (ra, 0) else Tjt (ra, 0)) in
+      let rb = as_cond (compile_expr ctx b) in
+      let d = fresh ctx TB in
+      emit ctx (Tbool (d, rb));
+      let jend = emit_patchable ctx (Tjmp 0) in
+      patch_here ctx [ decided ];
+      emit ctx (TconstI (d, if op = Ast.And then 0 else 1));
+      patch_here ctx [ jend ];
+      { r = d; k = TB; role = Temp }
     | Ast.Binop (op, a, b) ->
-      let ra = compile_expr ctx a in
-      let rb = compile_expr ctx b in
-      let d = reg ctx in
-      emit ctx (Ibinop (op, d, ra, rb));
-      d
-    | Ast.Desig parts -> compile_desig_load ctx parts
+      let a = compile_expr ctx a in
+      let b = compile_expr ctx b in
+      compile_binop ctx ?dst op a b
+    | Ast.Desig parts -> compile_desig_load ?dst ctx parts
     | Ast.Implied_do _ -> bail "implied-do"
     | Ast.Section _ -> bail "section")
 
@@ -1547,31 +1809,34 @@ and compile_checked_subscripts ctx aid ~store args =
     | _ -> false
   in
   if (array_ref ctx aid).amaybe && not (List.for_all trivial args) then
-    emit ctx (Icheck_alloc (aid, store));
+    emit ctx (Tcheck_alloc (aid, store));
   List.map (compile_expr ctx) args
 
-and compile_elem_load ctx ~unalloc elem name path args =
+and compile_elem_load ?dst ctx ~unalloc elem name path args =
   if List.length args > 2 then bail whole_or_rank3;
   let aid = array_id ctx ~unalloc elem name path (List.length args) in
   let idx = compile_checked_subscripts ctx aid ~store:false args in
-  let d = reg ctx in
-  (match idx with
-  | [ i ] -> emit ctx (Iload1 (d, aid, i))
-  | [ i; j ] -> emit ctx (Iload2 (d, aid, i, j))
-  | _ -> assert false);
+  let k = elem_ty elem in
+  let iv = List.map (as_i_trunc ctx) idx in
+  let d = result ctx ?dst k in
+  emit ctx
+    (match (k, iv) with
+    | TF, [ i ] -> Tld1F (d.r, aid, i)
+    | TF, [ i; j ] -> Tld2F (d.r, aid, i, j)
+    | _, [ i ] -> Tld1I (d.r, aid, i)
+    | _, [ i; j ] -> Tld2I (d.r, aid, i, j)
+    | _ -> assert false);
   d
 
-and emit_intrinsic ctx lname args =
+and emit_intrinsic ?dst ctx lname args =
   if has_section args then bail "section";
-  let argregs = List.map (compile_expr ctx) args in
-  let d = reg ctx in
-  emit ctx (Iintr (lname, d, Array.of_list argregs));
-  d
+  let args = List.map (compile_expr ctx) args in
+  compile_intrinsic ctx ?dst lname args
 
 (* Walk a designator chain against the compile-time scope.  Only the
    shapes the tree-walker's [eval_slot_access] supports without side
    effects are compiled; everything else bails. *)
-and compile_slot_load ctx (slot : Storage.slot) name path args rest : int =
+and compile_slot_load ?dst ctx (slot : Storage.slot) name path args rest : opnd =
   match (slot.Storage.entry, args, rest) with
   | Storage.Scalar v, [], [] ->
     if slot.Storage.is_param then begin
@@ -1584,24 +1849,19 @@ and compile_slot_load ctx (slot : Storage.slot) name path args rest : int =
         note_check ctx slot name path v;
         const_reg ctx v
     end
-    else begin
-      let sid = scalar_id ctx slot name path in
-      let r = reg ctx in
-      emit ctx (Iload (r, sid));
-      r
-    end
+    else load_scalar ctx ?dst (scalar_id ctx slot name path)
   | (Storage.Array _ | Storage.Unalloc _), [], [] -> bail whole_or_rank3
   | (Storage.Array _ | Storage.Unalloc _), _ :: _, [] ->
     let elem, unalloc = array_elem slot in
-    compile_elem_load ctx ~unalloc elem name path args
+    compile_elem_load ?dst ctx ~unalloc elem name path args
   | Storage.Struct obj, [], (fname, fargs) :: frest -> (
     match Hashtbl.find_opt obj fname with
     | Some fslot ->
-      compile_slot_load ctx fslot name (path @ [ fname ]) fargs frest
+      compile_slot_load ?dst ctx fslot name (path @ [ fname ]) fargs frest
     | None -> bail "component")
   | _ -> bail "designator-shape"
 
-and compile_desig_load ctx (parts : Ast.designator) : int =
+and compile_desig_load ?dst ctx (parts : Ast.designator) : opnd =
   match ctx.inline with
   | Some fr -> (
     (* inside an inlined leaf: names are dummies/locals/result (the
@@ -1610,17 +1870,15 @@ and compile_desig_load ctx (parts : Ast.designator) : int =
     match parts with
     | [ (h, args) ] -> (
       match Hashtbl.find_opt fr.imap h with
-      | Some (Ib_slot sid) ->
+      | Some (Ib_slot (sid, k)) ->
         if args <> [] then bail "inline-shape";
-        let r = reg ctx in
-        emit ctx (Iload (r, sid));
-        r
-      | Some (Ib_reg (r, _)) ->
+        load_scalar ctx ?dst (sid, k)
+      | Some (Ib_reg (r, base)) ->
         if args <> [] then bail "inline-shape";
-        r
+        home_opnd (r, base)
       | None ->
         if Hashtbl.mem Intrinsics.tbl (String.lowercase_ascii h) then
-          emit_intrinsic ctx (String.lowercase_ascii h) args
+          emit_intrinsic ?dst ctx (String.lowercase_ascii h) args
         else bail "inline-shape")
     | _ -> bail "inline-shape")
   | None -> (
@@ -1628,12 +1886,12 @@ and compile_desig_load ctx (parts : Ast.designator) : int =
     | [] -> bail "designator-shape"
     | (name, args) :: rest when Hashtbl.mem ctx.homes name ->
       if args <> [] || rest <> [] then bail "designator-shape";
-      fst (Hashtbl.find ctx.homes name)
+      home_opnd (Hashtbl.find ctx.homes name)
     | (name, args) :: rest -> (
       match Storage.lookup ctx.scope name with
-      | Some slot -> compile_slot_load ctx slot name [] args rest
+      | Some slot -> compile_slot_load ?dst ctx slot name [] args rest
       | None -> (
-        if name = "allocated" then compile_allocated ctx args
+        if name = "allocated" then compile_allocated ?dst ctx args
         else
           match
             Hashtbl.find_opt Intrinsics.tbl (String.lowercase_ascii name)
@@ -1641,7 +1899,7 @@ and compile_desig_load ctx (parts : Ast.designator) : int =
           | Some _ ->
             if rest <> [] then bail "designator-shape";
             note_negative ctx name;
-            emit_intrinsic ctx (String.lowercase_ascii name) args
+            emit_intrinsic ?dst ctx (String.lowercase_ascii name) args
           | None -> (
             (* user function: the tree-walker's eval_desig evaluates
                every argument once (vals), finds the subprogram, then
@@ -1652,15 +1910,15 @@ and compile_desig_load ctx (parts : Ast.designator) : int =
               note_negative ctx name;
               List.iter (fun a -> ignore (compile_expr ctx a)) args;
               if rest <> [] then bail "fn-parts";
-              compile_user_call ctx sp mod_name name args ~is_fn:true
+              Option.get (compile_user_call ?dst ctx sp mod_name name args ~is_fn:true)
             | None -> bail "unknown-name"))))
 
 (* allocated(v): the tree-walker's eval_desig checks the slot kind at
    run time (ignoring any component parts after the call). *)
-and compile_allocated ctx args =
+and compile_allocated ?dst ctx args =
   let rid, vname = allocated_arg ctx args in
-  let d = reg ctx in
-  emit ctx (Iallocated (d, rid, vname));
+  let d = result ctx ?dst TB in
+  emit ctx (Tallocated (d.r, rid, vname));
   d
 
 (* The raw slot and name allocated()'s argument names. *)
@@ -1683,7 +1941,7 @@ and is_allocated ctx name =
    comparison or allocated() is one fused jump, [.not.] swaps the
    sense, [.and.]/[.or.] short-circuit left to right like the
    tree-walker's (&&)/(||); any other condition is a value tested by
-   [Ijt]/[Ijf], which apply [to_bool] as the tree-walker's IF does.
+   [Tjt]/[Tjf], which apply [to_bool] as the tree-walker's IF does.
    Comparisons negate exactly: the tree-walker compares with a total
    order ([compare], NaN below everything), so [not (a < b)] is
    [a >= b]. *)
@@ -1704,48 +1962,71 @@ and compile_branch ctx (e : Ast.expr) ~jump_if : int list =
       jb
     end
   | Ast.Binop (((Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne) as op), a, b) ->
-    let ra = compile_expr ctx a in
-    let rb = compile_expr ctx b in
-    let negated = function
-      | Ast.Lt -> Ast.Ge
-      | Ast.Le -> Ast.Gt
-      | Ast.Gt -> Ast.Le
-      | Ast.Ge -> Ast.Lt
-      | Ast.Eq -> Ast.Ne
-      | _ -> Ast.Eq
+    let a = compile_expr ctx a in
+    let b = compile_expr ctx b in
+    let op =
+      if jump_if then op
+      else
+        match op with
+        | Ast.Lt -> Ast.Ge
+        | Ast.Le -> Ast.Gt
+        | Ast.Gt -> Ast.Le
+        | Ast.Ge -> Ast.Lt
+        | Ast.Eq -> Ast.Ne
+        | _ -> Ast.Eq
     in
-    [ emit_patchable ctx (Ijcmp ((if jump_if then op else negated op), ra, rb, 0)) ]
+    let fl, av, bv = cmp_operands ctx op a b in
+    [ emit_patchable ctx (if fl then TjcmpF (cmp_of op, av, bv, 0) else TjcmpI (cmp_of op, av, bv, 0)) ]
   | Ast.Desig [ (h, args) ] when is_allocated ctx h ->
     let rid, vname = allocated_arg ctx args in
-    [ emit_patchable ctx (Ijalloc (rid, vname, jump_if, 0)) ]
+    [ emit_patchable ctx (Tjalloc (rid, vname, jump_if, 0)) ]
   | _ -> compile_test ctx e ~jump_if
 
 and compile_test ctx e ~jump_if =
-  let r = compile_expr ctx e in
-  [ emit_patchable ctx (if jump_if then Ijt (r, 0) else Ijf (r, 0)) ]
+  let r = as_cond (compile_expr ctx e) in
+  [ emit_patchable ctx (if jump_if then Tjt (r, 0) else Tjf (r, 0)) ]
 
 (* --- compiled calls ------------------------------------------------------ *)
 
 (* Compile a call to [sp] (statement CALL when [is_fn] is false,
-   function reference otherwise).  Returns the result register (0,
-   unused, for subroutine statements).  Inline when the callee is a
-   leaf and every actual is a whole scalar variable; otherwise marshal
-   an Icall.  Anything the marshalling cannot express bails — the
-   tree-walker then replays the whole body from scratch, so partial
-   effects never leak. *)
-and compile_user_call ctx sp mod_name name actuals ~is_fn : int =
+   function reference otherwise).  Returns a function's result.  Inline
+   when the callee is a leaf and every actual is a whole scalar
+   variable; otherwise marshal a [Tcall].  Anything the marshalling
+   cannot express bails — the tree-walker then replays the whole body
+   from scratch, so partial effects never leak. *)
+and compile_user_call ?dst ctx sp mod_name name actuals ~is_fn : opnd option =
   if List.length actuals <> List.length sp.Ast.sub_args then bail "call-arity";
   if is_fn && sp.Ast.sub_kind = `Subroutine then bail "sub-as-fn";
-  match compile_inline_call ctx sp mod_name actuals with
-  | Some r -> if is_fn then r else 0
-  | None -> compile_marshalled_call ctx sp mod_name name actuals ~is_fn
+  if inlines ctx sp mod_name actuals then compile_inline_call ctx sp actuals
+  else compile_marshalled_call ?dst ctx sp mod_name name actuals ~is_fn
 
-and compile_marshalled_call ctx sp mod_name name actuals ~is_fn : int =
+(* A typed call may not change the kind of a slot this frame reads (see
+   [effects]).  An alias actual the callee may rewrite Int -> Real must
+   not hold an Int at bind; one it may store a raw Int into must hold
+   one ([t_raw_int]).  Slots the frame reads keep their kind until such
+   a call, so the call then leaves them alone, under any name. *)
+and compile_marshalled_call ?dst ctx sp mod_name name actuals ~is_fn : opnd option =
   if ctx.inline <> None then bail "inline-shape";
   let written = written_dummies sp in
-  let specs =
-    List.map2
-      (fun dummy a ->
+  let sname = sp.Ast.sub_name in
+  let fx =
+    match Hashtbl.find_opt (unit_effects ctx.env).ue_subs (String.lowercase_ascii sname) with
+    | Some fx -> fx
+    | None -> bail ("call of " ^ sname ^ " has no effects summary")
+  in
+  let alias k rid =
+    let real = fx.fx_real.(k) and int = fx.fx_int.(k) in
+    if real && int then bail ("call of " ^ sname ^ " may make an actual real or integer");
+    if real || int then ctx.raw_int <- (rid, int) :: ctx.raw_int;
+    Ta_alias rid
+  in
+  let copy a =
+    let o = compile_expr ctx a in
+    match o.k with TF -> Ta_f o.r | TI -> Ta_i o.r | TB -> Ta_b o.r
+  in
+  let args =
+    List.mapi
+      (fun k (dummy, a) ->
         match a with
         | Ast.Desig [ (n, []) ] when Hashtbl.mem ctx.homes n ->
           (* private_scalars promotes an actual only for a site that
@@ -1758,7 +2039,7 @@ and compile_marshalled_call ctx sp mod_name name actuals ~is_fn : int =
               (* the callee may write through the alias; our folded
                  PARAMETER constants would go stale *)
               bail "writes-parameter-arg"
-            else Ta_alias (raw_id ctx n)
+            else alias k (raw_id ctx n)
           | None -> bail "implicit-arg")
         | Ast.Desig ((n, args) :: rest) -> (
           match Storage.lookup ctx.scope n with
@@ -1772,15 +2053,22 @@ and compile_marshalled_call ctx sp mod_name name actuals ~is_fn : int =
             (* head not in scope: bind_actual's resolve_lvalue fails
                and it falls back to a plain evaluated copy (which may
                itself be a function call) *)
-            Ta_v (compile_expr ctx a))
-        | a -> Ta_v (compile_expr ctx a))
-      sp.Ast.sub_args actuals
+            copy a)
+        | a -> copy a)
+      (List.combine sp.Ast.sub_args actuals)
   in
-  let dst = if is_fn then reg ctx else 0 in
+  let res =
+    if not is_fn then None
+    else
+      match result_ty sp fx with
+      | Some t -> Some (result ctx ?dst t)
+      | None -> bail ("result of " ^ sname ^ " has no fixed kind")
+  in
   let idx = ctx.ncalls in
   ctx.ncalls <- idx + 1;
+  ctx.has_call <- true;
   emit ctx
-    (Icall
+    (Tcall
        {
          tc_site =
            {
@@ -1791,108 +2079,113 @@ and compile_marshalled_call ctx sp mod_name name actuals ~is_fn : int =
              cs_reval = may_realloc_for ctx sp;
              cs_plan = Plan_unknown;
            };
-         tc_args = Array.of_list specs;
-         tc_res = (if is_fn then Tr_v dst else Tr_none);
+         tc_args = Array.of_list args;
+         tc_res =
+           (match res with
+           | None -> Tr_none
+           | Some { r; k = TF; _ } -> Tr_f r
+           | Some { r; k = TI; _ } -> Tr_i r
+           | Some { r; k = TB; _ } -> Tr_b r);
        });
-  dst
+  res
 
 (* Expand a leaf callee into the caller's instruction stream.  Every
    actual is a whole scalar variable ({!inlines}), so dummies alias
    caller slots (same scalar-id space — two dummies aliasing one
    variable share an id, like two aliases of one slot) or read a
    promoted actual's home register in place ({!reads_in_place}), and
-   locals/result live in plain registers.  Declaration processing
-   follows setup_scope's order, including the dummy-redeclaration quirk
-   (Idummy_adjust).  Returns None when the call site does not qualify;
-   the marshalled path then takes over. *)
-and compile_inline_call ctx sp mod_name actuals : int option =
-  if not (inlines ctx sp mod_name actuals) then None
-  else begin
-    let written = written_dummies sp in
-    let frame = { imap = Hashtbl.create 8; iret = [] } in
-    List.iter2
-      (fun dummy a ->
-        match a with
-        | Ast.Desig [ (n, []) ] -> (
-          match Hashtbl.find_opt ctx.homes n with
-          | Some (h, base) ->
-            if not (reads_in_place sp dummy base) then bail "home-actual";
-            Hashtbl.replace frame.imap dummy (Ib_reg (h, base))
-          | None ->
-            let slot = Option.get (Storage.lookup ctx.scope n) in
-            if slot.Storage.is_param && Hashtbl.mem written dummy then
-              bail "writes-parameter-arg";
-            Hashtbl.replace frame.imap dummy (Ib_slot (scalar_id ctx slot n [])))
-        | _ -> assert false)
-      sp.Ast.sub_args actuals;
-    (* declarations, in setup_scope order *)
-    List.iter
-      (function
-        | Ast.Var_decl { base; entities; _ } ->
-          List.iter
-            (fun (e : Ast.entity) ->
-              let n = e.Ast.ent_name in
-              match Hashtbl.find_opt frame.imap n with
-              | Some (Ib_slot sid) ->
-                (* dummy redeclaration: REAL over an aliased Int
-                   rewrites the slot in place *)
-                if base = Ast.Real || base = Ast.Real8 then
-                  emit ctx (Idummy_adjust sid)
-              | Some (Ib_reg _) when List.mem n sp.Ast.sub_args ->
-                () (* a home of the declared base: a Real already *)
-              | Some (Ib_reg _) -> bail "inline-shape"
-              | None ->
-                let r = join_reg ctx in
-                emit ctx (Iconst (r, Value.zero_of base));
-                Hashtbl.replace frame.imap n (Ib_reg (r, base)))
-            entities
-        | _ -> ())
-      sp.Ast.sub_decls;
-    (* function result register (setup_scope creates the slot
-       zero-initialized when not declared) *)
-    let res =
-      match sp.Ast.sub_kind with
-      | `Function rt -> (
-        match Hashtbl.find_opt frame.imap sp.Ast.sub_name with
-        | Some (Ib_reg (r, _)) -> r
-        | Some (Ib_slot _) -> bail "inline-shape"
+   locals/result live in registers.  Declaration processing follows
+   setup_scope's order, including the dummy-redeclaration quirk: REAL
+   over an aliased Int rewrites the slot in place, which typed code
+   reads as Real already, so only an INTEGER slot bails.  Returns a
+   function's result register. *)
+and compile_inline_call ctx sp actuals : opnd option =
+  let written = written_dummies sp in
+  let frame = { imap = Hashtbl.create 8; iret = [] } in
+  List.iter2
+    (fun dummy a ->
+      match a with
+      | Ast.Desig [ (n, []) ] -> (
+        match Hashtbl.find_opt ctx.homes n with
+        | Some (h, base) ->
+          if not (reads_in_place sp dummy base) then bail "home-actual";
+          Hashtbl.replace frame.imap dummy (Ib_reg (h, base))
         | None ->
-          let base = Option.value rt ~default:Ast.Real8 in
-          let r = join_reg ctx in
-          emit ctx (Iconst (r, Value.zero_of base));
-          Hashtbl.replace frame.imap sp.Ast.sub_name (Ib_reg (r, base));
-          r)
-      | `Subroutine -> 0
-    in
-    ctx.inline <- Some frame;
-    (match List.iter (compile_stmt ctx) sp.Ast.sub_body with
-    | () -> ctx.inline <- None
-    | exception e ->
-      ctx.inline <- None;
-      raise e);
-    List.iter (fun at -> patch ctx at (here ctx)) frame.iret;
-    Some res
-  end
+          let slot = Option.get (Storage.lookup ctx.scope n) in
+          if slot.Storage.is_param && Hashtbl.mem written dummy then
+            bail "writes-parameter-arg";
+          let sid, k = scalar_id ctx slot n [] in
+          Hashtbl.replace frame.imap dummy (Ib_slot (sid, k)))
+      | _ -> assert false)
+    sp.Ast.sub_args actuals;
+  (* declarations, in setup_scope order *)
+  let local n base =
+    let k = ty_of_base base in
+    let r = fresh ctx k in
+    emit_zero ctx k r;
+    Hashtbl.replace frame.imap n (Ib_reg (r, base));
+    { r; k; role = Temp }
+  in
+  List.iter
+    (function
+      | Ast.Var_decl { base; entities; _ } ->
+        List.iter
+          (fun (e : Ast.entity) ->
+            let n = e.Ast.ent_name in
+            match Hashtbl.find_opt frame.imap n with
+            | Some (Ib_slot (_, k)) ->
+              if (base = Ast.Real || base = Ast.Real8) && k = TI then bail "INTEGER dummy redeclared REAL"
+            | Some (Ib_reg _) when List.mem n sp.Ast.sub_args ->
+              () (* a home of the declared base: a Real already *)
+            | Some (Ib_reg _) -> bail "inline-shape"
+            | None -> ignore (local n base))
+          entities
+      | _ -> ())
+    sp.Ast.sub_decls;
+  (* function result register (setup_scope creates the slot
+     zero-initialized when not declared) *)
+  let res =
+    match sp.Ast.sub_kind with
+    | `Function rt -> (
+      match Hashtbl.find_opt frame.imap sp.Ast.sub_name with
+      | Some (Ib_reg (r, base)) -> Some { r; k = ty_of_base base; role = Temp }
+      | Some (Ib_slot _) -> bail "inline-shape"
+      | None -> Some (local sp.Ast.sub_name (Option.value rt ~default:Ast.Real8)))
+    | `Subroutine -> None
+  in
+  ctx.inline <- Some frame;
+  (match List.iter (compile_stmt ctx) sp.Ast.sub_body with
+  | () -> ctx.inline <- None
+  | exception e ->
+    ctx.inline <- None;
+    raise e);
+  patch_here ctx frame.iret;
+  res
 
 (* --- lvalues ------------------------------------------------------------- *)
 
-(* RHS register [rv] is already evaluated (the tree-walker evaluates
-   the RHS before resolving the lvalue's subscripts). *)
+(* RHS [rv] is already evaluated (the tree-walker evaluates the RHS
+   before resolving the lvalue's subscripts). *)
 and compile_slot_store ctx (slot : Storage.slot) name path args rest rv =
   match (slot.Storage.entry, args, rest) with
   | Storage.Scalar _, [], [] ->
     if slot.Storage.is_param then bail "parameter-store";
-    let sid = scalar_id ctx slot name path in
-    emit ctx (Istore (sid, rv))
+    store_scalar ctx (scalar_id ctx slot name path) rv
   | (Storage.Array _ | Storage.Unalloc _), [], [] -> bail whole_or_rank3
   | (Storage.Array _ | Storage.Unalloc _), _ :: _, [] -> (
     if List.length args > 2 then bail whole_or_rank3;
     let elem, unalloc = array_elem slot in
     let aid = array_id ctx ~unalloc elem name path (List.length args) in
     let idx = compile_checked_subscripts ctx aid ~store:true args in
-    match idx with
-    | [ i ] -> emit ctx (Istore1 (aid, i, rv))
-    | [ i; j ] -> emit ctx (Istore2 (aid, i, j, rv))
+    let k = elem_ty elem in
+    let iv = List.map (as_i_trunc ctx) idx in
+    (* set_linear coerces Ci -> float_of_int, same as Ti2f *)
+    let v = if k = TF then as_f ctx rv else as_i_trunc ctx rv in
+    match (k, iv) with
+    | TF, [ i ] -> emit ctx (Tst1F (aid, i, v))
+    | TF, [ i; j ] -> emit ctx (Tst2F (aid, i, j, v))
+    | _, [ i ] -> emit ctx (Tst1I (aid, i, v))
+    | _, [ i; j ] -> emit ctx (Tst2I (aid, i, j, v))
     | _ -> assert false)
   | Storage.Struct obj, [], (fname, fargs) :: frest -> (
     match Hashtbl.find_opt obj fname with
@@ -1901,14 +2194,23 @@ and compile_slot_store ctx (slot : Storage.slot) name path args rest rv =
     | None -> bail "component")
   | _ -> bail "designator-shape"
 
+(* The register variable an assignment to [parts] writes, when it is
+   one: a home, or an inlined leaf's local or result. *)
+and assign_target ctx (parts : Ast.designator) =
+  match (ctx.inline, parts) with
+  | Some fr, [ (h, []) ] -> (
+    match Hashtbl.find_opt fr.imap h with Some (Ib_reg (r, base)) -> Some (home_opnd (r, base)) | _ -> None)
+  | None, [ (name, []) ] -> Option.map home_opnd (Hashtbl.find_opt ctx.homes name)
+  | _ -> None
+
 and compile_desig_store ctx (parts : Ast.designator) rv =
   match ctx.inline with
   | Some fr -> (
     match parts with
     | [ (h, []) ] -> (
       match Hashtbl.find_opt fr.imap h with
-      | Some (Ib_slot sid) -> emit ctx (Istore (sid, rv))
-      | Some (Ib_reg (r, base)) -> emit ctx (Icoerce (base, r, rv))
+      | Some (Ib_slot (sid, k)) -> store_scalar ctx (sid, k) rv
+      | Some (Ib_reg (r, base)) -> assign_reg ctx (home_opnd (r, base)) rv
       | None -> bail "inline-shape")
     | _ -> bail "inline-shape")
   | None -> (
@@ -1916,8 +2218,7 @@ and compile_desig_store ctx (parts : Ast.designator) rv =
     | [] -> bail "designator-shape"
     | (name, args) :: rest when Hashtbl.mem ctx.homes name ->
       if args <> [] || rest <> [] then bail "designator-shape";
-      let h, base = Hashtbl.find ctx.homes name in
-      emit ctx (Icoerce (base, h, rv))
+      assign_reg ctx (home_opnd (Hashtbl.find ctx.homes name)) rv
     | (name, args) :: rest -> (
       match Storage.lookup ctx.scope name with
       | Some slot -> compile_slot_store ctx slot name [] args rest rv
@@ -1931,13 +2232,13 @@ and compile_desig_store ctx (parts : Ast.designator) rv =
    tree-walker's Fun.protect unwinding does). *)
 and emit_unlocks ctx target_depth =
   for _ = target_depth + 1 to ctx.crit do
-    emit ctx Icrit_exit
+    emit ctx Tcrit_exit
   done
 
 and compile_stmt ctx (s : Ast.stmt) =
   match s with
   | Ast.Assign (d, e) ->
-    let rv = compile_expr ctx e in
+    let rv = compile_expr ?dst:(assign_target ctx d) ctx e in
     compile_desig_store ctx d rv
   | Ast.If_arith (c, s) ->
     let jends = compile_branch ctx c ~jump_if:false in
@@ -1949,16 +2250,16 @@ and compile_stmt ctx (s : Ast.stmt) =
       (fun (c, body) ->
         let jnexts = compile_branch ctx c ~jump_if:false in
         List.iter (compile_stmt ctx) body;
-        jends := emit_patchable ctx (Ijmp 0) :: !jends;
+        jends := emit_patchable ctx (Tjmp 0) :: !jends;
         patch_here ctx jnexts)
       branches;
     List.iter (compile_stmt ctx) else_;
-    List.iter (fun at -> patch ctx at (here ctx)) !jends
+    patch_here ctx !jends
   | Ast.Do l -> if l.Ast.do_omp = None then compile_serial_do ctx l else compile_omp_do ctx l
   | Ast.Do_while (c, body) ->
     let head = here ctx in
     let jends = compile_branch ctx c ~jump_if:false in
-    emit ctx Ipoll;
+    emit ctx Tpoll;
     let lctx =
       {
         exit_patches = [];
@@ -1970,13 +2271,13 @@ and compile_stmt ctx (s : Ast.stmt) =
     ctx.loops <- lctx :: ctx.loops;
     List.iter (compile_stmt ctx) body;
     ctx.loops <- List.tl ctx.loops;
-    emit ctx (Ijmp head);
+    emit ctx (Tjmp head);
     patch_here ctx (jends @ lctx.exit_patches)
   | Ast.Exit -> (
     match ctx.loops with
     | lctx :: _ ->
       emit_unlocks ctx lctx.crit_at_entry;
-      lctx.exit_patches <- emit_patchable ctx (Ijmp 0) :: lctx.exit_patches
+      lctx.exit_patches <- emit_patchable ctx (Tjmp 0) :: lctx.exit_patches
     | [] ->
       if ctx.sub <> None then
         (* a bare EXIT in a subprogram body raises Loop_exit into the
@@ -1985,42 +2286,30 @@ and compile_stmt ctx (s : Ast.stmt) =
       else begin
         (* EXIT from the chunk loop the program itself drives *)
         emit_unlocks ctx 0;
-        emit ctx Iexit
+        emit ctx Texit
       end)
   | Ast.Cycle -> (
     match ctx.loops with
     | lctx :: _ -> (
       emit_unlocks ctx lctx.crit_at_entry;
       match lctx.cont_target with
-      | Some t -> emit ctx (Ijmp t)
+      | Some t -> emit ctx (Tjmp t)
       | None ->
-        lctx.cont_patches <- emit_patchable ctx (Ijmp 0) :: lctx.cont_patches)
+        lctx.cont_patches <- emit_patchable ctx (Tjmp 0) :: lctx.cont_patches)
     | [] ->
       if ctx.sub <> None then bail "cycle-outside-loop"
       else begin
         emit_unlocks ctx 0;
-        ctx.end_patches <- emit_patchable ctx (Ijmp 0) :: ctx.end_patches
+        ctx.end_patches <- emit_patchable ctx (Tjmp 0) :: ctx.end_patches
       end)
   | Ast.Return -> (
     match ctx.inline with
-    | Some fr -> fr.iret <- emit_patchable ctx (Ijmp 0) :: fr.iret
-    | None -> emit ctx Ireturn)
+    | Some fr -> fr.iret <- emit_patchable ctx (Tjmp 0) :: fr.iret
+    | None -> emit ctx Treturn)
   | Ast.Print _ | Ast.Stop _ -> bail "PRINT or STOP"
   | Ast.Continue | Ast.Comment _ | Ast.Omp_barrier -> ()
-  | Ast.Omp_atomic s ->
-    if ctx.crit > 0 then bail "nested-critical";
-    emit ctx Icrit_enter;
-    ctx.crit <- ctx.crit + 1;
-    compile_stmt ctx s;
-    ctx.crit <- ctx.crit - 1;
-    emit ctx Icrit_exit
-  | Ast.Omp_critical body ->
-    if ctx.crit > 0 then bail "nested-critical";
-    emit ctx Icrit_enter;
-    ctx.crit <- ctx.crit + 1;
-    List.iter (compile_stmt ctx) body;
-    ctx.crit <- ctx.crit - 1;
-    emit ctx Icrit_exit
+  | Ast.Omp_atomic s -> compile_critical ctx [ s ]
+  | Ast.Omp_critical body -> compile_critical ctx body
   | Ast.Call (name, actuals) -> (
     match Hashtbl.find_opt ctx.env.e_subs (String.lowercase_ascii name) with
     | None -> bail "unknown-call"
@@ -2034,12 +2323,7 @@ and compile_stmt ctx (s : Ast.stmt) =
       (fun (d, exprs) ->
         let name = Ast.desig_name d in
         if Storage.lookup ctx.scope name = None then bail "allocate";
-        let int_of e =
-          let r = compile_expr ctx e in
-          let d = reg ctx in
-          emit ctx (Ito_int (d, r));
-          d
-        in
+        let int_of e = to_int_reg ctx (compile_expr ctx e) in
         let bounds =
           List.map
             (function
@@ -2049,15 +2333,15 @@ and compile_stmt ctx (s : Ast.stmt) =
               | Ast.Section _ -> bail "section"
               | e ->
                 let rhi = int_of e in
-                (const_reg ctx (Value.Int 1), rhi))
+                ((const_reg ctx (Value.Int 1)).r, rhi))
             exprs
         in
         emit ctx
-          (Iallocate
+          (Tallocate
              {
-               al_raw = raw_id ctx name;
-               al_name = name;
-               al_bounds = Array.of_list bounds;
+               ta_raw = raw_id ctx name;
+               ta_name = name;
+               ta_bounds = Array.of_list bounds;
              }))
       allocs
   | Ast.Deallocate ds ->
@@ -2065,24 +2349,44 @@ and compile_stmt ctx (s : Ast.stmt) =
       (fun d ->
         let name = Ast.desig_name d in
         if Storage.lookup ctx.scope name = None then bail "deallocate";
-        emit ctx (Idealloc (raw_id ctx name, name)))
+        emit ctx (Tdealloc (raw_id ctx name, name)))
       ds
 
-(* [Ito_int] of an expression into a register of its own: an in-place
-   conversion would rewrite a promoted variable's home or a constant
-   register, and a loop bound must not move when the body assigns the
-   variable it came from.  An INTEGER constant is its own [to_int]. *)
+(* ATOMIC or CRITICAL: [body] under the global lock. *)
+and compile_critical ctx body =
+  if ctx.crit > 0 then bail "nested-critical";
+  emit ctx Tcrit_enter;
+  ctx.crit <- ctx.crit + 1;
+  List.iter (compile_stmt ctx) body;
+  ctx.crit <- ctx.crit - 1;
+  emit ctx Tcrit_exit
+
+(* [to_int] of a DO bound: a temp or constant INTEGER is its own, a
+   variable's register is copied (a bound must not move when the body
+   assigns the variable it came from), a REAL converts into a fresh
+   register like [Value.to_int]'s [int_of_float]. *)
 and compile_int ctx e =
-  let r = compile_expr ctx e in
-  match Hashtbl.find_opt ctx.consts r with
-  | Some (Value.Int _) -> r
-  | None when not (is_home ctx r) ->
-    emit ctx (Ito_int (r, r));
-    r
-  | _ ->
-    let d = reg ctx in
-    emit ctx (Ito_int (d, r));
-    d
+  let o = compile_expr ctx e in
+  match (o.k, o.role) with
+  | TI, (Temp | Const _) -> o
+  | _ -> { r = to_int_reg ctx o; k = TI; role = Temp }
+
+(* The DO variable [v] of a loop compiled in [ctx]: its home, or the
+   scalar slot each iteration stores it raw into. *)
+and do_var ctx v =
+  let not_integer () = bail ("DO variable " ^ v ^ " is not integer") in
+  match Hashtbl.find_opt ctx.homes v with
+  | Some (h, base) ->
+    if ty_of_base base <> TI then not_integer ();
+    `Home h
+  | None -> (
+    match Storage.lookup ctx.scope v with
+    | Some slot when slot.Storage.is_param -> bail "parameter-store"
+    | Some slot ->
+      let sid, k = scalar_id ctx slot v [] in
+      if k <> TI then not_integer ();
+      `Slot sid
+    | None -> `None)
 
 and compile_serial_do ctx (l : Ast.do_loop) =
   (* the DO variable: a scalar slot, or a promoted variable's home *)
@@ -2090,48 +2394,44 @@ and compile_serial_do ctx (l : Ast.do_loop) =
     match ctx.inline with
     | Some _ -> bail "inline-shape" (* leaves contain no DO loops *)
     | None -> (
-      match Hashtbl.find_opt ctx.homes l.Ast.do_var with
-      | Some (h, _) -> `Home h
-      | None -> (
-        match Storage.lookup ctx.scope l.Ast.do_var with
-        | Some slot ->
-          if slot.Storage.is_param then bail "parameter-store";
-          `Slot (scalar_id ctx slot l.Ast.do_var [])
-        | None -> bail "implicit-decl" (* implicit DO-variable declaration *)))
+      match do_var ctx l.Ast.do_var with
+      | `Home h -> `Home h
+      | `Slot sid -> `Slot sid
+      | `None -> bail "implicit-decl" (* implicit DO-variable declaration *))
   in
   (* Bounds evaluate once, in the tree-walker's order (lo, hi, step),
      then the zero-step check fires before any iteration. *)
-  let rlo = compile_int ctx l.Ast.do_lo in
-  let rhi = compile_int ctx l.Ast.do_hi in
-  let rstep =
+  let rlo = (compile_int ctx l.Ast.do_lo).r in
+  let rhi = (compile_int ctx l.Ast.do_hi).r in
+  let step =
     match l.Ast.do_step with
     | Some e -> compile_int ctx e
     | None -> const_reg ctx (Value.Int 1)
   in
-  (match Hashtbl.find_opt ctx.consts rstep with
-  | Some (Value.Int k) when k <> 0 -> ()
-  | _ -> emit ctx (Icheck_step rstep));
+  (match step.role with
+  | Const (Value.Int k) when k <> 0 -> ()
+  | _ -> emit ctx (Tcheck_step step.r));
+  let rstep = step.r in
   (* A home the body never assigns is the counter itself; otherwise the
      counter is private and each iteration stores it raw, like the
      tree-walker's per-iteration slot write. *)
   let ri =
     match var with
     | `Home h when not (assigns l.Ast.do_body l.Ast.do_var) -> h
-    | _ -> reg ctx
+    | _ -> fresh ctx TI
   in
   (* Rotated: the header tests and polls once, for the first iteration;
      the continue point increments, tests and, when the loop goes on,
      polls and jumps back past the header.  One poll per iteration. *)
-  emit ctx (Icopy (ri, rlo));
+  emit ctx (TmovI (ri, rlo));
   let jfini =
-    emit_patchable ctx
-      (Iloop_test { ireg = ri; hireg = rhi; stepreg = rstep; target = 0 })
+    emit_patchable ctx (Tloop_test { t_ireg = ri; t_hireg = rhi; t_stepreg = rstep; t_target = 0 })
   in
-  emit ctx Ipoll;
+  emit ctx Tpoll;
   let top = here ctx in
   (match var with
-  | `Slot sid -> emit ctx (Istore_raw (sid, ri))
-  | `Home h -> if h <> ri then emit ctx (Icopy (h, ri)));
+  | `Slot sid -> emit ctx (TstsI_raw (sid, ri))
+  | `Home h -> if h <> ri then emit ctx (TmovI (h, ri)));
   let lctx =
     {
       exit_patches = [];
@@ -2144,22 +2444,24 @@ and compile_serial_do ctx (l : Ast.do_loop) =
   List.iter (compile_stmt ctx) l.Ast.do_body;
   ctx.loops <- List.tl ctx.loops;
   (* continue point: CYCLE lands on the increment *)
-  let cont = here ctx in
-  List.iter (fun at -> patch ctx at cont) lctx.cont_patches;
-  emit ctx (Iloop_next { ireg = ri; hireg = rhi; stepreg = rstep; target = top });
+  patch_here ctx lctx.cont_patches;
+  emit ctx (Tloop_next { t_ireg = ri; t_hireg = rhi; t_stepreg = rstep; t_target = top });
   patch ctx jfini (here ctx);
   emit ctx
     (match var with
-    | `Slot sid -> Iloop_fini { sid; loreg = rlo; hireg = rhi; stepreg = rstep }
-    | `Home dst -> Iloop_fini_reg { dst; loreg = rlo; hireg = rhi; stepreg = rstep });
-  (* EXIT jumps here, past Iloop_fini: the DO variable retains its
+    | `Home dst -> Tloop_fini_reg { t_dst = dst; t_loreg = rlo; t_hireg = rhi; t_stepreg = rstep }
+    | `Slot sid -> Tloop_fini { t_sid = sid; t_loreg = rlo; t_hireg = rhi; t_stepreg = rstep });
+  (* EXIT jumps here, past Tloop_fini: the DO variable retains its
      value at the point of EXIT (the satellite DO/EXIT fix, native to
      the bytecode path) *)
-  List.iter (fun at -> patch ctx at (here ctx)) lctx.exit_patches
+  patch_here ctx lctx.exit_patches
 
 (* A parallel DO: one instruction, the loop left to the region entry.
    Its names are scope slots here ({!private_scalars}); what the typed
-   bind must check is collected as for a call's alias actuals. *)
+   bind must check is collected as for a call's alias actuals, and
+   rule 3 of DESIGN.md section 13 checks the loop's kind effects like a
+   call's, on alias actuals and (in {!finish}) module and COMMON
+   scalars. *)
 and compile_omp_do ctx (l : Ast.do_loop) =
   let fx = (unit_effects ctx.env).ue_subs and kinds = ref [] in
   let need ~int n = if Storage.lookup ctx.scope n <> None then kinds := (raw_id ctx n, int) :: !kinds in
@@ -2176,65 +2478,14 @@ and compile_omp_do ctx (l : Ast.do_loop) =
             | _ -> ())
           args
       | _ -> ());
-  emit ctx (Iomp_do { od_loop = l; od_kinds = !kinds })
+  let kinds = !kinds in
+  if List.exists (fun (rid, int) -> List.mem (rid, not int) kinds) kinds then
+    bail "parallel DO may make a variable real or integer";
+  ctx.raw_int <- kinds @ ctx.raw_int;
+  ctx.has_call <- true;
+  emit ctx (Tomp_do { od_loop = l; od_kinds = kinds })
 
-(* --- typed specialization ------------------------------------------------ *)
-
-(* Re-emit the compiler's untyped program over unboxed float/int
-   register banks, every register's value kind statically known.  The
-   mapping is a single forward pass: this emitter defines registers
-   before use on every path (including the short-circuit And/Or
-   diamonds, whose two definitions of the result register are both
-   Bool), so each register gets exactly one type or the program bails.
-   A bail tree-walks, so the typed layer can afford to be picky —
-   anything whose semantics depends on a runtime value kind (integer
-   ** with a variable exponent, Value polymorphism over Str/Arr, calls
-   whose effects could change a slot's kind) bails rather than being
-   approximated.
-
-   Soundness (DESIGN.md §16): every typed opcode performs the same
-   primitive float/int operation the tree-walker's [Value] function
-   performs, in the same order.  The
-   subtleties are the comparison and min/max orders: Value.compare_values
-   and variadic_minmax go through OCaml's polymorphic compare on
-   floats, which is Float.compare's total order (NaN below everything,
-   NaN = NaN) — NOT native float (<), so typed comparisons use
-   Float.compare too.  Int min/max comparisons go through float_of_int
-   first, exactly like variadic_minmax's to_float. *)
-
-type tvec = { mutable titems : tinstr array; mutable tlen : int }
-
-let tvec_push v x =
-  if v.tlen = Array.length v.titems then begin
-    let bigger = Array.make (max 64 (2 * v.tlen)) Tpoll in
-    Array.blit v.titems 0 bigger 0 v.tlen;
-    v.titems <- bigger
-  end;
-  v.titems.(v.tlen) <- x;
-  v.tlen <- v.tlen + 1
-
-(* The register [ins] writes its result to. *)
-let result_reg (ins : instr) =
-  match ins with
-  | Iconst (d, _) | Icopy (d, _) | Iload (d, _) | Icoerce (_, d, _) | Iload1 (d, _, _) | Iload2 (d, _, _, _)
-  | Ibinop (_, d, _, _) | Ineg (d, _) | Inot (d, _) | Ibool (d, _) | Ito_int (d, _) | Iintr (_, d, _)
-  | Iallocated (d, _, _)
-  | Icall { tc_res = Tr_v d; _ } ->
-    Some d
-  | _ -> None
-
-(* [ins] with every jump target [t] replaced by [f t]. *)
-let retarget f (ins : tinstr) =
-  match ins with
-  | Tjmp t -> Tjmp (f t)
-  | Tjf (r, t) -> Tjf (r, f t)
-  | Tjt (r, t) -> Tjt (r, f t)
-  | TjcmpF (c, a, b, t) -> TjcmpF (c, a, b, f t)
-  | TjcmpI (c, a, b, t) -> TjcmpI (c, a, b, f t)
-  | Tjalloc (rid, n, sense, t) -> Tjalloc (rid, n, sense, f t)
-  | Tloop_test lt -> Tloop_test { lt with t_target = f lt.t_target }
-  | Tloop_next ln -> Tloop_next { ln with t_target = f ln.t_target }
-  | ins -> ins
+(* --- layout -------------------------------------------------------------- *)
 
 (* [code] laid out again with [place k] in place of instruction [k]; a
    jump to [k] lands on the first instruction placed for it, or on the
@@ -2244,6 +2495,12 @@ let relayout (code : tinstr array) (place : int -> tinstr list) =
   let pos = Array.make (Array.length code + 1) 0 in
   Array.iteri (fun k is -> pos.(k + 1) <- pos.(k) + List.length is) placed;
   Array.of_list (List.concat_map (List.map (retarget (fun t -> pos.(t)))) (Array.to_list placed))
+
+(* An instruction that writes a scalar slot, makes a call or runs a
+   parallel DO: with one, a slot may change under the frame. *)
+let writes_or_calls = function
+  | Tcall _ | Tomp_do _ | TstsF _ | TstsF_ofI _ | TstsI _ | TstsI_ofF _ | TstsB _ | TstsI_raw _ | Tloop_fini _ -> true
+  | _ -> false
 
 (* Move slot loads out of serial DO loops (DESIGN.md section 27).  A
    load moves before the header of the outermost enclosing loop whose
@@ -2261,12 +2518,7 @@ let hoist_loads ~movable ~fresh (code : tinstr array) =
       match ins with
       | Tloop_test { t_target = fini; _ } ->
         let body = Array.sub code (k + 1) (fini - k - 1) in
-        let blocks = function
-          | Tcall _ | Tomp_do _ | Tallocate _ | Tdealloc _ | TstsF _ | TstsF_ofI _ | TstsI _ | TstsI_ofF _
-          | TstsB _ | TstsI_raw _ | Tloop_fini _ ->
-            true
-          | _ -> false
-        in
+        let blocks ins = writes_or_calls ins || match ins with Tallocate _ | Tdealloc _ -> true | _ -> false in
         let crit = Array.exists (function Tcrit_enter | Tcrit_exit -> true | _ -> false) body in
         if not (Array.exists blocks body) then
           Array.iteri
@@ -2309,691 +2561,6 @@ let fresh_locals (sub : Ast.subprogram option) =
     sub;
   own
 
-let nint_of x = int_of_float (Float.round x)
-let floor_of x = int_of_float (Float.floor x)
-let ceil_of x = int_of_float (Float.ceil x)
-let fmod x y = Float.rem x y
-
-(** The typed code of the program [ctx] compiled, whose scalar table is
-    [scalars] and array table [arrays].  Raises {!Bail} when some
-    register, scalar or instruction has no single provable kind, or
-    when a call could change the kind of a slot the typed code reads
-    (see {!effects}), naming the first such construct.  The unit's
-    subprograms' effects ([ctx.env]) feed the call check. *)
-let specialize ctx ~(scalars : scalar_ref array) ~(arrays : array_ref array) ~chunk_args : tprogram =
-  let env = ctx.env in
-  let code = Array.sub ctx.code.items 0 ctx.code.len in
-  let consts =
-    List.sort (fun (a, _) (b, _) -> compare a b) (Hashtbl.fold (fun r v acc -> (r, v) :: acc) ctx.consts [])
-  in
-  let nsc = Array.length scalars in
-  let sty = Array.make nsc TI in
-  let sty_ok = Array.make nsc false in
-  Array.iteri
-    (fun i (r : scalar_ref) ->
-      match r.sbase with
-      | Ast.Integer ->
-        sty.(i) <- TI;
-        sty_ok.(i) <- true
-      | Ast.Real | Ast.Real8 ->
-        sty.(i) <- TF;
-        sty_ok.(i) <- true
-      | Ast.Logical ->
-        sty.(i) <- TB;
-        sty_ok.(i) <- true
-      | _ -> ())
-    scalars;
-  let n = Array.length code in
-  let out = { titems = Array.make (max 64 (2 * n)) Tpoll; tlen = 0 } in
-  let map = Array.make (n + 1) 0 in
-  let rty : ty option array = Array.make (max 1 ctx.nregs) None in
-  let bank = Array.make (max 1 ctx.nregs) 0 in
-  let nf = ref 0 and ni = ref 0 in
-  let fresh_f () =
-    let i = !nf in
-    incr nf;
-    i
-  in
-  let fresh_i () =
-    let i = !ni in
-    incr ni;
-    i
-  in
-  (* Results computed straight into a home: [into] maps a temp [s] to
-     [d] when the instruction after the one computing [s] is the
-     assignment [d <- s].  A temp is defined once and read once, and
-     every instruction reads its operands before it writes its result,
-     so [s] may share [d]'s register when the two have one kind; the
-     assignment then moves nothing. *)
-  let into = Hashtbl.create 16 in
-  for i = 1 to n - 1 do
-    match code.(i) with
-    | Icoerce (_, d, s)
-      when s >= ctx.nhomes && (not (Hashtbl.mem ctx.consts s)) && (not (Hashtbl.mem ctx.joins s))
-           && result_reg code.(i - 1) = Some s ->
-      Hashtbl.replace into s d
-    | _ -> ()
-  done;
-  let def r t =
-    match rty.(r) with
-    | None -> (
-      rty.(r) <- Some t;
-      match Hashtbl.find_opt into r with
-      | Some d when rty.(d) = Some t -> bank.(r) <- bank.(d)
-      | _ -> bank.(r) <- (match t with TF -> fresh_f () | TI | TB -> fresh_i ()))
-    | Some t' -> if t <> t' then bail "register kind conflict"
-  in
-  let ty_of r = match rty.(r) with Some t -> t | None -> bail "register of unknown kind" in
-  (* operand access with on-the-fly conversion into a fresh temp; the
-     conversions are total (float_of_int / int_of_float never raise),
-     exactly like to_float / to_int on numeric Values *)
-  let as_f r =
-    match ty_of r with
-    | TF -> bank.(r)
-    | TI ->
-      let t = fresh_f () in
-      tvec_push out (Ti2f (t, bank.(r)));
-      t
-    | TB -> bail "logical used as a number"
-  in
-  let as_i_trunc r =
-    match ty_of r with
-    | TI -> bank.(r)
-    | TF ->
-      let t = fresh_i () in
-      tvec_push out (Tf2i (t, bank.(r)));
-      t
-    | TB -> bail "logical used as a number"
-  in
-  let as_cond r =
-    match ty_of r with TI | TB -> bank.(r) | TF -> bail "real used as a condition"
-  in
-  (* to_bool-normalized 0/1 operand, for Eqv/Neqv *)
-  let as_bool r =
-    match ty_of r with
-    | TB -> bank.(r)
-    | TI ->
-      let t = fresh_i () in
-      tvec_push out (Tbool (t, bank.(r)));
-      t
-    | TF -> bail "real used as a logical"
-  in
-  let scalar i =
-    if not sty_ok.(i) then bail ("scalar " ^ scalars.(i).sname ^ " is not integer, real or logical");
-    sty.(i)
-  in
-  (* A typed call may not change the kind of a slot this frame reads
-     (see [effects]).  An alias actual the callee may rewrite Int ->
-     Real must not hold an Int at bind; one it may store a raw Int into
-     must hold one.  Slots the frame reads keep their kind until such a
-     call, so the call then leaves them alone, under any name. *)
-  let effects = lazy (unit_effects env) in
-  let has_call = ref false in
-  let raw_int = ref [] in
-  let typed_call { tc_site = cs; tc_args; tc_res } =
-    let fx =
-      match
-        Hashtbl.find_opt (Lazy.force effects).ue_subs
-          (String.lowercase_ascii cs.cs_sub.Ast.sub_name)
-      with
-      | Some fx -> fx
-      | None -> bail ("call of " ^ cs.cs_sub.Ast.sub_name ^ " has no effects summary")
-    in
-    let args =
-      Array.mapi
-        (fun k arg ->
-          match arg with
-          | Ta_alias rid ->
-            let real = fx.fx_real.(k) and int = fx.fx_int.(k) in
-            if real && int then bail ("call of " ^ cs.cs_sub.Ast.sub_name ^ " may make an actual real or integer");
-            if real || int then raw_int := (rid, int) :: !raw_int;
-            Ta_alias rid
-          | Ta_v r -> (
-            match ty_of r with TF -> Ta_f bank.(r) | TI -> Ta_i bank.(r) | TB -> Ta_b bank.(r))
-          | Ta_f _ | Ta_i _ | Ta_b _ -> bail "typed actual")
-        tc_args
-    in
-    let res =
-      match tc_res with
-      | Tr_none -> Tr_none
-      | Tr_v d -> (
-        let t = match result_ty cs.cs_sub fx with Some t -> t | None -> bail ("result of " ^ cs.cs_sub.Ast.sub_name ^ " has no fixed kind") in
-        def d t;
-        match t with TF -> Tr_f bank.(d) | TI -> Tr_i bank.(d) | TB -> Tr_b bank.(d))
-      | Tr_f _ | Tr_i _ | Tr_b _ -> bail "typed result"
-    in
-    has_call := true;
-    Tcall { tc_site = cs; tc_args = args; tc_res = res }
-  in
-  let cmp_of = function
-    | Ast.Lt -> Clt
-    | Ast.Le -> Cle
-    | Ast.Gt -> Cgt
-    | Ast.Ge -> Cge
-    | Ast.Eq -> Ceq
-    | Ast.Ne -> Cne
-    | _ -> bail "non-comparison operator"
-  in
-  (* The operands of comparison [op]: in the int bank ([false]) or,
-     for mixed numerics, through to_float like compare_values. *)
-  let cmp_operands op a b =
-    match (ty_of a, ty_of b) with
-    | TI, TI -> (false, bank.(a), bank.(b))
-    | (TF | TI), (TF | TI) ->
-      let av = as_f a in
-      let bv = as_f b in
-      (true, av, bv)
-    | TB, TB when op = Ast.Eq || op = Ast.Ne -> (false, bank.(a), bank.(b))
-    | _ -> bail "comparison of mixed kinds"
-  in
-  (* Typed indices of the slot loads into temps: {!hoist_loads} may
-     move them out of their loop. *)
-  let movable = Hashtbl.create 16 in
-  (* [d] <- [s], of one kind: nothing when [s] was computed in [d] *)
-  let move d s =
-    if bank.(s) <> bank.(d) then
-      tvec_push out (if ty_of s = TF then TmovF (bank.(d), bank.(s)) else TmovI (bank.(d), bank.(s)))
-  in
-  (* slots written raw (DO variables) hold Ints mid-loop regardless
-     of their declared base; only Integer-based ones stay typable *)
-  Array.iter
-    (function
-      | Istore_raw (sid, _) | Iloop_fini { sid; _ } ->
-        if scalar sid <> TI then bail ("DO variable " ^ scalars.(sid).sname ^ " is not integer")
-      | _ -> ())
-    code;
-  (* a chunk's argument registers hold the Ints [Vm.run_chunk] sets,
-     and constant registers get the bank of their kind, before any
-     code *)
-  Array.iter (fun r -> def r TI) chunk_args;
-  List.iter
-    (fun (r, v) ->
-      match v with
-      | Value.Int _ -> def r TI
-      | Value.Real _ -> def r TF
-      | Value.Bool _ -> def r TB
-      | Value.Str _ | Value.Arr _ -> assert false (* [const_reg] bails *))
-    consts;
-  for i = 0 to n - 1 do
-    map.(i) <- out.tlen;
-    (match code.(i) with
-    | Iconst (d, Value.Int x) ->
-      def d TI;
-      tvec_push out (TconstI (bank.(d), x))
-    | Iconst (d, Value.Real x) ->
-      def d TF;
-      tvec_push out (TconstF (bank.(d), x))
-    | Iconst (d, Value.Bool b) ->
-      def d TB;
-      tvec_push out (TconstI (bank.(d), if b then 1 else 0))
-    | Iconst (_, (Value.Str _ | Value.Arr _)) -> bail "character or array constant"
-    | Icopy (d, s) -> (
-      match ty_of s with
-      | TF ->
-        def d TF;
-        tvec_push out (TmovF (bank.(d), bank.(s)))
-      | TI ->
-        def d TI;
-        tvec_push out (TmovI (bank.(d), bank.(s)))
-      | TB ->
-        def d TB;
-        tvec_push out (TmovI (bank.(d), bank.(s))))
-    | Iload (d, sid) ->
-      (match scalar sid with
-      | TF ->
-        def d TF;
-        tvec_push out (TldsF (bank.(d), sid))
-      | TI ->
-        def d TI;
-        tvec_push out (TldsI (bank.(d), sid))
-      | TB ->
-        def d TB;
-        tvec_push out (TldsB (bank.(d), sid)));
-      let shared = match Hashtbl.find_opt into d with Some h -> bank.(h) = bank.(d) | None -> false in
-      if d >= ctx.nhomes && not shared then Hashtbl.replace movable (out.tlen - 1) ()
-    | Istore (sid, r) -> (
-      match (scalar sid, ty_of r) with
-      | TF, TF -> tvec_push out (TstsF (sid, bank.(r)))
-      | TF, TI -> tvec_push out (TstsF_ofI (sid, bank.(r)))
-      | TI, TI -> tvec_push out (TstsI (sid, bank.(r)))
-      | TI, TF -> tvec_push out (TstsI_ofF (sid, bank.(r)))
-      | TB, TB -> tvec_push out (TstsB (sid, bank.(r)))
-      | _ -> bail "assignment of another kind")
-    | Istore_raw (sid, r) ->
-      if ty_of r <> TI then bail "raw store of a non-integer";
-      tvec_push out (TstsI_raw (sid, bank.(r)))
-    | Icoerce (base, d, s) -> (
-      match (base, ty_of s) with
-      | Ast.Integer, TI ->
-        def d TI;
-        move d s
-      | Ast.Integer, TF ->
-        def d TI;
-        tvec_push out (Tf2i (bank.(d), bank.(s)))
-      | (Ast.Real | Ast.Real8), TF ->
-        def d TF;
-        move d s
-      | (Ast.Real | Ast.Real8), TI ->
-        def d TF;
-        tvec_push out (Ti2f (bank.(d), bank.(s)))
-      | Ast.Logical, TB ->
-        def d TB;
-        move d s
-      | _ -> bail "assignment of another kind")
-    | Iload1 (d, a, ir) -> (
-      match arrays.(a).aelem with
-      | Farray.Efloat ->
-        let iv = as_i_trunc ir in
-        def d TF;
-        tvec_push out (Tld1F (bank.(d), a, iv))
-      | Farray.Eint ->
-        let iv = as_i_trunc ir in
-        def d TI;
-        tvec_push out (Tld1I (bank.(d), a, iv))
-      | _ -> bail "array of another element kind")
-    | Iload2 (d, a, ir, jr) -> (
-      match arrays.(a).aelem with
-      | Farray.Efloat ->
-        let iv = as_i_trunc ir in
-        let jv = as_i_trunc jr in
-        def d TF;
-        tvec_push out (Tld2F (bank.(d), a, iv, jv))
-      | Farray.Eint ->
-        let iv = as_i_trunc ir in
-        let jv = as_i_trunc jr in
-        def d TI;
-        tvec_push out (Tld2I (bank.(d), a, iv, jv))
-      | _ -> bail "array of another element kind")
-    | Istore1 (a, ir, r) -> (
-      match arrays.(a).aelem with
-      | Farray.Efloat ->
-        (* set_linear coerces Ci -> float_of_int, same as Ti2f *)
-        let iv = as_i_trunc ir in
-        let rv = as_f r in
-        tvec_push out (Tst1F (a, iv, rv))
-      | Farray.Eint ->
-        let iv = as_i_trunc ir in
-        let rv = as_i_trunc r in
-        tvec_push out (Tst1I (a, iv, rv))
-      | _ -> bail "array of another element kind")
-    | Istore2 (a, ir, jr, r) -> (
-      match arrays.(a).aelem with
-      | Farray.Efloat ->
-        let iv = as_i_trunc ir in
-        let jv = as_i_trunc jr in
-        let rv = as_f r in
-        tvec_push out (Tst2F (a, iv, jv, rv))
-      | Farray.Eint ->
-        let iv = as_i_trunc ir in
-        let jv = as_i_trunc jr in
-        let rv = as_i_trunc r in
-        tvec_push out (Tst2I (a, iv, jv, rv))
-      | _ -> bail "array of another element kind")
-    | Ibinop (op, d, a, b) -> (
-      let ta = ty_of a and tb = ty_of b in
-      match op with
-      | Ast.Add | Ast.Sub | Ast.Mul | Ast.Div -> (
-        match (ta, tb) with
-        | TI, TI ->
-          def d TI;
-          tvec_push out
-            ((match op with
-             | Ast.Add -> TaddI (bank.(d), bank.(a), bank.(b))
-             | Ast.Sub -> TsubI (bank.(d), bank.(a), bank.(b))
-             | Ast.Mul -> TmulI (bank.(d), bank.(a), bank.(b))
-             | _ -> TdivI (bank.(d), bank.(a), bank.(b))))
-        | (TF | TI), (TF | TI) ->
-          let av = as_f a in
-          let bv = as_f b in
-          def d TF;
-          tvec_push out
-            ((match op with
-             | Ast.Add -> TaddF (bank.(d), av, bv)
-             | Ast.Sub -> TsubF (bank.(d), av, bv)
-             | Ast.Mul -> TmulF (bank.(d), av, bv)
-             | _ -> TdivF (bank.(d), av, bv)))
-        | _ -> bail "logical arithmetic")
-      | Ast.Pow -> (
-        match (ta, tb) with
-        | TI, TI -> (
-          (* Value.pow: an int loop for k >= 0, a real power for
-             k < 0; a variable exponent decides the result's kind at
-             run time *)
-          match Hashtbl.find_opt ctx.consts b with
-          | Some (Value.Int k) when k >= 0 ->
-            def d TI;
-            tvec_push out (TpowI (bank.(d), bank.(a), k))
-          | Some (Value.Int _) ->
-            let av = as_f a in
-            let bv = as_f b in
-            def d TF;
-            tvec_push out (TpowF (bank.(d), av, bv))
-          | _ -> bail "integer **")
-        | (TF | TI), (TF | TI) ->
-          let av = as_f a in
-          let bv = as_f b in
-          def d TF;
-          tvec_push out (TpowF (bank.(d), av, bv))
-        | _ -> bail "logical arithmetic")
-      | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge | Ast.Eq | Ast.Ne ->
-        let fl, av, bv = cmp_operands op a b in
-        def d TB;
-        tvec_push out
-          (if fl then TcmpF (cmp_of op, bank.(d), av, bv) else TcmpI (cmp_of op, bank.(d), av, bv))
-      | Ast.Eqv | Ast.Neqv ->
-        let av = as_bool a in
-        let bv = as_bool b in
-        def d TB;
-        tvec_push out
-          (TcmpI
-             ((if op = Ast.Eqv then Ceq else Cne), bank.(d), av, bv))
-      | Ast.Concat | Ast.And | Ast.Or -> bail "character or unshortened logical operator")
-    | Ineg (d, s) -> (
-      match ty_of s with
-      | TF ->
-        def d TF;
-        tvec_push out (TnegF (bank.(d), bank.(s)))
-      | TI ->
-        def d TI;
-        tvec_push out (TnegI (bank.(d), bank.(s)))
-      | TB -> bail "negated logical")
-    | Inot (d, s) ->
-      let sv = as_cond s in
-      def d TB;
-      tvec_push out (Tnot (bank.(d), sv))
-    | Ibool (d, s) ->
-      let sv = as_cond s in
-      def d TB;
-      tvec_push out (Tbool (bank.(d), sv))
-    | Ito_int (d, s) ->
-      if d = s then begin
-        (* in-place narrowing can't retype a register; Int -> Int is
-           the identity and needs no code *)
-        match ty_of s with TI -> () | _ -> bail "in-place int() of a non-integer"
-      end
-      else begin
-        match ty_of s with
-        | TI ->
-          def d TI;
-          tvec_push out (TmovI (bank.(d), bank.(s)))
-        | TF ->
-          def d TI;
-          tvec_push out (Tf2i (bank.(d), bank.(s)))
-        | TB -> bail "int() of a logical"
-      end
-    | Icheck_step r ->
-      if ty_of r <> TI then bail "non-integer DO step";
-      tvec_push out (Tcheck_step bank.(r))
-    | Iintr (name, d, args) -> (
-      let arg1 () =
-        match args with [| a |] -> a | _ -> bail ("arity of intrinsic " ^ name)
-      in
-      let arg2 () =
-        match args with [| a; b |] -> (a, b) | _ -> bail ("arity of intrinsic " ^ name)
-      in
-      let un1 f =
-        let av = as_f (arg1 ()) in
-        def d TF;
-        tvec_push out (Tin1F (name, f, bank.(d), av))
-      in
-      match name with
-      | "sqrt" | "dsqrt" -> un1 sqrt
-      | "exp" | "dexp" -> un1 exp
-      | "log" | "alog" | "dlog" -> un1 log
-      | "log10" | "alog10" -> un1 log10
-      | "sin" -> un1 sin
-      | "cos" -> un1 cos
-      | "tan" -> un1 tan
-      | "asin" -> un1 asin
-      | "acos" -> un1 acos
-      | "atan" -> un1 atan
-      | "sinh" -> un1 sinh
-      | "cosh" -> un1 cosh
-      | "tanh" -> un1 tanh
-      | "dabs" -> un1 Float.abs
-      | "atan2" ->
-        let x, y = arg2 () in
-        let av = as_f x in
-        let bv = as_f y in
-        def d TF;
-        tvec_push out (Tin2F (name, atan2, bank.(d), av, bv))
-      | "sign" | "dsign" ->
-        let x, y = arg2 () in
-        let av = as_f x in
-        let bv = as_f y in
-        def d TF;
-        tvec_push out (Tin2F (name, Intrinsics.sign_val, bank.(d), av, bv))
-      | "abs" -> (
-        match ty_of (arg1 ()) with
-        | TI ->
-          def d TI;
-          tvec_push out (TabsI (bank.(d), bank.(arg1 ())))
-        | TF ->
-          def d TF;
-          tvec_push out (TabsF (bank.(d), bank.(arg1 ())))
-        | TB -> bail "abs of a logical")
-      | "iabs" ->
-        let av = as_i_trunc (arg1 ()) in
-        def d TI;
-        tvec_push out (TabsI (bank.(d), av))
-      | "mod" -> (
-        let x, y = arg2 () in
-        match (ty_of x, ty_of y) with
-        | TI, TI ->
-          def d TI;
-          tvec_push out (TmodI (bank.(d), bank.(x), bank.(y)))
-        | (TF | TI), (TF | TI) ->
-          let av = as_f x in
-          let bv = as_f y in
-          def d TF;
-          tvec_push out (Tin2F (name, fmod, bank.(d), av, bv))
-        | _ -> bail "mod of a logical")
-      | "int" | "ifix" -> (
-        match ty_of (arg1 ()) with
-        | TI ->
-          def d TI;
-          tvec_push out (TmovI (bank.(d), bank.(arg1 ())))
-        | TF ->
-          def d TI;
-          tvec_push out (Tf2i (bank.(d), bank.(arg1 ())))
-        | TB -> bail "int() of a logical")
-      | "nint" ->
-        let av = as_f (arg1 ()) in
-        def d TI;
-        tvec_push out (TfniF (name, nint_of, bank.(d), av))
-      | "floor" ->
-        let av = as_f (arg1 ()) in
-        def d TI;
-        tvec_push out (TfniF (name, floor_of, bank.(d), av))
-      | "ceiling" ->
-        let av = as_f (arg1 ()) in
-        def d TI;
-        tvec_push out (TfniF (name, ceil_of, bank.(d), av))
-      | "real" | "float" | "dble" | "sngl" -> (
-        match ty_of (arg1 ()) with
-        | TF ->
-          def d TF;
-          tvec_push out (TmovF (bank.(d), bank.(arg1 ())))
-        | TI ->
-          def d TF;
-          tvec_push out (Ti2f (bank.(d), bank.(arg1 ())))
-        | TB -> bail "real() of a logical")
-      | "max" | "amax1" | "dmax1" | "max0" -> (
-        let x, y = arg2 () in
-        match (ty_of x, ty_of y) with
-        | TI, TI ->
-          def d TI;
-          tvec_push out (TmaxI (bank.(d), bank.(x), bank.(y)))
-        | (TF | TI), (TF | TI) ->
-          (* all_int is false, so the tree-walker's result is
-             Real (to_float best): converting both first and picking
-             in float is the same value *)
-          let av = as_f x in
-          let bv = as_f y in
-          def d TF;
-          tvec_push out (TmaxF (bank.(d), av, bv))
-        | _ -> bail "max of a logical")
-      | "min" | "amin1" | "dmin1" | "min0" -> (
-        let x, y = arg2 () in
-        match (ty_of x, ty_of y) with
-        | TI, TI ->
-          def d TI;
-          tvec_push out (TminI (bank.(d), bank.(x), bank.(y)))
-        | (TF | TI), (TF | TI) ->
-          let av = as_f x in
-          let bv = as_f y in
-          def d TF;
-          tvec_push out (TminF (bank.(d), av, bv))
-        | _ -> bail "min of a logical")
-      | "huge" -> (
-        match ty_of (arg1 ()) with
-        | TI ->
-          def d TI;
-          tvec_push out (TconstI (bank.(d), max_int))
-        | TF ->
-          def d TF;
-          tvec_push out (TconstF (bank.(d), Float.max_float))
-        | TB -> bail "huge of a logical")
-      | "tiny" ->
-        if ty_of (arg1 ()) <> TF then bail "tiny of a non-real";
-        def d TF;
-        tvec_push out (TconstF (bank.(d), Float.min_float))
-      | "epsilon" ->
-        if ty_of (arg1 ()) <> TF then bail "epsilon of a non-real";
-        def d TF;
-        tvec_push out (TconstF (bank.(d), epsilon_float))
-      | _ -> bail ("intrinsic " ^ name))
-    | Icheck_alloc (a, store) -> tvec_push out (Tcheck_alloc (a, store))
-    | Iallocate { al_raw; al_name; al_bounds } ->
-      let reg r = if ty_of r <> TI then bail "non-integer ALLOCATE bound" else bank.(r) in
-      tvec_push out
-        (Tallocate
-           {
-             ta_raw = al_raw;
-             ta_name = al_name;
-             ta_bounds = Array.map (fun (l, h) -> (reg l, reg h)) al_bounds;
-           })
-    | Idealloc (rid, name) -> tvec_push out (Tdealloc (rid, name))
-    | Iallocated (d, rid, name) ->
-      def d TB;
-      tvec_push out (Tallocated (bank.(d), rid, name))
-    | Icall c -> tvec_push out (typed_call c)
-    | Iomp_do od ->
-      (* rule 3 of DESIGN.md section 13: the loop's kind effects are
-         checked like a call's, on alias actuals and (below) module
-         and COMMON scalars *)
-      if List.exists (fun (rid, int) -> List.mem (rid, not int) od.od_kinds) od.od_kinds then
-        bail "parallel DO may make a variable real or integer";
-      raw_int := od.od_kinds @ !raw_int;
-      has_call := true;
-      tvec_push out (Tomp_do od)
-    | Idummy_adjust sid -> (
-      (* the quirk only rewrites an Int value; a slot the typed bind
-         verified as Real or Bool is untouched by it, and typed stores
-         keep it that way: nothing to emit.  An Integer-based dummy
-         would be rewritten to Real -> the program is not typable. *)
-      match scalar sid with TF | TB -> () | TI -> bail "INTEGER dummy redeclared REAL")
-    | Ijmp t -> tvec_push out (Tjmp t)
-    | Ijf (r, t) -> tvec_push out (Tjf (as_cond r, t))
-    | Ijt (r, t) -> tvec_push out (Tjt (as_cond r, t))
-    | Ijcmp (op, a, b, t) ->
-      let fl, av, bv = cmp_operands op a b in
-      tvec_push out (if fl then TjcmpF (cmp_of op, av, bv, t) else TjcmpI (cmp_of op, av, bv, t))
-    | Ijalloc (rid, name, sense, t) -> tvec_push out (Tjalloc (rid, name, sense, t))
-    | Iloop_test { ireg; hireg; stepreg; target } ->
-      if ty_of ireg <> TI || ty_of hireg <> TI || ty_of stepreg <> TI then
-        bail "non-integer DO bounds";
-      tvec_push out
-        (Tloop_test
-           {
-             t_ireg = bank.(ireg);
-             t_hireg = bank.(hireg);
-             t_stepreg = bank.(stepreg);
-             t_target = target;
-           })
-    | Iloop_next { ireg; hireg; stepreg; target } ->
-      if ty_of ireg <> TI || ty_of hireg <> TI || ty_of stepreg <> TI then
-        bail "non-integer DO counter";
-      tvec_push out
-        (Tloop_next
-           {
-             t_ireg = bank.(ireg);
-             t_hireg = bank.(hireg);
-             t_stepreg = bank.(stepreg);
-             t_target = target;
-           })
-    | Iloop_fini { sid; loreg; hireg; stepreg } ->
-      if ty_of loreg <> TI || ty_of hireg <> TI || ty_of stepreg <> TI then
-        bail "non-integer DO bounds";
-      tvec_push out
-        (Tloop_fini
-           {
-             t_sid = sid;
-             t_loreg = bank.(loreg);
-             t_hireg = bank.(hireg);
-             t_stepreg = bank.(stepreg);
-           })
-    | Iloop_fini_reg { dst; loreg; hireg; stepreg } ->
-      if ty_of loreg <> TI || ty_of hireg <> TI || ty_of stepreg <> TI then
-        bail "non-integer DO bounds";
-      def dst TI;
-      tvec_push out
-        (Tloop_fini_reg
-           {
-             t_dst = bank.(dst);
-             t_loreg = bank.(loreg);
-             t_hireg = bank.(hireg);
-             t_stepreg = bank.(stepreg);
-           })
-    | Ipoll -> tvec_push out Tpoll
-    | Icrit_enter -> tvec_push out Tcrit_enter
-    | Icrit_exit -> tvec_push out Tcrit_exit
-    | Ireturn -> tvec_push out Treturn
-    | Iexit -> tvec_push out Texit)
-  done;
-  map.(n) <- out.tlen;
-  (* every scalar slot is referenced by some surviving instruction,
-     so untypable bases were already rejected; keep the assertion
-     cheap anyway *)
-  Array.iteri (fun i ok -> if not ok then ignore (scalar i)) sty_ok;
-  (* a callee, or anything it calls, may rewrite the kind of a
-     module or COMMON scalar this frame reads *)
-  if !has_call then begin
-    let ue = Lazy.force effects in
-    Array.iteri
-      (fun i (r : scalar_ref) ->
-        if r.spath = [] then
-          match sty.(i) with
-          | TI -> if Hashtbl.mem ue.ue_real r.sname then bail ("integer " ^ r.sname ^ " may be made real by a call")
-          | TF | TB -> if Hashtbl.mem ue.ue_int r.sname then bail ("real or logical " ^ r.sname ^ " may be made integer by a call"))
-      scalars
-  end;
-  (* jumps from untyped pcs to typed pcs, then the final layout *)
-  let fresh = fresh_locals ctx.sub in
-  let tcode =
-    Array.map (retarget (fun t -> map.(t))) (Array.sub out.titems 0 out.tlen)
-    |> hoist_loads ~movable:(Hashtbl.mem movable) ~fresh:(fun sid ->
-           scalars.(sid).spath = [] && Hashtbl.mem fresh scalars.(sid).sname)
-    |> drop_next_jumps
-  in
-  let finit = Array.make (max 1 !nf) 0.0 and iinit = Array.make (max 1 !ni) 0 in
-  List.iter
-    (fun (r, v) ->
-      match v with
-      | Value.Int x -> iinit.(bank.(r)) <- x
-      | Value.Real x -> finit.(bank.(r)) <- x
-      | Value.Bool b -> iinit.(bank.(r)) <- (if b then 1 else 0)
-      | Value.Str _ | Value.Arr _ -> assert false)
-    consts;
-  {
-    tcode;
-    t_finit = finit;
-    t_iinit = iinit;
-    t_sty = sty;
-    t_chunk_args = Array.map (fun r -> bank.(r)) chunk_args;
-    t_raw_int = Array.of_list (List.rev !raw_int);
-  }
-
 (* --- entry points -------------------------------------------------------- *)
 
 let make_ctx env scope ?sub () =
@@ -3002,13 +2569,15 @@ let make_ctx env scope ?sub () =
     scope;
     sub;
     homes = Hashtbl.create 8;
-    nhomes = 0;
-    joins = Hashtbl.create 8;
     ncalls = 0;
     const_ids = Hashtbl.create 16;
-    consts = Hashtbl.create 16;
-    code = vec_create ();
-    nregs = 0;
+    movable = Hashtbl.create 16;
+    raw_int = [];
+    has_call = false;
+    code = Array.make 64 Tpoll;
+    len = 0;
+    nf = 0;
+    ni = 0;
     scalar_ids = Hashtbl.create 16;
     scalar_refs = [];
     array_ids = Hashtbl.create 16;
@@ -3038,22 +2607,59 @@ let make_ctx env scope ?sub () =
          tbl);
   }
 
-(* The program [ctx] compiled, typed; raises {!Bail} when
-   {!specialize} cannot type it. *)
+(* The program [ctx] compiled: its slot loads moved out of the loops
+   that cannot change them, jumps to the next instruction dropped, the
+   banks' templates taken from the constant table.  Raises {!Bail} when
+   a call or parallel DO could change the kind of a module or COMMON
+   scalar the program reads ([effects]). *)
 let finish ?(chunk_args = [||]) ?(chunk_homes = [||]) ctx : program =
   let scalars = Array.of_list (List.rev ctx.scalar_refs) in
-  let arrays = Array.of_list (List.rev ctx.array_refs) in
-  let typed = specialize ctx ~scalars ~arrays ~chunk_args in
+  let sty = Array.map (fun r -> ty_of_base r.sbase) scalars in
+  if ctx.has_call then begin
+    let ue = unit_effects ctx.env in
+    Array.iteri
+      (fun i (r : scalar_ref) ->
+        if r.spath = [] then
+          match sty.(i) with
+          | TI -> if Hashtbl.mem ue.ue_real r.sname then bail ("integer " ^ r.sname ^ " may be made real by a call")
+          | TF | TB ->
+            if Hashtbl.mem ue.ue_int r.sname then bail ("real or logical " ^ r.sname ^ " may be made integer by a call"))
+      scalars
+  end;
+  let fresh = fresh_locals ctx.sub in
+  let tcode =
+    Array.sub ctx.code 0 ctx.len
+    |> hoist_loads ~movable:(Hashtbl.mem ctx.movable) ~fresh:(fun sid ->
+           scalars.(sid).spath = [] && Hashtbl.mem fresh scalars.(sid).sname)
+    |> drop_next_jumps
+  in
+  let finit = Array.make (max 1 ctx.nf) 0.0 and iinit = Array.make (max 1 ctx.ni) 0 in
+  Hashtbl.iter
+    (fun _ o ->
+      match o.role with
+      | Const (Value.Real x) -> finit.(o.r) <- x
+      | Const (Value.Int x) -> iinit.(o.r) <- x
+      | Const (Value.Bool b) -> iinit.(o.r) <- Bool.to_int b
+      | _ -> ())
+    ctx.const_ids;
   {
     scalars;
-    arrays;
+    arrays = Array.of_list (List.rev ctx.array_refs);
     raws = Array.of_list (List.rev ctx.raw_refs);
     checks = Array.of_list (List.rev ctx.checks);
     negatives = Array.of_list (Hashtbl.fold (fun n () acc -> n :: acc) ctx.negs []);
     ncalls = ctx.ncalls;
     promoted = Array.of_list (Hashtbl.fold (fun n _ acc -> n :: acc) ctx.homes [] |> List.sort compare);
     chunk_homes;
-    typed;
+    typed =
+      {
+        tcode;
+        t_finit = finit;
+        t_iinit = iinit;
+        t_sty = sty;
+        t_chunk_args = chunk_args;
+        t_raw_int = Array.of_list (List.rev ctx.raw_int);
+      };
   }
 
 (* Program cache: structural digest key, namespaced by unit,
@@ -3173,12 +2779,6 @@ let chunk_candidates ctx ~hoist ~dovars (d : Ast.omp_do) body =
   in
   own @ shared
 
-(* A body instruction that writes a scalar slot, makes a call or runs a
-   parallel DO: with one, a shared scalar may change mid-chunk. *)
-let writes_or_calls = function
-  | Icall _ | Iomp_do _ | Istore _ | Istore_raw _ | Iloop_fini _ | Idummy_adjust _ -> true
-  | _ -> false
-
 (* One parallel DO's chunk as a program that loops over the chunk
    itself (DESIGN.md section 24).  Argument registers (set by
    {!Vm.run_chunk}) come first, then the homes: each clause scalar and
@@ -3196,79 +2796,80 @@ let compile_chunk_raw env ~scope ~hoist (l : Ast.do_loop) (d : Ast.omp_do) (inne
   let body = match inner with Some i -> i.Ast.do_body | None -> l.Ast.do_body in
   let dovars = l.Ast.do_var :: (match inner with Some i -> [ i.Ast.do_var ] | None -> []) in
   match
-    let rclo = reg ctx and rchi = reg ctx in
-    let shape = match inner with Some _ -> [| reg ctx; reg ctx; reg ctx |] | None -> [||] in
+    let arg () = { r = fresh ctx TI; k = TI; role = Temp } in
+    let clo = arg () in
+    let chi = arg () in
+    let shape = match inner with Some _ -> Array.init 3 (fun _ -> arg ()) | None -> [||] in
     let cands = chunk_candidates ctx ~hoist ~dovars d body in
     let kept = private_scalars ctx ~cands:(List.map (fun (n, slot, _) -> (n, slot.Storage.base)) cands) body in
     let homes = List.filter (fun (n, _, _) -> List.mem_assoc n kept) cands in
     List.iter
       (fun (n, (slot : Storage.slot), k) ->
-        let h = reg ctx in
-        Hashtbl.replace ctx.homes n (h, slot.Storage.base);
+        let base = slot.Storage.base in
+        let h = fresh ctx (ty_of_base base) in
+        Hashtbl.replace ctx.homes n (h, base);
         match k with
-        | Ck_private -> if not (List.mem n dovars) then emit ctx (Iconst (h, Value.zero_of slot.Storage.base))
-        | Ck_first | Ck_red | Ck_shared -> emit ctx (Iload (h, scalar_id ctx slot n [])))
+        | Ck_private -> if not (List.mem n dovars) then emit_zero ctx (ty_of_base base) h
+        | Ck_first | Ck_red | Ck_shared ->
+          emit ctx
+            (match scalar_id ctx slot n [] with
+            | sid, TF -> TldsF (h, sid)
+            | sid, TI -> TldsI (h, sid)
+            | sid, TB -> TldsB (h, sid)))
       homes;
-    ctx.nhomes <- ctx.nregs;
     (* where DO variable [v]'s value goes: its home, raw into its slot,
        or nowhere when the scope has no such name (the body cannot read
        it then) *)
-    let dovar v =
-      match Hashtbl.find_opt ctx.homes v with
-      | Some (h, _) -> `Home h
-      | None -> (
-        match Storage.lookup ctx.scope v with
-        | Some slot when slot.Storage.is_param -> bail "parameter-store"
-        | Some slot -> `Slot (scalar_id ctx slot v [])
-        | None -> `None)
-    in
     let set v r =
-      match dovar v with
-      | `Home h -> if h <> r then emit ctx (Icopy (h, r))
-      | `Slot sid -> emit ctx (Istore_raw (sid, r))
+      match do_var ctx v with
+      | `Home h -> if h <> r then emit ctx (TmovI (h, r))
+      | `Slot sid -> emit ctx (TstsI_raw (sid, r))
       | `None -> ()
     in
     let one = const_reg ctx (Value.Int 1) in
     let counter =
-      match (inner, dovar l.Ast.do_var) with
+      match (inner, do_var ctx l.Ast.do_var) with
       | None, `Home h when not (assigns body l.Ast.do_var) ->
-        emit ctx (Icopy (h, rclo));
+        emit ctx (TmovI (h, clo.r));
         h
-      | _ -> rclo
+      | _ -> clo.r
     in
-    let jfini = emit_patchable ctx (Iloop_test { ireg = counter; hireg = rchi; stepreg = one; target = 0 }) in
-    emit ctx Ipoll;
+    let jfini =
+      emit_patchable ctx (Tloop_test { t_ireg = counter; t_hireg = chi.r; t_stepreg = one.r; t_target = 0 })
+    in
+    emit ctx Tpoll;
     let top = here ctx in
     (match inner with
     | None -> set l.Ast.do_var counter
     | Some i ->
-      let km1 = reg ctx and q = reg ctx and oi = reg ctx and qs = reg ctx and rem = reg ctx and ii = reg ctx in
-      emit ctx (Ibinop (Ast.Sub, km1, rclo, one));
-      emit ctx (Ibinop (Ast.Div, q, km1, shape.(2)));
-      emit ctx (Ibinop (Ast.Add, oi, shape.(0), q));
-      emit ctx (Ibinop (Ast.Mul, qs, q, shape.(2)));
-      emit ctx (Ibinop (Ast.Sub, rem, km1, qs));
-      emit ctx (Ibinop (Ast.Add, ii, shape.(1), rem));
-      set l.Ast.do_var oi;
-      set i.Ast.do_var ii);
+      let km1 = compile_binop ctx Ast.Sub clo one in
+      let q = compile_binop ctx Ast.Div km1 shape.(2) in
+      let oi = compile_binop ctx Ast.Add shape.(0) q in
+      let qs = compile_binop ctx Ast.Mul q shape.(2) in
+      let rem = compile_binop ctx Ast.Sub km1 qs in
+      let ii = compile_binop ctx Ast.Add shape.(1) rem in
+      set l.Ast.do_var oi.r;
+      set i.Ast.do_var ii.r);
     let body_start = here ctx in
     List.iter (compile_stmt ctx) body;
     let cont = here ctx in
+    (* a hoisted shared scalar is loaded once per chunk: sound only when
+       the body writes no slot and calls nothing that could *)
     if List.exists (fun (_, _, k) -> k = Ck_shared) homes then
       for pc = body_start to cont - 1 do
-        if writes_or_calls ctx.code.items.(pc) then raise Unsound_hoist
+        if writes_or_calls ctx.code.(pc) then raise Unsound_hoist
       done;
-    List.iter (fun at -> patch ctx at cont) ctx.end_patches;
+    patch_here ctx ctx.end_patches;
     ctx.end_patches <- [];
-    emit ctx (Iloop_next { ireg = counter; hireg = rchi; stepreg = one; target = top });
+    emit ctx (Tloop_next { t_ireg = counter; t_hireg = chi.r; t_stepreg = one.r; t_target = top });
     patch ctx jfini (here ctx);
     List.iter
       (fun (n, slot, k) ->
-        if k = Ck_red then emit ctx (Istore (scalar_id ctx slot n [], fst (Hashtbl.find ctx.homes n))))
+        if k = Ck_red then store_scalar ctx (scalar_id ctx slot n []) (home_opnd (Hashtbl.find ctx.homes n)))
       homes;
     let home_ref (n, (slot : Storage.slot), _) = { sname = n; spath = []; sbase = slot.Storage.base } in
     finish ctx
-      ~chunk_args:(Array.append [| rclo; rchi |] shape)
+      ~chunk_args:(Array.map (fun o -> o.r) (Array.append [| clo; chi |] shape))
       ~chunk_homes:(Array.of_list (List.map home_ref homes))
   with
   | p -> Ok p

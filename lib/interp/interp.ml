@@ -614,7 +614,7 @@ and bind_compiled st ((p, site) : Bytecode.program option * Bytecode.Stats.site)
    domain's reusable frame for the callee ([call_site_frame]) when it
    takes the call, otherwise down the scope path with marshalled
    bindings (arity was checked at compile time), which leaves a frame
-   behind; [Iallocate] counts into the state's counter; a parallel DO
+   behind; [Tallocate] counts into the state's counter; a parallel DO
    enters its region here, as the tree-walker does.  Built once per
    state; two domains that race to build it make equal records, and
    either may stay. *)

@@ -113,7 +113,7 @@ let unallocated_error name ~store =
 (** {1 Argument bindings}
 
     The evaluated form of one actual argument, shared between the
-    tree-walker's [bind_actual] and the VM's [Icall] marshalling so a
+    tree-walker's [bind_actual] and the VM's [Tcall] marshalling so a
     compiled call site hands the interpreter exactly the bindings the
     tree-walker would have built: whole-variable actuals alias the
     slot, everything else is copy-in with an optional copy-out

@@ -9,7 +9,7 @@
     are compared against the executing slot, and names compiled as
     intrinsics or function references must still not resolve as
     variables — and that the executing scope's scalar slots are
-    declared with, and hold, the kinds {!Bytecode.specialize} inferred.
+    declared with, and hold, the kinds the program was compiled for.
     Any mismatch returns the reason and the caller falls back to the
     tree-walker for that run (DESIGN.md §26).
 
@@ -182,7 +182,7 @@ let binding_of ~entry (r : Bytecode.array_ref) (e : Storage.entry) : tabind opti
     else Some (bad_binding empty_array (Unallocated (display_name r)))
   | _ -> if entry then None else Some (bad_binding empty_array (Unallocated (display_name r)))
 
-(* The slot's element kind is the one the typed code was specialized
+(* The slot's element kind is the one the typed code was compiled
    for — an unallocated slot's too, whose kind an ALLOCATE under the
    running frame brings in. *)
 let elem_ok (r : Bytecode.array_ref) (e : Storage.entry) =
@@ -196,7 +196,7 @@ let corrupt () = Storage.error "bytecode: register/slot invariant violated"
 (* Re-read every array slot after storage may have changed under a
    running frame, rebuilding the bindings whose array is no longer the
    bound one.  A slot's element kind never changes, so typed code keeps
-   the bank it was specialized for. *)
+   the bank it was compiled for. *)
 let revalidate fr =
   let arrays = fr.arrays in
   for i = 0 to Array.length arrays - 1 do
@@ -217,7 +217,7 @@ let resolve_slot scope name path : Storage.slot option =
   | Some slot -> Storage.walk_path slot path
 
 (* The slot is declared with the value kind the typed code was
-   specialized for (so the coercing stores of a callee or of the
+   compiled for (so the coercing stores of a callee or of the
    tree-walker keep it) and holds it. *)
 let typed_slot_ok (ty : Bytecode.ty) (sl : Storage.slot) =
   match (ty, sl.Storage.base, sl.Storage.entry) with
@@ -529,7 +529,7 @@ let targ_value fr = function
   | Bytecode.Ta_f r -> Value.Real fr.fregs.(r)
   | Bytecode.Ta_i r -> Value.Int fr.iregs.(r)
   | Bytecode.Ta_b r -> Value.Bool (fr.iregs.(r) <> 0)
-  | Bytecode.Ta_alias _ | Bytecode.Ta_v _ -> corrupt ()
+  | Bytecode.Ta_alias _ -> corrupt ()
 
 (* A call's result into its bank; [no_result] from a subroutine called
    as a function is the tree-walker's error. *)
@@ -753,14 +753,14 @@ let rec texec (fr : frame) : bool =
          iregs.(d) <- f fregs.(a);
          incr pc
        | Bytecode.TmaxF (d, a, b) ->
-         (* variadic_minmax's pick is polymorphic (>) on floats, i.e.
-            Float.compare's total order (NaN below everything) *)
+         (* variadic_minmax's pick is (>) on floats, which is false
+            when either side is NaN: the first argument stays *)
          let x = fregs.(a) and y = fregs.(b) in
-         fregs.(d) <- (if Float.compare y x > 0 then y else x);
+         fregs.(d) <- (if y > x then y else x);
          incr pc
        | Bytecode.TminF (d, a, b) ->
          let x = fregs.(a) and y = fregs.(b) in
-         fregs.(d) <- (if Float.compare y x < 0 then y else x);
+         fregs.(d) <- (if y < x then y else x);
          incr pc
        | Bytecode.TmaxI (d, a, b) ->
          (* the tree-walker's pick compares to_floats, so go through

@@ -207,12 +207,53 @@ let test_fun3d_figure7_shape () =
     (get "GLAF Edge+NoRealloc" > get "GLAF Edge"
     && get "GLAF Cell+NoRealloc" > get "GLAF Cell")
 
+(* Every program that running [calls] on [cu] at 1 thread leaves in
+   the program cache, compiled from a clean slate: its label (the
+   subprogram's name, or for a parallel DO's chunk program the
+   subprogram's name and the loop's ordinal in it), its typed
+   instruction count and the sizes of its float and int banks
+   ([t_finit], [t_iinit]).  Fails on a cached bail or a program no
+   subprogram or loop of [cu] accounts for. *)
+let program_shapes cu calls =
+  let module B = Glaf_interp.Bytecode in
+  let module I = Glaf_interp.Interp in
+  B.purge_unit cu;
+  let st = I.make_state ~printer:ignore cu in
+  I.set_threads st 1;
+  List.iter (fun (name, args) -> ignore (I.call st name args)) calls;
+  let env = I.benv st in
+  let labels = Hashtbl.create 64 in
+  List.iter
+    (fun (sp : Ast.subprogram) ->
+      let name = String.lowercase_ascii sp.Ast.sub_name in
+      Hashtbl.replace labels (B.cache_key env "s" (B.sub_digest sp)) name;
+      List.iteri
+        (fun k l -> Hashtbl.replace labels (B.cache_key env "c" (B.loop_digest l)) (Printf.sprintf "%s/omp-do %d" name (k + 1)))
+        (List.filter (fun (l : Ast.do_loop) -> l.Ast.do_omp <> None) (Ast.loops sp.Ast.sub_body)))
+    (Ast.all_subprograms cu);
+  Hashtbl.fold
+    (fun key r acc ->
+      if not (B.has_prefix (env.B.e_unit ^ "|") key) then acc
+      else
+        match (r, Hashtbl.find_opt labels key) with
+        | Ok (p : B.program), Some lbl ->
+          let t = p.B.typed in
+          (lbl, (Array.length t.B.tcode, Array.length t.B.t_finit, Array.length t.B.t_iinit)) :: acc
+        | Error reason, lbl -> Alcotest.failf "%s bailed: %s" (Option.value lbl ~default:key) reason
+        | Ok _, None -> Alcotest.failf "cached program %s has no label" key)
+    B.cache []
+  |> List.sort compare
+
 (* The static typed-instruction counts of FUN3D's hot subprograms, as
    compiled for EdgeJP+NoRealloc: results computed straight into their
    home registers, conditions as fused jumps, loop-invariant slot loads
    before their loop (DESIGN.md section 27).  A compiler change that
    brings back the copies, the booleans built only to be tested or the
-   in-loop reloads moves these numbers (179, 23 and 91 before). *)
+   in-loop reloads moves these numbers (179, 23 and 91 before).  Then
+   (typed instructions, float bank, int bank) of every program the SARB
+   original serial and GLAF v3 runs, that FUN3D run and the served
+   [pi_mid(5000)] compile: the values the two-stage compiler gave, which
+   the one-pass emitter of DESIGN.md section 31 must keep. *)
 let test_fun3d_typed_shape () =
   let v = Fun3d.Glaf Fun3d_glaf.best_options in
   let st = Glaf_interp.Interp.make_state ~printer:ignore (Fun3d.integrated_cu v) in
@@ -224,7 +265,77 @@ let test_fun3d_typed_shape () =
       match Glaf_interp.Interp.compiled_program st name with
       | Some p -> check_int (name ^ " typed instructions") n (Array.length p.Glaf_interp.Bytecode.typed.tcode)
       | None -> Alcotest.failf "%s did not compile" name)
-    [ ("edge_loop", 136); ("ioff_search", 16); ("cell_loop", 75) ]
+    [ ("edge_loop", 136); ("ioff_search", 16); ("cell_loop", 75) ];
+  let sarb v =
+    program_shapes (Sarb.integrated_cu v)
+      [
+        ("sarb_init_profiles", []);
+        ( "entropy_interface",
+          [ Ast.Real_lit (Sarb_legacy.default_dtemp, true); Ast.Real_lit (Sarb_legacy.default_qfac, true) ] );
+        ("sarb_checksum", []);
+      ]
+  in
+  let quad =
+    In_channel.with_open_bin (Filename.concat Test_paths.scripts "quad_sweep.gpi") In_channel.input_all
+  in
+  List.iter
+    (fun (what, expected, got) ->
+      Alcotest.(check (list (pair string (triple int int int)))) (what ^ " program shapes") expected got)
+    [
+      ( "SARB original serial",
+        [
+          ("adjust2", (98, 47, 10));
+          ("entropy_interface", (48, 26, 5));
+          ("longwave_entropy_model", (764, 407, 47));
+          ("lw_spectral_integration", (122, 73, 11));
+          ("sarb_checksum", (49, 39, 4));
+          ("sarb_init_profiles", (65, 45, 8));
+          ("shortwave_entropy_model", (28, 19, 3));
+          ("sw_spectral_integration", (132, 79, 12));
+        ],
+        sarb Sarb.Original_serial );
+      ( "SARB GLAF v3",
+        [
+          ("adjust2", (91, 44, 10));
+          ("ent_exchange", (49, 23, 15));
+          ("entropy_interface", (47, 26, 5));
+          ("longwave_entropy_model", (743, 326, 167));
+          ("longwave_entropy_model/omp-do 1", (21, 3, 16));
+          ("longwave_entropy_model/omp-do 2", (17, 1, 16));
+          ("lw_band_sum", (33, 28, 4));
+          ("lw_exchange_dn", (43, 28, 10));
+          ("lw_exchange_up", (54, 40, 10));
+          ("lw_spectral_integration", (111, 50, 31));
+          ("sarb_checksum", (49, 39, 4));
+          ("sarb_init_profiles", (65, 45, 8));
+          ("shortwave_entropy_model", (27, 19, 3));
+          ("sw_band_sum", (30, 24, 4));
+          ("sw_spectral_integration", (134, 57, 38));
+        ],
+        sarb (Sarb.Glaf_parallel Directive_policy.V3) );
+      ( "FUN3D best options",
+        [
+          ("angle_check", (17, 4, 5));
+          ("cell_loop", (75, 23, 21));
+          ("edge_loop", (136, 53, 36));
+          ("edgejp", (2, 1, 1));
+          ("edgejp/omp-do 1", (12, 1, 14));
+          ("edgejp/omp-do 2", (5, 1, 3));
+          ("fun3d_init_mesh", (124, 24, 63));
+          ("fun3d_rms", (25, 8, 7));
+          ("ioff_search", (16, 1, 8));
+          ("jacobian_fill_glaf", (1, 1, 1));
+        ],
+        program_shapes (Fun3d.integrated_cu v)
+          [ ("fun3d_init_mesh", [ Ast.Int_lit 60 ]); (Fun3d.entry_name v, []); ("fun3d_rms", []) ] );
+      ( "quad_sweep pi_mid",
+        [
+          ("pi_mid", (11, 7, 1));
+          ("pi_mid/omp-do 1", (17, 14, 4));
+        ],
+        program_shapes (Glaf_service.Serve.compile quad).Glaf_service.Serve.co_unit [ ("pi_mid", [ Ast.Int_lit 5000 ]) ]
+      );
+    ]
 
 let test_fun3d_generated_code () =
   let src = Pp_ast.to_string (Fun3d.generated_cu Fun3d_glaf.best_options) in
