@@ -734,11 +734,13 @@ let autopar_cmd =
             | None ->
               Glaf_lift.Verify.synthesize_args lifted.Glaf_lift.Lift_kernel.func
           in
+          (* verify the bytes emitted below: [combined] holds the
+             original units as parsed, not as printed *)
           match
             Glaf_lift.Verify.equivalent ~setup ~args
               ~original:(cu, String.lowercase_ascii kname)
               ~variant:
-                ( lifted.Glaf_lift.Lift_kernel.combined,
+                ( Glaf_fortran.Parser.parse_string lifted.Glaf_lift.Lift_kernel.source,
                   lifted.Glaf_lift.Lift_kernel.kernel )
               ()
           with

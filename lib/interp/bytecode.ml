@@ -2318,12 +2318,12 @@ and compile_stmt ctx (s : Ast.stmt) =
   | Ast.Allocate allocs ->
     (* one variable at a time, each one's bounds evaluated just before
        it is allocated; a [lo:hi] bound evaluates hi first, like the
-       tree-walker's tuple *)
+       tree-walker's tuple, and is converted like a DO bound *)
     List.iter
       (fun (d, exprs) ->
         let name = Ast.desig_name d in
         if Storage.lookup ctx.scope name = None then bail "allocate";
-        let int_of e = to_int_reg ctx (compile_expr ctx e) in
+        let int_of e = (compile_int ctx e).r in
         let bounds =
           List.map
             (function
@@ -2361,10 +2361,11 @@ and compile_critical ctx body =
   ctx.crit <- ctx.crit - 1;
   emit ctx Tcrit_exit
 
-(* [to_int] of a DO bound: a temp or constant INTEGER is its own, a
-   variable's register is copied (a bound must not move when the body
-   assigns the variable it came from), a REAL converts into a fresh
-   register like [Value.to_int]'s [int_of_float]. *)
+(* [to_int] of a DO or ALLOCATE bound: a temp or constant INTEGER is
+   its own, a variable's register is copied (a bound must not move when
+   the body, or a call in a later bound, assigns the variable it came
+   from), a REAL converts into a fresh register like [Value.to_int]'s
+   [int_of_float]. *)
 and compile_int ctx e =
   let o = compile_expr ctx e in
   match (o.k, o.role) with

@@ -4,14 +4,17 @@
     The pipeline is the paper's reverse path end to end:
 
     parse ▸ {!Lower} ▸ {!Glaf_analysis.Autopar} ▸
-    {!Glaf_codegen.Fortran_gen} ▸ re-parse ▸ interpret
+    {!Glaf_codegen.Fortran_gen} ▸ re-parse the generated module ▸
+    interpret
 
     The kernel is lowered once, and besides it only its transitive
     callees: the dependence analysis reads callee summaries and
     nothing else of the unit, so subprograms the kernel never reaches
-    are neither lowered nor summarized.  The printed [source] (the
-    whole original unit plus the generated module) is re-parsed, so
-    the code callers execute has been through the printer.
+    are neither lowered nor summarized.  Of the printed [source] (the
+    original unit, then the generated module) only the generated text
+    is re-parsed: the caller's units come back from a print and parse
+    unchanged, so [combined] holds them as passed, and the generated
+    kernel callers execute has been through the printer.
 
     The lifted function is renamed [<name>_lifted] so the original and
     the generated kernel coexist in one compilation unit (the
@@ -38,10 +41,18 @@ type t = {
   func : Func.t;  (** annotated IR of the lifted kernel *)
   report : Autopar.report;  (** per-loop analysis, lifted kernel only *)
   combined : Ast.compilation_unit;
-      (** original unit + generated [glaf_lift] module, re-parsed from
-          the printed source so execution exercises the printer *)
+      (** the caller's units as passed, then the generated [glaf_lift]
+          module re-parsed from its printed text, so executing the
+          kernel exercises the printer; the same program as
+          [Parser.parse_string source] *)
   source : string;  (** printed combined source *)
 }
+
+(* Lines of [source] before its first generated line, given the
+   printed original unit: that unit's lines, then the blank line
+   {!Pp_ast.to_string} puts between units. *)
+let generated_line_offset printed =
+  String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 1 printed
 
 let rec strip_nonunit stmts =
   List.map
@@ -128,12 +139,19 @@ let lift ?(pure = []) (cu : Ast.compilation_unit) (name : string) : t =
       "glaf_lift"
   in
   let gen_units = Fortran_gen.gen_program p_gen in
-  let source = Pp_ast.to_string (cu @ gen_units) in
-  (* re-parse the printed source: execution goes through the printer,
-     so printer defects surface as lift failures, not silent drift *)
+  (* the same bytes as [Pp_ast.to_string (cu @ gen_units)], which
+     joins units with a blank line *)
+  let printed = Pp_ast.to_string cu and gen_text = Pp_ast.to_string gen_units in
+  let source = printed ^ "\n" ^ gen_text in
+  (* re-parse the generated text only: the kernel runs through the
+     printer, so printer defects surface as lift failures, not silent
+     drift; a failure's line number refers to [source] *)
   let combined =
-    try Parser.parse_string source
-    with Parser.Parse_error (ln, msg) ->
-      lift_error "generated source does not re-parse (line %d: %s)" ln msg
+    match Parser.parse_string gen_text with
+    | gen -> cu @ gen
+    | exception Parser.Parse_error (ln, msg) ->
+      lift_error "generated source does not re-parse (line %d: %s)"
+        (generated_line_offset printed + ln)
+        msg
   in
   { kernel; func = f_ann; report; combined; source }

@@ -226,6 +226,34 @@ let test_lift_fun3d_rms () =
          && i.Glaf_analysis.Loop_info.reductions <> [])
        lifted.Lift_kernel.report)
 
+(* The lift re-parses only the module it generates.  [combined] is
+   still the program [source] parses to, its first units are the
+   caller's own (physically), the generated text starts where the
+   line offset of a re-parse error says, and the lift verifies
+   against the original. *)
+let test_lift_reparses_generated_only () =
+  let check ~setup ~args cu name =
+    let l = Lift_kernel.lift ~pure cu name in
+    let combined = l.Lift_kernel.combined in
+    check_bool (name ^ ": source parses to combined") true
+      (Parser.parse_string l.Lift_kernel.source = combined);
+    check_bool (name ^ ": caller's units as passed") true
+      (List.length combined > List.length cu
+      && List.for_all2 ( == ) cu (List.filteri (fun i _ -> i < List.length cu) combined));
+    let offset = Lift_kernel.generated_line_offset (Pp_ast.to_string cu) in
+    Alcotest.(check string) (name ^ ": line offset + 1") "module glaf_lift"
+      (List.nth (String.split_on_char '\n' l.Lift_kernel.source) offset);
+    check_int (name ^ ": verified") (List.length Verify.schedules)
+      (ok_or_fail
+         (Verify.equivalent ~setup ~args ~original:(cu, name)
+            ~variant:(combined, l.Lift_kernel.kernel) ()))
+  in
+  check ~setup:sarb_setup ~args:entropy_call_args (Lazy.force sarb_cu) "adjust2";
+  check ~setup:sarb_setup ~args:[] (Lazy.force sarb_cu) "longwave_entropy_model";
+  check
+    ~setup:[ ("fun3d_init_mesh", [ Ast.Int_lit 40 ]); ("jacobian_fill", []) ]
+    ~args:[] (Lazy.force fun3d_cu) "fun3d_rms"
+
 (* Lift annotates only the kernel; its function and report must equal
    what whole-program Autopar produces for <name>_lifted. *)
 let test_lift_matches_whole_program () =
@@ -447,6 +475,8 @@ let suites =
         Alcotest.test_case "kernel-only = whole-program autopar" `Quick
           test_lift_matches_whole_program;
         Alcotest.test_case "only reached callees" `Quick test_lift_callee_set;
+        Alcotest.test_case "re-parses generated module only" `Quick
+          test_lift_reparses_generated_only;
       ] );
     ( "lift.fixtures",
       [ Alcotest.test_case "files in sync" `Quick test_fixture_files_in_sync ] );
