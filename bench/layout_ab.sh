@@ -21,8 +21,8 @@
 #     then per metric each side's median [quartiles] over all runs, the
 #     pairs the working tree won, and each layout's medians.
 #
-# Nothing in the checkout changes; the copies are removed on exit
-# unless --keep is given.  Run from the root of a git checkout:
+# Nothing in the checkout changes; the copies are removed on exit.  Run
+# from the root of a git checkout:
 #
 #   bash bench/layout_ab.sh --workload serve_mix --seconds 20 --pairs 6
 #
@@ -32,15 +32,9 @@
 #   --seconds S    run length of each perfbench run         [20]
 #   --pairs N      pairs of runs                            [6]
 #   --seed K       perfbench workload seed                  [11]
-#   --pads "P.."   padding terms per layout, 3 or more      ["0 2 8"]
-#   --metrics "M.."  end-to-end metrics to summarize
-#                  [ops_per_s cpu_ms_per_op op_p50_ms op_p90_ms]
-#   --workdir DIR  where the copies go                      [mktemp -d]
-#   --keep         keep the copies
 set -euo pipefail
 
-workload=serve_mix base=HEAD seconds=20 pairs=6 seed=11 pads="0 2 8"
-metrics="ops_per_s cpu_ms_per_op op_p50_ms op_p90_ms" workdir="" keep=0
+workload=serve_mix base=HEAD seconds=20 pairs=6 seed=11
 while [ $# -gt 0 ]; do
   case "$1" in
     --workload) workload=$2; shift 2 ;;
@@ -48,27 +42,19 @@ while [ $# -gt 0 ]; do
     --seconds) seconds=$2; shift 2 ;;
     --pairs) pairs=$2; shift 2 ;;
     --seed) seed=$2; shift 2 ;;
-    --pads) pads=$2; shift 2 ;;
-    --metrics) metrics=$2; shift 2 ;;
-    --workdir) workdir=$2; shift 2 ;;
-    --keep) keep=1; shift ;;
     *) echo "layout_ab.sh: unknown argument $1" >&2; exit 2 ;;
   esac
 done
-read -r -a pad_list <<<"$pads"
-if [ "${#pad_list[@]}" -lt 3 ]; then
-  echo "layout_ab.sh: give 3 or more layouts (--pads)" >&2
-  exit 2
-fi
+# padding terms of each layout, and the end-to-end metrics summarized
+pad_list=(0 2 8)
+metrics="ops_per_s cpu_ms_per_op op_p50_ms op_p90_ms"
 if ! command -v dune >/dev/null 2>&1 && command -v opam >/dev/null 2>&1; then
   eval "$(opam env 2>/dev/null)"
 fi
 
 root=$(git rev-parse --show-toplevel)
-if [ -z "$workdir" ]; then workdir=$(mktemp -d "${TMPDIR:-/tmp}/layout_ab.XXXXXX"); fi
-mkdir -p "$workdir"
-cleanup() { [ "$keep" = 1 ] || rm -rf "$workdir"; }
-trap cleanup EXIT
+workdir=$(mktemp -d "${TMPDIR:-/tmp}/layout_ab.XXXXXX")
+trap 'rm -rf "$workdir"' EXIT
 
 # One dead function of [$1] terms, never called.
 pad_source() {
@@ -85,7 +71,10 @@ build() {
   if [ "$side" = A ]; then
     git -C "$root" archive "$base" | tar -x -C "$dir"
   else
-    (cd "$root" && git ls-files -z -co --exclude-standard | tar --null -T - -cf -) | tar -x -C "$dir"
+    # tracked files deleted in the working tree are still listed: skip them
+    (cd "$root" && git ls-files -z -co --exclude-standard |
+      while IFS= read -r -d '' f; do if [ -e "$f" ]; then printf '%s\0' "$f"; fi; done |
+      tar --null -T - -cf -) | tar -x -C "$dir"
   fi
   if [ "${pad_list[$k]}" -gt 0 ]; then pad_source "${pad_list[$k]}" >>"$dir/lib/lift/verify.ml"; fi
   (cd "$dir" && DUNE_CACHE=disabled dune build --root . --display quiet \
@@ -122,7 +111,7 @@ for ((p = 1; p <= pairs; p++)); do
   if [ $((p % 2)) = 1 ]; then run A $k $p; run B $k $p; else run B $k $p; run A $k $p; fi
 done
 
-echo "workload $workload, seed $seed, $seconds s runs, $pairs pairs over pads ($pads)"
+echo "workload $workload, seed $seed, $seconds s runs, $pairs pairs over pads (${pad_list[*]})"
 echo "A = $base, B = working tree; median [lower quartile, upper quartile]"
 python3 - "$results" <<'PY'
 import sys, collections

@@ -3,13 +3,15 @@
 
     Each subprogram is lowered once, whole (via {!Lower.lower_all}):
     that gives the callee summaries, and a lowering context in which
-    every grid of the body is already registered.  The walk lowers each
-    DO loop again in that context, to the IR {!Glaf_analysis.Depend}
-    analyzes, and analyzes all loops of a subprogram in one
+    every grid of the body is registered and every DO loop already
+    lowered.  The walk takes each loop's IR from that context
+    ({!Lower.lower_loop}) for {!Glaf_analysis.Depend} to analyze, and
+    analyzes all loops of a subprogram in one
     {!Glaf_analysis.Depend.env}, which resolves each name once.  A
     subprogram whose body does not lower (or a main program) is lowered
-    as far as it goes and each loop analyzed over the grids registered
-    by then.
+    as far as it goes, a loop that did not get lowered is lowered when
+    the walk reaches it, and each loop is analyzed over the grids
+    registered by then.
     Outermost parallelizable loops get a [!$OMP PARALLEL DO] directive
     attached to the AST (private / reduction / collapse clauses derived
     from the analysis), everything else is reported with its obstacle.
@@ -57,30 +59,27 @@ let pseudo_sub_of_main (m : Ast.main_unit) : Ast.subprogram =
     sub_body = m.Ast.main_body;
   }
 
-(* The lowered body a subprogram's walk follows, the lowering context
-   of any loop it has to lower itself, and the analysis environment of
-   each loop.  [lowered] is the subprogram's whole-body lowering from
-   {!Lower.lower_all}: every loop of the body is already lowered in it,
-   and its grids are final, so one environment serves every loop.
-   Otherwise (the body did not lower, or [sp] is a main program) it is
-   lowered here as far as it goes, each outermost loop the walk reaches
-   is lowered on its own, and each loop is analyzed over the grids
-   registered when it is reached. *)
+(* The lowering context a subprogram's loops are taken from, and the
+   analysis environment of each loop.  [lowered] is the subprogram's
+   whole-body lowering from {!Lower.lower_all}: every loop of the body
+   is already lowered (and recorded) in its context, and its grids are
+   final, so one environment serves every loop.  Otherwise (the body
+   did not lower, or [sp] is a main program) it is lowered here as far
+   as it goes, a loop that did not get lowered is lowered when the walk
+   reaches it, and each loop is analyzed over the grids registered by
+   then. *)
 let loop_envs ~ctx ~enclosing ~lowered cu (sp : Ast.subprogram) =
   match lowered with
   | Some (f, lctx) ->
     let env = Depend.env ctx enclosing f in
-    let body = List.concat_map (fun (s : Func.step) -> s.Func.body) f.Func.steps in
-    (Some body, lctx, fun () -> env)
+    (lctx, fun () -> env)
   | None ->
     let lctx = Lower.make_ctx cu sp in
     (* force-register every reachable grid (incl. lazy TYPE elements)
        so per-loop analysis sees a complete symbol table *)
     (try ignore (Lower.lower_body lctx sp.Ast.sub_body)
      with Lower.Unsupported _ -> ());
-    (None, lctx, fun () -> Depend.env ctx enclosing (Lower.func_of_ctx lctx))
-
-let out_of_step () = invalid_arg "Autopar_fortran: lowered body out of step with the AST"
+    (lctx, fun () -> Depend.env ctx enclosing (Lower.func_of_ctx lctx))
 
 let annotate_subprogram ~ctx ~enclosing ~lowered cu (sp : Ast.subprogram) :
     Ast.stmt list * entry list =
@@ -93,57 +92,34 @@ let annotate_subprogram ~ctx ~enclosing ~lowered cu (sp : Ast.subprogram) :
   | exception Lower.Unsupported why ->
     record "-" (Unanalyzable why);
     (sp.Ast.sub_body, List.rev !entries)
-  | irs, lctx, loop_env ->
-    (* [irs] is the lowering of [stmts] when there is one: the walk
-       follows {!Lower.lower_body}, which lowers CONTINUE to nothing
-       and every other statement to exactly one, so each DO meets the
-       IR loop already lowered for it *)
-    let rec walk_stmts stmts irs =
-      match (stmts, irs) with
-      | [], _ -> []
-      | (Ast.Continue as s) :: rest, _ -> s :: walk_stmts rest irs
-      | s :: rest, None ->
-        let s = walk_stmt s None in
-        s :: walk_stmts rest None
-      | s :: rest, Some (ir :: irs) ->
-        let s = walk_stmt s (Some ir) in
-        s :: walk_stmts rest (Some irs)
-      | _ :: _, Some [] -> out_of_step ()
-    and walk_stmt (s : Ast.stmt) (ir : Stmt.t option) : Ast.stmt =
-      let inner f = Option.map f ir in
+  | lctx, loop_env ->
+    let rec walk_stmts stmts = List.map walk_stmt stmts
+    and walk_stmt (s : Ast.stmt) : Ast.stmt =
       match s with
-      | Ast.Do l -> Ast.Do (walk_do l (inner (function Stmt.For il -> il | _ -> out_of_step ())))
+      | Ast.Do l -> Ast.Do (walk_do l)
       | Ast.If_block (branches, else_) ->
-        let ir_branches, ir_else =
-          match inner (function Stmt.If (bs, e) -> (bs, e) | _ -> out_of_step ()) with
-          | Some (bs, e) -> (List.map (fun (_, b) -> Some b) bs, Some e)
-          | None -> (List.map (fun _ -> None) branches, None)
-        in
         Ast.If_block
-          ( List.map2 (fun (c, b) irb -> (c, walk_stmts b irb)) branches ir_branches,
-            walk_stmts else_ ir_else )
-      | Ast.Do_while (c, body) ->
-        Ast.Do_while (c, walk_stmts body (inner (function Stmt.While (_, b) -> b | _ -> out_of_step ())))
-      | Ast.Omp_critical body ->
-        Ast.Omp_critical (walk_stmts body (inner (function Stmt.Critical b -> b | _ -> out_of_step ())))
+          ( List.map (fun (c, b) -> (c, walk_stmts b)) branches,
+            walk_stmts else_ )
+      | Ast.Do_while (c, body) -> Ast.Do_while (c, walk_stmts body)
+      | Ast.Omp_critical body -> Ast.Omp_critical (walk_stmts body)
       | _ -> s
-    and walk_do (l : Ast.do_loop) (ir : Stmt.loop option) : Ast.do_loop =
+    and walk_do (l : Ast.do_loop) : Ast.do_loop =
       match l.Ast.do_omp with
       | Some _ ->
         (* hand-annotated already: trust it, leave the nest alone *)
         record l.Ast.do_var Preexisting;
         l
       | None -> (
-        match match ir with Some il -> il | None -> Lower.lower_loop lctx l with
+        match Lower.lower_loop lctx l with
         | exception Lower.Unsupported why ->
           record l.Ast.do_var (Unanalyzable why);
-          { l with Ast.do_body = walk_stmts l.Ast.do_body None }
+          { l with Ast.do_body = walk_stmts l.Ast.do_body }
         | ir_loop ->
-          let walk_body () = walk_stmts l.Ast.do_body (Some ir_loop.Stmt.body) in
           if ir_loop.Stmt.step <> Expr.Int_lit 1 then begin
             (* the parallel runtime only executes unit-step DO *)
             record l.Ast.do_var Nonunit_step;
-            { l with Ast.do_body = walk_body () }
+            { l with Ast.do_body = walk_stmts l.Ast.do_body }
           end
           else begin
             let info = Depend.analyze (loop_env ()) ir_loop in
@@ -155,19 +131,19 @@ let annotate_subprogram ~ctx ~enclosing ~lowered cu (sp : Ast.subprogram) :
             end
             else begin
               record l.Ast.do_var (Serial info);
-              { l with Ast.do_body = walk_body () }
+              { l with Ast.do_body = walk_stmts l.Ast.do_body }
             end
           end)
     in
-    let body = walk_stmts sp.Ast.sub_body irs in
+    let body = walk_stmts sp.Ast.sub_body in
     (body, List.rev !entries)
 
 (** Analyze and annotate a whole compilation unit. *)
 let run ?(pure = []) (cu : Ast.compilation_unit) : t =
   (* whole-program best-effort lowering: callee summaries for the
-     dependence analysis, and the contexts the walk re-lowers each loop
-     in.  Subprograms that fail to lower are absent, so calls to them
-     show up as Unsafe_call — conservative. *)
+     dependence analysis, and the contexts whose already lowered loops
+     the walk analyzes.  Subprograms that fail to lower are absent, so
+     calls to them show up as Unsafe_call — conservative. *)
   let lowered, skipped = Lower.lower_all cu in
   let enclosing = Ir_module.make ~functions:(List.map fst lowered) "legacy" in
   let ctx =

@@ -12,9 +12,10 @@
     nothing else of the unit, so subprograms the kernel never reaches
     are neither lowered nor summarized.  Of the printed [source] (the
     original unit, then the generated module) only the generated text
-    is re-parsed: the caller's units come back from a print and parse
-    unchanged, so [combined] holds them as passed, and the generated
-    kernel callers execute has been through the printer.
+    is re-parsed: [combined] holds the caller's units as passed, and
+    the generated kernel callers execute has been through the printer.
+    Whether the printed caller's units parse back is not checked here;
+    [oglaf autopar --mode lift] verifies the re-parsed [source].
 
     The lifted function is renamed [<name>_lifted] so the original and
     the generated kernel coexist in one compilation unit (the
@@ -43,8 +44,10 @@ type t = {
   combined : Ast.compilation_unit;
       (** the caller's units as passed, then the generated [glaf_lift]
           module re-parsed from its printed text, so executing the
-          kernel exercises the printer; the same program as
-          [Parser.parse_string source] *)
+          kernel exercises the printer.  The same program as
+          [Parser.parse_string source] when the printer round-trips
+          the caller's units, which only the CLI's verify path
+          checks *)
   source : string;  (** printed combined source *)
 }
 

@@ -52,6 +52,9 @@ type ctx = {
   mutable grids_rev : Grid.t list;  (** registration order, reversed *)
   mutable result : (string * Grid.t) option;
       (** function name -> result-alias grid *)
+  mutable loops : (Ast.do_loop * Stmt.loop) list;
+      (** every DO lowered in this context with its IR, newest first
+          (see {!lower_loop}) *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -297,6 +300,7 @@ let make_ctx (cu : Ast.compilation_unit) (sp : Ast.subprogram) : ctx =
       syms = Hashtbl.create 32;
       grids_rev = [];
       result = None;
+      loops = [];
     }
   in
   (* derived types visible from anywhere (modules may be USEd) *)
@@ -558,9 +562,9 @@ and lower_return ctx : Stmt.t =
 
 and lower_body ctx body = List.concat_map (lower_stmt ctx) body
 
-(** Lower one DO loop (the unit directives mode analyzes).  The
-    original's own [!$OMP] annotation, if any, is dropped — analysis
-    re-derives it. *)
+(** Lower one DO loop (the unit directives mode analyzes) and record
+    it in [ctx.loops].  The original's own [!$OMP] annotation, if any,
+    is dropped — analysis re-derives it. *)
 and lower_do ctx (l : Ast.do_loop) : Stmt.loop =
   let step =
     match l.Ast.do_step with
@@ -579,17 +583,27 @@ and lower_do ctx (l : Ast.do_loop) : Stmt.loop =
       (Grid.make
          ~kind:(Grid.Dense (implicit_elem l.Ast.do_var))
          l.Ast.do_var));
-  {
-    Stmt.index = l.Ast.do_var;
-    lo = lower_expr ctx l.Ast.do_lo;
-    hi = lower_expr ctx l.Ast.do_hi;
-    step;
-    body = lower_body ctx l.Ast.do_body;
-    directive = None;
-    schedule = None;
-  }
+  let loop =
+    {
+      Stmt.index = l.Ast.do_var;
+      lo = lower_expr ctx l.Ast.do_lo;
+      hi = lower_expr ctx l.Ast.do_hi;
+      step;
+      body = lower_body ctx l.Ast.do_body;
+      directive = None;
+      schedule = None;
+    }
+  in
+  ctx.loops <- (l, loop) :: ctx.loops;
+  loop
 
-let lower_loop ctx (l : Ast.do_loop) : Stmt.loop = lower_do ctx l
+(** The IR of DO loop [l] of [ctx]'s subprogram: the one already
+    lowered in [ctx] (as part of its body or of an enclosing loop) if
+    there is one, else [l] lowered now. *)
+let lower_loop ctx (l : Ast.do_loop) : Stmt.loop =
+  match List.assq_opt l ctx.loops with
+  | Some loop -> loop
+  | None -> lower_do ctx l
 
 (* ------------------------------------------------------------------ *)
 (* Subprogram / program lowering                                       *)
