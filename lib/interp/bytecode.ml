@@ -59,52 +59,38 @@
       variables — is recorded in [checks]/[negatives] and re-verified
       at bind time, so a structurally identical body in a differently
       shaped scope can never run the wrong code.
-    - {e Keyed by structure, not identity.}  Programs are cached by an
-      MD5 digest of the marshalled AST (namespaced by the digest of
-      the whole compilation unit, because call compilation consults
-      the unit's subprogram table), so re-parsing an identical inline
-      script — the listener does this on every request — hits the
-      cache instead of recompiling. *)
+    - {e One record per compilation unit.}  Everything compiled for a
+      unit — its subprogram and chunk programs with their stats sites,
+      its frame plans, its call-effects summary and its AST memos —
+      lives in the unit's {!unit_record}, keyed by the physical
+      identity of the ASTs it was compiled from.  A state finds or
+      creates the record on its first compile ([Interp.benv]) and keeps
+      it; {!purge_unit} drops the unit's one entry from the units
+      table, and a state holding the record runs on with it (DESIGN.md
+      section 33). *)
 
 open Glaf_fortran
 open Glaf_runtime
 
-(* One global mutex guards the digest memos, the program cache and the
-   stats table.  Compiles run outside it (double-checked insert); only
-   Hashtbl lookups and small Marshal digests run under it. *)
-let global_mutex = Mutex.create ()
-
-let locked f =
-  Mutex.lock global_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock global_mutex) f
-
 (** {1 Bail / coverage statistics}
 
     One site per compiled construct (subprogram body or parallel-DO
-    chunk),
-    keyed by (unit, site id).  [sk_runs] counts bytecode executions,
+    chunk) of a unit's record.  [sk_runs] counts bytecode executions,
     [sk_bails] tree-walk fallbacks (compile bails and bind refusals
     alike); [sk_reason] names the first reason the site fell back: the
     construct that made compilation bail, or the binding that refused
     the compiled program. *)
 module Stats = struct
   type site = {
-    sk_unit : string;
     sk_id : string;
     sk_label : string;
-    mutable sk_reason : string option;
+    sk_reason : string option Atomic.t;
     sk_runs : int Atomic.t;
     sk_bails : int Atomic.t;
-    sk_gen : int;  (** [generation] when registered *)
   }
-
-  (* Bumped by [reset]: a site held past a reset (by a frame plan) is
-     re-registered on its next use. *)
-  let generation = Atomic.make 0
 
   (* A read-only copy of a site, for reporting. *)
   type row = {
-    r_unit : string;
     r_id : string;
     r_label : string;
     r_reason : string option;
@@ -112,77 +98,37 @@ module Stats = struct
     r_bails : int;
   }
 
-  let tbl : (string * string, site) Hashtbl.t = Hashtbl.create 64
-
-  let get ~unit_key ~id ~label : site =
-    locked (fun () ->
-        match Hashtbl.find_opt tbl (unit_key, id) with
-        | Some s -> s
-        | None ->
-          let s =
-            {
-              sk_unit = unit_key;
-              sk_id = id;
-              sk_label = label;
-              sk_reason = None;
-              sk_runs = Atomic.make 0;
-              sk_bails = Atomic.make 0;
-              sk_gen = Atomic.get generation;
-            }
-          in
-          Hashtbl.replace tbl (unit_key, id) s;
-          s)
+  let site ~id ~label =
+    { sk_id = id; sk_label = label; sk_reason = Atomic.make None; sk_runs = Atomic.make 0; sk_bails = Atomic.make 0 }
 
   let run s = Atomic.incr s.sk_runs
 
-  (* Unlocked test first: every bind refusal of a site calls this. *)
+  (* The first reason wins; later ones change nothing. *)
   let set_reason s reason =
-    if s.sk_reason = None then
-      locked (fun () ->
-          match s.sk_reason with
-          | Some _ -> ()
-          | None -> s.sk_reason <- Some reason)
+    if Atomic.get s.sk_reason = None then ignore (Atomic.compare_and_set s.sk_reason None (Some reason))
 
   let bail ?reason s =
     Atomic.incr s.sk_bails;
     Option.iter (set_reason s) reason
 
-  let snapshot () : row list =
-    let rows =
-      locked (fun () ->
-          Hashtbl.fold
-            (fun _ s acc ->
-              {
-                r_unit = s.sk_unit;
-                r_id = s.sk_id;
-                r_label = s.sk_label;
-                r_reason = s.sk_reason;
-                r_runs = Atomic.get s.sk_runs;
-                r_bails = Atomic.get s.sk_bails;
-              }
-              :: acc)
-            tbl [])
-    in
-    List.sort
-      (fun a b ->
-        match compare a.r_unit b.r_unit with
-        | 0 -> compare a.r_id b.r_id
-        | c -> c)
-      rows
+  (* The site's row, if it counted anything since it was made or reset. *)
+  let row s =
+    let runs = Atomic.get s.sk_runs and bails = Atomic.get s.sk_bails in
+    if runs = 0 && bails = 0 then None
+    else
+      Some
+        {
+          r_id = s.sk_id;
+          r_label = s.sk_label;
+          r_reason = Atomic.get s.sk_reason;
+          r_runs = runs;
+          r_bails = bails;
+        }
 
-  let reset () =
-    locked (fun () ->
-        Hashtbl.reset tbl;
-        Atomic.incr generation)
-
-  let purge_unit u =
-    locked (fun () ->
-        let doomed =
-          Hashtbl.fold
-            (fun k s acc -> if s.sk_unit = u then k :: acc else acc)
-            tbl []
-        in
-        List.iter (Hashtbl.remove tbl) doomed)
+  let reset s =
+    Atomic.set s.sk_runs 0;
+    Atomic.set s.sk_bails 0;
+    Atomic.set s.sk_reason None
 end
 
 
@@ -274,7 +220,7 @@ and local_init =
 and frame_plan = {
   fp_uid : int;  (** key of the per-domain frame tables *)
   fp_prog : program;
-  mutable fp_site : Stats.site;  (** read through {!plan_site} *)
+  fp_site : Stats.site;  (** the callee's site, counting the plan's runs *)
   fp_nargs : int;
   fp_arg_scalars : (int * int) array;
       (** (index in [fp_prog.scalars], dummy index) of each scalar taken
@@ -474,14 +420,154 @@ and tprogram = {
           {!effects} *)
 }
 
+(* --- value-kind effects of calls ------------------------------------------ *)
+
+(* A typed frame checks once, at bind, that each scalar slot it reads
+   holds the value kind it was compiled for.  Coercing stores keep a
+   slot's kind, so only two things can change it under a running frame:
+   the setup_scope quirk, which rewrites an Int aliased to a dummy
+   declared REAL into a Real, and a DO loop, which stores raw Ints into
+   its variable.  [fx_real.(k)]/[fx_int.(k)] say whether a call of the
+   subprogram may do either to its k-th actual's slot (index [nargs] is
+   a function's result slot); [ue_real]/[ue_int] collect the non-local
+   names some subprogram may do it to.  Dummies passed on to further
+   calls propagate, so the unit is solved to a fixpoint.  Names are
+   matched conservatively: any bare actual, any designator head that
+   names a subprogram.
+
+   The same pass collects what a call may (de)allocate, for the
+   caller's decision to re-read its array slots afterwards:
+   [fx_alloc_out] when the callee, or anything it calls, ALLOCATEs or
+   DEALLOCATEs a dummy, a module or a COMMON name; [fx_alloc_saves] the
+   (lowercase) subprograms whose SAVE locals it may (de)allocate.  A
+   fresh local of any activation is invisible to every caller. *)
+type effects = {
+  fx_real : bool array;
+  fx_int : bool array;
+  mutable fx_alloc_out : bool;
+  fx_alloc_saves : (string, unit) Hashtbl.t;
+}
+
+type unit_effects = {
+  ue_subs : (string, effects) Hashtbl.t;  (** by lowercase subprogram name *)
+  ue_real : (string, unit) Hashtbl.t;
+  ue_int : (string, unit) Hashtbl.t;
+}
+
+(* Shape of an inlinable leaf: straight-line numeric/logical code
+   (Assign / IF / RETURN only), scalar dummies and locals, every
+   designator a single scalar part or an intrinsic call.  [lf_heads]
+   are the intrinsic heads, which the per-site check verifies are not
+   shadowed by the callee's module scope. *)
+type leaf_shape = { lf_heads : string list }
+
+(* --- compile records ------------------------------------------------------ *)
+
+(* Tables keyed by an AST's physical identity: the parser builds each
+   AST once, and a structurally identical re-parse is another unit. *)
+module Phys (T : sig
+  type t
+end) =
+Hashtbl.Make (struct
+  type t = T.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+module Phys_loop = Phys (struct
+  type t = Ast.do_loop
+end)
+
+module Phys_sub = Phys (struct
+  type t = Ast.subprogram
+end)
+
+module Phys_cu = Phys (struct
+  type t = Ast.compilation_unit
+end)
+
+(** A compiled body: its program, or the reason compilation bailed,
+    and the stats site that counts its runs and bails. *)
+type compiled = { c_prog : (program, string) result; c_site : Stats.site }
+
+(** What one compilation unit compiled: its subprogram programs and
+    its parallel-DO chunk programs (keyed by the subprogram and by the
+    DO loop), its frame plans, its call-effects summary and the
+    per-subprogram memos of the call compiler.  [u_mu] guards the
+    tables; compiles run outside it and the first insert wins, so
+    every state on the unit runs the same program and counts on the
+    same site. *)
+type unit_record = {
+  u_mu : Mutex.t;
+  u_subs : compiled Phys_sub.t;
+  u_chunks : compiled Phys_loop.t;
+  u_chunk_ids : int Atomic.t;  (** numbers the "omp-do" sites *)
+  u_plans : frame_plan option Phys_sub.t;
+  mutable u_effects : unit_effects option;
+  u_written : (string, unit) Hashtbl.t Phys_sub.t;
+  u_leaves : leaf_shape option Phys_sub.t;
+}
+
+(* The units table: one record per unit a state was made on, until
+   [purge_unit] drops it. *)
+let units : unit_record Phys_cu.t = Phys_cu.create 16
+let units_mu = Mutex.create ()
+
+(** The record of [cu], created on first use. *)
+let record_of (cu : Ast.compilation_unit) : unit_record =
+  Mutex.protect units_mu (fun () ->
+      match Phys_cu.find_opt units cu with
+      | Some u -> u
+      | None ->
+        let u =
+          {
+            u_mu = Mutex.create ();
+            u_subs = Phys_sub.create 16;
+            u_chunks = Phys_loop.create 4;
+            u_chunk_ids = Atomic.make 0;
+            u_plans = Phys_sub.create 16;
+            u_effects = None;
+            u_written = Phys_sub.create 16;
+            u_leaves = Phys_sub.create 16;
+          }
+        in
+        Phys_cu.replace units cu u;
+        u)
+
+(** Drop [cu]'s record from the units table (the listener calls this
+    when it evicts a script from its own cache, so a long-lived server
+    does not keep what it compiled for dead scripts).  A state made
+    before keeps the record and runs on; the next state on [cu]
+    starts a fresh one. *)
+let purge_unit (cu : Ast.compilation_unit) = Mutex.protect units_mu (fun () -> Phys_cu.remove units cu)
+
+(** Records in the units table: bounded by the units not yet purged,
+    however many a listener has served. *)
+let unit_count () = Mutex.protect units_mu (fun () -> Phys_cu.length units)
+
+(* The value [tbl] of record [u] holds for [key]: computed outside the
+   record's lock on a miss, the first insert winning a race. *)
+let memo u find add tbl compute key =
+  match Mutex.protect u.u_mu (fun () -> find tbl key) with
+  | Some v -> v
+  | None ->
+    let v = compute key in
+    Mutex.protect u.u_mu (fun () ->
+        match find tbl key with
+        | Some prev -> prev
+        | None ->
+          add tbl key v;
+          v)
+
 (** Compilation environment beyond the representative scope: what the
-    unit as a whole provides.  [e_unit] namespaces the program cache
-    and the stats sites; [e_subs] is the interpreter's subprogram
-    table (shared, read-only here); and [e_module_scope] peeks at
-    already-initialized module scopes (never forcing initialization)
-    for the inliner's shadowing check. *)
+    unit as a whole provides.  [e_unit] is the unit's compile record;
+    [e_subs] is the interpreter's subprogram table (shared, read-only
+    here); and [e_module_scope] peeks at already-initialized module
+    scopes (never forcing initialization) for the inliner's shadowing
+    check. *)
 type env = {
-  e_unit : string;
+  e_unit : unit_record;
   e_subs : (string, Ast.subprogram * string option) Hashtbl.t;
   e_module_scope : string -> Storage.scope option;
 }
@@ -708,64 +794,6 @@ let note_check ctx (slot : Storage.slot) name path v =
 let note_negative ctx name =
   if not (Hashtbl.mem ctx.negs name) then Hashtbl.replace ctx.negs name ()
 
-(* --- digests and global tables ------------------------------------------- *)
-
-let digest_of x =
-  Digest.to_hex (Digest.string (Marshal.to_string x [ Marshal.No_sharing ]))
-
-(* Memo tables keyed by an AST's physical identity.  [purge_unit]
-   drops a unit's entries when a long-lived listener evicts it, so the
-   tables hold only the ASTs someone still holds.  (Ephemeron tables
-   would drop them too, but on OCaml 5.1 a table whose keys churn as
-   fast as a listener's inline scripts slows every major cycle, and
-   the heap grows with the requests served.) *)
-module Phys (T : sig
-  type t
-end) =
-Hashtbl.Make (struct
-  type t = T.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-module Phys_loop = Phys (struct
-  type t = Ast.do_loop
-end)
-
-module Phys_sub = Phys (struct
-  type t = Ast.subprogram
-end)
-
-module Phys_cu = Phys (struct
-  type t = Ast.compilation_unit
-end)
-
-(* [find] / [replace] of one memo table: the value for [key], computed
-   outside the lock on a miss. *)
-let memo find replace tbl compute key =
-  match locked (fun () -> find tbl key) with
-  | Some v -> v
-  | None ->
-    let v = compute key in
-    locked (fun () -> replace tbl key v);
-    v
-
-(* The parser builds each AST once, so memoizing digests by physical
-   identity makes the digest cost once-per-AST, not once-per-call. *)
-let loop_digest_tbl : string Phys_loop.t = Phys_loop.create 16
-let sub_digest_tbl : string Phys_sub.t = Phys_sub.create 64
-let unit_key_tbl : string Phys_cu.t = Phys_cu.create 16
-
-(* A whole DO loop, its bounds and OpenMP clauses included. *)
-let loop_digest = memo Phys_loop.find_opt Phys_loop.replace loop_digest_tbl digest_of
-let sub_digest = memo Phys_sub.find_opt Phys_sub.replace sub_digest_tbl digest_of
-
-(** Stable cache/stats namespace for a compilation unit: the digest of
-    its whole AST, so structurally identical re-parses share it. *)
-let unit_key =
-  memo Phys_cu.find_opt Phys_cu.replace unit_key_tbl (fun cu -> "u" ^ digest_of cu)
-
 (* --- constant folding ---------------------------------------------------- *)
 
 (* Fold literal-only subtrees with the same Value operations the
@@ -881,93 +909,58 @@ let local_var_names (sp : Ast.subprogram) : (string, unit) Hashtbl.t =
    can rewrite (declared REAL over an aliased Int).  Conservative by
    construction: used to refuse compiled calls that would mutate a
    caller PARAMETER slot our constant folding relies on. *)
-let written_memo : (string, unit) Hashtbl.t Phys_sub.t = Phys_sub.create 32
-
-let written_dummies : Ast.subprogram -> (string, unit) Hashtbl.t =
-  memo Phys_sub.find_opt Phys_sub.replace written_memo @@ fun sp ->
-    let dummies = sp.Ast.sub_args in
-    let w = Hashtbl.create 8 in
-    let note n = if List.mem n dummies then Hashtbl.replace w n () in
-    let vars = local_var_names sp in
-    List.iter
-      (function
-        | Ast.Var_decl { base; entities; _ }
-          when base = Ast.Real || base = Ast.Real8 ->
-          List.iter (fun e -> note e.Ast.ent_name) entities
-        | _ -> ())
-      sp.Ast.sub_decls;
-    let check_expr e =
-      Ast.fold_expr
-        (fun () e ->
-          match e with
-          | Ast.Desig ((h, hargs) :: _)
-            when (not (Hashtbl.mem vars h))
-                 && not
-                      (Hashtbl.mem Intrinsics.tbl (String.lowercase_ascii h))
-            ->
-            (* function-looking head: its whole-var arguments bind by
-               reference in the callee and may be written there *)
-            List.iter
-              (function Ast.Desig [ (n, []) ] -> note n | _ -> ())
-              hargs
-          | _ -> ())
-        () e
-    in
-    Ast.fold_stmts
-      (fun () s ->
-        (match s with
-        | Ast.Assign ((h, _) :: _, _) -> note h
-        | Ast.Do l -> note l.Ast.do_var
-        | Ast.Allocate allocs ->
-          List.iter
-            (fun (d, _) -> match d with (h, _) :: _ -> note h | [] -> ())
-            allocs
-        | Ast.Deallocate ds ->
-          List.iter (function (h, _) :: _ -> note h | [] -> ()) ds
-        | Ast.Call (_, args) ->
+let written_dummies_of (sp : Ast.subprogram) : (string, unit) Hashtbl.t =
+  let dummies = sp.Ast.sub_args in
+  let w = Hashtbl.create 8 in
+  let note n = if List.mem n dummies then Hashtbl.replace w n () in
+  let vars = local_var_names sp in
+  List.iter
+    (function
+      | Ast.Var_decl { base; entities; _ }
+        when base = Ast.Real || base = Ast.Real8 ->
+        List.iter (fun e -> note e.Ast.ent_name) entities
+      | _ -> ())
+    sp.Ast.sub_decls;
+  let check_expr e =
+    Ast.fold_expr
+      (fun () e ->
+        match e with
+        | Ast.Desig ((h, hargs) :: _)
+          when (not (Hashtbl.mem vars h))
+               && not
+                    (Hashtbl.mem Intrinsics.tbl (String.lowercase_ascii h))
+          ->
+          (* function-looking head: its whole-var arguments bind by
+             reference in the callee and may be written there *)
           List.iter
             (function Ast.Desig [ (n, []) ] -> note n | _ -> ())
-            args
-        | _ -> ());
-        List.iter check_expr (stmt_exprs s))
-      () sp.Ast.sub_body;
-    w
+            hargs
+        | _ -> ())
+      () e
+  in
+  Ast.fold_stmts
+    (fun () s ->
+      (match s with
+      | Ast.Assign ((h, _) :: _, _) -> note h
+      | Ast.Do l -> note l.Ast.do_var
+      | Ast.Allocate allocs ->
+        List.iter
+          (fun (d, _) -> match d with (h, _) :: _ -> note h | [] -> ())
+          allocs
+      | Ast.Deallocate ds ->
+        List.iter (function (h, _) :: _ -> note h | [] -> ()) ds
+      | Ast.Call (_, args) ->
+        List.iter
+          (function Ast.Desig [ (n, []) ] -> note n | _ -> ())
+          args
+      | _ -> ());
+      List.iter check_expr (stmt_exprs s))
+    () sp.Ast.sub_body;
+  w
 
-(* --- value-kind effects of calls ------------------------------------------ *)
-
-(* A typed frame checks once, at bind, that each scalar slot it reads
-   holds the value kind it was compiled for.  Coercing stores keep a
-   slot's kind, so only two things can change it under a running frame:
-   the setup_scope quirk, which rewrites an Int aliased to a dummy
-   declared REAL into a Real, and a DO loop, which stores raw Ints into
-   its variable.  [fx_real.(k)]/[fx_int.(k)] say whether a call of the
-   subprogram may do either to its k-th actual's slot (index [nargs] is
-   a function's result slot); [ue_real]/[ue_int] collect the non-local
-   names some subprogram may do it to.  Dummies passed on to further
-   calls propagate, so the unit is solved to a fixpoint.  Names are
-   matched conservatively: any bare actual, any designator head that
-   names a subprogram.
-
-   The same pass collects what a call may (de)allocate, for the
-   caller's decision to re-read its array slots afterwards:
-   [fx_alloc_out] when the callee, or anything it calls, ALLOCATEs or
-   DEALLOCATEs a dummy, a module or a COMMON name; [fx_alloc_saves] the
-   (lowercase) subprograms whose SAVE locals it may (de)allocate.  A
-   fresh local of any activation is invisible to every caller. *)
-type effects = {
-  fx_real : bool array;
-  fx_int : bool array;
-  mutable fx_alloc_out : bool;
-  fx_alloc_saves : (string, unit) Hashtbl.t;
-}
-
-type unit_effects = {
-  ue_subs : (string, effects) Hashtbl.t;  (** by lowercase subprogram name *)
-  ue_real : (string, unit) Hashtbl.t;
-  ue_int : (string, unit) Hashtbl.t;
-}
-
-let effects_memo : (string, unit_effects) Hashtbl.t = Hashtbl.create 16
+let written_dummies env sp =
+  let u = env.e_unit in
+  memo u Phys_sub.find_opt Phys_sub.replace u.u_written written_dummies_of sp
 
 let solve_effects (subs : (string, Ast.subprogram * string option) Hashtbl.t) :
     unit_effects =
@@ -1083,13 +1076,20 @@ let solve_effects (subs : (string, Ast.subprogram * string option) Hashtbl.t) :
   done;
   ue
 
+(* The unit's effects, solved once per record: every state on a unit
+   builds the same subprogram table. *)
 let unit_effects env =
-  match locked (fun () -> Hashtbl.find_opt effects_memo env.e_unit) with
+  let u = env.e_unit in
+  match Mutex.protect u.u_mu (fun () -> u.u_effects) with
   | Some ue -> ue
   | None ->
     let ue = solve_effects env.e_subs in
-    locked (fun () -> Hashtbl.replace effects_memo env.e_unit ue);
-    ue
+    Mutex.protect u.u_mu (fun () ->
+        match u.u_effects with
+        | Some prev -> prev
+        | None ->
+          u.u_effects <- Some ue;
+          ue)
 
 (* Whether a call of [sp] compiled in [ctx] may (de)allocate an array
    the calling frame binds.  The frame binds dummies, module and COMMON
@@ -1160,80 +1160,72 @@ let result_ty (sp : Ast.subprogram) (fx : effects) : ty option =
 (* Body size cap for inlining, in statements (nested included). *)
 let inline_max_stmts = 8
 
-(* Shape of an inlinable leaf: straight-line numeric/logical code
-   (Assign / IF / RETURN only), scalar dummies and locals, every
-   designator a single scalar part or an intrinsic call.  [lf_heads]
-   are the intrinsic heads, which the per-site check verifies are not
-   shadowed by the callee's module scope. *)
-type leaf_shape = { lf_heads : string list }
-
-let leaf_memo : leaf_shape option Phys_sub.t = Phys_sub.create 32
-
-let leaf_shape : Ast.subprogram -> leaf_shape option =
-  memo Phys_sub.find_opt Phys_sub.replace leaf_memo @@ fun sp ->
-    let ok = ref true in
-    let nstmts = Ast.fold_stmts (fun n _ -> n + 1) 0 sp.Ast.sub_body in
-    if nstmts > inline_max_stmts then ok := false;
-    if List.mem sp.Ast.sub_name sp.Ast.sub_args then ok := false;
-    let locals = Hashtbl.create 8 in
-    let declared = Hashtbl.create 8 in
-    List.iter
-      (function
-        | Ast.Var_decl { base; attrs = []; entities }
-          when base = Ast.Integer || base = Ast.Real || base = Ast.Real8
-               || base = Ast.Logical ->
-          List.iter
-            (fun (e : Ast.entity) ->
-              if
-                e.Ast.ent_dims <> None
-                || e.Ast.ent_deferred <> None
-                || e.Ast.ent_init <> None
-                || Hashtbl.mem declared e.Ast.ent_name
-              then ok := false;
-              Hashtbl.replace declared e.Ast.ent_name ();
-              if not (List.mem e.Ast.ent_name sp.Ast.sub_args) then
-                Hashtbl.replace locals e.Ast.ent_name ())
-            entities
-        | Ast.Implicit_none | Ast.Decl_comment _ -> ()
-        | _ -> ok := false)
-      sp.Ast.sub_decls;
-    let known h =
-      List.mem h sp.Ast.sub_args
-      || Hashtbl.mem locals h
-      || (sp.Ast.sub_kind <> `Subroutine && h = sp.Ast.sub_name)
-    in
-    let intr_heads = ref [] in
-    let check_expr e =
-      Ast.fold_expr
-        (fun () e ->
-          match e with
-          | Ast.Implied_do _ | Ast.Section _ -> ok := false
-          | Ast.Desig [ (h, args) ] ->
-            if known h then begin
-              if args <> [] then ok := false
-            end
-            else if Hashtbl.mem Intrinsics.tbl (String.lowercase_ascii h)
-            then intr_heads := h :: !intr_heads
-            else ok := false
-          | Ast.Desig _ -> ok := false
-          | _ -> ())
-        () e
-    in
-    Ast.fold_stmts
-      (fun () s ->
-        match s with
-        | Ast.Assign (d, e) ->
-          (match d with
-          | [ (h, []) ] when known h -> ()
-          | _ -> ok := false);
-          check_expr e
-        | Ast.If_arith (c, _) -> check_expr c
-        | Ast.If_block (branches, _) ->
-          List.iter (fun (c, _) -> check_expr c) branches
-        | Ast.Return | Ast.Continue | Ast.Comment _ -> ()
-        | _ -> ok := false)
-      () sp.Ast.sub_body;
-    if !ok then Some { lf_heads = !intr_heads } else None
+(** [sp]'s shape when it is an inlinable leaf (type {!leaf_shape}),
+    recomputed on each call; the call compiler memoizes it per unit. *)
+let leaf_shape (sp : Ast.subprogram) : leaf_shape option =
+  let ok = ref true in
+  let nstmts = Ast.fold_stmts (fun n _ -> n + 1) 0 sp.Ast.sub_body in
+  if nstmts > inline_max_stmts then ok := false;
+  if List.mem sp.Ast.sub_name sp.Ast.sub_args then ok := false;
+  let locals = Hashtbl.create 8 in
+  let declared = Hashtbl.create 8 in
+  List.iter
+    (function
+      | Ast.Var_decl { base; attrs = []; entities }
+        when base = Ast.Integer || base = Ast.Real || base = Ast.Real8
+             || base = Ast.Logical ->
+        List.iter
+          (fun (e : Ast.entity) ->
+            if
+              e.Ast.ent_dims <> None
+              || e.Ast.ent_deferred <> None
+              || e.Ast.ent_init <> None
+              || Hashtbl.mem declared e.Ast.ent_name
+            then ok := false;
+            Hashtbl.replace declared e.Ast.ent_name ();
+            if not (List.mem e.Ast.ent_name sp.Ast.sub_args) then
+              Hashtbl.replace locals e.Ast.ent_name ())
+          entities
+      | Ast.Implicit_none | Ast.Decl_comment _ -> ()
+      | _ -> ok := false)
+    sp.Ast.sub_decls;
+  let known h =
+    List.mem h sp.Ast.sub_args
+    || Hashtbl.mem locals h
+    || (sp.Ast.sub_kind <> `Subroutine && h = sp.Ast.sub_name)
+  in
+  let intr_heads = ref [] in
+  let check_expr e =
+    Ast.fold_expr
+      (fun () e ->
+        match e with
+        | Ast.Implied_do _ | Ast.Section _ -> ok := false
+        | Ast.Desig [ (h, args) ] ->
+          if known h then begin
+            if args <> [] then ok := false
+          end
+          else if Hashtbl.mem Intrinsics.tbl (String.lowercase_ascii h)
+          then intr_heads := h :: !intr_heads
+          else ok := false
+        | Ast.Desig _ -> ok := false
+        | _ -> ())
+      () e
+  in
+  Ast.fold_stmts
+    (fun () s ->
+      match s with
+      | Ast.Assign (d, e) ->
+        (match d with
+        | [ (h, []) ] when known h -> ()
+        | _ -> ok := false);
+        check_expr e
+      | Ast.If_arith (c, _) -> check_expr c
+      | Ast.If_block (branches, _) ->
+        List.iter (fun (c, _) -> check_expr c) branches
+      | Ast.Return | Ast.Continue | Ast.Comment _ -> ()
+      | _ -> ok := false)
+    () sp.Ast.sub_body;
+  if !ok then Some { lf_heads = !intr_heads } else None
 
 (* Inside the callee, an intrinsic head resolves only after the scope
    chain misses; a module variable of the same name would win.  The
@@ -1256,9 +1248,10 @@ let inline_shadowed env mod_name (shape : leaf_shape) : bool =
    function-versus-subroutine use are checked by the call compiler. *)
 let inlines ctx (sp : Ast.subprogram) mod_name actuals =
   ctx.inline = None
-  && (match leaf_shape sp with
-     | Some shape -> not (inline_shadowed ctx.env mod_name shape)
-     | None -> false)
+  && (let u = ctx.env.e_unit in
+      match memo u Phys_sub.find_opt Phys_sub.replace u.u_leaves leaf_shape sp with
+      | Some shape -> not (inline_shadowed ctx.env mod_name shape)
+      | None -> false)
   && List.for_all
        (function
          | Ast.Desig [ (n, []) ] -> (
@@ -2007,7 +2000,7 @@ and compile_user_call ?dst ctx sp mod_name name actuals ~is_fn : opnd option =
    a call, so the call then leaves them alone, under any name. *)
 and compile_marshalled_call ?dst ctx sp mod_name name actuals ~is_fn : opnd option =
   if ctx.inline <> None then bail "inline-shape";
-  let written = written_dummies sp in
+  let written = written_dummies ctx.env sp in
   let sname = sp.Ast.sub_name in
   let fx =
     match Hashtbl.find_opt (unit_effects ctx.env).ue_subs (String.lowercase_ascii sname) with
@@ -2100,7 +2093,7 @@ and compile_marshalled_call ?dst ctx sp mod_name name actuals ~is_fn : opnd opti
    reads as Real already, so only an INTEGER slot bails.  Returns a
    function's result register. *)
 and compile_inline_call ctx sp actuals : opnd option =
-  let written = written_dummies sp in
+  let written = written_dummies ctx.env sp in
   let frame = { imap = Hashtbl.create 8; iret = [] } in
   List.iter2
     (fun dummy a ->
@@ -2663,33 +2656,17 @@ let finish ?(chunk_args = [||]) ?(chunk_homes = [||]) ctx : program =
       };
   }
 
-(* Program cache: structural digest key, namespaced by unit,
-   FIFO-bounded.  Compiles run outside the
-   lock; a racing domain's first insert wins. *)
-let cache : (string, (program, string) result) Hashtbl.t = Hashtbl.create 64
-let cache_order : string Queue.t = Queue.create ()
-let cache_cap = 512
-
-let cache_key env kind digest =
-  env.e_unit ^ "|" ^ kind ^ digest
-
-let cached_compile key (compile : unit -> (program, string) result) :
-    (program, string) result =
-  match locked (fun () -> Hashtbl.find_opt cache key) with
-  | Some r -> r
-  | None -> (
-    let r = compile () in
-    locked (fun () ->
-        match Hashtbl.find_opt cache key with
-        | Some prev -> prev
-        | None ->
-          Hashtbl.replace cache key r;
-          Queue.push key cache_order;
-          while Queue.length cache_order > cache_cap do
-            let doomed = Queue.pop cache_order in
-            Hashtbl.remove cache doomed
-          done;
-          r))
+(* The program [tbl] of record [u] holds for [key], compiled by
+   [compile] on a miss (see {!memo}) and counted on a fresh [site ()]:
+   the program, [None] on a bail (recorded as the site's reason), and
+   the site. *)
+let compiled_body u find add tbl ~site compile key : program option * Stats.site =
+  let c = memo u find add tbl (fun _ -> { c_prog = compile (); c_site = site () }) key in
+  match c.c_prog with
+  | Ok p -> (Some p, c.c_site)
+  | Error reason ->
+    Stats.set_reason c.c_site reason;
+    (None, c.c_site)
 
 (** Compile a whole subprogram body against a representative callee
     scope (the first call's).  Returns the program (None = bail,
@@ -2697,27 +2674,21 @@ let cached_compile key (compile : unit -> (program, string) result) :
     can count runs and bind-time bails.  Later calls bind against their
     own scopes; kind or folded-constant mismatches fail the bind and
     tree-walk that call only. *)
-let compile_sub env ~scope (sp : Ast.subprogram) : program option * Stats.site
-    =
-  let dg = sub_digest sp in
-  let label = "sub " ^ String.lowercase_ascii sp.Ast.sub_name in
-  let site = Stats.get ~unit_key:env.e_unit ~id:label ~label in
-  let r =
-    cached_compile (cache_key env "s" dg) (fun () ->
-        let ctx = make_ctx env scope ~sub:sp () in
-        match
-          promote_privates ctx sp;
-          List.iter (compile_stmt ctx) sp.Ast.sub_body;
-          finish ctx
-        with
-        | p -> Ok p
-        | exception Bail reason -> Error reason)
-  in
-  match r with
-  | Ok p -> (Some p, site)
-  | Error reason ->
-    Stats.set_reason site reason;
-    (None, site)
+let compile_sub env ~scope (sp : Ast.subprogram) : program option * Stats.site =
+  compiled_body env.e_unit Phys_sub.find_opt Phys_sub.replace env.e_unit.u_subs
+    ~site:(fun () ->
+      let label = "sub " ^ String.lowercase_ascii sp.Ast.sub_name in
+      Stats.site ~id:label ~label)
+    (fun () ->
+      let ctx = make_ctx env scope ~sub:sp () in
+      match
+        promote_privates ctx sp;
+        List.iter (compile_stmt ctx) sp.Ast.sub_body;
+        finish ctx
+      with
+      | p -> Ok p
+      | exception Bail reason -> Error reason)
+    sp
 
 (* --- parallel-DO chunks ---------------------------------------------------- *)
 
@@ -2877,22 +2848,19 @@ let compile_chunk_raw env ~scope ~hoist (l : Ast.do_loop) (d : Ast.omp_do) (inne
   | exception Bail reason -> Error reason
 
 (** Compile the chunk program of the parallel DO [l] (clauses [d]; for
-    COLLAPSE(2), [inner] is the fused inner DO), cached on the loop's
-    digest.  Returns it (None = bail, recorded as the site's reason)
-    and its "omp-do" stats site, which counts one run per chunk. *)
+    COLLAPSE(2), [inner] is the fused inner DO), once per loop of the
+    unit.  Returns it (None = bail, recorded as the site's reason) and
+    its "omp-do" stats site, which counts one run per chunk; sites are
+    numbered in the order the unit first compiled their loops. *)
 let compile_chunk env ~scope (l : Ast.do_loop) (d : Ast.omp_do) ~inner : program option * Stats.site =
-  let dg = loop_digest l in
-  let site = Stats.get ~unit_key:env.e_unit ~id:("omp-do@" ^ String.sub dg 0 8) ~label:"omp-do" in
-  let r =
-    cached_compile (cache_key env "c" dg) (fun () ->
-        try compile_chunk_raw env ~scope ~hoist:true l d inner
-        with Unsound_hoist -> compile_chunk_raw env ~scope ~hoist:false l d inner)
-  in
-  match r with
-  | Ok p -> (Some p, site)
-  | Error reason ->
-    Stats.set_reason site reason;
-    (None, site)
+  let u = env.e_unit in
+  compiled_body u Phys_loop.find_opt Phys_loop.replace u.u_chunks
+    ~site:(fun () ->
+      Stats.site ~id:(Printf.sprintf "omp-do@%04d" (Atomic.fetch_and_add u.u_chunk_ids 1)) ~label:"omp-do")
+    (fun () ->
+      try compile_chunk_raw env ~scope ~hoist:true l d inner
+      with Unsound_hoist -> compile_chunk_raw env ~scope ~hoist:false l d inner)
+    l
 
 (* --- frame plans --------------------------------------------------------- *)
 
@@ -3050,103 +3018,61 @@ let build_plan (sp : Ast.subprogram) (p : program) site : frame_plan option =
       }
   with No_plan -> None
 
-(* Plan registry, keyed like the program cache so [purge_unit] drops a
-   unit's plans with its programs. *)
-let plans : (string, frame_plan option) Hashtbl.t = Hashtbl.create 32
-
 (** The frame plan of [sp] compiled as [p] in [env]'s unit, built on
-    first use.  The registry is only consulted on a call site's first
+    first use.  The record is only consulted on a call site's first
     finished call; the site then caches the answer in [cs_plan]. *)
 let frame_plan env (sp : Ast.subprogram) (p : program) site : frame_plan option =
-  let key = env.e_unit ^ "|p|" ^ sub_digest sp in
-  match locked (fun () -> Hashtbl.find_opt plans key) with
-  | Some r -> r
-  | None ->
-    let r = build_plan sp p site in
-    locked (fun () ->
-        match Hashtbl.find_opt plans key with
-        | Some prev -> prev
-        | None ->
-          Hashtbl.replace plans key r;
-          r)
+  let u = env.e_unit in
+  memo u Phys_sub.find_opt Phys_sub.replace u.u_plans (fun sp -> build_plan sp p site) sp
 
-(** The stats site of [p]'s callee, re-registered after a stats reset. *)
-let plan_site p =
-  let s = p.fp_site in
-  if s.Stats.sk_gen = Atomic.get Stats.generation then s
-  else begin
-    let s' = Stats.get ~unit_key:s.Stats.sk_unit ~id:s.Stats.sk_id ~label:s.Stats.sk_label in
-    p.fp_site <- s';
-    s'
-  end
+let find_sub env sp =
+  let u = env.e_unit in
+  Mutex.protect u.u_mu (fun () -> Phys_sub.find_opt u.u_subs sp)
 
 (** The plan a call site can use before any call through it finished:
     known once some call compiled the callee in this unit,
     [Plan_unknown] until then. *)
 let known_plan env (sp : Ast.subprogram) : plan_state =
-  let key = cache_key env "s" (sub_digest sp) in
-  match locked (fun () -> Hashtbl.find_opt cache key) with
+  match find_sub env sp with
   | None -> Plan_unknown
-  | Some (Error _) -> Plan_none
-  | Some (Ok p) -> (
-    let label = "sub " ^ String.lowercase_ascii sp.Ast.sub_name in
-    match frame_plan env sp p (Stats.get ~unit_key:env.e_unit ~id:label ~label) with
+  | Some { c_prog = Error _; _ } -> Plan_none
+  | Some { c_prog = Ok p; c_site } -> (
+    match frame_plan env sp p c_site with
     | Some plan -> Plan plan
     | None -> Plan_none)
 
 (** The program [sp] compiled to in [env]'s unit, once a call compiled
     it (for tests and diagnostics). *)
 let compiled_sub env (sp : Ast.subprogram) : program option =
-  let key = cache_key env "s" (sub_digest sp) in
-  match locked (fun () -> Hashtbl.find_opt cache key) with
-  | Some (Ok p) -> Some p
+  match find_sub env sp with
+  | Some { c_prog = Ok p; _ } -> Some p
   | _ -> None
 
-let has_prefix u k =
-  String.length k > String.length u && String.sub k 0 (String.length u) = u
+(** The record's compiled bodies (for tests and diagnostics): each
+    compiled subprogram and parallel DO with its program or bail. *)
+let bodies u =
+  Mutex.protect u.u_mu (fun () ->
+      Phys_sub.fold (fun sp c acc -> (`Sub sp, c.c_prog) :: acc) u.u_subs []
+      |> Phys_loop.fold (fun l c acc -> (`Chunk l, c.c_prog) :: acc) u.u_chunks)
 
-(** Frame plans registered for unit [u] (for tests and diagnostics). *)
-let plan_count u =
-  locked (fun () -> Hashtbl.fold (fun k _ n -> if has_prefix u k then n + 1 else n) plans 0)
+(** Frame plans the record built (for tests and diagnostics). *)
+let plan_count u = Mutex.protect u.u_mu (fun () -> Phys_sub.length u.u_plans)
 
-(** Drop every cached program, frame plan, call-effects summary and
-    stats site of the unit [cu], and the memo entries of its ASTs (the
-    listener calls this when it evicts a script from its own cache, so
-    long-lived serve processes don't accumulate them for dead
-    scripts). *)
-let purge_unit (cu : Ast.compilation_unit) =
-  let u = unit_key cu in
-  let forget_body body =
-    Ast.fold_stmts
-      (fun () s ->
-        match s with
-        | Ast.Do l -> Phys_loop.remove loop_digest_tbl l
-        | _ -> ())
-      () body
-  in
-  locked (fun () ->
-      let doomed tbl = Hashtbl.fold (fun k _ acc -> if has_prefix u k then k :: acc else acc) tbl [] in
-      List.iter (Hashtbl.remove cache) (doomed cache);
-      List.iter (Hashtbl.remove plans) (doomed plans);
-      Hashtbl.remove effects_memo u;
-      Phys_cu.remove unit_key_tbl cu;
-      List.iter
-        (function
-          | Ast.Main m -> forget_body m.Ast.main_body
-          | pu ->
-            List.iter
-              (fun sp ->
-                Phys_sub.remove sub_digest_tbl sp;
-                Phys_sub.remove written_memo sp;
-                Phys_sub.remove leaf_memo sp;
-                forget_body sp.Ast.sub_body)
-              (Ast.subprograms_of pu))
-        cu);
-  Stats.purge_unit u
+let sites u =
+  Mutex.protect u.u_mu (fun () ->
+      let add _ c acc = c.c_site :: acc in
+      Phys_sub.fold add u.u_subs (Phys_loop.fold add u.u_chunks []))
 
-(** Entries of the AST-keyed memo tables: bounded by the units not yet
-    purged, however many a listener has served. *)
-let memo_entries () =
-  locked (fun () ->
-      Phys_loop.length loop_digest_tbl + Phys_sub.length sub_digest_tbl
-      + Phys_sub.length written_memo + Phys_sub.length leaf_memo + Phys_cu.length unit_key_tbl)
+let all_units () = Mutex.protect units_mu (fun () -> Phys_cu.fold (fun _ u acc -> u :: acc) units [])
+
+(** The stats rows of unit [u], by site id: the sites that counted a
+    run or a bail since they were made or reset. *)
+let unit_rows u =
+  List.filter_map Stats.row (sites u) |> List.sort (fun (a : Stats.row) b -> compare a.r_id b.r_id)
+
+(** The stats rows of every unit in the units table. *)
+let all_rows () = List.concat_map unit_rows (all_units ())
+
+(** Zero the counters and reasons of every site of every unit in the
+    units table, in place. *)
+let reset_stats () = List.iter (fun u -> List.iter Stats.reset (sites u)) (all_units ())

@@ -73,6 +73,8 @@ type state = {
   mutable callenv : Vm.callenv option;
       (** the VM's hooks into this state, built by the first bind
           ({!callenv}) and shared by every frame after it *)
+  mutable bytecode_env : Bytecode.env option;
+      (** built by the first compile or stats query ({!benv}) *)
 }
 
 let lookup = Storage.lookup
@@ -123,23 +125,33 @@ let make_state ?(printer = print_string) (cu : Ast.compilation_unit) =
     use_bytecode = true;
     frames = Atomic.make [];
     callenv = None;
+    bytecode_env = None;
   }
 
 let set_threads st n = st.default_threads <- max 1 n
 let set_schedule st s = st.default_sched <- s
 let set_bytecode st b = st.use_bytecode <- b
 
-(** The compile-time environment handed to {!Bytecode}: namespaces the
-    program cache and stats by compilation unit, exposes the
-    subprogram table for call compilation, and lets the inliner peek
-    at module scopes for shadowing checks.  Rebuilt per use (cheap:
-    one record; [Bytecode.unit_key] is memoized on the AST). *)
+(** The compile-time environment handed to {!Bytecode}: the unit's
+    compile record, the subprogram table for call compilation, and the
+    module scopes the inliner peeks at for shadowing checks.  Built on
+    the state's first compile or stats query, so a state that only
+    tree-walks leaves no record behind; the state keeps it even if the
+    unit is purged later.  Two domains that race to build it find the
+    same record, and either env may stay. *)
 let benv st : Bytecode.env =
-  {
-    Bytecode.e_unit = Bytecode.unit_key st.cu;
-    e_subs = st.subs;
-    e_module_scope = Hashtbl.find_opt st.module_scopes;
-  }
+  match st.bytecode_env with
+  | Some env -> env
+  | None ->
+    let env =
+      {
+        Bytecode.e_unit = Bytecode.record_of st.cu;
+        e_subs = st.subs;
+        e_module_scope = Hashtbl.find_opt st.module_scopes;
+      }
+    in
+    st.bytecode_env <- Some env;
+    env
 
 (* This domain's reusable callee frames in [st].  Only the owning
    domain reads or writes its table; the list of tables grows by CAS. *)
@@ -556,8 +568,8 @@ and call_with_bindings ?cs st (sp : Ast.subprogram) mod_name name
   | _ -> ());
   result
 
-(* Execute a subprogram body: compiled once per subprogram (digest
-   cached) when bytecode is on, re-bound against each call's scope;
+(* Execute a subprogram body: compiled once per subprogram of the
+   unit's record when bytecode is on, re-bound against each call's scope;
    any compile bail or bind mismatch tree-walks this call only.
    Returns the program and frame it ran compiled in, if it did.  A
    compiled call site [cs] records its callee's frame plan on its first
@@ -573,7 +585,7 @@ and run_sub_body ?cs st (sp : Ast.subprogram) scope :
     let compiled =
       match cs with
       | Some { Bytecode.cs_plan = Bytecode.Plan plan; _ } ->
-        (Some plan.Bytecode.fp_prog, Bytecode.plan_site plan)
+        (Some plan.Bytecode.fp_prog, plan.Bytecode.fp_site)
       | _ ->
         let env = benv st in
         let p, site = Bytecode.compile_sub env ~scope sp in
@@ -1105,8 +1117,8 @@ and exec_do_parallel st scope (l : Ast.do_loop) (d : Ast.omp_do) =
     let tscope = clone_scope_for_thread scope ~fresh in
     body_of_thread tscope clo chi
   in
-  (* Compile the chunk program once per loop (cached on the loop's
-     digest): one pass loops over a whole chunk, with the DO variables,
+  (* Compile the chunk program once per loop (kept in the unit's
+     record): one pass loops over a whole chunk, with the DO variables,
      privates and reduction accumulators in registers.  Each chunk binds
      it against the thread's scope clone and tree-walks [walk] when the
      binding does not resolve.  Stats count chunks: runs are chunks
@@ -1264,7 +1276,6 @@ let common_scalar st ~block ~var =
     without reaching into the compiler module. *)
 
 type bytecode_row = Bytecode.Stats.row = {
-  r_unit : string;
   r_id : string;
   r_label : string;
   r_reason : string option;
@@ -1274,14 +1285,13 @@ type bytecode_row = Bytecode.Stats.row = {
   r_bails : int;  (** executions that fell back to the tree-walker *)
 }
 
-let bytecode_stats () = Bytecode.Stats.snapshot ()
+(** The rows of every unit in {!Bytecode}'s units table. *)
+let bytecode_stats () = Bytecode.all_rows ()
 
 (** Only the rows belonging to [st]'s compilation unit. *)
-let bytecode_stats_for st =
-  let u = Bytecode.unit_key st.cu in
-  List.filter (fun r -> r.r_unit = u) (Bytecode.Stats.snapshot ())
+let bytecode_stats_for st = Bytecode.unit_rows (benv st).Bytecode.e_unit
 
-let reset_bytecode_stats () = Bytecode.Stats.reset ()
+let reset_bytecode_stats () = Bytecode.reset_stats ()
 
 (** The compiled program of subprogram [name] in [st]'s unit, once a
     call compiled it (for tests and diagnostics). *)

@@ -870,7 +870,7 @@ and call_frame cf =
   if not (enter cf) then false
   else begin
     cf.busy <- true;
-    Bytecode.Stats.run (Bytecode.plan_site cf.plan);
+    Bytecode.Stats.run cf.plan.Bytecode.fp_site;
     (match texec cf.frame with
     | _ -> cf.busy <- false
     | exception e ->

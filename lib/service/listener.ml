@@ -298,13 +298,13 @@ let outcome_response ~seq (oc : Serve.outcome) =
            ("output", Str oc.Serve.oc_output);
            ("ms", fixed 3 (oc.Serve.oc_time_s *. 1e3)) ]))
 
-(* Bytecode coverage over every script this process has served: total
+(* Bytecode coverage over every unit the process has not purged: total
    compiled-vs-treewalked executions plus the worst bailing sites, so
    a coverage regression shows up in monitoring rather than as a
    silent slowdown. *)
 let bytecode_json () =
   let module S = Glaf_interp.Bytecode.Stats in
-  let rows = S.snapshot () in
+  let rows = Glaf_interp.Interp.bytecode_stats () in
   let total f = Json.int (List.fold_left (fun a (r : S.row) -> a + f r) 0 rows) in
   let bailing =
     List.filter (fun (r : S.row) -> r.r_bails > 0) rows
@@ -649,8 +649,9 @@ let prepare_socket_path path =
   end
 
 (** Compile the startup script (through the cache, so a client sending
-    the same text inline hits) and bind the socket — clients can
-    connect as soon as this returns.  Serving starts at {!serve}. *)
+    the same text inline hits; pinned, so no eviction purges the unit
+    [run <call>] requests keep running) and bind the socket — clients
+    can connect as soon as this returns.  Serving starts at {!serve}. *)
 let create ~config:cfg script_text =
   if cfg.lc_max_pending < 1 then
     raise (Listener_error "--max-pending must be >= 1");
@@ -660,7 +661,7 @@ let create ~config:cfg script_text =
   let cache =
     Progcache.create ~compile:(Serve.compile_result ?transform:cfg.lc_transform) ()
   in
-  match fst (Progcache.find_or_compile cache script_text) with
+  match fst (Progcache.pin cache script_text) with
   | Error fault -> Error fault
   | Ok compiled ->
     prepare_socket_path cfg.lc_socket;

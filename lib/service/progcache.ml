@@ -21,12 +21,18 @@
 
     Thread-safe; compilation runs {e outside} the lock so a slow
     compile cannot block concurrent hits.  Two readers missing on the
-    same key concurrently may both compile — the second insert is
-    dropped, which wastes one compile but never corrupts the cache. *)
+    same key concurrently may both compile — the first insert wins and
+    both get its program, which wastes one compile but never serves a
+    unit the cache does not hold.
+
+    A {e pinned} entry ({!pin}) is never evicted: the listener pins its
+    startup script, whose unit it keeps serving to [run <call>]
+    requests. *)
 
 type entry = {
   e_compiled : Serve.compiled;
   mutable e_stamp : int;  (** use-clock value at last access (LRU) *)
+  mutable e_pinned : bool;  (** never evicted *)
 }
 
 type t = {
@@ -88,27 +94,28 @@ let hit_rate s =
   let total = s.cs_hits + s.cs_misses in
   if total = 0 then 0.0 else float_of_int s.cs_hits /. float_of_int total
 
-(* under [c.mu] *)
+(* under [c.mu]; [false] when every entry is pinned *)
 let evict_lru c =
   let victim =
     Hashtbl.fold
       (fun k e acc ->
         match acc with
+        | _ when e.e_pinned -> acc
         | Some (_, _, stamp) when stamp <= e.e_stamp -> acc
         | _ -> Some (k, e, e.e_stamp))
       c.tbl None
   in
   match victim with
-  | None -> ()
+  | None -> false
   | Some (k, e, _) ->
     Hashtbl.remove c.tbl k;
     c.evictions <- c.evictions + 1;
-    (* Drop the evicted script's compiled bytecode, stats sites and
-       AST memo entries too: the interpreter-level caches key by the
-       unit's structural digest and the memos by its AST, so without
-       this a long-lived server accumulates programs and ASTs for
-       scripts it will never serve again. *)
-    Glaf_interp.Bytecode.purge_unit e.e_compiled.Serve.co_unit
+    (* Drop the evicted unit's compile record too (its programs, stats
+       sites and AST memos), so a long-lived server does not keep them
+       for scripts it will never serve again.  A request still running
+       on the unit keeps the record its state holds. *)
+    Glaf_interp.Bytecode.purge_unit e.e_compiled.Serve.co_unit;
+    true
 
 (** Return the compiled program for [script], compiling (and caching
     on success) if absent.  The second component reports whether this
@@ -131,11 +138,26 @@ let find_or_compile c script =
     | Error _ as err -> (err, `Miss)
     | Ok compiled ->
       Mutex.lock c.mu;
-      if not (Hashtbl.mem c.tbl key) then begin
-        while Hashtbl.length c.tbl >= c.capacity do
-          evict_lru c
-        done;
-        Hashtbl.replace c.tbl key { e_compiled = compiled; e_stamp = stamp }
-      end;
+      let winner =
+        match Hashtbl.find_opt c.tbl key with
+        | Some e -> e.e_compiled
+        | None ->
+          while Hashtbl.length c.tbl >= c.capacity && evict_lru c do
+            ()
+          done;
+          Hashtbl.replace c.tbl key { e_compiled = compiled; e_stamp = stamp; e_pinned = false };
+          compiled
+      in
       Mutex.unlock c.mu;
-      (Ok compiled, `Miss))
+      (Ok winner, `Miss))
+
+(** [find_or_compile], then keep the entry for good: eviction never
+    picks it, so its unit is never purged under a caller that serves it
+    outside the cache.  Pinned entries count toward [capacity]; once
+    only pinned ones remain, a new entry goes in above it. *)
+let pin c script =
+  let r = find_or_compile c script in
+  Mutex.lock c.mu;
+  Option.iter (fun e -> e.e_pinned <- true) (Hashtbl.find_opt c.tbl (key_of_script script));
+  Mutex.unlock c.mu;
+  r

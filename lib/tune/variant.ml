@@ -169,9 +169,8 @@ let rec strip_stmt (s : Ast.stmt) : Ast.stmt =
 and strip_loop (l : Ast.do_loop) : Ast.do_loop =
   { l with Ast.do_omp = None; Ast.do_body = List.map strip_stmt l.Ast.do_body }
 
-(** MD5 digest of the loop's serial structure
-    ({!Glaf_interp.Bytecode.unit_key}-style keying: Marshal bytes of
-    the stripped AST).  Identical loops share a digest wherever they
+(** MD5 digest of the loop's serial structure: the Marshal bytes of
+    the stripped AST.  Identical loops share a digest wherever they
     appear; any body change produces a fresh one. *)
 let loop_digest (l : Ast.do_loop) : string =
   Digest.to_hex

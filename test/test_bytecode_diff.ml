@@ -427,6 +427,29 @@ let test_calls_stats () =
   check_bool "mixed ran compiled" true (runs "sub mixed" > 0);
   check_int "mixed never bailed" 0 (bails "sub mixed")
 
+(* Each parse is its own unit with its own compile record: two parses
+   of one text compile separately, and purging one leaves the other's
+   programs and stats rows as they were. *)
+let test_units_own_records () =
+  let run cu =
+    let st = Interp.make_state ~printer:ignore cu in
+    ignore (Interp.call st "drive_calls" [ Ast.Int_lit 30; Ast.Int_lit 1 ]);
+    st
+  in
+  let cu1 = Parser.parse_string calls_src and cu2 = Parser.parse_string calls_src in
+  let st1 = run cu1 and st2 = run cu2 in
+  check_bool "separate records" true ((Interp.benv st1).Bytecode.e_unit != (Interp.benv st2).Bytecode.e_unit);
+  let p1 = Interp.compiled_program st1 "leaf9" and p2 = Interp.compiled_program st2 "leaf9" in
+  check_bool "separate programs" true (match (p1, p2) with Some a, Some b -> a != b | _ -> false);
+  let rows2 = Interp.bytecode_stats_for st2 in
+  check_bool "unit 2 counted runs" true (List.exists (fun r -> r.Interp.r_runs > 0) rows2);
+  Bytecode.purge_unit cu1;
+  let st2' = Interp.make_state ~printer:ignore cu2 in
+  check_bool "unit 2 keeps its program" true
+    (match (p2, Interp.compiled_program st2' "leaf9") with Some a, Some b -> a == b | _ -> false);
+  check_bool "unit 2 keeps its stats rows" true (Interp.bytecode_stats_for st2' = rows2);
+  Bytecode.purge_unit cu2
+
 (* The acceptance gate of this PR: the case-study exchange subprograms
    run fully compiled — zero bails — and their factored-out leaf
    helpers vanish into their callers. *)
@@ -1052,11 +1075,12 @@ real*8 function drive_rsumarr(n)
 end function drive_rsumarr
 |}
 
-(* Run [fname] on the VM with fresh counters: the unit's stats rows and
-   the state's ALLOCATE count. *)
+(* Run [fname] on the VM at one thread with fresh counters: the unit's
+   stats rows and the state's ALLOCATE count. *)
 let vm_run cu fname args =
   Interp.reset_bytecode_stats ();
   let st = Interp.make_state ~printer:ignore cu in
+  Interp.set_threads st 1;
   (try ignore (Interp.call st fname args) with Interp.Fortran_error _ | Farray.Bounds_error _ -> ());
   (Interp.bytecode_stats_for st, Interp.allocations st)
 
@@ -4016,6 +4040,7 @@ let suites =
         Alcotest.test_case "user-call battery" `Quick test_calls_diff;
         Alcotest.test_case "user-call injection" `Quick test_calls_inject_diff;
         Alcotest.test_case "user-call stats" `Quick test_calls_stats;
+        Alcotest.test_case "one compile record per unit" `Quick test_units_own_records;
         Alcotest.test_case "frame: fresh locals" `Quick test_frames_fresh_locals;
         Alcotest.test_case "frame: argument kinds" `Quick test_frames_arg_kinds;
         Alcotest.test_case "frame: re-allocated module array" `Quick

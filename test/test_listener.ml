@@ -64,6 +64,20 @@ function triple returns real8
 end program
 |}
 
+(* A family of distinct one-function scripts, for cache keying and
+   eviction. *)
+let variant_script k =
+  Printf.sprintf
+    {|program cache_v%d
+module m
+function f returns real8
+  param x real8
+  step compute
+    return x * %d.0
+end program
+|}
+    k k
+
 let restore () =
   Faultinject.clear ();
   Pool.reset_health ();
@@ -203,6 +217,36 @@ let test_inline_script_cache () =
     in
     check_bool "steady call ok" true (contains r "\"ok\":true")
   done
+
+(* [run <call>] requests run the startup unit outside the cache, so its
+   entry is pinned: more distinct inline scripts than the cache holds
+   evict others, never it, and the unit keeps its compile record — the
+   same compiled program, and a run count that keeps growing. *)
+let test_startup_unit_survives_eviction () =
+  let module I = Glaf_interp.Interp in
+  with_server @@ fun path srv ->
+  let cl = Listener.Client.connect path in
+  Fun.protect ~finally:(fun () -> Listener.Client.close cl) @@ fun () ->
+  let run_default () = check_bool "default call ok" true (contains (request_exn cl "run pi_mid(100)") "\"ok\":true") in
+  let probe () =
+    let st = I.make_state ~printer:ignore srv.Listener.default_compiled.Serve.co_unit in
+    let runs = List.fold_left (fun a r -> if r.I.r_label = "sub pi_mid" then a + r.I.r_runs else a) 0 (I.bytecode_stats_for st) in
+    (I.compiled_program st "pi_mid", runs)
+  in
+  run_default ();
+  let p0, runs0 = probe () in
+  check_bool "pi_mid compiled" true (p0 <> None);
+  let capacity = (Progcache.stats srv.Listener.cache).Progcache.cs_capacity in
+  for k = 1 to capacity + 2 do
+    let r = request_exn cl (Printf.sprintf "run f(1.0)\t%s" (Listener.escape_script (variant_script k))) in
+    check_bool "inline call ok" true (contains r "\"ok\":true")
+  done;
+  check_bool "the cache evicted" true ((Progcache.stats srv.Listener.cache).Progcache.cs_evictions > 0);
+  run_default ();
+  let p1, runs1 = probe () in
+  check_bool "same compiled program" true
+    (match (p0, p1) with Some a, Some b -> a == b | _ -> false);
+  check_bool (Printf.sprintf "run count grows (%d -> %d)" runs0 runs1) true (runs1 > runs0)
 
 let test_escape_round_trip () =
   let cases =
@@ -563,18 +607,6 @@ let test_live_socket_not_stolen () =
 
 (* --- compile cache unit tests --------------------------------------------- *)
 
-let variant_script k =
-  Printf.sprintf
-    {|program cache_v%d
-module m
-function f returns real8
-  param x real8
-  step compute
-    return x * %d.0
-end program
-|}
-    k k
-
 let test_progcache_hit_miss () =
   let c = Progcache.create ~capacity:4 () in
   (match Progcache.find_or_compile c (variant_script 1) with
@@ -638,9 +670,12 @@ end program
 |}
     k k
 
-(* Evicting a script drops its unit's frame plans with its programs, so
-   a long-lived listener does not accumulate them. *)
+(* Evicting a script drops its unit's compile record, frame plans
+   included, from the units table, so a long-lived listener does not
+   accumulate them; a state made before the eviction keeps its record. *)
 let test_progcache_purges_frame_plans () =
+  let module B = Glaf_interp.Bytecode in
+  let module I = Glaf_interp.Interp in
   let c = Progcache.create ~capacity:1 () in
   let compiled k =
     match Progcache.find_or_compile c (plan_script k) with
@@ -648,14 +683,23 @@ let test_progcache_purges_frame_plans () =
     | Error f, _ -> Alcotest.failf "compile failed: %s" (Fault.to_string f)
   in
   let co = compiled 1 in
-  let st = Glaf_interp.Interp.make_state ~printer:ignore co.Serve.co_unit in
-  (match Glaf_interp.Interp.call st "f" [ Glaf_fortran.Ast.Real_lit (2.0, true) ] with
-  | Some v -> check_bool "f ran" true (Glaf_runtime.Value.to_float v = 6.0)
-  | None -> Alcotest.fail "f returned nothing");
-  let u = Glaf_interp.Bytecode.unit_key co.Serve.co_unit in
-  check_bool "plan registered" true (Glaf_interp.Bytecode.plan_count u > 0);
+  let st = I.make_state ~printer:ignore co.Serve.co_unit in
+  let f () =
+    match I.call st "f" [ Glaf_fortran.Ast.Real_lit (2.0, true) ] with
+    | Some v -> check_bool "f ran" true (Glaf_runtime.Value.to_float v = 6.0)
+    | None -> Alcotest.fail "f returned nothing"
+  in
+  f ();
+  let record = (I.benv st).B.e_unit in
+  check_bool "plan registered" true (B.plan_count record > 0);
   ignore (compiled 2);
-  check_int "evicted unit keeps no plan" 0 (Glaf_interp.Bytecode.plan_count u)
+  let fresh = (I.benv (I.make_state ~printer:ignore co.Serve.co_unit)).B.e_unit in
+  check_bool "evicted unit's record left the table" true (fresh != record);
+  check_int "evicted unit keeps no plan" 0 (B.plan_count fresh);
+  B.purge_unit co.Serve.co_unit;
+  f ();
+  check_bool "the state made before keeps its record and plans" true
+    ((I.benv st).B.e_unit == record && B.plan_count record > 0)
 
 (* The inline-script shape a served mix sends: a reduction parallel DO,
    distinct per [k]. *)
@@ -676,10 +720,10 @@ end program
 |}
     k k
 
-(* Scripts the cache evicted leave nothing behind: eviction purges the
-   bytecode layer's memos keyed by AST identity with the unit's
-   programs, so neither the memo entries nor the live heap grow with
-   the number of distinct scripts served. *)
+(* Scripts the cache evicted leave nothing behind: eviction drops the
+   unit's compile record, programs and AST memos included, so neither
+   the units table nor the live heap grows with the number of distinct
+   scripts served. *)
 let test_progcache_releases_asts () =
   let c = Progcache.create ~capacity:4 () in
   let call = List.hd (Serve.parse_calls "f(50)") in
@@ -694,7 +738,7 @@ let test_progcache_releases_asts () =
   let settle () =
     Gc.full_major ();
     Gc.full_major ();
-    ((Gc.stat ()).Gc.live_words, Glaf_interp.Bytecode.memo_entries ())
+    ((Gc.stat ()).Gc.live_words, Glaf_interp.Bytecode.unit_count ())
   in
   for k = 1 to 50 do
     serve k
@@ -704,10 +748,31 @@ let test_progcache_releases_asts () =
     serve k
   done;
   let words200, entries200 = settle () in
-  check_bool (Printf.sprintf "memo entries %d -> %d after 150 more scripts" entries50 entries200) true
+  check_bool (Printf.sprintf "compile records %d -> %d after 150 more scripts" entries50 entries200) true
     (entries200 <= entries50 + 8);
   check_bool (Printf.sprintf "live words %d -> %d after 150 more scripts" words50 words200) true
     (words200 - words50 < 150 * 100)
+
+(* Two misses on one script that compile concurrently: the first
+   insert wins and both lookups return its unit, so no caller runs a
+   unit the cache does not hold (and no eviction would purge). *)
+let test_progcache_lost_race_serves_winner () =
+  let missed = Atomic.make 0 in
+  let compile script =
+    Atomic.incr missed;
+    while Atomic.get missed < 2 do
+      Domain.cpu_relax ()
+    done;
+    Serve.compile_result script
+  in
+  let c = Progcache.create ~capacity:4 ~compile () in
+  let other = Domain.spawn (fun () -> Progcache.find_or_compile c (variant_script 1)) in
+  let mine = Progcache.find_or_compile c (variant_script 1) in
+  match (mine, Domain.join other, Progcache.find_or_compile c (variant_script 1)) with
+  | (Ok a, `Miss), (Ok b, `Miss), (Ok cached, `Hit) ->
+    check_bool "both misses return one unit" true (a.Serve.co_unit == b.Serve.co_unit);
+    check_bool "the cached one" true (cached.Serve.co_unit == a.Serve.co_unit)
+  | _ -> Alcotest.fail "expected two misses, then a hit"
 
 let test_progcache_does_not_cache_failures () =
   let c = Progcache.create ~capacity:4 () in
@@ -735,6 +800,8 @@ let suites =
         Alcotest.test_case "inline script cache" `Quick test_inline_script_cache;
         Alcotest.test_case "script escaping round trip" `Quick
           test_escape_round_trip;
+        Alcotest.test_case "startup unit survives eviction" `Quick
+          test_startup_unit_survives_eviction;
       ] );
     ( "listener.admission",
       [
@@ -775,6 +842,8 @@ let suites =
           test_progcache_purges_frame_plans;
         Alcotest.test_case "failures not cached" `Quick
           test_progcache_does_not_cache_failures;
+        Alcotest.test_case "lost insert race serves the winner" `Quick
+          test_progcache_lost_race_serves_winner;
         Alcotest.test_case "evicted scripts release their ASTs" `Quick
           test_progcache_releases_asts;
       ] );

@@ -208,11 +208,11 @@ let test_fun3d_figure7_shape () =
     && get "GLAF Cell+NoRealloc" > get "GLAF Cell")
 
 (* Every program that running [calls] on [cu] at 1 thread leaves in
-   the program cache, compiled from a clean slate: its label (the
-   subprogram's name, or for a parallel DO's chunk program the
+   the unit's compile record, compiled from a clean slate: its label
+   (the subprogram's name, or for a parallel DO's chunk program the
    subprogram's name and the loop's ordinal in it), its typed
    instruction count and the sizes of its float and int banks
-   ([t_finit], [t_iinit]).  Fails on a cached bail or a program no
+   ([t_finit], [t_iinit]).  Fails on a compile bail or a program no
    subprogram or loop of [cu] accounts for. *)
 let program_shapes cu calls =
   let module B = Glaf_interp.Bytecode in
@@ -221,27 +221,27 @@ let program_shapes cu calls =
   let st = I.make_state ~printer:ignore cu in
   I.set_threads st 1;
   List.iter (fun (name, args) -> ignore (I.call st name args)) calls;
-  let env = I.benv st in
-  let labels = Hashtbl.create 64 in
-  List.iter
-    (fun (sp : Ast.subprogram) ->
-      let name = String.lowercase_ascii sp.Ast.sub_name in
-      Hashtbl.replace labels (B.cache_key env "s" (B.sub_digest sp)) name;
-      List.iteri
-        (fun k l -> Hashtbl.replace labels (B.cache_key env "c" (B.loop_digest l)) (Printf.sprintf "%s/omp-do %d" name (k + 1)))
-        (List.filter (fun (l : Ast.do_loop) -> l.Ast.do_omp <> None) (Ast.loops sp.Ast.sub_body)))
-    (Ast.all_subprograms cu);
-  Hashtbl.fold
-    (fun key r acc ->
-      if not (B.has_prefix (env.B.e_unit ^ "|") key) then acc
-      else
-        match (r, Hashtbl.find_opt labels key) with
-        | Ok (p : B.program), Some lbl ->
-          let t = p.B.typed in
-          (lbl, (Array.length t.B.tcode, Array.length t.B.t_finit, Array.length t.B.t_iinit)) :: acc
-        | Error reason, lbl -> Alcotest.failf "%s bailed: %s" (Option.value lbl ~default:key) reason
-        | Ok _, None -> Alcotest.failf "cached program %s has no label" key)
-    B.cache []
+  let subs = Ast.all_subprograms cu in
+  let name (sp : Ast.subprogram) = String.lowercase_ascii sp.Ast.sub_name in
+  let label = function
+    | `Sub sp -> if List.memq sp subs then Some (name sp) else None
+    | `Chunk l ->
+      List.find_map
+        (fun (sp : Ast.subprogram) ->
+          List.filter (fun (l : Ast.do_loop) -> l.Ast.do_omp <> None) (Ast.loops sp.Ast.sub_body)
+          |> List.find_index (( == ) l)
+          |> Option.map (fun k -> Printf.sprintf "%s/omp-do %d" (name sp) (k + 1)))
+        subs
+  in
+  List.map
+    (fun (body, r) ->
+      match (r, label body) with
+      | Ok (p : B.program), Some lbl ->
+        let t = p.B.typed in
+        (lbl, (Array.length t.B.tcode, Array.length t.B.t_finit, Array.length t.B.t_iinit))
+      | Error reason, lbl -> Alcotest.failf "%s bailed: %s" (Option.value lbl ~default:"?") reason
+      | Ok _, None -> Alcotest.fail "compiled program has no label")
+    (B.bodies (I.benv st).B.e_unit)
   |> List.sort compare
 
 (* The static typed-instruction counts of FUN3D's hot subprograms, as
